@@ -6,11 +6,19 @@ plus one shared dyadic scale: entry (i, j) is
 2^{-scale_log2} * sum_k coeffs[i, j, k] omega_M^k.
 
 Products route through the regular representation of the ring: omega
-acts on coefficient vectors as the signed shift W (W^L = -1), so an
-exact matrix embeds as the (dim*L) x (dim*L) integer matrix
-sum_k coeffs[:, :, k] (x) W^k and matrix multiplication becomes a
-float64 BLAS call that is exact while every accumulated integer stays
-below 2^53 (guarded; a slow object-dtype path covers the rest).
+acts on coefficient vectors as the signed shift W (W^L = -1), so
+multiplying by x is the integer matrix sum_k x_k W^k (`_regular`);
+scalar and Kronecker products apply it entrywise.  Matrix products are
+exact while every accumulated integer stays below 2^52 (guarded; a slow
+object-dtype path covers the rest).  Under the guard, when the left
+operand has exactly one nonzero entry per row, or the right one exactly
+one per column (Q, P, J_{r,s}, U(T)^m, the c = 0 metaplectic branch),
+the product is a gather of the other operand plus one batched integer
+matmul with the regular matrices of those entries, O(dim^2 L^2).  Any
+other pair embeds the left matrix as the (dim*L) x (dim*L) integer
+matrix sum_k coeffs[:, :, k] (x) W^k and makes one float64 BLAS call.
+Rescaling and products check int64 headroom and raise `ExactOverflow`
+rather than wrap.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .exactnum import CycNum, OrderMismatch, UnsupportedOrder, basis_size
 __all__ = [
     "DimMismatch",
     "BackendMismatch",
+    "ExactOverflow",
     "MatCompare",
     "OpMatrix",
     "kron",
@@ -35,6 +44,7 @@ __all__ = [
 ]
 
 _FLOAT_EXACT_BOUND = 2**52
+_INT64_BOUND = 2**63
 
 
 class DimMismatch(ValueError):
@@ -45,34 +55,68 @@ class BackendMismatch(ValueError):
     """Arithmetic mixing exact and float operands."""
 
 
+class ExactOverflow(ArithmeticError):
+    """Exact coefficients would leave int64; raised instead of wrapping."""
+
+
 class MatCompare(NamedTuple):
     equal: bool
     max_deviation: float
 
 
 @lru_cache(maxsize=None)
-def _wstack(size: int) -> np.ndarray:
+def _wstack(size: int, dtype: type = np.int64) -> np.ndarray:
     # W e_k = e_{k+1}, W e_{L-1} = -e_0; powers W^0 .. W^{L-1}.
-    w = np.zeros((size, size))
+    w = np.zeros((size, size), dtype=dtype)
     for k in range(size - 1):
-        w[k + 1, k] = 1.0
-    w[0, size - 1] = -1.0
-    stack = np.empty((size, size, size))
-    stack[0] = np.eye(size)
+        w[k + 1, k] = 1
+    w[0, size - 1] = -1
+    stack = np.empty((size, size, size), dtype=dtype)
+    stack[0] = np.eye(size, dtype=dtype)
     for k in range(1, size):
         stack[k] = w @ stack[k - 1]
     return stack
 
 
-@lru_cache(maxsize=None)
-def _mul_table(size: int) -> np.ndarray:
-    # T[a, b, c] = sign with omega^a omega^b = sign * omega^c.
-    a = np.arange(size)[:, None]
-    b = np.arange(size)[None, :]
-    s = a + b
-    table = np.zeros((size, size, size), dtype=np.int64)
-    table[a, b, s % size] = np.where(s < size, 1, -1)
-    return table
+def _regular(x: np.ndarray) -> np.ndarray:
+    """(..., L) coefficient vectors -> (..., L, L) matrices of multiplication by x."""
+    size = x.shape[-1]
+    return (x @ _wstack(size).reshape(size, size * size)).reshape(*x.shape, size)
+
+
+def _top(coeffs: np.ndarray) -> int:
+    return int(np.abs(coeffs).max(initial=0))
+
+
+def _checked(bound: int, what: str) -> None:
+    if bound >= _INT64_BOUND:
+        raise ExactOverflow(f"{what} needs {bound.bit_length()} bits, int64 holds 63")
+
+
+def _row_support(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(column, entry) of the one nonzero entry of each row and the largest
+    |coefficient|, or None if some row has no nonzero entry or several."""
+    d, _, size = coeffs.shape
+    count = np.count_nonzero(coeffs)
+    if not 0 < d <= count <= d * size:
+        return None
+    mags = np.abs(coeffs.reshape(d, d * size))
+    pos = mags.argmax(axis=1)
+    rows = np.arange(d)
+    cols = pos // size
+    entries = coeffs[rows, cols]
+    if np.count_nonzero(entries) < count:  # a row with nonzeros in two entries
+        return None
+    peaks = mags[rows, pos].tolist()  # largest |coefficient| of each row
+    return (cols, entries, max(peaks)) if min(peaks) else None
+
+
+def _monomial_matmul(
+    support: tuple[np.ndarray, np.ndarray, int], other: np.ndarray
+) -> np.ndarray:
+    """m @ other for m whose row i holds only entries[i], in column cols[i]."""
+    cols, entries, _ = support
+    return other.take(cols, axis=0) @ _regular(entries).swapaxes(1, 2)
 
 
 def _valid_exact_order(order: int) -> int:
@@ -161,8 +205,9 @@ class OpMatrix:
             if len(row) != dim:
                 raise DimMismatch("ragged entry grid")
             for j, x in enumerate(row):
-                shift = scale - x.scale_log2
-                coeffs[i, j, :] = np.array(x.coeffs, dtype=np.int64) << shift
+                shifted = [c << (scale - x.scale_log2) for c in x.coeffs]
+                _checked(max(map(abs, shifted)), "rescaled entry")
+                coeffs[i, j, :] = shifted
         return cls(dim, "exact", coeffs=coeffs, order=order, scale_log2=scale)
 
     @classmethod
@@ -216,7 +261,8 @@ class OpMatrix:
     # -- internals --------------------------------------------------------
 
     def _normalize(self) -> None:
-        g = int(np.gcd.reduce(np.abs(self.coeffs).ravel(), initial=0))
+        # the lowest set bit of the OR is the largest power of two dividing all
+        g = int(np.bitwise_or.reduce(self.coeffs, axis=None))
         if g == 0:
             self.scale_log2 = 0
             return
@@ -258,22 +304,30 @@ class OpMatrix:
             return OpMatrix.from_complex(a.data @ b.data)
         d = a.dim
         size = basis_size(a.order)
-        amax = int(np.abs(a.coeffs).max(initial=0))
-        bmax = int(np.abs(b.coeffs).max(initial=0))
-        bcols = b.coeffs.transpose(0, 2, 1).reshape(d * size, d)
-        if amax * bmax * d * size < _FLOAT_EXACT_BOUND:
-            emb = np.einsum(
-                "ilk,kab->ialb", a.coeffs.astype(np.float64), _wstack(size)
-            ).reshape(d * size, d * size)
-            prod = emb @ bcols.astype(np.float64)
-            out = np.rint(prod).astype(np.int64)
-        else:  # exactness guard tripped: do the same contraction in object ints
-            wstack = _wstack(size).astype(np.int64).astype(object)
-            emb = np.einsum(
-                "ilk,kab->ialb", a.coeffs.astype(object), wstack
-            ).reshape(d * size, d * size)
-            out = np.dot(emb, bcols.astype(object)).astype(np.int64)
-        coeffs = out.reshape(d, size, d).transpose(0, 2, 1)
+        left = _row_support(a.coeffs)
+        right = None if left else _row_support(b.coeffs.transpose(1, 0, 2))
+        amax = left[2] if left else _top(a.coeffs)
+        bmax = right[2] if right else _top(b.coeffs)
+        fits = amax * bmax * d * size < _FLOAT_EXACT_BOUND
+        if fits and left:
+            coeffs = _monomial_matmul(left, b.coeffs)
+        elif fits and right:
+            # (a b)^T = b^T a^T entrywise, the ring being commutative
+            coeffs = _monomial_matmul(right, a.coeffs.transpose(1, 0, 2)).transpose(1, 0, 2)
+        else:
+            bcols = b.coeffs.transpose(0, 2, 1).reshape(d * size, d)
+            if fits:
+                emb = np.einsum(
+                    "ilk,kab->ialb", a.coeffs.astype(np.float64), _wstack(size, np.float64)
+                ).reshape(d * size, d * size)
+                prod = emb @ bcols.astype(np.float64)
+                out = np.rint(prod).astype(np.int64)
+            else:  # exactness guard tripped: do the same contraction in object ints
+                emb = np.einsum(
+                    "ilk,kab->ialb", a.coeffs.astype(object), _wstack(size, object)
+                ).reshape(d * size, d * size)
+                out = np.dot(emb, bcols.astype(object)).astype(np.int64)
+            coeffs = out.reshape(d, size, d).transpose(0, 2, 1)
         return OpMatrix(
             d,
             "exact",
@@ -287,9 +341,10 @@ class OpMatrix:
         if a.backend == "float":
             return OpMatrix.from_complex(a.data + b.data)
         t = max(a.scale_log2, b.scale_log2)
-        ca = a.coeffs << (t - a.scale_log2)
-        cb = b.coeffs << (t - b.scale_log2)
-        return OpMatrix(a.dim, "exact", coeffs=ca + cb, order=a.order, scale_log2=t)
+        sa, sb = t - a.scale_log2, t - b.scale_log2
+        _checked((_top(a.coeffs) << sa) + (_top(b.coeffs) << sb), "rescaled sum")
+        coeffs = (a.coeffs << sa) + (b.coeffs << sb)
+        return OpMatrix(a.dim, "exact", coeffs=coeffs, order=a.order, scale_log2=t)
 
     def __sub__(self, other: OpMatrix) -> OpMatrix:
         return self + (-other)
@@ -311,6 +366,7 @@ class OpMatrix:
                 s = s.to_complex()
             return OpMatrix.from_complex(self.data * s)
         if isinstance(s, int):
+            _checked(_top(self.coeffs) * abs(s), "integer scalar product")
             return OpMatrix(
                 self.dim,
                 "exact",
@@ -323,9 +379,8 @@ class OpMatrix:
         order = max(self.order, s.order)
         a = self._promoted(order)
         s = s.promote(order) if s.order != order else s
-        size = basis_size(order)
-        svec = np.array(s.coeffs, dtype=np.int64)
-        coeffs = np.einsum("ijk,l,klc->ijc", a.coeffs, svec, _mul_table(size))
+        _checked(_top(a.coeffs) * sum(abs(c) for c in s.coeffs), "scalar product")
+        coeffs = a.coeffs @ _regular(np.array(s.coeffs, dtype=np.int64)).T
         return OpMatrix(
             self.dim,
             "exact",
@@ -370,9 +425,11 @@ class OpMatrix:
         order = max(self.order, other.order)
         a, b = self._promoted(order), other._promoted(order)
         size = basis_size(order)
-        coeffs = np.einsum(
-            "ija,klb,abc->ikjlc", a.coeffs, b.coeffs, _mul_table(size), optimize=True
-        ).reshape(a.dim * b.dim, a.dim * b.dim, size)
+        _checked(_top(a.coeffs) * _top(b.coeffs) * size, "Kronecker product")
+        # block (i, j) of the product is b scaled by a[i, j]
+        blocks = b.coeffs.reshape(-1, size) @ _regular(a.coeffs).swapaxes(-1, -2)
+        coeffs = blocks.reshape(a.dim, a.dim, b.dim, b.dim, size).transpose(0, 2, 1, 3, 4)
+        coeffs = coeffs.reshape(a.dim * b.dim, a.dim * b.dim, size)
         return OpMatrix(
             a.dim * b.dim,
             "exact",
@@ -436,10 +493,9 @@ def mat_eq(a: OpMatrix, b: OpMatrix, tol: float = 1e-9) -> MatCompare:
     if a.backend == "exact" and b.backend == "exact":
         order = max(a.order, b.order)
         x, y = a._promoted(order), b._promoted(order)
-        t = max(x.scale_log2, y.scale_log2)
-        cx = x.coeffs << (t - x.scale_log2)
-        cy = y.coeffs << (t - y.scale_log2)
-        if np.array_equal(cx, cy):
+        # construction strips common factors of two, so equal values have
+        # equal (scale, coefficients): no rescaling, nothing to overflow
+        if x.scale_log2 == y.scale_log2 and np.array_equal(x.coeffs, y.coeffs):
             return MatCompare(True, 0.0)
         dev = float(np.abs(a.to_complex_array() - b.to_complex_array()).max())
         return MatCompare(False, dev)

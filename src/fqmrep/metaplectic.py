@@ -329,9 +329,10 @@ def verify_metaplectic(
     """Check J_{r,s} U = U J_{(r,s)A} over every (r,s) in Z_N^2.
 
     The side-multiplied form avoids inverting U and is equivalent for
-    invertible U.  Pairs are independent; they are scanned and the
-    report assembled in (r, s) lexicographic order, so the result is
-    deterministic.
+    invertible U.  Since (r, s) -> (r, s)A permutes Z_N^2, the checks
+    walk its cycles, so each J is built once and at most three are held
+    at a time.  The report is assembled in (r, s) lexicographic order, so
+    the result is deterministic.
     """
     if flavor == "twisted_even":
         if params is None:
@@ -349,17 +350,26 @@ def verify_metaplectic(
         raise ValueError(f"element modulus {A.N} != {N}")
     rep_params["element"] = list(A.entries())
     report = VerifyReport(suite="metaplectic", params=rep_params)
-    for r in range(N):
-        for s in range(N):
-            lhs = j_of((r, s)) @ U
-            rhs = U @ j_of(act_on_point(A, r, s))
-            cmp = mat_eq(lhs, rhs, tol=tol)
-            report.record(
-                cmp.equal,
-                cmp.max_deviation,
-                "J[r,s] U == U J[(r,s)A]",
-                {"r": r, "s": s},
-            )
+    points = [(r, s) for r in range(N) for s in range(N)]
+    compared = {}
+    for start in points:
+        if start in compared:
+            continue
+        j_start = j_of(start)
+        point, j_point = start, j_start
+        while point not in compared:
+            image = act_on_point(A, *point)
+            j_image = j_start if image == start else j_of(image)
+            compared[point] = mat_eq(j_point @ U, U @ j_image, tol=tol)
+            point, j_point = image, j_image
+    for r, s in points:
+        cmp = compared[(r, s)]
+        report.record(
+            cmp.equal,
+            cmp.max_deviation,
+            "J[r,s] U == U J[(r,s)A]",
+            {"r": r, "s": s},
+        )
     return report
 
 

@@ -4,10 +4,14 @@ import random
 import numpy as np
 import pytest
 
+from fqmrep import matrixcore
 from fqmrep.exactnum import CycNum
+from fqmrep.heisenberg import HWParams, gamma_p, p_inv_matrix, p_matrix, q_matrix
+from fqmrep.magnetic import j_twisted
 from fqmrep.matrixcore import (
     BackendMismatch,
     DimMismatch,
+    ExactOverflow,
     OpMatrix,
     kron,
     mat_eq,
@@ -15,6 +19,9 @@ from fqmrep.matrixcore import (
     matrix_to_json_dict,
     twist_perm,
 )
+from fqmrep.metaplectic import u_d, u_general, u_t_pow
+from fqmrep.sl2 import SL2Element
+from fqmrep.weilmod import chirp, pi_shift
 
 
 def _random_exact(rng, dim, order=8):
@@ -43,6 +50,12 @@ def _entrywise_product(a, b):
     return OpMatrix.from_cyc_entries(rows)
 
 
+def _entrywise_scalar(a, s):
+    return OpMatrix.from_cyc_entries(
+        [[a.entry(i, j) * s for j in range(a.dim)] for i in range(a.dim)]
+    )
+
+
 def test_exact_matmul_matches_entrywise_oracle():
     rng = random.Random(10)
     for dim in (1, 2, 3, 4):
@@ -56,7 +69,7 @@ def test_exact_matmul_overflow_fallback_matches():
     rng = random.Random(11)
     a = _random_exact(rng, 2)
     b = _random_exact(rng, 2)
-    big = 1 << 27
+    big = (1 << 27) + 1  # odd: a power of two would go into the scale
     abig = a.scalar_mul(big)
     bbig = b.scalar_mul(big)
     prod = abig @ bbig  # trips the float64 exactness guard
@@ -236,3 +249,146 @@ def test_unitary_defect():
     h = OpMatrix.from_complex(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
     assert h.unitary_defect() < 1e-12
     assert OpMatrix.from_complex(np.eye(2) * 2).unitary_defect() > 1
+
+
+# -- monomial fast path ---------------------------------------------------------
+
+
+def _exact_twin(m, order):
+    # exact copy of a float matrix whose entries are 0 or order-th roots of unity
+    data = m.to_complex_array()
+    exps = np.rint(np.angle(data) * order / (2 * np.pi)).astype(np.int64) % order
+    return OpMatrix.from_phase_table(order, exps, np.abs(data) > 0.5)
+
+
+def _monomial_pair(family):
+    """Two members of a phased-permutation family, N <= 8 (dim <= 16 when twisted)."""
+    p8, p4 = HWParams(8, 3), HWParams(4, 1)
+    if family == "Q":
+        return q_matrix(p8), q_matrix(p8) ** 3
+    if family == "P":
+        return p_matrix(p8), p_inv_matrix(p8)
+    if family == "gamma_p":
+        return gamma_p(p8, 1, 2, 3), gamma_p(p8, 5, 7, 1)
+    if family == "j_twisted":
+        return j_twisted(p4, (1, 3)), j_twisted(p4, (2, 1))
+    if family == "u_t_pow":
+        return u_t_pow(p4, 3), u_t_pow(p4, 1)
+    if family == "u_d":
+        return u_d(p4, 3), u_d(p4, 1)
+    if family == "u_general_c0":
+        x, y = u_general(p4, SL2Element(3, 1, 0, 3, 4)), u_general(p4, SL2Element(1, 2, 0, 1, 4))
+        assert "d-odd-triangular" in x.meta and "d-odd-triangular" in y.meta
+        return x, y
+    if family == "pi_shift":
+        return _exact_twin(pi_shift(8, 3, 5), 8), _exact_twin(pi_shift(8, 6, 1), 8)
+    if family == "chirp":
+        return _exact_twin(chirp(8, 3), 16), _exact_twin(chirp(8, 6), 16)
+    raise ValueError(family)
+
+
+MONOMIAL_FAMILIES = [
+    "Q", "P", "gamma_p", "j_twisted", "u_t_pow", "u_d", "u_general_c0", "pi_shift", "chirp",
+]
+
+
+@pytest.fixture
+def monomial_calls(monkeypatch):
+    calls = []
+    real = matrixcore._monomial_matmul
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matrixcore, "_monomial_matmul", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["mono@mono", "mono@dense", "dense@mono"])
+@pytest.mark.parametrize("family", MONOMIAL_FAMILIES)
+def test_monomial_fast_path_matches_oracle(family, case, monomial_calls):
+    x, y = _monomial_pair(family)
+    dense = _random_exact(random.Random(30), x.dim, x.order)
+    a, b = {"mono@mono": (x, y), "mono@dense": (x, dense), "dense@mono": (dense, x)}[case]
+    monomial_calls.clear()  # builders multiply too
+    prod = a @ b
+    assert len(monomial_calls) == 1
+    assert mat_eq(prod, _entrywise_product(a, b)).equal
+
+
+@pytest.mark.parametrize("family", MONOMIAL_FAMILIES)
+def test_scalar_mul_matches_oracle(family):
+    x, _ = _monomial_pair(family)
+    for s in (CycNum.root(16, 5), CycNum(8, (2, -1, 0, 3), 1)):
+        assert mat_eq(x.scalar_mul(s), _entrywise_scalar(x, s)).equal
+    dense = _random_exact(random.Random(31), x.dim, x.order)
+    s = CycNum(16, (1, 0, -2, 0, 0, 5, 0, 1), 2)
+    assert mat_eq(dense.scalar_mul(s), _entrywise_scalar(dense, s)).equal
+
+
+def _perm_matrix(dim, order=8):
+    rng = random.Random(32)
+    cols = list(range(dim))
+    rng.shuffle(cols)
+    entries = [[CycNum.zero(order)] * dim for _ in range(dim)]
+    for i, j in enumerate(cols):
+        entries[i][j] = CycNum.root(order, rng.randrange(order))
+    return entries
+
+
+@pytest.mark.parametrize("defect", ["two nonzeros in a row", "zero row"])
+def test_non_monomial_operands_take_the_dense_path(defect, monomial_calls):
+    entries = _perm_matrix(6)
+    if defect == "two nonzeros in a row":
+        j = next(j for j in range(6) if entries[2][j].is_zero())
+        entries[2][j] = CycNum(8, (1, 1, 0, 0), 0)
+    else:
+        entries[4] = [CycNum.zero(8)] * 6
+        # keep dim nonzero coefficients, so the count alone cannot tell
+        j = next(j for j in range(6) if not entries[2][j].is_zero())
+        entries[2][j] = CycNum(8, (1, 1, 0, 0), 0)
+    m = OpMatrix.from_cyc_entries(entries)
+    dense = _random_exact(random.Random(33), 6)
+    for a, b in ((m, dense), (dense, m)):
+        assert mat_eq(a @ b, _entrywise_product(a, b)).equal
+    assert monomial_calls == []
+
+
+def test_guard_tripping_monomial_takes_the_object_path(monomial_calls):
+    big = (1 << 27) + 1  # odd: powers of two go into the scale
+    m = OpMatrix.from_cyc_entries(_perm_matrix(3)).scalar_mul(big)
+    dense = _random_exact(random.Random(34), 3).scalar_mul(big)
+    for a, b in ((m, dense), (dense, m), (m, m)):
+        assert mat_eq(a @ b, _entrywise_product(a, b)).equal
+    assert monomial_calls == []
+
+
+# -- int64 headroom ---------------------------------------------------------------
+
+
+def test_rescaled_add_raises_instead_of_wrapping():
+    eye = OpMatrix.identity(4)
+    tiny = OpMatrix(4, "exact", coeffs=eye.coeffs, scale_log2=64)
+    with pytest.raises(ExactOverflow):
+        tiny + eye.scalar_mul(3)  # 3 << 64 used to wrap to 0, giving 2^-64 I
+    zero, tiny_entry = CycNum.zero(8), CycNum(8, (1, 0, 0, 0), 64)
+    with pytest.raises(ExactOverflow):
+        OpMatrix.from_cyc_entries([[tiny_entry, zero], [zero, CycNum.from_int(3)]])
+
+
+def test_mat_eq_far_apart_scales():
+    eye = OpMatrix.identity(4)
+    tiny = OpMatrix(4, "exact", coeffs=eye.coeffs, scale_log2=64)
+    assert not mat_eq(tiny, eye.scalar_mul(3)).equal
+    assert mat_eq(tiny, OpMatrix(4, "exact", coeffs=eye.coeffs * 4, scale_log2=66)).equal
+
+
+def test_products_raise_instead_of_wrapping():
+    m = OpMatrix.identity(2).scalar_mul((1 << 40) + 1)
+    with pytest.raises(ExactOverflow):
+        m.scalar_mul((1 << 30) + 1)
+    with pytest.raises(ExactOverflow):
+        m.scalar_mul(CycNum(8, (1 << 22, 1 << 22, 1, 0), 0))
+    with pytest.raises(ExactOverflow):
+        kron(m, m)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fqmrep.exactnum import CycNum, NotAUnit
+from fqmrep import metaplectic
 from fqmrep.heisenberg import HWParams, fourier, p_matrix, q_matrix
-from fqmrep.magnetic import j_odd
+from fqmrep.magnetic import j_odd, j_twisted
 from fqmrep.matrixcore import OpMatrix, mat_eq, twist_perm
 from fqmrep.metaplectic import (
     BadBranch,
@@ -239,6 +240,25 @@ def test_verify_metaplectic_generators(n, p):
         assert rep.passed
         assert rep.checks_run == N * N
         assert rep.max_abs_deviation == 0.0
+
+
+def test_verify_metaplectic_builds_each_j_once(monkeypatch):
+    params = HWParams(4)
+    built = []
+
+    def counting_j(params, pt, backend=None):
+        built.append(pt)
+        return j_twisted(params, pt, backend)
+
+    monkeypatch.setattr(metaplectic, "j_twisted", counting_j)
+    A = SL2Element(1, 1, 1, 2, 4)
+    assert verify_metaplectic(u_general(params, A), A, "twisted_even", params).passed
+    assert sorted(built) == [(r, s) for r in range(4) for s in range(4)]
+    # a wrong U still reports every failing point, in (r, s) order
+    rep = verify_metaplectic(u_s(params), A, "twisted_even", params)
+    points = [(f.inputs["r"], f.inputs["s"]) for f in rep.failures]
+    assert points and points == sorted(points)
+    assert len(built) == 32
 
 
 def test_verify_metaplectic_rejects_identity_for_s():
