@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import CycNum
+from .exactnum import CycNum, _is_odd_prime, _is_pow2
 from .matrixcore import OpMatrix
 
 __all__ = [
@@ -31,21 +31,6 @@ __all__ = [
     "fourier",
     "p_eigensystem",
 ]
-
-
-def _is_pow2(m: int) -> bool:
-    return m >= 1 and m & (m - 1) == 0
-
-
-def _is_odd_prime(m: int) -> bool:
-    if m < 3 or m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
 
 
 @dataclass(frozen=True)

@@ -5,30 +5,34 @@ shape (dim, dim, L) over the negacyclic basis of Z[omega_M] (L = M/2)
 plus one shared dyadic scale: entry (i, j) is
 2^{-scale_log2} * sum_k coeffs[i, j, k] omega_M^k.
 
-Products route through the regular representation of the ring: omega
-acts on coefficient vectors as the signed shift W (W^L = -1), so
-multiplying by x is the integer matrix sum_k x_k W^k (`_regular`);
-scalar and Kronecker products apply it entrywise.  Matrix products are
-exact while every accumulated integer stays below 2^52 (guarded; a slow
-object-dtype path covers the rest).  Under the guard, when the left
-operand has exactly one nonzero entry per row, or the right one exactly
-one per column (Q, P, J_{r,s}, U(T)^m, the c = 0 metaplectic branch),
-the product is a gather of the other operand plus one batched integer
-matmul with the regular matrices of those entries, O(dim^2 L^2).  Any
-other pair embeds the left matrix as the (dim*L) x (dim*L) integer
-matrix sum_k coeffs[:, :, k] (x) W^k and makes one float64 BLAS call.
-Rescaling and products check int64 headroom and raise `ExactOverflow`
-rather than wrap.
+Scalar and Kronecker products route through the regular representation
+of the ring: omega acts on coefficient vectors as the signed shift W
+(W^L = -1), so multiplying by x is the integer matrix sum_k x_k W^k
+(`_regular`), applied entrywise.  Matrix products are exact while every
+accumulated integer stays below 2^52 (guarded; a slow object-dtype path
+covers the rest).  Under the guard, when the left operand has exactly
+one nonzero entry per row, or the right one exactly one per column (Q,
+P, J_{r,s}, U(T)^m, the c = 0 metaplectic branch), the product is a
+gather of the other operand plus one batched integer matmul with the
+regular matrices of those entries, O(dim^2 L^2).  Any other pair is a
+multi-modular negacyclic product: modulo word primes p = 1 (mod 2L),
+x^L + 1 splits into L linear factors, so both operands are evaluated at
+the L odd powers of a primitive 2L-th root of unity, multiplied as L
+stacked dim x dim float64 products on centred residues (every value
+stays below 2^51, so BLAS is exact), interpolated back and lifted from
+the residues (Garner's mixed radix when one prime is not enough).  Rescaling and products check int64
+headroom and raise `ExactOverflow` rather than wrap.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .exactnum import CycNum, OrderMismatch, UnsupportedOrder, basis_size
+from .exactnum import CycNum, OrderMismatch, UnsupportedOrder, _is_odd_prime, basis_size
 
 __all__ = [
     "DimMismatch",
@@ -45,6 +49,9 @@ __all__ = [
 
 _FLOAT_EXACT_BOUND = 2**52
 _INT64_BOUND = 2**63
+# three word primes below this multiply to less than 2^63, so Garner's
+# reconstruction stays in int64
+_WORD_PRIME_CAP = 2**21
 
 
 class DimMismatch(ValueError):
@@ -117,6 +124,79 @@ def _monomial_matmul(
     """m @ other for m whose row i holds only entries[i], in column cols[i]."""
     cols, entries, _ = support
     return other.take(cols, axis=0) @ _regular(entries).swapaxes(1, 2)
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """The centred residue of x mod p (odd), for integer-valued float64 |x| < 2^51.
+
+    x/p is off by under 1/(2p) after two roundings, and x/p lies at least
+    1/(2p) from a half-integer, so rounding the quotient is exact.
+    """
+    q = x * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    return np.subtract(x, q, out=q)
+
+
+@lru_cache(maxsize=None)
+def _ntt_plan(span_log2: int, size: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """Three word primes p = 1 (mod 2 size), largest first, with their tables.
+
+    Every float64 operand is a centred residue, |r| <= (p - 1)/2, so a dot
+    product of at most 2^span_log2 terms stays below
+    2^span_log2 ((p - 1)/2)^2 < 2^51, exact and fit for `_reduce`.
+    For each p: fwd[m, k] = zeta^{(2m+1) k} evaluates a coefficient vector at
+    the L odd powers of a primitive 2L-th root zeta (the roots of x^L + 1),
+    and inv[k, m] = L^{-1} zeta^{-(2m+1) k} interpolates back.
+    """
+    half = math.isqrt((2**51 - 1) >> span_log2)
+    step = 2 * size
+    plan = []
+    p = (min(2 * half + 1, _WORD_PRIME_CAP - 1) - 1) // step * step + 1
+    while len(plan) < 3 and p > step:
+        if _is_odd_prime(p):
+            # zeta = x^((p-1)/2L) has order 2L exactly when zeta^L = -1
+            zeta = next(
+                z for z in (pow(x, (p - 1) // step, p) for x in range(2, p))
+                if pow(z, size, p) == p - 1
+            )
+            odd_k = (2 * np.arange(size)[:, None] + 1) * np.arange(size)[None, :]
+            powers = np.array([pow(zeta, e, p) for e in range(step)], dtype=np.float64)
+            fwd = _reduce(powers[odd_k % step], p)
+            inv = _reduce((powers * pow(size, -1, p) % p)[-odd_k.T % step], p)
+            plan.append((p, fwd, inv))
+        p -= step
+    if math.prod(q for q, _, _ in plan) <= 2**53:
+        raise ExactOverflow(f"three word primes cannot cover 2^53 at span 2^{span_log2}")
+    return tuple(plan)
+
+
+def _ntt_matmul(a: np.ndarray, b: np.ndarray, amax: int, bmax: int) -> np.ndarray:
+    """a @ b over Z[x]/(x^L + 1) for (dim, dim, L) coefficient tensors with
+    |a| <= amax, |b| <= bmax and bound = amax bmax dim L < 2^52, which bounds
+    every |coefficient| of the product.  So |a|, |b| < 2^50 unless the other
+    operand is zero (then any finite residues multiply to the right answer, 0).
+    """
+    d, _, size = a.shape
+    n = d * d
+    bound = amax * bmax * d * size
+    cols = np.concatenate((a.reshape(n, size), b.reshape(n, size)), dtype=np.float64).T
+    x = modulus = None
+    for p, fwd, inv in _ntt_plan((max(d, size) - 1).bit_length(), size):
+        # both operands at the L roots (coefficients within (p-1)/2 are
+        # residues already), then L stacked dim x dim products
+        ev = _reduce(fwd @ (_reduce(cols, p) if max(amax, bmax) > p // 2 else cols), p)
+        prod = _reduce(ev[:, :n].reshape(size, d, d) @ ev[:, n:].reshape(size, d, d), p)
+        r = _reduce(inv @ prod.reshape(size, n), p).astype(np.int64)
+        if x is None:
+            x, modulus = r, p
+        else:  # Garner: x = r (mod p), keeping x centred mod the earlier primes
+            x += modulus * ((r - x) % p * pow(modulus, -1, p) % p)
+            modulus *= p
+            x -= modulus * (x > modulus // 2)
+        if modulus > 2 * bound:  # the plan's three primes always get here
+            break
+    return x.T.reshape(d, d, size)
 
 
 def _valid_exact_order(order: int) -> int:
@@ -314,19 +394,14 @@ class OpMatrix:
         elif fits and right:
             # (a b)^T = b^T a^T entrywise, the ring being commutative
             coeffs = _monomial_matmul(right, a.coeffs.transpose(1, 0, 2)).transpose(1, 0, 2)
-        else:
+        elif fits:
+            coeffs = _ntt_matmul(a.coeffs, b.coeffs, amax, bmax)
+        else:  # exactness guard tripped: a as sum_k a[:, :, k] (x) W^k, in object ints
             bcols = b.coeffs.transpose(0, 2, 1).reshape(d * size, d)
-            if fits:
-                emb = np.einsum(
-                    "ilk,kab->ialb", a.coeffs.astype(np.float64), _wstack(size, np.float64)
-                ).reshape(d * size, d * size)
-                prod = emb @ bcols.astype(np.float64)
-                out = np.rint(prod).astype(np.int64)
-            else:  # exactness guard tripped: do the same contraction in object ints
-                emb = np.einsum(
-                    "ilk,kab->ialb", a.coeffs.astype(object), _wstack(size, object)
-                ).reshape(d * size, d * size)
-                out = np.dot(emb, bcols.astype(object)).astype(np.int64)
+            emb = np.einsum(
+                "ilk,kab->ialb", a.coeffs.astype(object), _wstack(size, object)
+            ).reshape(d * size, d * size)
+            out = np.dot(emb, bcols.astype(object)).astype(np.int64)
             coeffs = out.reshape(d, size, d).transpose(0, 2, 1)
         return OpMatrix(
             d,

@@ -11,7 +11,8 @@ formulas are one family per branch:
 
     d odd, c = 0     triangular: phased permutation k -> d^{-1} k
     d odd, c d^{-1} odd  single-phase table (no interior sum)
-    d odd, otherwise  an r-sum of phased line constraints
+    d odd, otherwise  the r-sum closed per entry: one masked phase table
+                     scaled by 2^{v-n}, where 2^v || c d^{-1}
     d even           single-phase table in 1/c (c is odd then)
 
 Every branch agrees exactly with the product of generator images over
@@ -160,25 +161,28 @@ def _closed_triangular(params: HWParams, A: SL2Element, backend: str) -> OpMatri
 
 
 def _closed_odd_sum(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
-    # d odd, c != 0: sum over r of a line constraint; the congruence
-    # c d^{-1} r = d^{-1} k1 - j1 may have zero, one, or many solutions
-    # per (k1, j1), all handled by scanning r directly.
+    # d odd, c != 0: entry (k, j) sums 2^-n omega^{base(k) + p e r} over the r
+    # with c' r = t (mod N), where c' = c d^{-1} = 2^v u (u odd),
+    # t = d^{-1} k1 - j1 and e = j2 - d^{-1} k2.  With g = 2^v and M = N/g the
+    # solutions are r0 + M s (s < g, r0 = (t/g) u^{-1} mod M) when g | t, and
+    # the sum over s is g when g | e, else 0: one phase per entry, scaled by
+    # 2^{v-n}.  (For odd c', v = 0, this is the d-odd-reduced table.)
     N, p = params.N, params.p
     _, b, c, d = A.entries()
     dinv = pow(d, -1, N)
+    ratio = c * dinv % N
+    v = (ratio & -ratio).bit_length() - 1
     dim, k1, k2 = _grids(N)
-    j1, j2 = k1, k2
-    base = (-p * b * dinv * k1 * k2) % N
-    total = None
-    for r in range(N):
-        sel = ((-dinv * k1[:, None] + c * dinv * r + j1[None, :]) % N) == 0
-        E = (base[:, None] + p * (-dinv * k2[:, None] + j2[None, :]) * r) % N
-        term = OpMatrix.from_phase_table(
-            N, E, sel, scale_pow2=params.n, backend=backend
-        )
-        total = term if total is None else total + term
-    total.meta = "d-odd-sum"
-    return total
+    low = N - 1  # N = 2^n, so & low reduces mod N
+    t = (dinv * k1[:, None] - k1[None, :]) & low
+    e = (k2[None, :] - dinv * k2[:, None]) & low
+    r0 = (t >> v) * pow(ratio >> v, -1, N >> v)  # mod M is moot where g | e
+    base = (-p * b * dinv * k1 * k2) & low
+    E = (base[:, None] + p * e * r0) & low
+    mask = ((t | e) & ((1 << v) - 1)) == 0  # 2^v divides t and e
+    return OpMatrix.from_phase_table(
+        N, E, mask, scale_pow2=params.n - v, backend=backend, meta="d-odd-sum"
+    )
 
 
 def _closed_odd_reduced(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:

@@ -220,6 +220,17 @@ def sl2_order(N: int) -> int:
     return order
 
 
+def _d_values(N: int, a: int, b: int, c: int) -> list[int]:
+    """Every d in Z_N with a d = 1 + b c (mod N), in increasing order."""
+    t = (1 + b * c) % N
+    g = math.gcd(a, N)
+    if t % g:
+        return []
+    step = N // g
+    d0 = pow((a // g) % step, -1, step) * (t // g) % step if step > 1 else 0
+    return [d0 + k * step for k in range(g)]
+
+
 def enumerate_sl2(N: int, cap: int = 100_000) -> list[SL2Element]:
     if sl2_order(N) > cap:
         raise TooLarge(f"|SL2(Z_{N})| = {sl2_order(N)} exceeds cap {cap}")
@@ -227,16 +238,7 @@ def enumerate_sl2(N: int, cap: int = 100_000) -> list[SL2Element]:
     for a in range(N):
         for b in range(N):
             for c in range(N):
-                t = (1 + b * c) % N
-                g = math.gcd(a, N)
-                if t % g:
-                    continue
-                # all d with a d = 1 + b c (mod N)
-                step = N // g
-                a0 = (a // g) % step
-                d0 = pow(a0, -1, step) * (t // g) % step if step > 1 else 0
-                for k in range(g):
-                    out.append(SL2Element(a, b, c, d0 + k * step, N))
+                out.extend(SL2Element(a, b, c, d, N) for d in _d_values(N, a, b, c))
     return out
 
 
@@ -246,11 +248,7 @@ def sample_sl2(N: int, count: int, seed: int) -> list[SL2Element]:
     out = []
     while len(out) < count:
         a, b, c = (rng.randrange(N) for _ in range(3))
-        t = (1 + b * c) % N
-        g = math.gcd(a, N)
-        if t % g:
-            continue
-        step = N // g
-        d0 = pow((a // g) % step, -1, step) * (t // g) % step if step > 1 else 0
-        out.append(SL2Element(a, b, c, d0 + rng.randrange(g) * step, N))
+        ds = _d_values(N, a, b, c)
+        if ds:
+            out.append(SL2Element(a, b, c, ds[rng.randrange(len(ds))], N))
     return out

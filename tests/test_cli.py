@@ -1,5 +1,6 @@
 """Tests for the command line front end and its exit-code contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -71,6 +72,25 @@ def test_verify_out_file_bytes_stable(tmp_path, capsys):
     assert target.read_bytes() == first
     stdout_rep = capsys.readouterr().out.strip().splitlines()[-1]
     assert first.decode().strip() == stdout_rep
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (["--suite", "homomorphism", "--n", "2"],
+         "5011aaeadc0e59f367498827a1200d3dcda4a838aee0c7471e334e43f51c7862"),
+        (["--suite", "homomorphism", "--n", "3", "--samples", "40"],
+         "5f073b230e3559953eb7b45de0678110ff88523c842ed57f7d441c339e699ea7"),
+        (["--suite", "decomposition", "--n", "3"],
+         "6a437c9a1bc773106125ed617e080e42379e9506243f208a24375cee961447ba"),
+    ],
+)
+def test_verify_out_golden_digest(args, digest, tmp_path, capsys):
+    # exact reports are pinned byte for byte: kernels may change, reports may not
+    target = tmp_path / "report.json"
+    assert main(["verify", *args, "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

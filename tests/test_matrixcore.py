@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,15 @@ import pytest
 
 from fqmrep import matrixcore
 from fqmrep.exactnum import CycNum
-from fqmrep.heisenberg import HWParams, gamma_p, p_inv_matrix, p_matrix, q_matrix
+from fqmrep.harness import _DIM_CAP
+from fqmrep.heisenberg import (
+    HWParams,
+    fourier,
+    gamma_p,
+    p_inv_matrix,
+    p_matrix,
+    q_matrix,
+)
 from fqmrep.magnetic import j_twisted
 from fqmrep.matrixcore import (
     BackendMismatch,
@@ -19,8 +28,8 @@ from fqmrep.matrixcore import (
     matrix_to_json_dict,
     twist_perm,
 )
-from fqmrep.metaplectic import u_d, u_general, u_t_pow
-from fqmrep.sl2 import SL2Element
+from fqmrep.metaplectic import u_d, u_general, u_s, u_t_pow
+from fqmrep.sl2 import SL2Element, enumerate_sl2
 from fqmrep.weilmod import chirp, pi_shift
 
 
@@ -392,3 +401,156 @@ def test_products_raise_instead_of_wrapping():
         m.scalar_mul(CycNum(8, (1 << 22, 1 << 22, 1, 0), 0))
     with pytest.raises(ExactOverflow):
         kron(m, m)
+
+
+# -- multi-modular (NTT) dense product ---------------------------------------------
+
+
+def _embedding_product(a, b):
+    # Independent oracle for large operands: embed a as the (dim L)^2 integer
+    # matrix sum_k a[:, :, k] (x) W^k and multiply in float64, exact while
+    # every |a||b| sum stays below 2^52.
+    d, _, size = a.shape
+    emb = np.einsum(
+        "ilk,kab->ialb", a.astype(np.float64), matrixcore._wstack(size, np.float64)
+    ).reshape(d * size, d * size)
+    prod = emb @ b.transpose(0, 2, 1).reshape(d * size, d).astype(np.float64)
+    return np.rint(prod).astype(np.int64).reshape(d, size, d).transpose(0, 2, 1)
+
+
+@pytest.fixture
+def ntt_calls(monkeypatch):
+    calls = []
+    real = matrixcore._ntt_matmul
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matrixcore, "_ntt_matmul", spy)
+    return calls
+
+
+def _branch_pair(branch):
+    params = HWParams(4, 3)
+    found = []
+    for A in enumerate_sl2(4):
+        u = u_general(params, A)
+        if u.meta.endswith(f"[{branch}]"):
+            found.append(u)
+        if len(found) == 2:
+            return found
+    raise AssertionError(branch)
+
+
+def _dense_pair(family):
+    """Two dense exact operators of one family, N <= 8 (dim <= 16)."""
+    if family == "u_s":
+        return u_s(HWParams(4, 1)), u_s(HWParams(4, 3))
+    if family == "fourier":
+        return fourier(HWParams(8, 1)), fourier(HWParams(8, 3)).dagger()
+    if family == "fourier_kron":
+        f = fourier(HWParams(4, 1))
+        return f.kron(f), f.kron(f.dagger())
+    return _branch_pair(family)
+
+
+DENSE_FAMILIES = ["u_s", "fourier", "fourier_kron", "d-even", "d-odd-reduced", "d-odd-sum"]
+
+
+@pytest.mark.parametrize("family", DENSE_FAMILIES)
+def test_dense_product_matches_oracle(family, ntt_calls):
+    x, y = _dense_pair(family)
+    for a, b in ((x, y), (y, x), (x, x)):
+        ntt_calls.clear()
+        prod = a @ b
+        assert len(ntt_calls) == 1
+        assert mat_eq(prod, _entrywise_product(a, b)).equal
+
+
+def _plan(dim, size):
+    return matrixcore._ntt_plan((max(dim, size) - 1).bit_length(), size)
+
+
+def _thresholds(dim, size):
+    """(target, over) pairs: bounds just under each prime-count threshold
+    (over False) and just over it (over True), all below 2^52."""
+    primes = [p for p, _, _ in _plan(dim, size)]
+    out = [(2**52 - 1, False)]
+    for k in (1, 2, 3):
+        cover = math.prod(primes[:k])
+        # the 3-prime threshold lies past the 2^52 guard
+        out += [(t, over) for t, over in (((cover - 1) // 2, False), ((cover + 1) // 2, True))
+                if t < 2**51]
+    return out
+
+
+@pytest.mark.parametrize("size", [4, 8])
+@pytest.mark.parametrize("dim", [4, 16, 64, 256])
+def test_ntt_kernel_at_prime_thresholds(dim, size):
+    rng = np.random.default_rng(dim * size)
+    for target, over in _thresholds(dim, size):
+        # constant tensors reach |coefficient| = amax bmax dim L in slot L - 1;
+        # the skewed split puts nearly all of the bound on one operand
+        balanced = max(1, math.isqrt(target // (dim * size)))
+        for amax in (balanced, max(1, target // (dim * size))):
+            ceil = -(-target // (amax * dim * size))
+            bmax = max(1, ceil if over else target // (amax * dim * size))
+            bound = amax * bmax * dim * size
+            assert bound < 2**52 and (bound >= target if over else bound <= target)
+            cases = [(np.full((dim, dim, size), amax), np.full((dim, dim, size), -bmax))]
+            if amax == balanced:
+                cases.append((rng.integers(-amax, amax + 1, (dim, dim, size)),
+                              rng.integers(-bmax, bmax + 1, (dim, dim, size))))
+            for a, b in cases:
+                got = matrixcore._ntt_matmul(a, b, amax, bmax)
+                assert np.array_equal(got, _embedding_product(a, b)), (target, amax, bmax)
+            assert np.abs(matrixcore._ntt_matmul(*cases[0], amax, bmax)).max() == bound
+
+
+def test_embedding_oracle_matches_entrywise():
+    rng = random.Random(40)
+    a, b = _random_exact(rng, 4), _random_exact(rng, 4)
+    assert np.array_equal(_embedding_product(a.coeffs, b.coeffs), (a @ b).coeffs)
+    assert mat_eq(a @ b, _entrywise_product(a, b)).equal
+
+
+def _is_prime(m):
+    return m > 1 and all(m % q for q in range(2, math.isqrt(m) + 1))
+
+
+@pytest.mark.parametrize("size", [4, 8, 16])
+def test_ntt_plan_for_every_dim(size):
+    checked = {}
+    for dim in range(1, _DIM_CAP + 1):
+        plan = _plan(dim, size)
+        span = max(dim, size)
+        for p, fwd, inv in plan:
+            # every float64 operand is a centred residue; dot products stay exact
+            assert span * ((p - 1) // 2) ** 2 < 2**51
+            assert np.abs(fwd).max() <= (p - 1) // 2 and np.abs(inv).max() <= (p - 1) // 2
+        assert math.prod(p for p, _, _ in plan) > 2**53
+        assert math.prod(p for p, _, _ in plan) < 2**63  # Garner stays in int64
+        if id(plan) in checked:
+            continue
+        checked[id(plan)] = plan
+        for p, fwd, inv in plan:
+            assert _is_prime(p) and p % (2 * size) == 1
+            zeta = int(fwd[0, 1]) % p
+            assert pow(zeta, size, p) == p - 1
+            for m in range(size):
+                for k in range(size):
+                    assert int(fwd[m, k]) % p == pow(zeta, (2 * m + 1) * k, p)
+            ident = (inv.astype(object) @ fwd.astype(object)) % p
+            assert (ident == np.eye(size, dtype=object)).all()
+
+
+def test_guard_tripping_dense_pair_takes_the_object_path(ntt_calls):
+    rng = random.Random(41)
+    a, b = _random_exact(rng, 3), _random_exact(rng, 3)
+    big = (1 << 27) + 1  # odd: powers of two go into the scale
+    abig, bbig = a.scalar_mul(big), b.scalar_mul(big)
+    assert mat_eq(abig @ bbig, _entrywise_product(abig, bbig)).equal
+    assert ntt_calls == []
+    assert mat_eq(a @ b, _entrywise_product(a, b)).equal
+    assert len(ntt_calls) == 1

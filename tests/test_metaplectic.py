@@ -157,6 +157,45 @@ def test_closed_form_equals_word_product_other_p():
         assert mat_eq(u_a_closed(params, A), u_of_word(params, decompose(A))).equal
 
 
+def _r_sum_reference(params, A, backend):
+    # The r-sum term by term: sum over r of 2^-n omega^{base + p e r} on the
+    # entries with c d^{-1} r = d^{-1} k1 - j1 (mod N), accumulated directly.
+    N, p, n = params.N, params.p, params.n
+    _, b, c, d = A.entries()
+    dinv = pow(d, -1, N)
+    dim = N * N
+    k1, k2 = np.divmod(np.arange(dim), N)
+    j1, j2 = k1, k2
+    base = (-p * b * dinv * k1 * k2) % N
+    order = max(N, 8)
+    size = order // 2
+    coeffs = np.zeros((dim, dim, size), dtype=np.int64)
+    data = np.zeros((dim, dim), dtype=complex)
+    for r in range(N):
+        # N is a power of two: & (N - 1) reduces mod N
+        sel = ((-dinv * k1[:, None] + c * dinv * r + j1[None, :]) & (N - 1)) == 0
+        ii, jj = np.nonzero(sel)
+        E = (base[ii] + p * (-dinv * k2[ii] + j2[jj]) * r) & (N - 1)
+        if backend == "float":
+            data[ii, jj] += np.exp(2j * np.pi * E / N)
+        else:
+            e = E * (order // N)
+            coeffs[ii, jj, e % size] += np.where(e < size, 1, -1)
+    if backend == "float":
+        return OpMatrix.from_complex(data * 2.0**-n)
+    return OpMatrix(dim, "exact", coeffs=coeffs, order=order, scale_log2=n)
+
+
+def _branch_of(A):
+    N = A.N
+    _, _, c, d = A.entries()
+    if d % 2 == 0:
+        return "d-even"
+    if c % N == 0:
+        return "d-odd-triangular"
+    return "d-odd-reduced" if (c * pow(d, -1, N)) % 2 else "d-odd-sum"
+
+
 @pytest.mark.parametrize("N", [4, 8])
 def test_reduced_branch_matches_sum(N):
     # Whenever c d^{-1} is odd the collapsed phase table must equal
@@ -164,13 +203,46 @@ def test_reduced_branch_matches_sum(N):
     params = HWParams(N)
     hit = 0
     for A in enumerate_sl2(N):
-        a, b, c, d = A.entries()
-        if d % 2 == 1 and c % N != 0 and (c * pow(d, -1, N)) % 2 == 1:
+        if _branch_of(A) == "d-odd-reduced":
             hit += 1
             assert mat_eq(
-                u_a_closed(params, A), _closed_odd_sum(params, A, "exact")
+                u_a_closed(params, A), _r_sum_reference(params, A, "exact")
             ).equal
     assert hit > 0
+
+
+def _assert_closed_sum_matches(params, A):
+    got, ref = _closed_odd_sum(params, A, "exact"), _r_sum_reference(params, A, "exact")
+    assert mat_eq(got, ref).equal and got.scale_log2 == ref.scale_log2
+    assert u_general(params, A).meta.endswith("[d-odd-sum]")
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_closed_sum_matches_r_sum_exhaustive(N):
+    hit = 0
+    for p in range(1, N, 2):
+        params = HWParams(N, p)
+        for A in enumerate_sl2(N):
+            if _branch_of(A) == "d-odd-sum":
+                hit += 1
+                _assert_closed_sum_matches(params, A)
+                got = _closed_odd_sum(params, A, "float").to_complex_array()
+                ref = _r_sum_reference(params, A, "float").to_complex_array()
+                assert np.abs(got - ref).max() < 1e-12
+    assert hit > 0
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_closed_sum_matches_r_sum_mod16(p):
+    params = HWParams(16, p)
+    elems = [A for A in sample_sl2(16, 2000, seed=160 + p) if _branch_of(A) == "d-odd-sum"]
+    assert len(elems) >= 100
+    for A in elems[:100]:  # 200 elements over the two values of p
+        _assert_closed_sum_matches(params, A)
+    for A in elems[:5]:
+        got = _closed_odd_sum(params, A, "float").to_complex_array()
+        ref = _r_sum_reference(params, A, "float").to_complex_array()
+        assert np.abs(got - ref).max() < 1e-12
 
 
 def test_branch_metadata():

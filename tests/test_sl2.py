@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -195,3 +196,19 @@ def test_word_element_rejects_bad_tokens():
         word_element([("S", 3)], 4)
     with pytest.raises(ValueError):
         word_element([("X", 1)], 4)
+
+
+def test_sample_and_enumerate_frozen():
+    # The draw order is part of the contract: seeded suites and benchmark
+    # strata are defined by these exact elements.
+    assert [A.entries() for A in sample_sl2(8, 12, seed=3)] == [
+        (3, 2, 5, 1), (1, 0, 7, 1), (3, 3, 7, 2), (1, 2, 0, 1), (7, 2, 5, 5), (3, 4, 6, 3),
+        (6, 3, 5, 0), (1, 3, 4, 5), (1, 1, 7, 0), (1, 5, 1, 6), (5, 4, 3, 1), (1, 0, 3, 1),
+    ]
+    assert [A.entries() for A in sample_sl2(12, 6, seed=4)] == [
+        (11, 6, 7, 5), (1, 1, 0, 1), (5, 4, 2, 9), (3, 2, 4, 7), (10, 11, 5, 2), (9, 5, 10, 7),
+    ]
+    listing = repr([A.entries() for A in enumerate_sl2(12)]).encode()
+    assert hashlib.sha256(listing).hexdigest() == (
+        "d00648e02e0f701f09c34d7c7d0e636ea0e5713a385b45dfcda8d65ea301f019"
+    )
