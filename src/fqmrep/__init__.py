@@ -9,10 +9,9 @@ and named verification suites replaying the defining identities.
 from .exactnum import CycNum, NotAUnit, ZMod, jacobi_symbol
 from .harness import SUITE_NAMES, SuiteSpec, UnknownSuite, run_suite
 from .heisenberg import HWParams, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix
-from .magnetic import EvenModulus, TorusPoint, j_odd, j_twisted
+from .magnetic import EvenModulus, j_odd, j_twisted
 from .matrixcore import OpMatrix, mat_eq, matrix_to_csv_text, matrix_to_json_dict
 from .metaplectic import (
-    MetaplecticRep,
     u_a_closed,
     u_d,
     u_general,
@@ -54,11 +53,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CycNum", "NotAUnit", "ZMod", "jacobi_symbol",
     "HWParams", "gamma_p", "q_matrix", "p_matrix", "p_inv_matrix", "fourier",
-    "EvenModulus", "TorusPoint", "j_odd", "j_twisted",
+    "EvenModulus", "j_odd", "j_twisted",
     "OpMatrix", "mat_eq", "matrix_to_json_dict", "matrix_to_csv_text",
     "SL2Element", "BadDeterminant", "TooLarge", "sl2_s", "sl2_t", "dilatation",
     "decompose", "enumerate_sl2", "sample_sl2", "sl2_order",
-    "MetaplecticRep", "u_s", "u_t", "u_d", "u_of_word", "u_a_closed",
+    "u_s", "u_t", "u_d", "u_of_word", "u_a_closed",
     "u_general", "verify_metaplectic", "weil_odd_general",
     "QuadraticModule", "alpha_q", "IllFormed", "NotMetaplectic",
     "CharacterSample", "chirp", "theta_defect", "find_theta_witness",

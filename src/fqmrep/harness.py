@@ -5,8 +5,12 @@ and fills a VerifyReport: checks are counted in scan order, failures
 carry an identity string plus the offending inputs, and the largest
 absolute deviation seen by any comparison is tracked (exact-backend
 equalities contribute 0.0).  Reports are deterministic for fixed
-parameters and seed; checks are independent and could run
-concurrently, but assembly order is the scan order either way.
+parameters and seed.
+
+Every law op(x) op(y) == omega_N^{e(x, y)} op(x o y) over key pairs (both
+cocycles, the pi law, U(A) U(B) == U(AB)) goes through `check_pair_law`:
+exact families of monomial members are compared in stacked integer passes,
+any other family pair by pair; the operands pick, no option does.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
 with n <= 3, float beyond, and a requested exact backend is never
@@ -18,13 +22,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import islice
 
 import numpy as np
 
 from .exactnum import CycNum
 from .heisenberg import HWParams, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix
 from .magnetic import j_odd, j_twisted
-from .matrixcore import OpMatrix, mat_eq
+from .matrixcore import OpMatrix, _monomial_law, mat_eq
 from .metaplectic import (
     u_a_closed,
     u_general,
@@ -36,7 +42,6 @@ from .metaplectic import (
 )
 from .report import VerifyReport
 from .sl2 import (
-    SL2Element,
     TooLarge,
     decompose,
     enumerate_sl2,
@@ -61,7 +66,7 @@ from .weilmod import (
     theta_defect,
 )
 
-__all__ = ["UnknownSuite", "TooLarge", "SuiteSpec", "SUITE_NAMES", "run_suite"]
+__all__ = ["UnknownSuite", "TooLarge", "SuiteSpec", "SUITE_NAMES", "check_pair_law", "run_suite"]
 
 SUITE_NAMES = (
     "heisenberg",
@@ -77,6 +82,7 @@ SUITE_NAMES = (
 
 _PAIR_CAP = 10_000_000
 _DIM_CAP = 4096
+_PAIR_CHUNK = 4096  # pairs read from the scan at a time
 
 
 class UnknownSuite(ValueError):
@@ -148,6 +154,82 @@ def _root_scalar(pr: HWParams, backend: str, e: int):
     return complex(np.exp(2j * np.pi * (e % pr.N) / pr.N))
 
 
+# -- pair laws ---------------------------------------------------------------
+
+
+def _pair_compare(op, N: int, tol: float, x, y, z, e) -> tuple[bool, float]:
+    # the product first: a lazy op(z) is not built while the product's
+    # temporaries are alive
+    if op(x).backend == "exact":
+        got = op(x) @ op(y)
+        return mat_eq(got, op(z) if e is None else op(z).scalar_mul(CycNum.root(N, e)), tol)
+    got = op(x).data @ op(y).data
+    want = op(z).data if e is None else np.exp(2j * np.pi * (e % N) / N) * op(z).data
+    dev = float(np.abs(got - want).max())
+    return dev <= tol, dev
+
+
+def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol) -> None:
+    """Record op(x) op(y) == omega_N^{e(x, y)} op(compose(x, y)) for every
+    (x, y) of `pairs`, in scan order.
+
+    `op` is a cached builder, `phase` is (N, e) or None for the bare law,
+    and `inputs(x, y)` names a failing pair.  While every member met so far
+    is exact monomial, a chunk of pairs is decided by `_monomial_law`; the
+    pairs it finds unequal, and every pair once a member is not, are
+    compared one at a time (`_pair_compare`).
+    """
+    N, exponent = phase or (1, None)
+    pairs = iter(pairs)
+    batched = None
+    while chunk := list(islice(pairs, _PAIR_CHUNK)):
+        if batched is None:
+            batched = op(chunk[0][0]).backend == "exact"
+        equal = _stacked_law(chunk, op, compose, N, exponent) if batched else None
+        batched = equal is not None
+        todo = range(len(chunk)) if equal is None else np.flatnonzero(~equal)
+        rep.checks_run += len(chunk) - len(todo)
+        for k in todo:
+            x, y = chunk[k]
+            e = None if exponent is None else exponent(x, y)
+            ok, dev = _pair_compare(op, N, tol, x, y, compose(x, y), e)
+            rep.record(ok, dev, identity, None if ok else inputs(x, y))
+
+
+def _stacked_law(chunk, op, compose, N, exponent):
+    # `_monomial_law` over a chunk, members numbered in order of first use
+    out = [compose(x, y) for x, y in chunk]
+    keys = list(dict.fromkeys(k for (x, y), z in zip(chunk, out) for k in (x, y, z)))
+    index = {k: i for i, k in enumerate(keys)}
+    left, right = (np.array([index[pair[j]] for pair in chunk]) for j in (0, 1))
+    out = np.array([index[z] for z in out])
+    exps = None if exponent is None else np.array([exponent(x, y) for x, y in chunk])
+    return _monomial_law(map(op, keys), left, right, out, N, exps)
+
+
+def _torus_law(rep, identity, N, op, exponent, tol) -> None:
+    # over all (l, l') in (Z_N^2)^2, l = (r, s) r-major, composed by addition
+    points = [(r, s) for r in range(N) for s in range(N)]
+    check_pair_law(
+        rep, identity, [(l, m) for l in points for m in points], op,
+        lambda l, m: ((l[0] + m[0]) % N, (l[1] + m[1]) % N), (N, exponent),
+        lambda l, m: {"l": list(l), "l'": list(m)}, tol,
+    )
+
+
+def _sl2_law(rep, pairs, op, tol) -> None:
+    check_pair_law(
+        rep, "U(A) U(B) == U(AB)", pairs, op, lambda A, B: A * B, None,
+        lambda A, B: {"A": list(A.entries()), "B": list(B.entries())}, tol,
+    )
+
+
+def _dagger_law(rep, mats, N, tol) -> None:
+    for (r, s), m in mats.items():
+        cmp = mat_eq(m.dagger(), mats[(-r % N, -s % N)], tol)
+        rep.record(cmp.equal, cmp.max_deviation, "J[l]^dagger == J[-l]", {"r": r, "s": s})
+
+
 # -- suites ------------------------------------------------------------------
 
 
@@ -177,20 +259,21 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
     # commutator law over pairs of (m, r, s) triples scanned in [0, 2N)^3;
     # matrices and scalars repeat with period N per slot, so each residue
     # class is multiplied once and counted with multiplicity 2^6
+    gamma = cache(lambda key: gamma_p(pr, *key, backend))
+
     def check(g, h):
         m1, r1, s1 = g
         m2, r2, s2 = h
-        lhs = mats[g] @ mats[h] - mats[h] @ mats[g]
+        lhs = gamma(g) @ gamma(h) - gamma(h) @ gamma(g)
         scalar = _root_scalar(pr, backend, p * r2 * s1)
         scalar = scalar - _root_scalar(pr, backend, p * r1 * s2)
-        rhs = gamma_p(pr, m1 + m2, r1 + r2, s1 + s2, backend).scalar_mul(scalar)
-        return mat_eq(lhs, rhs, tol)
+        gh = ((m1 + m2) % N, (r1 + r2) % N, (s1 + s2) % N)
+        return mat_eq(lhs, gamma(gh).scalar_mul(scalar), tol)
 
     exhaustive = bool(params.get("exhaustive", N <= 4))
     if exhaustive:
         _guard_pairs((2 * N) ** 6)
         triples = [(m, r, s) for m in range(N) for r in range(N) for s in range(N)]
-        mats = {g: gamma_p(pr, *g, backend) for g in triples}
         for g in triples:
             for h in triples:
                 cmp = check(g, h)
@@ -202,16 +285,10 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
         rep.params["mode"] = "exhaustive"
     else:
         rng = random.Random(seed)
-        mats = {}
         for _ in range(samples):
             g = tuple(rng.randrange(2 * N) for _ in range(3))
             h = tuple(rng.randrange(2 * N) for _ in range(3))
-            g_c = tuple(v % N for v in g)
-            h_c = tuple(v % N for v in h)
-            for key in (g_c, h_c):
-                if key not in mats:
-                    mats[key] = gamma_p(pr, *key, backend)
-            cmp = check(g_c, h_c)
+            cmp = check(tuple(v % N for v in g), tuple(v % N for v in h))
             rep.record(
                 cmp.equal, cmp.max_deviation,
                 "[Gamma(g), Gamma(h)] == (w^{p r' s} - w^{p r s'}) Gamma(gh)",
@@ -228,27 +305,12 @@ def _suite_cocycle_odd(params: dict) -> VerifyReport:
     _guard_pairs(N**4)
     rep = VerifyReport("cocycle-odd", {"N": N})
     inv2 = pow(2, -1, N)
-    mats = {
-        (r, s): j_odd(N, (r, s)).to_complex_array()
-        for r in range(N)
-        for s in range(N)
-    }
-    for (r, s), m in mats.items():
-        dev = float(np.abs(m.conj().T - mats[(-r % N, -s % N)]).max())
-        rep.record(dev <= tol, dev, "J[l]^dagger == J[-l]", {"r": r, "s": s})
-    for r in range(N):
-        for s in range(N):
-            left = mats[(r, s)]
-            for rp in range(N):
-                for sp in range(N):
-                    phase = np.exp(2j * np.pi * ((rp * s - r * sp) * inv2 % N) / N)
-                    rhs = phase * mats[((r + rp) % N, (s + sp) % N)]
-                    dev = float(np.abs(left @ mats[(rp, sp)] - rhs).max())
-                    rep.record(
-                        dev <= tol, dev,
-                        "J[l] J[l'] == omega^{(r' s - r s')/2} J[l+l']",
-                        {"l": [r, s], "l'": [rp, sp]},
-                    )
+    mats = {(r, s): j_odd(N, (r, s)) for r in range(N) for s in range(N)}
+    _dagger_law(rep, mats, N, tol)
+    _torus_law(
+        rep, "J[l] J[l'] == omega^{(r' s - r s')/2} J[l+l']", N, mats.__getitem__,
+        lambda l, m: (m[0] * l[1] - l[0] * m[1]) * inv2, tol,
+    )
     return rep
 
 
@@ -260,28 +322,12 @@ def _suite_cocycle_twisted(params: dict) -> VerifyReport:
     _guard_dim(N * N)
     _guard_pairs(N**4)
     rep = VerifyReport("cocycle-twisted", {"N": N, "p": p, "backend": backend})
-    mats = {
-        (r, s): j_twisted(pr, (r, s), backend=backend)
-        for r in range(N)
-        for s in range(N)
-    }
-    for (r, s), m in mats.items():
-        cmp = mat_eq(m.dagger(), mats[(-r % N, -s % N)], tol)
-        rep.record(cmp.equal, cmp.max_deviation, "J[l]^dagger == J[-l]", {"r": r, "s": s})
-    for r in range(N):
-        for s in range(N):
-            left = mats[(r, s)]
-            for rp in range(N):
-                for sp in range(N):
-                    rhs = mats[((r + rp) % N, (s + sp) % N)].scalar_mul(
-                        _root_scalar(pr, backend, p * (rp * s - sp * r))
-                    )
-                    cmp = mat_eq(left @ mats[(rp, sp)], rhs, tol)
-                    rep.record(
-                        cmp.equal, cmp.max_deviation,
-                        "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']",
-                        {"l": [r, s], "l'": [rp, sp]},
-                    )
+    mats = {(r, s): j_twisted(pr, (r, s), backend=backend) for r in range(N) for s in range(N)}
+    _dagger_law(rep, mats, N, tol)
+    _torus_law(
+        rep, "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']", N, mats.__getitem__,
+        lambda l, m: p * (m[0] * l[1] - m[1] * l[0]), tol,
+    )
     return rep
 
 
@@ -326,14 +372,6 @@ def _suite_homomorphism(params: dict) -> VerifyReport:
         {"N": N, "p": pr.p, "backend": backend,
          "mode": "exhaustive" if exhaustive else "sampled"},
     )
-    cache: dict[tuple[int, int, int, int], OpMatrix] = {}
-
-    def u_of(A: SL2Element) -> OpMatrix:
-        key = A.entries()
-        if key not in cache:
-            cache[key] = u_general(pr, A, backend)
-        return cache[key]
-
     if exhaustive:
         elems = enumerate_sl2(N)
         _guard_pairs(len(elems) ** 2)
@@ -343,12 +381,7 @@ def _suite_homomorphism(params: dict) -> VerifyReport:
         rep.params["samples"] = samples
         rep.params["seed"] = seed
         pairs = zip(sample_sl2(N, samples, seed), sample_sl2(N, samples, seed + 1))
-    for A, B in pairs:
-        cmp = mat_eq(u_of(A) @ u_of(B), u_of(A * B), tol)
-        rep.record(
-            cmp.equal, cmp.max_deviation, "U(A) U(B) == U(AB)",
-            {"A": list(A.entries()), "B": list(B.entries())},
-        )
+    _sl2_law(rep, pairs, cache(lambda A: u_general(pr, A, backend)), tol)
     return rep
 
 
@@ -386,10 +419,8 @@ def _suite_weil_odd(params: dict) -> VerifyReport:
     _guard_pairs(order * N * N)
     rep = VerifyReport("weil-odd", {"N": N})
     elems = enumerate_sl2(N)
-    mats: dict[tuple[int, int, int, int], OpMatrix] = {}
-    for A in elems:
-        U = weil_odd_general(N, A)
-        mats[A.entries()] = U
+    mats = {A: weil_odd_general(N, A) for A in elems}
+    for A, U in mats.items():
         _merge(
             rep, verify_metaplectic(U, A, "weil_odd", tol=tol),
             {"element": list(A.entries())},
@@ -398,17 +429,7 @@ def _suite_weil_odd(params: dict) -> VerifyReport:
     rep.params["pairs"] = run_pairs
     if run_pairs:
         _guard_pairs(order**2)
-        arrays = {k: m.to_complex_array() for k, m in mats.items()}
-        for A in elems:
-            left = arrays[A.entries()]
-            for B in elems:
-                dev = float(
-                    np.abs(left @ arrays[B.entries()] - arrays[(A * B).entries()]).max()
-                )
-                rep.record(
-                    dev <= tol, dev, "U(A) U(B) == U(AB)",
-                    {"A": list(A.entries()), "B": list(B.entries())},
-                )
+        _sl2_law(rep, ((A, B) for A in elems for B in elems), mats.__getitem__, tol)
     return rep
 
 
@@ -476,20 +497,11 @@ def _suite_feichtinger_defect(params: dict) -> VerifyReport:
                 dev <= tol, dev,
                 "R[c1] R[c2] == sign^(k^2) R[c1+c2]", {"c": [c1, c2]},
             )
-    pis = {
-        (r, s): pi_shift(N, r, s).to_complex_array()
-        for r in range(N)
-        for s in range(N)
-    }
-    for (r, s), left in pis.items():
-        for (rp, sp), right in pis.items():
-            phase = np.exp(2j * np.pi * (s * rp % N) / N)
-            dev = float(np.abs(left @ right - phase * pis[((r + rp) % N, (s + sp) % N)]).max())
-            rep.record(
-                dev <= tol, dev,
-                "pi(l) pi(l') == omega^{s r'} pi(l+l')",
-                {"l": [r, s], "l'": [rp, sp]},
-            )
+    pis = {(r, s): pi_shift(N, r, s) for r in range(N) for s in range(N)}
+    _torus_law(
+        rep, "pi(l) pi(l') == omega^{s r'} pi(l+l')", N, pis.__getitem__,
+        lambda l, m: l[1] * m[0], tol,
+    )
     elems = enumerate_sl2(N)
     if len(elems) > 60:
         rng = random.Random(seed)

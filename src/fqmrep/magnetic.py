@@ -15,55 +15,19 @@ independent construction for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .exactnum import ZMod
 from .heisenberg import HWParams, p_matrix, q_matrix
 from .matrixcore import OpMatrix
 
-__all__ = ["EvenModulus", "TorusPoint", "j_odd", "j_twisted", "j_twisted_product"]
+__all__ = ["EvenModulus", "j_odd", "j_twisted", "j_twisted_product"]
 
 
 class EvenModulus(ValueError):
     """Odd-modulus construction invoked with an even N."""
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """Point (r, s) on the discrete torus Z_N x Z_N."""
-
-    r: ZMod
-    s: ZMod
-
-    def __post_init__(self) -> None:
-        if self.r.modulus != self.s.modulus:
-            raise ValueError("coordinates carry different moduli")
-
-    @classmethod
-    def of(cls, N: int, r: int, s: int) -> TorusPoint:
-        return cls(ZMod(r, N), ZMod(s, N))
-
-    @property
-    def N(self) -> int:
-        return self.r.modulus
-
-    def __add__(self, other: TorusPoint) -> TorusPoint:
-        return TorusPoint(self.r + other.r, self.s + other.s)
-
-    def __neg__(self) -> TorusPoint:
-        return TorusPoint(-self.r, -self.s)
-
-    def coords(self) -> tuple[int, int]:
-        return (self.r.value, self.s.value)
-
-
-def _coords(pt, N: int) -> tuple[int, int]:
-    if isinstance(pt, TorusPoint):
-        if pt.N != N:
-            raise ValueError(f"point modulus {pt.N} != {N}")
-        return pt.coords()
+def _coords(pt: tuple[int, int], N: int) -> tuple[int, int]:
     r, s = pt
     return (r % N, s % N)
 

@@ -126,6 +126,60 @@ def _monomial_matmul(
     return other.take(cols, axis=0) @ _regular(entries).swapaxes(1, 2)
 
 
+def _monomial_law(
+    mats: Iterable[OpMatrix],
+    left: np.ndarray,
+    right: np.ndarray,
+    out: np.ndarray,
+    root_order: int,
+    exponents: np.ndarray | None,
+) -> np.ndarray | None:
+    """Whether mats[left[k]] @ mats[right[k]] == omega_{root_order}^{exponents[k]}
+    mats[out[k]] (no phase for None) for each k, decided on row supports: row i
+    of X Y holds e_X[i] e_Y[c_X[i]] in column c_Y[c_X[i]].  None, reading no
+    further matrix, at the first one not exact monomial like the first; None
+    too if the phases need a larger order or the common scale leaves int64.
+    """
+    supports, scales, shape = [], [], None
+    for m in mats:
+        support = m.backend == "exact" and _row_support(m.coeffs)
+        if not support or shape not in (None, (m.order, m.dim)):
+            return None
+        shape = (m.order, m.dim)
+        supports.append(support)
+        scales.append(m.scale_log2)
+    cols, entries, peaks = zip(*supports)
+    order = shape[0]
+    if order % root_order:
+        return None
+    size = basis_size(order)
+    scale = np.array(scales)
+    lscale, rscale = scale[left] + scale[right], scale[out]
+    lshift = np.maximum(rscale - lscale, 0)
+    rshift = np.maximum(lscale - rscale, 0)
+    top = max(peaks)
+    if max((top * top * size) << int(lshift.max()), top << int(rshift.max())) >= _INT64_BOUND:
+        return None
+    if exponents is not None:  # omega^k as the signed shift W^(k mod L)
+        k = exponents % root_order * (order // root_order)
+        sign = np.where(k < size, 1, -1)[:, None, None]
+    C, E = np.stack(cols), np.stack(entries)
+    equal = np.empty(len(left), dtype=bool)
+    for x in dict.fromkeys(left.tolist()):
+        sel = np.flatnonzero(left == x)
+        y, z, cx = right[sel], out[sel], C[x]
+        # (dim, G, L) stacks of L x L products, one stack per row of x
+        prod = (E[y[None, :], cx[:, None]] @ _regular(E[x]).swapaxes(1, 2)).swapaxes(0, 1)
+        want = E[z]
+        if exponents is not None:
+            want = want @ (_wstack(size)[k[sel] % size] * sign[sel]).swapaxes(1, 2)
+        prod <<= lshift[sel, None, None]
+        want <<= rshift[sel, None, None]
+        same = (prod == want).all(axis=(1, 2))
+        equal[sel] = same & (C[y[:, None], cx] == C[z]).all(axis=1)
+    return equal
+
+
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """The centred residue of x mod p (odd), for integer-valued float64 |x| < 2^51.
 

@@ -32,8 +32,6 @@ odd-N matrices carry 1/sqrt(N) and stay in floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exactnum import NotAUnit, jacobi_symbol
@@ -46,7 +44,6 @@ from .sl2 import SL2Element, Token, act_on_point, dilatation_word, sl2_s, sl2_t
 __all__ = [
     "BadBranch",
     "NonGeneric",
-    "MetaplecticRep",
     "u_s",
     "u_t",
     "u_t_pow",
@@ -375,35 +372,3 @@ def verify_metaplectic(
             {"r": r, "s": s},
         )
     return report
-
-
-@dataclass(frozen=True)
-class MetaplecticRep:
-    """One representation flavor bound to its parameters."""
-
-    params: HWParams
-    flavor: str
-
-    def __post_init__(self) -> None:
-        if self.flavor == "twisted_even":
-            if not self.params.is_even:
-                raise ValueError("twisted_even needs N = 2^n")
-        elif self.flavor == "weil_odd":
-            if self.params.is_even:
-                raise ValueError("weil_odd needs an odd prime N")
-        else:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.params.N**2 if self.flavor == "twisted_even" else self.params.N
-
-    def matrix(self, A: SL2Element, backend: str | None = None) -> OpMatrix:
-        if self.flavor == "twisted_even":
-            return u_general(self.params, A, backend)
-        return weil_odd_general(self.params.N, A)
-
-    def verify(self, A: SL2Element, tol: float = 1e-9) -> VerifyReport:
-        return verify_metaplectic(
-            self.matrix(A), A, self.flavor, params=self.params, tol=tol
-        )

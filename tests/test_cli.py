@@ -83,6 +83,10 @@ def test_verify_out_file_bytes_stable(tmp_path, capsys):
          "5f073b230e3559953eb7b45de0678110ff88523c842ed57f7d441c339e699ea7"),
         (["--suite", "decomposition", "--n", "3"],
          "6a437c9a1bc773106125ed617e080e42379e9506243f208a24375cee961447ba"),
+        (["--suite", "cocycle-twisted", "--n", "2", "--p", "3"],
+         "567433a34db150df32427af08a12d44efe89d00c35b0b93ba883cd680f6cc4ba"),
+        (["--suite", "cocycle-twisted", "--n", "3", "--p", "1"],
+         "94bea01de8e2742fad0534ea551923ff51c56ebf13c972a409ec22390822fe40"),
     ],
 )
 def test_verify_out_golden_digest(args, digest, tmp_path, capsys):

@@ -1,10 +1,27 @@
 """Tests for the named verification suites."""
 
 import json
+from functools import cache
 
+import numpy as np
 import pytest
 
-from fqmrep.harness import SUITE_NAMES, SuiteSpec, TooLarge, UnknownSuite, run_suite
+from fqmrep import harness
+from fqmrep.exactnum import CycNum
+from fqmrep.harness import (
+    SUITE_NAMES,
+    SuiteSpec,
+    TooLarge,
+    UnknownSuite,
+    check_pair_law,
+    run_suite,
+)
+from fqmrep.heisenberg import HWParams, p_matrix, q_matrix
+from fqmrep.magnetic import j_twisted
+from fqmrep.matrixcore import OpMatrix, mat_eq
+from fqmrep.metaplectic import u_general
+from fqmrep.report import VerifyReport
+from fqmrep.sl2 import SL2Element, sl2_s
 
 
 def test_unknown_suite_rejected():
@@ -163,3 +180,220 @@ def test_report_params_json_serializable():
         round_trip = json.loads(rep.to_json())
         assert round_trip["suite"] == name
         assert round_trip["passed"] is True
+
+
+# -- the pair-law checker against the per-pair loops it replaced --------------
+
+
+def _pair_law_reference(rep, identity, pairs, op, compose, phase, inputs, tol):
+    """The hand-written suite loops, one product and one comparison per pair."""
+    N, exponent = phase or (1, None)
+    arrays = {}
+
+    def array(key):
+        if key not in arrays:
+            arrays[key] = op(key).to_complex_array()
+        return arrays[key]
+
+    for x, y in pairs:
+        z = compose(x, y)
+        e = None if exponent is None else exponent(x, y)
+        if op(x).backend == "exact":
+            rhs = op(z) if e is None else op(z).scalar_mul(CycNum.root(N, e))
+            ok, dev = mat_eq(op(x) @ op(y), rhs, tol)
+        else:
+            rhs = array(z) if e is None else np.exp(2j * np.pi * (e % N) / N) * array(z)
+            dev = float(np.abs(array(x) @ array(y) - rhs).max())
+            ok = dev <= tol
+        rep.record(ok, dev, identity, inputs(x, y))
+
+
+def _reference_json(monkeypatch, name, params):
+    with monkeypatch.context() as m:
+        m.setattr(harness, "check_pair_law", _pair_law_reference)
+        return run_suite(SuiteSpec(name, params)).to_json()
+
+
+MIGRATED = (
+    [("cocycle-twisted", {"n": 1, "p": 1})]
+    + [("cocycle-twisted", {"n": 2, "p": p}) for p in (1, 3)]
+    + [("cocycle-twisted", {"n": 3, "p": p}) for p in (1, 3, 5, 7)]
+    + [("cocycle-odd", {"N": 3}), ("cocycle-odd", {"N": 5})]
+    + [("homomorphism", {"n": 2, "exhaustive": True})]
+    + [("homomorphism", {"N": 16, "samples": 4})]
+    + [("weil-odd", {"N": 5})]
+    + [("feichtinger-defect", {"N": 4}), ("feichtinger-defect", {"N": 6})]
+)
+
+
+@pytest.mark.parametrize("name,params", MIGRATED)
+def test_pair_law_reports_match_the_per_pair_loops(name, params, monkeypatch):
+    assert run_suite(SuiteSpec(name, params)).to_json() == _reference_json(monkeypatch, name, params)
+
+
+def _spy_monomial_law(monkeypatch):
+    """What each `_monomial_law` call returned: None, or its equal mask."""
+    results = []
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    real = harness._monomial_law
+    monkeypatch.setattr(harness, "_monomial_law", spy)
+    return results
+
+
+@pytest.mark.parametrize("chunk", [4096, 7])
+@pytest.mark.parametrize("off_support", [False, True])
+def test_perturbed_j_fails_like_the_per_pair_loops(off_support, chunk, monkeypatch):
+    # one coefficient of J[1, 2] moves: inside its nonzero entry the family
+    # stays monomial and the stacked pass runs; in a zero entry it does not
+    def perturbed(pr, pt, backend=None):
+        m = j_twisted(pr, pt, backend=backend)
+        if tuple(pt) != (1, 2):
+            return m
+        coeffs = m.coeffs.copy()
+        col = int(np.flatnonzero(coeffs[0].any(axis=1))[0])
+        free = int(np.flatnonzero(coeffs[0, col] == 0)[0])  # a zero coefficient
+        coeffs[0, (col + 1) % m.dim if off_support else col, free] += 1
+        return OpMatrix(m.dim, "exact", coeffs=coeffs, order=m.order, scale_log2=m.scale_log2)
+
+    monkeypatch.setattr(harness, "j_twisted", perturbed)
+    params = {"n": 2, "p": 3}
+    want = json.loads(_reference_json(monkeypatch, "cocycle-twisted", params))
+    monkeypatch.setattr(harness, "_PAIR_CHUNK", chunk)
+    calls = _spy_monomial_law(monkeypatch)
+    got = json.loads(run_suite(SuiteSpec("cocycle-twisted", params)).to_json())
+    assert got["failures"] == want["failures"]
+    assert got["max_abs_deviation"] == want["max_abs_deviation"] > 0.0
+    law = [f for f in got["failures"] if f["identity"].startswith("J[l] J[l']")]
+    # every pair with (1, 2) among l, l' and l + l' fails, in scan order,
+    # unless J[0, 0] = I is a factor
+    touched = [
+        {"l": [r, s], "l'": [rp, sp]}
+        for r in range(4) for s in range(4) for rp in range(4) for sp in range(4)
+        if (1, 2) in ((r, s), (rp, sp), ((r + rp) % 4, (s + sp) % 4))
+        and (0, 0) not in ((r, s), (rp, sp))
+    ]
+    assert [f["inputs"] for f in law] == touched
+    if off_support:
+        assert calls == [None]  # the first chunk meets J[1, 2]; no later chunk is tried
+    else:  # the stacked pass flags exactly the failing pairs, chunk by chunk
+        assert len(calls) == -(-256 // chunk)
+        assert sum(int((~c).sum()) for c in calls) == len(law)
+
+
+def test_monomial_kernel_fires_for_twisted_cocycle_only(monkeypatch):
+    calls = _spy_monomial_law(monkeypatch)
+    for p in (1, 3):
+        run_suite(SuiteSpec("cocycle-twisted", {"n": 2, "p": p}))
+    assert [c.all() for c in calls] == [True, True]  # no pair left to recompute
+    calls.clear()
+    run_suite(SuiteSpec("homomorphism", {"n": 2}))
+    assert calls == [None]
+
+
+def _law(pairs, op, compose, phase, check=check_pair_law):
+    rep = VerifyReport("law", {})
+    check(rep, "law", pairs, op, compose, phase, lambda x, y: {"x": x, "y": y}, 1e-9)
+    return rep.to_json()
+
+
+@pytest.mark.parametrize("chunk", [4096, 5])
+def test_family_with_a_dense_member_falls_back_per_pair(chunk, monkeypatch):
+    # U(S^k), k in Z_4: U(S) and U(S^3) are dense, U(1) and U(S^2) monomial
+    pr = HWParams(4)
+    built = []
+
+    @cache
+    def op(k):
+        built.append(k)
+        return u_general(pr, SL2Element(1, 0, 0, 1, 4) if k == 0 else sl2_s(4) ** k)
+
+    def spy(*args):
+        out = harness_law(*args)
+        seen.append((out, list(built)))
+        return out
+
+    harness_law, seen = harness._monomial_law, []
+    monkeypatch.setattr(harness, "_monomial_law", spy)
+    monkeypatch.setattr(harness, "_PAIR_CHUNK", chunk)
+    pairs = [(k, l) for k in range(4) for l in range(4)]
+    compose = lambda k, l: (k + l) % 4  # noqa: E731
+    for phase in (None, (4, lambda k, l: k * l)):
+        got = _law(pairs, op, compose, phase)
+        assert got == _law(pairs, op, compose, phase, _pair_law_reference)
+    # once per law: detection stopped at the first dense member
+    assert seen == [(None, [0, 1]), (None, [0, 1, 2, 3])]
+    assert json.loads(_law(pairs, op, compose, None))["passed"]
+    assert json.loads(_law(pairs, op, compose, (4, lambda k, l: k * l)))["failures"]
+
+
+def test_monomial_pass_compares_columns_orders_and_phases(monkeypatch):
+    # P^k has entries 1 only, so a wrong composition shows in the columns
+    pr = HWParams(4)
+    P = cache(lambda k: p_matrix(pr) ** (k % 4))
+    pairs = [(k, l) for k in range(4) for l in range(4)]
+    calls = _spy_monomial_law(monkeypatch)
+    for compose in (lambda k, l: k + l, lambda k, l: k + l + 1):
+        got = _law(pairs, P, compose, None)
+        assert got == _law(pairs, P, compose, None, _pair_law_reference)
+    assert json.loads(_law(pairs, P, lambda k, l: k + l + 1, None))["checks_run"] == 16
+    assert [c.sum() for c in calls[:2]] == [16, 0]
+    # omega_16^8 = -1 lies outside order 8, and one member of order 16:
+    # the stacked pass declines both, the pairs still compare exactly
+    calls.clear()
+    Q = cache(lambda k: q_matrix(pr) ** (k % 4))
+    wide = cache(lambda k: Q(k)._promoted(16) if k == 2 else Q(k))
+    for op, phase in ((Q, (16, lambda k, l: 8)), (wide, None)):
+        got = _law(pairs, op, lambda k, l: k + l, phase)
+        assert got == _law(pairs, op, lambda k, l: k + l, phase, _pair_law_reference)
+    assert calls == [None, None]
+    assert len(json.loads(_law(pairs, Q, lambda k, l: k + l, (16, lambda k, l: 8)))["failures"]) == 16
+
+
+@pytest.mark.parametrize("flaw", ["coefficient", "scale"])
+@pytest.mark.parametrize("shift", [8, 56])
+def test_mixed_scales_compare_exactly(shift, flaw, monkeypatch):
+    # 2^-k Q^k: every member has its own scale; op(4) carries an extra
+    # 2^-(4 + shift) in one coefficient (below float resolution at shift 56,
+    # where 2^56 + 1 at the common scale no longer fits int64 and the pairs
+    # go one by one), or the right coefficients at the wrong scale 4 + shift
+    fires = shift == 8 or flaw == "scale"
+    Q = q_matrix(HWParams(8))
+
+    @cache
+    def op(k):
+        m = Q**k
+        if k != 4:
+            return OpMatrix(8, "exact", coeffs=m.coeffs, order=m.order, scale_log2=k)
+        coeffs = m.coeffs << shift if flaw == "coefficient" else m.coeffs.copy()
+        coeffs[0, 0, 1] += flaw == "coefficient"
+        return OpMatrix(8, "exact", coeffs=coeffs, order=m.order, scale_log2=4 + shift)
+
+    pairs = [(k, l) for k in range(4) for l in range(4)]
+    calls = _spy_monomial_law(monkeypatch)
+    got = json.loads(_law(pairs, op, lambda k, l: k + l, None))
+    assert [c is not None for c in calls] == [fires]
+    assert {op(k).scale_log2 for k in range(7)} == set(range(7)) - {4} | {4 + shift}
+    assert [f["inputs"] for f in got["failures"]] == [
+        {"x": k, "y": l} for k, l in pairs if k + l == 4
+    ]
+    if fires:
+        assert calls[0].tolist() == [k + l != 4 for k, l in pairs]
+    assert got == json.loads(_law(pairs, op, lambda k, l: k + l, None, _pair_law_reference))
+
+
+def test_stacked_pass_meets_products_with_even_coefficients(monkeypatch):
+    # (1 + w^2)(1 - w^2) = 2 in Z[w_8]: the product's coefficients are all
+    # even while 2 I is stored as 1 at scale -1, so the pass rescales
+    def diag(*coeffs):
+        return OpMatrix(2, "exact", coeffs=np.array([[coeffs, [0] * 4], [[0] * 4, coeffs]]))
+
+    mats = {"a": diag(1, 0, 1, 0), "b": diag(1, 0, -1, 0), "ab": diag(2, 0, 0, 0)}
+    assert mats["ab"].scale_log2 == -1
+    calls = _spy_monomial_law(monkeypatch)
+    got = json.loads(_law([("a", "b"), ("b", "a")], mats.__getitem__, lambda x, y: "ab", None))
+    assert got["passed"] and got["checks_run"] == 2
+    assert [c.tolist() for c in calls] == [[True, True]]

@@ -7,7 +7,6 @@ from fqmrep.exactnum import CycNum
 from fqmrep.heisenberg import HWParams, p_matrix, q_matrix
 from fqmrep.magnetic import (
     EvenModulus,
-    TorusPoint,
     j_odd,
     j_twisted,
     j_twisted_product,
@@ -22,16 +21,6 @@ def omega(N, e):
 def test_even_modulus_rejected():
     with pytest.raises(EvenModulus):
         j_odd(4, (1, 0))
-
-
-def test_torus_point_arithmetic():
-    a = TorusPoint.of(5, 3, 4)
-    b = TorusPoint.of(5, 4, 4)
-    assert (a + b).coords() == (2, 3)
-    assert (-a).coords() == (2, 1)
-    assert a.N == 5
-    with pytest.raises(ValueError):
-        j_odd(7, a)
 
 
 def test_j_odd_identity_and_generators():
@@ -171,8 +160,6 @@ def test_twisted_dagger_is_inverse_point():
 def test_twisted_periodicity():
     params = HWParams(4)
     assert mat_eq(j_twisted(params, (5, 7)), j_twisted(params, (1, 3))).equal
-    pt = TorusPoint.of(4, 1, 3)
-    assert mat_eq(j_twisted(params, pt), j_twisted(params, (1, 3))).equal
 
 
 def test_twisted_backend_agreement():

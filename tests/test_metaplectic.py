@@ -10,7 +10,6 @@ from fqmrep.magnetic import j_odd, j_twisted
 from fqmrep.matrixcore import OpMatrix, mat_eq, twist_perm
 from fqmrep.metaplectic import (
     BadBranch,
-    MetaplecticRep,
     NonGeneric,
     _closed_odd_sum,
     u_a_closed,
@@ -425,22 +424,6 @@ def test_weil_odd_general_inverses_n7():
 def test_weil_odd_unitarity_all(N):
     for A in enumerate_sl2(N):
         assert weil_odd_general(N, A).unitary_defect() < 1e-12
-
-
-def test_metaplectic_rep_container():
-    rep = MetaplecticRep(HWParams(4), "twisted_even")
-    assert rep.dim == 16
-    out = rep.verify(sl2_s(4) * sl2_t(4))
-    assert out.passed and out.checks_run == 16
-    odd = MetaplecticRep(HWParams(5), "weil_odd")
-    assert odd.dim == 5
-    assert odd.verify(sl2_t(5), tol=1e-10).passed
-    with pytest.raises(ValueError):
-        MetaplecticRep(HWParams(5), "twisted_even")
-    with pytest.raises(ValueError):
-        MetaplecticRep(HWParams(4), "weil_odd")
-    with pytest.raises(ValueError):
-        MetaplecticRep(HWParams(4), "other")
 
 
 def test_u_t_pow_wraps():
