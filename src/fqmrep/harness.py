@@ -11,6 +11,9 @@ Every law op(x) op(y) == omega_N^{e(x, y)} op(x o y) over key pairs (both
 cocycles, the pi law, U(A) U(B) == U(AB)) goes through `check_pair_law`:
 exact families of monomial members are compared in stacked integer passes,
 any other family pair by pair; the operands pick, no option does.
+The conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic` and `weil-odd`
+goes through `verify_metaplectic`, with the J's of a suite built once into
+one table shared by all its elements.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
 with n <= 3, float beyond, and a requested exact backend is never
@@ -32,6 +35,7 @@ from .heisenberg import HWParams, fourier, gamma_p, p_inv_matrix, p_matrix, q_ma
 from .magnetic import j_odd, j_twisted
 from .matrixcore import OpMatrix, _monomial_law, mat_eq
 from .metaplectic import (
+    _j_table,
     u_a_closed,
     u_general,
     u_of_word,
@@ -160,11 +164,14 @@ def _root_scalar(pr: HWParams, backend: str, e: int):
 def _pair_compare(op, N: int, tol: float, x, y, z, e) -> tuple[bool, float]:
     # the product first: a lazy op(z) is not built while the product's
     # temporaries are alive
-    if op(x).backend == "exact":
-        got = op(x) @ op(y)
-        return mat_eq(got, op(z) if e is None else op(z).scalar_mul(CycNum.root(N, e)), tol)
-    got = op(x).data @ op(y).data
-    want = op(z).data if e is None else np.exp(2j * np.pi * (e % N) / N) * op(z).data
+    X, Y = op(x), op(y)
+    if X.backend == "exact":
+        got = X @ Y
+        Z = op(z)
+        return mat_eq(got, Z if e is None else Z.scalar_mul(CycNum.root(N, e)), tol)
+    got = X.data @ Y.data
+    Z = op(z).data
+    want = Z if e is None else np.exp(2j * np.pi * (e % N) / N) * Z
     dev = float(np.abs(got - want).max())
     return dev <= tol, dev
 
@@ -347,13 +354,14 @@ def _suite_metaplectic(params: dict) -> VerifyReport:
     N = pr.N
     _guard_dim(N * N)
     rep = VerifyReport("metaplectic", {"N": N, "p": pr.p, "samples": samples, "seed": seed})
+    table = _j_table("twisted_even", N, pr, pr.default_backend())
     generators = [("S", u_s(pr), sl2_s(N)), ("T", u_t(pr), sl2_t(N))]
     for name, U, A in generators:
-        _merge(rep, verify_metaplectic(U, A, "twisted_even", pr, tol), {"element": name})
+        _merge(rep, verify_metaplectic(U, A, "twisted_even", pr, tol, table), {"element": name})
     for A in sample_sl2(N, samples, seed):
         _merge(
             rep,
-            verify_metaplectic(u_general(pr, A), A, "twisted_even", pr, tol),
+            verify_metaplectic(u_general(pr, A), A, "twisted_even", pr, tol, table),
             {"element": list(A.entries())},
         )
     return rep
@@ -420,9 +428,10 @@ def _suite_weil_odd(params: dict) -> VerifyReport:
     rep = VerifyReport("weil-odd", {"N": N})
     elems = enumerate_sl2(N)
     mats = {A: weil_odd_general(N, A) for A in elems}
+    table = _j_table("weil_odd", N, None, None)
     for A, U in mats.items():
         _merge(
-            rep, verify_metaplectic(U, A, "weil_odd", tol=tol),
+            rep, verify_metaplectic(U, A, "weil_odd", tol=tol, table=table),
             {"element": list(A.entries())},
         )
     run_pairs = bool(params.get("pairs", order**2 <= 20_000))

@@ -126,6 +126,29 @@ def _monomial_matmul(
     return other.take(cols, axis=0) @ _regular(entries).swapaxes(1, 2)
 
 
+def _root_gather(coeffs: np.ndarray):
+    """Gather of the rows of a (d, d', L) coefficient tensor times roots of unity.
+
+    The returned gather(rows, k) has shape (*rows.shape, L, d'): entry
+    [..., t, :] is coefficient t of omega^k times row `rows`, for index
+    arrays `rows` and 0 <= k < 2L of one shape.  omega^k x takes its
+    coefficients 2L - k, ..., 3L - 1 - k from [x, -x, x], so one such copy
+    is kept, coefficient axis first so that each gathered run is contiguous,
+    in the smallest signed integer type holding every +-coefficient (exact).
+    """
+    d, e, size = coeffs.shape
+    ext = np.empty((d, 3, size, e), dtype=np.min_scalar_type(-_top(coeffs) - 1))
+    ext[:, 0] = ext[:, 2] = coeffs.transpose(0, 2, 1)
+    np.negative(ext[:, 0], out=ext[:, 1])
+    ext = ext.reshape(3 * d * size, e)
+    runs = 2 * size + np.arange(size)
+
+    def gather(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return ext.take((3 * size * rows - k)[..., None] + runs, axis=0)
+
+    return gather
+
+
 def _monomial_law(
     mats: Iterable[OpMatrix],
     left: np.ndarray,

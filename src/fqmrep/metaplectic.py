@@ -32,12 +32,14 @@ odd-N matrices carry 1/sqrt(N) and stay in floats.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .exactnum import NotAUnit, jacobi_symbol
+from .exactnum import NotAUnit, basis_size, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import j_odd, j_twisted
-from .matrixcore import OpMatrix, mat_eq
+from .matrixcore import OpMatrix, _root_gather, _row_support, mat_eq
 from .report import VerifyReport
 from .sl2 import SL2Element, Token, act_on_point, dilatation_word, sl2_s, sl2_t
 
@@ -319,6 +321,142 @@ def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
 
 # -- the property checker ------------------------------------------------------
 
+_CHUNK_ENTRIES = 1 << 16  # matrix entries (coefficients when exact) per side of a chunk of points
+
+
+class _JTable(NamedTuple):
+    """J_{r,s} for every (r, s) of Z_N^2, r-major, built once for many checks.
+
+    When every J is a phased permutation at one backend, order and scale,
+    with unit entries when exact, only the row supports are kept: row i of
+    J[l] holds its one entry in column cols[l, i], equal to
+    omega_order^{entries[l, i]} (exact, 0 <= k < 2L) or to the complex
+    entries[l, i] (float).  Any other table keeps the matrices in `mats`.
+    """
+
+    backend: str
+    order: int
+    scale_log2: int
+    cols: np.ndarray | None
+    entries: np.ndarray | None
+    mats: list[OpMatrix] | None
+
+
+def _permutation_support(J: OpMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    # (columns, entries) of a phased permutation, an exact entry omega^k as k
+    if J.backend == "exact":
+        support = _row_support(J.coeffs)
+        if not support or support[2] != 1 or np.count_nonzero(support[1]) != J.dim:
+            return None  # not monomial, or an entry that is no root of unity
+        cols, entries, _ = support
+        size = entries.shape[1]
+        pos = np.abs(entries).argmax(axis=1)
+        entries = pos + size * (entries[np.arange(J.dim), pos] < 0)
+    else:
+        support = _row_support(J.data[:, :, None])
+        if not support:
+            return None
+        cols, entries = support[0], support[1][:, 0]
+    if np.bincount(cols, minlength=J.dim).max() != 1:
+        return None
+    return cols, entries
+
+
+def _j_table(
+    flavor: str, N: int, params: HWParams | None, backend: str | None
+) -> _JTable:
+    """Build every J_{r,s} of `flavor` once and keep what `verify_metaplectic` reads.
+
+    Supports are taken as the matrices are built, so one dense J is held at
+    a time, unless some J is no phased permutation like the first: from
+    there on the matrices are kept, the earlier ones densified again.
+    """
+    if flavor == "twisted_even":
+        j_of = lambda pt: j_twisted(params, pt, backend=backend)
+    else:
+        j_of = lambda pt: j_odd(N, pt)
+    kind, supports, mats = None, [], None
+    for r in range(N):
+        for s in range(N):
+            J = j_of((r, s))
+            kind = kind or (J.backend, J.order, J.scale_log2)
+            same = mats is None and (J.backend, J.order, J.scale_log2) == kind
+            support = same and _permutation_support(J)
+            if support:
+                supports.append(support)
+                continue
+            if mats is None:
+                mats = [_densify(kind, *seen) for seen in supports]
+            mats.append(J)
+    if mats is not None:
+        return _JTable(*kind, None, None, mats)
+    return _JTable(*kind, *map(np.stack, zip(*supports)), None)
+
+
+def _float_stack(cols: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    # (P, dim, dim) float matrices from P row supports
+    count, dim = cols.shape
+    out = np.zeros((count, dim, dim), dtype=np.complex128)
+    out[np.arange(count)[:, None], np.arange(dim), cols] = entries
+    return out
+
+
+def _densify(kind: tuple, cols: np.ndarray, entries: np.ndarray) -> OpMatrix:
+    backend, order, scale_log2 = kind
+    if backend == "float":
+        return OpMatrix.from_complex(_float_stack(cols[None], entries[None])[0])
+    dim, size = len(cols), basis_size(order)
+    coeffs = np.zeros((dim, dim, size), dtype=np.int64)
+    coeffs[np.arange(dim), cols, entries % size] = np.where(entries < size, 1, -1)
+    return OpMatrix(dim, "exact", coeffs=coeffs, order=order, scale_log2=scale_log2)
+
+
+def _j_matrix(table: _JTable, l: int) -> OpMatrix:
+    if table.mats is not None:
+        return table.mats[l]
+    return _densify(table[:3], table.cols[l], table.entries[l])
+
+
+def _stacked_conjugation(
+    table: _JTable, U: OpMatrix, image: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(equal, deviation) of J[l] U against U J[image[l]] for every point l,
+    a chunk of points at a time.
+
+    Exact: row i of J[l] U is omega^{k_l(i)} U[c_l(i), :] and column j of
+    U J[m] is omega^{k_m(rho(j))} U[:, rho(j)] with rho the inverse of c_m,
+    both signed rolls of U's coefficient axis; the two sides share their
+    scale, so equal values have equal coefficients.  Float: the chunk's J
+    are densified and multiplied in stacked products, so each deviation is
+    the one `mat_eq` gives for the same pair.
+    """
+    n = len(image)
+    if U.backend == "float":
+        dev = np.empty(n)
+        step = max(1, _CHUNK_ENTRIES // U.data.size)
+        for a in range(0, n, step):
+            l = np.arange(a, min(a + step, n))
+            m = image[l]
+            lhs = _float_stack(table.cols[l], table.entries[l]) @ U.data
+            rhs = U.data @ _float_stack(table.cols[m], table.entries[m])
+            dev[l] = np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)
+        return dev <= tol, dev
+    order = max(U.order, table.order)
+    coeffs = U._promoted(order).coeffs
+    k = table.entries * (order // table.order)
+    inverse = np.argsort(table.cols, axis=1)
+    k_inverse = np.take_along_axis(k, inverse, axis=1)
+    rows, columns = _root_gather(coeffs), _root_gather(coeffs.transpose(1, 0, 2))
+    equal = np.empty(n, dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // coeffs.size)
+    for a in range(0, n, step):
+        l = slice(a, a + step)
+        m = image[l]
+        lhs = rows(table.cols[l], k[l])  # (point, i, coefficient, j)
+        rhs = columns(inverse[m], k_inverse[m])  # (point, j, coefficient, i)
+        equal[l] = (lhs == rhs.transpose(0, 3, 2, 1)).all(axis=(1, 2, 3))
+    return equal, np.zeros(n)
+
 
 def verify_metaplectic(
     U: OpMatrix,
@@ -326,24 +464,29 @@ def verify_metaplectic(
     flavor: str,
     params: HWParams | None = None,
     tol: float = 1e-9,
+    table: _JTable | None = None,
 ) -> VerifyReport:
     """Check J_{r,s} U = U J_{(r,s)A} over every (r,s) in Z_N^2.
 
     The side-multiplied form avoids inverting U and is equivalent for
-    invertible U.  Since (r, s) -> (r, s)A permutes Z_N^2, the checks
-    walk its cycles, so each J is built once and at most three are held
-    at a time.  The report is assembled in (r, s) lexicographic order, so
-    the result is deterministic.
+    invertible U.  Each J_{r,s} is built once, into `table` (a suite
+    checking many elements passes one `_j_table` for the same flavor and
+    params).  When every J is a phased permutation with unit entries and
+    U has the table's backend and dim, all N^2 points are decided in one
+    stacked pass (`_stacked_conjugation`): exact U by integer equality of
+    two gathers of U's coefficients, float U by stacked BLAS products.
+    Any other table, and every point that pass finds unequal, is compared
+    as mat_eq(J[l] @ U, U @ J[lA]), so failures and deviations are those
+    of the products.  The report is assembled in (r, s) lexicographic
+    order, so the result is deterministic.
     """
     if flavor == "twisted_even":
         if params is None:
             raise ValueError("twisted_even needs params")
         N = params.N
-        j_of = lambda pt: j_twisted(params, pt, backend=U.backend)
         rep_params = {"flavor": flavor, "N": N, "p": params.p}
     elif flavor == "weil_odd":
         N = A.N
-        j_of = lambda pt: j_odd(N, pt)
         rep_params = {"flavor": flavor, "N": N}
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -351,24 +494,18 @@ def verify_metaplectic(
         raise ValueError(f"element modulus {A.N} != {N}")
     rep_params["element"] = list(A.entries())
     report = VerifyReport(suite="metaplectic", params=rep_params)
+    if table is None:
+        table = _j_table(flavor, N, params, U.backend)
     points = [(r, s) for r in range(N) for s in range(N)]
-    compared = {}
-    for start in points:
-        if start in compared:
-            continue
-        j_start = j_of(start)
-        point, j_point = start, j_start
-        while point not in compared:
-            image = act_on_point(A, *point)
-            j_image = j_start if image == start else j_of(image)
-            compared[point] = mat_eq(j_point @ U, U @ j_image, tol=tol)
-            point, j_point = image, j_image
-    for r, s in points:
-        cmp = compared[(r, s)]
-        report.record(
-            cmp.equal,
-            cmp.max_deviation,
-            "J[r,s] U == U J[(r,s)A]",
-            {"r": r, "s": s},
-        )
+    image = np.array([N * a + b for a, b in (act_on_point(A, r, s) for r, s in points)])
+    if table.mats is None and (U.backend, U.dim) == (table.backend, table.cols.shape[1]):
+        equal, dev = _stacked_conjugation(table, U, image, tol)
+    else:
+        equal, dev = np.zeros(len(points), dtype=bool), None
+    for l, (r, s) in enumerate(points):
+        if equal[l]:
+            ok, deviation = True, float(dev[l])
+        else:
+            ok, deviation = mat_eq(_j_matrix(table, l) @ U, U @ _j_matrix(table, image[l]), tol)
+        report.record(ok, deviation, "J[r,s] U == U J[(r,s)A]", {"r": r, "s": s})
     return report

@@ -71,6 +71,11 @@ class SL2Element:
             raise BadDeterminant(
                 f"det = {det} mod {N} for ({self.a},{self.b},{self.c},{self.d})"
             )
+        # elements key the suites' operator caches: hash once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.c, self.d, N)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, N: int) -> SL2Element:

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fqmrep
 from fqmrep.cli import main
 
 
@@ -87,6 +90,10 @@ def test_verify_out_file_bytes_stable(tmp_path, capsys):
          "567433a34db150df32427af08a12d44efe89d00c35b0b93ba883cd680f6cc4ba"),
         (["--suite", "cocycle-twisted", "--n", "3", "--p", "1"],
          "94bea01de8e2742fad0534ea551923ff51c56ebf13c972a409ec22390822fe40"),
+        (["--suite", "metaplectic", "--n", "2", "--p", "3"],
+         "da8d3cafc288a948f9465e7573793d7f3059ed89c239cf92ae05538829508c5c"),
+        (["--suite", "metaplectic", "--n", "3", "--samples", "3"],
+         "422e992c5d9e9331fd8f73fda7adb5139c0c7198724671f962e005cab12ecc30"),
     ],
 )
 def test_verify_out_golden_digest(args, digest, tmp_path, capsys):
@@ -153,10 +160,13 @@ def test_exit_codes_in_process(argv, code, capsys):
 
 
 def test_module_entry_point_runs():
-    # the same contract holds for a real child process
+    # the same contract holds for a real child process, which imports the
+    # package this test imported (installed or not)
+    path = [str(Path(fqmrep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-m", "fqmrep.cli", "verify", "--suite", "metaplectic", "--n", "1"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["checks_run"] == 8

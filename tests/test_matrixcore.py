@@ -554,3 +554,24 @@ def test_guard_tripping_dense_pair_takes_the_object_path(ntt_calls):
     assert ntt_calls == []
     assert mat_eq(a @ b, _entrywise_product(a, b)).equal
     assert len(ntt_calls) == 1
+
+
+@pytest.mark.parametrize("top,dtype", [(127, np.int8), (128, np.int16), (2**40, np.int64)])
+def test_root_gather_is_a_signed_roll_in_the_smallest_type(top, dtype):
+    # gather(rows, k)[..., t, :] is coefficient t of omega^k row: check it
+    # against CycNum products, at the widest values each type must hold
+    rng = np.random.default_rng(3)
+    order, dim = 16, 5
+    size = order // 2
+    coeffs = rng.integers(-top, top + 1, size=(dim, dim + 1, size))
+    coeffs[0, 0, 0], coeffs[1, 1, 1] = top, -top
+    gather = matrixcore._root_gather(coeffs)
+    rows = rng.integers(0, dim, size=(3, 4))
+    k = rng.integers(0, order, size=(3, 4))
+    got = gather(rows, k)
+    assert got.dtype == dtype and got.shape == (3, 4, size, dim + 1)
+    for idx in np.ndindex(rows.shape):
+        for j in range(dim + 1):
+            x = CycNum(order, tuple(int(c) for c in coeffs[rows[idx], j]))
+            want = x * CycNum.root(order, int(k[idx]))
+            assert CycNum(order, tuple(int(c) for c in got[idx][:, j])) == want

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from fqmrep.exactnum import CycNum, NotAUnit
-from fqmrep import metaplectic
+from fqmrep import harness, metaplectic
+from fqmrep.harness import SuiteSpec, run_suite
 from fqmrep.heisenberg import HWParams, fourier, p_matrix, q_matrix
 from fqmrep.magnetic import j_odd, j_twisted
-from fqmrep.matrixcore import OpMatrix, mat_eq, twist_perm
+from fqmrep.matrixcore import BackendMismatch, DimMismatch, OpMatrix, mat_eq, twist_perm
 from fqmrep.metaplectic import (
     BadBranch,
     NonGeneric,
@@ -25,8 +26,10 @@ from fqmrep.metaplectic import (
     weil_odd_generic,
     weil_odd_s,
 )
+from fqmrep.report import VerifyReport
 from fqmrep.sl2 import (
     SL2Element,
+    act_on_point,
     decompose,
     dilatation,
     enumerate_sl2,
@@ -430,3 +433,194 @@ def test_u_t_pow_wraps():
     params = HWParams(4, 3)
     assert mat_eq(u_t_pow(params, 5), u_t_pow(params, 1)).equal
     assert mat_eq(u_t_pow(params, -1) @ u_t(params), OpMatrix.identity(16, "exact")).equal
+
+
+# -- the stacked conjugation check against the cycle walk ----------------------
+
+
+def _conjugation_reference(U, A, flavor, params=None, tol=1e-9, table=None):
+    """The cycle walk the stacked check replaced: one J U and one U J product
+    and one mat_eq per point, each J built by the (possibly patched) builder."""
+    if flavor == "twisted_even":
+        N = params.N
+        j_of = lambda pt: metaplectic.j_twisted(params, pt, backend=U.backend)
+        rep_params = {"flavor": flavor, "N": N, "p": params.p}
+    else:
+        N = A.N
+        j_of = lambda pt: metaplectic.j_odd(N, pt)
+        rep_params = {"flavor": flavor, "N": N}
+    rep_params["element"] = list(A.entries())
+    report = VerifyReport(suite="metaplectic", params=rep_params)
+    points = [(r, s) for r in range(N) for s in range(N)]
+    compared = {}
+    for start in points:
+        if start in compared:
+            continue
+        j_start = j_of(start)
+        point, j_point = start, j_start
+        while point not in compared:
+            image = act_on_point(A, *point)
+            j_image = j_start if image == start else j_of(image)
+            compared[point] = mat_eq(j_point @ U, U @ j_image, tol=tol)
+            point, j_point = image, j_image
+    for r, s in points:
+        cmp = compared[(r, s)]
+        report.record(cmp.equal, cmp.max_deviation, "J[r,s] U == U J[(r,s)A]", {"r": r, "s": s})
+    return report
+
+
+def _spy_stacked(monkeypatch):
+    """The `equal` mask of each `_stacked_conjugation` call.
+
+    Unequal points are recomputed, so a stacked pass that wrongly finds
+    points unequal leaves the report as it is: tests count its flags."""
+    seen = []
+
+    def spy(*args):
+        out = real(*args)
+        seen.append(out[0].copy())
+        return out
+
+    real = metaplectic._stacked_conjugation
+    monkeypatch.setattr(metaplectic, "_stacked_conjugation", spy)
+    return seen
+
+
+def _reference_suite_json(monkeypatch, name, params):
+    with monkeypatch.context() as m:
+        m.setattr(harness, "verify_metaplectic", _conjugation_reference)
+        return run_suite(SuiteSpec(name, params)).to_json()
+
+
+CONJUGATION_SUITES = (
+    [("metaplectic", {"n": n, "p": p, "samples": 3}) for n in (1, 2, 3) for p in range(1, 2**n, 2)]
+    + [("metaplectic", {"n": 1, "p": 1})]
+    + [("weil-odd", {"N": N}) for N in (3, 5, 7)]
+    + [("weil-odd", {"N": 5, "tol": 1e-20, "pairs": False})]  # float deviations as failures
+)
+
+
+@pytest.mark.parametrize("name,params", CONJUGATION_SUITES)
+def test_conjugation_reports_match_the_cycle_walk(name, params, monkeypatch):
+    seen = _spy_stacked(monkeypatch)
+    got = run_suite(SuiteSpec(name, params))
+    assert seen  # the stacked pass decided the points, flagging just the failures
+    assert sum(int((~mask).sum()) for mask in seen) == len(got.failures)
+    assert got.to_json() == _reference_suite_json(monkeypatch, name, params)
+
+
+@pytest.mark.parametrize("name,params,builder,count", [
+    ("metaplectic", {"n": 3, "samples": 3}, "j_twisted", 64),
+    ("weil-odd", {"N": 5, "pairs": False}, "j_odd", 25),
+])
+def test_suite_builds_each_j_once(name, params, builder, count, monkeypatch):
+    built = []
+    real = getattr(metaplectic, builder)
+
+    def counting(*args, **kwargs):
+        built.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metaplectic, builder, counting)
+    assert run_suite(SuiteSpec(name, params)).passed
+    assert len(built) == len(set(built)) == count
+
+
+@pytest.mark.parametrize("in_support", [True, False])
+def test_perturbed_u_fails_like_the_cycle_walk(in_support, monkeypatch):
+    # one coefficient of U moves, inside a nonzero entry or in a zero entry
+    params = HWParams(8, 3)
+    A = SL2Element(3, 2, 4, 3, 8)
+    U = u_general(params, A)
+    coeffs = U.coeffs.copy()
+    nonzero = coeffs.any(axis=2)
+    i, j = np.argwhere(nonzero if in_support else ~nonzero)[5]
+    coeffs[i, j, 1] += 1
+    bad = OpMatrix(U.dim, "exact", coeffs=coeffs, order=U.order, scale_log2=U.scale_log2)
+    seen = _spy_stacked(monkeypatch)
+    got = verify_metaplectic(bad, A, "twisted_even", params)
+    want = _conjugation_reference(bad, A, "twisted_even", params)
+    assert got.to_json() == want.to_json()
+    assert 0 < len(got.failures) < 64
+    failing = {params.N * f.inputs["r"] + f.inputs["s"] for f in got.failures}
+    assert set(np.flatnonzero(~seen[0])) == failing
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("element", ["S", "T"])
+@pytest.mark.parametrize("higher", ["U", "J"])
+def test_promoted_order_and_scale_match_the_cycle_walk(n, element, higher, monkeypatch):
+    # U(S) carries 2^-n; times omega_16 its order 16 exceeds the J's order
+    # 8, or the J's are given order 16 and U is promoted
+    params = HWParams(2**n)
+    U = u_s(params)
+    if higher == "U":
+        U = U.scalar_mul(CycNum.root(16, 3))
+    else:
+        monkeypatch.setattr(
+            metaplectic, "j_twisted", lambda *args, **kw: j_twisted(*args, **kw)._promoted(16)
+        )
+    assert U.scale_log2 == n
+    A = sl2_s(params.N) if element == "S" else sl2_t(params.N)  # T: U(S) is wrong
+    seen = _spy_stacked(monkeypatch)
+    got = verify_metaplectic(U, A, "twisted_even", params)
+    assert int((~seen[0]).sum()) == len(got.failures)
+    assert got.to_json() == _conjugation_reference(U, A, "twisted_even", params).to_json()
+    assert got.passed == (element == "S")
+
+
+def test_float_twisted_matches_the_cycle_walk(monkeypatch):
+    params = HWParams(4, 3)
+    A = SL2Element(1, 1, 1, 2, 4)
+    seen = _spy_stacked(monkeypatch)
+    for U, tol in [(u_general(params, A).to_float(), 1e-9), (u_s(params).to_float(), 1e-9),
+                   (u_general(params, A).to_float(), 1e-20)]:
+        got = verify_metaplectic(U, A, "twisted_even", params, tol=tol)
+        assert int((~seen[-1]).sum()) == len(got.failures)
+        assert got.to_json() == _conjugation_reference(U, A, "twisted_even", params, tol).to_json()
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("change", ["non-unit", "three", "other-scale", "dense", "no-permutation"])
+def test_unsupported_j_takes_the_per_point_path(change, monkeypatch):
+    # (1 + omega) J keeps the law but has no unit entries, nor has 3 J at one
+    # point; 2 J there leaves the table's scale; J + I is not monomial; a
+    # row moved onto another row's column leaves a monomial non-permutation
+    params = HWParams(4)
+    built = []
+
+    def patched(pr, pt, backend=None):
+        built.append(pt)
+        J = j_twisted(pr, pt, backend)
+        if change == "non-unit":
+            return J.scalar_mul(CycNum.one() + CycNum.root(4, 1))
+        if pt != (1, 2):
+            return J
+        if change in ("three", "other-scale"):
+            return J.scalar_mul(3 if change == "three" else 2)
+        if change == "dense":
+            return J + OpMatrix.identity(J.dim, J.backend, J.order)
+        coeffs = J.coeffs.copy()
+        own, other = (coeffs[i].any(axis=1).argmax() for i in (0, 1))
+        coeffs[0, other], coeffs[0, own] = coeffs[0, own].copy(), 0
+        return OpMatrix(J.dim, "exact", coeffs=coeffs, order=J.order)
+
+    monkeypatch.setattr(metaplectic, "j_twisted", patched)
+    seen = _spy_stacked(monkeypatch)
+    A = SL2Element(1, 1, 1, 2, 4)
+    U = u_general(params, A)
+    got = verify_metaplectic(U, A, "twisted_even", params)
+    assert built == [(r, s) for r in range(4) for s in range(4)]
+    assert not seen
+    assert got.to_json() == _conjugation_reference(U, A, "twisted_even", params).to_json()
+    assert got.passed == (change == "non-unit")
+
+
+def test_mismatched_operands_raise_like_the_cycle_walk():
+    for U, flavor, A, error in [
+        (u_s(HWParams(2)), "twisted_even", sl2_s(4), DimMismatch),  # dim 4, J of dim 16
+        (OpMatrix.identity(3, "exact"), "weil_odd", sl2_s(3), BackendMismatch),  # J float
+    ]:
+        for check in (verify_metaplectic, _conjugation_reference):
+            with pytest.raises(error):
+                check(U, A, flavor, HWParams(4))
