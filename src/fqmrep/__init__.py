@@ -6,7 +6,7 @@ chirp comparison operators), an exact cyclotomic backend for even N,
 and named verification suites replaying the defining identities.
 """
 
-from .exactnum import CycNum, NotAUnit, ZMod, jacobi_symbol
+from .exactnum import CycNum, NotAUnit, jacobi_symbol
 from .harness import SUITE_NAMES, SuiteSpec, UnknownSuite, run_suite
 from .heisenberg import HWParams, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix
 from .magnetic import EvenModulus, j_odd, j_twisted
@@ -51,7 +51,7 @@ from .weilmod import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycNum", "NotAUnit", "ZMod", "jacobi_symbol",
+    "CycNum", "NotAUnit", "jacobi_symbol",
     "HWParams", "gamma_p", "q_matrix", "p_matrix", "p_inv_matrix", "fourier",
     "EvenModulus", "j_odd", "j_twisted",
     "OpMatrix", "mat_eq", "matrix_to_json_dict", "matrix_to_csv_text",

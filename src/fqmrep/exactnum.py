@@ -1,29 +1,28 @@
-"""Exact modular and scaled-cyclotomic scalar arithmetic.
+"""Exact scaled-cyclotomic arithmetic: the one Z[omega_M, 1/2] ring kernel.
 
-Two scalar types back everything else in the package:
-
-* ``ZMod`` -- residue classes used for all index/exponent bookkeeping.
-* ``CycNum`` -- elements of Z[omega_M, 1/2] in a reduced power basis,
-  exact enough to represent every matrix entry the even-modulus
-  constructions produce (roots of unity, dyadic scales, sqrt(2)).
-
-For M = 2^m the basis is 1, omega, ..., omega^{M/2-1} with
-omega^{M/2} = -1 (negacyclic reduction).  For M an odd prime the basis
-is 1, omega, ..., omega^{M-2} with omega^{M-1} = -(1 + ... + omega^{M-2}).
-A value is coeffs * 2^{-scale_log2}; the canonical form divides out
-common factors of two, so equal values have equal representations.
+Every exact value lives in Z[omega_M, 1/2], M = 2^m >= 8 (roots of
+unity, dyadic scales, sqrt(2)): a coefficient vector over the negacyclic
+basis 1, omega, ..., omega^{L-1} (L = M/2, omega^L = -1) times
+2^{-scale_log2}.  The kernel acts on the last axis of int64 or
+object-dtype (unbounded) coefficient arrays and serves both `CycNum`
+and the matrices of `matrixcore`: `_regular` (multiplication by x as
+sum_k x_k W^k, W the signed shift) is the one negacyclic product;
+`encode_root`/`decode_root` map omega^k <-> (index, sign); `normalize`
+divides out common factors of two, so equal values have equal
+representations; `promote` and `conj_coeffs` change order and conjugate.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "NotAUnit",
     "UnsupportedOrder",
-    "OrderMismatch",
-    "ZMod",
     "CycNum",
     "jacobi_symbol",
 ]
@@ -34,15 +33,7 @@ class NotAUnit(ValueError):
 
 
 class UnsupportedOrder(ValueError):
-    """Cyclotomic order outside {2^m} union {odd primes}."""
-
-
-class OrderMismatch(ValueError):
-    """Mixed cyclotomic orders with no common supported superorder."""
-
-
-def _is_pow2(m: int) -> bool:
-    return m >= 1 and m & (m - 1) == 0
+    """Cyclotomic order other than a power of two >= 8."""
 
 
 def _is_odd_prime(m: int) -> bool:
@@ -56,28 +47,12 @@ def _is_odd_prime(m: int) -> bool:
     return True
 
 
-def basis_size(order: int) -> int:
-    """Length of the reduced power basis for a supported order."""
-    if _is_pow2(order) and order >= 8:
-        return order // 2
-    if _is_odd_prime(order):
-        return order - 1
-    raise UnsupportedOrder(f"unsupported cyclotomic order {order}")
-
-
-def reduce_exponent(order: int, e: int) -> list[tuple[int, int]]:
-    """Rewrite omega^e as a signed sum over the reduced basis.
-
-    Returns (index, sign) pairs; one pair for power-of-two orders,
-    possibly the full basis for odd primes (omega^{q-1} case).
-    """
-    size = basis_size(order)
-    e %= order
-    if _is_pow2(order):
-        return [(e, 1)] if e < size else [(e - size, -1)]
-    if e < size:
-        return [(e, 1)]
-    return [(k, -1) for k in range(size)]
+def _mod_inv(a: int, modulus: int) -> int:
+    """a^{-1} mod modulus; raises NotAUnit if gcd > 1."""
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise NotAUnit(f"{a % modulus} is not a unit mod {modulus}") from None
 
 
 def jacobi_symbol(a: int, n: int) -> int:
@@ -98,92 +73,87 @@ def jacobi_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class ZMod:
-    """Residue class value mod modulus, kept in [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: ZMod | int) -> ZMod:
-        if isinstance(other, int):
-            return ZMod(other, self.modulus)
-        if not isinstance(other, ZMod):
-            return NotImplemented
-        if other.modulus != self.modulus:
-            raise ValueError(
-                f"mixed moduli {self.modulus} and {other.modulus}"
-            )
-        return other
-
-    def __add__(self, other: ZMod | int) -> ZMod:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ZMod(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ZMod | int) -> ZMod:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ZMod(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other: int) -> ZMod:
-        return ZMod(other - self.value, self.modulus)
-
-    def __mul__(self, other: ZMod | int) -> ZMod:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ZMod(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> ZMod:
-        return ZMod(-self.value, self.modulus)
-
-    def __pow__(self, e: int) -> ZMod:
-        if e < 0:
-            return self.inv() ** (-e)
-        return ZMod(pow(self.value, e, self.modulus), self.modulus)
-
-    def inv(self) -> ZMod:
-        """Multiplicative inverse; raises NotAUnit if gcd > 1."""
-        try:
-            return ZMod(pow(self.value, -1, self.modulus), self.modulus)
-        except ValueError:
-            raise NotAUnit(
-                f"{self.value} is not a unit mod {self.modulus}"
-            ) from None
-
-    def is_unit(self) -> bool:
-        import math
-
-        return math.gcd(self.value, self.modulus) == 1
-
-    def __int__(self) -> int:
-        return self.value
+# -- the ring kernel ----------------------------------------------------------
 
 
-def _canonical(order: int, coeffs: list[int], scale_log2: int) -> tuple[tuple[int, ...], int]:
-    if all(c == 0 for c in coeffs):
-        return tuple(0 for _ in coeffs), 0
-    while all(c % 2 == 0 for c in coeffs):
-        coeffs = [c // 2 for c in coeffs]
-        scale_log2 -= 1
-    return tuple(coeffs), scale_log2
+def basis_size(order: int) -> int:
+    """Basis length L = order/2; raises UnsupportedOrder unless order = 2^m >= 8."""
+    if order < 8 or order & (order - 1):
+        raise UnsupportedOrder(f"exact arithmetic needs a power-of-two order >= 8, got {order}")
+    return order // 2
+
+
+@lru_cache(maxsize=None)
+def _wstack(size: int) -> np.ndarray:
+    # W e_k = e_{k+1}, W e_{L-1} = -e_0; powers W^0 .. W^{L-1}.
+    w = np.zeros((size, size), dtype=np.int64)
+    for k in range(size - 1):
+        w[k + 1, k] = 1
+    w[0, size - 1] = -1
+    stack = np.empty((size, size, size), dtype=np.int64)
+    stack[0] = np.eye(size, dtype=np.int64)
+    for k in range(1, size):
+        stack[k] = w @ stack[k - 1]
+    return stack
+
+
+def _regular(x: np.ndarray) -> np.ndarray:
+    """(..., L) coefficient vectors -> (..., L, L) matrices of multiplication by x."""
+    size = x.shape[-1]
+    return (x @ _wstack(size).reshape(size, size * size)).reshape(*x.shape, size)
+
+
+def encode_root(k, size: int):
+    """omega^k (order 2 size) as (index, sign), omega^k = sign * omega^index and
+    0 <= index < size, for an int or an integer array k."""
+    k = k % (2 * size)
+    return k % size, 1 - 2 * (k >= size)
+
+
+def decode_root(index, sign, size: int):
+    """The exponent 0 <= k < 2 size of sign * omega^index; inverts `encode_root`."""
+    return index + size * (sign < 0)
+
+
+def normalize(coeffs: np.ndarray, scale_log2: int) -> tuple[np.ndarray, int]:
+    """(coeffs, scale_log2) with the largest power of two dividing every
+    coefficient divided out; zero gets scale 0."""
+    # the lowest set bit of the OR is the largest power of two dividing all
+    g = int(np.bitwise_or.reduce(coeffs, axis=None))
+    if g == 0:
+        return coeffs, 0
+    shift = (g & -g).bit_length() - 1
+    return (coeffs >> shift, scale_log2 - shift) if shift else (coeffs, scale_log2)
+
+
+def promote(coeffs: np.ndarray, order: int, target: int) -> np.ndarray:
+    """Coefficients over omega_target of values given over omega_order:
+    omega_order^k = omega_target^{k target/order}."""
+    if target == order:
+        return coeffs
+    if target < order:
+        raise ValueError(f"cannot promote order {order} to {target}")
+    out = np.zeros((*coeffs.shape[:-1], basis_size(target)), dtype=coeffs.dtype)
+    out[..., :: target // order] = coeffs
+    return out
+
+
+def conj_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of the complex conjugate: omega^{-k} = -omega^{L-k} for 0 < k < L."""
+    return np.concatenate((coeffs[..., :1], -coeffs[..., :0:-1]), axis=-1)
+
+
+# -- scalars -------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class CycNum:
-    """Scaled cyclotomic integer: 2^{-scale_log2} * sum coeffs[k] omega^k."""
+    """Scaled cyclotomic integer: 2^{-scale_log2} * sum coeffs[k] omega^k.
+
+    The coefficients (any sequence, kept as a tuple) are Python ints, and
+    the ring kernel runs on them as object arrays, so scalars are exact at
+    any size.
+    """
 
     order: int
     coeffs: tuple[int, ...]
@@ -195,8 +165,8 @@ class CycNum:
             raise ValueError(
                 f"order {self.order} needs {size} coefficients, got {len(self.coeffs)}"
             )
-        coeffs, scale = _canonical(self.order, list(self.coeffs), self.scale_log2)
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs, scale = normalize(np.asarray(self.coeffs, dtype=object), self.scale_log2)
+        object.__setattr__(self, "coeffs", tuple(coeffs.tolist()))
         object.__setattr__(self, "scale_log2", scale)
 
     # -- constructors ---------------------------------------------------
@@ -207,9 +177,7 @@ class CycNum:
 
     @classmethod
     def from_int(cls, k: int, order: int = 8) -> CycNum:
-        coeffs = [0] * basis_size(order)
-        coeffs[0] = k
-        return cls(order, tuple(coeffs), 0)
+        return cls(order, (k,) + (0,) * (basis_size(order) - 1), 0)
 
     @classmethod
     def one(cls, order: int = 8) -> CycNum:
@@ -217,26 +185,18 @@ class CycNum:
 
     @classmethod
     def root(cls, order: int, e: int) -> CycNum:
-        """omega_order^e, with small power-of-two orders promoted to 8."""
-        if order >= 1 and _is_pow2(order) and order < 8:
+        """omega_order^e, with the orders 1, 2 and 4 promoted to 8."""
+        if order in (1, 2, 4):
             e, order = e * (8 // order), 8
-        size = basis_size(order)
-        coeffs = [0] * size
-        for idx, sign in reduce_exponent(order, e):
-            coeffs[idx] += sign
-        return cls(order, tuple(coeffs), 0)
+        return _root(order, e % (2 * basis_size(order)))
 
     @classmethod
     def inv_sqrt2_pow(cls, k: int, order: int = 8) -> CycNum:
         """2^{-k/2} for any integer k, using sqrt(2) = omega_8 + omega_8^{-1}."""
-        if order < 8 or not _is_pow2(order):
-            raise UnsupportedOrder("inv_sqrt2_pow needs a power-of-two order >= 8")
         if k % 2 == 0:
             return cls(order, cls.one(order).coeffs, k // 2)
-        coeffs = [0] * basis_size(order)
-        coeffs[order // 8] += 1
-        coeffs[3 * order // 8] -= 1  # omega_8^{-1} = -omega_8^3
-        return cls(order, tuple(coeffs), (k + 1) // 2)
+        sqrt2 = cls.root(order, order // 8) + cls.root(order, -order // 8)
+        return cls(order, sqrt2.coeffs, (k + 1) // 2)
 
     # -- order management -----------------------------------------------
 
@@ -244,25 +204,12 @@ class CycNum:
         """Re-express in a larger power-of-two order (or return self)."""
         if order == self.order:
             return self
-        if not (_is_pow2(self.order) and _is_pow2(order) and order > self.order):
-            raise OrderMismatch(
-                f"cannot promote order {self.order} to {order}"
-            )
-        factor = order // self.order
-        coeffs = [0] * basis_size(order)
-        for k, c in enumerate(self.coeffs):
-            coeffs[k * factor] = c
-        return CycNum(order, tuple(coeffs), self.scale_log2)
+        coeffs = promote(np.array(self.coeffs, dtype=object), self.order, order)
+        return CycNum(order, coeffs, self.scale_log2)
 
     def _common(self, other: CycNum) -> tuple[CycNum, CycNum]:
-        if self.order == other.order:
-            return self, other
-        if _is_pow2(self.order) and _is_pow2(other.order):
-            order = max(self.order, other.order)
-            return self.promote(order), other.promote(order)
-        raise OrderMismatch(
-            f"no common order for {self.order} and {other.order}"
-        )
+        order = max(self.order, other.order)
+        return self.promote(order), other.promote(order)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -283,10 +230,6 @@ class CycNum:
         return CycNum(self.order, tuple(-c for c in self.coeffs), self.scale_log2)
 
     def __sub__(self, other: CycNum | int) -> CycNum:
-        if isinstance(other, int):
-            other = CycNum.from_int(other, self.order)
-        if not isinstance(other, CycNum):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: int) -> CycNum:
@@ -298,17 +241,8 @@ class CycNum:
         if not isinstance(other, CycNum):
             return NotImplemented
         a, b = self._common(other)
-        size = basis_size(a.order)
-        out = [0] * size
-        for i, ci in enumerate(a.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b.coeffs):
-                if cj == 0:
-                    continue
-                for idx, sign in reduce_exponent(a.order, i + j):
-                    out[idx] += sign * ci * cj
-        return CycNum(a.order, tuple(out), a.scale_log2 + b.scale_log2)
+        out = _regular(np.array(a.coeffs, dtype=object)) @ np.array(b.coeffs, dtype=object)
+        return CycNum(a.order, out, a.scale_log2 + b.scale_log2)
 
     __rmul__ = __mul__
 
@@ -326,14 +260,8 @@ class CycNum:
 
     def conj(self) -> CycNum:
         """Complex conjugate: omega^k -> omega^{-k}."""
-        size = basis_size(self.order)
-        out = [0] * size
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for idx, sign in reduce_exponent(self.order, -k):
-                out[idx] += sign * c
-        return CycNum(self.order, tuple(out), self.scale_log2)
+        out = conj_coeffs(np.array(self.coeffs, dtype=object))
+        return CycNum(self.order, out, self.scale_log2)
 
     # -- predicates and conversions --------------------------------------
 
@@ -341,14 +269,11 @@ class CycNum:
         return all(c == 0 for c in self.coeffs)
 
     def _demoted(self) -> CycNum:
-        # Smallest power-of-two order representing the same value; keeps
-        # hashing consistent with cross-order equality.
+        # Smallest order representing the same value; keeps hashing
+        # consistent with cross-order equality.
         x = self
-        while _is_pow2(x.order) and x.order > 8:
-            half = basis_size(x.order) // 2
-            if any(x.coeffs[k] for k in range(1, 2 * half, 2)):
-                break
-            x = CycNum(x.order // 2, tuple(x.coeffs[0::2]), x.scale_log2)
+        while x.order > 8 and not any(x.coeffs[1::2]):
+            x = CycNum(x.order // 2, x.coeffs[0::2], x.scale_log2)
         return x
 
     def __eq__(self, other: object) -> bool:
@@ -356,12 +281,7 @@ class CycNum:
             other = CycNum.from_int(other, self.order)
         if not isinstance(other, CycNum):
             return NotImplemented
-        try:
-            a, b = self._common(other)
-        except OrderMismatch:
-            a, b = self._demoted(), other._demoted()
-            if a.order != b.order:
-                return False
+        a, b = self._common(other)
         return a.coeffs == b.coeffs and a.scale_log2 == b.scale_log2
 
     def __hash__(self) -> int:
@@ -391,3 +311,12 @@ class CycNum:
 
     def __repr__(self) -> str:
         return f"CycNum(order={self.order}, coeffs={self.coeffs}, scale_log2={self.scale_log2})"
+
+
+@lru_cache(maxsize=None)
+def _root(order: int, k: int) -> CycNum:
+    # values are immutable, so each root is built once
+    coeffs = [0] * basis_size(order)
+    index, sign = encode_root(k, len(coeffs))
+    coeffs[index] = sign
+    return CycNum(order, tuple(coeffs), 0)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice
 
 import numpy as np
@@ -389,7 +389,9 @@ def _suite_homomorphism(params: dict) -> VerifyReport:
         rep.params["samples"] = samples
         rep.params["seed"] = seed
         pairs = zip(sample_sl2(N, samples, seed), sample_sl2(N, samples, seed + 1))
-    _sl2_law(rep, pairs, cache(lambda A: u_general(pr, A, backend)), tol)
+    # a sampled pair uses its U(A), U(B), U(AB) once: keep only the last few
+    keep = lru_cache(maxsize=None if exhaustive else 4)
+    _sl2_law(rep, pairs, keep(lambda A: u_general(pr, A, backend)), tol)
     return rep
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import CycNum, _is_odd_prime, _is_pow2
+from .exactnum import CycNum, _is_odd_prime
 from .matrixcore import OpMatrix
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "p_inv_matrix",
     "z_phase",
     "fourier",
-    "p_eigensystem",
 ]
 
 
@@ -41,7 +40,7 @@ class HWParams:
     p: int = 1
 
     def __post_init__(self) -> None:
-        if _is_pow2(self.N) and self.N >= 2:
+        if self.N >= 2 and self.N & (self.N - 1) == 0:
             if self.p % 2 == 0 or not 0 < self.p < max(self.N, 2):
                 raise ValueError(f"p must be odd in [1, {self.N}), got {self.p}")
         elif _is_odd_prime(self.N):
@@ -129,18 +128,3 @@ def fourier(params: HWParams, backend: str | None = None) -> OpMatrix:
     out = OpMatrix.from_complex(data, meta="fourier")
     return out
 
-
-def p_eigensystem(params: HWParams) -> list[tuple[complex, np.ndarray]]:
-    """Eigenpairs (omega^k, psi_k) of the superdiagonal shift Gamma^p(y).
-
-    psi_k = N^{-1/2} (1, omega^k, omega^{2k}, ...); the subdiagonal shift
-    P = Gamma^p(y^{-1}) has the same eigenvectors with eigenvalue
-    omega^{-k}.
-    """
-    N = params.N
-    omega = np.exp(2j * np.pi / N)
-    pairs = []
-    for k in range(N):
-        vec = omega ** (k * np.arange(N)) / np.sqrt(N)
-        pairs.append((complex(omega**k), vec))
-    return pairs

@@ -5,22 +5,22 @@ shape (dim, dim, L) over the negacyclic basis of Z[omega_M] (L = M/2)
 plus one shared dyadic scale: entry (i, j) is
 2^{-scale_log2} * sum_k coeffs[i, j, k] omega_M^k.
 
-Scalar and Kronecker products route through the regular representation
-of the ring: omega acts on coefficient vectors as the signed shift W
-(W^L = -1), so multiplying by x is the integer matrix sum_k x_k W^k
-(`_regular`), applied entrywise.  Matrix products are exact while every
-accumulated integer stays below 2^52 (guarded; a slow object-dtype path
-covers the rest).  Under the guard, when the left operand has exactly
-one nonzero entry per row, or the right one exactly one per column (Q,
-P, J_{r,s}, U(T)^m, the c = 0 metaplectic branch), the product is a
-gather of the other operand plus one batched integer matmul with the
-regular matrices of those entries, O(dim^2 L^2).  Any other pair is a
-multi-modular negacyclic product: modulo word primes p = 1 (mod 2L),
-x^L + 1 splits into L linear factors, so both operands are evaluated at
-the L odd powers of a primitive 2L-th root of unity, multiplied as L
-stacked dim x dim float64 products on centred residues (every value
-stays below 2^51, so BLAS is exact), interpolated back and lifted from
-the residues (Garner's mixed radix when one prime is not enough).  Rescaling and products check int64
+The ring arithmetic (the regular representation `_regular`, root
+encoding, 2-adic normalisation, promotion, conjugation) lives in
+`exactnum`; scalar and Kronecker products apply `_regular` entrywise.
+Matrix products are exact while every accumulated integer stays below
+2^52 (guarded; a slow object-dtype path covers the rest).  Under the
+guard, when the left operand has exactly one nonzero entry per row, or
+the right one exactly one per column (Q, P, J_{r,s}, U(T)^m, the c = 0
+metaplectic branch), the product is a gather of the other operand plus
+one batched integer matmul with the regular matrices of those entries,
+O(dim^2 L^2).  Any other pair is a multi-modular negacyclic product:
+modulo word primes p = 1 (mod 2L), x^L + 1 splits into L linear factors,
+so both operands are evaluated at the L odd powers of a primitive 2L-th
+root of unity, multiplied as L stacked dim x dim float64 products on
+centred residues (every value stays below 2^51, so BLAS is exact),
+interpolated back and lifted from the residues (Garner's mixed radix
+when one prime is not enough).  Rescaling and products check int64
 headroom and raise `ExactOverflow` rather than wrap.
 """
 
@@ -32,7 +32,17 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .exactnum import CycNum, OrderMismatch, UnsupportedOrder, _is_odd_prime, basis_size
+from .exactnum import (
+    CycNum,
+    _is_odd_prime,
+    _regular,
+    _wstack,
+    basis_size,
+    conj_coeffs,
+    encode_root,
+    normalize,
+    promote,
+)
 
 __all__ = [
     "DimMismatch",
@@ -69,26 +79,6 @@ class ExactOverflow(ArithmeticError):
 class MatCompare(NamedTuple):
     equal: bool
     max_deviation: float
-
-
-@lru_cache(maxsize=None)
-def _wstack(size: int, dtype: type = np.int64) -> np.ndarray:
-    # W e_k = e_{k+1}, W e_{L-1} = -e_0; powers W^0 .. W^{L-1}.
-    w = np.zeros((size, size), dtype=dtype)
-    for k in range(size - 1):
-        w[k + 1, k] = 1
-    w[0, size - 1] = -1
-    stack = np.empty((size, size, size), dtype=dtype)
-    stack[0] = np.eye(size, dtype=dtype)
-    for k in range(1, size):
-        stack[k] = w @ stack[k - 1]
-    return stack
-
-
-def _regular(x: np.ndarray) -> np.ndarray:
-    """(..., L) coefficient vectors -> (..., L, L) matrices of multiplication by x."""
-    size = x.shape[-1]
-    return (x @ _wstack(size).reshape(size, size * size)).reshape(*x.shape, size)
 
 
 def _top(coeffs: np.ndarray) -> int:
@@ -183,9 +173,8 @@ def _monomial_law(
     top = max(peaks)
     if max((top * top * size) << int(lshift.max()), top << int(rshift.max())) >= _INT64_BOUND:
         return None
-    if exponents is not None:  # omega^k as the signed shift W^(k mod L)
-        k = exponents % root_order * (order // root_order)
-        sign = np.where(k < size, 1, -1)[:, None, None]
+    if exponents is not None:  # omega^k as the signed shift W^index
+        index, sign = encode_root(exponents * (order // root_order), size)
     C, E = np.stack(cols), np.stack(entries)
     equal = np.empty(len(left), dtype=bool)
     for x in dict.fromkeys(left.tolist()):
@@ -195,7 +184,7 @@ def _monomial_law(
         prod = (E[y[None, :], cx[:, None]] @ _regular(E[x]).swapaxes(1, 2)).swapaxes(0, 1)
         want = E[z]
         if exponents is not None:
-            want = want @ (_wstack(size)[k[sel] % size] * sign[sel]).swapaxes(1, 2)
+            want = want @ (_wstack(size)[index[sel]] * sign[sel, None, None]).swapaxes(1, 2)
         prod <<= lshift[sel, None, None]
         want <<= rshift[sel, None, None]
         same = (prod == want).all(axis=(1, 2))
@@ -276,14 +265,6 @@ def _ntt_matmul(a: np.ndarray, b: np.ndarray, amax: int, bmax: int) -> np.ndarra
     return x.T.reshape(d, d, size)
 
 
-def _valid_exact_order(order: int) -> int:
-    if order < 8 or order & (order - 1):
-        raise UnsupportedOrder(
-            f"exact matrices need a power-of-two order >= 8, got {order}"
-        )
-    return order
-
-
 class OpMatrix:
     """Square operator matrix with an exact or float backend."""
 
@@ -306,16 +287,14 @@ class OpMatrix:
         self.backend = backend
         self.meta = meta
         if backend == "exact":
-            self.order = _valid_exact_order(order)
             size = basis_size(order)
+            self.order = order
             if coeffs is None:
                 coeffs = np.zeros((dim, dim, size), dtype=np.int64)
             if coeffs.shape != (dim, dim, size):
                 raise DimMismatch(f"coefficient tensor shape {coeffs.shape}")
-            self.coeffs = coeffs
-            self.scale_log2 = scale_log2
+            self.coeffs, self.scale_log2 = normalize(coeffs, scale_log2)
             self.data = None
-            self._normalize()
         else:
             if data is None:
                 data = np.zeros((dim, dim), dtype=np.complex128)
@@ -354,7 +333,7 @@ class OpMatrix:
         grid = [list(row) for row in entries]
         dim = len(grid)
         order = max(max(x.order for x in row) for row in grid)
-        grid = [[x.promote(order) if x.order != order else x for x in row] for row in grid]
+        grid = [[x.promote(order) for x in row] for row in grid]
         scale = max(max(x.scale_log2 for x in row) for row in grid)
         size = basis_size(order)
         coeffs = np.zeros((dim, dim, size), dtype=np.int64)
@@ -397,18 +376,12 @@ class OpMatrix:
             if premul is not None:
                 out = out.scalar_mul(premul.to_complex())
             return out
-        if root_order & (root_order - 1):
-            raise UnsupportedOrder(
-                f"exact phase tables need a power-of-two root order, got {root_order}"
-            )
-        order = max(8, root_order)
-        factor = order // root_order
+        order = 8 if root_order in (1, 2, 4) else root_order
         size = basis_size(order)
-        e = (exponents.astype(np.int64) * factor) % order
         ii, jj = np.nonzero(mask)
+        index, sign = encode_root(exponents[ii, jj] * (order // root_order), size)
         coeffs = np.zeros((dim, dim, size), dtype=np.int64)
-        ee = e[ii, jj]
-        coeffs[ii, jj, ee % size] = np.where(ee < size, 1, -1)
+        coeffs[ii, jj, index] = sign
         out = cls(dim, "exact", coeffs=coeffs, order=order, scale_log2=scale_pow2, meta=meta)
         if premul is not None:
             out = out.scalar_mul(premul)
@@ -417,26 +390,10 @@ class OpMatrix:
 
     # -- internals --------------------------------------------------------
 
-    def _normalize(self) -> None:
-        # the lowest set bit of the OR is the largest power of two dividing all
-        g = int(np.bitwise_or.reduce(self.coeffs, axis=None))
-        if g == 0:
-            self.scale_log2 = 0
-            return
-        shift = (g & -g).bit_length() - 1
-        if shift:
-            self.coeffs = self.coeffs >> shift
-            self.scale_log2 -= shift
-
     def _promoted(self, order: int) -> OpMatrix:
         if self.order == order:
             return self
-        if order < self.order or order % self.order:
-            raise OrderMismatch(f"cannot promote order {self.order} to {order}")
-        factor = order // self.order
-        size = basis_size(order)
-        coeffs = np.zeros((self.dim, self.dim, size), dtype=np.int64)
-        coeffs[:, :, :: factor] = self.coeffs
+        coeffs = promote(self.coeffs, self.order, order)
         return OpMatrix(
             self.dim, "exact", coeffs=coeffs, order=order, scale_log2=self.scale_log2
         )
@@ -473,11 +430,10 @@ class OpMatrix:
             coeffs = _monomial_matmul(right, a.coeffs.transpose(1, 0, 2)).transpose(1, 0, 2)
         elif fits:
             coeffs = _ntt_matmul(a.coeffs, b.coeffs, amax, bmax)
-        else:  # exactness guard tripped: a as sum_k a[:, :, k] (x) W^k, in object ints
+        else:  # exactness guard tripped: the regular matrices of a, in object ints
+            emb = _regular(a.coeffs.astype(object)).transpose(0, 2, 1, 3)
+            emb = emb.reshape(d * size, d * size)
             bcols = b.coeffs.transpose(0, 2, 1).reshape(d * size, d)
-            emb = np.einsum(
-                "ilk,kab->ialb", a.coeffs.astype(object), _wstack(size, object)
-            ).reshape(d * size, d * size)
             out = np.dot(emb, bcols.astype(object)).astype(np.int64)
             coeffs = out.reshape(d, size, d).transpose(0, 2, 1)
         return OpMatrix(
@@ -530,7 +486,7 @@ class OpMatrix:
             raise BackendMismatch("exact matrices take CycNum or int scalars")
         order = max(self.order, s.order)
         a = self._promoted(order)
-        s = s.promote(order) if s.order != order else s
+        s = s.promote(order)
         _checked(_top(a.coeffs) * sum(abs(c) for c in s.coeffs), "scalar product")
         coeffs = a.coeffs @ _regular(np.array(s.coeffs, dtype=np.int64)).T
         return OpMatrix(
@@ -545,13 +501,9 @@ class OpMatrix:
         """Conjugate transpose."""
         if self.backend == "float":
             return OpMatrix.from_complex(self.data.conj().T)
-        ct = self.coeffs.transpose(1, 0, 2)
-        out = np.empty_like(ct)
-        out[:, :, 0] = ct[:, :, 0]
-        if ct.shape[2] > 1:
-            out[:, :, 1:] = -ct[:, :, :0:-1]
+        coeffs = conj_coeffs(self.coeffs.transpose(1, 0, 2))
         return OpMatrix(
-            self.dim, "exact", coeffs=out, order=self.order, scale_log2=self.scale_log2
+            self.dim, "exact", coeffs=coeffs, order=self.order, scale_log2=self.scale_log2
         )
 
     def __pow__(self, e: int) -> OpMatrix:
@@ -595,7 +547,7 @@ class OpMatrix:
     def entry(self, i: int, j: int) -> CycNum | complex:
         if self.backend == "float":
             return complex(self.data[i, j])
-        return CycNum(self.order, tuple(int(c) for c in self.coeffs[i, j]), self.scale_log2)
+        return CycNum(self.order, self.coeffs[i, j], self.scale_log2)
 
     def to_complex_array(self) -> np.ndarray:
         if self.backend == "float":
@@ -625,17 +577,10 @@ def kron(a: OpMatrix, b: OpMatrix) -> OpMatrix:
 def twist_perm(dim: int, backend: str = "exact", order: int = 8) -> OpMatrix:
     """Swap of tensor factors on a dim^2 space: d*a+b -> d*b+a."""
     total = dim * dim
-    if backend == "float":
-        data = np.zeros((total, total), dtype=np.complex128)
-        for a in range(dim):
-            for b in range(dim):
-                data[dim * b + a, dim * a + b] = 1.0
-        return OpMatrix.from_complex(data)
-    coeffs = np.zeros((total, total, basis_size(order)), dtype=np.int64)
-    for a in range(dim):
-        for b in range(dim):
-            coeffs[dim * b + a, dim * a + b, 0] = 1
-    return OpMatrix(total, "exact", coeffs=coeffs, order=order)
+    swap = np.arange(total).reshape(dim, dim).T.ravel()  # row d*b+a holds column d*a+b
+    mask = np.eye(total, dtype=bool)[swap]
+    exponents = np.zeros((total, total), dtype=np.int64)
+    return OpMatrix.from_phase_table(order, exponents, mask, backend=backend)
 
 
 def mat_eq(a: OpMatrix, b: OpMatrix, tol: float = 1e-9) -> MatCompare:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import NotAUnit, basis_size, jacobi_symbol
+from .exactnum import NotAUnit, basis_size, decode_root, encode_root, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import j_odd, j_twisted
 from .matrixcore import OpMatrix, _root_gather, _row_support, mat_eq
@@ -349,9 +349,8 @@ def _permutation_support(J: OpMatrix) -> tuple[np.ndarray, np.ndarray] | None:
         if not support or support[2] != 1 or np.count_nonzero(support[1]) != J.dim:
             return None  # not monomial, or an entry that is no root of unity
         cols, entries, _ = support
-        size = entries.shape[1]
         pos = np.abs(entries).argmax(axis=1)
-        entries = pos + size * (entries[np.arange(J.dim), pos] < 0)
+        entries = decode_root(pos, entries[np.arange(J.dim), pos], entries.shape[1])
     else:
         support = _row_support(J.data[:, :, None])
         if not support:
@@ -406,8 +405,9 @@ def _densify(kind: tuple, cols: np.ndarray, entries: np.ndarray) -> OpMatrix:
     if backend == "float":
         return OpMatrix.from_complex(_float_stack(cols[None], entries[None])[0])
     dim, size = len(cols), basis_size(order)
+    index, sign = encode_root(entries, size)
     coeffs = np.zeros((dim, dim, size), dtype=np.int64)
-    coeffs[np.arange(dim), cols, entries % size] = np.where(entries < size, 1, -1)
+    coeffs[np.arange(dim), cols, index] = sign
     return OpMatrix(dim, "exact", coeffs=coeffs, order=order, scale_log2=scale_log2)
 
 

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .exactnum import NotAUnit, ZMod
+from .exactnum import _mod_inv
 
 __all__ = [
     "BadDeterminant",
@@ -33,7 +33,6 @@ __all__ = [
     "dilatation_word",
     "word_element",
     "decompose",
-    "shear_dilation_split",
     "act_on_point",
     "symplectic_form",
     "sl2_order",
@@ -121,13 +120,12 @@ def sl2_t(N: int, k: int = 1) -> SL2Element:
 
 
 def dilatation(N: int, a: int) -> SL2Element:
-    a_inv = ZMod(a, N).inv().value
-    return SL2Element(a, 0, 0, a_inv, N)
+    return SL2Element(a, 0, 0, _mod_inv(a, N), N)
 
 
 def dilatation_word(N: int, a: int) -> list[Token]:
     """Six-token S,T word multiplying out to diag(a, a^{-1})."""
-    a_inv = ZMod(a, N).inv().value
+    a_inv = _mod_inv(a, N)
     return [("T", -a), ("S", 1), ("T", -a_inv), ("S", -1), ("T", -a), ("S", -1)]
 
 
@@ -160,7 +158,7 @@ def decompose(A: SL2Element) -> list[Token]:
     N = A.N
     a, b, c, d = A.entries()
     if math.gcd(d, N) == 1:
-        d_inv = ZMod(d, N).inv().value
+        d_inv = _mod_inv(d, N)
         word = [
             ("T", b * d_inv % N),
             ("D", d_inv),
@@ -172,7 +170,7 @@ def decompose(A: SL2Element) -> list[Token]:
             raise RuntimeError(f"unit-d word failed to reproduce {A}")
         return word
     # even d forces odd c when N = 2^n (determinant is odd)
-    c_inv = ZMod(c, N).inv().value
+    c_inv = _mod_inv(c, N)
     candidates = []
     for sign in (1, -1):
         word = [
@@ -188,16 +186,6 @@ def decompose(A: SL2Element) -> list[Token]:
     if len(matches) != 1:
         raise RuntimeError(f"even-d sign resolution found {len(matches)} words for {A}")
     return matches[0]
-
-
-def shear_dilation_split(A: SL2Element) -> tuple[SL2Element, SL2Element, SL2Element]:
-    """A = L * D * R with lower shear L, diag D, upper shear R (unit a)."""
-    a, b, c, d = A.entries()
-    a_inv = ZMod(a, A.N).inv().value
-    lower = SL2Element(1, 0, c * a_inv, 1, A.N)
-    diag = dilatation(A.N, a)
-    upper = SL2Element(1, a_inv * b, 0, 1, A.N)
-    return lower, diag, upper
 
 
 def act_on_point(A: SL2Element, r: int, s: int) -> tuple[int, int]:

@@ -1,67 +1,30 @@
+import math
 import random
 
 import pytest
 
-from fqmrep.exactnum import (
-    CycNum,
-    NotAUnit,
-    OrderMismatch,
-    UnsupportedOrder,
-    ZMod,
-    jacobi_symbol,
-)
-
-
-def test_zmod_normalizes_into_range():
-    assert ZMod(11, 8).value == 3
-    assert ZMod(-1, 8).value == 7
-    assert int(ZMod(5, 4)) == 1
-
-
-def test_zmod_modulus_validation():
-    with pytest.raises(ValueError):
-        ZMod(0, 1)
-
-
-def test_zmod_cross_modulus_rejected():
-    with pytest.raises(ValueError):
-        ZMod(1, 8) + ZMod(1, 16)
-    with pytest.raises(ValueError):
-        ZMod(1, 8) * ZMod(1, 4)
-
-
-def test_zmod_arithmetic():
-    a = ZMod(5, 8)
-    assert (a + 5).value == 2
-    assert (a - 7).value == 6
-    assert (3 * a).value == 7
-    assert (-a).value == 3
-    assert (a**2).value == 1
+from fqmrep.exactnum import CycNum, NotAUnit, UnsupportedOrder, _mod_inv, jacobi_symbol
 
 
 def test_mod_inv_frozen_values():
-    assert ZMod(3, 8).inv() == ZMod(3, 8)
-    assert ZMod(5, 8).inv() == ZMod(5, 8)
-    assert ZMod(3, 7).inv() == ZMod(5, 7)
+    assert _mod_inv(3, 8) == 3
+    assert _mod_inv(5, 8) == 5
+    assert _mod_inv(3, 7) == 5
+    assert _mod_inv(-1, 8) == 7
     with pytest.raises(NotAUnit):
-        ZMod(2, 8).inv()
+        _mod_inv(2, 8)
 
 
 def test_mod_inv_random_roundtrip():
     rng = random.Random(0)
     for _ in range(300):
         n = rng.choice([4, 8, 16, 3, 5, 7, 9, 15])
-        a = ZMod(rng.randrange(n), n)
-        if a.is_unit():
-            assert (a * a.inv()).value == 1
+        a = rng.randrange(n)
+        if math.gcd(a, n) == 1:
+            assert a * _mod_inv(a, n) % n == 1
         else:
             with pytest.raises(NotAUnit):
-                a.inv()
-
-
-def test_negative_pow_uses_inverse():
-    assert (ZMod(3, 8) ** -1).value == 3
-    assert (ZMod(2, 7) ** -2).value == 2  # (2^-1)^2 = 4^2 = 16 = 2 mod 7
+                _mod_inv(a, n)
 
 
 def test_jacobi_frozen_values():
@@ -117,6 +80,9 @@ def test_unsupported_orders_rejected():
         CycNum.root(9, 1)
     with pytest.raises(UnsupportedOrder):
         CycNum.root(15, 1)
+    for q in (3, 5, 7):  # no odd-prime basis
+        with pytest.raises(UnsupportedOrder):
+            CycNum.root(q, 1)
 
 
 def test_product_of_conjugate_pair_is_two():
@@ -131,7 +97,7 @@ def test_conjugation_frozen_value():
 
 def test_phase_unitarity():
     rng = random.Random(2)
-    for order in (8, 16, 32, 3, 5, 7):
+    for order in (8, 16, 32):
         for _ in range(100):
             w = CycNum.root(order, rng.randrange(2 * order))
             assert w * w.conj() == CycNum.one(order)
@@ -139,7 +105,7 @@ def test_phase_unitarity():
 
 def test_exponent_additivity():
     rng = random.Random(3)
-    for order in (8, 16, 32, 3, 5, 7):
+    for order in (8, 16, 32):
         for _ in range(1000):
             a = rng.randrange(-2 * order, 2 * order)
             b = rng.randrange(-2 * order, 2 * order)
@@ -155,7 +121,7 @@ def _random_cyc(rng, order):
 def test_to_complex_is_a_ring_homomorphism():
     rng = random.Random(4)
     for _ in range(1000):
-        order = rng.choice([8, 16, 5, 7])
+        order = rng.choice([8, 16, 32])
         x, y = _random_cyc(rng, order), _random_cyc(rng, order)
         assert abs((x * y).to_complex() - x.to_complex() * y.to_complex()) < 1e-10
         assert abs((x + y).to_complex() - (x.to_complex() + y.to_complex())) < 1e-10
@@ -164,7 +130,7 @@ def test_to_complex_is_a_ring_homomorphism():
 def test_self_subtraction_is_exactly_zero():
     rng = random.Random(5)
     for _ in range(200):
-        x = _random_cyc(rng, rng.choice([8, 16, 3, 7]))
+        x = _random_cyc(rng, rng.choice([8, 16, 32]))
         assert (x - x).is_zero()
         assert (x - x) == CycNum.zero(x.order)
 
@@ -201,17 +167,10 @@ def test_cross_order_equality_and_promotion():
     assert CycNum.root(8, 1).promote(32).order == 32
 
 
-def test_order_mismatch_raises():
-    with pytest.raises(OrderMismatch):
-        CycNum.root(8, 1) + CycNum.root(3, 1)
-    with pytest.raises(OrderMismatch):
-        CycNum.root(5, 1) * CycNum.root(7, 1)
-
-
 def test_cross_order_zero_equality():
-    # Impossible promotions still compare equal when both sides are zero.
     assert CycNum.zero(8) == CycNum.zero(16)
-    assert CycNum.zero(3) != CycNum.one(3)
+    assert hash(CycNum.zero(8)) == hash(CycNum.zero(16))
+    assert CycNum.zero(16) != CycNum.one(8)
 
 
 def test_integer_mixing():
@@ -224,7 +183,7 @@ def test_integer_mixing():
 def test_serialization_roundtrip():
     rng = random.Random(7)
     for _ in range(100):
-        x = _random_cyc(rng, rng.choice([8, 16, 3]))
+        x = _random_cyc(rng, rng.choice([8, 16, 32]))
         d = x.to_dict()
         assert set(d) == {"order", "coeffs", "scale_log2"}
         assert CycNum.from_dict(d) == x
@@ -235,3 +194,35 @@ def test_power_operator():
     assert w**16 == CycNum.one()
     assert w**5 == CycNum.root(16, 5)
     assert w**0 == CycNum.one()
+
+
+def _negacyclic(x, y):
+    # schoolbook product in Z[w]/(w^L + 1), Python ints
+    size = len(x)
+    out = [0] * size
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            k = i + j
+            out[k % size] += a * b if k < size else -a * b
+    return out
+
+
+def test_products_and_conj_stay_exact_past_int64():
+    rng = random.Random(8)
+    for order in (8, 16, 32):
+        size = order // 2
+        for _ in range(50):
+            x = [rng.choice((1, -1)) * rng.getrandbits(70) for _ in range(size)]
+            y = [rng.choice((1, -1)) * (2**62 + rng.getrandbits(40)) for _ in range(size)]
+            x[0] |= 1  # odd content: no factor of two to strip
+            y[0] |= 1
+            a, b = CycNum(order, tuple(x)), CycNum(order, tuple(y))
+            prod = a * b
+            # the product may be normalised: scale_log2 = -(factors of two stripped)
+            assert [c << -prod.scale_log2 for c in prod.coeffs] == _negacyclic(x, y)
+            assert all(type(c) is int for c in prod.coeffs)
+            assert max(map(abs, prod.coeffs)) >= 2**100
+            conj = a.conj()
+            assert conj.coeffs == (x[0], *(-c for c in reversed(x[1:])))
+            assert conj.conj() == a
+            assert (a * conj).conj() == a * conj  # |a|^2 is real

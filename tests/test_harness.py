@@ -1,6 +1,7 @@
 """Tests for the named verification suites."""
 
 import json
+import weakref
 from functools import cache
 
 import numpy as np
@@ -54,6 +55,24 @@ def test_homomorphism_exhaustive_count_mod_4():
     assert rep.params["mode"] == "exhaustive"
     assert rep.params["backend"] == "exact"
     assert rep.max_abs_deviation == 0.0
+
+
+def test_sampled_homomorphism_keeps_few_operators_alive(monkeypatch):
+    # a sampled pair uses its three U once, so at most 4 stay cached; each
+    # built U is tracked by a weak reference to its entry array
+    refs, alive = [], []
+
+    def build(*args):
+        alive.append(sum(r() is not None for r in refs))
+        out = u_general(*args)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(harness, "u_general", build)
+    rep = run_suite(SuiteSpec("homomorphism", {"N": 8, "samples": 50, "backend": "float"}))
+    assert rep.passed and rep.params["mode"] == "sampled"
+    assert len(refs) > 100
+    assert max(alive) <= 4
 
 
 def test_metaplectic_count_is_two_conjugations_per_point():

@@ -8,7 +8,6 @@ from fqmrep.heisenberg import (
     HWParams,
     fourier,
     gamma_p,
-    p_eigensystem,
     p_inv_matrix,
     p_matrix,
     q_matrix,
@@ -174,19 +173,6 @@ def test_gamma_unitarity_random():
     for _ in range(100):
         G = gamma_p(pr, rng.randrange(4), rng.randrange(4), rng.randrange(4))
         assert mat_eq(G @ G.dagger(), OpMatrix.identity(4)).equal
-
-
-def test_eigensystem_of_superdiagonal_shift():
-    for params in (HWParams(2), HWParams(4), HWParams(8), HWParams(5)):
-        Pinv = p_inv_matrix(params).to_complex_array()
-        P = p_matrix(params).to_complex_array()
-        vecs = []
-        for lam, psi in p_eigensystem(params):
-            assert np.abs(Pinv @ psi - lam * psi).max() < 1e-12
-            assert np.abs(P @ psi - np.conj(lam) * psi).max() < 1e-12
-            vecs.append(psi)
-        V = np.column_stack(vecs)
-        assert np.abs(V @ V.conj().T - np.eye(params.N)).max() < 1e-12
 
 
 def test_odd_prime_families_are_float():

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from fqmrep import matrixcore
+from fqmrep import exactnum, matrixcore
 from fqmrep.exactnum import CycNum
 from fqmrep.harness import _DIM_CAP
 from fqmrep.heisenberg import (
@@ -412,7 +412,7 @@ def _embedding_product(a, b):
     # every |a||b| sum stays below 2^52.
     d, _, size = a.shape
     emb = np.einsum(
-        "ilk,kab->ialb", a.astype(np.float64), matrixcore._wstack(size, np.float64)
+        "ilk,kab->ialb", a.astype(np.float64), exactnum._wstack(size).astype(np.float64)
     ).reshape(d * size, d * size)
     prod = emb @ b.transpose(0, 2, 1).reshape(d * size, d).astype(np.float64)
     return np.rint(prod).astype(np.int64).reshape(d, size, d).transpose(0, 2, 1)

@@ -624,3 +624,15 @@ def test_mismatched_operands_raise_like_the_cycle_walk():
         for check in (verify_metaplectic, _conjugation_reference):
             with pytest.raises(error):
                 check(U, A, flavor, HWParams(4))
+
+
+def test_root_encoding_round_trips():
+    # CycNum.root, exact phase tables, the support decoder and _densify agree on omega^k
+    for order in (8, 16, 32, 64):
+        k = np.arange(2 * order)
+        M = OpMatrix.from_phase_table(order, np.diag(k), np.eye(len(k), dtype=bool))
+        cols, entries = metaplectic._permutation_support(M)
+        assert (cols == k).all() and (entries == k % order).all()
+        assert mat_eq(metaplectic._densify(("exact", order, 0), cols, entries), M).equal
+        for e in k.tolist():
+            assert M.entry(e, e) == CycNum.root(order, e)

@@ -14,7 +14,6 @@ from fqmrep.sl2 import (
     dilatation_word,
     enumerate_sl2,
     sample_sl2,
-    shear_dilation_split,
     sl2_order,
     sl2_s,
     sl2_t,
@@ -170,18 +169,6 @@ def test_even_branch_sign_is_positive():
         c_inv = pow(A.c, -1, A.N)
         assert word[3][0] == "T"
         assert word[3][1] % A.N == (A.d * c_inv) % A.N
-
-
-def test_shear_dilation_split():
-    for N in (8, 16):
-        for A in sample_sl2(N, 200, seed=9):
-            if A.a % 2 == 1:
-                lower, diag, upper = shear_dilation_split(A)
-                assert lower * diag * upper == A
-                assert lower.b == 0 and lower.a == 1
-                assert upper.c == 0 and diag.b == 0 and diag.c == 0
-    with pytest.raises(NotAUnit):
-        shear_dilation_split(SL2Element(2, 1, 3, 2, 8))
 
 
 def test_sampling_is_deterministic():
