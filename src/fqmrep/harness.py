@@ -10,7 +10,9 @@ parameters and seed.
 Every law op(x) op(y) == omega_N^{e(x, y)} op(x o y) over key pairs (both
 cocycles, the pi law, U(A) U(B) == U(AB)) goes through `check_pair_law`:
 exact families of monomial members are compared in stacked integer passes,
-any other family pair by pair; the operands pick, no option does.
+any other family pair by pair; the operands pick, no option does.  The
+commutator law of `heisenberg` scans its pairs the same way, a chunk decided
+by one such pass over both products Gamma(g) Gamma(h) and Gamma(h) Gamma(g).
 The conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic` and `weil-odd`
 goes through `verify_metaplectic`, with the J's of a suite built once into
 one table shared by all its elements.
@@ -146,12 +148,6 @@ def _guard_dim(dim: int) -> None:
         raise TooLarge(f"dimension {dim} exceeds the cap {_DIM_CAP}")
 
 
-def _record_scaled(rep: VerifyReport, ok, dev, identity, inputs, count: int) -> None:
-    # one verified residue class standing for `count` scanned pairs
-    rep.record(ok, dev, identity, inputs)
-    rep.checks_run += count - 1
-
-
 def _root_scalar(pr: HWParams, backend: str, e: int):
     if backend == "exact":
         return CycNum.root(pr.N, e)
@@ -187,31 +183,50 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol) -> Non
     compared one at a time (`_pair_compare`).
     """
     N, exponent = phase or (1, None)
+
+    def compare(x, y):
+        e = None if exponent is None else exponent(x, y)
+        return _pair_compare(op, N, tol, x, y, compose(x, y), e)
+
+    stacked = lambda chunk: _stacked_law(chunk, op, compose, N, exponent)  # noqa: E731
+    _scan_law(rep, identity, pairs, stacked, compare, inputs)
+
+
+def _scan_law(rep, identity, pairs, stacked, compare, inputs, weight=1) -> None:
+    # one check per pair, counted `weight` times, in scan order: a chunk at a
+    # time `stacked(chunk)` proves pairs equal (a mask), or declines with None
+    # for this chunk and every later one; each pair left is `compare(*pair)`
     pairs = iter(pairs)
-    batched = None
     while chunk := list(islice(pairs, _PAIR_CHUNK)):
-        if batched is None:
-            batched = op(chunk[0][0]).backend == "exact"
-        equal = _stacked_law(chunk, op, compose, N, exponent) if batched else None
-        batched = equal is not None
+        equal = None if stacked is None else stacked(chunk)
+        if equal is None:
+            stacked = None
         todo = range(len(chunk)) if equal is None else np.flatnonzero(~equal)
-        rep.checks_run += len(chunk) - len(todo)
+        rep.checks_run += weight * len(chunk) - len(todo)  # record() counts one each
         for k in todo:
-            x, y = chunk[k]
-            e = None if exponent is None else exponent(x, y)
-            ok, dev = _pair_compare(op, N, tol, x, y, compose(x, y), e)
-            rep.record(ok, dev, identity, None if ok else inputs(x, y))
+            ok, dev = compare(*chunk[k])
+            rep.record(ok, dev, identity, None if ok else inputs(*chunk[k]))
 
 
-def _stacked_law(chunk, op, compose, N, exponent):
-    # `_monomial_law` over a chunk, members numbered in order of first use
+def _stacked_law(chunk, op, compose, N, exponent, swapped=False):
+    # `_monomial_law` over a chunk, members numbered in order of first use;
+    # `swapped` also asks op(y) op(x) == omega_N^{e(y, x)} op(compose(x, y))
+    # in the same pass, and a pair is equal when both laws hold
+    if op(chunk[0][0]).backend != "exact":  # declined before numbering anything
+        return None
     out = [compose(x, y) for x, y in chunk]
     keys = list(dict.fromkeys(k for (x, y), z in zip(chunk, out) for k in (x, y, z)))
     index = {k: i for i, k in enumerate(keys)}
     left, right = (np.array([index[pair[j]] for pair in chunk]) for j in (0, 1))
     out = np.array([index[z] for z in out])
     exps = None if exponent is None else np.array([exponent(x, y) for x, y in chunk])
-    return _monomial_law(map(op, keys), left, right, out, N, exps)
+    if swapped:
+        left, right = np.concatenate((left, right)), np.concatenate((right, left))
+        out = np.tile(out, 2)
+        if exps is not None:
+            exps = np.concatenate((exps, [exponent(y, x) for x, y in chunk]))
+    equal = _monomial_law(map(op, keys), left, right, out, N, exps)
+    return equal if equal is None or not swapped else equal[: len(chunk)] & equal[len(chunk):]
 
 
 def _torus_law(rep, identity, N, op, exponent, tol) -> None:
@@ -240,6 +255,15 @@ def _dagger_law(rep, mats, N, tol) -> None:
 # -- suites ------------------------------------------------------------------
 
 
+def _commutator_compare(gamma, pr: HWParams, backend: str, tol: float, g, h):
+    # [Gamma(g), Gamma(h)] == (w^{p r' s} - w^{p r s'}) Gamma(gh) for one
+    # pair of (m, r, s) triples reduced mod N
+    lhs = gamma(g) @ gamma(h) - gamma(h) @ gamma(g)
+    scalar = _root_scalar(pr, backend, pr.p * h[1] * g[2])
+    scalar = scalar - _root_scalar(pr, backend, pr.p * g[1] * h[2])
+    return mat_eq(lhs, gamma(tuple((a + b) % pr.N for a, b in zip(g, h))).scalar_mul(scalar), tol)
+
+
 def _suite_heisenberg(params: dict) -> VerifyReport:
     pr = _even_modulus(params)
     backend = _backend_of(params, pr)
@@ -266,43 +290,37 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
     # commutator law over pairs of (m, r, s) triples scanned in [0, 2N)^3;
     # matrices and scalars repeat with period N per slot, so each residue
     # class is multiplied once and counted with multiplicity 2^6
-    gamma = cache(lambda key: gamma_p(pr, *key, backend))
-
-    def check(g, h):
-        m1, r1, s1 = g
-        m2, r2, s2 = h
-        lhs = gamma(g) @ gamma(h) - gamma(h) @ gamma(g)
-        scalar = _root_scalar(pr, backend, p * r2 * s1)
-        scalar = scalar - _root_scalar(pr, backend, p * r1 * s2)
-        gh = ((m1 + m2) % N, (r1 + r2) % N, (s1 + s2) % N)
-        return mat_eq(lhs, gamma(gh).scalar_mul(scalar), tol)
-
     exhaustive = bool(params.get("exhaustive", N <= 4))
+    gamma = cache(lambda key: gamma_p(pr, *key, backend))
+    mod = lambda g: (g[0] % N, g[1] % N, g[2] % N)  # noqa: E731
+    compose = lambda g, h: ((g[0] + h[0]) % N, (g[1] + h[1]) % N, (g[2] + h[2]) % N)  # noqa: E731
+    exponent = lambda g, h: p * h[1] * g[2]  # noqa: E731
+
+    def stacked(chunk):
+        # Gamma(g) Gamma(h) = w^{p s r'} Gamma(gh) and Gamma(h) Gamma(g) =
+        # w^{p s' r} Gamma(gh): the two product laws give the commutator law
+        if not exhaustive:
+            chunk = [(mod(g), mod(h)) for g, h in chunk]
+        return _stacked_law(chunk, gamma, compose, N, exponent, swapped=True)
+
     if exhaustive:
         _guard_pairs((2 * N) ** 6)
         triples = [(m, r, s) for m in range(N) for r in range(N) for s in range(N)]
-        for g in triples:
-            for h in triples:
-                cmp = check(g, h)
-                _record_scaled(
-                    rep, cmp.equal, cmp.max_deviation,
-                    "[Gamma(g), Gamma(h)] == (w^{p r' s} - w^{p r s'}) Gamma(gh)",
-                    {"g": list(g), "h": list(h)}, 64,
-                )
+        pairs = ((g, h) for g in triples for h in triples)
         rep.params["mode"] = "exhaustive"
-    else:
+    else:  # drawn in [0, 2N), reduced mod N for the operators
         rng = random.Random(seed)
-        for _ in range(samples):
-            g = tuple(rng.randrange(2 * N) for _ in range(3))
-            h = tuple(rng.randrange(2 * N) for _ in range(3))
-            cmp = check(tuple(v % N for v in g), tuple(v % N for v in h))
-            rep.record(
-                cmp.equal, cmp.max_deviation,
-                "[Gamma(g), Gamma(h)] == (w^{p r' s} - w^{p r s'}) Gamma(gh)",
-                {"g": list(g), "h": list(h)},
-            )
+        pairs = [
+            tuple(tuple(rng.randrange(2 * N) for _ in range(3)) for _ in "gh")
+            for _ in range(samples)
+        ]
         rep.params["mode"] = "sampled"
         rep.params["samples"] = samples
+    _scan_law(
+        rep, "[Gamma(g), Gamma(h)] == (w^{p r' s} - w^{p r s'}) Gamma(gh)", pairs, stacked,
+        lambda g, h: _commutator_compare(gamma, pr, backend, tol, mod(g), mod(h)),
+        lambda g, h: {"g": list(g), "h": list(h)}, 64 if exhaustive else 1,
+    )
     return rep
 
 

@@ -369,9 +369,11 @@ class OpMatrix:
         if mask is None:
             mask = np.ones((dim, dim), dtype=bool)
         if backend == "float":
-            data = np.where(
-                mask, np.exp(2j * np.pi * (exponents % root_order) / root_order), 0
-            ) * 2.0 ** (-scale_pow2)
+            # exp per root, not per entry (the same bits); mask and scale in place
+            roots = np.exp(2j * np.pi * np.arange(root_order) / root_order)
+            data = roots[exponents % root_order]
+            data[np.logical_not(mask)] = 0
+            data *= 2.0 ** (-scale_pow2)
             out = cls.from_complex(data, meta=meta)
             if premul is not None:
                 out = out.scalar_mul(premul.to_complex())

@@ -80,10 +80,18 @@ class SL2Element:
     def identity(cls, N: int) -> SL2Element:
         return cls(1, 0, 0, 1, N)
 
+    @classmethod
+    def _trusted(cls, a: int, b: int, c: int, d: int, N: int) -> SL2Element:
+        # entries of a product of valid elements: reduce, skip the determinant
+        out = object.__new__(cls)
+        a, b, c, d = a % N, b % N, c % N, d % N
+        out.__dict__.update(a=a, b=b, c=c, d=d, N=N, _hash=hash((a, b, c, d, N)))
+        return out
+
     def __mul__(self, other: SL2Element) -> SL2Element:
         if self.N != other.N:
             raise ValueError(f"mixed moduli {self.N} and {other.N}")
-        return SL2Element(
+        return SL2Element._trusted(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,

@@ -94,6 +94,17 @@ def test_verify_out_file_bytes_stable(tmp_path, capsys):
          "da8d3cafc288a948f9465e7573793d7f3059ed89c239cf92ae05538829508c5c"),
         (["--suite", "metaplectic", "--n", "3", "--samples", "3"],
          "422e992c5d9e9331fd8f73fda7adb5139c0c7198724671f962e005cab12ecc30"),
+        (["--suite", "heisenberg", "--n", "1"],
+         "74c730a63e85aaf6f85e9a237110ce5b29f5f3029aadb4abe16aaa69d0c5429e"),
+        (["--suite", "heisenberg", "--n", "2", "--p", "1"],
+         "5e765c47e44be112d1e1004d564e984c54f5d333e1bb53a2a3d571427a813976"),
+        (["--suite", "heisenberg", "--n", "2", "--p", "3"],
+         "0994d3e93874cc3b7ae460f129ec0826f44c5e8bae7dee916dc54b854d8334bf"),
+        (["--suite", "heisenberg", "--n", "3", "--samples", "1000"],
+         "7b9b9bdcaef22060626ad2a220c12d5f3c97ed26b040c308147d0a930520faf4"),
+        # float: the deviations are complex128 sums, pinned bit for bit too
+        (["--suite", "heisenberg", "--n", "4", "--samples", "50"],
+         "f3244ce4cbf70f7855aa3255742252bd06c87661f1e55c4172d41269f06ac32f"),
     ],
 )
 def test_verify_out_golden_digest(args, digest, tmp_path, capsys):

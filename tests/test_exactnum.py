@@ -1,9 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from fqmrep.exactnum import CycNum, NotAUnit, UnsupportedOrder, _mod_inv, jacobi_symbol
+from fqmrep.exactnum import (
+    CycNum,
+    NotAUnit,
+    UnsupportedOrder,
+    _mod_inv,
+    jacobi_symbol,
+    normalize,
+)
 
 
 def test_mod_inv_frozen_values():
@@ -226,3 +234,46 @@ def test_products_and_conj_stay_exact_past_int64():
             assert conj.coeffs == (x[0], *(-c for c in reversed(x[1:])))
             assert conj.conj() == a
             assert (a * conj).conj() == a * conj  # |a|^2 is real
+
+
+def _normalize_by_reduce(coeffs, scale_log2):
+    # the one-ufunc form: the lowest set bit of the OR of all coefficients
+    g = int(np.bitwise_or.reduce(coeffs, axis=None))
+    if g == 0:
+        return coeffs, 0
+    shift = (g & -g).bit_length() - 1
+    return (coeffs >> shift, scale_log2 - shift) if shift else (coeffs, scale_log2)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_normalize_matches_the_reduce_form(dtype):
+    rng = random.Random(12)
+    cases = [[0] * 4, [0, 0, 0, -8], [2, -4, 0, 8], [-6, 12, 0, 0], [1, 2, 4, 8],
+             [-3, 0, 0, 0], [2**40, -(2**41), 0, 0], [-(2**62), 0, 0, 2**61]]
+    if dtype is object:  # past int64
+        cases += [[2**63, 0, 0, 0], [3 * 2**70, -(2**65), 0, 0], [-(2**64), 2**63, 0, 1],
+                  [-(2**200), 0, 0, 0]]
+    for _ in range(200):
+        shift = rng.randrange(40 if dtype is object else 20)
+        bits = 90 if dtype is object else 40
+        cases.append([rng.randrange(-(2**bits), 2**bits) << shift for _ in range(4)])
+    for case in cases:
+        for shape in ((4,), (2, 2, 1), (1, 4)):
+            coeffs = np.array(case, dtype=dtype).reshape(shape)
+            for scale in (0, 3, -5):
+                got, want = normalize(coeffs, scale), _normalize_by_reduce(coeffs, scale)
+                assert got[1] == want[1]
+                assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+                assert got[0].tolist() == want[0].tolist()
+    big = np.zeros((3, 3, 4), dtype=np.int64)
+    assert normalize(big, 7) == (big, 0)
+    big[1, 2, 3] = -(2**10)
+    got = normalize(big, 7)
+    assert got[1] == -3 and got[0][1, 2, 3] == -1 and np.count_nonzero(got[0]) == 1
+
+
+def test_equality_across_and_within_orders():
+    a = CycNum(8, (1, 2, 0, -1), 3)
+    assert a == CycNum(8, (2, 4, 0, -2), 4) and a != CycNum(8, (1, 2, 0, 1), 3)
+    assert a == a.promote(16) and a.promote(16) == a and a.promote(32) == a.promote(16)
+    assert a != CycNum(8, (1, 2, 0, -1), 2) and a != CycNum(16, (1, 0, 2, 0, 0, 0, -1, 1), 3)

@@ -1,6 +1,7 @@
 """Tests for the named verification suites."""
 
 import json
+import random
 import weakref
 from functools import cache
 
@@ -416,3 +417,112 @@ def test_stacked_pass_meets_products_with_even_coefficients(monkeypatch):
     got = json.loads(_law([("a", "b"), ("b", "a")], mats.__getitem__, lambda x, y: "ab", None))
     assert got["passed"] and got["checks_run"] == 2
     assert [c.tolist() for c in calls] == [[True, True]]
+
+
+# -- the heisenberg commutator law: stacked product laws against the per-pair check
+
+
+def _count_compares(monkeypatch):
+    """The (g, h) of every per-pair commutator comparison made."""
+    calls = []
+
+    def spy(gamma, pr, backend, tol, g, h):
+        calls.append((g, h))
+        return real(gamma, pr, backend, tol, g, h)
+
+    real = harness._commutator_compare
+    monkeypatch.setattr(harness, "_commutator_compare", spy)
+    return calls
+
+
+def _per_pair_json(monkeypatch, params):
+    """The heisenberg report with every stacked pass declined."""
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_stacked_law", lambda *args, **kwargs: None)
+        return run_suite(SuiteSpec("heisenberg", params)).to_json()
+
+
+HEISENBERG_SAMPLED = [
+    {"n": n, "p": p, "exhaustive": False, "samples": 300, "seed": 5}
+    for n in (1, 2, 3) for p in range(1, 2**n, 2)
+]
+
+
+@pytest.mark.parametrize("params", [{"n": 1}] + HEISENBERG_SAMPLED)
+def test_heisenberg_stacked_laws_match_the_per_pair_check(params, monkeypatch):
+    calls = _count_compares(monkeypatch)
+    got = run_suite(SuiteSpec("heisenberg", params)).to_json()
+    assert calls == [] and json.loads(got)["passed"]
+    assert got == _per_pair_json(monkeypatch, params)
+    assert len(calls) == params.get("samples", 64)
+
+
+def test_passing_exact_heisenberg_never_compares_per_pair(monkeypatch):
+    # a silent drop to the per-pair path would cost 4096 comparisons here
+    calls = _count_compares(monkeypatch)
+    for p in (1, 3):
+        rep = run_suite(SuiteSpec("heisenberg", {"n": 2, "p": p}))
+        assert rep.passed and rep.checks_run == 4 + 64**3
+    assert calls == []
+
+
+@pytest.mark.parametrize("params", [{"n": 2, "p": 3}, {"n": 3, "p": 5}])
+@pytest.mark.parametrize("flaw", ["on-support", "off-support", "swapped", "exponent"])
+def test_heisenberg_flaws_report_like_the_per_pair_check(flaw, params, monkeypatch):
+    # on-/off-support: one coefficient of Gamma(1, 2, 3) moves, inside its
+    # nonzero entry (the stacked laws still run) or into a zero entry (they
+    # decline).  swapped: Gamma(1, 2, 3) X and X^-1 Gamma(0, 1, 2) for
+    # X = Q keep Gamma(g) Gamma(h) of that pair, so only the swapped law
+    # sees its commutator fail.  exponent: the stacked laws get a wrong
+    # phase for g = (1, 2, 3), and every pair they flag must pass per pair.
+    key, other = (1, 2, 3), (0, 1, 2)
+    if flaw == "exponent":
+        real = harness._stacked_law
+
+        def wrong(chunk, op, compose, N, exponent, **kwargs):
+            return real(chunk, op, compose, N, lambda x, y: exponent(x, y) + (x == key), **kwargs)
+
+        monkeypatch.setattr(harness, "_stacked_law", wrong)
+    else:
+        real = harness.gamma_p
+
+        def perturbed(pr, m, r, s, backend=None):
+            out = real(pr, m, r, s, backend)
+            if flaw == "swapped" and (m, r, s) in (key, other):
+                Q = q_matrix(pr, backend)
+                return out @ Q if (m, r, s) == key else Q.dagger() @ out
+            if (m, r, s) != key or flaw == "swapped":
+                return out
+            coeffs = out.coeffs.copy()
+            col = int(np.flatnonzero(coeffs[0].any(axis=1))[0])
+            free = int(np.flatnonzero(coeffs[0, col] == 0)[0])  # a zero coefficient
+            coeffs[0, (col + 1) % out.dim if flaw == "off-support" else col, free] += 1
+            return OpMatrix(out.dim, "exact", coeffs=coeffs, order=out.order)
+
+        monkeypatch.setattr(harness, "gamma_p", perturbed)
+    want = json.loads(_per_pair_json(monkeypatch, params))
+    calls = _count_compares(monkeypatch)
+    got = json.loads(run_suite(SuiteSpec("heisenberg", params)).to_json())
+    assert got["failures"] == want["failures"]
+    assert got["max_abs_deviation"] == want["max_abs_deviation"]
+    assert got == want
+    if flaw == "exponent":
+        assert got["passed"] and calls and all(key in (g, h) for g, h in calls)
+        return
+    assert got["failures"] and got["max_abs_deviation"] > 0.0
+    pairs = 4096 if params["n"] == 2 else 1000
+    N = 2 ** params["n"]
+    gh = lambda g, h: tuple((a + b) % N for a, b in zip(g, h))  # noqa: E731
+    if flaw == "off-support":  # no stacked pass: every pair compared
+        assert len(calls) == pairs
+    else:  # only pairs touching a changed Gamma are flagged
+        changed = {key, other} if flaw == "swapped" else {key}
+        assert 0 < len(calls) < pairs
+        assert all(changed & {g, h, gh(g, h)} for g, h in calls)
+    if flaw == "swapped" and params["n"] == 2:
+        assert {"g": list(key), "h": list(other)} in [f["inputs"] for f in got["failures"]]
+    if params["n"] == 3:  # sampled: a failure shows the triples as drawn, in [0, 2N)
+        rng = random.Random(7)
+        drawn = [[[rng.randrange(2 * N) for _ in range(3)] for _ in "gh"] for _ in range(1000)]
+        shown = [[f["inputs"]["g"], f["inputs"]["h"]] for f in got["failures"]]
+        assert all(pair in drawn for pair in shown) and max(max(g + h) for g, h in shown) >= N

@@ -16,7 +16,7 @@ from fqmrep.heisenberg import (
     p_matrix,
     q_matrix,
 )
-from fqmrep.magnetic import j_twisted
+from fqmrep.magnetic import j_odd, j_twisted
 from fqmrep.matrixcore import (
     BackendMismatch,
     DimMismatch,
@@ -29,8 +29,8 @@ from fqmrep.matrixcore import (
     twist_perm,
 )
 from fqmrep.metaplectic import u_d, u_general, u_s, u_t_pow
-from fqmrep.sl2 import SL2Element, enumerate_sl2
-from fqmrep.weilmod import chirp, pi_shift
+from fqmrep.sl2 import SL2Element, enumerate_sl2, sample_sl2
+from fqmrep.weilmod import QuadraticModule, chirp, pi_shift, weil_generator_action
 
 
 def _random_exact(rng, dim, order=8):
@@ -226,6 +226,65 @@ def test_from_phase_table_backend_agreement():
     exact = OpMatrix.from_phase_table(16, exponents, mask, scale_pow2=2)
     approx = OpMatrix.from_phase_table(16, exponents, mask, scale_pow2=2, backend="float")
     assert np.abs(exact.to_complex_array() - approx.to_complex_array()).max() < 1e-12
+
+
+def test_float_phase_tables_are_bit_identical_to_exp_per_entry(monkeypatch):
+    # the root table must give every float family the bits of the complex exp
+    # per entry it replaced (weil_odd_* build from complex arrays, not here)
+    real = OpMatrix.__dict__["from_phase_table"].__func__
+    built = []
+
+    def spy(cls, root_order, exponents, mask=None, scale_pow2=0, backend="exact",
+            premul=None, meta=None):
+        out = real(cls, root_order, exponents, mask, scale_pow2, backend, premul, meta)
+        if backend == "float":
+            e = np.asarray(exponents)
+            mask = np.ones(e.shape, dtype=bool) if mask is None else mask
+            want = np.where(
+                mask, np.exp(2j * np.pi * (e % root_order) / root_order), 0
+            ) * 2.0 ** (-scale_pow2)
+            if premul is not None:
+                want = want * premul.to_complex()
+            assert out.data.dtype == np.complex128
+            assert np.array_equal(out.data.view(np.uint64), want.view(np.uint64))
+            built.append(meta)
+        return out
+
+    monkeypatch.setattr(OpMatrix, "from_phase_table", classmethod(spy))
+
+    def family(*ops):
+        before = len(built)
+        for op in ops:
+            op()
+        return built[before:]
+
+    even = [HWParams(N, p) for N in (2, 4, 8) for p in range(1, N, 2)]
+    odd = [HWParams(N) for N in (3, 5, 7)]
+    assert family(*(
+        lambda pr=pr, m=m, r=r, s=s: gamma_p(pr, m, r, s, "float")
+        for pr in even + odd for m in range(pr.N) for r in range(pr.N) for s in range(pr.N)
+    ))
+    assert family(*(
+        lambda pr=pr, r=r, s=s: j_twisted(pr, (r, s), backend="float")
+        for pr in even for r in range(pr.N) for s in range(pr.N)
+    ))
+    assert family(*(lambda N=N, r=r, s=s: j_odd(N, (r, s))
+                    for N in (3, 5, 7) for r in range(N) for s in range(N)))
+    elements = [
+        (HWParams(N, p), A) for N in (2, 4) for p in range(1, N, 2) for A in enumerate_sl2(N)
+    ]
+    elements += [(HWParams(8, p), A) for p in (1, 3, 5, 7) for A in sample_sl2(8, 40, p)]
+    branches = family(*(lambda pr=pr, A=A: u_general(pr, A, "float") for pr, A in elements))
+    assert set(branches) == {"d-odd-triangular", "d-odd-reduced", "d-odd-sum", "d-even"}
+    assert family(*(lambda pr=pr: u_s(pr, "float") for pr in even))
+    assert family(*(lambda pr=pr, m=m: u_t_pow(pr, m, "float") for pr in even for m in range(pr.N)))
+    assert family(*(lambda N=N, r=r, s=s: pi_shift(N, r, s)
+                    for N in range(2, 9) for r in range(N) for s in range(N)))
+    assert family(*(lambda N=N, c=c: chirp(N, c) for N in range(2, 9) for c in range(2 * N)))
+    assert set(family(*(
+        lambda N=N, kind=kind: weil_generator_action(QuadraticModule(N), kind)
+        for N in (2, 4, 8) for kind in ("T", "Sinv")
+    ))) == {"Gamma(T)", "Gamma(S^-1)"}
 
 
 def test_entry_returns_canonical_cycnum():

@@ -199,3 +199,22 @@ def test_sample_and_enumerate_frozen():
     assert hashlib.sha256(listing).hexdigest() == (
         "d00648e02e0f701f09c34d7c7d0e636ea0e5713a385b45dfcda8d65ea301f019"
     )
+
+
+def test_products_match_the_validated_constructor():
+    # products of valid elements skip the determinant check; they must still
+    # be the reduced, equally hashed elements the checked constructor gives
+    elems = enumerate_sl2(4)
+    for A in elems:
+        for B in elems:
+            a, b, c, d = A.entries()
+            e, f, g, h = B.entries()
+            want = SL2Element(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, 4)
+            got = A * B
+            assert type(got) is SL2Element and got == want and hash(got) == hash(want)
+            assert vars(got) == vars(want) and repr(got) == repr(want)
+    assert len({A * B for A in elems for B in elems}) == len(elems)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        sl2_s(4) * sl2_s(8)
+    with pytest.raises(BadDeterminant):
+        SL2Element(1, 1, 1, 1, 4)
