@@ -119,14 +119,7 @@ def normalize(coeffs: np.ndarray, scale_log2: int) -> tuple[np.ndarray, int]:
     """(coeffs, scale_log2) with the largest power of two dividing every
     coefficient divided out; zero gets scale 0."""
     # the lowest set bit of the OR is the largest power of two dividing all
-    if coeffs.dtype == object:  # Python ints: a plain loop beats ufunc dispatch
-        g = 0
-        for c in coeffs.flat:
-            if c & 1:
-                return coeffs, scale_log2
-            g |= c
-    else:
-        g = int(np.bitwise_or.reduce(coeffs, axis=None))
+    g = int(np.bitwise_or.reduce(coeffs, axis=None))
     if g == 0:
         return coeffs, 0
     shift = (g & -g).bit_length() - 1
@@ -288,7 +281,7 @@ class CycNum:
             other = CycNum.from_int(other, self.order)
         if not isinstance(other, CycNum):
             return NotImplemented
-        a, b = (self, other) if self.order == other.order else self._common(other)
+        a, b = self._common(other)
         return a.coeffs == b.coeffs and a.scale_log2 == b.scale_log2
 
     def __hash__(self) -> int:

@@ -63,15 +63,12 @@ class SL2Element:
         N = self.N
         if N < 2:
             raise ValueError(f"modulus must be >= 2, got {N}")
-        for name in "abcd":
-            object.__setattr__(self, name, getattr(self, name) % N)
+        self.__dict__.update(vars(SL2Element._trusted(self.a, self.b, self.c, self.d, N)))
         det = (self.a * self.d - self.b * self.c) % N
         if det != 1:
             raise BadDeterminant(
                 f"det = {det} mod {N} for ({self.a},{self.b},{self.c},{self.d})"
             )
-        # elements key the suites' operator caches: hash once, not per lookup
-        object.__setattr__(self, "_hash", hash((self.a, self.b, self.c, self.d, N)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -82,7 +79,8 @@ class SL2Element:
 
     @classmethod
     def _trusted(cls, a: int, b: int, c: int, d: int, N: int) -> SL2Element:
-        # entries of a product of valid elements: reduce, skip the determinant
+        # entries mod N, hashed once (elements key the suites' operator caches);
+        # no determinant check, so products of valid elements come here directly
         out = object.__new__(cls)
         a, b, c, d = a % N, b % N, c % N, d % N
         out.__dict__.update(a=a, b=b, c=c, d=d, N=N, _hash=hash((a, b, c, d, N)))

@@ -236,17 +236,19 @@ def test_products_and_conj_stay_exact_past_int64():
             assert (a * conj).conj() == a * conj  # |a|^2 is real
 
 
-def _normalize_by_reduce(coeffs, scale_log2):
-    # the one-ufunc form: the lowest set bit of the OR of all coefficients
-    g = int(np.bitwise_or.reduce(coeffs, axis=None))
-    if g == 0:
+def _normalize_by_division(coeffs, scale_log2):
+    # the definition: halve every coefficient while all of them stay even
+    values = [int(c) for c in coeffs.flat]
+    if not any(values):
         return coeffs, 0
-    shift = (g & -g).bit_length() - 1
-    return (coeffs >> shift, scale_log2 - shift) if shift else (coeffs, scale_log2)
+    while all(v % 2 == 0 for v in values):
+        values = [v // 2 for v in values]
+        scale_log2 -= 1
+    return np.array(values, dtype=coeffs.dtype).reshape(coeffs.shape), scale_log2
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
-def test_normalize_matches_the_reduce_form(dtype):
+def test_normalize_matches_its_definition(dtype):
     rng = random.Random(12)
     cases = [[0] * 4, [0, 0, 0, -8], [2, -4, 0, 8], [-6, 12, 0, 0], [1, 2, 4, 8],
              [-3, 0, 0, 0], [2**40, -(2**41), 0, 0], [-(2**62), 0, 0, 2**61]]
@@ -261,7 +263,7 @@ def test_normalize_matches_the_reduce_form(dtype):
         for shape in ((4,), (2, 2, 1), (1, 4)):
             coeffs = np.array(case, dtype=dtype).reshape(shape)
             for scale in (0, 3, -5):
-                got, want = normalize(coeffs, scale), _normalize_by_reduce(coeffs, scale)
+                got, want = normalize(coeffs, scale), _normalize_by_division(coeffs, scale)
                 assert got[1] == want[1]
                 assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
                 assert got[0].tolist() == want[0].tolist()
@@ -270,6 +272,9 @@ def test_normalize_matches_the_reduce_form(dtype):
     big[1, 2, 3] = -(2**10)
     got = normalize(big, 7)
     assert got[1] == -3 and got[0][1, 2, 3] == -1 and np.count_nonzero(got[0]) == 1
+    # numpy integer scalars as coefficients, as from a tuple of an int64 array
+    a = CycNum(8, tuple(np.array([2, 4, 0, -8])), 1)
+    assert a == CycNum(8, (1, 2, 0, -4)) and a.scale_log2 == 0
 
 
 def test_equality_across_and_within_orders():
