@@ -82,13 +82,10 @@ def gamma_p(params: HWParams, m: int, r: int, s: int, backend: str | None = None
     """Representation matrix of the group element z^m x^r y^s."""
     N, p = params.N, params.p
     k = np.arange(N)
-    mask = np.zeros((N, N), dtype=bool)
-    mask[k, (k + s) % N] = True
-    exponents = np.zeros((N, N), dtype=np.int64)
-    exponents[k, (k + s) % N] = (p * m + p * k * r) % N
-    out = OpMatrix.from_phase_table(N, exponents, mask, backend=_backend(params, backend))
-    out.meta = f"gamma(m={m % N},r={r % N},s={s % N})"
-    return out
+    return OpMatrix.from_support(
+        N, (k + s) % N, (p * m + p * k * r) % N, backend=_backend(params, backend),
+        meta=f"gamma(m={m % N},r={r % N},s={s % N})",
+    )
 
 
 def q_matrix(params: HWParams, backend: str | None = None) -> OpMatrix:
@@ -120,11 +117,8 @@ def fourier(params: HWParams, backend: str | None = None) -> OpMatrix:
     exponents = (k[:, None] * k[None, :]) % N
     backend = _backend(params, backend)
     if backend == "exact":
-        n = params.n
-        return OpMatrix.from_phase_table(
-            N, exponents, premul=CycNum.inv_sqrt2_pow(n), meta="fourier"
-        )
-    data = np.exp(2j * np.pi * exponents / N) / np.sqrt(N)
-    out = OpMatrix.from_complex(data, meta="fourier")
-    return out
+        out = OpMatrix.from_phase_table(N, exponents).scalar_mul(CycNum.inv_sqrt2_pow(params.n))
+        out.meta = "fourier"
+        return out
+    return OpMatrix.from_complex(np.exp(2j * np.pi * exponents / N) / np.sqrt(N), meta="fourier")
 

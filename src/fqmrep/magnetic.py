@@ -38,14 +38,9 @@ def j_odd(N: int, pt) -> OpMatrix:
         raise EvenModulus(f"j_odd needs odd N, got {N}")
     r, s = _coords(pt, N)
     inv2 = pow(2, -1, N)
-    k = np.arange(N)
-    j = (k - r) % N
-    mask = np.zeros((N, N), dtype=bool)
-    mask[k, j] = True
-    exponents = np.zeros((N, N), dtype=np.int64)
-    exponents[k, j] = (r * s * inv2 + j * s) % N
-    return OpMatrix.from_phase_table(
-        N, exponents, mask, backend="float", meta=f"j_odd(r={r},s={s})"
+    j = (np.arange(N) - r) % N
+    return OpMatrix.from_support(
+        N, j, (r * s * inv2 + j * s) % N, backend="float", meta=f"j_odd(r={r},s={s})"
     )
 
 
@@ -56,16 +51,11 @@ def j_twisted(params: HWParams, pt, backend: str | None = None) -> OpMatrix:
         raise ValueError(f"twisted construction needs N = 2^n, got {N}")
     r, s = _coords(pt, N)
     backend = params.default_backend() if backend is None else backend
-    dim = N * N
-    k1, k2 = np.divmod(np.arange(dim), N)
-    j1, j2 = (k1 - r) % N, (k2 - r) % N
-    cols = N * j1 + j2
-    mask = np.zeros((dim, dim), dtype=bool)
-    mask[np.arange(dim), cols] = True
-    exponents = np.zeros((dim, dim), dtype=np.int64)
-    exponents[np.arange(dim), cols] = (p * (-s * r + (k1 + k2) * s)) % N
-    return OpMatrix.from_phase_table(
-        N, exponents, mask, backend=backend, meta=f"j_twisted(r={r},s={s})"
+    k1, k2 = np.divmod(np.arange(N * N), N)
+    cols = N * ((k1 - r) % N) + (k2 - r) % N
+    return OpMatrix.from_support(
+        N, cols, (p * (-s * r + (k1 + k2) * s)) % N, backend=backend,
+        meta=f"j_twisted(r={r},s={s})",
     )
 
 

@@ -265,6 +265,11 @@ def _ntt_matmul(a: np.ndarray, b: np.ndarray, amax: int, bmax: int) -> np.ndarra
     return x.T.reshape(d, d, size)
 
 
+def _roots(root_order: int) -> np.ndarray:
+    # the root_order-th roots of unity, one complex exp per root (not per entry)
+    return np.exp(2j * np.pi * np.arange(root_order) / root_order)
+
+
 class OpMatrix:
     """Square operator matrix with an exact or float backend."""
 
@@ -316,11 +321,7 @@ class OpMatrix:
 
     @classmethod
     def identity(cls, dim: int, backend: str = "exact", order: int = 8) -> OpMatrix:
-        if backend == "float":
-            return cls.from_complex(np.eye(dim, dtype=np.complex128))
-        coeffs = np.zeros((dim, dim, basis_size(order)), dtype=np.int64)
-        coeffs[np.arange(dim), np.arange(dim), 0] = 1
-        return cls(dim, "exact", coeffs=coeffs, order=order)
+        return cls.from_support(order, np.arange(dim), np.zeros(dim, dtype=np.int64), 0, backend)
 
     @classmethod
     def zeros(cls, dim: int, backend: str = "exact", order: int = 8) -> OpMatrix:
@@ -354,41 +355,58 @@ class OpMatrix:
         mask: np.ndarray | None = None,
         scale_pow2: int = 0,
         backend: str = "exact",
-        premul: CycNum | None = None,
         meta: str | None = None,
     ) -> OpMatrix:
         """Matrix with entries mask * omega_{root_order}^{exponents} * 2^{-scale_pow2}.
 
-        The workhorse for every phase-matrix family: exponent tables are
-        plain integer arrays, reduced here.
+        For dense phase matrices; exponent tables are plain integer arrays,
+        reduced here.  Phased permutations are built by `from_support`.
         """
         exponents = np.asarray(exponents)
         dim = exponents.shape[0]
         if exponents.shape != (dim, dim):
             raise DimMismatch(f"exponent table shape {exponents.shape}")
-        if mask is None:
-            mask = np.ones((dim, dim), dtype=bool)
         if backend == "float":
-            # exp per root, not per entry (the same bits); mask and scale in place
-            roots = np.exp(2j * np.pi * np.arange(root_order) / root_order)
-            data = roots[exponents % root_order]
-            data[np.logical_not(mask)] = 0
+            # one gather from the root table; mask and scale in place
+            data = _roots(root_order)[exponents % root_order]
+            if mask is not None:
+                data[np.logical_not(mask)] = 0
             data *= 2.0 ** (-scale_pow2)
-            out = cls.from_complex(data, meta=meta)
-            if premul is not None:
-                out = out.scalar_mul(premul.to_complex())
-            return out
+            return cls.from_complex(data, meta=meta)
+        rows, cols = np.nonzero(np.ones((dim, dim), dtype=bool) if mask is None else mask)
+        return cls._scatter(dim, (rows, cols), root_order, exponents[rows, cols], scale_pow2, meta)
+
+    @classmethod
+    def from_support(
+        cls,
+        root_order: int,
+        cols: np.ndarray,
+        exponents: np.ndarray,
+        scale_pow2: int = 0,
+        backend: str = "exact",
+        meta: str | None = None,
+    ) -> OpMatrix:
+        """Matrix whose row i holds omega_{root_order}^{exponents[i]} * 2^{-scale_pow2}
+        in column cols[i] and zeros elsewhere: a phased permutation, written
+        straight from its support."""
+        dim, exponents = len(cols), np.asarray(exponents)
+        at = (np.arange(dim), cols)
+        if backend == "float":
+            data = np.zeros((dim, dim), dtype=np.complex128)
+            data[at] = _roots(root_order)[exponents % root_order] * 2.0 ** (-scale_pow2)
+            return cls.from_complex(data, meta=meta)
+        return cls._scatter(dim, at, root_order, exponents, scale_pow2, meta)
+
+    @classmethod
+    def _scatter(cls, dim, at, root_order, exponents, scale_pow2, meta) -> OpMatrix:
+        # exact matrix with omega_{root_order}^{exponents[k]} 2^{-scale_pow2} at
+        # (rows[k], cols[k]) for at = (rows, cols), zero elsewhere
         order = 8 if root_order in (1, 2, 4) else root_order
         size = basis_size(order)
-        ii, jj = np.nonzero(mask)
-        index, sign = encode_root(exponents[ii, jj] * (order // root_order), size)
+        index, sign = encode_root(exponents * (order // root_order), size)
         coeffs = np.zeros((dim, dim, size), dtype=np.int64)
-        coeffs[ii, jj, index] = sign
-        out = cls(dim, "exact", coeffs=coeffs, order=order, scale_log2=scale_pow2, meta=meta)
-        if premul is not None:
-            out = out.scalar_mul(premul)
-            out.meta = meta
-        return out
+        coeffs[(*at, index)] = sign
+        return cls(dim, "exact", coeffs=coeffs, order=order, scale_log2=scale_pow2, meta=meta)
 
     # -- internals --------------------------------------------------------
 
@@ -580,9 +598,7 @@ def twist_perm(dim: int, backend: str = "exact", order: int = 8) -> OpMatrix:
     """Swap of tensor factors on a dim^2 space: d*a+b -> d*b+a."""
     total = dim * dim
     swap = np.arange(total).reshape(dim, dim).T.ravel()  # row d*b+a holds column d*a+b
-    mask = np.eye(total, dtype=bool)[swap]
-    exponents = np.zeros((total, total), dtype=np.int64)
-    return OpMatrix.from_phase_table(order, exponents, mask, backend=backend)
+    return OpMatrix.from_support(order, swap, np.zeros(total, dtype=np.int64), backend=backend)
 
 
 def mat_eq(a: OpMatrix, b: OpMatrix, tol: float = 1e-9) -> MatCompare:

@@ -6,14 +6,18 @@ C^{N^2} on top of the twisted magnetic translations: generators
     U(S)_{(k1,k2),(j1,j2)} = 2^{-n} omega^{p(k1 j2 + k2 j1)}
     U(T)_{(k1,k2),(j1,j2)} = omega^{-p k1 k2} [k1=j1][k2=j2]
 
-and a closed form for arbitrary A, split on the parity of d.  The
-formulas are one family per branch:
+and a closed form for arbitrary A, split on c.  With k = (k1, k2) the
+row and j = (j1, j2) the column:
 
-    d odd, c = 0     triangular: phased permutation k -> d^{-1} k
-    d odd, c d^{-1} odd  single-phase table (no interior sum)
-    d odd, otherwise  the r-sum closed per entry: one masked phase table
-                     scaled by 2^{v-n}, where 2^v || c d^{-1}
-    d even           single-phase table in 1/c (c is odd then)
+    c = 0     phased permutation k -> d^{-1} k with phase
+              omega^{-p b d^{-1} k1 k2} (d is odd then)
+    c odd     single-phase table 2^{-n} omega^{p(-a k1 k2 + k1 j2 + k2 j1
+              - d j1 j2)/c}
+    c even    the r-sum closed per entry (d is odd then): one masked phase
+              table scaled by 2^{v-n}, where 2^v || c d^{-1}
+
+The branch label in .meta keeps the older four names: d-odd-triangular,
+d-odd-reduced or d-even (c odd, by the parity of d), and d-odd-sum.
 
 Every branch agrees exactly with the product of generator images over
 the shear/dilatation word of the element, and U(A)U(B) = U(AB) holds
@@ -32,11 +36,12 @@ odd-N matrices carry 1/sqrt(N) and stay in floats.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import NotAUnit, basis_size, decode_root, encode_root, jacobi_symbol
+from .exactnum import NotAUnit, decode_root, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import j_odd, j_twisted
 from .matrixcore import OpMatrix, _root_gather, _row_support, mat_eq
@@ -95,12 +100,8 @@ def u_t_pow(params: HWParams, m: int, backend: str | None = None) -> OpMatrix:
     N, p = params.N, params.p
     backend = params.default_backend() if backend is None else backend
     dim, k1, k2 = _grids(N)
-    idx = np.arange(dim)
-    mask = np.zeros((dim, dim), dtype=bool)
-    mask[idx, idx] = True
-    E = np.zeros((dim, dim), dtype=np.int64)
-    E[idx, idx] = (-p * (m % N) * k1 * k2) % N
-    return OpMatrix.from_phase_table(N, E, mask, backend=backend, meta=f"u_t^{m % N}")
+    E = (-p * (m % N) * k1 * k2) % N
+    return OpMatrix.from_support(N, np.arange(dim), E, backend=backend, meta=f"u_t^{m % N}")
 
 
 def u_t(params: HWParams, backend: str | None = None) -> OpMatrix:
@@ -123,19 +124,20 @@ def u_of_word(
     N = params.N
     backend = params.default_backend() if backend is None else backend
     out = OpMatrix.identity(N * N, backend, order=max(N, 8))
-    s_cache: dict[int, OpMatrix] = {}
 
+    @cache  # U(S)^k, built on first use
     def s_power(k: int) -> OpMatrix:
-        if k not in s_cache:
-            s1 = s_cache.setdefault(1, u_s(params, backend))
-            s_cache[k] = s1.dagger() if k == -1 else s1 @ s1
-        return s_cache[k]
+        if k == 1:
+            return u_s(params, backend)
+        if k in (-1, 2):
+            return s_power(1).dagger() if k == -1 else s_power(1) @ s_power(1)
+        raise ValueError(f"S exponent must be in {{1, -1, 2}}, got {k}")
 
     for kind, arg in word:
         if kind == "T":
             factor = u_t_pow(params, arg, backend)
         elif kind == "S":
-            factor = s_power(arg) if arg != 1 else s_cache.setdefault(1, u_s(params, backend))
+            factor = s_power(arg)
         elif kind == "D":
             factor = u_d(params, arg, backend)
         else:
@@ -149,23 +151,19 @@ def _closed_triangular(params: HWParams, A: SL2Element, backend: str) -> OpMatri
     N, p = params.N, params.p
     _, b, _, d = A.entries()
     dinv = pow(d, -1, N)
-    dim, k1, k2 = _grids(N)
+    _, k1, k2 = _grids(N)
     cols = N * ((dinv * k1) % N) + (dinv * k2) % N
-    rows = np.arange(dim)
-    mask = np.zeros((dim, dim), dtype=bool)
-    mask[rows, cols] = True
-    E = np.zeros((dim, dim), dtype=np.int64)
-    E[rows, cols] = (-p * b * dinv * k1 * k2) % N
-    return OpMatrix.from_phase_table(N, E, mask, backend=backend, meta="d-odd-triangular")
+    E = (-p * b * dinv * k1 * k2) % N
+    return OpMatrix.from_support(N, cols, E, backend=backend, meta="d-odd-triangular")
 
 
 def _closed_odd_sum(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
-    # d odd, c != 0: entry (k, j) sums 2^-n omega^{base(k) + p e r} over the r
-    # with c' r = t (mod N), where c' = c d^{-1} = 2^v u (u odd),
+    # c even and nonzero, so d is odd: entry (k, j) sums 2^-n omega^{base(k) + p e r}
+    # over the r with c' r = t (mod N), where c' = c d^{-1} = 2^v u (u odd),
     # t = d^{-1} k1 - j1 and e = j2 - d^{-1} k2.  With g = 2^v and M = N/g the
     # solutions are r0 + M s (s < g, r0 = (t/g) u^{-1} mod M) when g | t, and
     # the sum over s is g when g | e, else 0: one phase per entry, scaled by
-    # 2^{v-n}.  (For odd c', v = 0, this is the d-odd-reduced table.)
+    # 2^{v-n}.  (Odd c, v = 0, gives `_closed_c_odd`'s table.)
     N, p = params.N, params.p
     _, b, c, d = A.entries()
     dinv = pow(d, -1, N)
@@ -184,62 +182,37 @@ def _closed_odd_sum(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
     )
 
 
-def _closed_odd_reduced(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
-    # d odd and c d^{-1} odd: the r-sum collapses to one phase per entry.
-    N, p = params.N, params.p
-    _, b, c, d = A.entries()
-    dinv = pow(d, -1, N)
-    cinv = pow(c, -1, N)
-    ratio_inv = pow(c * dinv, -1, N)
-    dim, k1, k2 = _grids(N)
-    E = (
-        p
-        * (
-            -((b * dinv + cinv * dinv) % N) * (k1 * k2)[:, None]
-            - ratio_inv * (k1 * k2)[None, :]
-            + cinv * (k2[:, None] * k1[None, :] + k2[None, :] * k1[:, None])
-        )
-    ) % N
-    return OpMatrix.from_phase_table(
-        N, E, scale_pow2=params.n, backend=backend, meta="d-odd-reduced"
-    )
-
-
-def _closed_even(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
-    # d even forces c odd (det = ad - bc = 1), so 1/c exists.
+def _closed_c_odd(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
+    # c odd, so 1/c exists: one phase per entry.  For odd d this is the r-sum
+    # collapsed (b d^{-1} + c^{-1} d^{-1} = a c^{-1}), labelled d-odd-reduced.
     N, p = params.N, params.p
     a, _, c, d = A.entries()
     cinv = pow(c, -1, N)
-    dim, k1, k2 = _grids(N)
-    E = (
-        p
-        * (
-            -(a * cinv) * (k1 * k2)[:, None]
-            + cinv * (k1[:, None] * k2[None, :] + k2[:, None] * k1[None, :])
-            - (d * cinv) * (k1 * k2)[None, :]
-        )
-    ) % N
-    return OpMatrix.from_phase_table(
-        N, E, scale_pow2=params.n, backend=backend, meta="d-even"
-    )
+    _, k1, k2 = _grids(N)
+    cross = k1[:, None] * k2 + k2[:, None] * k1  # k1 j2 + k2 j1
+    E = p * (cinv * cross - a * cinv * (k1 * k2)[:, None] - d * cinv * (k1 * k2)) % N
+    meta = "d-odd-reduced" if d % 2 else "d-even"
+    return OpMatrix.from_phase_table(N, E, scale_pow2=params.n, backend=backend, meta=meta)
 
 
 def u_a_closed(params: HWParams, A: SL2Element, backend: str | None = None) -> OpMatrix:
-    """Closed-form U(A) on C^{N^2}, branch picked by the parity of d."""
+    """Closed-form U(A) on C^{N^2}, one formula per case of c.
+
+    c = 0 gives the phased permutation k -> d^{-1} k (d-odd-triangular);
+    odd c the single-phase table 2^{-n} omega^{p(-a k1 k2 + k1 j2 + k2 j1
+    - d j1 j2)/c} (d-odd-reduced or d-even by the parity of d); any other c
+    (d is odd then) the r-sum closed per entry (d-odd-sum).
+    """
     if not params.is_even:
         raise BadBranch(f"closed forms need N = 2^n, got {params.N}")
     if A.N != params.N:
         raise BadBranch(f"element modulus {A.N} != {params.N}")
-    N = params.N
     backend = params.default_backend() if backend is None else backend
-    a, b, c, d = A.entries()
-    if d % 2 == 1:
-        if c % N == 0:
-            return _closed_triangular(params, A, backend)
-        if (c * pow(d, -1, N)) % 2 == 1:
-            return _closed_odd_reduced(params, A, backend)
-        return _closed_odd_sum(params, A, backend)
-    return _closed_even(params, A, backend)
+    if A.c == 0:
+        return _closed_triangular(params, A, backend)
+    if A.c % 2:
+        return _closed_c_odd(params, A, backend)
+    return _closed_odd_sum(params, A, backend)
 
 
 def u_general(params: HWParams, A: SL2Element, backend: str | None = None) -> OpMatrix:
@@ -404,11 +377,7 @@ def _densify(kind: tuple, cols: np.ndarray, entries: np.ndarray) -> OpMatrix:
     backend, order, scale_log2 = kind
     if backend == "float":
         return OpMatrix.from_complex(_float_stack(cols[None], entries[None])[0])
-    dim, size = len(cols), basis_size(order)
-    index, sign = encode_root(entries, size)
-    coeffs = np.zeros((dim, dim, size), dtype=np.int64)
-    coeffs[np.arange(dim), cols, index] = sign
-    return OpMatrix(dim, "exact", coeffs=coeffs, order=order, scale_log2=scale_log2)
+    return OpMatrix.from_support(order, cols, entries, scale_log2)
 
 
 def _j_matrix(table: _JTable, l: int) -> OpMatrix:

@@ -23,7 +23,6 @@ roots of unity, outside the dyadic exact ring.  Default tolerance
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ import numpy as np
 
 from .exactnum import NotAUnit
 from .heisenberg import HWParams
-from .matrixcore import OpMatrix
+from .matrixcore import OpMatrix, _roots
 from .metaplectic import u_d, u_s, u_t_pow
 from .sl2 import SL2Element, enumerate_sl2
 
@@ -135,10 +134,8 @@ def weil_generator_action(qm: QuadraticModule, kind: str, a: int | None = None) 
     dim = qm.size
     x1, x2 = np.divmod(np.arange(dim), N)
     if kind == "T":
-        mask = np.eye(dim, dtype=bool)
-        exps = np.zeros((dim, dim), dtype=np.int64)
-        exps[mask] = [qm.form(int(u), int(v)) for u, v in zip(x1, x2)]
-        return OpMatrix.from_phase_table(N, exps, mask=mask, backend="float", meta="Gamma(T)")
+        exps = [qm.form(int(u), int(v)) for u, v in zip(x1, x2)]
+        return OpMatrix.from_support(N, np.arange(dim), exps, backend="float", meta="Gamma(T)")
     if kind == "Sinv":
         exps = np.empty((dim, dim), dtype=np.int64)
         for i in range(dim):
@@ -191,14 +188,9 @@ def pi_shift(N: int, r: int, s: int) -> OpMatrix:
     """Time-frequency shift pi(r, s) = P^r Q^s on C^N (float backend)."""
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
-    k = np.arange(N)
-    j = (k - r) % N
-    mask = np.zeros((N, N), dtype=bool)
-    mask[k, j] = True
-    exps = np.zeros((N, N), dtype=np.int64)
-    exps[k, j] = j * (s % N) % N
-    return OpMatrix.from_phase_table(
-        N, exps, mask=mask, backend="float", meta=f"pi({r % N},{s % N}) mod {N}"
+    j = (np.arange(N) - r) % N
+    return OpMatrix.from_support(
+        N, j, j * (s % N) % N, backend="float", meta=f"pi({r % N},{s % N}) mod {N}"
     )
 
 
@@ -212,10 +204,8 @@ def chirp(N: int, c: int) -> OpMatrix:
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
     k = np.arange(N)
-    mask = np.eye(N, dtype=bool)
-    exps = np.zeros((N, N), dtype=np.int64)
-    exps[mask] = (N + 1) * c * k * k % (2 * N)
-    return OpMatrix.from_phase_table(2 * N, exps, mask=mask, backend="float", meta=f"R_{c}")
+    exps = (N + 1) * c * k * k % (2 * N)
+    return OpMatrix.from_support(2 * N, k, exps, backend="float", meta=f"R_{c}")
 
 
 def theta_defect(N: int, c1: int, c2: int) -> int:
@@ -358,36 +348,44 @@ def extract_psi(
     N = A.N
     Uc = U.to_complex_array() if isinstance(U, OpMatrix) else np.asarray(U, dtype=complex)
     Ui = np.linalg.inv(Uc)
-    pis = [[pi_shift(N, r, s).to_complex_array() for s in range(N)] for r in range(N)]
+    r, s, i = np.ogrid[:N, :N, :N]
+    j = (i - r) % N
+    pis = np.zeros((N, N, N, N), dtype=np.complex128)  # pis[r, s] is pi_shift(N, r, s)
+    pis[r, s, i, j] = _roots(N)[j * s % N]
     a, b, c, d = A.entries()
-    values: dict[tuple[int, int], complex] = {}
-    for k in range(N):
-        for l in range(N):
-            X = Uc @ pis[k][l] @ Ui
-            Y = pis[(a * k + b * l) % N][(c * k + d * l) % N]
-            nz = np.abs(Y).argmax()
-            psi = X.flat[nz] / Y.flat[nz]
-            if abs(abs(psi) - 1) > 1e-10 or np.abs(X - psi * Y).max() > tol:
-                raise NotMetaplectic(
-                    f"no unit scalar at (k, l) = ({k}, {l}) for {A.entries()} mod {N}"
-                )
-            values[(k, l)] = complex(psi)
-    s00, s01 = (c * a) % N, (c * b) % N
-    s10, s11 = (d * a - 1) % N, (d * b) % N
-    if N <= 4:
-        quads = itertools.product(range(N), repeat=4)
+    at = np.arange(N * N)
+    k, l = np.divmod(at, N)  # (k, l) in scan order
+    X = (Uc @ pis.reshape(N * N, N, N) @ Ui).reshape(N * N, N * N)
+    Y = pis[(a * k + b * l) % N, (c * k + d * l) % N].reshape(N * N, N * N)
+    nz = np.abs(Y).argmax(axis=1)
+    psi = X[at, nz] / Y[at, nz]
+    bad = np.abs(np.abs(psi) - 1) > 1e-10
+    bad |= np.abs(X - psi[:, None] * Y).max(axis=1) > tol
+    if bad.any():
+        at = bad.argmax()
+        raise NotMetaplectic(
+            f"no unit scalar at (k, l) = ({k[at]}, {l[at]}) for {A.entries()} mod {N}"
+        )
+    sample = CharacterSample(A, dict(zip(zip(k.tolist(), l.tolist()), psi.tolist())))
+    s00, s01, s10, s11 = sample.sigma()
+    if N <= 4:  # every quadruple, in itertools.product order
+        quads = np.indices((N,) * 4).reshape(4, -1)
     else:
         rng = random.Random(seed)
-        quads = (tuple(rng.randrange(N) for _ in range(4)) for _ in range(samples))
-    for k, l, kp, lp in quads:
-        e = k * (s00 * kp + s01 * lp) + l * (s10 * kp + s11 * lp)
-        lhs = values[((k + kp) % N, (l + lp) % N)]
-        rhs = values[(k, l)] * values[(kp, lp)] * np.exp(2j * np.pi * e / N)
-        if abs(lhs - rhs) > tol:
-            raise NotMetaplectic(
-                f"second-degree relation fails at {(k, l, kp, lp)} for {A.entries()}"
-            )
-    return CharacterSample(A, values)
+        quads = np.array([rng.randrange(N) for _ in range(4 * samples)]).reshape(-1, 4).T
+    k, l, kp, lp = quads
+    e = k * (s00 * kp + s01 * lp) + l * (s10 * kp + s11 * lp)
+    psi = psi.reshape(N, N)
+    lhs = psi[(k + kp) % N, (l + lp) % N]
+    # a real angle: dividing a complex by N would round differently from the scalar form
+    rhs = psi[k, l] * psi[kp, lp] * np.exp(1j * (2 * np.pi * e / N))
+    bad = np.abs(lhs - rhs) > tol
+    if bad.any():
+        raise NotMetaplectic(
+            f"second-degree relation fails at {tuple(quads[:, bad.argmax()].tolist())}"
+            f" for {A.entries()}"
+        )
+    return sample
 
 
 def find_nonhom_witness(N: int, tol: float = 1e-6) -> dict | None:

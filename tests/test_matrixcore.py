@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from fqmrep import exactnum, matrixcore
+from fqmrep import exactnum, matrixcore, metaplectic
 from fqmrep.exactnum import CycNum
 from fqmrep.harness import _DIM_CAP
 from fqmrep.heisenberg import (
@@ -231,26 +231,38 @@ def test_from_phase_table_backend_agreement():
 def test_float_phase_tables_are_bit_identical_to_exp_per_entry(monkeypatch):
     # the root table must give every float family the bits of the complex exp
     # per entry it replaced (weil_odd_* build from complex arrays, not here)
+    # (phased permutations through from_support, dense tables through from_phase_table)
     real = OpMatrix.__dict__["from_phase_table"].__func__
+    real_support = OpMatrix.__dict__["from_support"].__func__
     built = []
 
-    def spy(cls, root_order, exponents, mask=None, scale_pow2=0, backend="exact",
-            premul=None, meta=None):
-        out = real(cls, root_order, exponents, mask, scale_pow2, backend, premul, meta)
+    def check(out, root_order, e, mask, scale_pow2, meta):
+        want = np.where(
+            mask, np.exp(2j * np.pi * (e % root_order) / root_order), 0
+        ) * 2.0 ** (-scale_pow2)
+        assert out.data.dtype == np.complex128
+        assert np.array_equal(out.data.view(np.uint64), want.view(np.uint64))
+        built.append(meta)
+
+    def spy(cls, root_order, exponents, mask=None, scale_pow2=0, backend="exact", meta=None):
+        out = real(cls, root_order, exponents, mask, scale_pow2, backend, meta)
         if backend == "float":
             e = np.asarray(exponents)
             mask = np.ones(e.shape, dtype=bool) if mask is None else mask
-            want = np.where(
-                mask, np.exp(2j * np.pi * (e % root_order) / root_order), 0
-            ) * 2.0 ** (-scale_pow2)
-            if premul is not None:
-                want = want * premul.to_complex()
-            assert out.data.dtype == np.complex128
-            assert np.array_equal(out.data.view(np.uint64), want.view(np.uint64))
-            built.append(meta)
+            check(out, root_order, e, mask, scale_pow2, meta)
+        return out
+
+    def spy_support(cls, root_order, cols, exponents, scale_pow2=0, backend="exact", meta=None):
+        out = real_support(cls, root_order, cols, exponents, scale_pow2, backend, meta)
+        if backend == "float":
+            dim = len(cols)
+            e = np.zeros((dim, dim), dtype=np.int64)
+            e[np.arange(dim), cols] = exponents
+            check(out, root_order, e, np.eye(dim, dtype=bool)[cols], scale_pow2, meta)
         return out
 
     monkeypatch.setattr(OpMatrix, "from_phase_table", classmethod(spy))
+    monkeypatch.setattr(OpMatrix, "from_support", classmethod(spy_support))
 
     def family(*ops):
         before = len(built)
@@ -285,6 +297,114 @@ def test_float_phase_tables_are_bit_identical_to_exp_per_entry(monkeypatch):
         lambda N=N, kind=kind: weil_generator_action(QuadraticModule(N), kind)
         for N in (2, 4, 8) for kind in ("T", "Sinv")
     ))) == {"Gamma(T)", "Gamma(S^-1)"}
+
+
+def _support_cases(family, backend):
+    """(from_support build, root order, old dense exponent table, mask, scale) for
+    every member of a phased-permutation family at N <= 8, the table and mask
+    written out as the builder filled them before it handed over its support."""
+    even = [HWParams(N, p) for N in (2, 4, 8) for p in range(1, N, 2)]
+    odd = [HWParams(N) for N in (3, 5, 7)] if backend == "float" else []
+
+    def table(dim, cols, values):
+        E = np.zeros((dim, dim), dtype=np.int64)
+        mask = np.zeros((dim, dim), dtype=bool)
+        E[np.arange(dim), cols] = values
+        mask[np.arange(dim), cols] = True
+        return E, mask
+
+    if family == "gamma_p":
+        for pr in even + odd:
+            N, p, k = pr.N, pr.p, np.arange(pr.N)
+            for m, r, s in np.ndindex(N, N, N):
+                E, mask = table(N, (k + s) % N, (p * m + p * k * r) % N)
+                yield gamma_p(pr, m, r, s, backend), N, E, mask, 0
+    elif family == "j_odd":
+        for N in (3, 5, 7) if backend == "float" else ():
+            k = np.arange(N)
+            for r, s in np.ndindex(N, N):
+                j = (k - r) % N
+                E, mask = table(N, j, (r * s * pow(2, -1, N) + j * s) % N)
+                yield j_odd(N, (r, s)), N, E, mask, 0
+    elif family in ("j_twisted", "u_t_pow", "triangular"):
+        for pr in even:
+            N, p = pr.N, pr.p
+            k1, k2 = np.divmod(np.arange(N * N), N)
+            if family == "j_twisted":
+                for r, s in np.ndindex(N, N):
+                    E, mask = table(N * N, N * ((k1 - r) % N) + (k2 - r) % N,
+                                    (p * (-s * r + (k1 + k2) * s)) % N)
+                    yield j_twisted(pr, (r, s), backend), N, E, mask, 0
+            elif family == "u_t_pow":
+                for m in range(-1, N + 1):
+                    E, mask = table(N * N, np.arange(N * N), (-p * (m % N) * k1 * k2) % N)
+                    yield u_t_pow(pr, m, backend), N, E, mask, 0
+            else:
+                for A in enumerate_sl2(N):
+                    if A.c == 0:
+                        dinv = pow(A.d, -1, N)
+                        E, mask = table(N * N, N * ((dinv * k1) % N) + (dinv * k2) % N,
+                                        (-p * A.b * dinv * k1 * k2) % N)
+                        yield metaplectic._closed_triangular(pr, A, backend), N, E, mask, 0
+    elif family in ("pi_shift", "chirp", "Gamma(T)") and backend == "float":
+        for N in range(2, 9):
+            k = np.arange(N)
+            if family == "pi_shift":
+                for r, s in np.ndindex(N, N):
+                    j = (k - r) % N
+                    E, mask = table(N, j, j * (s % N) % N)
+                    yield pi_shift(N, r, s), N, E, mask, 0
+            elif family == "chirp":
+                for c in range(-1, 2 * N + 1):
+                    E, mask = table(N, k, (N + 1) * c * k * k % (2 * N))
+                    yield chirp(N, c), 2 * N, E, mask, 0
+            elif N in (2, 4, 8):
+                x1, x2 = np.divmod(np.arange(N * N), N)
+                E, mask = table(N * N, np.arange(N * N), x1 * x2 % N)
+                yield weil_generator_action(QuadraticModule(N), "T"), N, E, mask, 0
+    elif family == "twist_perm":
+        for dim in range(1, 9):
+            swap = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+            for order in (8, 16):
+                mask = np.eye(dim * dim, dtype=bool)[swap]
+                yield twist_perm(dim, backend, order), order, np.zeros(mask.shape, int), mask, 0
+    elif family == "identity":
+        for dim in range(1, 17):
+            for order in (8, 16):
+                mask = np.eye(dim, dtype=bool)
+                yield OpMatrix.identity(dim, backend, order), order, np.zeros(mask.shape, int), mask, 0
+    elif family == "densify" and backend == "exact":
+        rng = np.random.default_rng(8)
+        for order in (8, 16, 32):
+            for dim in (1, 4, 16, 64):
+                cols, entries = rng.permutation(dim), rng.integers(0, order, dim)
+                scale = int(rng.integers(0, 4))
+                E, mask = table(dim, cols, entries)
+                yield metaplectic._densify(("exact", order, scale), cols, entries), order, E, mask, scale
+
+
+SUPPORT_FAMILIES = ["gamma_p", "j_odd", "j_twisted", "u_t_pow", "triangular", "pi_shift",
+                    "chirp", "Gamma(T)", "twist_perm", "identity", "densify"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("family", SUPPORT_FAMILIES)
+def test_support_builders_match_the_dense_phase_table(family, backend):
+    # every phased-permutation family written from its support equals the dense
+    # from_phase_table(exponents, mask) it was built with before: same exact
+    # coefficients, order and scale, same float bits
+    count = 0
+    for got, root_order, E, mask, scale in _support_cases(family, backend):
+        want = OpMatrix.from_phase_table(root_order, E, mask, scale, backend)
+        assert got.backend == backend
+        if backend == "exact":
+            assert (got.order, got.scale_log2) == (want.order, want.scale_log2)
+            assert np.array_equal(got.coeffs, want.coeffs)
+        else:
+            assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+        count += 1
+    only = {"exact": {"j_odd", "pi_shift", "chirp", "Gamma(T)"}, "float": {"densify"}}
+    assert (count == 0) == (family in only[backend])
 
 
 def test_entry_returns_canonical_cycnum():

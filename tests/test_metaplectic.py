@@ -36,6 +36,7 @@ from fqmrep.sl2 import (
     sample_sl2,
     sl2_s,
     sl2_t,
+    word_element,
 )
 
 
@@ -213,6 +214,54 @@ def test_reduced_branch_matches_sum(N):
     assert hit > 0
 
 
+def _reduced_table(params, A, backend):
+    # the d-odd-reduced builder as it stood before u_a_closed sent every odd c
+    # to one table: c d^{-1} odd, one phase per entry, written in d^{-1}
+    N, p = params.N, params.p
+    _, b, c, d = A.entries()
+    dinv, cinv = pow(d, -1, N), pow(c, -1, N)
+    ratio_inv = pow(c * dinv, -1, N)
+    k1, k2 = np.divmod(np.arange(N * N), N)
+    E = (
+        p
+        * (
+            -((b * dinv + cinv * dinv) % N) * (k1 * k2)[:, None]
+            - ratio_inv * (k1 * k2)[None, :]
+            + cinv * (k2[:, None] * k1[None, :] + k2[None, :] * k1[:, None])
+        )
+    ) % N
+    return OpMatrix.from_phase_table(N, E, scale_pow2=params.n, backend=backend)
+
+
+def _same_bits(x, y):
+    if x.backend == "exact":
+        return (x.order, x.scale_log2) == (y.order, y.scale_log2) and np.array_equal(
+            x.coeffs, y.coeffs
+        )
+    return np.array_equal(x.data.view(np.uint64), y.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_c_odd_table_equals_the_reduced_table_for_odd_d(backend):
+    # for odd c and d, b d^{-1} + c^{-1} d^{-1} = a c^{-1}: the one c-odd table
+    # reproduces the reduced one bit for bit, and the r-sum at v = 0
+    cases = [
+        (HWParams(N, p), A)
+        for N in (2, 4, 8) for p in range(1, N, 2) for A in enumerate_sl2(N)
+    ]
+    cases += [(HWParams(16, p), A) for p in (1, 7, 13) for A in sample_sl2(16, 60, 29 + p)]
+    hit = 0
+    for params, A in cases:
+        if A.c % 2 == 0 or A.d % 2 == 0:
+            continue
+        hit += 1
+        got = u_a_closed(params, A, backend)
+        assert _same_bits(got, _reduced_table(params, A, backend))
+        assert _same_bits(got, _closed_odd_sum(params, A, backend))
+        assert u_general(params, A, backend).meta.endswith("[d-odd-reduced]")
+    assert hit > 100
+
+
 def _assert_closed_sum_matches(params, A):
     got, ref = _closed_odd_sum(params, A, "exact"), _r_sum_reference(params, A, "exact")
     assert mat_eq(got, ref).equal and got.scale_log2 == ref.scale_log2
@@ -303,6 +352,17 @@ def test_closed_form_guards():
         u_a_closed(HWParams(4), sl2_s(8))
     with pytest.raises(ValueError):
         u_of_word(HWParams(4), [("X", 1)])
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_u_of_word_rejects_an_s_exponent_outside_1_minus1_2(k):
+    # U(S)^k used to come back as U(S)^2 for any k but 1 and -1
+    message = rf"S exponent must be in \{{1, -1, 2\}}, got {k}"
+    with pytest.raises(ValueError, match=message):
+        word_element([("S", k)], 4)
+    for word in ([("S", k)], [("T", 1), ("S", 1), ("S", k)]):
+        with pytest.raises(ValueError, match=message):
+            u_of_word(HWParams(4), word)
 
 
 @pytest.mark.parametrize("n,p", [(1, 1), (2, 1), (2, 3)])

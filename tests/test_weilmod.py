@@ -1,6 +1,8 @@
 """Tests for the quadratic-module Gauss sums and chirp comparison operators."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -336,6 +338,68 @@ def test_extract_psi_rejects_non_normalizer():
 def test_extract_psi_identity_operator():
     cs = extract_psi(np.eye(4), SL2Element.identity(4))
     assert all(abs(v - 1) < 1e-12 for v in cs.values.values())
+
+
+def _psi_per_point(U, A, tol=1e-9, samples=1000, seed=11):
+    # extract_psi as a scan over (k, l) and the quadruples, one pi_shift each
+    N = A.N
+    Uc = np.asarray(U, dtype=complex)
+    Ui = np.linalg.inv(Uc)
+    pis = [[pi_shift(N, r, s).to_complex_array() for s in range(N)] for r in range(N)]
+    a, b, c, d = A.entries()
+    values = {}
+    for k in range(N):
+        for l in range(N):
+            X = Uc @ pis[k][l] @ Ui
+            Y = pis[(a * k + b * l) % N][(c * k + d * l) % N]
+            nz = np.abs(Y).argmax()
+            psi = X.flat[nz] / Y.flat[nz]
+            if abs(abs(psi) - 1) > 1e-10 or np.abs(X - psi * Y).max() > tol:
+                return f"no unit scalar at (k, l) = ({k}, {l}) for {A.entries()} mod {N}"
+            values[(k, l)] = complex(psi)
+    s00, s01, s10, s11 = (c * a) % N, (c * b) % N, (d * a - 1) % N, (d * b) % N
+    if N <= 4:
+        quads = itertools.product(range(N), repeat=4)
+    else:
+        rng = random.Random(seed)
+        quads = [tuple(rng.randrange(N) for _ in range(4)) for _ in range(samples)]
+    for k, l, kp, lp in quads:
+        e = k * (s00 * kp + s01 * lp) + l * (s10 * kp + s11 * lp)
+        lhs = values[((k + kp) % N, (l + lp) % N)]
+        rhs = values[(k, l)] * values[(kp, lp)] * np.exp(2j * np.pi * e / N)
+        if abs(lhs - rhs) > tol:
+            return f"second-degree relation fails at {(k, l, kp, lp)} for {A.entries()}"
+    return values
+
+
+def _bits(values):
+    return {kl: (v.real.hex(), v.imag.hex()) for kl, v in values.items()}
+
+
+def test_extract_psi_matches_the_per_point_scan():
+    # the stacked pis and the vectorized checks give the per-point values bit
+    # for bit, and raise at the first failing (k, l) or quadruple in scan order
+    rng = np.random.default_rng(31)
+    messages = set()
+    for N in (2, 3, 4, 5, 6, 8):
+        elems = enumerate_sl2(N)
+        for A in elems[:: max(1, len(elems) // 12)]:
+            try:
+                U = feichtinger_u(N, A).to_complex_array()
+            except IllFormed:
+                continue
+            bent = U.copy()
+            bent[rng.integers(N), rng.integers(N)] += 1e-3
+            for V in (U, bent, U * np.exp(1j * rng.random((N, N)) * 1e-9)):
+                want = _psi_per_point(V, A, samples=300)
+                try:
+                    got = _bits(extract_psi(V, A, samples=300).values)
+                except NotMetaplectic as exc:
+                    got = str(exc)
+                assert got == (want if isinstance(want, str) else _bits(want)), (N, A)
+                if isinstance(want, str):
+                    messages.add(want.split(" at ")[0])
+    assert messages == {"no unit scalar", "second-degree relation fails"}
 
 
 def test_character_sample_rejects_off_circle():
