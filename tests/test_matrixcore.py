@@ -230,8 +230,9 @@ def test_from_phase_table_backend_agreement():
 
 def test_float_phase_tables_are_bit_identical_to_exp_per_entry(monkeypatch):
     # the root table must give every float family the bits of the complex exp
-    # per entry it replaced (weil_odd_* build from complex arrays, not here)
-    # (phased permutations through from_support, dense tables through from_phase_table)
+    # per entry it replaced (weil_odd_* build from complex arrays, not here);
+    # phased permutations come through from_support, dense tables through
+    # from_phase_table, so both are spied on
     real = OpMatrix.__dict__["from_phase_table"].__func__
     real_support = OpMatrix.__dict__["from_support"].__func__
     built = []
