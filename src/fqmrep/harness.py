@@ -14,8 +14,9 @@ any other family pair by pair; the operands pick, no option does.  The
 commutator law of `heisenberg` scans its pairs the same way, a chunk decided
 by one such pass over both products Gamma(g) Gamma(h) and Gamma(h) Gamma(g).
 The conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic` and `weil-odd`
-goes through `verify_metaplectic`, with the J's of a suite built once into
-one table shared by all its elements.
+goes through `verify_metaplectic`, with the J's of a suite computed once,
+from the builders' support formulas, into one table shared by all its
+elements.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
 with n <= 3, float beyond, and a requested exact backend is never

@@ -32,30 +32,42 @@ def _coords(pt: tuple[int, int], N: int) -> tuple[int, int]:
     return (r % N, s % N)
 
 
-def j_odd(N: int, pt) -> OpMatrix:
-    """Magnetic translation omega^{r s/2} P^r Q^s for odd N (float backend)."""
+def _odd_support(N: int, r, s) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, exponents) of omega^{r s/2} P^r Q^s for odd N: row k holds
+    omega_N^{exponents[k]} in column cols[k].  r and s, reduced mod N, may be
+    arrays of points: they broadcast against the row index on a last axis."""
     if N % 2 == 0:
         raise EvenModulus(f"j_odd needs odd N, got {N}")
-    r, s = _coords(pt, N)
-    inv2 = pow(2, -1, N)
+    r, s = np.asarray(r)[..., None], np.asarray(s)[..., None]
     j = (np.arange(N) - r) % N
-    return OpMatrix.from_support(
-        N, j, (r * s * inv2 + j * s) % N, backend="float", meta=f"j_odd(r={r},s={s})"
-    )
+    return j, (r * s * pow(2, -1, N) + j * s) % N
+
+
+def _twisted_support(params: HWParams, r, s) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, exponents) of J^p_{r,s} on C^{N^2}, N = 2^n, as `_odd_support`."""
+    N, p = params.N, params.p
+    if not params.is_even:
+        raise ValueError(f"twisted construction needs N = 2^n, got {N}")
+    r, s = np.asarray(r)[..., None], np.asarray(s)[..., None]
+    k1, k2 = np.divmod(np.arange(N * N), N)
+    cols = N * ((k1 - r) % N) + (k2 - r) % N
+    return cols, (p * (-s * r + (k1 + k2) * s)) % N
+
+
+def j_odd(N: int, pt) -> OpMatrix:
+    """Magnetic translation omega^{r s/2} P^r Q^s for odd N (float backend)."""
+    r, s = _coords(pt, N)
+    cols, exponents = _odd_support(N, r, s)
+    return OpMatrix.from_support(N, cols, exponents, backend="float", meta=f"j_odd(r={r},s={s})")
 
 
 def j_twisted(params: HWParams, pt, backend: str | None = None) -> OpMatrix:
     """Twisted magnetic translation J^p_{r,s} on C^{N^2}, N = 2^n."""
-    N, p = params.N, params.p
-    if not params.is_even:
-        raise ValueError(f"twisted construction needs N = 2^n, got {N}")
-    r, s = _coords(pt, N)
+    r, s = _coords(pt, params.N)
+    cols, exponents = _twisted_support(params, r, s)
     backend = params.default_backend() if backend is None else backend
-    k1, k2 = np.divmod(np.arange(N * N), N)
-    cols = N * ((k1 - r) % N) + (k2 - r) % N
     return OpMatrix.from_support(
-        N, cols, (p * (-s * r + (k1 + k2) * s)) % N, backend=backend,
-        meta=f"j_twisted(r={r},s={s})",
+        params.N, cols, exponents, backend=backend, meta=f"j_twisted(r={r},s={s})"
     )
 
 

@@ -270,6 +270,11 @@ def _roots(root_order: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(root_order) / root_order)
 
 
+def _exact_order(root_order: int) -> int:
+    # the order of the exact ring that holds the root_order-th roots (8 at least)
+    return 8 if root_order in (1, 2, 4) else root_order
+
+
 class OpMatrix:
     """Square operator matrix with an exact or float backend."""
 
@@ -401,7 +406,7 @@ class OpMatrix:
     def _scatter(cls, dim, at, root_order, exponents, scale_pow2, meta) -> OpMatrix:
         # exact matrix with omega_{root_order}^{exponents[k]} 2^{-scale_pow2} at
         # (rows[k], cols[k]) for at = (rows, cols), zero elsewhere
-        order = 8 if root_order in (1, 2, 4) else root_order
+        order = _exact_order(root_order)
         size = basis_size(order)
         index, sign = encode_root(exponents * (order // root_order), size)
         coeffs = np.zeros((dim, dim, size), dtype=np.int64)

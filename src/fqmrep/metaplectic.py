@@ -41,12 +41,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import NotAUnit, decode_root, jacobi_symbol
+from .exactnum import NotAUnit, _mod_inv, jacobi_symbol
 from .heisenberg import HWParams
-from .magnetic import j_odd, j_twisted
-from .matrixcore import OpMatrix, _root_gather, _row_support, mat_eq
+from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
+from .matrixcore import OpMatrix, _exact_order, _root_gather, _roots, mat_eq
 from .report import VerifyReport
-from .sl2 import SL2Element, Token, act_on_point, dilatation_word, sl2_s, sl2_t
+from .sl2 import SL2Element, Token, sl2_s, sl2_t
 
 __all__ = [
     "BadBranch",
@@ -109,12 +109,20 @@ def u_t(params: HWParams, backend: str | None = None) -> OpMatrix:
 
 
 def u_d(params: HWParams, a: int, backend: str | None = None) -> OpMatrix:
-    """Dilatation image as the T/S word product.
+    """Dilatation image U(D(a)): the bare permutation k -> a^{-1} k, no phase.
 
-    Equals the bare permutation k -> a^{-1} k with no global phase;
-    tests pin that down rather than assuming it.
+    Row k holds a 1 in column a k.  This equals the T/S word product over
+    `dilatation_word`; tests pin that down rather than assuming it.
     """
-    return u_of_word(params, dilatation_word(params.N, a), backend)
+    N = params.N
+    backend = params.default_backend() if backend is None else backend
+    _mod_inv(a, N)  # NotAUnit unless a is a unit
+    a %= N
+    dim, k1, k2 = _grids(N)
+    cols = N * (a * k1 % N) + a * k2 % N
+    return OpMatrix.from_support(
+        N, cols, np.zeros(dim, dtype=np.int64), backend=backend, meta=f"u_d({a})"
+    )
 
 
 def u_of_word(
@@ -298,71 +306,35 @@ _CHUNK_ENTRIES = 1 << 16  # matrix entries (coefficients when exact) per side of
 
 
 class _JTable(NamedTuple):
-    """J_{r,s} for every (r, s) of Z_N^2, r-major, built once for many checks.
+    """J_{r,s} for every (r, s) of Z_N^2, r-major, by their row supports.
 
-    When every J is a phased permutation at one backend, order and scale,
-    with unit entries when exact, only the row supports are kept: row i of
-    J[l] holds its one entry in column cols[l, i], equal to
-    omega_order^{entries[l, i]} (exact, 0 <= k < 2L) or to the complex
-    entries[l, i] (float).  Any other table keeps the matrices in `mats`.
+    Every J is a unit phased permutation: row i of J[l] holds its one entry
+    in column cols[l, i], equal to omega_order^{entries[l, i]} (exact,
+    0 <= k < order) or to the complex entries[l, i] (float, order 0).
     """
 
     backend: str
     order: int
-    scale_log2: int
-    cols: np.ndarray | None
-    entries: np.ndarray | None
-    mats: list[OpMatrix] | None
-
-
-def _permutation_support(J: OpMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    # (columns, entries) of a phased permutation, an exact entry omega^k as k
-    if J.backend == "exact":
-        support = _row_support(J.coeffs)
-        if not support or support[2] != 1 or np.count_nonzero(support[1]) != J.dim:
-            return None  # not monomial, or an entry that is no root of unity
-        cols, entries, _ = support
-        pos = np.abs(entries).argmax(axis=1)
-        entries = decode_root(pos, entries[np.arange(J.dim), pos], entries.shape[1])
-    else:
-        support = _row_support(J.data[:, :, None])
-        if not support:
-            return None
-        cols, entries = support[0], support[1][:, 0]
-    if np.bincount(cols, minlength=J.dim).max() != 1:
-        return None
-    return cols, entries
+    cols: np.ndarray
+    entries: np.ndarray
 
 
 def _j_table(
     flavor: str, N: int, params: HWParams | None, backend: str | None
 ) -> _JTable:
-    """Build every J_{r,s} of `flavor` once and keep what `verify_metaplectic` reads.
-
-    Supports are taken as the matrices are built, so one dense J is held at
-    a time, unless some J is no phased permutation like the first: from
-    there on the matrices are kept, the earlier ones densified again.
-    """
+    """Every J_{r,s} of `flavor`, from its builder's support formula at all
+    N^2 points at once, with the entries `j_twisted`/`j_odd` give it."""
+    r, s = np.divmod(np.arange(N * N), N)
     if flavor == "twisted_even":
-        j_of = lambda pt: j_twisted(params, pt, backend=backend)
+        cols, exponents = _twisted_support(params, r, s)
+        backend = params.default_backend() if backend is None else backend
     else:
-        j_of = lambda pt: j_odd(N, pt)
-    kind, supports, mats = None, [], None
-    for r in range(N):
-        for s in range(N):
-            J = j_of((r, s))
-            kind = kind or (J.backend, J.order, J.scale_log2)
-            same = mats is None and (J.backend, J.order, J.scale_log2) == kind
-            support = same and _permutation_support(J)
-            if support:
-                supports.append(support)
-                continue
-            if mats is None:
-                mats = [_densify(kind, *seen) for seen in supports]
-            mats.append(J)
-    if mats is not None:
-        return _JTable(*kind, None, None, mats)
-    return _JTable(*kind, *map(np.stack, zip(*supports)), None)
+        cols, exponents = _odd_support(N, r, s)
+        backend = "float"
+    if backend == "float":
+        return _JTable(backend, 0, cols, _roots(N)[exponents])
+    order = _exact_order(N)
+    return _JTable(backend, order, cols, exponents * (order // N))
 
 
 def _float_stack(cols: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -371,19 +343,6 @@ def _float_stack(cols: np.ndarray, entries: np.ndarray) -> np.ndarray:
     out = np.zeros((count, dim, dim), dtype=np.complex128)
     out[np.arange(count)[:, None], np.arange(dim), cols] = entries
     return out
-
-
-def _densify(kind: tuple, cols: np.ndarray, entries: np.ndarray) -> OpMatrix:
-    backend, order, scale_log2 = kind
-    if backend == "float":
-        return OpMatrix.from_complex(_float_stack(cols[None], entries[None])[0])
-    return OpMatrix.from_support(order, cols, entries, scale_log2)
-
-
-def _j_matrix(table: _JTable, l: int) -> OpMatrix:
-    if table.mats is not None:
-        return table.mats[l]
-    return _densify(table[:3], table.cols[l], table.entries[l])
 
 
 def _stacked_conjugation(
@@ -438,25 +397,28 @@ def verify_metaplectic(
     """Check J_{r,s} U = U J_{(r,s)A} over every (r,s) in Z_N^2.
 
     The side-multiplied form avoids inverting U and is equivalent for
-    invertible U.  Each J_{r,s} is built once, into `table` (a suite
-    checking many elements passes one `_j_table` for the same flavor and
-    params).  When every J is a phased permutation with unit entries and
-    U has the table's backend and dim, all N^2 points are decided in one
-    stacked pass (`_stacked_conjugation`): exact U by integer equality of
-    two gathers of U's coefficients, float U by stacked BLAS products.
-    Any other table, and every point that pass finds unequal, is compared
-    as mat_eq(J[l] @ U, U @ J[lA]), so failures and deviations are those
-    of the products.  The report is assembled in (r, s) lexicographic
-    order, so the result is deterministic.
+    invertible U.  The J's come from `table`, their row supports computed
+    from the builders' formulas for all points at once (a suite checking
+    many elements passes one `_j_table` for the same flavor and params).
+    When U has the table's backend and dim, all N^2 points are decided in
+    one stacked pass (`_stacked_conjugation`): exact U by integer equality
+    of two gathers of U's coefficients, float U by stacked BLAS products;
+    the points it proves equal enter the report together.  Every other
+    point is compared as mat_eq(J[l] @ U, U @ J[lA]), each J built by
+    `j_twisted`/`j_odd`, so failures and deviations are those of the
+    products, recorded in (r, s) lexicographic order: the result is
+    deterministic.
     """
     if flavor == "twisted_even":
         if params is None:
             raise ValueError("twisted_even needs params")
         N = params.N
         rep_params = {"flavor": flavor, "N": N, "p": params.p}
+        j_of = lambda pt: j_twisted(params, pt, backend=U.backend)
     elif flavor == "weil_odd":
         N = A.N
         rep_params = {"flavor": flavor, "N": N}
+        j_of = lambda pt: j_odd(N, pt)
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     if A.N != N:
@@ -465,16 +427,17 @@ def verify_metaplectic(
     report = VerifyReport(suite="metaplectic", params=rep_params)
     if table is None:
         table = _j_table(flavor, N, params, U.backend)
-    points = [(r, s) for r in range(N) for s in range(N)]
-    image = np.array([N * a + b for a, b in (act_on_point(A, r, s) for r, s in points)])
-    if table.mats is None and (U.backend, U.dim) == (table.backend, table.cols.shape[1]):
+    a, b, c, d = A.entries()
+    r, s = np.divmod(np.arange(N * N), N)
+    image = N * ((a * r + c * s) % N) + (b * r + d * s) % N  # (r, s) A
+    equal = np.zeros(N * N, dtype=bool)
+    if (U.backend, U.dim) == (table.backend, table.cols.shape[1]):
         equal, dev = _stacked_conjugation(table, U, image, tol)
-    else:
-        equal, dev = np.zeros(len(points), dtype=bool), None
-    for l, (r, s) in enumerate(points):
-        if equal[l]:
-            ok, deviation = True, float(dev[l])
-        else:
-            ok, deviation = mat_eq(_j_matrix(table, l) @ U, U @ _j_matrix(table, image[l]), tol)
-        report.record(ok, deviation, "J[r,s] U == U J[(r,s)A]", {"r": r, "s": s})
+        if equal.any():
+            report.checks_run += int(equal.sum())
+            report.max_abs_deviation = max(report.max_abs_deviation, float(dev[equal].max()))
+    for l in np.flatnonzero(~equal).tolist():
+        lhs, rhs = j_of(divmod(l, N)), j_of(divmod(int(image[l]), N))
+        ok, deviation = mat_eq(lhs @ U, U @ rhs, tol)
+        report.record(ok, deviation, "J[r,s] U == U J[(r,s)A]", {"r": l // N, "s": l % N})
     return report

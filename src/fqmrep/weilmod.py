@@ -133,14 +133,14 @@ def weil_generator_action(qm: QuadraticModule, kind: str, a: int | None = None) 
     N = qm.N
     dim = qm.size
     x1, x2 = np.divmod(np.arange(dim), N)
+    if kind in ("T", "Sinv"):  # the numerators q(x), one form call per x
+        q = np.array([qm.form(int(u), int(v)) for u, v in zip(x1, x2)], dtype=np.int64)
     if kind == "T":
-        exps = [qm.form(int(u), int(v)) for u, v in zip(x1, x2)]
-        return OpMatrix.from_support(N, np.arange(dim), exps, backend="float", meta="Gamma(T)")
+        return OpMatrix.from_support(N, np.arange(dim), q, backend="float", meta="Gamma(T)")
     if kind == "Sinv":
-        exps = np.empty((dim, dim), dtype=np.int64)
-        for i in range(dim):
-            for j in range(dim):
-                exps[i, j] = qm.b((int(x1[i]), int(x2[i])), (int(x1[j]), int(x2[j])))
+        # B(x, y) = q(x + y) - q(x) - q(y), indexing q at the composite index of x + y
+        total = N * ((x1[:, None] + x1) % N) + (x2[:, None] + x2) % N
+        exps = (q[total] - q[:, None] - q) % N
         n = N.bit_length() - 1
         out = OpMatrix.from_phase_table(N, exps, scale_pow2=n, backend="float", meta="Gamma(S^-1)")
         return out.scalar_mul(alpha_q(qm, -1))

@@ -105,6 +105,10 @@ def test_verify_out_file_bytes_stable(tmp_path, capsys):
         # float: the deviations are complex128 sums, pinned bit for bit too
         (["--suite", "heisenberg", "--n", "4", "--samples", "50"],
          "f3244ce4cbf70f7855aa3255742252bd06c87661f1e55c4172d41269f06ac32f"),
+        (["--suite", "metaplectic", "--n", "2", "--p", "3", "--samples", "5"],
+         "4df51a7bda5e97b9b06d00b40da5569b721621c897316ebb2e0a29f1e2a48fbd"),
+        (["--suite", "metaplectic", "--n", "3", "--p", "1", "--samples", "3", "--seed", "11"],
+         "878ac139b92a3f967fb284137ba64e8f35ca5143b5974bb21fcb0a80a0c6db40"),
     ],
 )
 def test_verify_out_golden_digest(args, digest, tmp_path, capsys):

@@ -374,14 +374,14 @@ def _support_cases(family, backend):
             for order in (8, 16):
                 mask = np.eye(dim, dtype=bool)
                 yield OpMatrix.identity(dim, backend, order), order, np.zeros(mask.shape, int), mask, 0
-    elif family == "densify" and backend == "exact":
+    elif family == "densify" and backend == "exact":  # random supports, written out dense
         rng = np.random.default_rng(8)
         for order in (8, 16, 32):
             for dim in (1, 4, 16, 64):
                 cols, entries = rng.permutation(dim), rng.integers(0, order, dim)
                 scale = int(rng.integers(0, 4))
                 E, mask = table(dim, cols, entries)
-                yield metaplectic._densify(("exact", order, scale), cols, entries), order, E, mask, scale
+                yield OpMatrix.from_support(order, cols, entries, scale), order, E, mask, scale
 
 
 SUPPORT_FAMILIES = ["gamma_p", "j_odd", "j_twisted", "u_t_pow", "triangular", "pi_shift",

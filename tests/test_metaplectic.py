@@ -1,14 +1,23 @@
 """Tests for the metaplectic representations, twisted and odd-prime."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from fqmrep.exactnum import CycNum, NotAUnit
+from fqmrep.exactnum import CycNum, NotAUnit, decode_root
 from fqmrep import harness, metaplectic
 from fqmrep.harness import SuiteSpec, run_suite
 from fqmrep.heisenberg import HWParams, fourier, p_matrix, q_matrix
 from fqmrep.magnetic import j_odd, j_twisted
-from fqmrep.matrixcore import BackendMismatch, DimMismatch, OpMatrix, mat_eq, twist_perm
+from fqmrep.matrixcore import (
+    BackendMismatch,
+    DimMismatch,
+    OpMatrix,
+    _row_support,
+    mat_eq,
+    twist_perm,
+)
 from fqmrep.metaplectic import (
     BadBranch,
     NonGeneric,
@@ -32,6 +41,7 @@ from fqmrep.sl2 import (
     act_on_point,
     decompose,
     dilatation,
+    dilatation_word,
     enumerate_sl2,
     sample_sl2,
     sl2_s,
@@ -114,19 +124,25 @@ def test_u_d_identity_and_inverses():
         assert mat_eq(u_d(params, a) @ u_d(params, pow(a, -1, 8)), ident).equal
 
 
-@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("p", [1, 3, 5, 7])
 def test_u_d_is_bare_permutation(p):
-    # The six-token word collapses to the permutation k -> a^{-1} k
-    # with global phase exactly 1.
-    params = HWParams(4, p)
-    for a in (1, 3):
-        got = u_d(params, a)
-        ainv = pow(a, -1, 4)
-        perm = np.zeros((16, 16), dtype=complex)
-        for k1 in range(4):
-            for k2 in range(4):
-                perm[4 * ((ainv * k1) % 4) + (ainv * k2) % 4, 4 * k1 + k2] = 1
-        assert np.max(np.abs(got.to_complex_array() - perm)) < 1e-12
+    # U(D(a)) is the permutation k -> a^{-1} k, and the six-token word
+    # collapses to it with global phase exactly 1
+    for N in (N for N in (2, 4, 8) if p < N):
+        params = HWParams(N, p)
+        for a, backend in itertools.product(range(1, N, 2), ("exact", "float")):
+            ainv = pow(a, -1, N)
+            perm = np.zeros((N * N, N * N), dtype=complex)
+            for k1, k2 in np.ndindex(N, N):
+                perm[N * ((ainv * k1) % N) + (ainv * k2) % N, N * k1 + k2] = 1
+            got = u_d(params, a, backend)
+            assert got.backend == backend
+            assert np.array_equal(got.to_complex_array(), perm)
+            word = u_of_word(params, dilatation_word(N, a), backend)
+            if backend == "exact":
+                assert mat_eq(word, got).equal
+            else:
+                assert np.max(np.abs(word.to_complex_array() - perm)) < 1e-12
 
 
 def test_u_d_metaplectic_exhaustive_n2():
@@ -377,22 +393,31 @@ def test_verify_metaplectic_generators(n, p):
 
 
 def test_verify_metaplectic_builds_each_j_once(monkeypatch):
+    # one J table per call; the builder runs only for the two J's of each
+    # point the stacked pass finds unequal
     params = HWParams(4)
-    built = []
+    tables, built = [], []
+    real_table = metaplectic._j_table
+
+    def counting_table(*args):
+        tables.append(args)
+        return real_table(*args)
 
     def counting_j(params, pt, backend=None):
         built.append(pt)
         return j_twisted(params, pt, backend)
 
+    monkeypatch.setattr(metaplectic, "_j_table", counting_table)
     monkeypatch.setattr(metaplectic, "j_twisted", counting_j)
     A = SL2Element(1, 1, 1, 2, 4)
     assert verify_metaplectic(u_general(params, A), A, "twisted_even", params).passed
-    assert sorted(built) == [(r, s) for r in range(4) for s in range(4)]
+    assert len(tables) == 1 and built == []
     # a wrong U still reports every failing point, in (r, s) order
     rep = verify_metaplectic(u_s(params), A, "twisted_even", params)
     points = [(f.inputs["r"], f.inputs["s"]) for f in rep.failures]
     assert points and points == sorted(points)
-    assert len(built) == 32
+    assert len(tables) == 2
+    assert built == [q for pt in points for q in (pt, act_on_point(A, *pt))]
 
 
 def test_verify_metaplectic_rejects_identity_for_s():
@@ -574,16 +599,23 @@ def test_conjugation_reports_match_the_cycle_walk(name, params, monkeypatch):
     ("weil-odd", {"N": 5, "pairs": False}, "j_odd", 25),
 ])
 def test_suite_builds_each_j_once(name, params, builder, count, monkeypatch):
-    built = []
+    # one table of all `count` J's per suite call; a passing run calls no builder
+    tables, built = [], []
     real = getattr(metaplectic, builder)
+
+    def counting_table(*args):
+        tables.append(metaplectic._j_table(*args))
+        return tables[-1]
 
     def counting(*args, **kwargs):
         built.append(args[1])
         return real(*args, **kwargs)
 
+    monkeypatch.setattr(harness, "_j_table", counting_table)
     monkeypatch.setattr(metaplectic, builder, counting)
     assert run_suite(SuiteSpec(name, params)).passed
-    assert len(built) == len(set(built)) == count
+    assert len(tables) == 1 and tables[0].cols.shape[0] == count
+    assert built == []
 
 
 @pytest.mark.parametrize("in_support", [True, False])
@@ -611,19 +643,22 @@ def test_perturbed_u_fails_like_the_cycle_walk(in_support, monkeypatch):
 @pytest.mark.parametrize("higher", ["U", "J"])
 def test_promoted_order_and_scale_match_the_cycle_walk(n, element, higher, monkeypatch):
     # U(S) carries 2^-n; times omega_16 its order 16 exceeds the J's order
-    # 8, or the J's are given order 16 and U is promoted
+    # 8, or the J's are given order 16 (table and builder) and U is promoted
     params = HWParams(2**n)
     U = u_s(params)
+    table = metaplectic._j_table("twisted_even", params.N, params, "exact")
     if higher == "U":
         U = U.scalar_mul(CycNum.root(16, 3))
     else:
+        table = table._replace(order=16, entries=2 * table.entries)
         monkeypatch.setattr(
             metaplectic, "j_twisted", lambda *args, **kw: j_twisted(*args, **kw)._promoted(16)
         )
     assert U.scale_log2 == n
+    assert (U.order, table.order) == ((16, 8) if higher == "U" else (8, 16))
     A = sl2_s(params.N) if element == "S" else sl2_t(params.N)  # T: U(S) is wrong
     seen = _spy_stacked(monkeypatch)
-    got = verify_metaplectic(U, A, "twisted_even", params)
+    got = verify_metaplectic(U, A, "twisted_even", params, table=table)
     assert int((~seen[0]).sum()) == len(got.failures)
     assert got.to_json() == _conjugation_reference(U, A, "twisted_even", params).to_json()
     assert got.passed == (element == "S")
@@ -641,41 +676,6 @@ def test_float_twisted_matches_the_cycle_walk(monkeypatch):
     assert len(seen) == 3
 
 
-@pytest.mark.parametrize("change", ["non-unit", "three", "other-scale", "dense", "no-permutation"])
-def test_unsupported_j_takes_the_per_point_path(change, monkeypatch):
-    # (1 + omega) J keeps the law but has no unit entries, nor has 3 J at one
-    # point; 2 J there leaves the table's scale; J + I is not monomial; a
-    # row moved onto another row's column leaves a monomial non-permutation
-    params = HWParams(4)
-    built = []
-
-    def patched(pr, pt, backend=None):
-        built.append(pt)
-        J = j_twisted(pr, pt, backend)
-        if change == "non-unit":
-            return J.scalar_mul(CycNum.one() + CycNum.root(4, 1))
-        if pt != (1, 2):
-            return J
-        if change in ("three", "other-scale"):
-            return J.scalar_mul(3 if change == "three" else 2)
-        if change == "dense":
-            return J + OpMatrix.identity(J.dim, J.backend, J.order)
-        coeffs = J.coeffs.copy()
-        own, other = (coeffs[i].any(axis=1).argmax() for i in (0, 1))
-        coeffs[0, other], coeffs[0, own] = coeffs[0, own].copy(), 0
-        return OpMatrix(J.dim, "exact", coeffs=coeffs, order=J.order)
-
-    monkeypatch.setattr(metaplectic, "j_twisted", patched)
-    seen = _spy_stacked(monkeypatch)
-    A = SL2Element(1, 1, 1, 2, 4)
-    U = u_general(params, A)
-    got = verify_metaplectic(U, A, "twisted_even", params)
-    assert built == [(r, s) for r in range(4) for s in range(4)]
-    assert not seen
-    assert got.to_json() == _conjugation_reference(U, A, "twisted_even", params).to_json()
-    assert got.passed == (change == "non-unit")
-
-
 def test_mismatched_operands_raise_like_the_cycle_walk():
     for U, flavor, A, error in [
         (u_s(HWParams(2)), "twisted_even", sl2_s(4), DimMismatch),  # dim 4, J of dim 16
@@ -687,12 +687,50 @@ def test_mismatched_operands_raise_like_the_cycle_walk():
 
 
 def test_root_encoding_round_trips():
-    # CycNum.root, exact phase tables, the support decoder and _densify agree on omega^k
+    # CycNum.root, exact phase tables, the row-support decoder and from_support
+    # agree on omega^k
     for order in (8, 16, 32, 64):
         k = np.arange(2 * order)
         M = OpMatrix.from_phase_table(order, np.diag(k), np.eye(len(k), dtype=bool))
-        cols, entries = metaplectic._permutation_support(M)
-        assert (cols == k).all() and (entries == k % order).all()
-        assert mat_eq(metaplectic._densify(("exact", order, 0), cols, entries), M).equal
+        cols, exponents = _unit_support(M)
+        assert (cols == k).all() and (exponents == k % order).all()
+        assert mat_eq(OpMatrix.from_support(order, cols, exponents), M).equal
         for e in k.tolist():
             assert M.entry(e, e) == CycNum.root(order, e)
+
+
+def _unit_support(J):
+    """(cols, entries) of a phased permutation with unit entries, an exact
+    entry omega^k as k, read back from the dense matrix."""
+    rows = np.arange(J.dim)
+    if J.backend == "float":
+        assert np.count_nonzero(J.data) == J.dim
+        cols = np.abs(J.data).argmax(axis=1)
+        return cols, J.data[rows, cols]
+    cols, entries, peak = _row_support(J.coeffs)
+    assert peak == 1 and np.count_nonzero(entries) == J.dim
+    pos = np.abs(entries).argmax(axis=1)
+    return cols, decode_root(pos, entries[rows, pos], entries.shape[1])
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_j_table_equals_the_builders(backend):
+    # the formula table holds, point by point, the support of j_twisted / j_odd:
+    # the same columns, exact exponents at the same order, float entries bit for bit
+    cases = [("twisted_even", HWParams(N, p)) for N in (2, 4, 8) for p in range(1, N, 2)]
+    if backend == "float":
+        cases += [("weil_odd", HWParams(N)) for N in (3, 5, 7)]
+    for flavor, pr in cases:
+        N = pr.N
+        table = metaplectic._j_table(flavor, N, pr, backend)
+        dim = N * N if flavor == "twisted_even" else N
+        assert table.backend == backend and table.cols.shape == (N * N, dim)
+        for l, (r, s) in enumerate(np.ndindex(N, N)):
+            J = j_twisted(pr, (r, s), backend) if flavor == "twisted_even" else j_odd(N, (r, s))
+            cols, entries = _unit_support(J)
+            assert np.array_equal(table.cols[l], cols)
+            if backend == "exact":
+                assert table.order == J.order and J.scale_log2 == 0
+                assert np.array_equal(table.entries[l], entries)
+            else:
+                assert np.array_equal(table.entries[l].view(np.uint64), entries.view(np.uint64))

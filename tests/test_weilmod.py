@@ -102,6 +102,20 @@ def test_gamma_sinv_frozen_entry_n1():
     assert abs(got[3, 1] + 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("N", [2, 4, 8, 16])
+def test_gamma_sinv_matches_the_polarization_double_loop(N):
+    # the vectorised B table equals qm.b over every pair (x, y), for the
+    # default form and a custom one: the same exponents, so the same bits
+    for qm in (QuadraticModule(N), QuadraticModule(N, lambda u, v: (u * u + u * v + v * v) % N)):
+        x1, x2 = np.divmod(np.arange(qm.size), N)
+        points = list(zip(x1.tolist(), x2.tolist()))
+        exps = np.array([[qm.b(x, y) for y in points] for x in points])
+        want = OpMatrix.from_phase_table(N, exps, scale_pow2=N.bit_length() - 1, backend="float")
+        want = want.scalar_mul(alpha_q(qm, -1))
+        got = weil_generator_action(qm, "Sinv")
+        assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
 def test_gamma_d_identity():
     for n in (1, 2):
         got = weil_generator_action(QuadraticModule(2**n), "D", a=1)
