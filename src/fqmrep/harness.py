@@ -9,10 +9,11 @@ parameters and seed.
 
 Every law op(x) op(y) == omega_N^{e(x, y)} op(x o y) over key pairs (both
 cocycles, the pi law, U(A) U(B) == U(AB)) goes through `check_pair_law`:
-exact families of monomial members are compared in stacked integer passes,
-any other family pair by pair; the operands pick, no option does.  The
-commutator law of `heisenberg` scans its pairs the same way, a chunk decided
-by one such pass over both products Gamma(g) Gamma(h) and Gamma(h) Gamma(g).
+exact twisted J's are decided by integer exponent arithmetic on the support
+table of their builder's formula, any other family pair by pair; the
+backend picks, no option does.  The commutator law of `heisenberg` scans its
+pairs the same way, exact chunks decided on a table of every Gamma by two
+such passes, for Gamma(g) Gamma(h) and Gamma(h) Gamma(g).
 The conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic` and `weil-odd`
 goes through `verify_metaplectic`, with the J's of a suite computed once,
 from the builders' support formulas, into one table shared by all its
@@ -34,9 +35,9 @@ from itertools import islice
 import numpy as np
 
 from .exactnum import CycNum
-from .heisenberg import HWParams, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix
+from .heisenberg import HWParams, _gamma_support, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix
 from .magnetic import j_odd, j_twisted
-from .matrixcore import OpMatrix, _monomial_law, mat_eq
+from .matrixcore import OpMatrix, _support_law, _supports, mat_eq
 from .metaplectic import (
     _j_table,
     u_a_closed,
@@ -173,15 +174,18 @@ def _pair_compare(op, N: int, tol: float, x, y, z, e) -> tuple[bool, float]:
     return dev <= tol, dev
 
 
-def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol) -> None:
+def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, members=None) -> None:
     """Record op(x) op(y) == omega_N^{e(x, y)} op(compose(x, y)) for every
     (x, y) of `pairs`, in scan order.
 
     `op` is a cached builder, `phase` is (N, e) or None for the bare law,
-    and `inputs(x, y)` names a failing pair.  While every member met so far
-    is exact monomial, a chunk of pairs is decided by `_monomial_law`; the
-    pairs it finds unequal, and every pair once a member is not, are
-    compared one at a time (`_pair_compare`).
+    and `inputs(x, y)` names a failing pair.  `members` is None or
+    (table, index) for a family of phased permutations with a phase: the
+    exact `_SupportTable` of the members and `index`, which numbers keys
+    into its rows.  With it, a chunk of pairs is decided by `_support_law`
+    on integer exponents, the keys given to `compose`, `e` and `index` as
+    arrays, one per key coordinate.  The pairs it finds unequal, and every
+    pair without a table, are compared one at a time (`_pair_compare`).
     """
     N, exponent = phase or (1, None)
 
@@ -189,54 +193,37 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol) -> Non
         e = None if exponent is None else exponent(x, y)
         return _pair_compare(op, N, tol, x, y, compose(x, y), e)
 
-    stacked = lambda chunk: _stacked_law(chunk, op, compose, N, exponent)  # noqa: E731
-    _scan_law(rep, identity, pairs, stacked, compare, inputs)
+    def stacked(chunk):
+        table, index = members
+        x, y = np.moveaxis(np.array(chunk), 0, -1)
+        e = exponent(x, y) * (table.order // N)
+        return _support_law(table, index(x), index(y), index(compose(x, y)), e)
+
+    _scan_law(rep, identity, pairs, None if members is None else stacked, compare, inputs)
 
 
 def _scan_law(rep, identity, pairs, stacked, compare, inputs, weight=1) -> None:
     # one check per pair, counted `weight` times, in scan order: a chunk at a
-    # time `stacked(chunk)` proves pairs equal (a mask), or declines with None
-    # for this chunk and every later one; each pair left is `compare(*pair)`
+    # time `stacked(chunk)`, unless None, proves pairs equal (a mask); each
+    # pair left is `compare(*pair)`
     pairs = iter(pairs)
     while chunk := list(islice(pairs, _PAIR_CHUNK)):
-        equal = None if stacked is None else stacked(chunk)
-        if equal is None:
-            stacked = None
-        todo = range(len(chunk)) if equal is None else np.flatnonzero(~equal)
+        todo = range(len(chunk)) if stacked is None else np.flatnonzero(~stacked(chunk))
         rep.checks_run += weight * len(chunk) - len(todo)  # record() counts one each
         for k in todo:
             ok, dev = compare(*chunk[k])
             rep.record(ok, dev, identity, None if ok else inputs(*chunk[k]))
 
 
-def _stacked_law(chunk, op, compose, N, exponent, swapped=False):
-    # `_monomial_law` over a chunk, members numbered in order of first use;
-    # `swapped` also asks op(y) op(x) == omega_N^{e(y, x)} op(compose(x, y))
-    # in the same pass, and a pair is equal when both laws hold
-    if op(chunk[0][0]).backend != "exact":  # declined before numbering anything
-        return None
-    out = [compose(x, y) for x, y in chunk]
-    keys = list(dict.fromkeys(k for (x, y), z in zip(chunk, out) for k in (x, y, z)))
-    index = {k: i for i, k in enumerate(keys)}
-    left, right = (np.array([index[pair[j]] for pair in chunk]) for j in (0, 1))
-    out = np.array([index[z] for z in out])
-    exps = None if exponent is None else np.array([exponent(x, y) for x, y in chunk])
-    if swapped:
-        left, right = np.concatenate((left, right)), np.concatenate((right, left))
-        out = np.tile(out, 2)
-        if exps is not None:
-            exps = np.concatenate((exps, [exponent(y, x) for x, y in chunk]))
-    equal = _monomial_law(map(op, keys), left, right, out, N, exps)
-    return equal if equal is None or not swapped else equal[: len(chunk)] & equal[len(chunk):]
-
-
-def _torus_law(rep, identity, N, op, exponent, tol) -> None:
-    # over all (l, l') in (Z_N^2)^2, l = (r, s) r-major, composed by addition
+def _torus_law(rep, identity, N, op, exponent, tol, table=None) -> None:
+    # over all (l, l') in (Z_N^2)^2, l = (r, s) r-major, composed by addition;
+    # `table` holds op(l) at row N r + s
     points = [(r, s) for r in range(N) for s in range(N)]
     check_pair_law(
         rep, identity, [(l, m) for l in points for m in points], op,
         lambda l, m: ((l[0] + m[0]) % N, (l[1] + m[1]) % N), (N, exponent),
         lambda l, m: {"l": list(l), "l'": list(m)}, tol,
+        None if table is None else (table, lambda l: N * l[0] + l[1]),
     )
 
 
@@ -294,15 +281,21 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
     exhaustive = bool(params.get("exhaustive", N <= 4))
     gamma = cache(lambda key: gamma_p(pr, *key, backend))
     mod = lambda g: (g[0] % N, g[1] % N, g[2] % N)  # noqa: E731
-    compose = lambda g, h: ((g[0] + h[0]) % N, (g[1] + h[1]) % N, (g[2] + h[2]) % N)  # noqa: E731
     exponent = lambda g, h: p * h[1] * g[2]  # noqa: E731
+    stacked = None
+    if backend == "exact":  # float reports carry each pair's deviation
+        # the table of all N^3 elements, Gamma(z^m x^r y^s) at row N(N m + r) + s
+        elements = np.unravel_index(np.arange(N**3), (N, N, N))
+        table = _supports(N, *_gamma_support(pr, *elements), backend)
 
-    def stacked(chunk):
-        # Gamma(g) Gamma(h) = w^{p s r'} Gamma(gh) and Gamma(h) Gamma(g) =
-        # w^{p s' r} Gamma(gh): the two product laws give the commutator law
-        if not exhaustive:
-            chunk = [(mod(g), mod(h)) for g, h in chunk]
-        return _stacked_law(chunk, gamma, compose, N, exponent, swapped=True)
+        def stacked(chunk):
+            # Gamma(g) Gamma(h) = w^{p s r'} Gamma(gh) and Gamma(h) Gamma(g) =
+            # w^{p s' r} Gamma(gh): the two product laws give the commutator law
+            g, h = np.moveaxis(np.array(chunk) % N, 0, -1)
+            x, y, z = (N * (N * t[0] + t[1]) + t[2] for t in (g, h, (g + h) % N))
+            scale = table.order // N
+            return (_support_law(table, x, y, z, exponent(g, h) * scale)
+                    & _support_law(table, y, x, z, exponent(h, g) * scale))
 
     if exhaustive:
         _guard_pairs((2 * N) ** 6)
@@ -353,6 +346,7 @@ def _suite_cocycle_twisted(params: dict) -> VerifyReport:
     _torus_law(
         rep, "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']", N, mats.__getitem__,
         lambda l, m: p * (m[0] * l[1] - m[1] * l[0]), tol,
+        _j_table("twisted_even", N, pr, backend) if backend == "exact" else None,
     )
     return rep
 

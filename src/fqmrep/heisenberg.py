@@ -78,12 +78,22 @@ def _backend(params: HWParams, backend: str | None) -> str:
     return backend
 
 
+def _gamma_support(params: HWParams, m, r, s) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, exponents) of Gamma^p(z^m x^r y^s): row k holds omega_N^{exponents[k]}
+    in column cols[k].  m, r and s may be arrays of elements: they broadcast
+    against the row index on a last axis."""
+    N, p = params.N, params.p
+    m, r, s = (np.asarray(t)[..., None] for t in (m, r, s))
+    k = np.arange(N)
+    return (k + s) % N, (p * m + p * k * r) % N
+
+
 def gamma_p(params: HWParams, m: int, r: int, s: int, backend: str | None = None) -> OpMatrix:
     """Representation matrix of the group element z^m x^r y^s."""
-    N, p = params.N, params.p
-    k = np.arange(N)
+    N = params.N
+    cols, exponents = _gamma_support(params, m, r, s)
     return OpMatrix.from_support(
-        N, (k + s) % N, (p * m + p * k * r) % N, backend=_backend(params, backend),
+        N, cols, exponents, backend=_backend(params, backend),
         meta=f"gamma(m={m % N},r={r % N},s={s % N})",
     )
 

@@ -36,7 +36,6 @@ from .exactnum import (
     CycNum,
     _is_odd_prime,
     _regular,
-    _wstack,
     basis_size,
     conj_coeffs,
     encode_root,
@@ -139,59 +138,6 @@ def _root_gather(coeffs: np.ndarray):
     return gather
 
 
-def _monomial_law(
-    mats: Iterable[OpMatrix],
-    left: np.ndarray,
-    right: np.ndarray,
-    out: np.ndarray,
-    root_order: int,
-    exponents: np.ndarray | None,
-) -> np.ndarray | None:
-    """Whether mats[left[k]] @ mats[right[k]] == omega_{root_order}^{exponents[k]}
-    mats[out[k]] (no phase for None) for each k, decided on row supports: row i
-    of X Y holds e_X[i] e_Y[c_X[i]] in column c_Y[c_X[i]].  None, reading no
-    further matrix, at the first one not exact monomial like the first; None
-    too if the phases need a larger order or the common scale leaves int64.
-    """
-    supports, scales, shape = [], [], None
-    for m in mats:
-        support = m.backend == "exact" and _row_support(m.coeffs)
-        if not support or shape not in (None, (m.order, m.dim)):
-            return None
-        shape = (m.order, m.dim)
-        supports.append(support)
-        scales.append(m.scale_log2)
-    cols, entries, peaks = zip(*supports)
-    order = shape[0]
-    if order % root_order:
-        return None
-    size = basis_size(order)
-    scale = np.array(scales)
-    lscale, rscale = scale[left] + scale[right], scale[out]
-    lshift = np.maximum(rscale - lscale, 0)
-    rshift = np.maximum(lscale - rscale, 0)
-    top = max(peaks)
-    if max((top * top * size) << int(lshift.max()), top << int(rshift.max())) >= _INT64_BOUND:
-        return None
-    if exponents is not None:  # omega^k as the signed shift W^index
-        index, sign = encode_root(exponents * (order // root_order), size)
-    C, E = np.stack(cols), np.stack(entries)
-    equal = np.empty(len(left), dtype=bool)
-    for x in dict.fromkeys(left.tolist()):
-        sel = np.flatnonzero(left == x)
-        y, z, cx = right[sel], out[sel], C[x]
-        # (dim, G, L) stacks of L x L products, one stack per row of x
-        prod = (E[y[None, :], cx[:, None]] @ _regular(E[x]).swapaxes(1, 2)).swapaxes(0, 1)
-        want = E[z]
-        if exponents is not None:
-            want = want @ (_wstack(size)[index[sel]] * sign[sel, None, None]).swapaxes(1, 2)
-        prod <<= lshift[sel, None, None]
-        want <<= rshift[sel, None, None]
-        same = (prod == want).all(axis=(1, 2))
-        equal[sel] = same & (C[y[:, None], cx] == C[z]).all(axis=1)
-    return equal
-
-
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """The centred residue of x mod p (odd), for integer-valued float64 |x| < 2^51.
 
@@ -273,6 +219,59 @@ def _roots(root_order: int) -> np.ndarray:
 def _exact_order(root_order: int) -> int:
     # the order of the exact ring that holds the root_order-th roots (8 at least)
     return 8 if root_order in (1, 2, 4) else root_order
+
+
+class _SupportTable(NamedTuple):
+    """Phased permutations by their row supports, one member per row of `cols`.
+
+    Row i of member t holds its one entry in column cols[t, i], equal to
+    omega_order^{entries[t, i]} (exact, 0 <= k < order) or to the complex
+    entries[t, i] (float, order 0).
+    """
+
+    backend: str
+    order: int
+    cols: np.ndarray
+    entries: np.ndarray
+
+
+def _supports(
+    root_order: int, cols: np.ndarray, exponents: np.ndarray, backend: str
+) -> _SupportTable:
+    """The table of the members whose row i holds omega_{root_order}^{exponents[t, i]}
+    (0 <= exponents < root_order) in column cols[t, i], with the entries
+    `from_support` writes for them."""
+    if backend == "float":
+        return _SupportTable(backend, 0, cols, _roots(root_order)[exponents])
+    order = _exact_order(root_order)
+    return _SupportTable(backend, order, cols, exponents * (order // root_order))
+
+
+_LAW_BLOCK = 1 << 14  # table entries (pairs x dim) per block of `_support_law`
+
+
+def _support_law(
+    table: _SupportTable, left: np.ndarray, right: np.ndarray, out: np.ndarray,
+    phase: np.ndarray,
+) -> np.ndarray:
+    """Whether X Y == omega_order^{phase[k]} Z for X, Y, Z the members left[k],
+    right[k], out[k] of an exact table, for each k.
+
+    Row i of X Y holds omega^{e_X[i] + e_Y[c_X[i]]} in column c_Y[c_X[i]], so
+    a pair is equal when those columns are Z's and the exponents differ from
+    Z's by phase[k] mod the table's order: integer exponent arithmetic, a
+    block of pairs at a time.
+    """
+    cols, exps = table.cols, table.entries
+    equal = np.empty(len(left), dtype=bool)
+    step = max(1, _LAW_BLOCK // cols.shape[1])
+    for a in range(0, len(left), step):
+        k = slice(a, a + step)
+        x, y, z = left[k], right[k, None], out[k]
+        cx = cols[x]
+        e = exps[x] + exps[y, cx] - exps[z] - phase[k, None]
+        equal[k] = ((cols[y, cx] == cols[z]) & (e % table.order == 0)).all(axis=1)
+    return equal
 
 
 class OpMatrix:

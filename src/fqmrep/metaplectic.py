@@ -37,14 +37,13 @@ odd-N matrices carry 1/sqrt(N) and stay in floats.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .exactnum import NotAUnit, _mod_inv, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
-from .matrixcore import OpMatrix, _exact_order, _root_gather, _roots, mat_eq
+from .matrixcore import OpMatrix, _root_gather, _roots, _supports, _SupportTable, mat_eq
 from .report import VerifyReport
 from .sl2 import SL2Element, Token, sl2_s, sl2_t
 
@@ -242,7 +241,7 @@ def weil_odd_s(N: int) -> OpMatrix:
     """U(S)_{l,m} = (-1)^N i^t N^{-1/2} omega^{lm} (t = 0 or 1 by N mod 4)."""
     t = 0 if N % 4 == 1 else 1
     l, m = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    data = (-1) ** N * 1j**t / np.sqrt(N) * np.exp(2j * np.pi * (l * m % N) / N)
+    data = (-1) ** N * 1j**t / np.sqrt(N) * _roots(N)[l * m % N]
     return OpMatrix.from_complex(data, meta="weil_odd_s")
 
 
@@ -274,9 +273,7 @@ def weil_odd_generic(N: int, A: SL2Element) -> OpMatrix:
     l, m = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
     pref = jacobi_symbol(-2 * c, N) * _kappa(N) / np.sqrt(N)
     expo = (-(a * l * l + d * m * m - 2 * l * m) * inv2c) % N
-    return OpMatrix.from_complex(
-        pref * np.exp(2j * np.pi * expo / N), meta="weil_odd_generic"
-    )
+    return OpMatrix.from_complex(pref * _roots(N)[expo], meta="weil_odd_generic")
 
 
 def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
@@ -305,36 +302,16 @@ def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
 _CHUNK_ENTRIES = 1 << 16  # matrix entries (coefficients when exact) per side of a chunk of points
 
 
-class _JTable(NamedTuple):
-    """J_{r,s} for every (r, s) of Z_N^2, r-major, by their row supports.
-
-    Every J is a unit phased permutation: row i of J[l] holds its one entry
-    in column cols[l, i], equal to omega_order^{entries[l, i]} (exact,
-    0 <= k < order) or to the complex entries[l, i] (float, order 0).
-    """
-
-    backend: str
-    order: int
-    cols: np.ndarray
-    entries: np.ndarray
-
-
 def _j_table(
     flavor: str, N: int, params: HWParams | None, backend: str | None
-) -> _JTable:
-    """Every J_{r,s} of `flavor`, from its builder's support formula at all
-    N^2 points at once, with the entries `j_twisted`/`j_odd` give it."""
+) -> _SupportTable:
+    """Every J_{r,s} of `flavor`, r-major, from its builder's support formula
+    at all N^2 points at once, with the entries `j_twisted`/`j_odd` give it."""
     r, s = np.divmod(np.arange(N * N), N)
     if flavor == "twisted_even":
-        cols, exponents = _twisted_support(params, r, s)
         backend = params.default_backend() if backend is None else backend
-    else:
-        cols, exponents = _odd_support(N, r, s)
-        backend = "float"
-    if backend == "float":
-        return _JTable(backend, 0, cols, _roots(N)[exponents])
-    order = _exact_order(N)
-    return _JTable(backend, order, cols, exponents * (order // N))
+        return _supports(N, *_twisted_support(params, r, s), backend)
+    return _supports(N, *_odd_support(N, r, s), "float")
 
 
 def _float_stack(cols: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -346,7 +323,7 @@ def _float_stack(cols: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 def _stacked_conjugation(
-    table: _JTable, U: OpMatrix, image: np.ndarray, tol: float
+    table: _SupportTable, U: OpMatrix, image: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(equal, deviation) of J[l] U against U J[image[l]] for every point l,
     a chunk of points at a time.
@@ -392,7 +369,7 @@ def verify_metaplectic(
     flavor: str,
     params: HWParams | None = None,
     tol: float = 1e-9,
-    table: _JTable | None = None,
+    table: _SupportTable | None = None,
 ) -> VerifyReport:
     """Check J_{r,s} U = U J_{(r,s)A} over every (r,s) in Z_N^2.
 

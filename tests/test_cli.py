@@ -109,6 +109,18 @@ def test_verify_out_file_bytes_stable(tmp_path, capsys):
          "4df51a7bda5e97b9b06d00b40da5569b721621c897316ebb2e0a29f1e2a48fbd"),
         (["--suite", "metaplectic", "--n", "3", "--p", "1", "--samples", "3", "--seed", "11"],
          "878ac139b92a3f967fb284137ba64e8f35ca5143b5974bb21fcb0a80a0c6db40"),
+        (["--suite", "cocycle-twisted", "--n", "1"],
+         "a7d5c5c3a1ba15645811a299ee64f3ad5b5babe5ad49a7f166980c3474ae0929"),
+        (["--suite", "cocycle-twisted", "--n", "3", "--p", "3"],
+         "e776aeb997a8ef5154f0aae3f4d5d1ee59249ddc848defef1a77d54f7a9ffa76"),
+        (["--suite", "cocycle-twisted", "--n", "3", "--p", "5"],
+         "0e4db152bbbcba5cb2b9e39693bbd7a776db5c374c5e2159f0ae1486f6107462"),
+        (["--suite", "cocycle-twisted", "--n", "3", "--p", "7"],
+         "14e5083bd9a0c88ba6265414d4e507edf062233a1f33167f72a2913e089dafe9"),
+        (["--suite", "heisenberg", "--n", "3", "--samples", "300", "--seed", "5", "--p", "5"],
+         "fc5f3162ddefe23def57f5a5e991920af0320f87d08f1b9d3a61b10ee969a0f1"),
+        (["--suite", "heisenberg", "--n", "3", "--samples", "300", "--seed", "5", "--p", "7"],
+         "c5fdeb14443519b75bd7ee8940761f519563523ced8246f9173d554065d611fc"),
     ],
 )
 def test_verify_out_golden_digest(args, digest, tmp_path, capsys):

@@ -8,7 +8,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from fqmrep import harness
+from fqmrep import harness, heisenberg, magnetic, metaplectic
 from fqmrep.exactnum import CycNum
 from fqmrep.harness import (
     SUITE_NAMES,
@@ -19,7 +19,6 @@ from fqmrep.harness import (
     run_suite,
 )
 from fqmrep.heisenberg import HWParams, p_matrix, q_matrix
-from fqmrep.magnetic import j_twisted
 from fqmrep.matrixcore import OpMatrix, mat_eq
 from fqmrep.metaplectic import u_general
 from fqmrep.report import VerifyReport
@@ -205,8 +204,9 @@ def test_report_params_json_serializable():
 # -- the pair-law checker against the per-pair loops it replaced --------------
 
 
-def _pair_law_reference(rep, identity, pairs, op, compose, phase, inputs, tol):
-    """The hand-written suite loops, one product and one comparison per pair."""
+def _pair_law_reference(rep, identity, pairs, op, compose, phase, inputs, tol, members=None):
+    """The hand-written suite loops, one product and one comparison per pair;
+    a support table is ignored."""
     N, exponent = phase or (1, None)
     arrays = {}
 
@@ -246,44 +246,53 @@ MIGRATED = (
 )
 
 
-@pytest.mark.parametrize("name,params", MIGRATED)
-def test_pair_law_reports_match_the_per_pair_loops(name, params, monkeypatch):
-    assert run_suite(SuiteSpec(name, params)).to_json() == _reference_json(monkeypatch, name, params)
-
-
-def _spy_monomial_law(monkeypatch):
-    """What each `_monomial_law` call returned: None, or its equal mask."""
+def _spy_support_law(monkeypatch):
+    """The equal mask of each `_support_law` call."""
     results = []
 
     def spy(*args):
         results.append(real(*args))
         return results[-1]
 
-    real = harness._monomial_law
-    monkeypatch.setattr(harness, "_monomial_law", spy)
+    real = harness._support_law
+    monkeypatch.setattr(harness, "_support_law", spy)
     return results
 
 
-@pytest.mark.parametrize("chunk", [4096, 7])
-@pytest.mark.parametrize("off_support", [False, True])
-def test_perturbed_j_fails_like_the_per_pair_loops(off_support, chunk, monkeypatch):
-    # one coefficient of J[1, 2] moves: inside its nonzero entry the family
-    # stays monomial and the stacked pass runs; in a zero entry it does not
-    def perturbed(pr, pt, backend=None):
-        m = j_twisted(pr, pt, backend=backend)
-        if tuple(pt) != (1, 2):
-            return m
-        coeffs = m.coeffs.copy()
-        col = int(np.flatnonzero(coeffs[0].any(axis=1))[0])
-        free = int(np.flatnonzero(coeffs[0, col] == 0)[0])  # a zero coefficient
-        coeffs[0, (col + 1) % m.dim if off_support else col, free] += 1
-        return OpMatrix(m.dim, "exact", coeffs=coeffs, order=m.order, scale_log2=m.scale_log2)
+@pytest.mark.parametrize("name,params", MIGRATED)
+def test_pair_law_reports_match_the_per_pair_loops(name, params, monkeypatch):
+    # the exact twisted cocycle is decided on its support table, every other
+    # family pair by pair; the reference run never reads the table
+    calls = _spy_support_law(monkeypatch)
+    got = run_suite(SuiteSpec(name, params)).to_json()
+    assert bool(calls) == (name == "cocycle-twisted")
+    count = len(calls)
+    assert got == _reference_json(monkeypatch, name, params)
+    assert len(calls) == count
 
-    monkeypatch.setattr(harness, "j_twisted", perturbed)
+
+@pytest.mark.parametrize("chunk", [4096, 7])
+@pytest.mark.parametrize("wrong_column", [False, True])
+def test_perturbed_j_fails_like_the_per_pair_loops(wrong_column, chunk, monkeypatch):
+    # row 0 of J[1, 2] moves, in the support formula that both the table and
+    # j_twisted read: its phase by omega, or its entry to the next column
+    real = magnetic._twisted_support
+
+    def perturbed(pr, r, s):
+        cols, exponents = real(pr, r, s)
+        hit = (np.asarray(r) == 1) & (np.asarray(s) == 2)
+        if wrong_column:
+            cols[..., 0] = (cols[..., 0] + hit) % cols.shape[-1]
+        else:
+            exponents[..., 0] += hit
+        return cols, exponents % pr.N
+
+    monkeypatch.setattr(magnetic, "_twisted_support", perturbed)
+    monkeypatch.setattr(metaplectic, "_twisted_support", perturbed)
     params = {"n": 2, "p": 3}
     want = json.loads(_reference_json(monkeypatch, "cocycle-twisted", params))
     monkeypatch.setattr(harness, "_PAIR_CHUNK", chunk)
-    calls = _spy_monomial_law(monkeypatch)
+    calls = _spy_support_law(monkeypatch)
     got = json.loads(run_suite(SuiteSpec("cocycle-twisted", params)).to_json())
     assert got["failures"] == want["failures"]
     assert got["max_abs_deviation"] == want["max_abs_deviation"] > 0.0
@@ -297,21 +306,19 @@ def test_perturbed_j_fails_like_the_per_pair_loops(off_support, chunk, monkeypat
         and (0, 0) not in ((r, s), (rp, sp))
     ]
     assert [f["inputs"] for f in law] == touched
-    if off_support:
-        assert calls == [None]  # the first chunk meets J[1, 2]; no later chunk is tried
-    else:  # the stacked pass flags exactly the failing pairs, chunk by chunk
-        assert len(calls) == -(-256 // chunk)
-        assert sum(int((~c).sum()) for c in calls) == len(law)
+    # the stacked pass flags exactly the failing pairs, chunk by chunk
+    assert len(calls) == -(-256 // chunk)
+    assert sum(int((~c).sum()) for c in calls) == len(law)
 
 
 def test_monomial_kernel_fires_for_twisted_cocycle_only(monkeypatch):
-    calls = _spy_monomial_law(monkeypatch)
+    calls = _spy_support_law(monkeypatch)
     for p in (1, 3):
         run_suite(SuiteSpec("cocycle-twisted", {"n": 2, "p": p}))
     assert [c.all() for c in calls] == [True, True]  # no pair left to recompute
     calls.clear()
     run_suite(SuiteSpec("homomorphism", {"n": 2}))
-    assert calls == [None]
+    assert calls == []
 
 
 def _law(pairs, op, compose, phase, check=check_pair_law):
@@ -324,63 +331,42 @@ def _law(pairs, op, compose, phase, check=check_pair_law):
 def test_family_with_a_dense_member_falls_back_per_pair(chunk, monkeypatch):
     # U(S^k), k in Z_4: U(S) and U(S^3) are dense, U(1) and U(S^2) monomial
     pr = HWParams(4)
-    built = []
-
-    @cache
-    def op(k):
-        built.append(k)
-        return u_general(pr, SL2Element(1, 0, 0, 1, 4) if k == 0 else sl2_s(4) ** k)
-
-    def spy(*args):
-        out = harness_law(*args)
-        seen.append((out, list(built)))
-        return out
-
-    harness_law, seen = harness._monomial_law, []
-    monkeypatch.setattr(harness, "_monomial_law", spy)
+    op = cache(lambda k: u_general(pr, SL2Element(1, 0, 0, 1, 4) if k == 0 else sl2_s(4) ** k))
     monkeypatch.setattr(harness, "_PAIR_CHUNK", chunk)
     pairs = [(k, l) for k in range(4) for l in range(4)]
     compose = lambda k, l: (k + l) % 4  # noqa: E731
     for phase in (None, (4, lambda k, l: k * l)):
         got = _law(pairs, op, compose, phase)
         assert got == _law(pairs, op, compose, phase, _pair_law_reference)
-    # once per law: detection stopped at the first dense member
-    assert seen == [(None, [0, 1]), (None, [0, 1, 2, 3])]
     assert json.loads(_law(pairs, op, compose, None))["passed"]
     assert json.loads(_law(pairs, op, compose, (4, lambda k, l: k * l)))["failures"]
 
 
-def test_monomial_pass_compares_columns_orders_and_phases(monkeypatch):
+def test_monomial_pass_compares_columns_orders_and_phases():
     # P^k has entries 1 only, so a wrong composition shows in the columns
     pr = HWParams(4)
     P = cache(lambda k: p_matrix(pr) ** (k % 4))
     pairs = [(k, l) for k in range(4) for l in range(4)]
-    calls = _spy_monomial_law(monkeypatch)
     for compose in (lambda k, l: k + l, lambda k, l: k + l + 1):
         got = _law(pairs, P, compose, None)
         assert got == _law(pairs, P, compose, None, _pair_law_reference)
     assert json.loads(_law(pairs, P, lambda k, l: k + l + 1, None))["checks_run"] == 16
-    assert [c.sum() for c in calls[:2]] == [16, 0]
     # omega_16^8 = -1 lies outside order 8, and one member of order 16:
-    # the stacked pass declines both, the pairs still compare exactly
-    calls.clear()
+    # the pairs still compare exactly
     Q = cache(lambda k: q_matrix(pr) ** (k % 4))
     wide = cache(lambda k: Q(k)._promoted(16) if k == 2 else Q(k))
     for op, phase in ((Q, (16, lambda k, l: 8)), (wide, None)):
         got = _law(pairs, op, lambda k, l: k + l, phase)
         assert got == _law(pairs, op, lambda k, l: k + l, phase, _pair_law_reference)
-    assert calls == [None, None]
     assert len(json.loads(_law(pairs, Q, lambda k, l: k + l, (16, lambda k, l: 8)))["failures"]) == 16
 
 
 @pytest.mark.parametrize("flaw", ["coefficient", "scale"])
 @pytest.mark.parametrize("shift", [8, 56])
-def test_mixed_scales_compare_exactly(shift, flaw, monkeypatch):
+def test_mixed_scales_compare_exactly(shift, flaw):
     # 2^-k Q^k: every member has its own scale; op(4) carries an extra
-    # 2^-(4 + shift) in one coefficient (below float resolution at shift 56,
-    # where 2^56 + 1 at the common scale no longer fits int64 and the pairs
-    # go one by one), or the right coefficients at the wrong scale 4 + shift
-    fires = shift == 8 or flaw == "scale"
+    # 2^-(4 + shift) in one coefficient (below float resolution at shift 56),
+    # or the right coefficients at the wrong scale 4 + shift
     Q = q_matrix(HWParams(8))
 
     @cache
@@ -393,33 +379,44 @@ def test_mixed_scales_compare_exactly(shift, flaw, monkeypatch):
         return OpMatrix(8, "exact", coeffs=coeffs, order=m.order, scale_log2=4 + shift)
 
     pairs = [(k, l) for k in range(4) for l in range(4)]
-    calls = _spy_monomial_law(monkeypatch)
     got = json.loads(_law(pairs, op, lambda k, l: k + l, None))
-    assert [c is not None for c in calls] == [fires]
     assert {op(k).scale_log2 for k in range(7)} == set(range(7)) - {4} | {4 + shift}
     assert [f["inputs"] for f in got["failures"]] == [
         {"x": k, "y": l} for k, l in pairs if k + l == 4
     ]
-    if fires:
-        assert calls[0].tolist() == [k + l != 4 for k, l in pairs]
     assert got == json.loads(_law(pairs, op, lambda k, l: k + l, None, _pair_law_reference))
 
 
-def test_stacked_pass_meets_products_with_even_coefficients(monkeypatch):
+def test_stacked_pass_meets_products_with_even_coefficients():
     # (1 + w^2)(1 - w^2) = 2 in Z[w_8]: the product's coefficients are all
-    # even while 2 I is stored as 1 at scale -1, so the pass rescales
+    # even while 2 I is stored as 1 at scale -1
     def diag(*coeffs):
         return OpMatrix(2, "exact", coeffs=np.array([[coeffs, [0] * 4], [[0] * 4, coeffs]]))
 
     mats = {"a": diag(1, 0, 1, 0), "b": diag(1, 0, -1, 0), "ab": diag(2, 0, 0, 0)}
     assert mats["ab"].scale_log2 == -1
-    calls = _spy_monomial_law(monkeypatch)
-    got = json.loads(_law([("a", "b"), ("b", "a")], mats.__getitem__, lambda x, y: "ab", None))
-    assert got["passed"] and got["checks_run"] == 2
-    assert [c.tolist() for c in calls] == [[True, True]]
+    pairs = [("a", "b"), ("b", "a")]
+    got = _law(pairs, mats.__getitem__, lambda x, y: "ab", None)
+    assert json.loads(got)["passed"] and json.loads(got)["checks_run"] == 2
+    assert got == _law(pairs, mats.__getitem__, lambda x, y: "ab", None, _pair_law_reference)
 
 
 # -- the heisenberg commutator law: stacked product laws against the per-pair check
+
+
+def test_only_exact_heisenberg_builds_a_table(monkeypatch):
+    # float runs compare pair by pair and build no table: one of all N^3
+    # elements would hold 2^24 entries at n = 6
+    backends = []
+    real = harness._supports
+    monkeypatch.setattr(harness, "_supports", lambda *args: backends.append(args[-1]) or real(*args))
+    calls = _spy_support_law(monkeypatch)
+    for params in ({"n": 4, "samples": 50}, {"n": 2, "backend": "float"}):
+        rep = run_suite(SuiteSpec("heisenberg", params))
+        assert rep.passed and rep.params["backend"] == "float"
+    assert backends == [] and calls == []
+    assert run_suite(SuiteSpec("heisenberg", {"n": 2})).passed
+    assert backends == ["exact"] and len(calls) == 2
 
 
 def _count_compares(monkeypatch):
@@ -436,9 +433,9 @@ def _count_compares(monkeypatch):
 
 
 def _per_pair_json(monkeypatch, params):
-    """The heisenberg report with every stacked pass declined."""
+    """The heisenberg report with every pair left to the per-pair check."""
     with monkeypatch.context() as m:
-        m.setattr(harness, "_stacked_law", lambda *args, **kwargs: None)
+        m.setattr(harness, "_support_law", lambda table, left, *rest: np.zeros(len(left), bool))
         return run_suite(SuiteSpec("heisenberg", params)).to_json()
 
 
@@ -467,39 +464,42 @@ def test_passing_exact_heisenberg_never_compares_per_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("params", [{"n": 2, "p": 3}, {"n": 3, "p": 5}])
-@pytest.mark.parametrize("flaw", ["on-support", "off-support", "swapped", "exponent"])
+@pytest.mark.parametrize("flaw", ["on-support", "swapped", "exponent"])
 def test_heisenberg_flaws_report_like_the_per_pair_check(flaw, params, monkeypatch):
-    # on-/off-support: one coefficient of Gamma(1, 2, 3) moves, inside its
-    # nonzero entry (the stacked laws still run) or into a zero entry (they
-    # decline).  swapped: Gamma(1, 2, 3) X and X^-1 Gamma(0, 1, 2) for
-    # X = Q keep Gamma(g) Gamma(h) of that pair, so only the swapped law
-    # sees its commutator fail.  exponent: the stacked laws get a wrong
-    # phase for g = (1, 2, 3), and every pair they flag must pass per pair.
+    # on-support: the phase of row 0 of Gamma(1, 2, 3) moves by omega.
+    # swapped: Gamma(1, 2, 3) X and X^-1 Gamma(0, 1, 2) for X = Q keep
+    # Gamma(g) Gamma(h) of that pair, so only the swapped law sees its
+    # commutator fail.  Both are phased permutations, written at the support
+    # formula that the table and gamma_p read.  exponent: the stacked laws
+    # get a wrong phase for g = (1, 2, 3), and every pair they flag must
+    # pass per pair.
     key, other = (1, 2, 3), (0, 1, 2)
+    N = 2 ** params["n"]
     if flaw == "exponent":
-        real = harness._stacked_law
+        real = harness._support_law
+        row = N * (N * key[0] + key[1]) + key[2]
 
-        def wrong(chunk, op, compose, N, exponent, **kwargs):
-            return real(chunk, op, compose, N, lambda x, y: exponent(x, y) + (x == key), **kwargs)
+        def wrong(table, left, right, out, phase):
+            return real(table, left, right, out, phase + (left == row))
 
-        monkeypatch.setattr(harness, "_stacked_law", wrong)
+        monkeypatch.setattr(harness, "_support_law", wrong)
     else:
-        real = harness.gamma_p
+        real = heisenberg._gamma_support
 
-        def perturbed(pr, m, r, s, backend=None):
-            out = real(pr, m, r, s, backend)
-            if flaw == "swapped" and (m, r, s) in (key, other):
-                Q = q_matrix(pr, backend)
-                return out @ Q if (m, r, s) == key else Q.dagger() @ out
-            if (m, r, s) != key or flaw == "swapped":
-                return out
-            coeffs = out.coeffs.copy()
-            col = int(np.flatnonzero(coeffs[0].any(axis=1))[0])
-            free = int(np.flatnonzero(coeffs[0, col] == 0)[0])  # a zero coefficient
-            coeffs[0, (col + 1) % out.dim if flaw == "off-support" else col, free] += 1
-            return OpMatrix(out.dim, "exact", coeffs=coeffs, order=out.order)
+        def perturbed(pr, m, r, s):
+            cols, exponents = real(pr, m, r, s)
+            m, r, s = np.asarray(m), np.asarray(r), np.asarray(s)
+            at_key = (m == key[0]) & (r == key[1]) & (s == key[2])
+            if flaw == "on-support":
+                exponents[..., 0] += at_key
+            else:  # Q multiplies column j by omega^{p j}, Q^-1 row k by omega^{-p k}
+                at_other = (m == other[0]) & (r == other[1]) & (s == other[2])
+                k = np.arange(pr.N)
+                exponents += pr.p * (cols * at_key[..., None] - k * at_other[..., None])
+            return cols, exponents % pr.N
 
-        monkeypatch.setattr(harness, "gamma_p", perturbed)
+        monkeypatch.setattr(heisenberg, "_gamma_support", perturbed)
+        monkeypatch.setattr(harness, "_gamma_support", perturbed)
     want = json.loads(_per_pair_json(monkeypatch, params))
     calls = _count_compares(monkeypatch)
     got = json.loads(run_suite(SuiteSpec("heisenberg", params)).to_json())
@@ -511,14 +511,11 @@ def test_heisenberg_flaws_report_like_the_per_pair_check(flaw, params, monkeypat
         return
     assert got["failures"] and got["max_abs_deviation"] > 0.0
     pairs = 4096 if params["n"] == 2 else 1000
-    N = 2 ** params["n"]
     gh = lambda g, h: tuple((a + b) % N for a, b in zip(g, h))  # noqa: E731
-    if flaw == "off-support":  # no stacked pass: every pair compared
-        assert len(calls) == pairs
-    else:  # only pairs touching a changed Gamma are flagged
-        changed = {key, other} if flaw == "swapped" else {key}
-        assert 0 < len(calls) < pairs
-        assert all(changed & {g, h, gh(g, h)} for g, h in calls)
+    # only pairs touching a changed Gamma are flagged
+    changed = {key, other} if flaw == "swapped" else {key}
+    assert 0 < len(calls) < pairs
+    assert all(changed & {g, h, gh(g, h)} for g, h in calls)
     if flaw == "swapped" and params["n"] == 2:
         assert {"g": list(key), "h": list(other)} in [f["inputs"] for f in got["failures"]]
     if params["n"] == 3:  # sampled: a failure shows the triples as drawn, in [0, 2N)

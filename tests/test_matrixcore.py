@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from fqmrep import exactnum, matrixcore, metaplectic
+from fqmrep import exactnum, heisenberg, matrixcore, metaplectic
 from fqmrep.exactnum import CycNum
 from fqmrep.harness import _DIM_CAP
 from fqmrep.heisenberg import (
@@ -755,3 +755,52 @@ def test_root_gather_is_a_signed_roll_in_the_smallest_type(top, dtype):
             x = CycNum(order, tuple(int(c) for c in coeffs[rows[idx], j]))
             want = x * CycNum.root(order, int(k[idx]))
             assert CycNum(order, tuple(int(c) for c in got[idx][:, j])) == want
+
+
+def _law_family(family, pr):
+    """(member keys as coordinate rows, member t in column t; the exact support
+    table; the builder; the exponent e of the product law X Y = omega^e Z)."""
+    N, p = pr.N, pr.p
+    if family == "gamma":  # Gamma(g) Gamma(h) = omega^{p s r'} Gamma(gh)
+        keys = np.unravel_index(np.arange(N**3), (N, N, N))
+        table = matrixcore._supports(N, *heisenberg._gamma_support(pr, *keys), "exact")
+        return np.stack(keys), table, lambda k: gamma_p(pr, *k), lambda g, h: p * g[2] * h[1]
+    keys = np.unravel_index(np.arange(N**2), (N, N))
+    table = metaplectic._j_table("twisted_even", N, pr, "exact")
+    return (np.stack(keys), table, lambda l: j_twisted(pr, l),
+            lambda l, m: p * (m[0] * l[1] - m[1] * l[0]))
+
+
+@pytest.mark.parametrize("flaw", [None, "phase", "composition"])
+@pytest.mark.parametrize("family", ["gamma", "j_twisted"])
+def test_support_law_matches_the_dense_products(family, flaw):
+    # seeded triples (X, Y, Z) at every N <= 8 and odd p: the table's verdict
+    # on X Y == omega_order^e Z is mat_eq's on the dense product; a flaw moves
+    # the phase (by omega_order, finer than omega_N at N = 2) or the member Z
+    # of about half the triples
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for N in (2, 4, 8):
+        for p in range(1, N, 2):
+            keys, table, build, exponent = _law_family(family, HWParams(N, p))
+            member = lambda t: build(tuple(keys[:, t].tolist()))  # noqa: E731
+            count = keys.shape[1]
+            left, right = rng.integers(count, size=(2, 40))
+            x, y = keys[:, left], keys[:, right]
+            out = np.ravel_multi_index((x + y) % N, (N,) * len(keys))
+            phase = exponent(x, y) * (table.order // N)
+            flip = rng.random(40) < 0.5
+            if flaw == "phase":
+                phase = phase + flip
+            elif flaw == "composition":
+                out = np.where(flip, rng.integers(count, size=40), out)
+            got = matrixcore._support_law(table, left, right, out, phase)
+            want = [
+                mat_eq(member(a) @ member(b), member(c).scalar_mul(CycNum.root(table.order, e))).equal
+                for a, b, c, e in zip(left, right, out, phase.tolist())
+            ]
+            assert got.tolist() == want
+            if flaw == "phase":
+                assert want == (~flip).tolist()
+            verdicts += want
+    assert all(verdicts) == (flaw is None)

@@ -5,16 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from fqmrep.exactnum import CycNum, NotAUnit, decode_root
+from fqmrep.exactnum import CycNum, NotAUnit, decode_root, jacobi_symbol
 from fqmrep import harness, metaplectic
 from fqmrep.harness import SuiteSpec, run_suite
-from fqmrep.heisenberg import HWParams, fourier, p_matrix, q_matrix
+from fqmrep.heisenberg import HWParams, _gamma_support, fourier, gamma_p, p_matrix, q_matrix
 from fqmrep.magnetic import j_odd, j_twisted
 from fqmrep.matrixcore import (
     BackendMismatch,
     DimMismatch,
     OpMatrix,
     _row_support,
+    _supports,
     mat_eq,
     twist_perm,
 )
@@ -478,6 +479,25 @@ def test_weil_odd_generic_vs_s_formula(N, ratio):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("N", [3, 5, 7, 11, 13])
+def test_weil_odd_root_table_matches_the_exp_formula(N):
+    # U(S) and every c != 0 Gauss-sum matrix gather omega^k from the root
+    # table: bit for bit the complex exp of the same exponents
+    l, m = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    t = 0 if N % 4 == 1 else 1
+    want = (-1) ** N * 1j**t / np.sqrt(N) * np.exp(2j * np.pi * (l * m % N) / N)
+    assert np.array_equal(weil_odd_s(N).data.view(np.uint64), want.view(np.uint64))
+    kappa = 1.0 + 0j if N % 4 == 1 else -1j
+    generic = [A for A in enumerate_sl2(N) if A.c % N]
+    assert len(generic) == N * (N * N - 1) - N * (N - 1)
+    for A in generic:
+        a, _, c, d = A.entries()
+        pref = jacobi_symbol(-2 * c, N) * kappa / np.sqrt(N)
+        expo = (-(a * l * l + d * m * m - 2 * l * m) * pow(2 * c, -1, N)) % N
+        want = pref * np.exp(2j * np.pi * expo / N)
+        assert np.array_equal(weil_odd_generic(N, A).data.view(np.uint64), want.view(np.uint64))
+
+
 def test_weil_odd_general_identity():
     assert mat_eq(
         weil_odd_general(5, SL2Element(1, 0, 0, 1, 5)),
@@ -734,3 +754,25 @@ def test_j_table_equals_the_builders(backend):
                 assert np.array_equal(table.entries[l], entries)
             else:
                 assert np.array_equal(table.entries[l].view(np.uint64), entries.view(np.uint64))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_gamma_table_equals_the_builders(backend):
+    # the table of all N^3 elements z^m x^r y^s, at row N(N m + r) + s, holds
+    # gamma_p's support: the same columns, exact exponents at the same order,
+    # float entries bit for bit
+    for N in (2, 4, 8):
+        for p in range(1, N, 2):
+            pr = HWParams(N, p)
+            elements = np.unravel_index(np.arange(N**3), (N, N, N))
+            table = _supports(N, *_gamma_support(pr, *elements), backend)
+            assert table.backend == backend and table.cols.shape == (N**3, N)
+            for t, (m, r, s) in enumerate(np.ndindex(N, N, N)):
+                G = gamma_p(pr, m, r, s, backend)
+                cols, entries = _unit_support(G)
+                assert np.array_equal(table.cols[t], cols)
+                if backend == "exact":
+                    assert table.order == G.order and G.scale_log2 == 0
+                    assert np.array_equal(table.entries[t], entries)
+                else:
+                    assert np.array_equal(table.entries[t].view(np.uint64), entries.view(np.uint64))
