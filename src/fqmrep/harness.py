@@ -10,10 +10,11 @@ parameters and seed.
 Every law op(x) op(y) == omega_N^{e(x, y)} op(x o y) over key pairs (both
 cocycles, the pi law, U(A) U(B) == U(AB)) goes through `check_pair_law`:
 exact twisted J's are decided by integer exponent arithmetic on the support
-table of their builder's formula, any other family pair by pair; the
-backend picks, no option does.  The commutator law of `heisenberg` scans its
-pairs the same way, exact chunks decided on a table of every Gamma by two
-such passes, for Gamma(g) Gamma(h) and Gamma(h) Gamma(g).
+table of their builder's formula, and so is J[l]^dagger == J[-l]: a passing
+run builds no J.  Any other family is compared pair by pair; the backend
+picks, no option does.  The commutator law of `heisenberg` scans its pairs
+the same way, exact chunks decided on a table of every Gamma by two such
+passes, for Gamma(g) Gamma(h) and Gamma(h) Gamma(g).
 The conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic` and `weil-odd`
 goes through `verify_metaplectic`, with the J's of a suite computed once,
 from the builders' support formulas, into one table shared by all its
@@ -30,7 +31,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -90,7 +90,7 @@ SUITE_NAMES = (
 
 _PAIR_CAP = 10_000_000
 _DIM_CAP = 4096
-_PAIR_CHUNK = 4096  # pairs read from the scan at a time
+_PAIR_CHUNK = 4096  # pairs of a key array read by a scan at a time
 
 
 class UnknownSuite(ValueError):
@@ -182,10 +182,10 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     and `inputs(x, y)` names a failing pair.  `members` is None or
     (table, index) for a family of phased permutations with a phase: the
     exact `_SupportTable` of the members and `index`, which numbers keys
-    into its rows.  With it, a chunk of pairs is decided by `_support_law`
-    on integer exponents, the keys given to `compose`, `e` and `index` as
-    arrays, one per key coordinate.  The pairs it finds unequal, and every
-    pair without a table, are compared one at a time (`_pair_compare`).
+    into its rows.  With it, `pairs` is an array of keys (`_scan_law`) and
+    a chunk of pairs is decided by `_support_law` on integer exponents, its
+    key arrays given to `compose`, `e` and `index`.  The pairs it finds
+    unequal, and every pair without a table, are compared one at a time.
     """
     N, exponent = phase or (1, None)
 
@@ -193,34 +193,51 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
         e = None if exponent is None else exponent(x, y)
         return _pair_compare(op, N, tol, x, y, compose(x, y), e)
 
-    def stacked(chunk):
+    def stacked(x, y):
         table, index = members
-        x, y = np.moveaxis(np.array(chunk), 0, -1)
         e = exponent(x, y) * (table.order // N)
         return _support_law(table, index(x), index(y), index(compose(x, y)), e)
 
     _scan_law(rep, identity, pairs, None if members is None else stacked, compare, inputs)
 
 
+def _key_pairs(N: int, width: int) -> np.ndarray:
+    # every pair (x, y) of keys in Z_N^width, x-major, each key row-major, as
+    # an array (2, width, count) of key coordinates
+    keys = np.unravel_index(np.arange(N ** (2 * width)), (N,) * (2 * width))
+    return np.array(keys).reshape(2, width, -1)
+
+
+def _unproven(keys: np.ndarray, stacked) -> list:
+    # the pairs of a chunk of keys (2, key length, count) as tuples, all but
+    # those stacked(x, y) proves equal unless it is None
+    keys = keys if stacked is None else keys[..., ~stacked(*keys)]
+    return [(tuple(x), tuple(y)) for x, y in keys.transpose(2, 0, 1).tolist()]
+
+
 def _scan_law(rep, identity, pairs, stacked, compare, inputs, weight=1) -> None:
-    # one check per pair, counted `weight` times, in scan order: a chunk at a
-    # time `stacked(chunk)`, unless None, proves pairs equal (a mask); each
-    # pair left is `compare(*pair)`
-    pairs = iter(pairs)
-    while chunk := list(islice(pairs, _PAIR_CHUNK)):
-        todo = range(len(chunk)) if stacked is None else np.flatnonzero(~stacked(chunk))
-        rep.checks_run += weight * len(chunk) - len(todo)  # record() counts one each
-        for k in todo:
-            ok, dev = compare(*chunk[k])
-            rep.record(ok, dev, identity, None if ok else inputs(*chunk[k]))
+    # one check per pair, counted `weight` times, in scan order.  `pairs` is
+    # an iterable of (x, y), or an array (2, key length, count) of keys read a
+    # chunk at a time: stacked(x, y), unless None, proves pairs of a chunk
+    # equal from its arrays (a mask), and only the pairs left become tuples.
+    # Each pair not proven equal is compare(x, y).
+    if isinstance(pairs, np.ndarray):
+        keys = (pairs[..., a:a + _PAIR_CHUNK] for a in range(0, pairs.shape[-1], _PAIR_CHUNK))
+        chunks = ((k.shape[-1], _unproven(k, stacked)) for k in keys)
+    else:
+        chunks = ((1, [pair]) for pair in pairs)
+    for size, todo in chunks:
+        rep.checks_run += weight * size - len(todo)  # record() counts one each
+        for x, y in todo:
+            ok, dev = compare(x, y)
+            rep.record(ok, dev, identity, None if ok else inputs(x, y))
 
 
 def _torus_law(rep, identity, N, op, exponent, tol, table=None) -> None:
     # over all (l, l') in (Z_N^2)^2, l = (r, s) r-major, composed by addition;
     # `table` holds op(l) at row N r + s
-    points = [(r, s) for r in range(N) for s in range(N)]
     check_pair_law(
-        rep, identity, [(l, m) for l in points for m in points], op,
+        rep, identity, _key_pairs(N, 2), op,
         lambda l, m: ((l[0] + m[0]) % N, (l[1] + m[1]) % N), (N, exponent),
         lambda l, m: {"l": list(l), "l'": list(m)}, tol,
         None if table is None else (table, lambda l: N * l[0] + l[1]),
@@ -234,9 +251,22 @@ def _sl2_law(rep, pairs, op, tol) -> None:
     )
 
 
-def _dagger_law(rep, mats, N, tol) -> None:
-    for (r, s), m in mats.items():
-        cmp = mat_eq(m.dagger(), mats[(-r % N, -s % N)], tol)
+def _dagger_law(rep, N, op, tol, table=None) -> None:
+    # J[l]^dagger == J[-l] over l = (r, s) r-major; `table` holds op(l) at
+    # row N r + s.  Row c_l[i] of J[l]^dagger holds omega^{-e_l[i]} in column
+    # i, so l passes when row c_l[i] of J[-l] does for every i (never unless
+    # c_l is a permutation); the points left are compared as matrices
+    todo = range(N * N)
+    if table is not None:
+        cols, exps, (r, s) = table.cols, table.entries, np.divmod(np.arange(N * N), N)
+        minus = N * (-r % N) + -s % N
+        back = np.take_along_axis(cols[minus], cols, axis=1) == np.arange(cols.shape[1])
+        phase = (exps + np.take_along_axis(exps[minus], cols, axis=1)) % table.order == 0
+        todo = np.flatnonzero(~(back & phase).all(axis=1)).tolist()
+        rep.checks_run += N * N - len(todo)
+    for l in todo:
+        r, s = divmod(l, N)
+        cmp = mat_eq(op((r, s)).dagger(), op((-r % N, -s % N)), tol)
         rep.record(cmp.equal, cmp.max_deviation, "J[l]^dagger == J[-l]", {"r": r, "s": s})
 
 
@@ -288,10 +318,10 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
         elements = np.unravel_index(np.arange(N**3), (N, N, N))
         table = _supports(N, *_gamma_support(pr, *elements), backend)
 
-        def stacked(chunk):
+        def stacked(g, h):
             # Gamma(g) Gamma(h) = w^{p s r'} Gamma(gh) and Gamma(h) Gamma(g) =
             # w^{p s' r} Gamma(gh): the two product laws give the commutator law
-            g, h = np.moveaxis(np.array(chunk) % N, 0, -1)
+            g, h = g % N, h % N
             x, y, z = (N * (N * t[0] + t[1]) + t[2] for t in (g, h, (g + h) % N))
             scale = table.order // N
             return (_support_law(table, x, y, z, exponent(g, h) * scale)
@@ -299,15 +329,12 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
 
     if exhaustive:
         _guard_pairs((2 * N) ** 6)
-        triples = [(m, r, s) for m in range(N) for r in range(N) for s in range(N)]
-        pairs = ((g, h) for g in triples for h in triples)
+        pairs = _key_pairs(N, 3)
         rep.params["mode"] = "exhaustive"
-    else:  # drawn in [0, 2N), reduced mod N for the operators
+    else:  # drawn in [0, 2N), g then h, reduced mod N for the operators
         rng = random.Random(seed)
-        pairs = [
-            tuple(tuple(rng.randrange(2 * N) for _ in range(3)) for _ in "gh")
-            for _ in range(samples)
-        ]
+        pairs = np.array([rng.randrange(2 * N) for _ in range(6 * samples)], dtype=np.int64)
+        pairs = pairs.reshape(samples, 2, 3).transpose(1, 2, 0)
         rep.params["mode"] = "sampled"
         rep.params["samples"] = samples
     _scan_law(
@@ -325,7 +352,7 @@ def _suite_cocycle_odd(params: dict) -> VerifyReport:
     rep = VerifyReport("cocycle-odd", {"N": N})
     inv2 = pow(2, -1, N)
     mats = {(r, s): j_odd(N, (r, s)) for r in range(N) for s in range(N)}
-    _dagger_law(rep, mats, N, tol)
+    _dagger_law(rep, N, mats.__getitem__, tol)
     _torus_law(
         rep, "J[l] J[l'] == omega^{(r' s - r s')/2} J[l+l']", N, mats.__getitem__,
         lambda l, m: (m[0] * l[1] - l[0] * m[1]) * inv2, tol,
@@ -341,12 +368,12 @@ def _suite_cocycle_twisted(params: dict) -> VerifyReport:
     _guard_dim(N * N)
     _guard_pairs(N**4)
     rep = VerifyReport("cocycle-twisted", {"N": N, "p": p, "backend": backend})
-    mats = {(r, s): j_twisted(pr, (r, s), backend=backend) for r in range(N) for s in range(N)}
-    _dagger_law(rep, mats, N, tol)
+    op = cache(lambda l: j_twisted(pr, l, backend=backend))
+    table = _j_table("twisted_even", N, pr, backend) if backend == "exact" else None
+    _dagger_law(rep, N, op, tol, table)
     _torus_law(
-        rep, "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']", N, mats.__getitem__,
-        lambda l, m: p * (m[0] * l[1] - m[1] * l[0]), tol,
-        _j_table("twisted_even", N, pr, backend) if backend == "exact" else None,
+        rep, "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']", N, op,
+        lambda l, m: p * (m[0] * l[1] - m[1] * l[0]), tol, table,
     )
     return rep
 

@@ -206,9 +206,12 @@ def test_report_params_json_serializable():
 
 def _pair_law_reference(rep, identity, pairs, op, compose, phase, inputs, tol, members=None):
     """The hand-written suite loops, one product and one comparison per pair;
-    a support table is ignored."""
+    a support table is ignored, and an array (2, key length, count) of keys
+    is read as its pairs of tuples."""
     N, exponent = phase or (1, None)
     arrays = {}
+    if isinstance(pairs, np.ndarray):
+        pairs = [(tuple(x), tuple(y)) for x, y in pairs.transpose(2, 0, 1).tolist()]
 
     def array(key):
         if key not in arrays:
@@ -243,6 +246,7 @@ MIGRATED = (
     + [("homomorphism", {"N": 16, "samples": 4})]
     + [("weil-odd", {"N": 5})]
     + [("feichtinger-defect", {"N": 4}), ("feichtinger-defect", {"N": 6})]
+    + [("cocycle-twisted", {"n": 2, "p": 3, "backend": "float"})]
 )
 
 
@@ -265,7 +269,7 @@ def test_pair_law_reports_match_the_per_pair_loops(name, params, monkeypatch):
     # family pair by pair; the reference run never reads the table
     calls = _spy_support_law(monkeypatch)
     got = run_suite(SuiteSpec(name, params)).to_json()
-    assert bool(calls) == (name == "cocycle-twisted")
+    assert bool(calls) == (name == "cocycle-twisted" and "backend" not in params)
     count = len(calls)
     assert got == _reference_json(monkeypatch, name, params)
     assert len(calls) == count
@@ -319,6 +323,106 @@ def test_monomial_kernel_fires_for_twisted_cocycle_only(monkeypatch):
     calls.clear()
     run_suite(SuiteSpec("homomorphism", {"n": 2}))
     assert calls == []
+
+
+def _perturb_twisted(monkeypatch, flaw, point):
+    """Patch the support formula that both the J table and j_twisted read:
+    row 0 of J[point] gets the wrong phase, or the column of row 1 (two rows
+    hitting one column, no permutation), or rows 0 and 1 swap columns."""
+    real = magnetic._twisted_support
+
+    def perturbed(pr, r, s):
+        cols, exponents = real(pr, r, s)
+        hit = (np.asarray(r) == point[0]) & (np.asarray(s) == point[1])
+        if flaw == "phase":
+            exponents[..., 0] += hit
+        elif flaw == "collision":
+            cols[..., 0] = np.where(hit, cols[..., 1], cols[..., 0])
+        elif flaw == "swap":
+            cols[..., :2] = np.where(hit[..., None], cols[..., 1::-1], cols[..., :2])
+        return cols, exponents % pr.N
+
+    monkeypatch.setattr(magnetic, "_twisted_support", perturbed)
+    monkeypatch.setattr(metaplectic, "_twisted_support", perturbed)
+
+
+@pytest.mark.parametrize("flaw", [None, "phase", "collision", "swap"])
+def test_table_dagger_law_matches_the_dense_one(flaw, monkeypatch):
+    # the reference builds every J densely and compares J[l]^dagger with J[-l]
+    for n in (1, 2, 3):
+        N = 2**n
+        point = (1, 2 % N)
+        with monkeypatch.context() as m:
+            _perturb_twisted(m, flaw, point)
+            for p in range(1, N, 2):
+                pr = HWParams(N, p)
+                got, want = VerifyReport("dagger", {}), VerifyReport("dagger", {})
+                j = cache(lambda l: magnetic.j_twisted(pr, l, backend="exact"))
+                table = metaplectic._j_table("twisted_even", N, pr, "exact")
+                harness._dagger_law(got, N, j, 1e-9, table)
+                for r in range(N):
+                    for s in range(N):
+                        ok, dev = mat_eq(j((r, s)).dagger(), j((-r % N, -s % N)))
+                        want.record(ok, dev, "J[l]^dagger == J[-l]", {"r": r, "s": s})
+                assert got.to_json() == want.to_json()
+                assert got.checks_run == N * N
+                assert bool(got.failures) == (flaw is not None), (n, p)
+                assert got.max_abs_deviation == want.max_abs_deviation
+
+
+def _spy_builds(monkeypatch):
+    """The points of every j_twisted call in harness, and the arguments of
+    every OpMatrix.from_support call."""
+    points, supports = [], []
+    real_j, real_support = harness.j_twisted, OpMatrix.from_support
+
+    def j_twisted(pr, pt, **kw):
+        points.append(pt)
+        return real_j(pr, pt, **kw)
+
+    def from_support(cls, *args, **kw):
+        supports.append(args)
+        return real_support(*args, **kw)
+
+    monkeypatch.setattr(harness, "j_twisted", j_twisted)
+    monkeypatch.setattr(OpMatrix, "from_support", classmethod(from_support))
+    return points, supports
+
+
+def test_passing_exact_twisted_cocycle_builds_no_dense_j(monkeypatch):
+    points, supports = _spy_builds(monkeypatch)
+    for p in (1, 3, 5, 7):
+        rep = run_suite(SuiteSpec("cocycle-twisted", {"n": 3, "p": p}))
+        assert rep.passed and rep.checks_run == 64 + 64**2
+    assert points == [] and supports == []
+
+
+def test_twisted_cocycle_builds_only_the_js_of_unequal_checks(monkeypatch):
+    # one perturbed point: the J's of its failing points and pairs, once each
+    _perturb_twisted(monkeypatch, "phase", (1, 2))
+    points, supports = _spy_builds(monkeypatch)
+    rep = json.loads(run_suite(SuiteSpec("cocycle-twisted", {"n": 3, "p": 3})).to_json())
+    need = set()
+    for f in rep["failures"]:
+        if "r" in f["inputs"]:
+            r, s = f["inputs"]["r"], f["inputs"]["s"]
+            need |= {(r, s), (-r % 8, -s % 8)}
+        else:
+            (r, s), (rp, sp) = f["inputs"]["l"], f["inputs"]["l'"]
+            need |= {(r, s), (rp, sp), ((r + rp) % 8, (s + sp) % 8)}
+    assert {f["identity"].split()[0] for f in rep["failures"]} == {"J[l]^dagger", "J[l]"}
+    assert sorted(points) == sorted(need) and len(supports) == len(points)
+    # a pair the table wrongly flags is compared densely from its three J's
+    monkeypatch.undo()
+    real = harness._support_law
+
+    def flag(table, x, y, z, e):  # the pair (l, l') = ((1, 2), (3, 4))
+        return real(table, x, y, z, e) & ~((x == 8 * 1 + 2) & (y == 8 * 3 + 4))
+
+    monkeypatch.setattr(harness, "_support_law", flag)
+    points, supports = _spy_builds(monkeypatch)
+    assert run_suite(SuiteSpec("cocycle-twisted", {"n": 3, "p": 3})).passed
+    assert points == [(1, 2), (3, 4), (4, 6)] and len(supports) == 3
 
 
 def _law(pairs, op, compose, phase, check=check_pair_law):
