@@ -35,7 +35,9 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .exactnum import CycNum
-from .heisenberg import HWParams, _gamma_support, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix
+from .heisenberg import (
+    HWParams, _gamma_support, _root_scalar, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix,
+)
 from .magnetic import j_odd, j_twisted
 from .matrixcore import OpMatrix, _support_law, _supports, mat_eq
 from .metaplectic import (
@@ -75,18 +77,6 @@ from .weilmod import (
 )
 
 __all__ = ["UnknownSuite", "TooLarge", "SuiteSpec", "SUITE_NAMES", "check_pair_law", "run_suite"]
-
-SUITE_NAMES = (
-    "heisenberg",
-    "cocycle-odd",
-    "cocycle-twisted",
-    "metaplectic",
-    "homomorphism",
-    "decomposition",
-    "weil-odd",
-    "quadratic-module",
-    "feichtinger-defect",
-)
 
 _PAIR_CAP = 10_000_000
 _DIM_CAP = 4096
@@ -150,12 +140,6 @@ def _guard_dim(dim: int) -> None:
         raise TooLarge(f"dimension {dim} exceeds the cap {_DIM_CAP}")
 
 
-def _root_scalar(pr: HWParams, backend: str, e: int):
-    if backend == "exact":
-        return CycNum.root(pr.N, e)
-    return complex(np.exp(2j * np.pi * (e % pr.N) / pr.N))
-
-
 # -- pair laws ---------------------------------------------------------------
 
 
@@ -182,10 +166,11 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     and `inputs(x, y)` names a failing pair.  `members` is None or
     (table, index) for a family of phased permutations with a phase: the
     exact `_SupportTable` of the members and `index`, which numbers keys
-    into its rows.  With it, `pairs` is an array of keys (`_scan_law`) and
-    a chunk of pairs is decided by `_support_law` on integer exponents, its
-    key arrays given to `compose`, `e` and `index`.  The pairs it finds
-    unequal, and every pair without a table, are compared one at a time.
+    into its rows.  With it, `pairs` must be an array of keys (`_scan_law`;
+    an iterable raises TypeError), and a chunk of pairs is decided by
+    `_support_law` on integer exponents, its key arrays given to `compose`,
+    `e` and `index`.  The pairs it finds unequal, and every pair without a
+    table, are compared one at a time.
     """
     N, exponent = phase or (1, None)
 
@@ -204,15 +189,7 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
 def _key_pairs(N: int, width: int) -> np.ndarray:
     # every pair (x, y) of keys in Z_N^width, x-major, each key row-major, as
     # an array (2, width, count) of key coordinates
-    keys = np.unravel_index(np.arange(N ** (2 * width)), (N,) * (2 * width))
-    return np.array(keys).reshape(2, width, -1)
-
-
-def _unproven(keys: np.ndarray, stacked) -> list:
-    # the pairs of a chunk of keys (2, key length, count) as tuples, all but
-    # those stacked(x, y) proves equal unless it is None
-    keys = keys if stacked is None else keys[..., ~stacked(*keys)]
-    return [(tuple(x), tuple(y)) for x, y in keys.transpose(2, 0, 1).tolist()]
+    return np.indices((N,) * (2 * width)).reshape(2, width, -1)
 
 
 def _scan_law(rep, identity, pairs, stacked, compare, inputs, weight=1) -> None:
@@ -223,9 +200,13 @@ def _scan_law(rep, identity, pairs, stacked, compare, inputs, weight=1) -> None:
     # Each pair not proven equal is compare(x, y).
     if isinstance(pairs, np.ndarray):
         keys = (pairs[..., a:a + _PAIR_CHUNK] for a in range(0, pairs.shape[-1], _PAIR_CHUNK))
-        chunks = ((k.shape[-1], _unproven(k, stacked)) for k in keys)
-    else:
+        left = ((k.shape[-1], k if stacked is None else k[..., ~stacked(*k)]) for k in keys)
+        chunks = ((n, [(tuple(x), tuple(y)) for x, y in k.transpose(2, 0, 1).tolist()])
+                  for n, k in left)
+    elif stacked is None:
         chunks = ((1, [pair]) for pair in pairs)
+    else:
+        raise TypeError("a support table decides an array of keys, not an iterable of pairs")
     for size, todo in chunks:
         rep.checks_run += weight * size - len(todo)  # record() counts one each
         for x, y in todo:
@@ -277,8 +258,8 @@ def _commutator_compare(gamma, pr: HWParams, backend: str, tol: float, g, h):
     # [Gamma(g), Gamma(h)] == (w^{p r' s} - w^{p r s'}) Gamma(gh) for one
     # pair of (m, r, s) triples reduced mod N
     lhs = gamma(g) @ gamma(h) - gamma(h) @ gamma(g)
-    scalar = _root_scalar(pr, backend, pr.p * h[1] * g[2])
-    scalar = scalar - _root_scalar(pr, backend, pr.p * g[1] * h[2])
+    scalar = _root_scalar(pr.N, pr.p * h[1] * g[2], backend)
+    scalar = scalar - _root_scalar(pr.N, pr.p * g[1] * h[2], backend)
     return mat_eq(lhs, gamma(tuple((a + b) % pr.N for a, b in zip(g, h))).scalar_mul(scalar), tol)
 
 
@@ -295,7 +276,7 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
     )
     eye = OpMatrix.identity(N, backend, order=max(N, 8))
     Q, P, Pinv = q_matrix(pr, backend), p_matrix(pr, backend), p_inv_matrix(pr, backend)
-    cmp = mat_eq(Pinv @ Q, (Q @ Pinv).scalar_mul(_root_scalar(pr, backend, p)), tol)
+    cmp = mat_eq(Pinv @ Q, (Q @ Pinv).scalar_mul(_root_scalar(N, p, backend)), tol)
     rep.record(cmp.equal, cmp.max_deviation, "P^-1 Q == omega^p Q P^-1", {})
     cmp = mat_eq(Q**N, eye, tol)
     rep.record(cmp.equal, cmp.max_deviation, "Q^N == I", {})
@@ -450,15 +431,10 @@ def _suite_decomposition(params: dict) -> VerifyReport:
         try:
             word = decompose(A)  # raises if the even-d sign is not unique
             cmp = mat_eq(u_a_closed(pr, A, backend), u_of_word(pr, word, backend), tol)
-            rep.record(
-                cmp.equal, cmp.max_deviation,
-                "closed form == generator word product", {"A": list(A.entries())},
-            )
+            ok, dev = cmp.equal, cmp.max_deviation
         except RuntimeError:
-            rep.record(
-                False, float("inf"),
-                "closed form == generator word product", {"A": list(A.entries())},
-            )
+            ok, dev = False, float("inf")
+        rep.record(ok, dev, "closed form == generator word product", {"A": list(A.entries())})
     return rep
 
 
@@ -603,6 +579,7 @@ _SUITES = {
     "quadratic-module": _suite_quadratic_module,
     "feichtinger-defect": _suite_feichtinger_defect,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(spec: SuiteSpec) -> VerifyReport:

@@ -78,6 +78,13 @@ def _backend(params: HWParams, backend: str | None) -> str:
     return backend
 
 
+def _root_scalar(N: int, e: int, backend: str) -> CycNum | complex:
+    """omega_N^e as a scalar of `backend`."""
+    if backend == "exact":
+        return CycNum.root(N, e)
+    return complex(np.exp(2j * np.pi * (e % N) / N))
+
+
 def _gamma_support(params: HWParams, m, r, s) -> tuple[np.ndarray, np.ndarray]:
     """(cols, exponents) of Gamma^p(z^m x^r y^s): row k holds omega_N^{exponents[k]}
     in column cols[k].  m, r and s may be arrays of elements: they broadcast
@@ -115,9 +122,7 @@ def p_inv_matrix(params: HWParams, backend: str | None = None) -> OpMatrix:
 
 def z_phase(params: HWParams) -> CycNum | complex:
     """Scalar omega^p through which the central generator acts."""
-    if params.is_even:
-        return CycNum.root(params.N, params.p)
-    return complex(np.exp(2j * np.pi * params.p / params.N))
+    return _root_scalar(params.N, params.p, params.default_backend())
 
 
 def fourier(params: HWParams, backend: str | None = None) -> OpMatrix:

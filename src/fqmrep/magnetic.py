@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heisenberg import HWParams, p_matrix, q_matrix
+from .heisenberg import HWParams, _root_scalar, p_matrix, q_matrix
 from .matrixcore import OpMatrix
 
 __all__ = ["EvenModulus", "j_odd", "j_twisted", "j_twisted_product"]
@@ -73,17 +73,10 @@ def j_twisted(params: HWParams, pt, backend: str | None = None) -> OpMatrix:
 
 def j_twisted_product(params: HWParams, pt, backend: str | None = None) -> OpMatrix:
     """Product-form twin omega^{-p s r} (Q^s P^r) (x) (Q^s P^r)."""
-    from .exactnum import CycNum
-
     N, p = params.N, params.p
     r, s = _coords(pt, N)
     backend = params.default_backend() if backend is None else backend
     block = (q_matrix(params, backend) ** s) @ (p_matrix(params, backend) ** r)
-    out = block.kron(block)
-    phase_exp = (-p * s * r) % N
-    if backend == "exact":
-        out = out.scalar_mul(CycNum.root(N, phase_exp))
-    else:
-        out = out.scalar_mul(complex(np.exp(2j * np.pi * phase_exp / N)))
+    out = block.kron(block).scalar_mul(_root_scalar(N, -p * s * r, backend))
     out.meta = f"j_twisted_product(r={r},s={s})"
     return out

@@ -299,7 +299,7 @@ def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
 
 # -- the property checker ------------------------------------------------------
 
-# 2^16 is the measured optimum: at metaplectic n = 3, 2^14 and 2^20 took twice as long
+# 2^16-2^18 measured alike at metaplectic n = 3; 2^14 and 2^20 took about twice as long
 _CHUNK_ENTRIES = 1 << 16  # matrix entries (coefficients when exact) per side of a chunk of points
 
 

@@ -325,6 +325,22 @@ def test_monomial_kernel_fires_for_twisted_cocycle_only(monkeypatch):
     assert calls == []
 
 
+def test_support_table_needs_an_array_of_keys():
+    # a table given with an iterable of pairs is refused, not silently unread
+    pr = HWParams(4)
+    table = metaplectic._j_table("twisted_even", 4, pr, "exact")
+    op = cache(lambda l: magnetic.j_twisted(pr, l, backend="exact"))
+    compose = lambda l, m: ((l[0] + m[0]) % 4, (l[1] + m[1]) % 4)  # noqa: E731
+    members = (table, lambda l: 4 * l[0] + l[1])
+    with pytest.raises(TypeError):
+        check_pair_law(VerifyReport("law", {}), "law", [((1, 2), (3, 1))], op, compose,
+                       (4, lambda l, m: m[0] * l[1] - m[1] * l[0]), dict, 1e-9, members)
+    rep = VerifyReport("law", {})
+    check_pair_law(rep, "law", harness._key_pairs(4, 2), op, compose,
+                   (4, lambda l, m: m[0] * l[1] - m[1] * l[0]), dict, 1e-9, members)
+    assert rep.passed and rep.checks_run == 256
+
+
 def _perturb_twisted(monkeypatch, flaw, point):
     """Patch the support formula that both the J table and j_twisted read:
     row 0 of J[point] gets the wrong phase, or the column of row 1 (two rows
