@@ -7,18 +7,15 @@ absolute deviation seen by any comparison is tracked (exact-backend
 equalities contribute 0.0).  Reports are deterministic for fixed
 parameters and seed.
 
-Every law op(x) op(y) == omega_N^{e(x, y)} op(x o y) over key pairs (both
-cocycles, the pi law, U(A) U(B) == U(AB)) goes through `check_pair_law`:
-exact twisted J's are decided by integer exponent arithmetic on the support
-table of their builder's formula, and so is J[l]^dagger == J[-l]: a passing
-run builds no J.  Any other family is compared pair by pair; the backend
-picks, no option does.  The commutator law of `heisenberg` scans its pairs
-the same way, exact chunks decided on a table of every Gamma by two such
-passes, for Gamma(g) Gamma(h) and Gamma(h) Gamma(g).
-The conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic` and `weil-odd`
-goes through `verify_metaplectic`, with the J's of a suite computed once,
-from the builders' support formulas, into one table shared by all its
-elements.
+Every law over many keys records through `VerifyReport.scan`.  Laws of
+phased permutations are decided in bulk on one table of their omega_N
+exponents, from the builders' support formulas: `_support_law` decides the
+exact twisted cocycle (`check_pair_law`), its dagger law as J[l] J[-l] == I
+and the exact `heisenberg` commutator law; `verify_metaplectic`'s stacked
+kernel decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic`
+and `weil-odd`.  Keys a kernel does not prove equal, and the keys of every
+other law, are compared one at a time, so a passing exact twisted run
+builds no J.  The backend picks, no option does.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
 with n <= 3, float beyond, and a requested exact backend is never
@@ -39,7 +36,7 @@ from .heisenberg import (
     HWParams, _gamma_support, _root_scalar, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix,
 )
 from .magnetic import j_odd, j_twisted
-from .matrixcore import OpMatrix, _support_law, _supports, mat_eq
+from .matrixcore import OpMatrix, _support_law, _SupportTable, mat_eq
 from .metaplectic import (
     _j_table,
     u_a_closed,
@@ -80,7 +77,6 @@ __all__ = ["UnknownSuite", "TooLarge", "SuiteSpec", "SUITE_NAMES", "check_pair_l
 
 _PAIR_CAP = 10_000_000
 _DIM_CAP = 4096
-_PAIR_CHUNK = 4096  # pairs of a key array read by a scan at a time
 
 
 class UnknownSuite(ValueError):
@@ -160,17 +156,16 @@ def _pair_compare(op, N: int, tol: float, x, y, z, e) -> tuple[bool, float]:
 
 def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, members=None) -> None:
     """Record op(x) op(y) == omega_N^{e(x, y)} op(compose(x, y)) for every
-    (x, y) of `pairs`, in scan order.
+    (x, y) of `pairs`, in scan order (`VerifyReport.scan`).
 
     `op` is a cached builder, `phase` is (N, e) or None for the bare law,
     and `inputs(x, y)` names a failing pair.  `members` is None or
-    (table, index) for a family of phased permutations with a phase: the
-    exact `_SupportTable` of the members and `index`, which numbers keys
-    into its rows.  With it, `pairs` must be an array of keys (`_scan_law`;
-    an iterable raises TypeError), and a chunk of pairs is decided by
-    `_support_law` on integer exponents, its key arrays given to `compose`,
-    `e` and `index`.  The pairs it finds unequal, and every pair without a
-    table, are compared one at a time.
+    (table, index) for a family of phased permutations with a phase: their
+    `_SupportTable`, of root order N, and `index`, which numbers keys into
+    its rows.  With it, `pairs` must be an array of keys, and `_support_law`
+    decides a chunk of pairs on integer exponents, its key arrays given to
+    `compose`, `e` and `index`.  The pairs it leaves, and every pair without
+    a table, are compared one at a time.
     """
     N, exponent = phase or (1, None)
 
@@ -180,38 +175,15 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
 
     def stacked(x, y):
         table, index = members
-        e = exponent(x, y) * (table.order // N)
-        return _support_law(table, index(x), index(y), index(compose(x, y)), e)
+        return _support_law(table, index(x), index(y), index(compose(x, y)), exponent(x, y)), 0.0
 
-    _scan_law(rep, identity, pairs, None if members is None else stacked, compare, inputs)
+    rep.scan(identity, pairs, compare, inputs, None if members is None else stacked)
 
 
 def _key_pairs(N: int, width: int) -> np.ndarray:
     # every pair (x, y) of keys in Z_N^width, x-major, each key row-major, as
     # an array (2, width, count) of key coordinates
     return np.indices((N,) * (2 * width)).reshape(2, width, -1)
-
-
-def _scan_law(rep, identity, pairs, stacked, compare, inputs, weight=1) -> None:
-    # one check per pair, counted `weight` times, in scan order.  `pairs` is
-    # an iterable of (x, y), or an array (2, key length, count) of keys read a
-    # chunk at a time: stacked(x, y), unless None, proves pairs of a chunk
-    # equal from its arrays (a mask), and only the pairs left become tuples.
-    # Each pair not proven equal is compare(x, y).
-    if isinstance(pairs, np.ndarray):
-        keys = (pairs[..., a:a + _PAIR_CHUNK] for a in range(0, pairs.shape[-1], _PAIR_CHUNK))
-        left = ((k.shape[-1], k if stacked is None else k[..., ~stacked(*k)]) for k in keys)
-        chunks = ((n, [(tuple(x), tuple(y)) for x, y in k.transpose(2, 0, 1).tolist()])
-                  for n, k in left)
-    elif stacked is None:
-        chunks = ((1, [pair]) for pair in pairs)
-    else:
-        raise TypeError("a support table decides an array of keys, not an iterable of pairs")
-    for size, todo in chunks:
-        rep.checks_run += weight * size - len(todo)  # record() counts one each
-        for x, y in todo:
-            ok, dev = compare(x, y)
-            rep.record(ok, dev, identity, None if ok else inputs(x, y))
 
 
 def _torus_law(rep, identity, N, op, exponent, tol, table=None) -> None:
@@ -234,21 +206,24 @@ def _sl2_law(rep, pairs, op, tol) -> None:
 
 def _dagger_law(rep, N, op, tol, table=None) -> None:
     # J[l]^dagger == J[-l] over l = (r, s) r-major; `table` holds op(l) at
-    # row N r + s.  Row c_l[i] of J[l]^dagger holds omega^{-e_l[i]} in column
-    # i, so l passes when row c_l[i] of J[-l] does for every i (never unless
-    # c_l is a permutation); the points left are compared as matrices
-    todo = range(N * N)
+    # row N r + s.  For phased permutations that is J[l] J[-l] == I, decided
+    # by `_support_law` (never unless c_l is a permutation); the points left
+    # are compared as matrices
+    stacked = None
     if table is not None:
-        cols, exps, (r, s) = table.cols, table.entries, np.divmod(np.arange(N * N), N)
-        minus = N * (-r % N) + -s % N
-        back = np.take_along_axis(cols[minus], cols, axis=1) == np.arange(cols.shape[1])
-        phase = (exps + np.take_along_axis(exps[minus], cols, axis=1)) % table.order == 0
-        todo = np.flatnonzero(~(back & phase).all(axis=1)).tolist()
-        rep.checks_run += N * N - len(todo)
-    for l in todo:
-        r, s = divmod(l, N)
-        cmp = mat_eq(op((r, s)).dagger(), op((-r % N, -s % N)), tol)
-        rep.record(cmp.equal, cmp.max_deviation, "J[l]^dagger == J[-l]", {"r": r, "s": s})
+        eye = np.arange(table.cols.shape[1])  # the identity, appended as member N^2
+        table = _SupportTable(table.order, np.vstack((table.cols, eye)),
+                              np.vstack((table.exps, np.zeros_like(eye))))
+
+        def stacked(r, s):
+            minus, out = N * (-r % N) + -s % N, np.full_like(r, N * N)
+            return _support_law(table, N * r + s, minus, out, np.zeros_like(r)), 0.0
+
+    rep.scan(
+        "J[l]^dagger == J[-l]", np.indices((N, N)).reshape(2, -1),
+        lambda r, s: mat_eq(op((r, s)).dagger(), op((-r % N, -s % N)), tol),
+        lambda r, s: {"r": r, "s": s}, stacked,
+    )
 
 
 # -- suites ------------------------------------------------------------------
@@ -297,16 +272,15 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
     if backend == "exact":  # float reports carry each pair's deviation
         # the table of all N^3 elements, Gamma(z^m x^r y^s) at row N(N m + r) + s
         elements = np.unravel_index(np.arange(N**3), (N, N, N))
-        table = _supports(N, *_gamma_support(pr, *elements), backend)
+        table = _SupportTable(N, *_gamma_support(pr, *elements))
 
         def stacked(g, h):
             # Gamma(g) Gamma(h) = w^{p s r'} Gamma(gh) and Gamma(h) Gamma(g) =
             # w^{p s' r} Gamma(gh): the two product laws give the commutator law
             g, h = g % N, h % N
             x, y, z = (N * (N * t[0] + t[1]) + t[2] for t in (g, h, (g + h) % N))
-            scale = table.order // N
-            return (_support_law(table, x, y, z, exponent(g, h) * scale)
-                    & _support_law(table, y, x, z, exponent(h, g) * scale))
+            return (_support_law(table, x, y, z, exponent(g, h))
+                    & _support_law(table, y, x, z, exponent(h, g))), 0.0
 
     if exhaustive:
         _guard_pairs((2 * N) ** 6)
@@ -318,10 +292,10 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
         pairs = pairs.reshape(samples, 2, 3).transpose(1, 2, 0)
         rep.params["mode"] = "sampled"
         rep.params["samples"] = samples
-    _scan_law(
-        rep, "[Gamma(g), Gamma(h)] == (w^{p r' s} - w^{p r s'}) Gamma(gh)", pairs, stacked,
+    rep.scan(
+        "[Gamma(g), Gamma(h)] == (w^{p r' s} - w^{p r s'}) Gamma(gh)", pairs,
         lambda g, h: _commutator_compare(gamma, pr, backend, tol, mod(g), mod(h)),
-        lambda g, h: {"g": list(g), "h": list(h)}, 64 if exhaustive else 1,
+        lambda g, h: {"g": list(g), "h": list(h)}, stacked, 64 if exhaustive else 1,
     )
     return rep
 
@@ -350,7 +324,7 @@ def _suite_cocycle_twisted(params: dict) -> VerifyReport:
     _guard_pairs(N**4)
     rep = VerifyReport("cocycle-twisted", {"N": N, "p": p, "backend": backend})
     op = cache(lambda l: j_twisted(pr, l, backend=backend))
-    table = _j_table("twisted_even", N, pr, backend) if backend == "exact" else None
+    table = _j_table("twisted_even", N, pr) if backend == "exact" else None
     _dagger_law(rep, N, op, tol, table)
     _torus_law(
         rep, "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']", N, op,
@@ -375,7 +349,7 @@ def _suite_metaplectic(params: dict) -> VerifyReport:
     N = pr.N
     _guard_dim(N * N)
     rep = VerifyReport("metaplectic", {"N": N, "p": pr.p, "samples": samples, "seed": seed})
-    table = _j_table("twisted_even", N, pr, pr.default_backend())
+    table = _j_table("twisted_even", N, pr)
     generators = [("S", u_s(pr), sl2_s(N)), ("T", u_t(pr), sl2_t(N))]
     for name, U, A in generators:
         _merge(rep, verify_metaplectic(U, A, "twisted_even", pr, tol, table), {"element": name})
@@ -446,7 +420,7 @@ def _suite_weil_odd(params: dict) -> VerifyReport:
     rep = VerifyReport("weil-odd", {"N": N})
     elems = enumerate_sl2(N)
     mats = {A: weil_odd_general(N, A) for A in elems}
-    table = _j_table("weil_odd", N, None, None)
+    table = _j_table("weil_odd", N, None)
     for A, U in mats.items():
         _merge(
             rep, verify_metaplectic(U, A, "weil_odd", tol=tol, table=table),

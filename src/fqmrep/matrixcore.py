@@ -211,9 +211,12 @@ def _ntt_matmul(a: np.ndarray, b: np.ndarray, amax: int, bmax: int) -> np.ndarra
     return x.T.reshape(d, d, size)
 
 
+@lru_cache(maxsize=None)
 def _roots(root_order: int) -> np.ndarray:
-    # the root_order-th roots of unity, one complex exp per root (not per entry)
-    return np.exp(2j * np.pi * np.arange(root_order) / root_order)
+    # the root_order-th roots of unity, computed once per order, read-only
+    roots = np.exp(2j * np.pi * np.arange(root_order) / root_order)
+    roots.flags.writeable = False
+    return roots
 
 
 def _exact_order(root_order: int) -> int:
@@ -224,27 +227,14 @@ def _exact_order(root_order: int) -> int:
 class _SupportTable(NamedTuple):
     """Phased permutations by their row supports, one member per row of `cols`.
 
-    Row i of member t holds its one entry in column cols[t, i], equal to
-    omega_order^{entries[t, i]} (exact, 0 <= k < order) or to the complex
-    entries[t, i] (float, order 0).
+    Row i of member t holds its one entry omega_order^{exps[t, i]}
+    (0 <= exps < order) in column cols[t, i]; `order` is the root order N
+    of the builder's support formula, whatever the backend of its matrices.
     """
 
-    backend: str
     order: int
     cols: np.ndarray
-    entries: np.ndarray
-
-
-def _supports(
-    root_order: int, cols: np.ndarray, exponents: np.ndarray, backend: str
-) -> _SupportTable:
-    """The table of the members whose row i holds omega_{root_order}^{exponents[t, i]}
-    (0 <= exponents < root_order) in column cols[t, i], with the entries
-    `from_support` writes for them."""
-    if backend == "float":
-        return _SupportTable(backend, 0, cols, _roots(root_order)[exponents])
-    order = _exact_order(root_order)
-    return _SupportTable(backend, order, cols, exponents * (order // root_order))
+    exps: np.ndarray
 
 
 _LAW_BLOCK = 1 << 14  # table entries (pairs x dim) per block of `_support_law`
@@ -255,14 +245,14 @@ def _support_law(
     phase: np.ndarray,
 ) -> np.ndarray:
     """Whether X Y == omega_order^{phase[k]} Z for X, Y, Z the members left[k],
-    right[k], out[k] of an exact table, for each k.
+    right[k], out[k] of a table, for each k.
 
     Row i of X Y holds omega^{e_X[i] + e_Y[c_X[i]]} in column c_Y[c_X[i]], so
     a pair is equal when those columns are Z's and the exponents differ from
     Z's by phase[k] mod the table's order: integer exponent arithmetic, a
     block of pairs at a time.
     """
-    cols, exps = table.cols, table.entries
+    cols, exps = table.cols, table.exps
     equal = np.empty(len(left), dtype=bool)
     step = max(1, _LAW_BLOCK // cols.shape[1])
     for a in range(0, len(left), step):
@@ -326,12 +316,6 @@ class OpMatrix:
     @classmethod
     def identity(cls, dim: int, backend: str = "exact", order: int = 8) -> OpMatrix:
         return cls.from_support(order, np.arange(dim), np.zeros(dim, dtype=np.int64), 0, backend)
-
-    @classmethod
-    def zeros(cls, dim: int, backend: str = "exact", order: int = 8) -> OpMatrix:
-        if backend == "float":
-            return cls(dim, "float")
-        return cls(dim, "exact", order=order)
 
     @classmethod
     def from_cyc_entries(cls, entries: Iterable[Iterable[CycNum]]) -> OpMatrix:

@@ -40,12 +40,12 @@ from functools import cache
 
 import numpy as np
 
-from .exactnum import NotAUnit, _mod_inv, jacobi_symbol
+from .exactnum import NotAUnit, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
-from .matrixcore import OpMatrix, _root_gather, _roots, _supports, _SupportTable, mat_eq
+from .matrixcore import OpMatrix, _exact_order, _root_gather, _roots, _SupportTable, mat_eq
 from .report import VerifyReport
-from .sl2 import SL2Element, Token, sl2_s, sl2_t
+from .sl2 import SL2Element, Token, dilatation, sl2_s, sl2_t
 
 __all__ = [
     "BadBranch",
@@ -95,12 +95,10 @@ def u_s(params: HWParams, backend: str | None = None) -> OpMatrix:
 
 
 def u_t_pow(params: HWParams, m: int, backend: str | None = None) -> OpMatrix:
-    """Diagonal U(T)^m = diag omega^{-p m k1 k2}."""
-    N, p = params.N, params.p
-    backend = params.default_backend() if backend is None else backend
-    dim, k1, k2 = _grids(N)
-    E = (-p * (m % N) * k1 * k2) % N
-    return OpMatrix.from_support(N, np.arange(dim), E, backend=backend, meta=f"u_t^{m % N}")
+    """Diagonal U(T)^m = diag omega^{-p m k1 k2}: the c = 0 closed form at T^m."""
+    out = _closed_triangular(params, sl2_t(params.N, m), backend)
+    out.meta = f"u_t^{m % params.N}"
+    return out
 
 
 def u_t(params: HWParams, backend: str | None = None) -> OpMatrix:
@@ -110,18 +108,13 @@ def u_t(params: HWParams, backend: str | None = None) -> OpMatrix:
 def u_d(params: HWParams, a: int, backend: str | None = None) -> OpMatrix:
     """Dilatation image U(D(a)): the bare permutation k -> a^{-1} k, no phase.
 
-    Row k holds a 1 in column a k.  This equals the T/S word product over
-    `dilatation_word`; tests pin that down rather than assuming it.
+    Row k holds a 1 in column a k: the c = 0 closed form at D(a) =
+    diag(a, a^{-1}), NotAUnit unless a is a unit.  This equals the T/S word
+    product over `dilatation_word`; tests pin that down rather than assuming it.
     """
-    N = params.N
-    backend = params.default_backend() if backend is None else backend
-    _mod_inv(a, N)  # NotAUnit unless a is a unit
-    a %= N
-    dim, k1, k2 = _grids(N)
-    cols = N * (a * k1 % N) + a * k2 % N
-    return OpMatrix.from_support(
-        N, cols, np.zeros(dim, dtype=np.int64), backend=backend, meta=f"u_d({a})"
-    )
+    out = _closed_triangular(params, dilatation(params.N, a), backend)
+    out.meta = f"u_d({a % params.N})"
+    return out
 
 
 def u_of_word(
@@ -153,9 +146,10 @@ def u_of_word(
     return out
 
 
-def _closed_triangular(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
+def _closed_triangular(params: HWParams, A: SL2Element, backend: str | None) -> OpMatrix:
     # c = 0: phased permutation (k1,k2) -> (d^{-1} k1, d^{-1} k2).
     N, p = params.N, params.p
+    backend = params.default_backend() if backend is None else backend
     _, b, _, d = A.entries()
     dinv = pow(d, -1, N)
     _, k1, k2 = _grids(N)
@@ -303,63 +297,59 @@ def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
 _CHUNK_ENTRIES = 1 << 16  # matrix entries (coefficients when exact) per side of a chunk of points
 
 
-def _j_table(
-    flavor: str, N: int, params: HWParams | None, backend: str | None
-) -> _SupportTable:
+def _j_table(flavor: str, N: int, params: HWParams | None) -> _SupportTable:
     """Every J_{r,s} of `flavor`, r-major, from its builder's support formula
-    at all N^2 points at once, with the entries `j_twisted`/`j_odd` give it."""
+    at all N^2 points at once: the columns and omega_N exponents that
+    `j_twisted`/`j_odd` write."""
     r, s = np.divmod(np.arange(N * N), N)
-    if flavor == "twisted_even":
-        backend = params.default_backend() if backend is None else backend
-        return _supports(N, *_twisted_support(params, r, s), backend)
-    return _supports(N, *_odd_support(N, r, s), "float")
+    support = _twisted_support(params, r, s) if flavor == "twisted_even" else _odd_support(N, r, s)
+    return _SupportTable(N, *support)
 
 
-def _float_stack(cols: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    # (P, dim, dim) float matrices from P row supports
+def _float_stack(roots: np.ndarray, cols: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    # (P, dim, dim) float matrices from P row supports, entries roots[exps]
     count, dim = cols.shape
     out = np.zeros((count, dim, dim), dtype=np.complex128)
-    out[np.arange(count)[:, None], np.arange(dim), cols] = entries
+    out[np.arange(count)[:, None], np.arange(dim), cols] = roots[exps]
     return out
 
 
 def _stacked_conjugation(
-    table: _SupportTable, U: OpMatrix, image: np.ndarray, tol: float
+    table: _SupportTable, U: OpMatrix, left: np.ndarray, right: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(equal, deviation) of J[l] U against U J[image[l]] for every point l,
-    a chunk of points at a time.
+    """(equal, deviation) of J[left[k]] U against U J[right[k]] for each k,
+    a block of points at a time.
 
     Exact: row i of J[l] U is omega^{k_l(i)} U[c_l(i), :] and column j of
     U J[m] is omega^{k_m(rho(j))} U[:, rho(j)] with rho the inverse of c_m,
-    both signed rolls of U's coefficient axis; the two sides share their
-    scale, so equal values have equal coefficients.  Float: the chunk's J
-    are densified and multiplied in stacked products, so each deviation is
-    the one `mat_eq` gives for the same pair.
+    both signed rolls of U's coefficient axis (exponents scaled to U's ring);
+    the two sides share their scale, so equal values have equal coefficients.
+    Float: the block's J are densified (entries `_roots`[exps]) and multiplied
+    in stacked products, so each deviation is the one `mat_eq` gives.
     """
-    n = len(image)
+    n = len(left)
     if U.backend == "float":
-        dev = np.empty(n)
+        roots, dev = _roots(table.order), np.empty(n)
         step = max(1, _CHUNK_ENTRIES // U.data.size)
         for a in range(0, n, step):
-            l = np.arange(a, min(a + step, n))
-            m = image[l]
-            lhs = _float_stack(table.cols[l], table.entries[l]) @ U.data
-            rhs = U.data @ _float_stack(table.cols[m], table.entries[m])
-            dev[l] = np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)
+            l, m = left[a:a + step], right[a:a + step]
+            lhs = _float_stack(roots, table.cols[l], table.exps[l]) @ U.data
+            rhs = U.data @ _float_stack(roots, table.cols[m], table.exps[m])
+            dev[a:a + step] = np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)
         return dev <= tol, dev
-    order = max(U.order, table.order)
+    order = max(U.order, _exact_order(table.order))
     coeffs = U._promoted(order).coeffs
-    k = table.entries * (order // table.order)
-    inverse = np.argsort(table.cols, axis=1)
-    k_inverse = np.take_along_axis(k, inverse, axis=1)
+    scale = order // table.order
+    cols, k = table.cols[left], table.exps[left] * scale
+    inverse = np.argsort(table.cols[right], axis=1)
+    k_inverse = np.take_along_axis(table.exps[right] * scale, inverse, axis=1)
     rows, columns = _root_gather(coeffs), _root_gather(coeffs.transpose(1, 0, 2))
     equal = np.empty(n, dtype=bool)
     step = max(1, _CHUNK_ENTRIES // coeffs.size)
     for a in range(0, n, step):
         l = slice(a, a + step)
-        m = image[l]
-        lhs = rows(table.cols[l], k[l])  # (point, i, coefficient, j)
-        rhs = columns(inverse[m], k_inverse[m])  # (point, j, coefficient, i)
+        lhs = rows(cols[l], k[l])  # (point, i, coefficient, j)
+        rhs = columns(inverse[l], k_inverse[l])  # (point, j, coefficient, i)
         equal[l] = (lhs == rhs.transpose(0, 3, 2, 1)).all(axis=(1, 2, 3))
     return equal, np.zeros(n)
 
@@ -378,14 +368,14 @@ def verify_metaplectic(
     invertible U.  The J's come from `table`, their row supports computed
     from the builders' formulas for all points at once (a suite checking
     many elements passes one `_j_table` for the same flavor and params).
-    When U has the table's backend and dim, all N^2 points are decided in
-    one stacked pass (`_stacked_conjugation`): exact U by integer equality
-    of two gathers of U's coefficients, float U by stacked BLAS products;
-    the points it proves equal enter the report together.  Every other
-    point is compared as mat_eq(J[l] @ U, U @ J[lA]), each J built by
-    `j_twisted`/`j_odd`, so failures and deviations are those of the
-    products, recorded in (r, s) lexicographic order: the result is
-    deterministic.
+    The points are recorded by `VerifyReport.scan`.  When U has the table's
+    dim (and is float, if the J's are), a stacked pass
+    (`_stacked_conjugation`) decides them: exact U by integer equality of
+    two gathers of U's coefficients, float U by stacked BLAS products.
+    Every point it does not prove equal is compared as
+    mat_eq(J[l] @ U, U @ J[lA]), each J built by `j_twisted`/`j_odd`, so
+    failures and deviations are those of the products, recorded in (r, s)
+    lexicographic order: the result is deterministic.
     """
     if flavor == "twisted_even":
         if params is None:
@@ -404,18 +394,22 @@ def verify_metaplectic(
     rep_params["element"] = list(A.entries())
     report = VerifyReport(suite="metaplectic", params=rep_params)
     if table is None:
-        table = _j_table(flavor, N, params, U.backend)
+        table = _j_table(flavor, N, params)
     a, b, c, d = A.entries()
     r, s = np.divmod(np.arange(N * N), N)
     image = N * ((a * r + c * s) % N) + (b * r + d * s) % N  # (r, s) A
-    equal = np.zeros(N * N, dtype=bool)
-    if (U.backend, U.dim) == (table.backend, table.cols.shape[1]):
-        equal, dev = _stacked_conjugation(table, U, image, tol)
-        if equal.any():
-            report.checks_run += int(equal.sum())
-            report.max_abs_deviation = max(report.max_abs_deviation, float(dev[equal].max()))
-    for l in np.flatnonzero(~equal).tolist():
+
+    def compare(l):
         lhs, rhs = j_of(divmod(l, N)), j_of(divmod(int(image[l]), N))
-        ok, deviation = mat_eq(lhs @ U, U @ rhs, tol)
-        report.record(ok, deviation, "J[r,s] U == U J[(r,s)A]", {"r": l // N, "s": l % N})
+        return mat_eq(lhs @ U, U @ rhs, tol)
+
+    def stacked(l):
+        return _stacked_conjugation(table, U, l, image[l], tol)
+
+    # the odd J's are float only: their roots are not in an exact U's ring
+    fits = U.dim == table.cols.shape[1] and (U.backend == "float" or flavor == "twisted_even")
+    report.scan(
+        "J[r,s] U == U J[(r,s)A]", np.arange(N * N)[None], compare,
+        lambda l: {"r": l // N, "s": l % N}, stacked if fits else None,
+    )
     return report

@@ -2,13 +2,18 @@
 
 A report is deterministic for fixed inputs: failures are recorded in
 scan order and the canonical dict omits the wall-clock field, so two
-runs of the same suite serialize to identical bytes.
+runs of the same suite serialize to identical bytes.  Laws over many keys
+record through `VerifyReport.scan`, as if each key was compared alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
+
+_SCAN_CHUNK = 4096  # keys of a key array read by a scan at a time
 
 
 @dataclass
@@ -44,6 +49,40 @@ class VerifyReport:
             self.max_abs_deviation = deviation
         if not ok:
             self.failures.append(Failure(identity, inputs, deviation))
+
+    def scan(self, identity, keys, compare, inputs, decide=None, weight=1) -> None:
+        """Record one check per key, counted `weight` times, in scan order.
+
+        `keys` is an iterable of argument tuples, or an array (arity, ...,
+        count) read `_SCAN_CHUNK` keys at a time, key j's argument i being
+        keys[i, ..., j].  decide(*chunk), unless None, gives (equal,
+        deviation) for a chunk at once; the keys it proves equal pass with
+        their deviations (an iterable with `decide` raises TypeError).  Each
+        other key is compare(*key) -> (ok, deviation), named by inputs(*key).
+        """
+        if isinstance(keys, np.ndarray):
+            chunks = (self._unproven(keys[..., a:a + _SCAN_CHUNK], decide)
+                      for a in range(0, keys.shape[-1], _SCAN_CHUNK))
+        elif decide is None:
+            chunks = ((1, [key]) for key in keys)
+        else:
+            raise TypeError("a bulk decision reads an array of keys, not an iterable")
+        for size, todo in chunks:
+            self.checks_run += weight * size - len(todo)  # record() counts one each
+            for key in todo:
+                ok, deviation = compare(*key)
+                self.record(ok, deviation, identity, None if ok else inputs(*key))
+
+    def _unproven(self, chunk: np.ndarray, decide) -> tuple[int, list]:
+        # a chunk's size and the keys `decide` leaves, as argument tuples
+        size = chunk.shape[-1]
+        if decide is not None:
+            equal, deviation = decide(*chunk)
+            proven = float(np.where(equal, deviation, 0.0).max())
+            self.max_abs_deviation = max(self.max_abs_deviation, proven)
+            chunk = chunk[..., ~equal]
+        keys = chunk.transpose(-1, *range(chunk.ndim - 1)).tolist()
+        return size, keys if chunk.ndim == 2 else [tuple(map(tuple, key)) for key in keys]
 
     def to_dict(self, include_runtime: bool = False) -> dict:
         out = {

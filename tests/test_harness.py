@@ -8,7 +8,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from fqmrep import harness, heisenberg, magnetic, metaplectic
+from fqmrep import harness, heisenberg, magnetic, metaplectic, report
 from fqmrep.exactnum import CycNum
 from fqmrep.harness import (
     SUITE_NAMES,
@@ -250,13 +250,16 @@ MIGRATED = (
 )
 
 
-def _spy_support_law(monkeypatch):
-    """The equal mask of each `_support_law` call."""
+def _spy_support_law(monkeypatch, members=None):
+    """The equal mask of each `_support_law` call, on a table of `members`
+    rows if given."""
     results = []
 
-    def spy(*args):
-        results.append(real(*args))
-        return results[-1]
+    def spy(table, *args):
+        out = real(table, *args)
+        if members in (None, len(table.cols)):
+            results.append(out)
+        return out
 
     real = harness._support_law
     monkeypatch.setattr(harness, "_support_law", spy)
@@ -266,13 +269,14 @@ def _spy_support_law(monkeypatch):
 @pytest.mark.parametrize("name,params", MIGRATED)
 def test_pair_law_reports_match_the_per_pair_loops(name, params, monkeypatch):
     # the exact twisted cocycle is decided on its support table, every other
-    # family pair by pair; the reference run never reads the table
+    # family pair by pair; the reference run's pair law never reads the
+    # table, only its dagger law does, in one call
     calls = _spy_support_law(monkeypatch)
     got = run_suite(SuiteSpec(name, params)).to_json()
     assert bool(calls) == (name == "cocycle-twisted" and "backend" not in params)
     count = len(calls)
     assert got == _reference_json(monkeypatch, name, params)
-    assert len(calls) == count
+    assert len(calls) == count + bool(count)
 
 
 @pytest.mark.parametrize("chunk", [4096, 7])
@@ -295,8 +299,8 @@ def test_perturbed_j_fails_like_the_per_pair_loops(wrong_column, chunk, monkeypa
     monkeypatch.setattr(metaplectic, "_twisted_support", perturbed)
     params = {"n": 2, "p": 3}
     want = json.loads(_reference_json(monkeypatch, "cocycle-twisted", params))
-    monkeypatch.setattr(harness, "_PAIR_CHUNK", chunk)
-    calls = _spy_support_law(monkeypatch)
+    monkeypatch.setattr(report, "_SCAN_CHUNK", chunk)
+    calls = _spy_support_law(monkeypatch, 16)  # the product law's table of 16 J's
     got = json.loads(run_suite(SuiteSpec("cocycle-twisted", params)).to_json())
     assert got["failures"] == want["failures"]
     assert got["max_abs_deviation"] == want["max_abs_deviation"] > 0.0
@@ -319,16 +323,40 @@ def test_monomial_kernel_fires_for_twisted_cocycle_only(monkeypatch):
     calls = _spy_support_law(monkeypatch)
     for p in (1, 3):
         run_suite(SuiteSpec("cocycle-twisted", {"n": 2, "p": p}))
-    assert [c.all() for c in calls] == [True, True]  # no pair left to recompute
+    # the dagger and product laws of each run: no key left to recompute
+    assert [c.all() for c in calls] == [True] * 4
     calls.clear()
     run_suite(SuiteSpec("homomorphism", {"n": 2}))
     assert calls == []
 
 
-def test_support_table_needs_an_array_of_keys():
-    # a table given with an iterable of pairs is refused, not silently unread
+def test_scan_records_like_the_per_key_loop(monkeypatch):
+    # keys (x, y) in (Z_5^2)^2 through the scan with a `decide` that proves a
+    # seeded subset of the passing keys, carrying their float deviations, and
+    # without one; the largest deviation is a proven key's.  Chunks of 7 keys
+    # cross the chunk boundaries
+    monkeypatch.setattr(report, "_SCAN_CHUNK", 7)
+    rng = np.random.default_rng(11)
+    shape = (5,) * 4
+    ok, dev = rng.random(shape) < 0.8, rng.random(shape)
+    proven = ok & (rng.random(shape) < 0.5)
+    dev[tuple(np.argwhere(proven)[3])] = 2.0
+    keys = harness._key_pairs(5, 2)
+    compare = lambda x, y: (bool(ok[x + y]), float(dev[x + y]))  # noqa: E731
+    decide = lambda x, y: (proven[(*x, *y)], dev[(*x, *y)])  # noqa: E731
+    inputs = lambda x, y: {"x": list(x), "y": list(y)}  # noqa: E731
+    for weight in (1, 64):
+        got, want = VerifyReport("law", {}), VerifyReport("law", {})
+        got.scan("law", keys, compare, inputs, decide, weight)
+        want.scan("law", keys, compare, inputs, weight=weight)
+        assert got.to_json() == want.to_json()
+        assert got.checks_run == weight * 625 and got.max_abs_deviation == 2.0
+        assert len(got.failures) == int((~ok).sum())
+    with pytest.raises(TypeError):  # an iterable is refused, not silently undecided
+        VerifyReport("law", {}).scan("law", [((1, 2), (3, 1))], compare, inputs, decide)
+    # a support table given with an iterable of pairs is refused the same way
     pr = HWParams(4)
-    table = metaplectic._j_table("twisted_even", 4, pr, "exact")
+    table = metaplectic._j_table("twisted_even", 4, pr)
     op = cache(lambda l: magnetic.j_twisted(pr, l, backend="exact"))
     compose = lambda l, m: ((l[0] + m[0]) % 4, (l[1] + m[1]) % 4)  # noqa: E731
     members = (table, lambda l: 4 * l[0] + l[1])
@@ -374,7 +402,7 @@ def test_table_dagger_law_matches_the_dense_one(flaw, monkeypatch):
                 pr = HWParams(N, p)
                 got, want = VerifyReport("dagger", {}), VerifyReport("dagger", {})
                 j = cache(lambda l: magnetic.j_twisted(pr, l, backend="exact"))
-                table = metaplectic._j_table("twisted_even", N, pr, "exact")
+                table = metaplectic._j_table("twisted_even", N, pr)
                 harness._dagger_law(got, N, j, 1e-9, table)
                 for r in range(N):
                     for s in range(N):
@@ -452,7 +480,7 @@ def test_family_with_a_dense_member_falls_back_per_pair(chunk, monkeypatch):
     # U(S^k), k in Z_4: U(S) and U(S^3) are dense, U(1) and U(S^2) monomial
     pr = HWParams(4)
     op = cache(lambda k: u_general(pr, SL2Element(1, 0, 0, 1, 4) if k == 0 else sl2_s(4) ** k))
-    monkeypatch.setattr(harness, "_PAIR_CHUNK", chunk)
+    monkeypatch.setattr(report, "_SCAN_CHUNK", chunk)
     pairs = [(k, l) for k in range(4) for l in range(4)]
     compose = lambda k, l: (k + l) % 4  # noqa: E731
     for phase in (None, (4, lambda k, l: k * l)):
@@ -527,16 +555,21 @@ def test_stacked_pass_meets_products_with_even_coefficients():
 def test_only_exact_heisenberg_builds_a_table(monkeypatch):
     # float runs compare pair by pair and build no table: one of all N^3
     # elements would hold 2^24 entries at n = 6
-    backends = []
-    real = harness._supports
-    monkeypatch.setattr(harness, "_supports", lambda *args: backends.append(args[-1]) or real(*args))
+    tables = []
+
+    def spy(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    real = harness._SupportTable
+    monkeypatch.setattr(harness, "_SupportTable", spy)
     calls = _spy_support_law(monkeypatch)
     for params in ({"n": 4, "samples": 50}, {"n": 2, "backend": "float"}):
         rep = run_suite(SuiteSpec("heisenberg", params))
         assert rep.passed and rep.params["backend"] == "float"
-    assert backends == [] and calls == []
+    assert tables == [] and calls == []
     assert run_suite(SuiteSpec("heisenberg", {"n": 2})).passed
-    assert backends == ["exact"] and len(calls) == 2
+    assert [t.cols.shape for t in tables] == [(64, 4)] and len(calls) == 2
 
 
 def _count_compares(monkeypatch):

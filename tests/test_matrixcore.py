@@ -758,15 +758,15 @@ def test_root_gather_is_a_signed_roll_in_the_smallest_type(top, dtype):
 
 
 def _law_family(family, pr):
-    """(member keys as coordinate rows, member t in column t; the exact support
+    """(member keys as coordinate rows, member t in column t; the exponent
     table; the builder; the exponent e of the product law X Y = omega^e Z)."""
     N, p = pr.N, pr.p
     if family == "gamma":  # Gamma(g) Gamma(h) = omega^{p s r'} Gamma(gh)
         keys = np.unravel_index(np.arange(N**3), (N, N, N))
-        table = matrixcore._supports(N, *heisenberg._gamma_support(pr, *keys), "exact")
+        table = matrixcore._SupportTable(N, *heisenberg._gamma_support(pr, *keys))
         return np.stack(keys), table, lambda k: gamma_p(pr, *k), lambda g, h: p * g[2] * h[1]
     keys = np.unravel_index(np.arange(N**2), (N, N))
-    table = metaplectic._j_table("twisted_even", N, pr, "exact")
+    table = metaplectic._j_table("twisted_even", N, pr)
     return (np.stack(keys), table, lambda l: j_twisted(pr, l),
             lambda l, m: p * (m[0] * l[1] - m[1] * l[0]))
 
@@ -775,9 +775,8 @@ def _law_family(family, pr):
 @pytest.mark.parametrize("family", ["gamma", "j_twisted"])
 def test_support_law_matches_the_dense_products(family, flaw):
     # seeded triples (X, Y, Z) at every N <= 8 and odd p: the table's verdict
-    # on X Y == omega_order^e Z is mat_eq's on the dense product; a flaw moves
-    # the phase (by omega_order, finer than omega_N at N = 2) or the member Z
-    # of about half the triples
+    # on X Y == omega_N^e Z is mat_eq's on the dense product; a flaw moves
+    # the phase (by omega_N) or the member Z of about half the triples
     rng = np.random.default_rng(5)
     verdicts = []
     for N in (2, 4, 8):
@@ -788,7 +787,7 @@ def test_support_law_matches_the_dense_products(family, flaw):
             left, right = rng.integers(count, size=(2, 40))
             x, y = keys[:, left], keys[:, right]
             out = np.ravel_multi_index((x + y) % N, (N,) * len(keys))
-            phase = exponent(x, y) * (table.order // N)
+            phase = exponent(x, y)
             flip = rng.random(40) < 0.5
             if flaw == "phase":
                 phase = phase + flip

@@ -14,8 +14,10 @@ from fqmrep.matrixcore import (
     BackendMismatch,
     DimMismatch,
     OpMatrix,
+    _exact_order,
+    _roots,
     _row_support,
-    _supports,
+    _SupportTable,
     mat_eq,
     twist_perm,
 )
@@ -666,16 +668,16 @@ def test_promoted_order_and_scale_match_the_cycle_walk(n, element, higher, monke
     # 8, or the J's are given order 16 (table and builder) and U is promoted
     params = HWParams(2**n)
     U = u_s(params)
-    table = metaplectic._j_table("twisted_even", params.N, params, "exact")
+    table = metaplectic._j_table("twisted_even", params.N, params)
     if higher == "U":
         U = U.scalar_mul(CycNum.root(16, 3))
     else:
-        table = table._replace(order=16, entries=2 * table.entries)
+        table = table._replace(order=16, exps=table.exps * (16 // params.N))
         monkeypatch.setattr(
             metaplectic, "j_twisted", lambda *args, **kw: j_twisted(*args, **kw)._promoted(16)
         )
     assert U.scale_log2 == n
-    assert (U.order, table.order) == ((16, 8) if higher == "U" else (8, 16))
+    assert (U.order, table.order) == ((16, params.N) if higher == "U" else (8, 16))
     A = sl2_s(params.N) if element == "S" else sl2_t(params.N)  # T: U(S) is wrong
     seen = _spy_stacked(monkeypatch)
     got = verify_metaplectic(U, A, "twisted_even", params, table=table)
@@ -694,6 +696,24 @@ def test_float_twisted_matches_the_cycle_walk(monkeypatch):
         assert int((~seen[-1]).sum()) == len(got.failures)
         assert got.to_json() == _conjugation_reference(U, A, "twisted_even", params, tol).to_json()
     assert len(seen) == 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_float_u_on_the_shared_table_matches_the_cycle_walk(n, monkeypatch):
+    # the metaplectic suite's one table of the J's serves a float U too: it
+    # takes the stacked pass and gives the per-point report
+    params = HWParams(2**n, 2**n - 1)
+    table = metaplectic._j_table("twisted_even", params.N, params)
+    seen = _spy_stacked(monkeypatch)
+    cases = [(u_general(params, A), A, True)
+             for A in [sl2_s(params.N), sl2_t(params.N)] + sample_sl2(params.N, 3, 5)]
+    cases.append((u_s(params), sl2_t(params.N), False))  # U(S) is wrong for T
+    for U, A, passes in cases:
+        got = verify_metaplectic(U.to_float(), A, "twisted_even", params, table=table)
+        assert int((~seen[-1]).sum()) == len(got.failures)
+        want = _conjugation_reference(U.to_float(), A, "twisted_even", params)
+        assert got.to_json() == want.to_json() and got.passed == passes
+    assert len(seen) == len(cases)
 
 
 def test_mismatched_operands_raise_like_the_cycle_walk():
@@ -733,46 +753,45 @@ def _unit_support(J):
     return cols, decode_root(pos, entries[rows, pos], entries.shape[1])
 
 
+def _assert_table_row(table, t, M, backend):
+    # member t of an exponent table is M's support: the same columns, exact
+    # exponents scaled to M's ring, float entries _roots(order)[exps] bit for bit
+    cols, entries = _unit_support(M)
+    assert np.array_equal(table.cols[t], cols)
+    if backend == "exact":
+        assert M.order == _exact_order(table.order) and M.scale_log2 == 0
+        assert np.array_equal(table.exps[t] * (M.order // table.order), entries)
+    else:
+        got = _roots(table.order)[table.exps[t]]
+        assert np.array_equal(got.view(np.uint64), entries.view(np.uint64))
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_j_table_equals_the_builders(backend):
-    # the formula table holds, point by point, the support of j_twisted / j_odd:
-    # the same columns, exact exponents at the same order, float entries bit for bit
+    # the formula table holds, point by point, the support of j_twisted / j_odd
+    # on either backend
     cases = [("twisted_even", HWParams(N, p)) for N in (2, 4, 8) for p in range(1, N, 2)]
     if backend == "float":
         cases += [("weil_odd", HWParams(N)) for N in (3, 5, 7)]
     for flavor, pr in cases:
         N = pr.N
-        table = metaplectic._j_table(flavor, N, pr, backend)
+        table = metaplectic._j_table(flavor, N, pr)
         dim = N * N if flavor == "twisted_even" else N
-        assert table.backend == backend and table.cols.shape == (N * N, dim)
+        assert table.order == N and table.cols.shape == table.exps.shape == (N * N, dim)
         for l, (r, s) in enumerate(np.ndindex(N, N)):
             J = j_twisted(pr, (r, s), backend) if flavor == "twisted_even" else j_odd(N, (r, s))
-            cols, entries = _unit_support(J)
-            assert np.array_equal(table.cols[l], cols)
-            if backend == "exact":
-                assert table.order == J.order and J.scale_log2 == 0
-                assert np.array_equal(table.entries[l], entries)
-            else:
-                assert np.array_equal(table.entries[l].view(np.uint64), entries.view(np.uint64))
+            _assert_table_row(table, l, J, backend)
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_gamma_table_equals_the_builders(backend):
     # the table of all N^3 elements z^m x^r y^s, at row N(N m + r) + s, holds
-    # gamma_p's support: the same columns, exact exponents at the same order,
-    # float entries bit for bit
+    # gamma_p's support on either backend
     for N in (2, 4, 8):
         for p in range(1, N, 2):
             pr = HWParams(N, p)
             elements = np.unravel_index(np.arange(N**3), (N, N, N))
-            table = _supports(N, *_gamma_support(pr, *elements), backend)
-            assert table.backend == backend and table.cols.shape == (N**3, N)
+            table = _SupportTable(N, *_gamma_support(pr, *elements))
+            assert table.cols.shape == table.exps.shape == (N**3, N)
             for t, (m, r, s) in enumerate(np.ndindex(N, N, N)):
-                G = gamma_p(pr, m, r, s, backend)
-                cols, entries = _unit_support(G)
-                assert np.array_equal(table.cols[t], cols)
-                if backend == "exact":
-                    assert table.order == G.order and G.scale_log2 == 0
-                    assert np.array_equal(table.entries[t], entries)
-                else:
-                    assert np.array_equal(table.entries[t].view(np.uint64), entries.view(np.uint64))
+                _assert_table_row(table, t, gamma_p(pr, m, r, s, backend), backend)
