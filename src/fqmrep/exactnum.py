@@ -83,6 +83,11 @@ def basis_size(order: int) -> int:
     return order // 2
 
 
+def _exact_order(root_order: int) -> int:
+    # the order of the exact ring that holds the root_order-th roots (8 at least)
+    return 8 if root_order in (1, 2, 4) else root_order
+
+
 @lru_cache(maxsize=None)
 def _wstack(size: int) -> np.ndarray:
     # W e_k = e_{k+1}, W e_{L-1} = -e_0; powers W^0 .. W^{L-1}.
@@ -186,9 +191,9 @@ class CycNum:
     @classmethod
     def root(cls, order: int, e: int) -> CycNum:
         """omega_order^e, with the orders 1, 2 and 4 promoted to 8."""
-        if order in (1, 2, 4):
-            e, order = e * (8 // order), 8
-        return _root(order, e % (2 * basis_size(order)))
+        exact = _exact_order(order)
+        size = 2 * basis_size(exact)  # UnsupportedOrder before any division
+        return _root(exact, e * (exact // order) % size)
 
     @classmethod
     def inv_sqrt2_pow(cls, k: int, order: int = 8) -> CycNum:

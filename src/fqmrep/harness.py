@@ -149,7 +149,7 @@ def _pair_compare(op, N: int, tol: float, x, y, z, e) -> tuple[bool, float]:
         return mat_eq(got, Z if e is None else Z.scalar_mul(CycNum.root(N, e)), tol)
     got = X.data @ Y.data
     Z = op(z).data
-    want = Z if e is None else np.exp(2j * np.pi * (e % N) / N) * Z
+    want = Z if e is None else _root_scalar(N, e, "float") * Z
     dev = float(np.abs(got - want).max())
     return dev <= tol, dev
 
@@ -207,17 +207,15 @@ def _sl2_law(rep, pairs, op, tol) -> None:
 def _dagger_law(rep, N, op, tol, table=None) -> None:
     # J[l]^dagger == J[-l] over l = (r, s) r-major; `table` holds op(l) at
     # row N r + s.  For phased permutations that is J[l] J[-l] == I, decided
-    # by `_support_law` (never unless c_l is a permutation); the points left
-    # are compared as matrices
-    stacked = None
-    if table is not None:
-        eye = np.arange(table.cols.shape[1])  # the identity, appended as member N^2
-        table = _SupportTable(table.order, np.vstack((table.cols, eye)),
-                              np.vstack((table.exps, np.zeros_like(eye))))
+    # by `_support_law` as J[l] J[-l] == J[0] once row 0 is the identity
+    # (never unless c_l is a permutation); the points left are compared as
+    # matrices
+    stacked, dim = None, None if table is None else table.cols.shape[1]
+    if dim and (table.cols[0] == np.arange(dim)).all() and not table.exps[0].any():
 
         def stacked(r, s):
-            minus, out = N * (-r % N) + -s % N, np.full_like(r, N * N)
-            return _support_law(table, N * r + s, minus, out, np.zeros_like(r)), 0.0
+            zero = np.zeros_like(r)
+            return _support_law(table, N * r + s, N * (-r % N) + -s % N, zero, zero), 0.0
 
     rep.scan(
         "J[l]^dagger == J[-l]", np.indices((N, N)).reshape(2, -1),
@@ -403,7 +401,7 @@ def _suite_decomposition(params: dict) -> VerifyReport:
     )
     for A in sample_sl2(pr.N, samples, seed):
         try:
-            word = decompose(A)  # raises if the even-d sign is not unique
+            word = decompose(A)  # raises if the word does not reproduce A
             cmp = mat_eq(u_a_closed(pr, A, backend), u_of_word(pr, word, backend), tol)
             ok, dev = cmp.equal, cmp.max_deviation
         except RuntimeError:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .exactnum import (
     CycNum,
+    _exact_order,
     _is_odd_prime,
     _regular,
     basis_size,
@@ -217,11 +218,6 @@ def _roots(root_order: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(root_order) / root_order)
     roots.flags.writeable = False
     return roots
-
-
-def _exact_order(root_order: int) -> int:
-    # the order of the exact ring that holds the root_order-th roots (8 at least)
-    return 8 if root_order in (1, 2, 4) else root_order
 
 
 class _SupportTable(NamedTuple):

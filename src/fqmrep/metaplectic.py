@@ -24,11 +24,14 @@ the shear/dilatation word of the element, and U(A)U(B) = U(AB) holds
 exactly, so the map is a proper representation, not just projective.
 
 For odd prime N the representation lives on C^N over the plain
-magnetic translations.  The generic (c != 0) Gauss-sum form and the
-dilatation permutation are combined into a total map that is an exact
-homomorphism as well.  One wrinkle, kept deliberately visible: the
-permutation m -> a m conjugates J_{r,s} by the torus action of
-diag(a^{-1}, a), so the image of D(a) uses the inverse argument.
+magnetic translations.  c != 0 takes the generic Gauss-sum form.  c = 0,
+A = D(a) T^{a^{-1} b}, takes the signed dilatation permutation times
+U(T)^{a^{-1} b}, where U(T) = U(S)^{-1} U(ST) is the diagonal
+omega^{-m^2/2} (the middle Gauss sum collapses): a phased permutation,
+built as one.  The total map is an exact homomorphism as well.  One
+wrinkle, kept deliberately visible: the permutation m -> a m conjugates
+J_{r,s} by the torus action of diag(a^{-1}, a), so the image of D(a)
+uses the inverse argument.
 
 Everything with N = 2^n defaults to the exact cyclotomic backend;
 odd-N matrices carry 1/sqrt(N) and stay in floats.
@@ -40,12 +43,12 @@ from functools import cache
 
 import numpy as np
 
-from .exactnum import NotAUnit, jacobi_symbol
+from .exactnum import NotAUnit, _exact_order, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
-from .matrixcore import OpMatrix, _exact_order, _root_gather, _roots, _SupportTable, mat_eq
+from .matrixcore import OpMatrix, _root_gather, _roots, _SupportTable, mat_eq
 from .report import VerifyReport
-from .sl2 import SL2Element, Token, dilatation, sl2_s, sl2_t
+from .sl2 import SL2Element, Token, dilatation, sl2_t
 
 __all__ = [
     "BadBranch",
@@ -240,19 +243,16 @@ def weil_odd_s(N: int) -> OpMatrix:
 
 
 def weil_odd_d(N: int, a: int) -> OpMatrix:
-    """Phased permutation sigma(1) sigma(2 - a - a^{-1}) delta_{l, a m}.
+    """Signed permutation (a + a^{-1} - 2 | N) delta_{l, a m}.
 
-    At a = 1 the sigma argument degenerates to 0 where the residue
-    symbol vanishes; the identity is returned there, which is the only
-    value compatible with U being a homomorphism.
+    That is kappa^2 (2 - a - a^{-1} | N), as (-1|N) = kappa^2.  At a = 1 the
+    symbol vanishes; the sign is 1 there (the identity), the only value
+    compatible with U being a homomorphism.
     """
     a %= N
     if a == 0 or np.gcd(a, N) != 1:
         raise NotAUnit(f"{a} is not a unit mod {N}")
-    if a == 1:
-        return OpMatrix.from_complex(np.eye(N, dtype=complex), meta="weil_odd_d")
-    arg = (2 - a - pow(a, -1, N)) % N
-    phase = _kappa(N) ** 2 * jacobi_symbol(1, N) * jacobi_symbol(arg, N)
+    phase = jacobi_symbol(a + pow(a, -1, N) - 2, N) or 1
     out = np.zeros((N, N), dtype=complex)
     out[(a * np.arange(N)) % N, np.arange(N)] = phase
     return OpMatrix.from_complex(out, meta="weil_odd_d")
@@ -274,21 +274,16 @@ def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
     """Total map on SL2(Z_N), N odd prime; exact homomorphism.
 
     c = 0 means A = D(a) T^{a^{-1} b}; the dilatation factor is the
-    permutation with argument a^{-1} (see module docstring) and U(T)
-    comes from the generic family as U(S)^{-1} U(S T), keeping all
-    global phases in one consistent gauge.
+    permutation with argument a^{-1} (see module docstring) and U(T) is
+    the diagonal omega^{-m^2/2} of the generic family's gauge, so column
+    m of the permutation is multiplied by omega^{-a^{-1} b m^2/2}.
     """
     a, b, c, _ = A.entries()
     if c % N != 0:
         return weil_odd_generic(N, A)
-    out = weil_odd_d(N, pow(a, -1, N))
-    shift = (pow(a, -1, N) * b) % N
-    if shift:
-        uS = weil_odd_generic(N, sl2_s(N))
-        uT = uS.dagger() @ weil_odd_generic(N, sl2_s(N) * sl2_t(N))
-        out = out @ (uT**shift)
-    out.meta = "weil_odd_general"
-    return out
+    a_inv, m = pow(a, -1, N), np.arange(N)
+    phases = _roots(N)[(-a_inv * b * pow(2, -1, N) % N) * m * m % N]
+    return OpMatrix.from_complex(weil_odd_d(N, a_inv).data * phases, meta="weil_odd_general")
 
 
 # -- the property checker ------------------------------------------------------

@@ -9,9 +9,10 @@ Words are lists of tokens over the generators
 read left to right.  Every element decomposes into a five-token word
 through the parity split on the lower-right entry: odd d goes through
 D(d^{-1}), even d (which forces odd c) through a trailing S^2.  The
-sign of the inner shear exponent in the even branch is fixed
-constructively: both candidates are multiplied back and exactly one
-distinct word survives.
+inner shear exponent of the even branch is +d c^{-1}: the word
+T(a c^{-1}) D(c^{-1}) S^{-1} T(d c^{-1}) S^2 multiplies out to
+[[a, (a d - 1) c^{-1}], [c, d]], which is A.  Both words are checked
+on return.
 """
 
 from __future__ import annotations
@@ -172,26 +173,18 @@ def decompose(A: SL2Element) -> list[Token]:
             ("T", -c * d_inv % N),
             ("S", 1),
         ]
-        if word_element(word, N) != A:
-            raise RuntimeError(f"unit-d word failed to reproduce {A}")
-        return word
-    # even d forces odd c when N = 2^n (determinant is odd)
-    c_inv = _mod_inv(c, N)
-    candidates = []
-    for sign in (1, -1):
+    else:  # even d forces odd c when N = 2^n (determinant is odd)
+        c_inv = _mod_inv(c, N)
         word = [
             ("T", a * c_inv % N),
             ("D", c_inv),
             ("S", -1),
-            ("T", sign * d * c_inv % N),
+            ("T", d * c_inv % N),
             ("S", 2),
         ]
-        if word not in candidates:
-            candidates.append(word)
-    matches = [w for w in candidates if word_element(w, N) == A]
-    if len(matches) != 1:
-        raise RuntimeError(f"even-d sign resolution found {len(matches)} words for {A}")
-    return matches[0]
+    if word_element(word, N) != A:
+        raise RuntimeError(f"generator word failed to reproduce {A}")
+    return word
 
 
 def act_on_point(A: SL2Element, r: int, s: int) -> tuple[int, int]:

@@ -250,16 +250,16 @@ MIGRATED = (
 )
 
 
-def _spy_support_law(monkeypatch, members=None):
-    """The equal mask of each `_support_law` call, on a table of `members`
-    rows if given."""
+def _spy_support_law(monkeypatch, products_only=False):
+    """The equal mask of each `_support_law` call; with `products_only`, of
+    each call whose products are not all member 0 (the dagger law's J[0])."""
     results = []
 
-    def spy(table, *args):
-        out = real(table, *args)
-        if members in (None, len(table.cols)):
-            results.append(out)
-        return out
+    def spy(table, left, right, out, phase):
+        equal = real(table, left, right, out, phase)
+        if not products_only or out.any():
+            results.append(equal)
+        return equal
 
     real = harness._support_law
     monkeypatch.setattr(harness, "_support_law", spy)
@@ -300,7 +300,7 @@ def test_perturbed_j_fails_like_the_per_pair_loops(wrong_column, chunk, monkeypa
     params = {"n": 2, "p": 3}
     want = json.loads(_reference_json(monkeypatch, "cocycle-twisted", params))
     monkeypatch.setattr(report, "_SCAN_CHUNK", chunk)
-    calls = _spy_support_law(monkeypatch, 16)  # the product law's table of 16 J's
+    calls = _spy_support_law(monkeypatch, products_only=True)  # the product law
     got = json.loads(run_suite(SuiteSpec("cocycle-twisted", params)).to_json())
     assert got["failures"] == want["failures"]
     assert got["max_abs_deviation"] == want["max_abs_deviation"] > 0.0
@@ -412,6 +412,19 @@ def test_table_dagger_law_matches_the_dense_one(flaw, monkeypatch):
                 assert got.checks_run == N * N
                 assert bool(got.failures) == (flaw is not None), (n, p)
                 assert got.max_abs_deviation == want.max_abs_deviation
+
+
+def test_dagger_law_proves_no_point_unless_member_0_is_the_identity():
+    # members i I, and -I at (0, 0): J[l] J[-l] == J[0] at every l != 0,
+    # though J[l]^dagger == J[-l] holds only at l = 0; every point is then
+    # compared as matrices
+    N, eye = 2, np.arange(4)
+    table = harness._SupportTable(4, np.tile(eye, (4, 1)), np.array([[2] * 4] + [[1] * 4] * 3))
+    op = lambda l: OpMatrix.from_support(4, eye, table.exps[N * l[0] + l[1]])  # noqa: E731
+    rep = VerifyReport("dagger", {})
+    harness._dagger_law(rep, N, op, 1e-9, table)
+    assert rep.checks_run == 4
+    assert [f.inputs for f in rep.failures] == [{"r": 0, "s": 1}, {"r": 1, "s": 0}, {"r": 1, "s": 1}]
 
 
 def _spy_builds(monkeypatch):

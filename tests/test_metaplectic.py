@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fqmrep.exactnum import CycNum, NotAUnit, decode_root, jacobi_symbol
+from fqmrep.exactnum import CycNum, NotAUnit, _exact_order, decode_root, jacobi_symbol
 from fqmrep import harness, metaplectic
 from fqmrep.harness import SuiteSpec, run_suite
 from fqmrep.heisenberg import HWParams, _gamma_support, fourier, gamma_p, p_matrix, q_matrix
@@ -14,7 +14,6 @@ from fqmrep.matrixcore import (
     BackendMismatch,
     DimMismatch,
     OpMatrix,
-    _exact_order,
     _roots,
     _row_support,
     _SupportTable,
@@ -456,6 +455,19 @@ def test_weil_odd_d_frozen():
         weil_odd_d(9, 3)
 
 
+@pytest.mark.parametrize("N", [3, 5, 7, 11, 13])
+def test_weil_odd_d_equals_the_kappa_squared_formula(N):
+    # the sign (a + a^{-1} - 2 | N) is kappa^2 (1|N) (2 - a - a^{-1} | N),
+    # and 1 at a = 1, for every unit a
+    kappa = 1.0 + 0j if N % 4 == 1 else -1j
+    for a in range(1, N):
+        arg = (2 - a - pow(a, -1, N)) % N
+        phase = 1 if a == 1 else kappa**2 * jacobi_symbol(1, N) * jacobi_symbol(arg, N)
+        want = np.zeros((N, N), dtype=complex)
+        want[a * np.arange(N) % N, np.arange(N)] = phase
+        assert (weil_odd_d(N, a).to_complex_array() == want).all(), a
+
+
 def test_weil_odd_d_realizes_inverse_dilatation():
     # The permutation delta_{l, a m} transforms the torus by
     # diag(a^{-1}, a), not diag(a, a^{-1}).
@@ -506,6 +518,23 @@ def test_weil_odd_general_identity():
         OpMatrix.identity(5, "float"),
         tol=0,
     ).equal
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 11, 13])
+def test_weil_odd_c0_is_a_phased_permutation_like_the_t_power_product(N):
+    # c = 0: one nonzero entry per column, within 1e-14 of
+    # U(D(a^{-1})) (U(S)^dagger U(ST))^{a^{-1} b}, U(T) as a product of two
+    # Gauss-sum matrices
+    uS = weil_odd_generic(N, sl2_s(N))
+    uT = uS.dagger() @ weil_odd_generic(N, sl2_s(N) * sl2_t(N))
+    triangular = [A for A in enumerate_sl2(N) if A.c == 0]
+    assert len(triangular) == N * (N - 1)
+    for A in triangular:
+        a_inv = pow(A.a, -1, N)
+        want = (weil_odd_d(N, a_inv) @ uT ** (a_inv * A.b % N)).to_complex_array()
+        got = weil_odd_general(N, A).to_complex_array()
+        assert ((got != 0).sum(axis=0) == 1).all(), A
+        assert np.abs(got - want).max() < 1e-14, A
 
 
 def test_weil_odd_general_metaplectic_exhaustive_n3():

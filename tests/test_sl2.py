@@ -160,10 +160,11 @@ def test_decompose_examples():
 
 
 def test_even_branch_sign_is_positive():
-    # The surviving inner shear exponent is +d/c in every even-d case.
-    cases = [A for A in enumerate_sl2(4) if A.d % 2 == 0]
-    cases += [A for A in sample_sl2(8, 300, seed=5) if A.d % 2 == 0]
-    assert cases
+    # The inner shear exponent is +d/c in every even-d case of SL2(Z_N),
+    # N = 4, 8, 16 (the word is validated on return): N^3/4 of them, as d
+    # even and c odd fix b.
+    cases = [A for N in (4, 8, 16) for A in enumerate_sl2(N) if A.d % 2 == 0]
+    assert len(cases) == (4**3 + 8**3 + 16**3) // 4
     for A in cases:
         word = decompose(A)
         c_inv = pow(A.c, -1, A.N)
