@@ -13,9 +13,12 @@ exponents, from the builders' support formulas: `_support_law` decides the
 exact twisted cocycle (`check_pair_law`), its dagger law as J[l] J[-l] == I
 and the exact `heisenberg` commutator law; `verify_metaplectic`'s stacked
 kernel decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic`
-and `weil-odd`.  Keys a kernel does not prove equal, and the keys of every
-other law, are compared one at a time, so a passing exact twisted run
-builds no J.  The backend picks, no option does.
+and `weil-odd`.  The exact `homomorphism` law U(A) U(B) == U(AB) is decided
+on the closed-form builders' tables (`_closed_form`), each evaluated once
+modulo a word prime (`_evaluate`), by `_phase_law`.  Keys a kernel does not
+prove equal, and the keys of every other law, are compared one at a time,
+so a passing exact twisted run builds no J and a passing exact
+homomorphism run no U.  The backend picks, no option does.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
 with n <= 3, float beyond, and a requested exact backend is never
@@ -36,9 +39,11 @@ from .heisenberg import (
     HWParams, _gamma_support, _root_scalar, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix,
 )
 from .magnetic import j_odd, j_twisted
-from .matrixcore import OpMatrix, _support_law, _SupportTable, mat_eq
+from .matrixcore import OpMatrix, _evaluate, _phase_law, _support_law, _SupportTable, mat_eq
 from .metaplectic import (
+    _closed_form,
     _j_table,
+    _odd_prime,
     u_a_closed,
     u_general,
     u_of_word,
@@ -49,6 +54,7 @@ from .metaplectic import (
 )
 from .report import VerifyReport
 from .sl2 import (
+    SL2Element,
     TooLarge,
     decompose,
     enumerate_sl2,
@@ -160,12 +166,14 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
 
     `op` is a cached builder, `phase` is (N, e) or None for the bare law,
     and `inputs(x, y)` names a failing pair.  `members` is None or
-    (table, index) for a family of phased permutations with a phase: their
-    `_SupportTable`, of root order N, and `index`, which numbers keys into
-    its rows.  With it, `pairs` must be an array of keys, and `_support_law`
-    decides a chunk of pairs on integer exponents, its key arrays given to
-    `compose`, `e` and `index`.  The pairs it leaves, and every pair without
-    a table, are compared one at a time.
+    (table, index), `index` numbering keys into the table's members; with
+    it, `pairs` must be an array of keys, and a chunk of pairs is decided at
+    once, its key arrays given to `compose`, `e` and `index`.  A family of
+    phased permutations with a phase passes its `_SupportTable` of root
+    order N, decided by `_support_law` on integer exponents; a bare law may
+    pass instead a cached table(number) -> `_Evaluation`, each pair then
+    decided by `_phase_law`.  The pairs left, and every pair without a
+    table, are compared one at a time.
     """
     N, exponent = phase or (1, None)
 
@@ -175,7 +183,11 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
 
     def stacked(x, y):
         table, index = members
-        return _support_law(table, index(x), index(y), index(compose(x, y)), exponent(x, y)), 0.0
+        left, right, out = index(x), index(y), index(compose(x, y))
+        if isinstance(table, _SupportTable):
+            return _support_law(table, left, right, out, exponent(x, y)), 0.0
+        keys = zip(left.tolist(), right.tolist(), out.tolist())
+        return np.array([_phase_law(*map(table, key)) for key in keys], dtype=bool), 0.0
 
     rep.scan(identity, pairs, compare, inputs, None if members is None else stacked)
 
@@ -197,10 +209,26 @@ def _torus_law(rep, identity, N, op, exponent, tol, table=None) -> None:
     )
 
 
-def _sl2_law(rep, pairs, op, tol) -> None:
+def _entries(elems) -> np.ndarray:
+    # SL2 elements as an array (4, count) of their entries (a, b, c, d)
+    return np.array([A.entries() for A in elems], dtype=np.int64).reshape(-1, 4).T
+
+
+def _every_pair(elems) -> np.ndarray:
+    # every pair (A, B) of elems, A-major, as an array (2, 4, count) of entries
+    E, n = _entries(elems), len(elems)
+    return np.stack((np.repeat(E, n, axis=1), np.tile(E, n)))
+
+
+def _sl2_law(rep, N, pairs, op, tol, members=None) -> None:
+    # `pairs` an array (2, 4, count) of entries; op keyed by the entries (a, b, c, d)
+    def compose(x, y):
+        return ((x[0] * y[0] + x[1] * y[2]) % N, (x[0] * y[1] + x[1] * y[3]) % N,
+                (x[2] * y[0] + x[3] * y[2]) % N, (x[2] * y[1] + x[3] * y[3]) % N)
+
     check_pair_law(
-        rep, "U(A) U(B) == U(AB)", pairs, op, lambda A, B: A * B, None,
-        lambda A, B: {"A": list(A.entries()), "B": list(B.entries())}, tol,
+        rep, "U(A) U(B) == U(AB)", pairs, op, compose, None,
+        lambda x, y: {"A": list(x), "B": list(y)}, tol, members,
     )
 
 
@@ -376,15 +404,24 @@ def _suite_homomorphism(params: dict) -> VerifyReport:
     if exhaustive:
         elems = enumerate_sl2(N)
         _guard_pairs(len(elems) ** 2)
-        pairs = ((A, B) for A in elems for B in elems)
+        pairs = _every_pair(elems)
     else:
         samples = int(params.get("samples", 500))
         rep.params["samples"] = samples
         rep.params["seed"] = seed
-        pairs = zip(sample_sl2(N, samples, seed), sample_sl2(N, samples, seed + 1))
+        pairs = np.stack((_entries(sample_sl2(N, samples, seed)),
+                          _entries(sample_sl2(N, samples, seed + 1))))
     # a sampled pair uses its U(A), U(B), U(AB) once: keep only the last few
     keep = lru_cache(maxsize=None if exhaustive else 4)
-    _sl2_law(rep, pairs, keep(lambda A: u_general(pr, A, backend)), tol)
+    element = lambda x: SL2Element._trusted(*x, N)  # noqa: E731
+    op = keep(lambda x: u_general(pr, element(x), backend))
+    members = None
+    if backend == "exact":  # the builders' tables decide; elements are numbered by their entries
+        shape = (N,) * 4
+        entries = lambda k: map(int, np.unravel_index(k, shape))  # noqa: E731
+        table = keep(lambda k: _evaluate(_closed_form(pr, element(entries(k)))[0]))
+        members = (table, lambda x: np.ravel_multi_index(x, shape))
+    _sl2_law(rep, N, pairs, op, tol, members)
     return rep
 
 
@@ -411,24 +448,24 @@ def _suite_decomposition(params: dict) -> VerifyReport:
 
 
 def _suite_weil_odd(params: dict) -> VerifyReport:
-    N = _odd_modulus(params)
+    N = _odd_prime(_odd_modulus(params))
     tol = float(params.get("tol", 1e-9))
     order = sl2_order(N)
     _guard_pairs(order * N * N)
     rep = VerifyReport("weil-odd", {"N": N})
     elems = enumerate_sl2(N)
-    mats = {A: weil_odd_general(N, A) for A in elems}
+    mats = {A.entries(): weil_odd_general(N, A) for A in elems}
     table = _j_table("weil_odd", N, None)
-    for A, U in mats.items():
+    for A in elems:
         _merge(
-            rep, verify_metaplectic(U, A, "weil_odd", tol=tol, table=table),
+            rep, verify_metaplectic(mats[A.entries()], A, "weil_odd", tol=tol, table=table),
             {"element": list(A.entries())},
         )
     run_pairs = bool(params.get("pairs", order**2 <= 20_000))
     rep.params["pairs"] = run_pairs
     if run_pairs:
         _guard_pairs(order**2)
-        _sl2_law(rep, ((A, B) for A in elems for B in elems), mats.__getitem__, tol)
+        _sl2_law(rep, N, _every_pair(elems), mats.__getitem__, tol)
     return rep
 
 

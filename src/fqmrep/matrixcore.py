@@ -226,11 +226,75 @@ class _SupportTable(NamedTuple):
     Row i of member t holds its one entry omega_order^{exps[t, i]}
     (0 <= exps < order) in column cols[t, i]; `order` is the root order N
     of the builder's support formula, whatever the backend of its matrices.
+    With 1-d `cols` and `exps` the table is one phased permutation, the
+    arguments of `OpMatrix.from_support`.
     """
 
     order: int
     cols: np.ndarray
     exps: np.ndarray
+
+
+class _PhaseTable(NamedTuple):
+    """A dense phase matrix by its formula, the dense twin of `_SupportTable`:
+    entry (i, j) is 2^{-scale_pow2} omega_order^{exps[i, j]} where mask[i, j]
+    (everywhere when mask is None) and 0 elsewhere; the arguments of
+    `OpMatrix.from_phase_table`."""
+
+    order: int
+    exps: np.ndarray
+    mask: np.ndarray | None
+    scale_pow2: int
+
+
+class _Evaluation(NamedTuple):
+    """A table's matrix X at the L roots of x^L + 1 mod the word prime p:
+    values[m] holds the centred residues of its entries at the m-th root
+    (2^{-1} taken mod p), so the dim x dim products of two evaluations are
+    their product's.  scale_pow2 is the table's, for `_phase_law`'s bound."""
+
+    p: int
+    values: np.ndarray
+    scale_pow2: int
+
+
+def _evaluate(table: _SupportTable | _PhaseTable) -> _Evaluation:
+    """Evaluate a table (a 1-d `_SupportTable` or a `_PhaseTable`) at the L
+    roots, mod the first prime of the plan `_ntt_matmul` uses at its dim:
+    omega^e goes to (zeta^{(2m+1) e})_m, the column e of [fwd, -fwd]
+    (omega^{L+k} = -omega^k), times 2^{-scale_pow2}, by one gather per entry."""
+    order = _exact_order(table.order)
+    size = basis_size(order)
+    dim = len(table.exps)
+    p, fwd, _ = _ntt_plan((max(dim, size) - 1).bit_length(), size)[0]
+    support = isinstance(table, _SupportTable)
+    scale = 0 if support else table.scale_pow2
+    roots = _reduce(np.concatenate((fwd, -fwd), axis=1) * float(pow(2, -scale, p)), p)
+    exps = table.exps * (order // table.order) % order
+    if support:
+        values = np.zeros((size, dim, dim))
+        values[:, np.arange(dim), table.cols] = roots[:, exps]
+    else:
+        values = roots.take(exps, axis=1)  # C-contiguous, which the stacked matmul wants
+        if table.mask is not None:
+            values *= table.mask
+    return _Evaluation(p, values, scale)
+
+
+def _phase_law(x: _Evaluation, y: _Evaluation, z: _Evaluation) -> bool:
+    """Whether X Y == Z, proven on evaluations mod one prime p (False: not proven).
+
+    With s the scales, X Y == Z says 2^{s_Z} X' Y' == 2^{s_X + s_Y} Z' for the
+    integral matrices X' = 2^{s_X} X etc.  Every |coefficient| of the left is at
+    most dim 2^{s_Z} and of the right 2^{s_X + s_Y}; when they sum below p,
+    equality mod p at the L roots (an isomorphism mod p, 2 being a unit) is
+    equality in Z[omega].  So the L stacked products are compared with Z's
+    evaluation; a pair past the bound is not proven.
+    """
+    p, dim = x.p, x.values.shape[1]
+    if (dim << z.scale_pow2) + (1 << (x.scale_pow2 + y.scale_pow2)) >= p:
+        return False
+    return np.array_equal(_reduce(x.values @ y.values, p), z.values)
 
 
 _LAW_BLOCK = 1 << 14  # table entries (pairs x dim) per block of `_support_law`

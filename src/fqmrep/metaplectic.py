@@ -18,13 +18,18 @@ row and j = (j1, j2) the column:
 
 The branch label in .meta keeps the older four names: d-odd-triangular,
 d-odd-reduced or d-even (c odd, by the parity of d), and d-odd-sum.
+Each branch writes its table, not a matrix (`_closed_form`): the c = 0
+support as a `_SupportTable`, the others as a `_PhaseTable(order, exps,
+mask, scale_pow2)`.  `u_general` builds the OpMatrix from it, and the
+exact `homomorphism` suite decides U(A)U(B) = U(AB) on the tables alone.
 
 Every branch agrees exactly with the product of generator images over
 the shear/dilatation word of the element, and U(A)U(B) = U(AB) holds
 exactly, so the map is a proper representation, not just projective.
 
 For odd prime N the representation lives on C^N over the plain
-magnetic translations.  c != 0 takes the generic Gauss-sum form.  c = 0,
+magnetic translations (`weil_odd_general` refuses a composite odd N with
+ValueError).  c != 0 takes the generic Gauss-sum form.  c = 0,
 A = D(a) T^{a^{-1} b}, takes the signed dilatation permutation times
 U(T)^{a^{-1} b}, where U(T) = U(S)^{-1} U(ST) is the diagonal
 omega^{-m^2/2} (the middle Gauss sum collapses): a phased permutation,
@@ -43,10 +48,10 @@ from functools import cache
 
 import numpy as np
 
-from .exactnum import NotAUnit, _exact_order, jacobi_symbol
+from .exactnum import NotAUnit, _exact_order, _is_odd_prime, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
-from .matrixcore import OpMatrix, _root_gather, _roots, _SupportTable, mat_eq
+from .matrixcore import OpMatrix, _PhaseTable, _root_gather, _roots, _SupportTable, mat_eq
 from .report import VerifyReport
 from .sl2 import SL2Element, Token, dilatation, sl2_t
 
@@ -99,9 +104,8 @@ def u_s(params: HWParams, backend: str | None = None) -> OpMatrix:
 
 def u_t_pow(params: HWParams, m: int, backend: str | None = None) -> OpMatrix:
     """Diagonal U(T)^m = diag omega^{-p m k1 k2}: the c = 0 closed form at T^m."""
-    out = _closed_triangular(params, sl2_t(params.N, m), backend)
-    out.meta = f"u_t^{m % params.N}"
-    return out
+    table = _closed_triangular(params, sl2_t(params.N, m))
+    return _table_op(params, table, backend, f"u_t^{m % params.N}")
 
 
 def u_t(params: HWParams, backend: str | None = None) -> OpMatrix:
@@ -115,9 +119,8 @@ def u_d(params: HWParams, a: int, backend: str | None = None) -> OpMatrix:
     diag(a, a^{-1}), NotAUnit unless a is a unit.  This equals the T/S word
     product over `dilatation_word`; tests pin that down rather than assuming it.
     """
-    out = _closed_triangular(params, dilatation(params.N, a), backend)
-    out.meta = f"u_d({a % params.N})"
-    return out
+    table = _closed_triangular(params, dilatation(params.N, a))
+    return _table_op(params, table, backend, f"u_d({a % params.N})")
 
 
 def u_of_word(
@@ -149,19 +152,17 @@ def u_of_word(
     return out
 
 
-def _closed_triangular(params: HWParams, A: SL2Element, backend: str | None) -> OpMatrix:
+def _closed_triangular(params: HWParams, A: SL2Element) -> _SupportTable:
     # c = 0: phased permutation (k1,k2) -> (d^{-1} k1, d^{-1} k2).
     N, p = params.N, params.p
-    backend = params.default_backend() if backend is None else backend
     _, b, _, d = A.entries()
     dinv = pow(d, -1, N)
     _, k1, k2 = _grids(N)
     cols = N * ((dinv * k1) % N) + (dinv * k2) % N
-    E = (-p * b * dinv * k1 * k2) % N
-    return OpMatrix.from_support(N, cols, E, backend=backend, meta="d-odd-triangular")
+    return _SupportTable(N, cols, (-p * b * dinv * k1 * k2) % N)
 
 
-def _closed_odd_sum(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
+def _closed_odd_sum(params: HWParams, A: SL2Element) -> _PhaseTable:
     # c even and nonzero, so d is odd: entry (k, j) sums 2^-n omega^{base(k) + p e r}
     # over the r with c' r = t (mod N), where c' = c d^{-1} = 2^v u (u odd),
     # t = d^{-1} k1 - j1 and e = j2 - d^{-1} k2.  With g = 2^v and M = N/g the
@@ -181,12 +182,10 @@ def _closed_odd_sum(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
     base = (-p * b * dinv * k1 * k2) & low
     E = (base[:, None] + p * e * r0) & low
     mask = ((t | e) & ((1 << v) - 1)) == 0  # 2^v divides t and e
-    return OpMatrix.from_phase_table(
-        N, E, mask, scale_pow2=params.n - v, backend=backend, meta="d-odd-sum"
-    )
+    return _PhaseTable(N, E, mask, params.n - v)
 
 
-def _closed_c_odd(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
+def _closed_c_odd(params: HWParams, A: SL2Element) -> _PhaseTable:
     # c odd, so 1/c exists: one phase per entry.  For odd d this is the r-sum
     # collapsed (b d^{-1} + c^{-1} d^{-1} = a c^{-1}), labelled d-odd-reduced.
     N, p = params.N, params.p
@@ -195,8 +194,29 @@ def _closed_c_odd(params: HWParams, A: SL2Element, backend: str) -> OpMatrix:
     _, k1, k2 = _grids(N)
     cross = k1[:, None] * k2 + k2[:, None] * k1  # k1 j2 + k2 j1
     E = p * (cinv * cross - a * cinv * (k1 * k2)[:, None] - d * cinv * (k1 * k2)) % N
-    meta = "d-odd-reduced" if d % 2 else "d-even"
-    return OpMatrix.from_phase_table(N, E, scale_pow2=params.n, backend=backend, meta=meta)
+    return _PhaseTable(N, E, None, params.n)
+
+
+def _closed_form(params: HWParams, A: SL2Element) -> tuple[_SupportTable | _PhaseTable, str]:
+    """U(A)'s table from the formula of its branch, and the branch's name."""
+    if not params.is_even:
+        raise BadBranch(f"closed forms need N = 2^n, got {params.N}")
+    if A.N != params.N:
+        raise BadBranch(f"element modulus {A.N} != {params.N}")
+    if A.c == 0:
+        return _closed_triangular(params, A), "d-odd-triangular"
+    if A.c % 2:
+        return _closed_c_odd(params, A), "d-odd-reduced" if A.d % 2 else "d-even"
+    return _closed_odd_sum(params, A), "d-odd-sum"
+
+
+def _table_op(
+    params: HWParams, table: _SupportTable | _PhaseTable, backend: str | None, meta: str
+) -> OpMatrix:
+    # the matrix a builder's table describes
+    backend = params.default_backend() if backend is None else backend
+    build = OpMatrix.from_support if isinstance(table, _SupportTable) else OpMatrix.from_phase_table
+    return build(*table, backend=backend, meta=meta)
 
 
 def u_a_closed(params: HWParams, A: SL2Element, backend: str | None = None) -> OpMatrix:
@@ -205,18 +225,11 @@ def u_a_closed(params: HWParams, A: SL2Element, backend: str | None = None) -> O
     c = 0 gives the phased permutation k -> d^{-1} k (d-odd-triangular);
     odd c the single-phase table 2^{-n} omega^{p(-a k1 k2 + k1 j2 + k2 j1
     - d j1 j2)/c} (d-odd-reduced or d-even by the parity of d); any other c
-    (d is odd then) the r-sum closed per entry (d-odd-sum).
+    (d is odd then) the r-sum closed per entry (d-odd-sum).  Each branch
+    writes its table (`_closed_form`), and the matrix is built from it.
     """
-    if not params.is_even:
-        raise BadBranch(f"closed forms need N = 2^n, got {params.N}")
-    if A.N != params.N:
-        raise BadBranch(f"element modulus {A.N} != {params.N}")
-    backend = params.default_backend() if backend is None else backend
-    if A.c == 0:
-        return _closed_triangular(params, A, backend)
-    if A.c % 2:
-        return _closed_c_odd(params, A, backend)
-    return _closed_odd_sum(params, A, backend)
+    table, branch = _closed_form(params, A)
+    return _table_op(params, table, backend, branch)
 
 
 def u_general(params: HWParams, A: SL2Element, backend: str | None = None) -> OpMatrix:
@@ -270,14 +283,22 @@ def weil_odd_generic(N: int, A: SL2Element) -> OpMatrix:
     return OpMatrix.from_complex(pref * _roots(N)[expo], meta="weil_odd_generic")
 
 
+def _odd_prime(N: int) -> int:
+    # the Weil family's modulus: a composite odd N has no Weil operators here
+    if not _is_odd_prime(N):
+        raise ValueError(f"N must be an odd prime, got {N}")
+    return N
+
+
 def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
-    """Total map on SL2(Z_N), N odd prime; exact homomorphism.
+    """Total map on SL2(Z_N), N odd prime (ValueError otherwise); exact homomorphism.
 
     c = 0 means A = D(a) T^{a^{-1} b}; the dilatation factor is the
     permutation with argument a^{-1} (see module docstring) and U(T) is
     the diagonal omega^{-m^2/2} of the generic family's gauge, so column
     m of the permutation is multiplied by omega^{-a^{-1} b m^2/2}.
     """
+    _odd_prime(N)
     a, b, c, _ = A.entries()
     if c % N != 0:
         return weil_odd_generic(N, A)

@@ -107,6 +107,17 @@ def test_criterion_04_exactness():
     _done("criterion 4 exactness", t0, 300)
 
 
+def test_exact_homomorphism_mod16_within_budget():
+    # U(A)U(B) == U(AB) exactly at N = 16 (dim 256) on 100 seeded pairs,
+    # decided on the builders' tables; 2.3-2.6 s measured on a 2-vCPU box
+    t0 = time.perf_counter()
+    rep = run_suite(SuiteSpec("homomorphism", {"N": 16, "samples": 100, "backend": "exact"}))
+    assert rep.passed
+    assert rep.checks_run == 100
+    assert rep.max_abs_deviation == 0.0
+    _done("exact homomorphism N = 16", t0, 10)
+
+
 def test_criterion_05_decomposition_consistency():
     # closed forms equal generator-word products; the even-d branch
     # raises unless exactly one sign candidate reproduces A, so a

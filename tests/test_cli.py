@@ -65,6 +65,18 @@ def test_too_large_exits_two(capsys):
     assert "exceed" in capsys.readouterr().err
 
 
+def test_weil_odd_refuses_a_composite_modulus(capsys):
+    # N = 9 is odd but not prime: the Weil family has no operators there,
+    # while the odd cocycle's law holds at any odd N
+    assert main(["verify", "--suite", "weil-odd", "--N", "9"]) == 2
+    assert "N must be an odd prime, got 9" in capsys.readouterr().err
+    argv = ["export", "--format", "json", "--kind", "weil-odd", "--N", "9", "--elem", "4,0,0,7"]
+    assert main(argv) == 2
+    assert "N must be an odd prime, got 9" in capsys.readouterr().err
+    assert main(["verify", "--suite", "cocycle-odd", "--N", "9"]) == 0
+    capsys.readouterr()
+
+
 def test_verify_out_file_bytes_stable(tmp_path, capsys):
     target = tmp_path / "report.json"
     args = ["verify", "--suite", "decomposition", "--n", "2",

@@ -8,7 +8,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from fqmrep import harness, heisenberg, magnetic, metaplectic, report
+from fqmrep import harness, heisenberg, magnetic, matrixcore, metaplectic, report
 from fqmrep.exactnum import CycNum
 from fqmrep.harness import (
     SUITE_NAMES,
@@ -22,7 +22,7 @@ from fqmrep.heisenberg import HWParams, p_matrix, q_matrix
 from fqmrep.matrixcore import OpMatrix, mat_eq
 from fqmrep.metaplectic import u_general
 from fqmrep.report import VerifyReport
-from fqmrep.sl2 import SL2Element, sl2_s
+from fqmrep.sl2 import SL2Element, enumerate_sl2, sl2_s
 
 
 def test_unknown_suite_rejected():
@@ -73,6 +73,100 @@ def test_sampled_homomorphism_keeps_few_operators_alive(monkeypatch):
     assert rep.passed and rep.params["mode"] == "sampled"
     assert len(refs) > 100
     assert max(alive) <= 4
+
+
+def test_sampled_exact_homomorphism_keeps_few_tables_alive(monkeypatch):
+    # a passing exact run decides every pair on the builders' evaluated
+    # tables: at most 4 stay cached (each tracked by a weak reference to its
+    # values), and no dense product or exact matrix is made
+    refs, alive, builds = [], [], []
+
+    def evaluate(table):
+        alive.append(sum(r() is not None for r in refs))
+        out = real(table)
+        refs.append(weakref.ref(out.values))
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path on a passing run")
+
+    def init(self, *args, **kwargs):
+        builds.append(args)
+        real_init(self, *args, **kwargs)
+
+    real, real_init = harness._evaluate, OpMatrix.__init__
+    monkeypatch.setattr(harness, "_evaluate", evaluate)
+    monkeypatch.setattr(harness, "u_general", refuse)
+    monkeypatch.setattr(matrixcore, "_ntt_matmul", refuse)
+    monkeypatch.setattr(OpMatrix, "__init__", init)
+    rep = run_suite(SuiteSpec("homomorphism", {"N": 8, "samples": 50}))
+    assert rep.passed and rep.params["backend"] == "exact" and rep.params["mode"] == "sampled"
+    assert rep.max_abs_deviation == 0.0
+    assert len(refs) > 100
+    assert max(alive) <= 4
+    assert builds == []
+
+
+def _perturb_closed_form(monkeypatch, flaw):
+    """Patch the c odd and d-odd-sum builders, whose tables both the pair
+    kernel and u_general read: entry (0, 1) of every d-even table moves its
+    exponent by 1, or bit (1, 0) of every d-odd-sum mask flips."""
+    if flaw == "exponent":
+        real = metaplectic._closed_c_odd
+
+        def perturbed(pr, A):
+            table = real(pr, A)
+            if A.d % 2 == 0:
+                table.exps[0, 1] = (table.exps[0, 1] + 1) % table.order
+            return table
+
+        monkeypatch.setattr(metaplectic, "_closed_c_odd", perturbed)
+    else:
+        real = metaplectic._closed_odd_sum
+
+        def perturbed(pr, A):
+            table = real(pr, A)
+            table.mask[1, 0] = not table.mask[1, 0]
+            return table
+
+        monkeypatch.setattr(metaplectic, "_closed_odd_sum", perturbed)
+
+
+@pytest.mark.parametrize("flaw", ["exponent", "mask"])
+@pytest.mark.parametrize("params", [{"N": 2}, {"N": 4, "p": 3}, {"N": 8, "samples": 40},
+                                    {"N": 16, "samples": 3, "backend": "exact"}])
+def test_perturbed_builder_fails_like_the_per_pair_loop(flaw, params, monkeypatch):
+    # every pair the kernel leaves goes to the dense per-pair compare, so the
+    # failures and the deviation are the dense loop's
+    _perturb_closed_form(monkeypatch, flaw)
+    want = json.loads(_reference_json(monkeypatch, "homomorphism", params))
+    got = json.loads(run_suite(SuiteSpec("homomorphism", params)).to_json())
+    assert got == want
+    if params["N"] > 2 or flaw == "exponent":  # SL2(Z_2) has no d-odd-sum element
+        assert got["failures"] and got["max_abs_deviation"] > 0.0
+
+
+def test_pairs_the_kernel_leaves_are_compared_densely(monkeypatch):
+    # a kernel that proves every other pair only: the others are built and
+    # multiplied densely, and the report is unchanged
+    params = {"N": 4, "p": 3}
+    want = run_suite(SuiteSpec("homomorphism", params)).to_json()
+    verdicts, builds = [], []
+    real_law, real_build = harness._phase_law, harness.u_general
+
+    def law(x, y, z):
+        verdicts.append(real_law(x, y, z) and len(verdicts) % 2 == 0)
+        return verdicts[-1]
+
+    def build(*args):
+        builds.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(harness, "_phase_law", law)
+    monkeypatch.setattr(harness, "u_general", build)
+    assert run_suite(SuiteSpec("homomorphism", params)).to_json() == want
+    assert verdicts.count(False) == 2304 // 2
+    assert {A for _, A, _ in builds} == {A for A in enumerate_sl2(4)}
 
 
 def test_metaplectic_count_is_two_conjugations_per_point():

@@ -346,7 +346,8 @@ def _support_cases(family, backend):
                         dinv = pow(A.d, -1, N)
                         E, mask = table(N * N, N * ((dinv * k1) % N) + (dinv * k2) % N,
                                         (-p * A.b * dinv * k1 * k2) % N)
-                        yield metaplectic._closed_triangular(pr, A, backend), N, E, mask, 0
+                        support = metaplectic._closed_triangular(pr, A)
+                        yield OpMatrix.from_support(*support, backend=backend), N, E, mask, 0
     elif family in ("pi_shift", "chirp", "Gamma(T)") and backend == "float":
         for N in range(2, 9):
             k = np.arange(N)

@@ -1,6 +1,7 @@
 """Tests for the metaplectic representations, twisted and odd-prime."""
 
 import itertools
+from functools import cache
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from fqmrep.matrixcore import (
     BackendMismatch,
     DimMismatch,
     OpMatrix,
+    _evaluate,
+    _phase_law,
+    _PhaseTable,
     _roots,
     _row_support,
     _SupportTable,
@@ -251,6 +255,11 @@ def _reduced_table(params, A, backend):
     return OpMatrix.from_phase_table(N, E, scale_pow2=params.n, backend=backend)
 
 
+def _sum_op(params, A, backend):
+    # the matrix of the d-odd-sum table, which the builder returns
+    return OpMatrix.from_phase_table(*_closed_odd_sum(params, A), backend=backend)
+
+
 def _same_bits(x, y):
     if x.backend == "exact":
         return (x.order, x.scale_log2) == (y.order, y.scale_log2) and np.array_equal(
@@ -275,13 +284,13 @@ def test_c_odd_table_equals_the_reduced_table_for_odd_d(backend):
         hit += 1
         got = u_a_closed(params, A, backend)
         assert _same_bits(got, _reduced_table(params, A, backend))
-        assert _same_bits(got, _closed_odd_sum(params, A, backend))
+        assert _same_bits(got, _sum_op(params, A, backend))
         assert u_general(params, A, backend).meta.endswith("[d-odd-reduced]")
     assert hit > 100
 
 
 def _assert_closed_sum_matches(params, A):
-    got, ref = _closed_odd_sum(params, A, "exact"), _r_sum_reference(params, A, "exact")
+    got, ref = _sum_op(params, A, "exact"), _r_sum_reference(params, A, "exact")
     assert mat_eq(got, ref).equal and got.scale_log2 == ref.scale_log2
     assert u_general(params, A).meta.endswith("[d-odd-sum]")
 
@@ -295,7 +304,7 @@ def test_closed_sum_matches_r_sum_exhaustive(N):
             if _branch_of(A) == "d-odd-sum":
                 hit += 1
                 _assert_closed_sum_matches(params, A)
-                got = _closed_odd_sum(params, A, "float").to_complex_array()
+                got = _sum_op(params, A, "float").to_complex_array()
                 ref = _r_sum_reference(params, A, "float").to_complex_array()
                 assert np.abs(got - ref).max() < 1e-12
     assert hit > 0
@@ -309,7 +318,7 @@ def test_closed_sum_matches_r_sum_mod16(p):
     for A in elems[:100]:  # 200 elements over the two values of p
         _assert_closed_sum_matches(params, A)
     for A in elems[:5]:
-        got = _closed_odd_sum(params, A, "float").to_complex_array()
+        got = _sum_op(params, A, "float").to_complex_array()
         ref = _r_sum_reference(params, A, "float").to_complex_array()
         assert np.abs(got - ref).max() < 1e-12
 
@@ -510,6 +519,16 @@ def test_weil_odd_root_table_matches_the_exp_formula(N):
         expo = (-(a * l * l + d * m * m - 2 * l * m) * pow(2 * c, -1, N)) % N
         want = pref * np.exp(2j * np.pi * expo / N)
         assert np.array_equal(weil_odd_generic(N, A).data.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("N", [9, 15, 21])
+def test_weil_odd_general_refuses_a_composite_modulus(N):
+    # c = 0 and c != 0 alike, before any builder divides by a non-unit
+    for A in (SL2Element(1, 0, 0, 1, N), dilatation(N, 2), sl2_s(N)):
+        with pytest.raises(ValueError, match=f"N must be an odd prime, got {N}"):
+            weil_odd_general(N, A)
+    with pytest.raises(ValueError, match=f"N must be an odd prime, got {N}"):
+        run_suite(SuiteSpec("weil-odd", {"N": N}))
 
 
 def test_weil_odd_general_identity():
@@ -824,3 +843,88 @@ def test_gamma_table_equals_the_builders(backend):
             assert table.cols.shape == table.exps.shape == (N**3, N)
             for t, (m, r, s) in enumerate(np.ndindex(N, N, N)):
                 _assert_table_row(table, t, gamma_p(pr, m, r, s, backend), backend)
+
+
+# -- U(A) U(B) == U(AB) on the builders' tables -------------------------------
+
+
+def _kernel_cases(N):
+    # all of SL2(Z_N) at every odd p for N <= 4 (p = 1 only at N = 2); seeded
+    # sampled pairs at N = 8 (300) and N = 16 (30)
+    if N <= 4:
+        elems = enumerate_sl2(N)
+        return [(HWParams(N, p), A, B) for p in range(1, N, 2) for A in elems for B in elems]
+    count = 300 if N == 8 else 30
+    pairs = zip(sample_sl2(N, count, N), sample_sl2(N, count, N + 1))
+    return [(HWParams(N), A, B) for A, B in pairs]
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 16])
+def test_phase_law_agrees_with_the_dense_product(N):
+    # against U(AB), and against U(BA) as well: dense mat_eq finds the pairs
+    # that do not commute unequal, and the kernel must say the same, pair by pair
+    U = cache(lambda pr, X: u_general(pr, X))
+    table = cache(lambda pr, X: _evaluate(metaplectic._closed_form(pr, X)[0]))
+    verdicts = []
+    for pr, A, B in _kernel_cases(N):
+        product = U(pr, A) @ U(pr, B)
+        for C in (A * B, B * A):
+            dense = mat_eq(product, U(pr, C)).equal
+            assert _phase_law(table(pr, A), table(pr, B), table(pr, C)) == dense, (pr, A, B, C)
+            verdicts.append(dense)
+    assert all(verdicts[::2]) and not all(verdicts[1::2])
+
+
+def _flaw(table, flaw, rng):
+    # one entry's exponent moved where the mask keeps it, one mask bit
+    # flipped, or the scale off by one
+    if flaw == "scale":
+        return table._replace(scale_pow2=table.scale_pow2 + int(rng.choice([-1, 1])))
+    mask = np.ones(table.exps.shape, dtype=bool) if table.mask is None else table.mask.copy()
+    if flaw == "mask":
+        i, j = rng.integers(0, len(mask), 2)
+        mask[i, j] = not mask[i, j]
+        return table._replace(mask=mask)
+    i, j = np.argwhere(mask)[rng.integers(0, mask.sum())]
+    exps = table.exps.copy()
+    exps[i, j] = (exps[i, j] + rng.integers(1, table.order)) % table.order
+    return table._replace(exps=exps)
+
+
+@pytest.mark.parametrize("flaw", ["exponent", "mask", "scale"])
+def test_phase_law_finds_a_flawed_table_unequal_like_the_dense_product(flaw):
+    # pairs at N = 8 whose three tables are dense; each flaw goes into one of
+    # U(A), U(B), U(AB) in turn, and both the kernel and mat_eq of the dense
+    # product reject it
+    rng = np.random.default_rng(37)
+    pr, hit = HWParams(8, 3), 0
+    for A, B in zip(sample_sl2(8, 40, 370), sample_sl2(8, 40, 371)):
+        tables = [metaplectic._closed_form(pr, X)[0] for X in (A, B, A * B)]
+        if not all(isinstance(t, _PhaseTable) for t in tables):
+            continue
+        hit += 1
+        for k in range(3):
+            flawed = list(tables)
+            flawed[k] = _flaw(tables[k], flaw, rng)
+            X, Y, Z = (OpMatrix.from_phase_table(*t, backend="exact") for t in flawed)
+            assert not mat_eq(X @ Y, Z).equal
+            assert not _phase_law(*map(_evaluate, flawed))
+    assert hit >= 10
+
+
+def test_phase_law_proves_nothing_past_its_bound():
+    # (2^-k X)(2^-k Y) == 2^-2k Z holds for every k, but once dim 2^{s_Z} +
+    # 2^{s_X + s_Y} reaches the word prime the kernel leaves it undecided
+    pr = HWParams(16)
+    for A, B in zip(sample_sl2(16, 40, 160), sample_sl2(16, 40, 161)):
+        tables = [metaplectic._closed_form(pr, X)[0] for X in (A, B, A * B)]
+        if all(isinstance(t, _PhaseTable) for t in tables):
+            break
+    p = _evaluate(tables[0]).p
+    big = (p.bit_length() + 1) // 2
+
+    def proves(k):
+        raised = [t._replace(scale_pow2=t.scale_pow2 + m * k) for t, m in zip(tables, (1, 1, 2))]
+        return _phase_law(*map(_evaluate, raised))
+
+    assert [proves(k) for k in (0, 1, 4, big)] == [True, True, True, False]
