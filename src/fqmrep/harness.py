@@ -504,7 +504,7 @@ def _suite_quadratic_module(params: dict) -> VerifyReport:
 
 
 def _suite_feichtinger_defect(params: dict) -> VerifyReport:
-    N = int(params.get("N") or 0)
+    N = 2 ** int(params["n"]) if params.get("n") is not None else int(params.get("N") or 0)
     if N < 2:
         raise ValueError("suite needs N >= 2")
     tol = float(params.get("tol", 1e-9))

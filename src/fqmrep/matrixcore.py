@@ -14,13 +14,13 @@ guard, when the left operand has exactly one nonzero entry per row, or
 the right one exactly one per column (Q, P, J_{r,s}, U(T)^m, the c = 0
 metaplectic branch), the product is a gather of the other operand plus
 one batched integer matmul with the regular matrices of those entries,
-O(dim^2 L^2).  Any other pair is a multi-modular negacyclic product:
-modulo word primes p = 1 (mod 2L), x^L + 1 splits into L linear factors,
-so both operands are evaluated at the L odd powers of a primitive 2L-th
-root of unity, multiplied as L stacked dim x dim float64 products on
-centred residues (every value stays below 2^51, so BLAS is exact),
-interpolated back and lifted from the residues (Garner's mixed radix
-when one prime is not enough).  Rescaling and products check int64
+O(dim^2 L^2).  Any other pair whose product coefficients stay below p/2
+is a negacyclic NTT product: modulo one word prime p = 1 (mod 2L),
+x^L + 1 splits into L linear factors, so both operands are evaluated at
+the L odd powers of a primitive 2L-th root of unity, multiplied as L
+stacked dim x dim float64 products on centred residues (every value
+stays below 2^51, so BLAS is exact) and interpolated back; past p/2 the
+object-dtype path takes over.  Rescaling and products check int64
 headroom and raise `ExactOverflow` rather than wrap.
 """
 
@@ -59,9 +59,6 @@ __all__ = [
 
 _FLOAT_EXACT_BOUND = 2**52
 _INT64_BOUND = 2**63
-# three word primes below this multiply to less than 2^63, so Garner's
-# reconstruction stays in int64
-_WORD_PRIME_CAP = 2**21
 
 
 class DimMismatch(ValueError):
@@ -152,64 +149,46 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ntt_plan(span_log2: int, size: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """Three word primes p = 1 (mod 2 size), largest first, with their tables.
+def _ntt_plan(span_log2: int, size: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The largest prime p = 1 (mod 2 size) with 2^span_log2 ((p - 1)/2)^2 < 2^51,
+    and its tables (p < 2^26 at every span_log2 >= 1).
 
     Every float64 operand is a centred residue, |r| <= (p - 1)/2, so a dot
-    product of at most 2^span_log2 terms stays below
-    2^span_log2 ((p - 1)/2)^2 < 2^51, exact and fit for `_reduce`.
-    For each p: fwd[m, k] = zeta^{(2m+1) k} evaluates a coefficient vector at
-    the L odd powers of a primitive 2L-th root zeta (the roots of x^L + 1),
-    and inv[k, m] = L^{-1} zeta^{-(2m+1) k} interpolates back.
+    product of at most 2^span_log2 terms stays exact and fit for `_reduce`.
+    fwd[m, k] = zeta^{(2m+1) k} evaluates a coefficient vector at the L odd
+    powers of a primitive 2L-th root zeta (the roots of x^L + 1), and
+    inv[k, m] = L^{-1} zeta^{-(2m+1) k} interpolates back.
     """
-    half = math.isqrt((2**51 - 1) >> span_log2)
     step = 2 * size
-    plan = []
-    p = (min(2 * half + 1, _WORD_PRIME_CAP - 1) - 1) // step * step + 1
-    while len(plan) < 3 and p > step:
-        if _is_odd_prime(p):
-            # zeta = x^((p-1)/2L) has order 2L exactly when zeta^L = -1
-            zeta = next(
-                z for z in (pow(x, (p - 1) // step, p) for x in range(2, p))
-                if pow(z, size, p) == p - 1
-            )
-            odd_k = (2 * np.arange(size)[:, None] + 1) * np.arange(size)[None, :]
-            powers = np.array([pow(zeta, e, p) for e in range(step)], dtype=np.float64)
-            fwd = _reduce(powers[odd_k % step], p)
-            inv = _reduce((powers * pow(size, -1, p) % p)[-odd_k.T % step], p)
-            plan.append((p, fwd, inv))
+    p = 2 * math.isqrt((2**51 - 1) >> span_log2) // step * step + 1
+    while not _is_odd_prime(p):
         p -= step
-    if math.prod(q for q, _, _ in plan) <= 2**53:
-        raise ExactOverflow(f"three word primes cannot cover 2^53 at span 2^{span_log2}")
-    return tuple(plan)
+    # zeta = x^((p-1)/2L) has order 2L exactly when zeta^L = -1
+    zeta = next(
+        z for z in (pow(x, (p - 1) // step, p) for x in range(2, p)) if pow(z, size, p) == p - 1
+    )
+    odd_k = (2 * np.arange(size)[:, None] + 1) * np.arange(size)[None, :]
+    powers = np.array([pow(zeta, e, p) for e in range(step)], dtype=np.float64)
+    fwd = _reduce(powers[odd_k % step], p)
+    inv = _reduce((powers * pow(size, -1, p) % p)[-odd_k.T % step], p)
+    return p, fwd, inv
 
 
-def _ntt_matmul(a: np.ndarray, b: np.ndarray, amax: int, bmax: int) -> np.ndarray:
-    """a @ b over Z[x]/(x^L + 1) for (dim, dim, L) coefficient tensors with
-    |a| <= amax, |b| <= bmax and bound = amax bmax dim L < 2^52, which bounds
-    every |coefficient| of the product.  So |a|, |b| < 2^50 unless the other
-    operand is zero (then any finite residues multiply to the right answer, 0).
+def _ntt_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over Z[x]/(x^L + 1) for (dim, dim, L) coefficient tensors, as
+    centred residues mod the plan's prime p: exact when every |coefficient| of
+    the product is below p/2, which the caller checks.  Then |a|, |b| < p/2 are
+    residues already, unless the other operand is zero (then any finite values
+    multiply to the right answer, 0).
     """
     d, _, size = a.shape
     n = d * d
-    bound = amax * bmax * d * size
+    p, fwd, inv = _ntt_plan((max(d, size) - 1).bit_length(), size)
     cols = np.concatenate((a.reshape(n, size), b.reshape(n, size)), dtype=np.float64).T
-    x = modulus = None
-    for p, fwd, inv in _ntt_plan((max(d, size) - 1).bit_length(), size):
-        # both operands at the L roots (coefficients within (p-1)/2 are
-        # residues already), then L stacked dim x dim products
-        ev = _reduce(fwd @ (_reduce(cols, p) if max(amax, bmax) > p // 2 else cols), p)
-        prod = _reduce(ev[:, :n].reshape(size, d, d) @ ev[:, n:].reshape(size, d, d), p)
-        r = _reduce(inv @ prod.reshape(size, n), p).astype(np.int64)
-        if x is None:
-            x, modulus = r, p
-        else:  # Garner: x = r (mod p), keeping x centred mod the earlier primes
-            x += modulus * ((r - x) % p * pow(modulus, -1, p) % p)
-            modulus *= p
-            x -= modulus * (x > modulus // 2)
-        if modulus > 2 * bound:  # the plan's three primes always get here
-            break
-    return x.T.reshape(d, d, size)
+    # both operands at the L roots, then L stacked dim x dim products
+    ev = _reduce(fwd @ cols, p)
+    prod = _reduce(ev[:, :n].reshape(size, d, d) @ ev[:, n:].reshape(size, d, d), p)
+    return _reduce(inv @ prod.reshape(size, n), p).astype(np.int64).T.reshape(d, d, size)
 
 
 @lru_cache(maxsize=None)
@@ -260,15 +239,16 @@ class _Evaluation(NamedTuple):
 
 def _evaluate(table: _SupportTable | _PhaseTable) -> _Evaluation:
     """Evaluate a table (a 1-d `_SupportTable` or a `_PhaseTable`) at the L
-    roots, mod the first prime of the plan `_ntt_matmul` uses at its dim:
+    roots, mod the prime of the plan `_ntt_matmul` uses at its dim:
     omega^e goes to (zeta^{(2m+1) e})_m, the column e of [fwd, -fwd]
     (omega^{L+k} = -omega^k), times 2^{-scale_pow2}, by one gather per entry."""
     order = _exact_order(table.order)
     size = basis_size(order)
     dim = len(table.exps)
-    p, fwd, _ = _ntt_plan((max(dim, size) - 1).bit_length(), size)[0]
+    p, fwd, _ = _ntt_plan((max(dim, size) - 1).bit_length(), size)
     support = isinstance(table, _SupportTable)
     scale = 0 if support else table.scale_pow2
+    # |fwd| <= (p - 1)/2 times 2^{-s} mod p < p stays below p^2/2 < 2^51 (p < 2^26)
     roots = _reduce(np.concatenate((fwd, -fwd), axis=1) * float(pow(2, -scale, p)), p)
     exps = table.exps * (order // table.order) % order
     if support:
@@ -490,20 +470,20 @@ class OpMatrix:
         right = None if left else _row_support(b.coeffs.transpose(1, 0, 2))
         amax = left[2] if left else _top(a.coeffs)
         bmax = right[2] if right else _top(b.coeffs)
-        fits = amax * bmax * d * size < _FLOAT_EXACT_BOUND
-        if fits and left:
+        bound = amax * bmax * d * size
+        if bound < _FLOAT_EXACT_BOUND and left:
             coeffs = _monomial_matmul(left, b.coeffs)
-        elif fits and right:
+        elif bound < _FLOAT_EXACT_BOUND and right:
             # (a b)^T = b^T a^T entrywise, the ring being commutative
             coeffs = _monomial_matmul(right, a.coeffs.transpose(1, 0, 2)).transpose(1, 0, 2)
-        elif fits:
-            coeffs = _ntt_matmul(a.coeffs, b.coeffs, amax, bmax)
-        else:  # exactness guard tripped: the regular matrices of a, in object ints
+        elif 2 * bound < _ntt_plan((max(d, size) - 1).bit_length(), size)[0]:
+            coeffs = _ntt_matmul(a.coeffs, b.coeffs)
+        else:  # past the prime or the guard: the regular matrices of a, in object ints
             emb = _regular(a.coeffs.astype(object)).transpose(0, 2, 1, 3)
             emb = emb.reshape(d * size, d * size)
-            bcols = b.coeffs.transpose(0, 2, 1).reshape(d * size, d)
-            out = np.dot(emb, bcols.astype(object)).astype(np.int64)
-            coeffs = out.reshape(d, size, d).transpose(0, 2, 1)
+            out = np.dot(emb, b.coeffs.transpose(0, 2, 1).reshape(d * size, d).astype(object))
+            _checked(_top(out), "dense product")
+            coeffs = out.astype(np.int64).reshape(d, size, d).transpose(0, 2, 1)
         return OpMatrix(
             d,
             "exact",

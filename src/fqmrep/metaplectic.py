@@ -248,7 +248,8 @@ def _kappa(N: int) -> complex:
 
 
 def weil_odd_s(N: int) -> OpMatrix:
-    """U(S)_{l,m} = (-1)^N i^t N^{-1/2} omega^{lm} (t = 0 or 1 by N mod 4)."""
+    """The printed S matrix (-1)^N i^t N^{-1/2} omega^{lm} (t = 0 or 1 by N mod 4): (-1)^N
+    is -1 at odd N, so it is -(2|N) weil_odd_general(N, S), not the image of S."""
     t = 0 if N % 4 == 1 else 1
     l, m = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
     data = (-1) ** N * 1j**t / np.sqrt(N) * _roots(N)[l * m % N]

@@ -65,6 +65,14 @@ def test_too_large_exits_two(capsys):
     assert "exceed" in capsys.readouterr().err
 
 
+def test_feichtinger_defect_reads_n_as_a_power_of_two(capsys):
+    # --n gives N = 2^n for this suite too: the report bytes of --N 4
+    assert main(["verify", "--suite", "feichtinger-defect", "--n", "2"]) == 0
+    by_n = capsys.readouterr().out
+    assert main(["verify", "--suite", "feichtinger-defect", "--N", "4"]) == 0
+    assert by_n == capsys.readouterr().out
+
+
 def test_weil_odd_refuses_a_composite_modulus(capsys):
     # N = 9 is odd but not prime: the Weil family has no operators there,
     # while the odd cocycle's law holds at any odd N

@@ -259,6 +259,40 @@ def test_decomposition_sampled():
     assert rep.checks_run == 40
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_word_prime_holds_every_library_product(n):
+    # the builders' operators have |coefficient| <= 1, so a dense product at
+    # dim N^2 and L basis coefficients has its coefficients below dim L < p/2
+    N = 2**n
+    dim, size = N * N, max(N, 8) // 2
+    assert 2 * dim * size < matrixcore._ntt_plan((max(dim, size) - 1).bit_length(), size)[0]
+
+
+@pytest.mark.parametrize("name,params", [("decomposition", {"n": 3, "samples": 200}),
+                                         ("heisenberg", {"n": 3})])
+def test_dense_exact_products_stay_within_one_prime(name, params, monkeypatch):
+    # every dense exact product of a suite run has operands with
+    # |coefficient| <= 1, and the object path (the only caller of the
+    # regular representation on Python ints) never runs
+    tops, objects = [], []
+
+    def ntt(a, b):
+        tops.append(max(np.abs(a).max(), np.abs(b).max()))
+        return real_ntt(a, b)
+
+    def regular(coeffs):
+        objects.append(coeffs.dtype == object)
+        return real_regular(coeffs)
+
+    real_ntt, real_regular = matrixcore._ntt_matmul, matrixcore._regular
+    monkeypatch.setattr(matrixcore, "_ntt_matmul", ntt)
+    monkeypatch.setattr(matrixcore, "_regular", regular)
+    rep = run_suite(SuiteSpec(name, params))
+    assert rep.passed and rep.params["backend"] == "exact"
+    assert tops and max(tops) <= 1
+    assert not any(objects)
+
+
 def test_quadratic_module_defects_vanish():
     rep = run_suite(SuiteSpec("quadratic-module", {"n": 2}))
     assert rep.passed

@@ -582,6 +582,13 @@ def test_products_raise_instead_of_wrapping():
         m.scalar_mul(CycNum(8, (1 << 22, 1 << 22, 1, 0), 0))
     with pytest.raises(ExactOverflow):
         kron(m, m)
+    # a dense pair past the prime takes the object path, whose int64 cast
+    # must raise ExactOverflow too, not OverflowError
+    c = np.zeros((2, 2, 4), dtype=np.int64)
+    c[..., 0] = 2**40 + 1
+    dense = OpMatrix(2, "exact", coeffs=c)
+    with pytest.raises(ExactOverflow):
+        dense @ dense
 
 
 # -- multi-modular (NTT) dense product ---------------------------------------------
@@ -653,40 +660,40 @@ def _plan(dim, size):
     return matrixcore._ntt_plan((max(dim, size) - 1).bit_length(), size)
 
 
-def _thresholds(dim, size):
-    """(target, over) pairs: bounds just under each prime-count threshold
-    (over False) and just over it (over True), all below 2^52."""
-    primes = [p for p, _, _ in _plan(dim, size)]
-    out = [(2**52 - 1, False)]
-    for k in (1, 2, 3):
-        cover = math.prod(primes[:k])
-        # the 3-prime threshold lies past the 2^52 guard
-        out += [(t, over) for t, over in (((cover - 1) // 2, False), ((cover + 1) // 2, True))
-                if t < 2**51]
-    return out
-
-
 @pytest.mark.parametrize("size", [4, 8])
 @pytest.mark.parametrize("dim", [4, 16, 64, 256])
-def test_ntt_kernel_at_prime_thresholds(dim, size):
+def test_ntt_kernel_at_prime_thresholds(dim, size, ntt_calls):
+    # one word prime p: a product bound just under p/2 goes through the
+    # kernel, just over it through the object path (checked at dim <= 16 only,
+    # as the object path is slow), and both equal the embedding oracle
+    p = _plan(dim, size)[0]
     rng = np.random.default_rng(dim * size)
-    for target, over in _thresholds(dim, size):
+    unit = dim * size
+    for over in (False, True) if dim <= 16 else (False,):
+        target = (p + 1) // 2 if over else (p - 1) // 2
         # constant tensors reach |coefficient| = amax bmax dim L in slot L - 1;
         # the skewed split puts nearly all of the bound on one operand
-        balanced = max(1, math.isqrt(target // (dim * size)))
-        for amax in (balanced, max(1, target // (dim * size))):
-            ceil = -(-target // (amax * dim * size))
-            bmax = max(1, ceil if over else target // (amax * dim * size))
-            bound = amax * bmax * dim * size
-            assert bound < 2**52 and (bound >= target if over else bound <= target)
-            cases = [(np.full((dim, dim, size), amax), np.full((dim, dim, size), -bmax))]
-            if amax == balanced:
-                cases.append((rng.integers(-amax, amax + 1, (dim, dim, size)),
-                              rng.integers(-bmax, bmax + 1, (dim, dim, size))))
-            for a, b in cases:
-                got = matrixcore._ntt_matmul(a, b, amax, bmax)
-                assert np.array_equal(got, _embedding_product(a, b)), (target, amax, bmax)
-            assert np.abs(matrixcore._ntt_matmul(*cases[0], amax, bmax)).max() == bound
+        for amax in (max(1, math.isqrt(target // unit)), max(1, target // unit)):
+            bmax = -(-target // (amax * unit)) if over else target // (amax * unit)
+            if over:  # odd, so that no factor of two is stripped into the scale
+                amax, bmax = amax | 1, bmax | 1
+            bound = amax * bmax * unit
+            assert 2 * bound > p if over else 2 * bound < p
+            shape = (dim, dim, size)
+            const = np.full(shape, amax), np.full(shape, -bmax)
+            rand = rng.integers(-amax, amax + 1, shape), rng.integers(-bmax, bmax + 1, shape)
+            rand[0][0, 0, 0], rand[1][0, 0, 0] = amax, -bmax
+            for a, b in (const, rand):
+                want = _embedding_product(a, b)
+                ntt_calls.clear()
+                x, y = (OpMatrix(dim, "exact", coeffs=c, order=2 * size) for c in (a, b))
+                assert mat_eq(x @ y, OpMatrix(dim, "exact", coeffs=want, order=2 * size)).equal
+                assert len(ntt_calls) == (not over), (target, amax, bmax)
+                kernel_exact = np.array_equal(matrixcore._ntt_matmul(a, b), want)
+                if a is const[0]:  # reaches the bound, which one prime cannot hold past p/2
+                    assert np.abs(want).max() == bound and kernel_exact != over
+                else:
+                    assert kernel_exact or over
 
 
 def test_embedding_oracle_matches_entrywise():
@@ -702,28 +709,30 @@ def _is_prime(m):
 
 @pytest.mark.parametrize("size", [4, 8, 16])
 def test_ntt_plan_for_every_dim(size):
-    checked = {}
+    checked = set()
     for dim in range(1, _DIM_CAP + 1):
-        plan = _plan(dim, size)
-        span = max(dim, size)
-        for p, fwd, inv in plan:
-            # every float64 operand is a centred residue; dot products stay exact
-            assert span * ((p - 1) // 2) ** 2 < 2**51
-            assert np.abs(fwd).max() <= (p - 1) // 2 and np.abs(inv).max() <= (p - 1) // 2
-        assert math.prod(p for p, _, _ in plan) > 2**53
-        assert math.prod(p for p, _, _ in plan) < 2**63  # Garner stays in int64
-        if id(plan) in checked:
+        p, fwd, inv = _plan(dim, size)
+        # every float64 operand is a centred residue; dot products stay exact,
+        # and so do _evaluate's scaled roots, below p^2/2
+        assert max(dim, size) * ((p - 1) // 2) ** 2 < 2**51 and p * p // 2 < 2**51
+        span = 1 << (max(dim, size) - 1).bit_length()
+        if span in checked:
             continue
-        checked[id(plan)] = plan
-        for p, fwd, inv in plan:
-            assert _is_prime(p) and p % (2 * size) == 1
-            zeta = int(fwd[0, 1]) % p
-            assert pow(zeta, size, p) == p - 1
-            for m in range(size):
-                for k in range(size):
-                    assert int(fwd[m, k]) % p == pow(zeta, (2 * m + 1) * k, p)
-            ident = (inv.astype(object) @ fwd.astype(object)) % p
-            assert (ident == np.eye(size, dtype=object)).all()
+        checked.add(span)
+        assert _is_prime(p) and p % (2 * size) == 1
+        # the largest such prime: every candidate above p within the bound is composite
+        q = p + 2 * size
+        while span * ((q - 1) // 2) ** 2 < 2**51:
+            assert not _is_prime(q)
+            q += 2 * size
+        assert np.abs(fwd).max() <= (p - 1) // 2 and np.abs(inv).max() <= (p - 1) // 2
+        zeta = int(fwd[0, 1]) % p
+        assert pow(zeta, size, p) == p - 1
+        for m in range(size):
+            for k in range(size):
+                assert int(fwd[m, k]) % p == pow(zeta, (2 * m + 1) * k, p)
+        ident = (inv.astype(object) @ fwd.astype(object)) % p
+        assert (ident == np.eye(size, dtype=object)).all()
 
 
 def test_guard_tripping_dense_pair_takes_the_object_path(ntt_calls):

@@ -493,13 +493,16 @@ def test_weil_odd_generic_needs_c():
         weil_odd_generic(5, sl2_t(5))
 
 
-@pytest.mark.parametrize("N,ratio", [(3, 1.0), (5, 1.0), (7, -1.0)])
+@pytest.mark.parametrize("N,ratio", [(3, 1.0), (5, 1.0), (7, -1.0), (11, 1.0), (13, 1.0),
+                                     (17, -1.0), (19, 1.0), (23, -1.0)])
 def test_weil_odd_generic_vs_s_formula(N, ratio):
     # The quadratic-phase family and the printed S matrix agree up to
-    # a global sign that depends on N; tabulated here.
+    # the global sign -(2|N), tabulated here.
+    assert ratio == -jacobi_symbol(2, N)
     got = weil_odd_generic(N, sl2_s(N)).to_complex_array()
     want = ratio * weil_odd_s(N).to_complex_array()
     assert np.max(np.abs(got - want)) < 1e-12
+    assert np.array_equal(weil_odd_general(N, sl2_s(N)).to_complex_array(), got)
 
 
 @pytest.mark.parametrize("N", [3, 5, 7, 11, 13])
