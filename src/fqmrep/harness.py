@@ -13,9 +13,10 @@ exponents, from the builders' support formulas: `_support_law` decides the
 exact twisted cocycle (`check_pair_law`), its dagger law as J[l] J[-l] == I
 and the exact `heisenberg` commutator law; `verify_metaplectic`'s stacked
 kernel decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic`
-and `weil-odd`.  The exact `homomorphism` law U(A) U(B) == U(AB) is decided
-on the closed-form builders' tables (`_closed_form`), each evaluated once
-modulo a word prime (`_evaluate`), by `_phase_law`.  Keys a kernel does not
+and `weil-odd` on such a table, an exact U by its omega exponents, decoded
+once (`_exponent_codes`).  The exact `homomorphism` law U(A) U(B) == U(AB)
+is decided on the closed-form builders' tables (`_closed_form`), each
+evaluated once modulo a word prime (`_evaluate`), by `_phase_law`.  Keys a kernel does not
 prove equal, and the keys of every other law, are compared one at a time,
 so a passing exact twisted run builds no J and a passing exact
 homomorphism run no U.  The backend picks, no option does.
@@ -99,6 +100,8 @@ class SuiteSpec:
     def __post_init__(self) -> None:
         if self.suite not in SUITE_NAMES:
             raise UnknownSuite(f"unknown suite {self.suite!r}; known: {', '.join(SUITE_NAMES)}")
+        if int(self.params.get("samples") or 0) < 0:  # a negative count would run no check
+            raise ValueError(f"samples must be >= 0, got {self.params['samples']}")
 
 
 def _even_modulus(params: dict) -> HWParams:
@@ -108,7 +111,7 @@ def _even_modulus(params: dict) -> HWParams:
         N = int(params["N"])
     else:
         raise ValueError("suite needs n or N")
-    return HWParams(N, int(params.get("p") or 1))
+    return HWParams(N, 1 if params.get("p") is None else int(params["p"]))
 
 
 def _odd_modulus(params: dict) -> int:
@@ -162,17 +165,17 @@ def _pair_compare(op, N: int, tol: float, x, y, z, e) -> tuple[bool, float]:
 
 def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, members=None) -> None:
     """Record op(x) op(y) == omega_N^{e(x, y)} op(compose(x, y)) for every
-    (x, y) of `pairs`, in scan order (`VerifyReport.scan`).
+    (x, y) of `pairs`, an array of keys, in scan order (`VerifyReport.scan`).
 
     `op` is a cached builder, `phase` is (N, e) or None for the bare law,
     and `inputs(x, y)` names a failing pair.  `members` is None or
     (table, index), `index` numbering keys into the table's members; with
-    it, `pairs` must be an array of keys, and a chunk of pairs is decided at
-    once, its key arrays given to `compose`, `e` and `index`.  A family of
-    phased permutations with a phase passes its `_SupportTable` of root
-    order N, decided by `_support_law` on integer exponents; a bare law may
-    pass instead a cached table(number) -> `_Evaluation`, each pair then
-    decided by `_phase_law`.  The pairs left, and every pair without a
+    it, a chunk of pairs is decided at once, its key arrays given to
+    `compose`, `e` and `index`.  A family of phased permutations with a
+    phase passes its `_SupportTable` of root order N, decided by
+    `_support_law` on integer exponents; a bare law may pass instead a
+    cached table(number) -> `_Evaluation`, each pair then decided by
+    `_phase_law`.  The pairs left, and every pair without a
     table, are compared one at a time.
     """
     N, exponent = phase or (1, None)
@@ -376,9 +379,9 @@ def _suite_metaplectic(params: dict) -> VerifyReport:
     _guard_dim(N * N)
     rep = VerifyReport("metaplectic", {"N": N, "p": pr.p, "samples": samples, "seed": seed})
     table = _j_table("twisted_even", N, pr)
-    generators = [("S", u_s(pr), sl2_s(N)), ("T", u_t(pr), sl2_t(N))]
-    for name, U, A in generators:
-        _merge(rep, verify_metaplectic(U, A, "twisted_even", pr, tol, table), {"element": name})
+    for name, build, A in [("S", u_s, sl2_s(N)), ("T", u_t, sl2_t(N))]:  # one U alive at a time
+        _merge(rep, verify_metaplectic(build(pr), A, "twisted_even", pr, tol, table),
+               {"element": name})
     for A in sample_sl2(N, samples, seed):
         _merge(
             rep,

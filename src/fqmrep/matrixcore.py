@@ -39,6 +39,7 @@ from .exactnum import (
     _regular,
     basis_size,
     conj_coeffs,
+    decode_root,
     encode_root,
     normalize,
     promote,
@@ -111,29 +112,6 @@ def _monomial_matmul(
     """m @ other for m whose row i holds only entries[i], in column cols[i]."""
     cols, entries, _ = support
     return other.take(cols, axis=0) @ _regular(entries).swapaxes(1, 2)
-
-
-def _root_gather(coeffs: np.ndarray):
-    """Gather of the rows of a (d, d', L) coefficient tensor times roots of unity.
-
-    The returned gather(rows, k) has shape (*rows.shape, L, d'): entry
-    [..., t, :] is coefficient t of omega^k times row `rows`, for index
-    arrays `rows` and 0 <= k < 2L of one shape.  omega^k x takes its
-    coefficients 2L - k, ..., 3L - 1 - k from [x, -x, x], so one such copy
-    is kept, coefficient axis first so that each gathered run is contiguous,
-    in the smallest signed integer type holding every +-coefficient (exact).
-    """
-    d, e, size = coeffs.shape
-    ext = np.empty((d, 3, size, e), dtype=np.min_scalar_type(-_top(coeffs) - 1))
-    ext[:, 0] = ext[:, 2] = coeffs.transpose(0, 2, 1)
-    np.negative(ext[:, 0], out=ext[:, 1])
-    ext = ext.reshape(3 * d * size, e)
-    runs = 2 * size + np.arange(size)
-
-    def gather(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return ext.take((3 * size * rows - k)[..., None] + runs, axis=0)
-
-    return gather
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -259,6 +237,26 @@ def _evaluate(table: _SupportTable | _PhaseTable) -> _Evaluation:
         if table.mask is not None:
             values *= table.mask
     return _Evaluation(p, values, scale)
+
+
+def _exponent_codes(U: OpMatrix, order: int) -> np.ndarray | None:
+    """The omega_order exponents of omega^k U for every k, from an exact U whose
+    entries are 0 or +-2^{-s} omega^e (one +-1 coefficient each, s U's scale);
+    None for any other U.  codes[k, i, j] is the exponent of omega^k U[i, j]
+    (0 <= code < order >= U.order), and `order` where U[i, j] = 0, in
+    `np.min_scalar_type(order)`."""
+    coeffs = U.coeffs
+    nonzero = coeffs != 0
+    index = nonzero.argmax(axis=2)
+    sign = np.take_along_axis(coeffs, index[..., None], axis=2)[..., 0]
+    if nonzero.sum(axis=2).max(initial=0) > 1 or np.abs(sign).max(initial=0) > 1:
+        return None
+    dtype = np.min_scalar_type(order)
+    base = (decode_root(index, sign, basis_size(U.order)) * (order // U.order)).astype(dtype)
+    codes = np.add.outer(np.arange(order, dtype=dtype), base)  # below 2 order: no wrap
+    codes &= order - 1
+    codes[:, sign == 0] = order
+    return codes
 
 
 def _phase_law(x: _Evaluation, y: _Evaluation, z: _Evaluation) -> bool:

@@ -51,7 +51,7 @@ import numpy as np
 from .exactnum import NotAUnit, _exact_order, _is_odd_prime, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
-from .matrixcore import OpMatrix, _PhaseTable, _root_gather, _roots, _SupportTable, mat_eq
+from .matrixcore import OpMatrix, _exponent_codes, _PhaseTable, _roots, _SupportTable, mat_eq
 from .report import VerifyReport
 from .sl2 import SL2Element, Token, dilatation, sl2_t
 
@@ -310,8 +310,8 @@ def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
 
 # -- the property checker ------------------------------------------------------
 
-# 2^16-2^18 measured alike at metaplectic n = 3; 2^14 and 2^20 took about twice as long
-_CHUNK_ENTRIES = 1 << 16  # matrix entries (coefficients when exact) per side of a chunk of points
+# 2^14-2^16 measured best at metaplectic n = 3; 2^12 and 2^18-2^20 took about 1.3x as long
+_CHUNK_ENTRIES = 1 << 16  # matrix entries per side of a chunk of points
 
 
 def _j_table(flavor: str, N: int, params: HWParams | None) -> _SupportTable:
@@ -337,17 +337,18 @@ def _stacked_conjugation(
     """(equal, deviation) of J[left[k]] U against U J[right[k]] for each k,
     a block of points at a time.
 
-    Exact: row i of J[l] U is omega^{k_l(i)} U[c_l(i), :] and column j of
-    U J[m] is omega^{k_m(rho(j))} U[:, rho(j)] with rho the inverse of c_m,
-    both signed rolls of U's coefficient axis (exponents scaled to U's ring);
-    the two sides share their scale, so equal values have equal coefficients.
-    Float: the block's J are densified (entries `_roots`[exps]) and multiplied
-    in stacked products, so each deviation is the one `mat_eq` gives.
+    Exact: codes[k] holds the exponents of omega^k U (`_exponent_codes`, the
+    J exponents scaled to its order), so row i of J[l] U is row (k_l(i),
+    c_l(i)) of the codes and column j of U J[m] column rho(j) of layer
+    k_m(rho(j)), rho the inverse of c_m: two gathers and one compare.  A U
+    without codes, or a c_m that is no permutation, proves no point.  Float:
+    the block's J are densified (entries `_roots`[exps]) and multiplied in
+    stacked products, so each deviation is the one `mat_eq` gives.
     """
-    n = len(left)
+    n, dim = len(left), U.dim
+    step = max(1, _CHUNK_ENTRIES // dim**2)
     if U.backend == "float":
         roots, dev = _roots(table.order), np.empty(n)
-        step = max(1, _CHUNK_ENTRIES // U.data.size)
         for a in range(0, n, step):
             l, m = left[a:a + step], right[a:a + step]
             lhs = _float_stack(roots, table.cols[l], table.exps[l]) @ U.data
@@ -355,19 +356,19 @@ def _stacked_conjugation(
             dev[a:a + step] = np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)
         return dev <= tol, dev
     order = max(U.order, _exact_order(table.order))
-    coeffs = U._promoted(order).coeffs
-    scale = order // table.order
-    cols, k = table.cols[left], table.exps[left] * scale
+    codes, scale = _exponent_codes(U, order), order // table.order
+    if codes is None:
+        return np.zeros(n, dtype=bool), np.zeros(n)
+    rows = table.exps[left] * scale * dim + table.cols[left]
     inverse = np.argsort(table.cols[right], axis=1)
-    k_inverse = np.take_along_axis(table.exps[right] * scale, inverse, axis=1)
-    rows, columns = _root_gather(coeffs), _root_gather(coeffs.transpose(1, 0, 2))
-    equal = np.empty(n, dtype=bool)
-    step = max(1, _CHUNK_ENTRIES // coeffs.size)
+    equal = (np.take_along_axis(table.cols[right], inverse, axis=1) == np.arange(dim)).all(axis=1)
+    columns = np.take_along_axis(table.exps[right] * scale * dim, inverse, axis=1) + inverse
+    by_row, by_column = codes.reshape(-1, dim), codes.transpose(0, 2, 1).reshape(-1, dim)
     for a in range(0, n, step):
         l = slice(a, a + step)
-        lhs = rows(cols[l], k[l])  # (point, i, coefficient, j)
-        rhs = columns(inverse[l], k_inverse[l])  # (point, j, coefficient, i)
-        equal[l] = (lhs == rhs.transpose(0, 3, 2, 1)).all(axis=(1, 2, 3))
+        lhs = by_row.take(rows[l], axis=0)  # (point, i, j)
+        rhs = by_column.take(columns[l], axis=0)  # (point, j, i)
+        equal[l] &= (lhs == rhs.transpose(0, 2, 1)).all(axis=(1, 2))
     return equal, np.zeros(n)
 
 
@@ -387,8 +388,8 @@ def verify_metaplectic(
     many elements passes one `_j_table` for the same flavor and params).
     The points are recorded by `VerifyReport.scan`.  When U has the table's
     dim (and is float, if the J's are), a stacked pass
-    (`_stacked_conjugation`) decides them: exact U by integer equality of
-    two gathers of U's coefficients, float U by stacked BLAS products.
+    (`_stacked_conjugation`) decides them: exact U by equality of two
+    gathers of U's exponent codes, float U by stacked BLAS products.
     Every point it does not prove equal is compared as
     mat_eq(J[l] @ U, U @ J[lA]), each J built by `j_twisted`/`j_odd`, so
     failures and deviations are those of the products, recorded in (r, s)

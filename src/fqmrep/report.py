@@ -53,21 +53,17 @@ class VerifyReport:
     def scan(self, identity, keys, compare, inputs, decide=None, weight=1) -> None:
         """Record one check per key, counted `weight` times, in scan order.
 
-        `keys` is an iterable of argument tuples, or an array (arity, ...,
-        count) read `_SCAN_CHUNK` keys at a time, key j's argument i being
-        keys[i, ..., j].  decide(*chunk), unless None, gives (equal,
-        deviation) for a chunk at once; the keys it proves equal pass with
-        their deviations (an iterable with `decide` raises TypeError).  Each
-        other key is compare(*key) -> (ok, deviation), named by inputs(*key).
+        `keys` is an array (arity, ..., count) read `_SCAN_CHUNK` keys at a
+        time, key j's argument i being keys[i, ..., j]; anything else raises
+        TypeError.  decide(*chunk), unless None, gives (equal, deviation) for
+        a chunk at once; the keys it proves equal pass with their deviations.
+        Each other key is compare(*key) -> (ok, deviation), named by
+        inputs(*key).
         """
-        if isinstance(keys, np.ndarray):
-            chunks = (self._unproven(keys[..., a:a + _SCAN_CHUNK], decide)
-                      for a in range(0, keys.shape[-1], _SCAN_CHUNK))
-        elif decide is None:
-            chunks = ((1, [key]) for key in keys)
-        else:
-            raise TypeError("a bulk decision reads an array of keys, not an iterable")
-        for size, todo in chunks:
+        if not isinstance(keys, np.ndarray):
+            raise TypeError(f"scan reads an array of keys, got {type(keys).__name__}")
+        for a in range(0, keys.shape[-1], _SCAN_CHUNK):
+            size, todo = self._unproven(keys[..., a:a + _SCAN_CHUNK], decide)
             self.checks_run += weight * size - len(todo)  # record() counts one each
             for key in todo:
                 ok, deviation = compare(*key)

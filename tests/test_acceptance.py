@@ -118,6 +118,18 @@ def test_exact_homomorphism_mod16_within_budget():
     _done("exact homomorphism N = 16", t0, 10)
 
 
+def test_exact_metaplectic_mod16_within_budget():
+    # J U(A) == U(A) J_{(r,s)A} exactly at N = 16 (dim 256) for S, T and 20
+    # seeded elements, every point decided on U's exponent codes; 0.8 s
+    # measured on a 2-vCPU box (the coefficient-roll kernel before it: 4.3 s)
+    t0 = time.perf_counter()
+    rep = run_suite(SuiteSpec("metaplectic", {"n": 4, "p": 1, "samples": 20}))
+    assert rep.passed
+    assert rep.checks_run == 22 * 256
+    assert rep.max_abs_deviation == 0.0
+    _done("exact metaplectic N = 16", t0, 3)
+
+
 def test_criterion_05_decomposition_consistency():
     # closed forms equal generator-word products; the even-d branch
     # raises unless exactly one sign candidate reproduces A, so a

@@ -73,6 +73,31 @@ def test_feichtinger_defect_reads_n_as_a_power_of_two(capsys):
     assert by_n == capsys.readouterr().out
 
 
+def test_verify_refuses_p_zero_like_the_matrix_commands(capsys):
+    # p = 0 is even: an error naming it, not a silent run at p = 1
+    for argv in (["gamma", "--n", "2"], ["verify", "--suite", "cocycle-twisted", "--n", "2"]):
+        assert main([*argv, "--p", "0"]) == 2
+        assert "p must be odd in [1, 4), got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "homomorphism", "--N", "16", "--samples", "-3"],
+    ["--suite", "decomposition", "--n", "2", "--samples", "-1"],
+    ["--suite", "heisenberg", "--n", "3", "--samples", "-2"],
+    ["--suite", "metaplectic", "--n", "2", "--samples", "-1"],
+])
+def test_verify_refuses_negative_samples(argv, capsys):
+    # a negative count runs nothing, so it is a usage error, not a pass
+    assert main(["verify", *argv]) == 2
+    assert "samples must be >= 0" in capsys.readouterr().err
+
+
+def test_verify_takes_zero_samples(capsys):
+    # metaplectic's default: the generators S and T only
+    assert main(["verify", "--suite", "metaplectic", "--n", "2", "--samples", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks_run"] == 2 * 16
+
+
 def test_weil_odd_refuses_a_composite_modulus(capsys):
     # N = 9 is odd but not prime: the Weil family has no operators there,
     # while the odd cocycle's law holds at any odd N

@@ -482,6 +482,8 @@ def test_scan_records_like_the_per_key_loop(monkeypatch):
         assert len(got.failures) == int((~ok).sum())
     with pytest.raises(TypeError):  # an iterable is refused, not silently undecided
         VerifyReport("law", {}).scan("law", [((1, 2), (3, 1))], compare, inputs, decide)
+    with pytest.raises(TypeError):  # with or without a bulk decision
+        VerifyReport("law", {}).scan("law", [((1, 2), (3, 1))], compare, inputs)
     # a support table given with an iterable of pairs is refused the same way
     pr = HWParams(4)
     table = metaplectic._j_table("twisted_even", 4, pr)
@@ -611,8 +613,10 @@ def test_twisted_cocycle_builds_only_the_js_of_unequal_checks(monkeypatch):
 
 
 def _law(pairs, op, compose, phase, check=check_pair_law):
+    # the law scans the pairs as an array (2, count) of keys, the reference loops over them
+    keys = np.array(pairs).T if check is check_pair_law else pairs
     rep = VerifyReport("law", {})
-    check(rep, "law", pairs, op, compose, phase, lambda x, y: {"x": x, "y": y}, 1e-9)
+    check(rep, "law", keys, op, compose, phase, lambda x, y: {"x": x, "y": y}, 1e-9)
     return rep.to_json()
 
 

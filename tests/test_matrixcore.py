@@ -746,25 +746,26 @@ def test_guard_tripping_dense_pair_takes_the_object_path(ntt_calls):
     assert len(ntt_calls) == 1
 
 
-@pytest.mark.parametrize("top,dtype", [(127, np.int8), (128, np.int16), (2**40, np.int64)])
-def test_root_gather_is_a_signed_roll_in_the_smallest_type(top, dtype):
-    # gather(rows, k)[..., t, :] is coefficient t of omega^k row: check it
-    # against CycNum products, at the widest values each type must hold
-    rng = np.random.default_rng(3)
-    order, dim = 16, 5
-    size = order // 2
-    coeffs = rng.integers(-top, top + 1, size=(dim, dim + 1, size))
-    coeffs[0, 0, 0], coeffs[1, 1, 1] = top, -top
-    gather = matrixcore._root_gather(coeffs)
-    rows = rng.integers(0, dim, size=(3, 4))
-    k = rng.integers(0, order, size=(3, 4))
-    got = gather(rows, k)
-    assert got.dtype == dtype and got.shape == (3, 4, size, dim + 1)
-    for idx in np.ndindex(rows.shape):
-        for j in range(dim + 1):
-            x = CycNum(order, tuple(int(c) for c in coeffs[rows[idx], j]))
-            want = x * CycNum.root(order, int(k[idx]))
-            assert CycNum(order, tuple(int(c) for c in got[idx][:, j])) == want
+@pytest.mark.parametrize("order,target,dtype", [
+    (8, 8, np.uint8), (8, 32, np.uint8), (128, 128, np.uint8), (128, 256, np.uint16),
+])
+def test_exponent_codes_decode_signed_roots_in_the_smallest_type(order, target, dtype):
+    # codes[k, i, j] is the omega_target exponent of omega^k U[i, j] at U's
+    # scale, `target` on zero entries; a U off that form has no codes
+    rng = np.random.default_rng(order + target)
+    exps, mask = rng.integers(-order, order, size=(6, 6)), rng.random((6, 6)) < 0.7
+    U = OpMatrix.from_phase_table(order, exps, mask, scale_pow2=3)
+    codes = matrixcore._exponent_codes(U, target)
+    assert codes.dtype == dtype and codes.shape == (target, 6, 6)
+    k = np.arange(target)[:, None, None]
+    want = np.where(mask, (exps * (target // order) + k) % target, target)
+    assert np.array_equal(codes, want)
+    values = np.where(codes < target, np.exp(2j * np.pi * codes / target), 0) / 8
+    assert np.allclose(values, np.exp(2j * np.pi * k / target) * U.to_complex_array())
+    assert matrixcore._exponent_codes(U + U, target) is not None  # 2U: the scale drops
+    for off in (U.scalar_mul(3), U + OpMatrix.identity(6, order=order),
+                U.scalar_mul(CycNum(order, (1, 1) + (0,) * (order // 2 - 2)))):
+        assert matrixcore._exponent_codes(off, target) is None
 
 
 def _law_family(family, pr):

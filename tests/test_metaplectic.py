@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fqmrep.exactnum import CycNum, NotAUnit, _exact_order, decode_root, jacobi_symbol
-from fqmrep import harness, metaplectic
+from fqmrep import harness, matrixcore, metaplectic
 from fqmrep.harness import SuiteSpec, run_suite
 from fqmrep.heisenberg import HWParams, _gamma_support, fourier, gamma_p, p_matrix, q_matrix
 from fqmrep.magnetic import j_odd, j_twisted
@@ -691,9 +691,22 @@ def test_suite_builds_each_j_once(name, params, builder, count, monkeypatch):
     assert built == []
 
 
+def _flawed_u_report(U, coeffs, A, params, monkeypatch):
+    # the stacked pass's mask and the report for U with coefficients `coeffs`,
+    # after checking the report against the cycle walk's
+    bad = OpMatrix(U.dim, "exact", coeffs=coeffs, order=U.order, scale_log2=U.scale_log2)
+    seen = _spy_stacked(monkeypatch)
+    got = verify_metaplectic(bad, A, "twisted_even", params)
+    assert got.to_json() == _conjugation_reference(bad, A, "twisted_even", params).to_json()
+    assert 0 < len(got.failures) < 64
+    return bad, seen[0], {params.N * f.inputs["r"] + f.inputs["s"] for f in got.failures}
+
+
 @pytest.mark.parametrize("in_support", [True, False])
 def test_perturbed_u_fails_like_the_cycle_walk(in_support, monkeypatch):
-    # one coefficient of U moves, inside a nonzero entry or in a zero entry
+    # one coefficient of U moves, inside a nonzero entry (which then holds
+    # two coefficients: no exponent codes, so the stacked pass proves no
+    # point) or in a zero entry (which becomes 2^-s omega)
     params = HWParams(8, 3)
     A = SL2Element(3, 2, 4, 3, 8)
     U = u_general(params, A)
@@ -701,14 +714,88 @@ def test_perturbed_u_fails_like_the_cycle_walk(in_support, monkeypatch):
     nonzero = coeffs.any(axis=2)
     i, j = np.argwhere(nonzero if in_support else ~nonzero)[5]
     coeffs[i, j, 1] += 1
-    bad = OpMatrix(U.dim, "exact", coeffs=coeffs, order=U.order, scale_log2=U.scale_log2)
-    seen = _spy_stacked(monkeypatch)
-    got = verify_metaplectic(bad, A, "twisted_even", params)
-    want = _conjugation_reference(bad, A, "twisted_even", params)
-    assert got.to_json() == want.to_json()
-    assert 0 < len(got.failures) < 64
-    failing = {params.N * f.inputs["r"] + f.inputs["s"] for f in got.failures}
-    assert set(np.flatnonzero(~seen[0])) == failing
+    bad, equal, failing = _flawed_u_report(U, coeffs, A, params, monkeypatch)
+    assert (matrixcore._exponent_codes(bad, bad.order) is None) == in_support
+    assert not equal.any() if in_support else set(np.flatnonzero(~equal)) == failing
+
+
+@pytest.mark.parametrize("flaw", ["moved", "sign"])
+def test_signed_root_flaws_fail_like_the_cycle_walk(flaw, monkeypatch):
+    # one entry of U keeps the signed-root form but moves to omega times
+    # itself or flips its sign: the stacked pass flags exactly the failing points
+    params = HWParams(8, 3)
+    A = SL2Element(3, 2, 4, 3, 8)
+    U = u_general(params, A)
+    coeffs = U.coeffs.copy()
+    i, j = np.argwhere(coeffs.any(axis=2))[5]
+    c = coeffs[i, j].copy()
+    coeffs[i, j] = np.concatenate(([-c[-1]], c[:-1])) if flaw == "moved" else -c
+    bad, equal, failing = _flawed_u_report(U, coeffs, A, params, monkeypatch)
+    assert matrixcore._exponent_codes(bad, bad.order) is not None
+    assert set(np.flatnonzero(~equal)) == failing
+
+
+N4_ELEMENTS = {  # S, T and one element of each closed-form branch at N = 16
+    "S": sl2_s(16),
+    "T": sl2_t(16),
+    "d-odd-triangular": SL2Element(3, 5, 0, 11, 16),
+    "d-odd-reduced": SL2Element(1, 2, 3, 7, 16),
+    "d-even": SL2Element(3, 1, 5, 2, 16),
+    "d-odd-sum": SL2Element(3, 2, 4, 3, 16),
+}
+N4_FLAWS = {"moved exponent": "d-odd-reduced", "mask bit": "d-odd-sum", "swapped J column": "S"}
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("case", [*N4_ELEMENTS, *N4_FLAWS])
+def test_exponent_kernel_agrees_with_mat_eq_at_n4(case, p):
+    # the stacked exact pass over all 256 points at N = 16; a seeded subset
+    # of its verdicts, equal and unequal, is the dense mat_eq(J U, U J)'s.
+    # A flaw moves one exponent of U's table, flips one mask bit, or swaps
+    # the columns of rows 0 and 1 of one J
+    params = HWParams(16, p)
+    name = N4_FLAWS.get(case, case)
+    A = N4_ELEMENTS[name]
+    U = u_s(params) if name == "S" else u_t(params) if name == "T" else u_general(params, A)
+    assert name in ("S", "T") or U.meta.endswith(f"[{name}]")
+    table = metaplectic._j_table("twisted_even", 16, params)
+    rng = np.random.default_rng(p)
+    i, j = rng.integers(256, size=2)
+    if case in ("moved exponent", "mask bit"):
+        form, branch = metaplectic._closed_form(params, A)
+        exps, mask = form.exps.copy(), None if form.mask is None else form.mask.copy()
+        if case == "moved exponent":
+            exps[i, j] += 1
+        else:
+            mask[i, j] = not mask[i, j]
+        U = OpMatrix.from_phase_table(16, exps, mask, form.scale_pow2)
+    elif case == "swapped J column":
+        cols = table.cols.copy()
+        cols[i, :2] = cols[i, 1::-1]
+        table = table._replace(cols=cols)
+    a, b, c, d = A.entries()
+    r, s = np.divmod(np.arange(256), 16)
+    image = 16 * ((a * r + c * s) % 16) + (b * r + d * s) % 16
+    equal, deviation = metaplectic._stacked_conjugation(table, U, np.arange(256), image, 1e-9)
+    assert not deviation.any()
+    assert equal.all() == (case in N4_ELEMENTS)
+    J = lambda t: OpMatrix.from_support(16, table.cols[t], table.exps[t])  # noqa: E731
+    for verdict in (True, False):
+        where = np.flatnonzero(equal == verdict)
+        for t in rng.choice(where, size=min(8, len(where)), replace=False):
+            assert mat_eq(J(t) @ U, U @ J(image[t])).equal == verdict
+
+
+def test_stacked_conjugation_proves_nothing_for_a_non_permutation_j():
+    # J[1] sends both rows to column 0: U J[1] has a zero column, so the law
+    # J[0] U == U J[1] fails for U = I, although reading the row order that
+    # sorts c_1 as its inverse would give I
+    table = _SupportTable(8, np.array([[0, 1], [0, 0]]), np.zeros((2, 2), dtype=np.int64))
+    U = OpMatrix.identity(2)
+    J = [OpMatrix.from_support(8, table.cols[t], table.exps[t]) for t in (0, 1)]
+    assert not mat_eq(J[0] @ U, U @ J[1]).equal
+    equal, _ = metaplectic._stacked_conjugation(table, U, np.array([0, 0]), np.array([0, 1]), 0.0)
+    assert equal.tolist() == [True, False]
 
 
 @pytest.mark.parametrize("n", [1, 2])
