@@ -275,7 +275,11 @@ def _phase_law(x: _Evaluation, y: _Evaluation, z: _Evaluation) -> bool:
     return np.array_equal(_reduce(x.values @ y.values, p), z.values)
 
 
-_LAW_BLOCK = 1 << 14  # table entries (pairs x dim) per block of `_support_law`
+# table entries (pairs x dim) per block of `_support_law`; perfbench
+# cocycle-monomial on a 2-vCPU box, 4 seeds: 2^14 3.2-3.4 ms wall_s and
+# 40.9-41.2 MB peak RSS, 2^15 3.8-4.1 ms and 41.6-41.7 MB, 2^16 3.8-4.2 ms
+# and 41.9-42.1 MB
+_LAW_BLOCK = 1 << 14
 
 
 def _support_law(
@@ -288,17 +292,28 @@ def _support_law(
     Row i of X Y holds omega^{e_X[i] + e_Y[c_X[i]]} in column c_Y[c_X[i]], so
     a pair is equal when those columns are Z's and the exponents differ from
     Z's by phase[k] mod the table's order: integer exponent arithmetic, a
-    block of pairs at a time.
+    block of pairs at a time.  The order divides 2^16, so the exponents are
+    held in uint8 (order <= 256) or uint16, whose sums wrap mod a multiple
+    of the order, and reduced by `& (order - 1)`; one flat index into the
+    rows of the Y's gathers both their columns and their exponents.
     """
-    cols, exps = table.cols, table.exps
+    order, dim = table.order, table.cols.shape[1]
+    if (1 << 16) % order:
+        raise ValueError(f"_support_law needs an order dividing 2^16, got {order}")
+    dtype = np.min_scalar_type(order - 1)
+    cols, exps = table.cols.astype(np.min_scalar_type(dim - 1)), table.exps.astype(dtype)
+    phase = (phase % order).astype(dtype)
     equal = np.empty(len(left), dtype=bool)
-    step = max(1, _LAW_BLOCK // cols.shape[1])
+    step = max(1, _LAW_BLOCK // dim)
     for a in range(0, len(left), step):
         k = slice(a, a + step)
-        x, y, z = left[k], right[k, None], out[k]
-        cx = cols[x]
-        e = exps[x] + exps[y, cx] - exps[z] - phase[k, None]
-        equal[k] = ((cols[y, cx] == cols[z]) & (e % table.order == 0)).all(axis=1)
+        x, z = left[k], out[k]
+        at = cols[x] + (dim * right[k])[:, None]  # Y's row c_X[i], flat
+        e = exps[x] + exps.take(at)
+        e -= exps[z]
+        e -= phase[k, None]
+        e &= order - 1
+        equal[k] = ((cols.take(at) == cols[z]) & (e == 0)).all(axis=1)
     return equal
 
 

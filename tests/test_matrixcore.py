@@ -814,3 +814,50 @@ def test_support_law_matches_the_dense_products(family, flaw):
                 assert want == (~flip).tolist()
             verdicts += want
     assert all(verdicts) == (flaw is None)
+
+
+def _support_law_int64(table, left, right, out, phase):
+    # the law on int64 exponents reduced by `%`, the reference for the
+    # kernel's narrow wrapping exponents
+    cols, exps = table.cols, table.exps
+    y, cx = right[:, None], cols[left]
+    e = exps[left] + exps[y, cx] - exps[out] - phase[:, None]
+    return ((cols[y, cx] == cols[out]) & (e % table.order == 0)).all(axis=1)
+
+
+@pytest.mark.parametrize("order", [2**m for m in range(1, 13)])
+def test_narrow_support_law_equals_the_int64_formula(order, monkeypatch):
+    # seeded random tables at every dim 1..64, uint8 exponents up to order
+    # 256 and uint16 above: members 0..7 are random and member 8 + k is the
+    # product of key k over omega^phase[k], so key k holds unless a flaw
+    # moves an exponent (key 1) or a column (key 2) of that product; keys
+    # past `count` name a random member.  A small block runs many blocks.
+    monkeypatch.setattr(matrixcore, "_LAW_BLOCK", 1 << 7)
+    rng = np.random.default_rng(order)
+    count = 24
+    for dim in range(1, 65):
+        cols, exps = rng.integers(dim, size=(8, dim)), rng.integers(order, size=(8, dim))
+        left, right = rng.integers(8, size=(2, 2 * count))
+        phase = rng.integers(-(1 << 20), 1 << 20, size=2 * count)
+        assert (phase < 0).any() and (phase >= 1 << 16).any()
+        y, cx = right[:count, None], cols[left[:count]]
+        products = (cols[y, cx], (exps[left[:count]] + exps[y, cx] - phase[:count, None]) % order)
+        products[1][1, rng.integers(dim)] += 1
+        products[1][1] %= order
+        if dim > 1:
+            products[0][2, 0] = (products[0][2, 0] + 1) % dim
+        table = matrixcore._SupportTable(order, *map(np.vstack, zip((cols, exps), products)))
+        out = np.concatenate((8 + np.arange(count), rng.integers(8 + count, size=count)))
+        got = matrixcore._support_law(table, left, right, out, phase)
+        assert got.tolist() == _support_law_int64(table, left, right, out, phase).tolist()
+        assert (~got[:count]).nonzero()[0].tolist() == ([1, 2] if dim > 1 else [1])
+    empty = np.zeros(0, dtype=np.int64)
+    assert matrixcore._support_law(table, empty, empty, empty, empty).shape == (0,)
+
+
+@pytest.mark.parametrize("order", [3, 6, 1 << 17])
+def test_support_law_refuses_orders_not_dividing_2_16(order):
+    table = matrixcore._SupportTable(order, np.zeros((1, 2), np.int64), np.zeros((1, 2), np.int64))
+    key = np.zeros(1, dtype=np.int64)
+    with pytest.raises(ValueError, match=f"got {order}$"):
+        matrixcore._support_law(table, key, key, key, key)
