@@ -7,9 +7,9 @@ basis 1, omega, ..., omega^{L-1} (L = M/2, omega^L = -1) times
 object-dtype (unbounded) coefficient arrays and serves both `CycNum`
 and the matrices of `matrixcore`: `_regular` (multiplication by x as
 sum_k x_k W^k, W the signed shift) is the one negacyclic product;
-`encode_root`/`decode_root` map omega^k <-> (index, sign); `normalize`
-divides out common factors of two, so equal values have equal
-representations; `promote` and `conj_coeffs` change order and conjugate.
+`encode_root` maps omega^k to (index, sign); `normalize` divides out
+common factors of two, so equal values have equal representations;
+`promote` and `conj_coeffs` change order and conjugate.
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ def encode_root(k, size: int):
     0 <= index < size, for an int or an integer array k."""
     k = k % (2 * size)
     return k % size, 1 - 2 * (k >= size)
-
-
-def decode_root(index, sign, size: int):
-    """The exponent 0 <= k < 2 size of sign * omega^index; inverts `encode_root`."""
-    return index + size * (sign < 0)
 
 
 def normalize(coeffs: np.ndarray, scale_log2: int) -> tuple[np.ndarray, int]:

@@ -13,13 +13,14 @@ exponents, from the builders' support formulas: `_support_law` decides the
 exact twisted cocycle (`check_pair_law`), its dagger law as J[l] J[-l] == I
 and the exact `heisenberg` commutator law; `verify_metaplectic`'s stacked
 kernel decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic`
-and `weil-odd` on such a table, an exact U by its omega exponents, decoded
-once (`_exponent_codes`).  The exact `homomorphism` law U(A) U(B) == U(AB)
-is decided on the closed-form builders' tables (`_closed_form`), each
-evaluated once modulo a word prime (`_evaluate`), by `_phase_law`.  Keys a kernel does not
-prove equal, and the keys of every other law, are compared one at a time,
-so a passing exact twisted run builds no J and a passing exact
-homomorphism run no U.  The backend picks, no option does.
+and `weil-odd` on such a table, an exact U by the omega exponents read from
+its closed-form builder's table (`_closed_form`, `_exponent_codes`).  The
+exact `homomorphism` law U(A) U(B) == U(AB) is decided on the same tables,
+each evaluated once modulo a word prime (`_evaluate`), by `_phase_law`.
+Keys a kernel does not prove equal, and the keys of every other law, are
+compared one at a time, so a passing exact twisted or `metaplectic` run
+builds no J and a passing exact `homomorphism` or `metaplectic` run no U.
+The backend picks, no option does.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
 with n <= 3, float beyond, and a requested exact backend is never
@@ -48,8 +49,6 @@ from .metaplectic import (
     u_a_closed,
     u_general,
     u_of_word,
-    u_s,
-    u_t,
     verify_metaplectic,
     weil_odd_general,
 )
@@ -379,15 +378,10 @@ def _suite_metaplectic(params: dict) -> VerifyReport:
     _guard_dim(N * N)
     rep = VerifyReport("metaplectic", {"N": N, "p": pr.p, "samples": samples, "seed": seed})
     table = _j_table("twisted_even", N, pr)
-    for name, build, A in [("S", u_s, sl2_s(N)), ("T", u_t, sl2_t(N))]:  # one U alive at a time
-        _merge(rep, verify_metaplectic(build(pr), A, "twisted_even", pr, tol, table),
-               {"element": name})
-    for A in sample_sl2(N, samples, seed):
-        _merge(
-            rep,
-            verify_metaplectic(u_general(pr, A), A, "twisted_even", pr, tol, table),
-            {"element": list(A.entries())},
-        )
+    named = [("S", sl2_s(N)), ("T", sl2_t(N))]  # at S and T the closed form is u_s and u_t
+    for name, A in named + [(list(A.entries()), A) for A in sample_sl2(N, samples, seed)]:
+        U = _closed_form(pr, A)[0]
+        _merge(rep, verify_metaplectic(U, A, "twisted_even", pr, tol, table), {"element": name})
     return rep
 
 

@@ -39,7 +39,6 @@ from .exactnum import (
     _regular,
     basis_size,
     conj_coeffs,
-    decode_root,
     encode_root,
     normalize,
     promote,
@@ -239,23 +238,24 @@ def _evaluate(table: _SupportTable | _PhaseTable) -> _Evaluation:
     return _Evaluation(p, values, scale)
 
 
-def _exponent_codes(U: OpMatrix, order: int) -> np.ndarray | None:
-    """The omega_order exponents of omega^k U for every k, from an exact U whose
-    entries are 0 or +-2^{-s} omega^e (one +-1 coefficient each, s U's scale);
-    None for any other U.  codes[k, i, j] is the exponent of omega^k U[i, j]
-    (0 <= code < order >= U.order), and `order` where U[i, j] = 0, in
+def _exponent_codes(table: _SupportTable | _PhaseTable, order: int) -> np.ndarray:
+    """The omega_order exponents of omega^k X for every k, X the matrix of a
+    1-d `_SupportTable` or a `_PhaseTable` up to its scale, `order` a power
+    of two the table's order divides: codes[k] = (E order/table.order + k)
+    mod order on the support or mask, `order` off it, in
     `np.min_scalar_type(order)`."""
-    coeffs = U.coeffs
-    nonzero = coeffs != 0
-    index = nonzero.argmax(axis=2)
-    sign = np.take_along_axis(coeffs, index[..., None], axis=2)[..., 0]
-    if nonzero.sum(axis=2).max(initial=0) > 1 or np.abs(sign).max(initial=0) > 1:
-        return None
+    dim = len(table.exps)
+    if isinstance(table, _SupportTable):  # row i: omega^exps[i] in column cols[i] alone
+        on = table.cols[:, None] == np.arange(dim)
+        exps = np.broadcast_to(table.exps[:, None], on.shape)
+    else:
+        exps, on = table.exps, table.mask
     dtype = np.min_scalar_type(order)
-    base = (decode_root(index, sign, basis_size(U.order)) * (order // U.order)).astype(dtype)
+    base = (exps * (order // table.order) & (order - 1)).astype(dtype)
     codes = np.add.outer(np.arange(order, dtype=dtype), base)  # below 2 order: no wrap
     codes &= order - 1
-    codes[:, sign == 0] = order
+    if on is not None:
+        np.copyto(codes, order, where=~on)
     return codes
 
 

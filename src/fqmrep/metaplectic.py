@@ -48,7 +48,7 @@ from functools import cache
 
 import numpy as np
 
-from .exactnum import NotAUnit, _exact_order, _is_odd_prime, jacobi_symbol
+from .exactnum import NotAUnit, _is_odd_prime, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
 from .matrixcore import OpMatrix, _exponent_codes, _PhaseTable, _roots, _SupportTable, mat_eq
@@ -332,22 +332,24 @@ def _float_stack(roots: np.ndarray, cols: np.ndarray, exps: np.ndarray) -> np.nd
 
 
 def _stacked_conjugation(
-    table: _SupportTable, U: OpMatrix, left: np.ndarray, right: np.ndarray, tol: float
+    table: _SupportTable, U: OpMatrix | _SupportTable | _PhaseTable, left: np.ndarray,
+    right: np.ndarray, tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(equal, deviation) of J[left[k]] U against U J[right[k]] for each k,
-    a block of points at a time.
+    a block of points at a time, U a float OpMatrix or the table of an exact U.
 
-    Exact: codes[k] holds the exponents of omega^k U (`_exponent_codes`, the
-    J exponents scaled to its order), so row i of J[l] U is row (k_l(i),
-    c_l(i)) of the codes and column j of U J[m] column rho(j) of layer
-    k_m(rho(j)), rho the inverse of c_m: two gathers and one compare.  A U
-    without codes, or a c_m that is no permutation, proves no point.  Float:
-    the block's J are densified (entries `_roots`[exps]) and multiplied in
-    stacked products, so each deviation is the one `mat_eq` gives.
+    Float: the block's J are densified (entries `_roots`[exps]) and multiplied
+    in stacked products, so each deviation is the one `mat_eq` gives.  Table:
+    codes[k] holds the exponents of omega^k U (`_exponent_codes`, read from
+    U's table at the higher of the two orders), so row i of J[l] U is row
+    (k_l(i), c_l(i)) of the codes and column j of U J[m] column rho(j) of
+    layer k_m(rho(j)), rho the inverse of c_m: two gathers and one compare.
+    U's scale is common to both sides.  A c_m that is no permutation proves
+    no point.
     """
-    n, dim = len(left), U.dim
+    n, dim = len(left), table.cols.shape[1]
     step = max(1, _CHUNK_ENTRIES // dim**2)
-    if U.backend == "float":
+    if isinstance(U, OpMatrix):
         roots, dev = _roots(table.order), np.empty(n)
         for a in range(0, n, step):
             l, m = left[a:a + step], right[a:a + step]
@@ -355,10 +357,8 @@ def _stacked_conjugation(
             rhs = U.data @ _float_stack(roots, table.cols[m], table.exps[m])
             dev[a:a + step] = np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)
         return dev <= tol, dev
-    order = max(U.order, _exact_order(table.order))
+    order = max(U.order, table.order)
     codes, scale = _exponent_codes(U, order), order // table.order
-    if codes is None:
-        return np.zeros(n, dtype=bool), np.zeros(n)
     rows = table.exps[left] * scale * dim + table.cols[left]
     inverse = np.argsort(table.cols[right], axis=1)
     equal = (np.take_along_axis(table.cols[right], inverse, axis=1) == np.arange(dim)).all(axis=1)
@@ -373,34 +373,40 @@ def _stacked_conjugation(
 
 
 def verify_metaplectic(
-    U: OpMatrix,
+    U: OpMatrix | _SupportTable | _PhaseTable,
     A: SL2Element,
     flavor: str,
     params: HWParams | None = None,
     tol: float = 1e-9,
     table: _SupportTable | None = None,
 ) -> VerifyReport:
-    """Check J_{r,s} U = U J_{(r,s)A} over every (r,s) in Z_N^2.
+    """Check J_{r,s} U = U J_{(r,s)A} over every (r,s) in Z_N^2, U an OpMatrix
+    or the table a builder wrote for an exact U (as `_closed_form` gives).
 
     The side-multiplied form avoids inverting U and is equivalent for
     invertible U.  The J's come from `table`, their row supports computed
     from the builders' formulas for all points at once (a suite checking
     many elements passes one `_j_table` for the same flavor and params).
     The points are recorded by `VerifyReport.scan`.  When U has the table's
-    dim (and is float, if the J's are), a stacked pass
-    (`_stacked_conjugation`) decides them: exact U by equality of two
-    gathers of U's exponent codes, float U by stacked BLAS products.
-    Every point it does not prove equal is compared as
-    mat_eq(J[l] @ U, U @ J[lA]), each J built by `j_twisted`/`j_odd`, so
-    failures and deviations are those of the products, recorded in (r, s)
-    lexicographic order: the result is deterministic.
+    dim, a stacked pass (`_stacked_conjugation`) decides them: U's table by
+    equality of two gathers of its exponent codes, a float U by stacked
+    BLAS products; an exact OpMatrix takes none.  Every point not proven
+    equal is compared as mat_eq(J[l] @ U, U @ J[lA]), each J built by
+    `j_twisted`/`j_odd` and a table's U once (`_table_op`), so failures and
+    deviations are those of the products, recorded in (r, s) lexicographic
+    order: the result is deterministic.
     """
+    if isinstance(U, OpMatrix):
+        backend, dim, matrix = U.backend, U.dim, lambda: U
+    else:
+        backend, dim = "exact", len(U.exps)
+        matrix = cache(lambda: _table_op(params, U, backend, "U"))
     if flavor == "twisted_even":
         if params is None:
             raise ValueError("twisted_even needs params")
         N = params.N
         rep_params = {"flavor": flavor, "N": N, "p": params.p}
-        j_of = lambda pt: j_twisted(params, pt, backend=U.backend)
+        j_of = lambda pt: j_twisted(params, pt, backend=backend)
     elif flavor == "weil_odd":
         N = A.N
         rep_params = {"flavor": flavor, "N": N}
@@ -419,13 +425,14 @@ def verify_metaplectic(
 
     def compare(l):
         lhs, rhs = j_of(divmod(l, N)), j_of(divmod(int(image[l]), N))
-        return mat_eq(lhs @ U, U @ rhs, tol)
+        return mat_eq(lhs @ matrix(), matrix() @ rhs, tol)
 
     def stacked(l):
         return _stacked_conjugation(table, U, l, image[l], tol)
 
     # the odd J's are float only: their roots are not in an exact U's ring
-    fits = U.dim == table.cols.shape[1] and (U.backend == "float" or flavor == "twisted_even")
+    stacks = backend == "float" or (not isinstance(U, OpMatrix) and flavor == "twisted_even")
+    fits = stacks and dim == table.cols.shape[1]
     report.scan(
         "J[r,s] U == U J[(r,s)A]", np.arange(N * N)[None], compare,
         lambda l: {"r": l // N, "s": l % N}, stacked if fits else None,

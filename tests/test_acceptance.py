@@ -120,8 +120,9 @@ def test_exact_homomorphism_mod16_within_budget():
 
 def test_exact_metaplectic_mod16_within_budget():
     # J U(A) == U(A) J_{(r,s)A} exactly at N = 16 (dim 256) for S, T and 20
-    # seeded elements, every point decided on U's exponent codes; 0.8 s
-    # measured on a 2-vCPU box (the coefficient-roll kernel before it: 4.3 s)
+    # seeded elements, every point decided on the exponent codes read from
+    # U's table; 0.6-0.7 s measured on a 2-vCPU box (codes decoded from U's
+    # coefficient tensor: 0.8-0.9 s; the coefficient-roll kernel: 4.3 s)
     t0 = time.perf_counter()
     rep = run_suite(SuiteSpec("metaplectic", {"n": 4, "p": 1, "samples": 20}))
     assert rep.passed

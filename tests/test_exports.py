@@ -36,3 +36,46 @@ def test_every_import_is_used_or_exported(name):
     ]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [n for n in imported if n not in used | set(getattr(module, "__all__", []))] == []
+
+
+def _reads(node) -> set:
+    # the names a statement reads: loaded names, attributes and imported names
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read.update(alias.name for alias in sub.names)
+    return read
+
+
+def _defined(node) -> list:
+    # the module-level functions, classes and constants a statement defines
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
+
+
+def test_every_definition_is_used_or_exported():
+    # an unused-definition lint: a module-level function, class or constant
+    # is read somewhere in the package's sources outside its own definition,
+    # or listed in its module's __all__
+    statements = [
+        (name, node)
+        for name in MODULES
+        for node in ast.parse(
+            Path(importlib.import_module(name).__file__).read_text(encoding="utf-8")
+        ).body
+    ]
+    reads = [_reads(node) for _, node in statements]
+    unused = [
+        f"{name}.{defined}"
+        for k, (name, node) in enumerate(statements)
+        for defined in _defined(node)
+        if defined not in getattr(importlib.import_module(name), "__all__", [])
+        and not any(defined in read for j, read in enumerate(reads) if j != k)
+    ]
+    assert unused == []

@@ -749,23 +749,29 @@ def test_guard_tripping_dense_pair_takes_the_object_path(ntt_calls):
 @pytest.mark.parametrize("order,target,dtype", [
     (8, 8, np.uint8), (8, 32, np.uint8), (128, 128, np.uint8), (128, 256, np.uint16),
 ])
-def test_exponent_codes_decode_signed_roots_in_the_smallest_type(order, target, dtype):
-    # codes[k, i, j] is the omega_target exponent of omega^k U[i, j] at U's
-    # scale, `target` on zero entries; a U off that form has no codes
+def test_exponent_codes_read_a_table_in_the_smallest_type(order, target, dtype):
+    # codes[k, i, j] is the omega_target exponent of omega^k X[i, j], X the
+    # table's matrix up to its scale, and `target` off its mask or support:
+    # for a phase table with a mask, one without and a 1-d support table
     rng = np.random.default_rng(order + target)
     exps, mask = rng.integers(-order, order, size=(6, 6)), rng.random((6, 6)) < 0.7
-    U = OpMatrix.from_phase_table(order, exps, mask, scale_pow2=3)
-    codes = matrixcore._exponent_codes(U, target)
-    assert codes.dtype == dtype and codes.shape == (target, 6, 6)
+    cols = rng.permutation(6)
+    support = np.zeros((6, 6), dtype=bool)
+    support[np.arange(6), cols] = True
     k = np.arange(target)[:, None, None]
-    want = np.where(mask, (exps * (target // order) + k) % target, target)
-    assert np.array_equal(codes, want)
-    values = np.where(codes < target, np.exp(2j * np.pi * codes / target), 0) / 8
-    assert np.allclose(values, np.exp(2j * np.pi * k / target) * U.to_complex_array())
-    assert matrixcore._exponent_codes(U + U, target) is not None  # 2U: the scale drops
-    for off in (U.scalar_mul(3), U + OpMatrix.identity(6, order=order),
-                U.scalar_mul(CycNum(order, (1, 1) + (0,) * (order // 2 - 2)))):
-        assert matrixcore._exponent_codes(off, target) is None
+    for table, on, scale in [
+        (matrixcore._PhaseTable(order, exps, mask, 3), mask, 8),
+        (matrixcore._PhaseTable(order, exps, None, 3), np.ones((6, 6), dtype=bool), 8),
+        (matrixcore._SupportTable(order, cols, exps[np.arange(6), cols]), support, 1),
+    ]:
+        codes = matrixcore._exponent_codes(table, target)
+        assert codes.dtype == dtype and codes.shape == (target, 6, 6)
+        want = np.where(on, (exps * (target // order) + k) % target, target)
+        assert np.array_equal(codes, want)
+        support_table = isinstance(table, matrixcore._SupportTable)
+        X = (OpMatrix.from_support if support_table else OpMatrix.from_phase_table)(*table)
+        values = np.where(codes < target, np.exp(2j * np.pi * codes / target), 0) / scale
+        assert np.allclose(values, np.exp(2j * np.pi * k / target) * X.to_complex_array())
 
 
 def _law_family(family, pr):

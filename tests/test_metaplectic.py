@@ -6,8 +6,8 @@ from functools import cache
 import numpy as np
 import pytest
 
-from fqmrep.exactnum import CycNum, NotAUnit, _exact_order, decode_root, jacobi_symbol
-from fqmrep import harness, matrixcore, metaplectic
+from fqmrep.exactnum import CycNum, NotAUnit, _exact_order, jacobi_symbol
+from fqmrep import harness, metaplectic
 from fqmrep.harness import SuiteSpec, run_suite
 from fqmrep.heisenberg import HWParams, _gamma_support, fourier, gamma_p, p_matrix, q_matrix
 from fqmrep.magnetic import j_odd, j_twisted
@@ -27,7 +27,9 @@ from fqmrep.matrixcore import (
 from fqmrep.metaplectic import (
     BadBranch,
     NonGeneric,
+    _closed_form,
     _closed_odd_sum,
+    _table_op,
     u_a_closed,
     u_d,
     u_general,
@@ -421,10 +423,10 @@ def test_verify_metaplectic_builds_each_j_once(monkeypatch):
     monkeypatch.setattr(metaplectic, "_j_table", counting_table)
     monkeypatch.setattr(metaplectic, "j_twisted", counting_j)
     A = SL2Element(1, 1, 1, 2, 4)
-    assert verify_metaplectic(u_general(params, A), A, "twisted_even", params).passed
+    assert verify_metaplectic(_closed_form(params, A)[0], A, "twisted_even", params).passed
     assert len(tables) == 1 and built == []
     # a wrong U still reports every failing point, in (r, s) order
-    rep = verify_metaplectic(u_s(params), A, "twisted_even", params)
+    rep = verify_metaplectic(_closed_form(params, sl2_s(4))[0], A, "twisted_even", params)
     points = [(f.inputs["r"], f.inputs["s"]) for f in rep.failures]
     assert points and points == sorted(points)
     assert len(tables) == 2
@@ -598,7 +600,10 @@ def test_u_t_pow_wraps():
 
 def _conjugation_reference(U, A, flavor, params=None, tol=1e-9, table=None):
     """The cycle walk the stacked check replaced: one J U and one U J product
-    and one mat_eq per point, each J built by the (possibly patched) builder."""
+    and one mat_eq per point, each J built by the (possibly patched) builder;
+    a builder's table for U is built into its exact matrix first."""
+    if not isinstance(U, OpMatrix):
+        U = _table_op(params, U, "exact", "U")
     if flavor == "twisted_even":
         N = params.N
         j_of = lambda pt: metaplectic.j_twisted(params, pt, backend=U.backend)
@@ -691,48 +696,96 @@ def test_suite_builds_each_j_once(name, params, builder, count, monkeypatch):
     assert built == []
 
 
-def _flawed_u_report(U, coeffs, A, params, monkeypatch):
-    # the stacked pass's mask and the report for U with coefficients `coeffs`,
-    # after checking the report against the cycle walk's
-    bad = OpMatrix(U.dim, "exact", coeffs=coeffs, order=U.order, scale_log2=U.scale_log2)
+def _flawed_u_report(bad, A, params, monkeypatch):
+    # the stacked passes' masks and the failing points for a flawed U, after
+    # checking the report against the cycle walk's
     seen = _spy_stacked(monkeypatch)
     got = verify_metaplectic(bad, A, "twisted_even", params)
     assert got.to_json() == _conjugation_reference(bad, A, "twisted_even", params).to_json()
     assert 0 < len(got.failures) < 64
-    return bad, seen[0], {params.N * f.inputs["r"] + f.inputs["s"] for f in got.failures}
+    return seen, {params.N * f.inputs["r"] + f.inputs["s"] for f in got.failures}
+
+
+def _flawed_table(params, A, flaw):
+    # U(A)'s masked table with one entry on the mask moved to omega times
+    # itself ("moved") or to its negative ("sign"), or one entry off the mask
+    # switched on ("mask bit")
+    table = _closed_form(params, A)[0]
+    exps, mask = table.exps.copy(), table.mask.copy()
+    i, j = np.argwhere(~mask if flaw == "mask bit" else mask)[5]
+    if flaw == "mask bit":
+        mask[i, j] = True
+    else:
+        exps[i, j] += 1 if flaw == "moved" else table.order // 2
+    return table._replace(exps=exps, mask=mask)
 
 
 @pytest.mark.parametrize("in_support", [True, False])
 def test_perturbed_u_fails_like_the_cycle_walk(in_support, monkeypatch):
-    # one coefficient of U moves, inside a nonzero entry (which then holds
-    # two coefficients: no exponent codes, so the stacked pass proves no
-    # point) or in a zero entry (which becomes 2^-s omega)
+    # one coefficient of U moves, inside a nonzero entry, which then holds
+    # two coefficients: no table writes that U, so the exact OpMatrix takes
+    # no stacked pass and each point is compared by its products; or a zero
+    # entry becomes 2^-s omega^E, a flipped mask bit of U's table, and the
+    # stacked pass flags exactly the failing points
     params = HWParams(8, 3)
     A = SL2Element(3, 2, 4, 3, 8)
-    U = u_general(params, A)
-    coeffs = U.coeffs.copy()
-    nonzero = coeffs.any(axis=2)
-    i, j = np.argwhere(nonzero if in_support else ~nonzero)[5]
-    coeffs[i, j, 1] += 1
-    bad, equal, failing = _flawed_u_report(U, coeffs, A, params, monkeypatch)
-    assert (matrixcore._exponent_codes(bad, bad.order) is None) == in_support
-    assert not equal.any() if in_support else set(np.flatnonzero(~equal)) == failing
+    if in_support:
+        U = u_general(params, A)
+        coeffs = U.coeffs.copy()
+        i, j = np.argwhere(coeffs.any(axis=2))[5]
+        coeffs[i, j, 1] += 1
+        bad = OpMatrix(U.dim, "exact", coeffs=coeffs, order=U.order, scale_log2=U.scale_log2)
+    else:
+        bad = _flawed_table(params, A, "mask bit")
+    seen, failing = _flawed_u_report(bad, A, params, monkeypatch)
+    if in_support:
+        assert seen == []
+    else:
+        assert len(seen) == 1 and set(np.flatnonzero(~seen[0])) == failing
 
 
 @pytest.mark.parametrize("flaw", ["moved", "sign"])
 def test_signed_root_flaws_fail_like_the_cycle_walk(flaw, monkeypatch):
-    # one entry of U keeps the signed-root form but moves to omega times
-    # itself or flips its sign: the stacked pass flags exactly the failing points
+    # one entry of U's table moves to omega times itself or flips its sign
+    # (E + 1 or E + order/2): the stacked pass flags exactly the failing points
     params = HWParams(8, 3)
     A = SL2Element(3, 2, 4, 3, 8)
-    U = u_general(params, A)
-    coeffs = U.coeffs.copy()
-    i, j = np.argwhere(coeffs.any(axis=2))[5]
-    c = coeffs[i, j].copy()
-    coeffs[i, j] = np.concatenate(([-c[-1]], c[:-1])) if flaw == "moved" else -c
-    bad, equal, failing = _flawed_u_report(U, coeffs, A, params, monkeypatch)
-    assert matrixcore._exponent_codes(bad, bad.order) is not None
-    assert set(np.flatnonzero(~equal)) == failing
+    seen, failing = _flawed_u_report(_flawed_table(params, A, flaw), A, params, monkeypatch)
+    assert len(seen) == 1 and set(np.flatnonzero(~seen[0])) == failing
+
+
+def _count_scatter(monkeypatch):
+    # the dims of the exact matrices built, each through OpMatrix._scatter
+    built = []
+    real = OpMatrix.__dict__["_scatter"].__func__
+
+    def counting(cls, dim, *args):
+        built.append(dim)
+        return real(cls, dim, *args)
+
+    monkeypatch.setattr(OpMatrix, "_scatter", classmethod(counting))
+    return built
+
+
+@pytest.mark.parametrize("params", [{"n": 3, "samples": 3}, {"n": 4, "p": 3}])
+def test_passing_exact_metaplectic_run_builds_no_matrix(params, monkeypatch):
+    # S, T and the samples are decided on their builders' tables alone: no
+    # U and no J is built
+    built = _count_scatter(monkeypatch)
+    rep = run_suite(SuiteSpec("metaplectic", params))
+    assert rep.passed and rep.checks_run == (2 + params.get("samples", 0)) * 4**params["n"]
+    assert built == []
+
+
+def test_flawed_table_builds_its_u_once(monkeypatch):
+    # every point the stacked pass leaves builds its two J's; U is built
+    # once, on the first of them
+    params = HWParams(8, 3)
+    A = SL2Element(3, 2, 4, 3, 8)
+    built = _count_scatter(monkeypatch)
+    rep = verify_metaplectic(_flawed_table(params, A, "moved"), A, "twisted_even", params)
+    assert 1 < len(rep.failures) < 64
+    assert built == [64] * (1 + 2 * len(rep.failures))
 
 
 N4_ELEMENTS = {  # S, T and one element of each closed-form branch at N = 16
@@ -749,26 +802,26 @@ N4_FLAWS = {"moved exponent": "d-odd-reduced", "mask bit": "d-odd-sum", "swapped
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("case", [*N4_ELEMENTS, *N4_FLAWS])
 def test_exponent_kernel_agrees_with_mat_eq_at_n4(case, p):
-    # the stacked exact pass over all 256 points at N = 16; a seeded subset
-    # of its verdicts, equal and unequal, is the dense mat_eq(J U, U J)'s.
-    # A flaw moves one exponent of U's table, flips one mask bit, or swaps
-    # the columns of rows 0 and 1 of one J
+    # the stacked exact pass over all 256 points at N = 16 on U's table; a
+    # seeded subset of its verdicts, equal and unequal, is the dense
+    # mat_eq(J U, U J)'s, U built from the table.  A flaw moves one exponent
+    # of U's table, flips one mask bit, or swaps the columns of rows 0 and 1
+    # of one J
     params = HWParams(16, p)
     name = N4_FLAWS.get(case, case)
     A = N4_ELEMENTS[name]
-    U = u_s(params) if name == "S" else u_t(params) if name == "T" else u_general(params, A)
-    assert name in ("S", "T") or U.meta.endswith(f"[{name}]")
+    U, branch = _closed_form(params, A)
+    assert name in ("S", "T", branch)
     table = metaplectic._j_table("twisted_even", 16, params)
     rng = np.random.default_rng(p)
     i, j = rng.integers(256, size=2)
     if case in ("moved exponent", "mask bit"):
-        form, branch = metaplectic._closed_form(params, A)
-        exps, mask = form.exps.copy(), None if form.mask is None else form.mask.copy()
+        exps, mask = U.exps.copy(), None if U.mask is None else U.mask.copy()
         if case == "moved exponent":
             exps[i, j] += 1
         else:
             mask[i, j] = not mask[i, j]
-        U = OpMatrix.from_phase_table(16, exps, mask, form.scale_pow2)
+        U = U._replace(exps=exps, mask=mask)
     elif case == "swapped J column":
         cols = table.cols.copy()
         cols[i, :2] = cols[i, 1::-1]
@@ -780,6 +833,7 @@ def test_exponent_kernel_agrees_with_mat_eq_at_n4(case, p):
     assert not deviation.any()
     assert equal.all() == (case in N4_ELEMENTS)
     J = lambda t: OpMatrix.from_support(16, table.cols[t], table.exps[t])  # noqa: E731
+    U = _table_op(params, U, "exact", case)
     for verdict in (True, False):
         where = np.flatnonzero(equal == verdict)
         for t in rng.choice(where, size=min(8, len(where)), replace=False):
@@ -791,9 +845,9 @@ def test_stacked_conjugation_proves_nothing_for_a_non_permutation_j():
     # J[0] U == U J[1] fails for U = I, although reading the row order that
     # sorts c_1 as its inverse would give I
     table = _SupportTable(8, np.array([[0, 1], [0, 0]]), np.zeros((2, 2), dtype=np.int64))
-    U = OpMatrix.identity(2)
+    U = _SupportTable(8, np.arange(2), np.zeros(2, dtype=np.int64))  # I
     J = [OpMatrix.from_support(8, table.cols[t], table.exps[t]) for t in (0, 1)]
-    assert not mat_eq(J[0] @ U, U @ J[1]).equal
+    assert not mat_eq(J[0] @ OpMatrix.identity(2), OpMatrix.identity(2) @ J[1]).equal
     equal, _ = metaplectic._stacked_conjugation(table, U, np.array([0, 0]), np.array([0, 1]), 0.0)
     assert equal.tolist() == [True, False]
 
@@ -802,24 +856,25 @@ def test_stacked_conjugation_proves_nothing_for_a_non_permutation_j():
 @pytest.mark.parametrize("element", ["S", "T"])
 @pytest.mark.parametrize("higher", ["U", "J"])
 def test_promoted_order_and_scale_match_the_cycle_walk(n, element, higher, monkeypatch):
-    # U(S) carries 2^-n; times omega_16 its order 16 exceeds the J's order
-    # 8, or the J's are given order 16 (table and builder) and U is promoted
+    # U(S)'s table carries 2^-n; times omega_16^3 its order 16 exceeds the
+    # J's order N, or the J's are given order 16 (table and builder) over
+    # U's order N: the codes are read at the higher order
     params = HWParams(2**n)
-    U = u_s(params)
+    U = _closed_form(params, sl2_s(params.N))[0]
     table = metaplectic._j_table("twisted_even", params.N, params)
     if higher == "U":
-        U = U.scalar_mul(CycNum.root(16, 3))
+        U = U._replace(order=16, exps=U.exps * (16 // params.N) + 3)
     else:
         table = table._replace(order=16, exps=table.exps * (16 // params.N))
         monkeypatch.setattr(
             metaplectic, "j_twisted", lambda *args, **kw: j_twisted(*args, **kw)._promoted(16)
         )
-    assert U.scale_log2 == n
-    assert (U.order, table.order) == ((16, params.N) if higher == "U" else (8, 16))
+    assert U.scale_pow2 == n
+    assert (U.order, table.order) == ((16, params.N) if higher == "U" else (params.N, 16))
     A = sl2_s(params.N) if element == "S" else sl2_t(params.N)  # T: U(S) is wrong
     seen = _spy_stacked(monkeypatch)
     got = verify_metaplectic(U, A, "twisted_even", params, table=table)
-    assert int((~seen[0]).sum()) == len(got.failures)
+    assert len(seen) == 1 and int((~seen[0]).sum()) == len(got.failures)
     assert got.to_json() == _conjugation_reference(U, A, "twisted_even", params).to_json()
     assert got.passed == (element == "S")
 
@@ -857,7 +912,10 @@ def test_float_u_on_the_shared_table_matches_the_cycle_walk(n, monkeypatch):
 def test_mismatched_operands_raise_like_the_cycle_walk():
     for U, flavor, A, error in [
         (u_s(HWParams(2)), "twisted_even", sl2_s(4), DimMismatch),  # dim 4, J of dim 16
+        (_closed_form(HWParams(2), sl2_s(2))[0], "twisted_even", sl2_s(4), DimMismatch),
         (OpMatrix.identity(3, "exact"), "weil_odd", sl2_s(3), BackendMismatch),  # J float
+        (_SupportTable(8, np.arange(3), np.zeros(3, dtype=np.int64)), "weil_odd", sl2_s(3),
+         BackendMismatch),
     ]:
         for check in (verify_metaplectic, _conjugation_reference):
             with pytest.raises(error):
@@ -888,7 +946,7 @@ def _unit_support(J):
     cols, entries, peak = _row_support(J.coeffs)
     assert peak == 1 and np.count_nonzero(entries) == J.dim
     pos = np.abs(entries).argmax(axis=1)
-    return cols, decode_root(pos, entries[rows, pos], entries.shape[1])
+    return cols, pos + entries.shape[1] * (entries[rows, pos] < 0)
 
 
 def _assert_table_row(table, t, M, backend):
