@@ -478,13 +478,13 @@ def _suite_quadratic_module(params: dict) -> VerifyReport:
             ok = qm.q((-x1 % N, -x2 % N)) == qm.q((x1, x2))
             rep.record(ok, 0.0 if ok else 1.0, "Q(-x) == Q(x)", {"x": [x1, x2]})
     units = list(range(1, N, 2))
+    alpha = {a: alpha_q(qm, a) for a in units}
     for a in units:
-        dev = abs(alpha_q(qm, a) - 1)
+        dev = abs(alpha[a] - 1)
         rep.record(dev <= 1e-10, dev, "alpha_Q(a) == 1", {"a": a})
-    base = alpha_q(qm, 1)
     for a in units:
         for b in units:
-            dev = abs(alpha_q(qm, a) * alpha_q(qm, b) - base * alpha_q(qm, a * b))
+            dev = abs(alpha[a] * alpha[b] - alpha[1] * alpha[a * b % N])
             rep.record(
                 dev <= 1e-10, dev,
                 "alpha(a) alpha(b) == alpha(1) alpha(ab)", {"a": a, "b": b},

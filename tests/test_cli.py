@@ -166,6 +166,15 @@ def test_verify_out_file_bytes_stable(tmp_path, capsys):
          "fc5f3162ddefe23def57f5a5e991920af0320f87d08f1b9d3a61b10ee969a0f1"),
         (["--suite", "heisenberg", "--n", "3", "--samples", "300", "--seed", "5", "--p", "7"],
          "c5fdeb14443519b75bd7ee8940761f519563523ced8246f9173d554065d611fc"),
+        # float Gauss sums and generator defects, pinned bit for bit
+        (["--suite", "quadratic-module", "--n", "1"],
+         "b08ebb6044bd9c45cf863f18bebd3d2e31148198bd7b93858420240bb7ff90bd"),
+        (["--suite", "quadratic-module", "--n", "2"],
+         "b80feb93777a45a7e9dc7b22de44f529fb1f0c27418165fcef2779ceec0469f3"),
+        (["--suite", "quadratic-module", "--n", "3"],
+         "cfbb9fa749e72ad8bebf23627b7ac2a0bc9fb90f7ce4caac9307cdb7a6accbf4"),
+        (["--suite", "quadratic-module", "--n", "4"],
+         "6a10c7ba3a54b068eeb8769b2f3553afdcf709330aa67ede80426c6a206cd762"),
     ],
 )
 def test_verify_out_golden_digest(args, digest, tmp_path, capsys):

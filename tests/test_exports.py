@@ -79,3 +79,35 @@ def test_every_definition_is_used_or_exported():
         and not any(defined in read for j, read in enumerate(reads) if j != k)
     ]
     assert unused == []
+
+
+def _is_params(node) -> bool:
+    # `params` or `self.params`, the dict a suite is given; not `rep.params`
+    if isinstance(node, ast.Name):
+        return node.id == "params"
+    return isinstance(node, ast.Attribute) and node.attr == "params" and (
+        isinstance(node.value, ast.Name) and node.value.id == "self"
+    )
+
+
+def test_suite_parameters_are_an_inventory_named_in_the_readme():
+    # the keys harness.py reads from a suite's input dict, by params[...],
+    # params.get(...) and self.params.get(...): a new knob is listed here
+    # and documented in README on purpose
+    tree = ast.parse(Path(importlib.import_module("fqmrep.harness").__file__).read_text(encoding="utf-8"))
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and _is_params(node.value):
+            key = node.slice
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and _is_params(node.func.value)
+        ):
+            key = node.args[0]
+        else:
+            continue
+        assert isinstance(key, ast.Constant) and isinstance(key.value, str), ast.dump(key)
+        keys.add(key.value)
+    assert keys == {"n", "N", "p", "samples", "seed", "tol", "backend", "exhaustive", "pairs"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [key for key in sorted(keys) if f"`{key}`" not in readme] == []

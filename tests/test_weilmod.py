@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from fqmrep.exactnum import NotAUnit
+from fqmrep.harness import SuiteSpec, run_suite
 from fqmrep.heisenberg import HWParams, p_matrix, q_matrix
 from fqmrep.matrixcore import OpMatrix, mat_eq
+from fqmrep.metaplectic import u_d, u_s, u_t_pow
 from fqmrep.sl2 import SL2Element, enumerate_sl2, sample_sl2
 from fqmrep.weilmod import (
     CharacterSample,
@@ -41,12 +43,6 @@ def test_quadratic_module_rejects_bad_modulus():
             QuadraticModule(bad)
 
 
-def test_quadratic_module_rejects_odd_form():
-    # x -> x1 is not even: Q(-x) != Q(x) away from the fixed points
-    with pytest.raises(ValueError):
-        QuadraticModule(4, form=lambda x1, x2: x1)
-
-
 def test_quadratic_module_numerators():
     qm = QuadraticModule(4)
     assert qm.size == 16
@@ -59,6 +55,32 @@ def test_quadratic_module_numerators():
             for y1 in range(4):
                 for y2 in range(4):
                     assert qm.b((x1, x2), (y1, y2)) == (x1 * y2 + x2 * y1) % 4
+
+
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_quadratic_module_is_even_and_b_is_its_bilinear_polarization(N):
+    # over every x, y in Z_N^2: Q(-x) = Q(x), B = Q(x+y) - Q(x) - Q(y) is
+    # symmetric, and B is additive in each argument over every x, x', y
+    qm = QuadraticModule(N)
+    points = list(itertools.product(range(N), repeat=2))
+    for x in points:
+        assert qm.q((-x[0] % N, -x[1] % N)) == qm.q(x)
+    B = np.array([[qm.b(x, y) for y in points] for x in points])
+    Q = np.array([qm.q(x) for x in points])
+    x1, x2 = np.divmod(np.arange(N * N), N)
+    total = N * ((x1[:, None] + x1) % N) + (x2[:, None] + x2) % N
+    assert np.array_equal(B, (Q[total] - Q[:, None] - Q) % N)
+    assert np.array_equal(B, B.T)
+    # B(x + x', y) = B(x, y) + B(x', y); the second argument follows by symmetry
+    assert np.array_equal(B[total], (B[:, None, :] + B[None, :, :]) % N)
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 16])
+def test_q_all_is_q_at_each_composite_index(N):
+    qm = QuadraticModule(N)
+    got = qm.q_all()
+    assert got.dtype == np.int64
+    assert got.tolist() == [qm.q(divmod(k, N)) for k in range(N * N)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -104,16 +126,16 @@ def test_gamma_sinv_frozen_entry_n1():
 
 @pytest.mark.parametrize("N", [2, 4, 8, 16])
 def test_gamma_sinv_matches_the_polarization_double_loop(N):
-    # the vectorised B table equals qm.b over every pair (x, y), for the
-    # default form and a custom one: the same exponents, so the same bits
-    for qm in (QuadraticModule(N), QuadraticModule(N, lambda u, v: (u * u + u * v + v * v) % N)):
-        x1, x2 = np.divmod(np.arange(qm.size), N)
-        points = list(zip(x1.tolist(), x2.tolist()))
-        exps = np.array([[qm.b(x, y) for y in points] for x in points])
-        want = OpMatrix.from_phase_table(N, exps, scale_pow2=N.bit_length() - 1, backend="float")
-        want = want.scalar_mul(alpha_q(qm, -1))
-        got = weil_generator_action(qm, "Sinv")
-        assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+    # the vectorised B table equals qm.b over every pair (x, y): the same
+    # exponents, so the same bits
+    qm = QuadraticModule(N)
+    x1, x2 = np.divmod(np.arange(qm.size), N)
+    points = list(zip(x1.tolist(), x2.tolist()))
+    exps = np.array([[qm.b(x, y) for y in points] for x in points])
+    want = OpMatrix.from_phase_table(N, exps, scale_pow2=N.bit_length() - 1, backend="float")
+    want = want.scalar_mul(alpha_q(qm, -1))
+    got = weil_generator_action(qm, "Sinv")
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 
 def test_gamma_d_identity():
@@ -151,6 +173,37 @@ def test_generator_defects_vanish(n):
         rep = generator_defect(qm, kind, a)
         assert rep["defect"] < 1e-9, (kind, a, rep)
         assert abs(rep["phase"] - 1) < 1e-9, (kind, a, rep)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_float_partners_match_their_exact_twins(n):
+    # generator_defect compares against float partners; each equals the
+    # exact build of the same table to within a rounding of its entries.
+    # The exact basis writes omega^11 as -omega^3 at N = 16, so the two
+    # sides round different angles: 2 pi eps bounds the angle's rounding
+    params = HWParams(2**n, 1)
+    twins = [lambda backend: u_t_pow(params, -1, backend), lambda backend: u_s(params, backend)]
+    twins += [lambda backend, a=a: u_d(params, a, backend) for a in range(1, 2**n, 2)]
+    bound = 2 * np.pi * np.finfo(float).eps
+    for build in twins:
+        exact = build("exact")
+        assert exact.backend == "exact"
+        assert np.abs(build("float").data - exact.to_complex_array()).max() <= bound
+
+
+def test_quadratic_module_run_builds_no_exact_matrix(monkeypatch):
+    # every exact build goes through OpMatrix._scatter
+    calls = []
+    real = OpMatrix.__dict__["_scatter"].__func__
+
+    def counting(cls, *args):
+        calls.append(args[0])
+        return real(cls, *args)
+
+    monkeypatch.setattr(OpMatrix, "_scatter", classmethod(counting))
+    rep = run_suite(SuiteSpec("quadratic-module", {"n": 3}))
+    assert rep.passed and rep.checks_run == 90
+    assert calls == []
 
 
 # -- time-frequency shifts ----------------------------------------------
