@@ -14,9 +14,13 @@ exact twisted cocycle (`check_pair_law`), its dagger law as J[l] J[-l] == I
 and the exact `heisenberg` commutator law; `verify_metaplectic`'s stacked
 kernel decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic`
 and `weil-odd` on such a table, an exact U by the omega exponents read from
-its closed-form builder's table (`_closed_form`, `_exponent_codes`).  The
-exact `homomorphism` law U(A) U(B) == U(AB) is decided on the same tables,
-each evaluated once modulo a word prime (`_evaluate`), by `_phase_law`.
+its closed-form builder's table (`_closed_form`, `_exponent_codes`); the
+support tables are cast once per suite call to the narrow dtypes of
+`_support_law` (`_narrow_support`).  The exact `homomorphism` law U(A) U(B)
+== U(AB) is decided on the same tables modulo a word prime by `_phase_law`,
+each table read once into a `_SlotTable` (`_slot_table`): one gather index
+per table, the slots compared a block at a time, and odd-c tables past
+dim 64 applied as two n x n stages.
 Keys a kernel does not prove equal, and the keys of every other law, are
 compared one at a time, so a passing exact twisted or `metaplectic` run
 builds no J and a passing exact `homomorphism` or `metaplectic` run no U.
@@ -41,7 +45,9 @@ from .heisenberg import (
     HWParams, _gamma_support, _root_scalar, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix,
 )
 from .magnetic import j_odd, j_twisted
-from .matrixcore import OpMatrix, _evaluate, _phase_law, _support_law, _SupportTable, mat_eq
+from .matrixcore import (
+    OpMatrix, _narrow_support, _phase_law, _slot_table, _support_law, _SupportTable, mat_eq,
+)
 from .metaplectic import (
     _closed_form,
     _j_table,
@@ -171,11 +177,11 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     (table, index), `index` numbering keys into the table's members; with
     it, a chunk of pairs is decided at once, its key arrays given to
     `compose`, `e` and `index`.  A family of phased permutations with a
-    phase passes its `_SupportTable` of root order N, decided by
-    `_support_law` on integer exponents; a bare law may pass instead a
-    cached table(number) -> `_Evaluation`, each pair then decided by
-    `_phase_law`.  The pairs left, and every pair without a
-    table, are compared one at a time.
+    phase passes its `_SupportTable` of root order N, narrowed once
+    (`_narrow_support`) and decided by `_support_law` on integer exponents;
+    a bare law may pass instead a cached table(number) -> `_SlotTable`, each
+    pair then decided by `_phase_law` one block of slots at a time.  The
+    pairs left, and every pair without a table, are compared one at a time.
     """
     N, exponent = phase or (1, None)
 
@@ -300,7 +306,7 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
     if backend == "exact":  # float reports carry each pair's deviation
         # the table of all N^3 elements, Gamma(z^m x^r y^s) at row N(N m + r) + s
         elements = np.unravel_index(np.arange(N**3), (N, N, N))
-        table = _SupportTable(N, *_gamma_support(pr, *elements))
+        table = _narrow_support(_SupportTable(N, *_gamma_support(pr, *elements)))
 
         def stacked(g, h):
             # Gamma(g) Gamma(h) = w^{p s r'} Gamma(gh) and Gamma(h) Gamma(g) =
@@ -352,7 +358,7 @@ def _suite_cocycle_twisted(params: dict) -> VerifyReport:
     _guard_pairs(N**4)
     rep = VerifyReport("cocycle-twisted", {"N": N, "p": p, "backend": backend})
     op = cache(lambda l: j_twisted(pr, l, backend=backend))
-    table = _j_table("twisted_even", N, pr) if backend == "exact" else None
+    table = _narrow_support(_j_table("twisted_even", N, pr)) if backend == "exact" else None
     _dagger_law(rep, N, op, tol, table)
     _torus_law(
         rep, "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']", N, op,
@@ -416,7 +422,7 @@ def _suite_homomorphism(params: dict) -> VerifyReport:
     if backend == "exact":  # the builders' tables decide; elements are numbered by their entries
         shape = (N,) * 4
         entries = lambda k: map(int, np.unravel_index(k, shape))  # noqa: E731
-        table = keep(lambda k: _evaluate(_closed_form(pr, element(entries(k)))[0]))
+        table = keep(lambda k: _slot_table(_closed_form(pr, element(entries(k)))[0]))
         members = (table, lambda x: np.ravel_multi_index(x, shape))
     _sl2_law(rep, N, pairs, op, tol, members)
     return rep

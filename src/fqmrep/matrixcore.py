@@ -22,6 +22,17 @@ stacked dim x dim float64 products on centred residues (every value
 stays below 2^51, so BLAS is exact) and interpolated back; past p/2 the
 object-dtype path takes over.  Rescaling and products check int64
 headroom and raise `ExactOverflow` rather than wrap.
+
+The builders' tables are evaluated at the same L roots mod the same prime
+without a coefficient tensor: a `_SlotTable` holds one gather index into
+each slot's root residues, and `_phase_law` decides X Y == Z on three of
+them a block of slots at a time, in one reused buffer.  A table of one
+block (dim <= 64) keeps its whole evaluation; a larger unmasked table
+whose exponents split as a(k1, j1, j2) + b(k1, k2, j1) (every odd-c
+closed form: a chirp, a transform of side n, a chirp) is applied as two
+batched n x n stages, 2 n^5 multiply-adds per slot instead of n^6.
+Laws of phased permutations are decided on their integer exponents by
+`_support_law`.
 """
 
 from __future__ import annotations
@@ -113,16 +124,29 @@ def _monomial_matmul(
     return other.take(cols, axis=0) @ _regular(entries).swapaxes(1, 2)
 
 
+# float64 entries per sweep of `_reduce` (256 KB), so that its four passes
+# over a chunk stay in cache: one reduction of 2^20 entries took 2.8 ms in
+# chunks of 2^15, 3.2 ms in chunks of 2^13 and 5.5 ms whole (timeit)
+_REDUCE_CHUNK = 1 << 15
+
+
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """The centred residue of x mod p (odd), for integer-valued float64 |x| < 2^51.
+    """Reduce x, a C-contiguous integer-valued float64 array with |x| < 2^51,
+    to its centred residues mod p (odd) in place, and return it.
 
     x/p is off by under 1/(2p) after two roundings, and x/p lies at least
     1/(2p) from a half-integer, so rounding the quotient is exact.
     """
+    if x.size > _REDUCE_CHUNK:
+        flat = x.reshape(-1)
+        for a in range(0, flat.size, _REDUCE_CHUNK):
+            _reduce(flat[a:a + _REDUCE_CHUNK], p)
+        return x
     q = x * (1.0 / p)
     np.rint(q, out=q)
     q *= p
-    return np.subtract(x, q, out=q)
+    x -= q
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -161,11 +185,15 @@ def _ntt_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d, _, size = a.shape
     n = d * d
     p, fwd, inv = _ntt_plan((max(d, size) - 1).bit_length(), size)
-    cols = np.concatenate((a.reshape(n, size), b.reshape(n, size)), dtype=np.float64).T
-    # both operands at the L roots, then L stacked dim x dim products
-    ev = _reduce(fwd @ cols, p)
+    cols = np.concatenate((a.reshape(n, size), b.reshape(n, size)), dtype=np.float64)
+    # both operands at the L roots, then L stacked dim x dim products, each
+    # pass reduced in place; the product's coefficients go back into the
+    # operands' buffer, which is read by then
+    ev = _reduce(fwd @ cols.T, p)
     prod = _reduce(ev[:, :n].reshape(size, d, d) @ ev[:, n:].reshape(size, d, d), p)
-    return _reduce(inv @ prod.reshape(size, n), p).astype(np.int64).T.reshape(d, d, size)
+    coeffs = cols.reshape(-1).view(np.int64)[: size * n].reshape(size, n)
+    np.copyto(coeffs, _reduce(inv @ prod.reshape(size, n), p), casting="unsafe")
+    return coeffs.T.reshape(d, d, size)
 
 
 @lru_cache(maxsize=None)
@@ -203,39 +231,87 @@ class _PhaseTable(NamedTuple):
     scale_pow2: int
 
 
-class _Evaluation(NamedTuple):
-    """A table's matrix X at the L roots of x^L + 1 mod the word prime p:
-    values[m] holds the centred residues of its entries at the m-th root
-    (2^{-1} taken mod p), so the dim x dim products of two evaluations are
-    their product's.  scale_pow2 is the table's, for `_phase_law`'s bound."""
+# slots x dim^2 float64 entries per block of `_phase_law` (512 KB): every
+# slot of a dim <= 64 table is one block, and a dim-256 block is one slot
+_SLOT_BLOCK = 1 << 16
+
+
+class _SlotTable(NamedTuple):
+    """A table's matrix X at the L roots of x^L + 1 mod the word prime p, by
+    one gather: X_m[i, j] = roots[m, index[i, j]] at the m-th root, where
+    roots[m, e] is the centred residue of 2^{-s} omega^e (e < order, 2^{-1}
+    taken mod p) and the last column, the index of every entry off the mask
+    or support, is 0.  So the dim x dim products of two tables' slots are
+    their product's.
+
+    A table of one block (`_slot_step`) keeps its whole gather in `values`
+    and no split.  Otherwise `values` is None, and `split` is None unless
+    the table is an unmasked phase table of dim n^2 whose exponents split
+    (`_split`): then it is (A, B), each (L, n, n, n), with X_m[k, j] =
+    A[m, k1, j1, j2] B[m, k1, k2, j1] for k = (k1, k2) and j = (j1, j2), A
+    unscaled and B holding 2^{-s}.  scale_pow2 is the table's, for
+    `_phase_law`'s bound."""
 
     p: int
-    values: np.ndarray
+    index: np.ndarray
+    roots: np.ndarray
+    values: np.ndarray | None
+    split: tuple[np.ndarray, np.ndarray] | None
     scale_pow2: int
 
 
-def _evaluate(table: _SupportTable | _PhaseTable) -> _Evaluation:
-    """Evaluate a table (a 1-d `_SupportTable` or a `_PhaseTable`) at the L
-    roots, mod the prime of the plan `_ntt_matmul` uses at its dim:
-    omega^e goes to (zeta^{(2m+1) e})_m, the column e of [fwd, -fwd]
-    (omega^{L+k} = -omega^k), times 2^{-scale_pow2}, by one gather per entry."""
+def _slot_table(table: _SupportTable | _PhaseTable) -> _SlotTable:
+    """A 1-d `_SupportTable` or a `_PhaseTable` at the L roots, mod the prime
+    of the plan `_ntt_matmul` uses at its dim: omega^e goes to
+    (zeta^{(2m+1) e})_m, the column e of [fwd, -fwd] (omega^{L+k} =
+    -omega^k), times 2^{-scale_pow2}.  The index is held in the smallest
+    unsigned type that holds `order`, and a split is checked once, on the
+    whole table."""
     order = _exact_order(table.order)
     size = basis_size(order)
     dim = len(table.exps)
     p, fwd, _ = _ntt_plan((max(dim, size) - 1).bit_length(), size)
     support = isinstance(table, _SupportTable)
     scale = 0 if support else table.scale_pow2
+    units = np.concatenate((fwd, -fwd, np.zeros((size, 1))), axis=1)
     # |fwd| <= (p - 1)/2 times 2^{-s} mod p < p stays below p^2/2 < 2^51 (p < 2^26)
-    roots = _reduce(np.concatenate((fwd, -fwd), axis=1) * float(pow(2, -scale, p)), p)
-    exps = table.exps * (order // table.order) % order
+    roots = _reduce(units * float(pow(2, -scale, p)), p)
+    low = order - 1  # a power of two: & low reduces mod order
+    exps = table.exps * (order // table.order) & low
     if support:
-        values = np.zeros((size, dim, dim))
-        values[:, np.arange(dim), table.cols] = roots[:, exps]
+        index = np.full((dim, dim), order, dtype=np.min_scalar_type(order))
+        index[np.arange(dim), table.cols] = exps
     else:
-        values = roots.take(exps, axis=1)  # C-contiguous, which the stacked matmul wants
-        if table.mask is not None:
-            values *= table.mask
-    return _Evaluation(p, values, scale)
+        index = exps if table.mask is None else np.where(table.mask, exps, order)
+        index = index.astype(np.min_scalar_type(order))
+    if _slot_step(size, dim) == size:
+        return _SlotTable(p, index, roots, roots.take(index, axis=1), None, scale)
+    split = None if support or table.mask is not None else _split(exps, order)
+    if split is not None:
+        split = (units.take(split[0], axis=1), roots.take(split[1], axis=1))
+    return _SlotTable(p, index, roots, None, split, scale)
+
+
+def _split(exps: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(a, b) with exps[k, j] = a[k1, j1, j2] + b[k1, k2, j1] (mod order, a
+    power of two) for every k = (k1, k2) and j = (j1, j2) of a dim n^2
+    table, which holds exactly when E[k, j] = E[(k1, 0), j] - E[(k1, 0),
+    (j1, 0)] + E[k, (j1, 0)]; else None."""
+    dim, low = len(exps), order - 1
+    n = math.isqrt(dim)
+    if n * n != dim:
+        return None
+    e = exps.reshape(n, n, n, n) & low  # e[k1, k2, j1, j2]
+    a, b = (e[:, 0] - e[:, 0, :, :1]) & low, e[..., 0]
+    joined = np.add(a[:, None], b[..., None])
+    joined &= low
+    return (a, b) if np.array_equal(joined, e) else None
+
+
+def _slot_step(size: int, dim: int) -> int:
+    # slots per block of `_phase_law`, a power of two, so that equal blocks
+    # cover the L = size slots (a power of two)
+    return min(size, 1 << max(0, (_SLOT_BLOCK // (dim * dim)).bit_length() - 1))
 
 
 def _exponent_codes(table: _SupportTable | _PhaseTable, order: int) -> np.ndarray:
@@ -259,20 +335,76 @@ def _exponent_codes(table: _SupportTable | _PhaseTable, order: int) -> np.ndarra
     return codes
 
 
-def _phase_law(x: _Evaluation, y: _Evaluation, z: _Evaluation) -> bool:
-    """Whether X Y == Z, proven on evaluations mod one prime p (False: not proven).
+def _phase_law(x: _SlotTable, y: _SlotTable, z: _SlotTable) -> bool:
+    """Whether X Y == Z, proven on slot tables mod one prime p (False: not
+    proven).
 
     With s the scales, X Y == Z says 2^{s_Z} X' Y' == 2^{s_X + s_Y} Z' for the
     integral matrices X' = 2^{s_X} X etc.  Every |coefficient| of the left is at
     most dim 2^{s_Z} and of the right 2^{s_X + s_Y}; when they sum below p,
     equality mod p at the L roots (an isomorphism mod p, 2 being a unit) is
-    equality in Z[omega].  So the L stacked products are compared with Z's
-    evaluation; a pair past the bound is not proven.
+    equality in Z[omega]; a pair past the bound is not proven.
+
+    Tables of one block are multiplied from their cached values, all slots
+    at once.  Otherwise the slots go a block at a time (`_slot_step`), each
+    block's product reduced in place in one buffer and compared with Z's,
+    stopping at the first unequal block: a split X is applied to Y_m in two
+    stages (`_stages`); else a split Y as Y^T's stages to X_m^T, against
+    Z_m^T; else X_m Y_m is a dense product.
     """
-    p, dim = x.p, x.values.shape[1]
+    p, dim = x.p, len(x.index)
     if (dim << z.scale_pow2) + (1 << (x.scale_pow2 + y.scale_pow2)) >= p:
         return False
-    return np.array_equal(_reduce(x.values @ y.values, p), z.values)
+    if x.values is not None:
+        return bool((_reduce(x.values @ y.values, p) == z.values).all())
+    if x.split is not None:
+        staged, other, want = (x.split, False), _gather(y), _gather(z)
+    elif y.split is not None:
+        staged, other, want = (y.split, True), _gather(x, True), _gather(z, True)
+    else:
+        staged, left, other, want = None, _gather(x), _gather(y), _gather(z)
+    size = len(x.roots)
+    step = _slot_step(size, dim)
+    one, two, out = np.empty((3, step, dim, dim))  # reused by every block
+    for m in (slice(a, a + step) for a in range(0, size, step)):
+        if staged:  # the middle stage in `two`
+            got = _stages(*staged, m, other(m, one), p, out, two)
+        else:
+            got = _reduce(np.matmul(left(m, one), other(m, two), out=out), p)
+        if not (got == want(m, one)).all():  # `one` is read by now
+            return False
+    return True
+
+
+def _gather(t: _SlotTable, transpose: bool = False):
+    # (m, out) -> the slots m of t's matrix, or of its transpose, gathered
+    # into out through one full-width copy of the index
+    index = (t.index.T if transpose else t.index).astype(np.intp, order="C")
+    return lambda m, out: np.take(t.roots[m], index, axis=1, out=out, mode="clip")
+
+
+def _stages(split, transpose, m, w, p, out, mid) -> np.ndarray:
+    """F_m W_m into `out` at the slots m, F the matrix of a table that splits
+    as (A, B), or its transpose, and w the slots of W: two batched n x n
+    stages of n-term dot products of centred residues, each reduced in place
+    (`mid` holds the first), exact under `_ntt_plan`'s span rule since n <= dim.
+
+    With F[(a1, a2), (b1, b2)] = first[b1, a1, b2] second[a1, a2, b1], the
+    first stage sums over b2 for each b1 and the second over b1 for each a1.
+    X[k, j] = A[k1, j1, j2] B[k1, k2, j1] gives first = A with its middle
+    axes swapped and second = B; X^T[j, k] gives first[k1, j1, k2] =
+    B[k1, k2, j1] and second[j1, j2, k1] = A[k1, j1, j2].
+    """
+    a, b = split[0][m], split[1][m]
+    if transpose:
+        first, second = b.transpose(0, 1, 3, 2), a.transpose(0, 2, 3, 1)
+    else:
+        first, second = a.transpose(0, 2, 1, 3), b
+    k, dim, cols = w.shape
+    n = first.shape[-1]
+    t = _reduce(np.matmul(first, w.reshape(k, n, n, cols), out=mid.reshape(k, n, n, cols)), p)
+    np.matmul(second, t.transpose(0, 2, 1, 3), out=out.reshape(k, n, n, cols))
+    return _reduce(out, p)
 
 
 # table entries (pairs x dim) per block of `_support_law`; perfbench
@@ -280,6 +412,17 @@ def _phase_law(x: _Evaluation, y: _Evaluation, z: _Evaluation) -> bool:
 # 40.9-41.2 MB peak RSS, 2^15 3.8-4.1 ms and 41.6-41.7 MB, 2^16 3.8-4.2 ms
 # and 41.9-42.1 MB
 _LAW_BLOCK = 1 << 14
+
+
+def _narrow_support(table: _SupportTable) -> _SupportTable:
+    """The table in the dtypes `_support_law` computes in: columns in the
+    smallest unsigned type that holds dim - 1, exponents in uint8 (order <=
+    256) or uint16, wrapped mod 2^8 or 2^16 (a multiple of an order dividing
+    2^16).  `_stacked_conjugation`, `_exponent_codes` and the builders keep
+    int64 tables, whose exps * scale * dim would wrap in uint8."""
+    dim = table.cols.shape[-1]
+    cols = table.cols.astype(np.min_scalar_type(dim - 1))
+    return _SupportTable(table.order, cols, table.exps.astype(np.min_scalar_type(table.order - 1)))
 
 
 def _support_law(
@@ -292,17 +435,17 @@ def _support_law(
     Row i of X Y holds omega^{e_X[i] + e_Y[c_X[i]]} in column c_Y[c_X[i]], so
     a pair is equal when those columns are Z's and the exponents differ from
     Z's by phase[k] mod the table's order: integer exponent arithmetic, a
-    block of pairs at a time.  The order divides 2^16, so the exponents are
-    held in uint8 (order <= 256) or uint16, whose sums wrap mod a multiple
-    of the order, and reduced by `& (order - 1)`; one flat index into the
+    block of pairs at a time.  The order divides 2^16, so exponents in any
+    unsigned or two's complement integer type wrap mod a multiple of it and
+    are reduced by `& (order - 1)`; the table is meant to arrive narrow
+    (`_narrow_support`, cast once per suite call).  One flat index into the
     rows of the Y's gathers both their columns and their exponents.
     """
     order, dim = table.order, table.cols.shape[1]
     if (1 << 16) % order:
         raise ValueError(f"_support_law needs an order dividing 2^16, got {order}")
-    dtype = np.min_scalar_type(order - 1)
-    cols, exps = table.cols.astype(np.min_scalar_type(dim - 1)), table.exps.astype(dtype)
-    phase = (phase % order).astype(dtype)
+    cols, exps = table.cols, table.exps
+    phase = (phase % order).astype(exps.dtype)
     equal = np.empty(len(left), dtype=bool)
     step = max(1, _LAW_BLOCK // dim)
     for a in range(0, len(left), step):

@@ -6,11 +6,17 @@ deviation wherever the exact backend applies), and enforces its own
 runtime budget.  Run with -v for the per-criterion pass/fail lines.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fqmrep
 from fqmrep.harness import SuiteSpec, run_suite
 from fqmrep.heisenberg import HWParams, fourier, gamma_p, p_inv_matrix, p_matrix, q_matrix
 from fqmrep.magnetic import j_twisted
@@ -109,13 +115,41 @@ def test_criterion_04_exactness():
 
 def test_exact_homomorphism_mod16_within_budget():
     # U(A)U(B) == U(AB) exactly at N = 16 (dim 256) on 100 seeded pairs,
-    # decided on the builders' tables; 2.3-2.6 s measured on a 2-vCPU box
+    # decided on the builders' tables one slot at a time, odd-c tables in two
+    # 16 x 16 stages; 0.8-1.2 s measured on a 2-vCPU box (whole evaluations
+    # and one stacked product per pair: 2.2-2.6 s)
     t0 = time.perf_counter()
     rep = run_suite(SuiteSpec("homomorphism", {"N": 16, "samples": 100, "backend": "exact"}))
     assert rep.passed
     assert rep.checks_run == 100
     assert rep.max_abs_deviation == 0.0
     _done("exact homomorphism N = 16", t0, 10)
+
+
+def test_exact_homomorphism_mod32_memory_gate():
+    # U(A)U(B) == U(AB) exactly at N = 32 (dim 1,024, L = 16) on 3 seeded
+    # pairs, in a fresh process; 1.2-2.0 s and 134 MB measured on a 2-vCPU box
+    # (whole (L, dim, dim) evaluations: 3.6 s and 827 MB).  The peak is the
+    # child's VmHWM: its ru_maxrss would carry this test process's own peak,
+    # which Linux keeps across the fork and exec
+    code = (
+        "import json, re\n"
+        "from fqmrep.harness import SuiteSpec, run_suite\n"
+        "params = {'N': 32, 'samples': 3, 'seed': 7, 'backend': 'exact'}\n"
+        "rep = run_suite(SuiteSpec('homomorphism', params))\n"
+        "peak = int(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
+        "print(json.dumps([rep.passed, rep.checks_run, rep.max_abs_deviation, peak]))\n"
+    )
+    path = [str(Path(fqmrep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    passed, checks, deviation, peak_kib = json.loads(proc.stdout)
+    assert passed and checks == 3 and deviation == 0.0
+    assert peak_kib <= 250 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 250 MB"
+    _done("exact homomorphism N = 32", t0, 8)
 
 
 def test_exact_metaplectic_mod16_within_budget():

@@ -94,8 +94,8 @@ def test_sampled_exact_homomorphism_keeps_few_tables_alive(monkeypatch):
         builds.append(args)
         real_init(self, *args, **kwargs)
 
-    real, real_init = harness._evaluate, OpMatrix.__init__
-    monkeypatch.setattr(harness, "_evaluate", evaluate)
+    real, real_init = harness._slot_table, OpMatrix.__init__
+    monkeypatch.setattr(harness, "_slot_table", evaluate)
     monkeypatch.setattr(harness, "u_general", refuse)
     monkeypatch.setattr(matrixcore, "_ntt_matmul", refuse)
     monkeypatch.setattr(OpMatrix, "__init__", init)
@@ -392,6 +392,27 @@ def _spy_support_law(monkeypatch, products_only=False):
     real = harness._support_law
     monkeypatch.setattr(harness, "_support_law", spy)
     return results
+
+
+@pytest.mark.parametrize("name,params", [
+    ("heisenberg", {"n": 3, "samples": 5000, "backend": "exact"}),
+    ("heisenberg", {"n": 2}),
+    ("cocycle-twisted", {"n": 3, "p": 5}),
+])
+def test_support_laws_read_one_narrow_table_per_run(name, params, monkeypatch):
+    # the exact support laws get their table cast once per suite call to
+    # uint8 exponents and columns, not an int64 table cast per call
+    tables = []
+
+    def spy(table, *args):
+        tables.append(table)
+        return real(table, *args)
+
+    real = harness._support_law
+    monkeypatch.setattr(harness, "_support_law", spy)
+    assert run_suite(SuiteSpec(name, params)).passed
+    assert len(tables) >= 2 and all(t is tables[0] for t in tables)
+    assert tables[0].exps.dtype == tables[0].cols.dtype == np.uint8
 
 
 @pytest.mark.parametrize("name,params", MIGRATED)

@@ -713,7 +713,7 @@ def test_ntt_plan_for_every_dim(size):
     for dim in range(1, _DIM_CAP + 1):
         p, fwd, inv = _plan(dim, size)
         # every float64 operand is a centred residue; dot products stay exact,
-        # and so do _evaluate's scaled roots, below p^2/2
+        # and so do _slot_table's scaled roots, below p^2/2
         assert max(dim, size) * ((p - 1) // 2) ** 2 < 2**51 and p * p // 2 < 2**51
         span = 1 << (max(dim, size) - 1).bit_length()
         if span in checked:
@@ -810,7 +810,7 @@ def test_support_law_matches_the_dense_products(family, flaw):
                 phase = phase + flip
             elif flaw == "composition":
                 out = np.where(flip, rng.integers(count, size=40), out)
-            got = matrixcore._support_law(table, left, right, out, phase)
+            got = matrixcore._support_law(matrixcore._narrow_support(table), left, right, out, phase)
             want = [
                 mat_eq(member(a) @ member(b), member(c).scalar_mul(CycNum.root(table.order, e))).equal
                 for a, b, c, e in zip(left, right, out, phase.tolist())
@@ -833,8 +833,8 @@ def _support_law_int64(table, left, right, out, phase):
 
 @pytest.mark.parametrize("order", [2**m for m in range(1, 13)])
 def test_narrow_support_law_equals_the_int64_formula(order, monkeypatch):
-    # seeded random tables at every dim 1..64, uint8 exponents up to order
-    # 256 and uint16 above: members 0..7 are random and member 8 + k is the
+    # seeded random tables at every dim 1..64, narrowed by `_narrow_support`
+    # to uint8 exponents up to order 256 and uint16 above: members 0..7 are random and member 8 + k is the
     # product of key k over omega^phase[k], so key k holds unless a flaw
     # moves an exponent (key 1) or a column (key 2) of that product; keys
     # past `count` name a random member.  A small block runs many blocks.
@@ -854,11 +854,16 @@ def test_narrow_support_law_equals_the_int64_formula(order, monkeypatch):
             products[0][2, 0] = (products[0][2, 0] + 1) % dim
         table = matrixcore._SupportTable(order, *map(np.vstack, zip((cols, exps), products)))
         out = np.concatenate((8 + np.arange(count), rng.integers(8 + count, size=count)))
-        got = matrixcore._support_law(table, left, right, out, phase)
+        narrow = matrixcore._narrow_support(table)
+        assert narrow.exps.dtype == (np.uint8 if order <= 256 else np.uint16)
+        assert narrow.cols.dtype == np.min_scalar_type(dim - 1)
+        got = matrixcore._support_law(narrow, left, right, out, phase)
         assert got.tolist() == _support_law_int64(table, left, right, out, phase).tolist()
         assert (~got[:count]).nonzero()[0].tolist() == ([1, 2] if dim > 1 else [1])
+        # the int64 table, never narrowed, gives the same verdicts
+        assert matrixcore._support_law(table, left, right, out, phase).tolist() == got.tolist()
     empty = np.zeros(0, dtype=np.int64)
-    assert matrixcore._support_law(table, empty, empty, empty, empty).shape == (0,)
+    assert matrixcore._support_law(narrow, empty, empty, empty, empty).shape == (0,)
 
 
 @pytest.mark.parametrize("order", [3, 6, 1 << 17])

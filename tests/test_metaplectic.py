@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fqmrep.exactnum import CycNum, NotAUnit, _exact_order, jacobi_symbol
-from fqmrep import harness, metaplectic
+from fqmrep import harness, matrixcore, metaplectic
 from fqmrep.harness import SuiteSpec, run_suite
 from fqmrep.heisenberg import HWParams, _gamma_support, fourier, gamma_p, p_matrix, q_matrix
 from fqmrep.magnetic import j_odd, j_twisted
@@ -15,11 +15,11 @@ from fqmrep.matrixcore import (
     BackendMismatch,
     DimMismatch,
     OpMatrix,
-    _evaluate,
     _phase_law,
     _PhaseTable,
     _roots,
     _row_support,
+    _slot_table,
     _SupportTable,
     mat_eq,
     twist_perm,
@@ -1012,7 +1012,7 @@ def test_phase_law_agrees_with_the_dense_product(N):
     # against U(AB), and against U(BA) as well: dense mat_eq finds the pairs
     # that do not commute unequal, and the kernel must say the same, pair by pair
     U = cache(lambda pr, X: u_general(pr, X))
-    table = cache(lambda pr, X: _evaluate(metaplectic._closed_form(pr, X)[0]))
+    table = cache(lambda pr, X: _slot_table(metaplectic._closed_form(pr, X)[0]))
     verdicts = []
     for pr, A, B in _kernel_cases(N):
         product = U(pr, A) @ U(pr, B)
@@ -1056,7 +1056,7 @@ def test_phase_law_finds_a_flawed_table_unequal_like_the_dense_product(flaw):
             flawed[k] = _flaw(tables[k], flaw, rng)
             X, Y, Z = (OpMatrix.from_phase_table(*t, backend="exact") for t in flawed)
             assert not mat_eq(X @ Y, Z).equal
-            assert not _phase_law(*map(_evaluate, flawed))
+            assert not _phase_law(*map(_slot_table, flawed))
     assert hit >= 10
 
 
@@ -1068,11 +1068,133 @@ def test_phase_law_proves_nothing_past_its_bound():
         tables = [metaplectic._closed_form(pr, X)[0] for X in (A, B, A * B)]
         if all(isinstance(t, _PhaseTable) for t in tables):
             break
-    p = _evaluate(tables[0]).p
+    p = _slot_table(tables[0]).p
     big = (p.bit_length() + 1) // 2
 
     def proves(k):
         raised = [t._replace(scale_pow2=t.scale_pow2 + m * k) for t, m in zip(tables, (1, 1, 2))]
-        return _phase_law(*map(_evaluate, raised))
+        return _phase_law(*map(_slot_table, raised))
 
     assert [proves(k) for k in (0, 1, 4, big)] == [True, True, True, False]
+
+
+def _route(x, y):
+    # the route `_phase_law` takes for the slot tables X, Y
+    if x.values is not None:
+        return "one block"
+    return "left" if x.split is not None else "right" if y.split is not None else "dense"
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_phase_law_routes_fire_and_agree_with_the_dense_product(N, monkeypatch):
+    # at N = 8 every table is one block and every pair one product of the
+    # cached values; at N = 16 an odd-c X is applied to Y in stages (left),
+    # else an odd-c Y by Y^T's stages to X^T (right), else the pair is a
+    # dense product per slot.  Each route fires, runs its stages at every
+    # slot of an equal pair, and its verdicts on U(AB) and U(BA) are mat_eq's
+    calls, real = [], matrixcore._stages
+    monkeypatch.setattr(matrixcore, "_stages", lambda *args: calls.append(args[1]) or real(*args))
+    pr = HWParams(N, 3)
+    U = cache(lambda X: u_general(pr, X))
+    table = cache(lambda X: _slot_table(metaplectic._closed_form(pr, X)[0]))
+    routes, verdicts = [], []
+    for A, B in zip(sample_sl2(N, 12, N), sample_sl2(N, 12, N + 1)):
+        x, y = table(A), table(B)
+        product = U(A) @ U(B)
+        for C in (B * A, A * B):
+            calls.clear()
+            got = _phase_law(x, y, table(C))
+            assert got == mat_eq(product, U(C)).equal, (A, B, C)
+            verdicts.append(got)
+        routes.append(_route(x, y))  # U(AB), the last, is equal: every slot ran
+        assert calls == {"left": [False], "right": [True]}.get(routes[-1], []) * len(x.roots)
+    assert all(verdicts[1::2]) and not all(verdicts[::2])
+    want = {"one block"} if N == 8 else {"left", "right", "dense"}
+    assert set(routes) == want
+
+
+def test_phase_law_compares_every_block():
+    # N = 16, one slot per block: an equal pair on each route, against a Z
+    # whose last slot alone is off (two of its roots swapped), is unequal
+    pr = HWParams(16, 3)
+    odd, osum, tri = SL2Element(3, 1, 5, 2, 16), SL2Element(1, 0, 2, 1, 16), SL2Element(1, 1, 0, 1, 16)
+    for A, B, route in ((odd, osum, "left"), (osum, odd, "right"), (osum, tri, "dense")):
+        x, y, z = (_slot_table(metaplectic._closed_form(pr, X)[0]) for X in (A, B, A * B))
+        assert _route(x, y) == route and _phase_law(x, y, z)
+        roots = z.roots.copy()
+        roots[-1, [1, 2]] = roots[-1, [2, 1]]
+        assert not _phase_law(x, y, z._replace(roots=roots)), route
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 16])
+def test_one_moved_exponent_breaks_the_split(N):
+    # every odd-c table splits at every odd p (a seeded sample of elements at
+    # N = 16), and moving any one exponent breaks the split (every entry at
+    # N <= 4, a seeded few at N >= 8)
+    rng = np.random.default_rng(N)
+    elems = enumerate_sl2(N) if N <= 8 else sample_sl2(N, 12, 3)
+    order = _exact_order(N)
+    for p in range(1, N, 2):
+        for A in (A for A in elems if A.c % 2):
+            table = metaplectic._closed_form(HWParams(N, p), A)[0]
+            exps = table.exps * (order // N)
+            assert table.mask is None and matrixcore._split(exps, order) is not None
+            entries = np.ndindex(exps.shape) if N <= 4 else rng.integers(0, N * N, (4, 2))
+            for i, j in entries:
+                moved = exps.copy()
+                moved[i, j] = (moved[i, j] + rng.integers(1, order)) % order
+                assert matrixcore._split(moved, order) is None
+
+
+def test_an_odd_c_table_with_a_moved_exponent_goes_dense_and_fails(monkeypatch):
+    # N = 16: U(A) with c odd splits, so (U(A), U(B)) with c_B even takes the
+    # left stages; with one exponent of U(A) moved it does not split, the
+    # pair is a dense product per slot, and it is unequal like mat_eq says
+    calls, real = [], matrixcore._stages
+    monkeypatch.setattr(matrixcore, "_stages", lambda *args: calls.append(args[1]) or real(*args))
+    pr = HWParams(16, 5)
+    A, B = SL2Element(3, 1, 5, 2, 16), SL2Element(1, 0, 2, 1, 16)
+    tables = [metaplectic._closed_form(pr, X)[0] for X in (A, B, A * B)]
+    x, y, z = map(_slot_table, tables)
+    assert x.split is not None and y.split is None and _phase_law(x, y, z)
+    assert calls == [False] * 8
+    exps = tables[0].exps.copy()
+    exps[37, 200] = (exps[37, 200] + 3) % 16
+    flawed = tables[0]._replace(exps=exps)
+    calls.clear()
+    fx = _slot_table(flawed)
+    assert fx.split is None and _route(fx, y) == "dense"
+    assert not _phase_law(fx, y, z)
+    assert calls == []
+    X, Y, Z = (_table_op(pr, t, "exact", "") for t in (flawed, tables[1], tables[2]))
+    assert not mat_eq(X @ Y, Z).equal
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 16])
+def test_staged_residues_equal_the_dense_slot_product(N, monkeypatch):
+    # with one slot per block every table takes the block route, so every
+    # odd-c table at N <= 8 and every odd p (a seeded sample at N = 16) gets
+    # its split; its two stages on a seeded block of centred residues, from
+    # the left and transposed, equal the dense slot products residue for residue
+    monkeypatch.setattr(matrixcore, "_SLOT_BLOCK", 1)
+    rng = np.random.default_rng(N + 1)
+    elems = enumerate_sl2(N) if N <= 8 else sample_sl2(N, 4, 5)
+    checked = 0
+    for p in range(1, N, 2):
+        for A in elems:
+            t = _slot_table(metaplectic._closed_form(HWParams(N, p), A)[0])
+            assert t.values is None and (t.split is not None) == (A.c % 2 == 1)
+            if t.split is None:
+                continue
+            size, dim = len(t.roots), N * N
+            X = t.roots.take(t.index.astype(np.intp), axis=1)
+            half = (t.p - 1) // 2
+            W = rng.integers(-half, half + 1, (size, dim, dim)).astype(np.float64)
+            out, mid = np.empty((2, size, dim, dim))
+            for transpose, F in ((False, X), (True, X.transpose(0, 2, 1))):
+                want = matrixcore._reduce(F @ W, t.p)
+                got = matrixcore._stages(t.split, transpose, slice(None), W, t.p, out, mid)
+                assert np.array_equal(got, want), (p, A, transpose)
+            checked += 1
+    assert checked > 0
+
