@@ -20,10 +20,13 @@ support tables are cast once per suite call to the narrow dtypes of
 == U(AB) is decided on the same tables modulo a word prime by `_phase_law`,
 each table read once into a `_SlotTable` (`_slot_table`): one gather index
 per table, the slots compared a block at a time, and odd-c tables past
-dim 64 applied as two n x n stages.
+dim 64 applied as two n x n stages.  Exact `decomposition` chains that law
+over the prefixes of each element's word (`_s_images_hold` ties the word's
+images of S, S^-1 and S^2 to the closed forms there).
 Keys a kernel does not prove equal, and the keys of every other law, are
 compared one at a time, so a passing exact twisted or `metaplectic` run
-builds no J and a passing exact `homomorphism` or `metaplectic` run no U.
+builds no J, a passing exact `homomorphism` or `metaplectic` run no U and
+a passing exact `decomposition` run no matrix.
 The backend picks, no option does.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
@@ -37,6 +40,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -52,6 +57,7 @@ from .metaplectic import (
     _closed_form,
     _j_table,
     _odd_prime,
+    _s_table,
     u_a_closed,
     u_general,
     u_of_word,
@@ -62,6 +68,7 @@ from .report import VerifyReport
 from .sl2 import (
     SL2Element,
     TooLarge,
+    _token_element,
     decompose,
     enumerate_sl2,
     sample_sl2,
@@ -439,15 +446,45 @@ def _suite_decomposition(params: dict) -> VerifyReport:
         "decomposition",
         {"N": pr.N, "p": pr.p, "backend": backend, "samples": samples, "seed": seed},
     )
+    # a sample uses its prefixes' tables once: keep only the last few
+    slot = lru_cache(maxsize=4)(lambda X: _slot_table(_closed_form(pr, X)[0]))
+    s_images = cache(lambda: _s_images_hold(pr, slot))
+
+    def chain(word) -> bool:
+        # U(P_i) U(t_{i+1}) == U(P_{i+1}) over the prefixes P_i = t_1 ... t_i:
+        # then the word product is U(P_5) = U(A)
+        tokens = [_token_element(t, pr.N) for t in word]
+        P = list(accumulate(tokens, mul))
+        return all(_phase_law(slot(x), slot(t), slot(z)) for x, t, z in zip(P, tokens[1:], P[1:]))
+
     for A in sample_sl2(pr.N, samples, seed):
         try:
             word = decompose(A)  # raises if the word does not reproduce A
-            cmp = mat_eq(u_a_closed(pr, A, backend), u_of_word(pr, word, backend), tol)
-            ok, dev = cmp.equal, cmp.max_deviation
+            if backend == "exact" and s_images() and chain(word):
+                ok, dev = True, 0.0
+            else:
+                cmp = mat_eq(u_a_closed(pr, A, backend), u_of_word(pr, word, backend), tol)
+                ok, dev = cmp.equal, cmp.max_deviation
         except RuntimeError:
             ok, dev = False, float("inf")
         rep.record(ok, dev, "closed form == generator word product", {"A": list(A.entries())})
     return rep
+
+
+def _s_images_hold(pr: HWParams, slot) -> bool:
+    """Whether `u_of_word`'s U(S), U(S)^dagger and U(S) U(S) are the closed
+    forms at S, S^-1 and S^2: the closed form at S is u_s's own table, the one
+    at S^-1 that table's exponents negated and transposed (unmasked, at the
+    same scale), and `_phase_law` proves the square on the tables `slot` reads."""
+    S = sl2_s(pr.N)
+    closed = [_closed_form(pr, X)[0] for X in (S, S.inv())]
+    own = _s_table(pr)
+    for c, want in zip(closed, (own, own._replace(exps=-own.exps.T))):
+        if not (c.mask is want.mask is None and c.scale_pow2 == want.scale_pow2
+                and c.order == want.order
+                and np.array_equal(c.exps % c.order, want.exps % c.order)):
+            return False
+    return _phase_law(slot(S), slot(S), slot(S**2))
 
 
 def _suite_weil_odd(params: dict) -> VerifyReport:

@@ -8,18 +8,12 @@ plus one shared dyadic scale: entry (i, j) is
 The ring arithmetic (the regular representation `_regular`, root
 encoding, 2-adic normalisation, promotion, conjugation) lives in
 `exactnum`; scalar and Kronecker products apply `_regular` entrywise.
-Matrix products are exact while every accumulated integer stays below
-2^52 (guarded; a slow object-dtype path covers the rest).  Under the
-guard, when the left operand has exactly one nonzero entry per row, or
-the right one exactly one per column (Q, P, J_{r,s}, U(T)^m, the c = 0
-metaplectic branch), the product is a gather of the other operand plus
-one batched integer matmul with the regular matrices of those entries,
-O(dim^2 L^2).  Any other pair whose product coefficients stay below p/2
-is a negacyclic NTT product: modulo one word prime p = 1 (mod 2L),
-x^L + 1 splits into L linear factors, so both operands are evaluated at
-the L odd powers of a primitive 2L-th root of unity, multiplied as L
-stacked dim x dim float64 products on centred residues (every value
-stays below 2^51, so BLAS is exact) and interpolated back; past p/2 the
+Every exact matrix product whose coefficients stay below p/2 is a
+negacyclic NTT product: modulo one word prime p = 1 (mod 2L), x^L + 1
+splits into L linear factors, so both operands are evaluated at the L odd
+powers of a primitive 2L-th root of unity, multiplied as L stacked
+dim x dim float64 products on centred residues (every value stays below
+2^51, so BLAS is exact) and interpolated back; past p/2 a slow
 object-dtype path takes over.  Rescaling and products check int64
 headroom and raise `ExactOverflow` rather than wrap.
 
@@ -68,7 +62,6 @@ __all__ = [
     "matrix_to_csv_text",
 ]
 
-_FLOAT_EXACT_BOUND = 2**52
 _INT64_BOUND = 2**63
 
 
@@ -96,32 +89,6 @@ def _top(coeffs: np.ndarray) -> int:
 def _checked(bound: int, what: str) -> None:
     if bound >= _INT64_BOUND:
         raise ExactOverflow(f"{what} needs {bound.bit_length()} bits, int64 holds 63")
-
-
-def _row_support(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """(column, entry) of the one nonzero entry of each row and the largest
-    |coefficient|, or None if some row has no nonzero entry or several."""
-    d, _, size = coeffs.shape
-    count = np.count_nonzero(coeffs)
-    if not 0 < d <= count <= d * size:
-        return None
-    mags = np.abs(coeffs.reshape(d, d * size))
-    pos = mags.argmax(axis=1)
-    rows = np.arange(d)
-    cols = pos // size
-    entries = coeffs[rows, cols]
-    if np.count_nonzero(entries) < count:  # a row with nonzeros in two entries
-        return None
-    peaks = mags[rows, pos].tolist()  # largest |coefficient| of each row
-    return (cols, entries, max(peaks)) if min(peaks) else None
-
-
-def _monomial_matmul(
-    support: tuple[np.ndarray, np.ndarray, int], other: np.ndarray
-) -> np.ndarray:
-    """m @ other for m whose row i holds only entries[i], in column cols[i]."""
-    cols, entries, _ = support
-    return other.take(cols, axis=0) @ _regular(entries).swapaxes(1, 2)
 
 
 # float64 entries per sweep of `_reduce` (256 KB), so that its four passes
@@ -622,19 +589,10 @@ class OpMatrix:
             return OpMatrix.from_complex(a.data @ b.data)
         d = a.dim
         size = basis_size(a.order)
-        left = _row_support(a.coeffs)
-        right = None if left else _row_support(b.coeffs.transpose(1, 0, 2))
-        amax = left[2] if left else _top(a.coeffs)
-        bmax = right[2] if right else _top(b.coeffs)
-        bound = amax * bmax * d * size
-        if bound < _FLOAT_EXACT_BOUND and left:
-            coeffs = _monomial_matmul(left, b.coeffs)
-        elif bound < _FLOAT_EXACT_BOUND and right:
-            # (a b)^T = b^T a^T entrywise, the ring being commutative
-            coeffs = _monomial_matmul(right, a.coeffs.transpose(1, 0, 2)).transpose(1, 0, 2)
-        elif 2 * bound < _ntt_plan((max(d, size) - 1).bit_length(), size)[0]:
+        bound = _top(a.coeffs) * _top(b.coeffs) * d * size
+        if 2 * bound < _ntt_plan((max(d, size) - 1).bit_length(), size)[0]:
             coeffs = _ntt_matmul(a.coeffs, b.coeffs)
-        else:  # past the prime or the guard: the regular matrices of a, in object ints
+        else:  # past the prime: the regular matrices of a, in object ints
             emb = _regular(a.coeffs.astype(object)).transpose(0, 2, 1, 3)
             emb = emb.reshape(d * size, d * size)
             out = np.dot(emb, b.coeffs.transpose(0, 2, 1).reshape(d * size, d).astype(object))

@@ -91,15 +91,18 @@ def _grids(N: int):
     return dim, k1, k2
 
 
-def u_s(params: HWParams, backend: str | None = None) -> OpMatrix:
-    """Fourier-like generator image U(S) on C^{N^2}."""
+def _s_table(params: HWParams) -> _PhaseTable:
+    # U(S) by its printed formula 2^{-n} omega^{p(k1 j2 + k2 j1)}
     N, p = params.N, params.p
-    backend = params.default_backend() if backend is None else backend
-    dim, k1, k2 = _grids(N)
+    _, k1, k2 = _grids(N)
     E = (p * (k1[:, None] * k2[None, :] + k2[:, None] * k1[None, :])) % N
-    return OpMatrix.from_phase_table(
-        N, E, scale_pow2=params.n, backend=backend, meta="u_s"
-    )
+    return _PhaseTable(N, E, None, params.n)
+
+
+def u_s(params: HWParams, backend: str | None = None) -> OpMatrix:
+    """Fourier-like generator image U(S) on C^{N^2}, from its own printed formula
+    (`_s_table`); `decomposition` checks the closed form at S against it."""
+    return _table_op(params, _s_table(params), backend, "u_s")
 
 
 def u_t_pow(params: HWParams, m: int, backend: str | None = None) -> OpMatrix:

@@ -126,27 +126,32 @@ def test_exact_homomorphism_mod16_within_budget():
     _done("exact homomorphism N = 16", t0, 10)
 
 
-def test_exact_homomorphism_mod32_memory_gate():
-    # U(A)U(B) == U(AB) exactly at N = 32 (dim 1,024, L = 16) on 3 seeded
-    # pairs, in a fresh process; 1.2-2.0 s and 134 MB measured on a 2-vCPU box
-    # (whole (L, dim, dim) evaluations: 3.6 s and 827 MB).  The peak is the
-    # child's VmHWM: its ru_maxrss would carry this test process's own peak,
-    # which Linux keeps across the fork and exec
+def _fresh_run(suite, params):
+    """(passed, checks_run, max_abs_deviation, peak KiB) of one suite run in a
+    fresh process.  The peak is the child's VmHWM: its ru_maxrss would carry
+    this test process's own peak, which Linux keeps across the fork and exec."""
     code = (
-        "import json, re\n"
+        "import json, re, sys\n"
         "from fqmrep.harness import SuiteSpec, run_suite\n"
-        "params = {'N': 32, 'samples': 3, 'seed': 7, 'backend': 'exact'}\n"
-        "rep = run_suite(SuiteSpec('homomorphism', params))\n"
+        "rep = run_suite(SuiteSpec(sys.argv[1], json.loads(sys.argv[2])))\n"
         "peak = int(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
         "print(json.dumps([rep.passed, rep.checks_run, rep.max_abs_deviation, peak]))\n"
     )
     path = [str(Path(fqmrep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        [sys.executable, "-c", code, suite, json.dumps(params)], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
-    passed, checks, deviation, peak_kib = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_exact_homomorphism_mod32_memory_gate():
+    # U(A)U(B) == U(AB) exactly at N = 32 (dim 1,024, L = 16) on 3 seeded
+    # pairs, in a fresh process; 1.2-2.0 s and 134 MB measured on a 2-vCPU box
+    # (whole (L, dim, dim) evaluations: 3.6 s and 827 MB)
+    t0 = time.perf_counter()
+    params = {"N": 32, "samples": 3, "seed": 7, "backend": "exact"}
+    passed, checks, deviation, peak_kib = _fresh_run("homomorphism", params)
     assert passed and checks == 3 and deviation == 0.0
     assert peak_kib <= 250 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 250 MB"
     _done("exact homomorphism N = 32", t0, 8)
@@ -189,6 +194,19 @@ def test_criterion_05_decomposition_consistency():
         assert rep.checks_run == 200
         assert rep.max_abs_deviation == 0.0
     _done("criterion 5 decomposition", t0, 60)
+
+
+def test_exact_decomposition_mod16_memory_gate():
+    # closed form == generator word product exactly at N = 16 (dim 256) on 50
+    # seeded elements, each proven by a chain of pair laws on the closed-form
+    # tables, in a fresh process; 2.2 s and 38 MB measured on a 2-vCPU box
+    # (dense word products: 4.7-5.2 s and 373 MB)
+    t0 = time.perf_counter()
+    params = {"n": 4, "samples": 50, "seed": 7, "backend": "exact"}
+    passed, checks, deviation, peak_kib = _fresh_run("decomposition", params)
+    assert passed and checks == 50 and deviation == 0.0
+    assert peak_kib <= 100 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 100 MB"
+    _done("exact decomposition N = 16", t0, 5)
 
 
 def test_criterion_06_group_relations():

@@ -22,7 +22,7 @@ from fqmrep.heisenberg import HWParams, p_matrix, q_matrix
 from fqmrep.matrixcore import OpMatrix, mat_eq
 from fqmrep.metaplectic import u_general
 from fqmrep.report import VerifyReport
-from fqmrep.sl2 import SL2Element, enumerate_sl2, sl2_s
+from fqmrep.sl2 import SL2Element, decompose, enumerate_sl2, sample_sl2, sl2_s, word_element
 
 
 def test_unknown_suite_rejected():
@@ -108,10 +108,32 @@ def test_sampled_exact_homomorphism_keeps_few_tables_alive(monkeypatch):
 
 
 def _perturb_closed_form(monkeypatch, flaw):
-    """Patch the c odd and d-odd-sum builders, whose tables both the pair
-    kernel and u_general read: entry (0, 1) of every d-even table moves its
-    exponent by 1, or bit (1, 0) of every d-odd-sum mask flips."""
-    if flaw == "exponent":
+    """Patch a builder whose tables both the pair kernels and the matrices
+    read: entry (0, 1) of every d-even table moves its exponent by 1, bit
+    (1, 0) of every d-odd-sum mask flips, row 1 of every c = 0 table with
+    b != 0 moves its exponent by 1 (`support`, which U(T)^m reads too) or
+    entry (0, 1) of u_s's own table moves its exponent by 1 (`u_s`)."""
+    if flaw == "support":
+        real = metaplectic._closed_triangular
+
+        def perturbed(pr, A):
+            table = real(pr, A)
+            if A.b:
+                table.exps[1] = (table.exps[1] + 1) % table.order
+            return table
+
+        monkeypatch.setattr(metaplectic, "_closed_triangular", perturbed)
+    elif flaw == "u_s":
+        real = metaplectic._s_table
+
+        def perturbed(pr):
+            table = real(pr)
+            table.exps[0, 1] = (table.exps[0, 1] + 1) % table.order
+            return table
+
+        monkeypatch.setattr(metaplectic, "_s_table", perturbed)
+        monkeypatch.setattr(harness, "_s_table", perturbed)
+    elif flaw == "exponent":
         real = metaplectic._closed_c_odd
 
         def perturbed(pr, A):
@@ -273,8 +295,10 @@ def test_one_word_prime_holds_every_library_product(n):
 def test_dense_exact_products_stay_within_one_prime(name, params, monkeypatch):
     # every dense exact product of a suite run has operands with
     # |coefficient| <= 1, and the object path (the only caller of the
-    # regular representation on Python ints) never runs
+    # regular representation on Python ints) never runs; `decomposition`
+    # with its chain refused, so that every word product is made
     tops, objects = [], []
+    monkeypatch.setattr(harness, "_phase_law", lambda *tables: False)
 
     def ntt(a, b):
         tops.append(max(np.abs(a).max(), np.abs(b).max()))
@@ -291,6 +315,103 @@ def test_dense_exact_products_stay_within_one_prime(name, params, monkeypatch):
     assert rep.passed and rep.params["backend"] == "exact"
     assert tops and max(tops) <= 1
     assert not any(objects)
+
+
+@pytest.mark.parametrize("n,samples", [(1, 200), (2, 200), (3, 200), (4, 20)])
+def test_passing_exact_decomposition_builds_no_matrix(n, samples, monkeypatch):
+    # every sample is proven by the chain of pair laws on the closed-form
+    # tables: no exact matrix is written and no exact product made
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path on a passing run")
+
+    monkeypatch.setattr(matrixcore, "_ntt_matmul", refuse)
+    monkeypatch.setattr(OpMatrix, "_scatter", refuse)
+    params = {"n": n, "samples": samples, "backend": "exact"}
+    rep = run_suite(SuiteSpec("decomposition", params))
+    assert rep.passed and rep.checks_run == samples and rep.max_abs_deviation == 0.0
+
+
+@pytest.mark.parametrize("flaw", [None, "exponent", "mask", "support", "u_s"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_decomposition_flaws_fail_like_the_word_product(n, flaw, monkeypatch):
+    # the reference proves nothing on the tables, so every sample is the
+    # dense comparison of the closed form with the generator word product
+    params = {"n": n, "samples": 60, "seed": 5}
+    if flaw:
+        _perturb_closed_form(monkeypatch, flaw)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_phase_law", lambda *tables: False)
+        want = run_suite(SuiteSpec("decomposition", params)).to_json()
+    got = run_suite(SuiteSpec("decomposition", params))
+    assert got.to_json() == want
+    assert got.passed == (flaw is None)
+    if flaw:
+        assert got.failures and got.max_abs_deviation > 0.0
+
+
+def test_samples_the_chain_leaves_are_compared_densely(monkeypatch):
+    # a chain that proves every other sample only: the others are compared
+    # as the closed form against the word product, and the report is unchanged
+    params = {"n": 3, "samples": 60, "seed": 5}
+    want = run_suite(SuiteSpec("decomposition", params)).to_json()
+    words, dense = [], []
+    real_decompose, real_law, real_word = harness.decompose, harness._phase_law, harness.u_of_word
+
+    def decompose(A):
+        words.append(A)
+        return real_decompose(A)
+
+    def word(*args):
+        dense.append(len(words))
+        return real_word(*args)
+
+    monkeypatch.setattr(harness, "decompose", decompose)
+    monkeypatch.setattr(harness, "_phase_law", lambda *t: len(words) % 2 == 1 and real_law(*t))
+    monkeypatch.setattr(harness, "u_of_word", word)
+    assert run_suite(SuiteSpec("decomposition", params)).to_json() == want
+    assert dense == list(range(2, 61, 2))
+
+
+def test_chain_steps_from_each_prefix_to_the_next(monkeypatch):
+    # with the tables standing for their elements, the chain checks exactly
+    # U(P_i) U(t_{i+1}) == U(P_{i+1}) for i = 1 ... 4, P_i = t_1 ... t_i
+    steps = []
+    monkeypatch.setattr(harness, "_s_images_hold", lambda pr, slot: True)
+    monkeypatch.setattr(harness, "_closed_form", lambda pr, X: (X, None))
+    monkeypatch.setattr(harness, "_slot_table", lambda X: X)
+    monkeypatch.setattr(harness, "_phase_law", lambda *t: steps.append(t) or True)
+    rep = run_suite(SuiteSpec("decomposition", {"n": 3, "samples": 30, "seed": 5}))
+    assert rep.passed
+    want = []
+    for A in sample_sl2(8, 30, 5):
+        word = decompose(A)
+        prefixes = [word_element(word[:i], 8) for i in range(1, 6)]
+        tokens = [word_element([t], 8) for t in word]
+        want += [(prefixes[i], tokens[i + 1], prefixes[i + 1]) for i in range(4)]
+        assert prefixes[-1] == A
+    assert steps == want
+
+
+def test_s_images_are_u_s_its_dagger_and_its_square(monkeypatch):
+    # u_of_word's U(S^-1) is U(S)^dagger: with U(S) made asymmetric (one
+    # exponent moved in u_s's table and the closed form at S alike), the
+    # closed form at S^-1 is accepted as its exponents negated and
+    # transposed, not merely negated; and U(S) U(S) == U(S^2) must be proven
+    pr, S = HWParams(4, 1), sl2_s(4)
+    s = metaplectic._s_table(pr)
+    s.exps[0, 1] = (s.exps[0, 1] + 1) % 4
+    dagger = s._replace(exps=-s.exps.T % 4)
+    negated = s._replace(exps=-s.exps % 4)
+    op = lambda t: metaplectic._table_op(pr, t, "exact", "")  # noqa: E731
+    assert mat_eq(op(dagger), op(s).dagger()).equal and not mat_eq(op(negated), op(dagger)).equal
+    monkeypatch.setattr(harness, "_s_table", lambda pr: s)
+    for inverse, proven, want in ((dagger, True, True), (negated, True, False),
+                                  (dagger, False, False)):
+        tables, laws = {S: s, S.inv(): inverse}, []
+        monkeypatch.setattr(harness, "_closed_form", lambda pr, X: (tables[X], None))
+        monkeypatch.setattr(harness, "_phase_law", lambda *t: laws.append(t) or proven)
+        assert harness._s_images_hold(pr, lambda X: X) == want
+        assert laws == ([(S, S, S**2)] if inverse is dagger else [])
 
 
 def test_quadratic_module_defects_vanish():

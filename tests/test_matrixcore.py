@@ -441,7 +441,7 @@ def test_unitary_defect():
     assert OpMatrix.from_complex(np.eye(2) * 2).unitary_defect() > 1
 
 
-# -- monomial fast path ---------------------------------------------------------
+# -- phased permutations -------------------------------------------------------
 
 
 def _exact_twin(m, order):
@@ -482,28 +482,16 @@ MONOMIAL_FAMILIES = [
 ]
 
 
-@pytest.fixture
-def monomial_calls(monkeypatch):
-    calls = []
-    real = matrixcore._monomial_matmul
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(matrixcore, "_monomial_matmul", spy)
-    return calls
-
-
 @pytest.mark.parametrize("case", ["mono@mono", "mono@dense", "dense@mono"])
 @pytest.mark.parametrize("family", MONOMIAL_FAMILIES)
-def test_monomial_fast_path_matches_oracle(family, case, monomial_calls):
+def test_monomial_fast_path_matches_oracle(family, case, ntt_calls):
+    # products with a phased permutation are NTT products like any other pair
     x, y = _monomial_pair(family)
     dense = _random_exact(random.Random(30), x.dim, x.order)
     a, b = {"mono@mono": (x, y), "mono@dense": (x, dense), "dense@mono": (dense, x)}[case]
-    monomial_calls.clear()  # builders multiply too
+    ntt_calls.clear()  # builders multiply too
     prod = a @ b
-    assert len(monomial_calls) == 1
+    assert len(ntt_calls) == 1
     assert mat_eq(prod, _entrywise_product(a, b)).equal
 
 
@@ -528,7 +516,7 @@ def _perm_matrix(dim, order=8):
 
 
 @pytest.mark.parametrize("defect", ["two nonzeros in a row", "zero row"])
-def test_non_monomial_operands_take_the_dense_path(defect, monomial_calls):
+def test_non_monomial_operands_take_the_dense_path(defect, ntt_calls):
     entries = _perm_matrix(6)
     if defect == "two nonzeros in a row":
         j = next(j for j in range(6) if entries[2][j].is_zero())
@@ -542,16 +530,16 @@ def test_non_monomial_operands_take_the_dense_path(defect, monomial_calls):
     dense = _random_exact(random.Random(33), 6)
     for a, b in ((m, dense), (dense, m)):
         assert mat_eq(a @ b, _entrywise_product(a, b)).equal
-    assert monomial_calls == []
+    assert len(ntt_calls) == 2
 
 
-def test_guard_tripping_monomial_takes_the_object_path(monomial_calls):
+def test_guard_tripping_monomial_takes_the_object_path(ntt_calls):
     big = (1 << 27) + 1  # odd: powers of two go into the scale
     m = OpMatrix.from_cyc_entries(_perm_matrix(3)).scalar_mul(big)
     dense = _random_exact(random.Random(34), 3).scalar_mul(big)
     for a, b in ((m, dense), (dense, m), (m, m)):
         assert mat_eq(a @ b, _entrywise_product(a, b)).equal
-    assert monomial_calls == []
+    assert ntt_calls == []
 
 
 # -- int64 headroom ---------------------------------------------------------------

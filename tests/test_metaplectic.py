@@ -18,7 +18,6 @@ from fqmrep.matrixcore import (
     _phase_law,
     _PhaseTable,
     _roots,
-    _row_support,
     _slot_table,
     _SupportTable,
     mat_eq,
@@ -938,15 +937,14 @@ def test_root_encoding_round_trips():
 def _unit_support(J):
     """(cols, entries) of a phased permutation with unit entries, an exact
     entry omega^k as k, read back from the dense matrix."""
-    rows = np.arange(J.dim)
     if J.backend == "float":
         assert np.count_nonzero(J.data) == J.dim
         cols = np.abs(J.data).argmax(axis=1)
-        return cols, J.data[rows, cols]
-    cols, entries, peak = _row_support(J.coeffs)
-    assert peak == 1 and np.count_nonzero(entries) == J.dim
-    pos = np.abs(entries).argmax(axis=1)
-    return cols, pos + entries.shape[1] * (entries[rows, pos] < 0)
+        return cols, J.data[np.arange(J.dim), cols]
+    # omega^k is one coefficient +-1: of x^k, or -1 of x^{k-L} for k >= L
+    rows, cols, pos = np.nonzero(J.coeffs)
+    assert np.array_equal(rows, np.arange(J.dim)) and np.abs(J.coeffs).max() == 1
+    return cols, pos + J.coeffs.shape[2] * (J.coeffs[rows, cols, pos] < 0)
 
 
 def _assert_table_row(table, t, M, backend):
