@@ -19,10 +19,12 @@ support tables are cast once per suite call to the narrow dtypes of
 `_support_law` (`_narrow_support`).  The exact `homomorphism` law U(A) U(B)
 == U(AB) is decided on the same tables modulo a word prime by `_phase_law`,
 each table read once into a `_SlotTable` (`_slot_table`): one gather index
-per table, the slots compared a block at a time, and odd-c tables past
-dim 64 applied as two n x n stages.  Exact `decomposition` chains that law
-over the prefixes of each element's word (`_s_images_hold` ties the word's
-images of S, S^-1 and S^2 to the closed forms there).
+per table, the slots compared a block at a time, and past dim 64 every pair
+of builder tables by a route, a c = 0 table's gather of rows or a factor
+table's two batched stages, never a dense slot product.  Exact
+`decomposition` chains that law over the prefixes of each element's word,
+holding the tables of S, S^-1 and S^2 for the whole run (`_s_images_hold`
+ties the word's images of them to the closed forms there).
 Keys a kernel does not prove equal, and the keys of every other law, are
 compared one at a time, so a passing exact twisted or `metaplectic` run
 builds no J, a passing exact `homomorphism` or `metaplectic` run no U and
@@ -51,7 +53,8 @@ from .heisenberg import (
 )
 from .magnetic import j_odd, j_twisted
 from .matrixcore import (
-    OpMatrix, _narrow_support, _phase_law, _slot_table, _support_law, _SupportTable, mat_eq,
+    OpMatrix, _narrow_support, _phase_law, _phase_table, _slot_table, _support_law,
+    _SupportTable, mat_eq,
 )
 from .metaplectic import (
     _closed_form,
@@ -446,9 +449,15 @@ def _suite_decomposition(params: dict) -> VerifyReport:
         "decomposition",
         {"N": pr.N, "p": pr.p, "backend": backend, "samples": samples, "seed": seed},
     )
-    # a sample uses its prefixes' tables once: keep only the last few
-    slot = lru_cache(maxsize=4)(lambda X: _slot_table(_closed_form(pr, X)[0]))
-    s_images = cache(lambda: _s_images_hold(pr, slot))
+    # a sample uses its prefixes' tables once: keep only the last few; the
+    # S-power tables serve every sample and `_s_images_hold`: hold them
+    S = sl2_s(pr.N)
+    powers = (S, S.inv(), S**2)
+    closed = cache(lambda X: _closed_form(pr, X)[0])  # S powers only
+    held = cache(lambda X: _slot_table(closed(X)))
+    recent = lru_cache(maxsize=4)(lambda X: _slot_table(_closed_form(pr, X)[0]))
+    slot = lambda X: (held if X in powers else recent)(X)  # noqa: E731
+    s_images = cache(lambda: _s_images_hold(pr, closed, slot))
 
     def chain(word) -> bool:
         # U(P_i) U(t_{i+1}) == U(P_{i+1}) over the prefixes P_i = t_1 ... t_i:
@@ -471,15 +480,16 @@ def _suite_decomposition(params: dict) -> VerifyReport:
     return rep
 
 
-def _s_images_hold(pr: HWParams, slot) -> bool:
+def _s_images_hold(pr: HWParams, closed, slot) -> bool:
     """Whether `u_of_word`'s U(S), U(S)^dagger and U(S) U(S) are the closed
-    forms at S, S^-1 and S^2: the closed form at S is u_s's own table, the one
-    at S^-1 that table's exponents negated and transposed (unmasked, at the
-    same scale), and `_phase_law` proves the square on the tables `slot` reads."""
+    forms at S, S^-1 and S^2: the closed form at S (`closed`, a builder's
+    table) is u_s's own table, the one at S^-1 that table's exponents negated
+    and transposed (unmasked, at the same scale), and `_phase_law` proves the
+    square on the tables `slot` reads."""
     S = sl2_s(pr.N)
-    closed = [_closed_form(pr, X)[0] for X in (S, S.inv())]
     own = _s_table(pr)
-    for c, want in zip(closed, (own, own._replace(exps=-own.exps.T))):
+    for X, want in ((S, own), (S.inv(), own._replace(exps=-own.exps.T))):
+        c = _phase_table(closed(X))
         if not (c.mask is want.mask is None and c.scale_pow2 == want.scale_pow2
                 and c.order == want.order
                 and np.array_equal(c.exps % c.order, want.exps % c.order)):

@@ -20,11 +20,15 @@ headroom and raise `ExactOverflow` rather than wrap.
 The builders' tables are evaluated at the same L roots mod the same prime
 without a coefficient tensor: a `_SlotTable` holds one gather index into
 each slot's root residues, and `_phase_law` decides X Y == Z on three of
-them a block of slots at a time, in one reused buffer.  A table of one
-block (dim <= 64) keeps its whole evaluation; a larger unmasked table
-whose exponents split as a(k1, j1, j2) + b(k1, k2, j1) (every odd-c
-closed form: a chirp, a transform of side n, a chirp) is applied as two
-batched n x n stages, 2 n^5 multiply-adds per slot instead of n^6.
+them a block of slots (or of one slot's columns) at a time, in reused
+buffers.  A table of one block (dim <= 64) keeps its whole evaluation.  A
+larger builder table is applied by its route, never as a dense slot: a phased
+permutation (`_SupportTable`) as a gather of rows, and a `_FactorTable`
+(every c != 0 closed form: a chirp, a transform of side n, a chirp, on
+cosets of g = 2^v), whose entries are a(k1, j1, j2) + b(k1, k2, j1), as
+two batched stages, 2 n^5/g multiply-adds per slot instead of n^6.  The
+dense `_PhaseTable` of a factor table is summed in one place,
+`_phase_table`, for the consumers that read a matrix or exponent codes.
 Laws of phased permutations are decided on their integer exponents by
 `_support_law`.
 """
@@ -198,9 +202,82 @@ class _PhaseTable(NamedTuple):
     scale_pow2: int
 
 
-# slots x dim^2 float64 entries per block of `_phase_law` (512 KB): every
-# slot of a dim <= 64 table is one block, and a dim-256 block is one slot
+class _FactorTable(NamedTuple):
+    """A phase matrix of dim n^2 by two exponent factors of n^3 entries: with
+    k = (k1, k2) the row and j = (j1, j2) the column (index n x1 + x2), entry
+    (k, j) is 2^{-scale_pow2} omega_order^{a[k1, j1, j2] + b[k1, k2, j1]} where
+    j1 = cosets[k1] and j2 = cosets[k2] (mod g), and 0 elsewhere.  With g = 1
+    and cosets 0 the table is unmasked.  The factors hold exponents mod order
+    in the smallest unsigned type that holds it, so their
+    sums wrap mod a multiple of the order."""
+
+    order: int
+    a: np.ndarray
+    b: np.ndarray
+    g: int
+    cosets: np.ndarray
+    scale_pow2: int
+
+
+def _factor_exps(table: _FactorTable, order: int) -> np.ndarray:
+    # the (dim, dim) exponents a + b of omega_order (a multiple of the
+    # table's order) at every entry, mask or not, in the smallest unsigned
+    # type that holds the order
+    n = len(table.cosets)
+    exps = np.repeat(table.b.astype(np.min_scalar_type(order)), n, axis=-1)  # [k1, k2, (j1, j2)]
+    exps += table.a.reshape(n, 1, -1)
+    exps *= order // table.order
+    exps &= order - 1
+    return exps.reshape(n * n, -1)
+
+
+def _coset_mask(table: _FactorTable) -> np.ndarray | None:
+    # mask[(k1, k2), (j1, j2)] = on[k1, j1] on[k2, j2], on[k, j] = (j = cosets[k]
+    # mod g); None when it holds everywhere
+    n = len(table.cosets)
+    on = np.arange(n) % table.g == table.cosets[:, None]
+    if on.all():
+        return None
+    return np.repeat(np.repeat(on, n, axis=0), n, axis=1) & np.tile(on, (n, n))
+
+
+def _phase_table(table: _SupportTable | _PhaseTable | _FactorTable) -> _SupportTable | _PhaseTable:
+    """A `_FactorTable` as its dense `_PhaseTable`, exponents mod its order in
+    the factors' type; any other table as it is."""
+    if not isinstance(table, _FactorTable):
+        return table
+    return _PhaseTable(table.order, _factor_exps(table, table.order), _coset_mask(table),
+                       table.scale_pow2)
+
+
+# float64 entries per block of `_phase_law` (512 KB): every slot of a dim <=
+# 64 table is one block, a dim-256 block is one slot, and a dim-1,024 block
+# 64 columns of one slot (at N = 32 in process, blocks of 32-64 columns took
+# 0.21-0.25 s per pair, whole slots 0.37-0.41 s)
 _SLOT_BLOCK = 1 << 16
+
+
+class _Route(NamedTuple):
+    """A table's matrix F, or its transpose, applied from the left to the
+    slots of a matrix W, each dim x dim (`_apply`).  W's rows are read in the
+    order `rows_in`, and row t of the result is row rows_out[t] of F_m W_m.
+    Each factor is (residues, index), its values at slot m residues[m,
+    index]: a gather has one, the phase of each row; stages two, of shape
+    (g, n/g, g, n/g, n/g); a dense product one, F's dim x dim slots."""
+
+    rows_in: np.ndarray
+    rows_out: np.ndarray
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def work(self) -> int:
+        # multiply-adds per column of W at one slot: dim for a gather,
+        # 2 n^3/g for stages, dim^2 for a dense product
+        return sum(index.size for _, index in self.factors)
+
+    def at(self, m: slice) -> list[np.ndarray]:
+        # the factors' values at the slots m
+        return [np.take(residues[m], index, axis=1) for residues, index in self.factors]
 
 
 class _SlotTable(NamedTuple):
@@ -212,73 +289,117 @@ class _SlotTable(NamedTuple):
     their product's.
 
     A table of one block (`_slot_step`) keeps its whole gather in `values`
-    and no split.  Otherwise `values` is None, and `split` is None unless
-    the table is an unmasked phase table of dim n^2 whose exponents split
-    (`_split`): then it is (A, B), each (L, n, n, n), with X_m[k, j] =
-    A[m, k1, j1, j2] B[m, k1, k2, j1] for k = (k1, k2) and j = (j1, j2), A
-    unscaled and B holding 2^{-s}.  scale_pow2 is the table's, for
+    and no route.  Otherwise `values` is None, and `left` and `right` are the
+    `_Route`s of X and X^T, or `right` None: a `_SupportTable` is a row
+    gather, and its transpose one too when its columns are a permutation; a
+    `_FactorTable` whose cosets are g classes of n/g is two stages each way;
+    any other table, which no builder writes, is a dense product from the
+    left, its slots gathered whole.  scale_pow2 is the table's, for
     `_phase_law`'s bound."""
 
     p: int
     index: np.ndarray
     roots: np.ndarray
     values: np.ndarray | None
-    split: tuple[np.ndarray, np.ndarray] | None
+    left: _Route | None
+    right: _Route | None
     scale_pow2: int
 
 
-def _slot_table(table: _SupportTable | _PhaseTable) -> _SlotTable:
-    """A 1-d `_SupportTable` or a `_PhaseTable` at the L roots, mod the prime
-    of the plan `_ntt_matmul` uses at its dim: omega^e goes to
-    (zeta^{(2m+1) e})_m, the column e of [fwd, -fwd] (omega^{L+k} =
+def _slot_table(table: _SupportTable | _PhaseTable | _FactorTable) -> _SlotTable:
+    """A 1-d `_SupportTable`, a `_PhaseTable` or a `_FactorTable` at the L
+    roots, mod the prime of the plan `_ntt_matmul` uses at its dim: omega^e
+    goes to (zeta^{(2m+1) e})_m, the column e of [fwd, -fwd] (omega^{L+k} =
     -omega^k), times 2^{-scale_pow2}.  The index is held in the smallest
-    unsigned type that holds `order`, and a split is checked once, on the
-    whole table."""
+    unsigned type that holds `order`; a factor table's is summed from its
+    factors, and its routes are read from them."""
     order = _exact_order(table.order)
     size = basis_size(order)
-    dim = len(table.exps)
+    dtype, low = np.min_scalar_type(order), order - 1  # a power of two: & low reduces mod order
+    if isinstance(table, _SupportTable):
+        dim, scale = len(table.cols), 0
+        exps = table.exps * (order // table.order) & low
+        index = np.full((dim, dim), order, dtype=dtype)
+        index[np.arange(dim), table.cols] = exps
+    else:
+        if isinstance(table, _FactorTable):
+            exps, mask = _factor_exps(table, order), _coset_mask(table)
+        else:
+            exps, mask = table.exps * (order // table.order) & low, table.mask
+        dim, scale = len(exps), table.scale_pow2
+        if mask is None:
+            index = exps.astype(dtype, copy=False)
+        else:
+            index = np.full((dim, dim), order, dtype=dtype)
+            np.copyto(index, exps, where=mask)
     p, fwd, _ = _ntt_plan((max(dim, size) - 1).bit_length(), size)
-    support = isinstance(table, _SupportTable)
-    scale = 0 if support else table.scale_pow2
     units = np.concatenate((fwd, -fwd, np.zeros((size, 1))), axis=1)
     # |fwd| <= (p - 1)/2 times 2^{-s} mod p < p stays below p^2/2 < 2^51 (p < 2^26)
     roots = _reduce(units * float(pow(2, -scale, p)), p)
-    low = order - 1  # a power of two: & low reduces mod order
-    exps = table.exps * (order // table.order) & low
-    if support:
-        index = np.full((dim, dim), order, dtype=np.min_scalar_type(order))
-        index[np.arange(dim), table.cols] = exps
-    else:
-        index = exps if table.mask is None else np.where(table.mask, exps, order)
-        index = index.astype(np.min_scalar_type(order))
-    if _slot_step(size, dim) == size:
-        return _SlotTable(p, index, roots, roots.take(index, axis=1), None, scale)
-    split = None if support or table.mask is not None else _split(exps, order)
-    if split is not None:
-        split = (units.take(split[0], axis=1), roots.take(split[1], axis=1))
-    return _SlotTable(p, index, roots, None, split, scale)
+    if _slot_step(size, dim)[0] == size:
+        return _SlotTable(p, index, roots, roots.take(index, axis=1), None, None, scale)
+    routes = None
+    if isinstance(table, _SupportTable):
+        routes = _gather_routes(table.cols, (roots, exps))
+    elif isinstance(table, _FactorTable):
+        factors = (f * (order // table.order) & low for f in (table.a, table.b))
+        routes = _stage_routes(*factors, table.g, table.cosets, units, roots)
+    if routes is None:  # the slots whole, from the left: X^T's never does less work
+        identity = np.arange(dim)
+        routes = _Route(identity, identity, ((roots, index),)), None
+    return _SlotTable(p, index, roots, None, *routes, scale)
 
 
-def _split(exps: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(a, b) with exps[k, j] = a[k1, j1, j2] + b[k1, k2, j1] (mod order, a
-    power of two) for every k = (k1, k2) and j = (j1, j2) of a dim n^2
-    table, which holds exactly when E[k, j] = E[(k1, 0), j] - E[(k1, 0),
-    (j1, 0)] + E[k, (j1, 0)]; else None."""
-    dim, low = len(exps), order - 1
-    n = math.isqrt(dim)
-    if n * n != dim:
+def _gather_routes(cols: np.ndarray, phases) -> tuple[_Route, _Route | None]:
+    # X of row i phase_i at column cols[i]: (X W)[i] = phase_i W[cols[i]], and
+    # (X^T W)[j] = phase_i W[i] for the i with cols[i] = j, if it is one
+    identity = np.arange(len(cols))
+    inverse = np.argsort(cols)
+    left = _Route(cols, identity, (phases,))
+    if not np.array_equal(cols[inverse], identity):
+        return left, None
+    return left, _Route(inverse, identity, ((phases[0], phases[1][inverse]),))
+
+
+def _stage_routes(a, b, g, cosets, units, roots) -> tuple[_Route, _Route] | None:
+    """The stages of a `_FactorTable` X, with a, b its factors in slot units,
+    or None unless every coset holds n/g indices.
+
+    Write K[r, q] for the q-th index of coset r, k1 = K[r, q1], j1 = r + g i
+    (the j1 in k1's coset) and j2 = rho + g s.  Stage 1 sums over s,
+    T[r, i, rho, q1] = sum_s A[k1, j1, j2] W[(j1, j2)], batched over (r, i,
+    rho); stage 2 sums over i, (X W)[(k1, K[rho, q2])] = sum_i B[k1, K[rho,
+    q2], j1] T[r, i, rho, q1], batched over (r, q1, rho).  So W is read in
+    the order (r, i, rho, s) and X W comes out in the order (r, q1, rho,
+    q2); X^T is the same two factors transposed, in reverse, with the orders
+    swapped.  A is read unscaled and B with 2^{-s}.  Each stage is (n/g)^2
+    multiply-adds per column and batch, g n batches: 2 n^5/g per slot for
+    dim columns, not n^6.
+    """
+    n = len(cosets)
+    M = n // g
+    if not np.array_equal(np.bincount(cosets, minlength=g), np.full(g, M)):
         return None
-    e = exps.reshape(n, n, n, n) & low  # e[k1, k2, j1, j2]
-    a, b = (e[:, 0] - e[:, 0, :, :1]) & low, e[..., 0]
-    joined = np.add(a[:, None], b[..., None])
-    joined &= low
-    return (a, b) if np.array_equal(joined, e) else None
+    K = np.argsort(cosets, kind="stable").reshape(g, M)
+    coset = np.arange(g)[:, None] + g * np.arange(M)  # coset[r, i] = r + g i
+    first = (K[:, None, None, :, None] * n + coset[..., None, None, None]) * n + coset[:, None, :]
+    second = (K[..., None, None, None] * n + K[:, :, None]) * n + coset[:, None, None, None]
+    first, second = a.reshape(-1).take(first), b.reshape(-1).take(second)
+    by_coset = lambda x: (n * x[:, None] + x).ravel()  # noqa: E731
+    rows, coset_rows = by_coset(coset.ravel()), by_coset(K.ravel())
+    T = lambda x: x.swapaxes(-1, -2)  # noqa: E731
+    return (_Route(rows, coset_rows, ((units, first), (roots, second))),
+            _Route(coset_rows, rows, ((roots, T(second)), (units, T(first)))))
 
 
-def _slot_step(size: int, dim: int) -> int:
-    # slots per block of `_phase_law`, a power of two, so that equal blocks
-    # cover the L = size slots (a power of two)
-    return min(size, 1 << max(0, (_SLOT_BLOCK // (dim * dim)).bit_length() - 1))
+def _slot_step(size: int, dim: int) -> tuple[int, int]:
+    # (slots, columns) per block of `_phase_law`: powers of two where a block
+    # is less than all slots or all columns, so that equal blocks cover the
+    # L = size slots (a power of two) and the dim columns; a block past one
+    # slot's dim^2 is a slice of its columns, which the routes treat alike
+    if dim * dim > _SLOT_BLOCK:
+        return 1, math.gcd(dim, _SLOT_BLOCK // dim)
+    return min(size, 1 << (_SLOT_BLOCK // (dim * dim)).bit_length() - 1), dim
 
 
 def _exponent_codes(table: _SupportTable | _PhaseTable, order: int) -> np.ndarray:
@@ -313,64 +434,60 @@ def _phase_law(x: _SlotTable, y: _SlotTable, z: _SlotTable) -> bool:
     equality in Z[omega]; a pair past the bound is not proven.
 
     Tables of one block are multiplied from their cached values, all slots
-    at once.  Otherwise the slots go a block at a time (`_slot_step`), each
-    block's product reduced in place in one buffer and compared with Z's,
-    stopping at the first unequal block: a split X is applied to Y_m in two
-    stages (`_stages`); else a split Y as Y^T's stages to X_m^T, against
-    Z_m^T; else X_m Y_m is a dense product.
+    at once.  Otherwise the blocks (`_slot_step`: slots, or past dim 256 the
+    columns of one slot) go one at a time, each block's product reduced in
+    place in one buffer and compared with Z's, stopping at the first unequal
+    block.  X's route is applied to Y_m, or Y's transposed route to X_m^T
+    against Z_m^T, whichever does the less work (`_Route.work`: a gather,
+    then stages, then a dense product, X's on a tie), each side read in the
+    route's row orders.
     """
     p, dim = x.p, len(x.index)
     if (dim << z.scale_pow2) + (1 << (x.scale_pow2 + y.scale_pow2)) >= p:
         return False
     if x.values is not None:
         return bool((_reduce(x.values @ y.values, p) == z.values).all())
-    if x.split is not None:
-        staged, other, want = (x.split, False), _gather(y), _gather(z)
-    elif y.split is not None:
-        staged, other, want = (y.split, True), _gather(x, True), _gather(z, True)
-    else:
-        staged, left, other, want = None, _gather(x), _gather(y), _gather(z)
     size = len(x.roots)
-    step = _slot_step(size, dim)
-    one, two, out = np.empty((3, step, dim, dim))  # reused by every block
+    step, width = _slot_step(size, dim)
+    routes = [(r, side) for r, side in ((x.left, False), (y.right, True)) if r is not None]
+    route, transpose = min(routes, key=lambda rs: rs[0].work)
+    other = _gather(x if transpose else y, width, transpose, route.rows_in)
+    want = _gather(z, width, transpose, route.rows_out)
+    one, two, out = np.empty((3, step, dim, width))  # reused by every block
     for m in (slice(a, a + step) for a in range(0, size, step)):
-        if staged:  # the middle stage in `two`
-            got = _stages(*staged, m, other(m, one), p, out, two)
-        else:
-            got = _reduce(np.matmul(left(m, one), other(m, two), out=out), p)
-        if not (got == want(m, one)).all():  # `one` is read by now
-            return False
+        factors = route.at(m)
+        for b in range(dim // width):
+            got = _apply(factors, other(m, b, one), p, out, two)
+            if not (got == want(m, b, one)).all():  # `one` is read by now
+                return False
     return True
 
 
-def _gather(t: _SlotTable, transpose: bool = False):
-    # (m, out) -> the slots m of t's matrix, or of its transpose, gathered
-    # into out through one full-width copy of the index
-    index = (t.index.T if transpose else t.index).astype(np.intp, order="C")
-    return lambda m, out: np.take(t.roots[m], index, axis=1, out=out, mode="clip")
+def _gather(t: _SlotTable, width: int, transpose: bool, rows: np.ndarray):
+    # (m, b, out) -> columns b width ... (b + 1) width of the slots m of t's
+    # matrix, or of its transpose, its rows in the order `rows`, gathered into
+    # out through one intp copy of the index, a block of columns contiguous
+    index = (t.index.T if transpose else t.index)[rows]
+    blocks = index.reshape(len(index), -1, width).swapaxes(0, 1).astype(np.intp, order="C")
+    return lambda m, b, out: np.take(t.roots[m], blocks[b], axis=1, out=out, mode="clip")
 
 
-def _stages(split, transpose, m, w, p, out, mid) -> np.ndarray:
-    """F_m W_m into `out` at the slots m, F the matrix of a table that splits
-    as (A, B), or its transpose, and w the slots of W: two batched n x n
-    stages of n-term dot products of centred residues, each reduced in place
-    (`mid` holds the first), exact under `_ntt_plan`'s span rule since n <= dim.
-
-    With F[(a1, a2), (b1, b2)] = first[b1, a1, b2] second[a1, a2, b1], the
-    first stage sums over b2 for each b1 and the second over b1 for each a1.
-    X[k, j] = A[k1, j1, j2] B[k1, k2, j1] gives first = A with its middle
-    axes swapped and second = B; X^T[j, k] gives first[k1, j1, k2] =
-    B[k1, k2, j1] and second[j1, j2, k1] = A[k1, j1, j2].
-    """
-    a, b = split[0][m], split[1][m]
-    if transpose:
-        first, second = b.transpose(0, 1, 3, 2), a.transpose(0, 2, 3, 1)
+def _apply(factors: list[np.ndarray], w: np.ndarray, p: int, out, mid) -> np.ndarray:
+    """F_m W_m into `out` for a block of slots, `factors` a `_Route`'s at its
+    slots (`_Route.at`) and w the block of W in the route's row order; `mid`
+    holds the first of two stages.  Every product is of centred residues,
+    each pass reduced in place: a gather multiplies two, each stage sums
+    n/g <= dim products and a dense product dim, exact under `_ntt_plan`'s
+    span rule."""
+    if len(factors) == 2:
+        first, second = factors
+        shape = first.shape[:-1] + w.shape[-1:]  # (slots, g, n/g, g, n/g, columns)
+        t = _reduce(np.matmul(first, w.reshape(shape), out=mid.reshape(shape)), p)
+        np.matmul(second, t.transpose(0, 1, 4, 3, 2, 5), out=out.reshape(shape))
+    elif factors[0].ndim == 2:  # one phase per row
+        np.multiply(w, factors[0][..., None], out=out)
     else:
-        first, second = a.transpose(0, 2, 1, 3), b
-    k, dim, cols = w.shape
-    n = first.shape[-1]
-    t = _reduce(np.matmul(first, w.reshape(k, n, n, cols), out=mid.reshape(k, n, n, cols)), p)
-    np.matmul(second, t.transpose(0, 2, 1, 3), out=out.reshape(k, n, n, cols))
+        np.matmul(factors[0], w, out=out)
     return _reduce(out, p)
 
 

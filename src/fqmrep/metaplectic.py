@@ -19,9 +19,12 @@ row and j = (j1, j2) the column:
 The branch label in .meta keeps the older four names: d-odd-triangular,
 d-odd-reduced or d-even (c odd, by the parity of d), and d-odd-sum.
 Each branch writes its table, not a matrix (`_closed_form`): the c = 0
-support as a `_SupportTable`, the others as a `_PhaseTable(order, exps,
-mask, scale_pow2)`.  `u_general` builds the OpMatrix from it, and the
-exact `homomorphism` suite decides U(A)U(B) = U(AB) on the tables alone.
+support as a `_SupportTable`, the others as the two N^3 exponent factors
+of a `_FactorTable`, entry (k, j) = a(k1, j1, j2) + b(k1, k2, j1) on the
+cosets j = d^{-1} k mod 2^v (v = 0 for odd c): a chirp, a transform of
+side N and a chirp.  `u_general` builds the OpMatrix from the dense table
+the factors sum to (`_phase_table`), and the exact `homomorphism` suite
+decides U(A)U(B) = U(AB) on the tables alone.
 
 Every branch agrees exactly with the product of generator images over
 the shear/dilatation word of the element, and U(A)U(B) = U(AB) holds
@@ -51,7 +54,10 @@ import numpy as np
 from .exactnum import NotAUnit, _is_odd_prime, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
-from .matrixcore import OpMatrix, _exponent_codes, _PhaseTable, _roots, _SupportTable, mat_eq
+from .matrixcore import (
+    OpMatrix, _exponent_codes, _FactorTable, _PhaseTable, _phase_table, _roots,
+    _SupportTable, mat_eq,
+)
 from .report import VerifyReport
 from .sl2 import SL2Element, Token, dilatation, sl2_t
 
@@ -165,42 +171,49 @@ def _closed_triangular(params: HWParams, A: SL2Element) -> _SupportTable:
     return _SupportTable(N, cols, (-p * b * dinv * k1 * k2) % N)
 
 
-def _closed_odd_sum(params: HWParams, A: SL2Element) -> _PhaseTable:
+def _closed_odd_sum(params: HWParams, A: SL2Element) -> _FactorTable:
     # c even and nonzero, so d is odd: entry (k, j) sums 2^-n omega^{base(k) + p e r}
     # over the r with c' r = t (mod N), where c' = c d^{-1} = 2^v u (u odd),
     # t = d^{-1} k1 - j1 and e = j2 - d^{-1} k2.  With g = 2^v and M = N/g the
     # solutions are r0 + M s (s < g, r0 = (t/g) u^{-1} mod M) when g | t, and
     # the sum over s is g when g | e, else 0: one phase per entry, scaled by
-    # 2^{v-n}.  (Odd c, v = 0, gives `_closed_c_odd`'s table.)
+    # 2^{v-n}, on the cosets j1 = d^{-1} k1 and j2 = d^{-1} k2 (mod g).  Its
+    # factors: a = p r0 j2 and b = base - p d^{-1} k2 r0.  (Odd c, v = 0,
+    # gives `_closed_c_odd`'s table.)
     N, p = params.N, params.p
     _, b, c, d = A.entries()
     dinv = pow(d, -1, N)
     ratio = c * dinv % N
     v = (ratio & -ratio).bit_length() - 1
-    dim, k1, k2 = _grids(N)
-    low = N - 1  # N = 2^n, so & low reduces mod N
-    t = (dinv * k1[:, None] - k1[None, :]) & low
-    e = (k2[None, :] - dinv * k2[:, None]) & low
-    r0 = (t >> v) * pow(ratio >> v, -1, N >> v)  # mod M is moot where g | e
-    base = (-p * b * dinv * k1 * k2) & low
-    E = (base[:, None] + p * e * r0) & low
-    mask = ((t | e) & ((1 << v) - 1)) == 0  # 2^v divides t and e
-    return _PhaseTable(N, E, mask, params.n - v)
+    k = np.arange(N)
+    t = (dinv * k[:, None] - k) % N  # t[k1, j1]
+    r0 = (t >> v) * pow(ratio >> v, -1, N >> v) % (N >> v)  # meaningful where g | t
+    base = -p * b * dinv * k[:, None] * k % N  # base[k1, k2]
+    first = p * r0[..., None] * k % N  # [k1, j1, j2]
+    second = (base[..., None] - p * dinv * k[:, None] * r0[:, None]) % N  # [k1, k2, j1]
+    return _factors(params, first, second, 1 << v, dinv * k % (1 << v), params.n - v)
 
 
-def _closed_c_odd(params: HWParams, A: SL2Element) -> _PhaseTable:
-    # c odd, so 1/c exists: one phase per entry.  For odd d this is the r-sum
-    # collapsed (b d^{-1} + c^{-1} d^{-1} = a c^{-1}), labelled d-odd-reduced.
+def _closed_c_odd(params: HWParams, A: SL2Element) -> _FactorTable:
+    # c odd, so 1/c exists: one phase per entry, p c^{-1} (k1 j2 - d j1 j2) +
+    # p c^{-1} (k2 j1 - a k1 k2).  For odd d this is the r-sum collapsed
+    # (b d^{-1} + c^{-1} d^{-1} = a c^{-1}), labelled d-odd-reduced.
     N, p = params.N, params.p
     a, _, c, d = A.entries()
-    cinv = pow(c, -1, N)
-    _, k1, k2 = _grids(N)
-    cross = k1[:, None] * k2 + k2[:, None] * k1  # k1 j2 + k2 j1
-    E = p * (cinv * cross - a * cinv * (k1 * k2)[:, None] - d * cinv * (k1 * k2)) % N
-    return _PhaseTable(N, E, None, params.n)
+    pc = p * pow(c, -1, N)
+    k = np.arange(N)
+    first = pc * (k[:, None, None] - d * k[:, None]) * k % N  # [k1, j1, j2]
+    second = pc * (k - a * k[:, None, None]) * k[:, None] % N  # [k1, k2, j1]
+    return _factors(params, first, second, 1, np.zeros(N, dtype=np.intp), params.n)
 
 
-def _closed_form(params: HWParams, A: SL2Element) -> tuple[_SupportTable | _PhaseTable, str]:
+def _factors(params: HWParams, a, b, g: int, cosets, scale_pow2: int) -> _FactorTable:
+    # a builder's factors, exponents mod N, in the smallest unsigned type that holds N
+    dtype = np.min_scalar_type(params.N)
+    return _FactorTable(params.N, a.astype(dtype), b.astype(dtype), g, cosets, scale_pow2)
+
+
+def _closed_form(params: HWParams, A: SL2Element) -> tuple[_SupportTable | _FactorTable, str]:
     """U(A)'s table from the formula of its branch, and the branch's name."""
     if not params.is_even:
         raise BadBranch(f"closed forms need N = 2^n, got {params.N}")
@@ -214,12 +227,13 @@ def _closed_form(params: HWParams, A: SL2Element) -> tuple[_SupportTable | _Phas
 
 
 def _table_op(
-    params: HWParams, table: _SupportTable | _PhaseTable, backend: str | None, meta: str
+    params: HWParams, table: _SupportTable | _PhaseTable | _FactorTable, backend: str | None,
+    meta: str,
 ) -> OpMatrix:
     # the matrix a builder's table describes
     backend = params.default_backend() if backend is None else backend
     build = OpMatrix.from_support if isinstance(table, _SupportTable) else OpMatrix.from_phase_table
-    return build(*table, backend=backend, meta=meta)
+    return build(*_phase_table(table), backend=backend, meta=meta)
 
 
 def u_a_closed(params: HWParams, A: SL2Element, backend: str | None = None) -> OpMatrix:
@@ -402,6 +416,7 @@ def verify_metaplectic(
     if isinstance(U, OpMatrix):
         backend, dim, matrix = U.backend, U.dim, lambda: U
     else:
+        U = _phase_table(U)
         backend, dim = "exact", len(U.exps)
         matrix = cache(lambda: _table_op(params, U, backend, "U"))
     if flavor == "twisted_even":

@@ -115,9 +115,10 @@ def test_criterion_04_exactness():
 
 def test_exact_homomorphism_mod16_within_budget():
     # U(A)U(B) == U(AB) exactly at N = 16 (dim 256) on 100 seeded pairs,
-    # decided on the builders' tables one slot at a time, odd-c tables in two
-    # 16 x 16 stages; 0.8-1.2 s measured on a 2-vCPU box (whole evaluations
-    # and one stacked product per pair: 2.2-2.6 s)
+    # decided on the builders' factor and support tables one slot at a time,
+    # each pair by a gather or two batched stages; 0.6-0.8 s measured on a
+    # 2-vCPU box (dense int64 tables, odd-c stages and dense slot products:
+    # 0.8-1.2 s; whole evaluations and one stacked product per pair: 2.2-2.6 s)
     t0 = time.perf_counter()
     rep = run_suite(SuiteSpec("homomorphism", {"N": 16, "samples": 100, "backend": "exact"}))
     assert rep.passed
@@ -147,8 +148,9 @@ def _fresh_run(suite, params):
 
 def test_exact_homomorphism_mod32_memory_gate():
     # U(A)U(B) == U(AB) exactly at N = 32 (dim 1,024, L = 16) on 3 seeded
-    # pairs, in a fresh process; 1.2-2.0 s and 134 MB measured on a 2-vCPU box
-    # (whole (L, dim, dim) evaluations: 3.6 s and 827 MB)
+    # pairs, in a fresh process; 0.7 s and 55 MB measured on a 2-vCPU box
+    # (dense int64 tables and dense slot products: 1.2-2.0 s and 121-134 MB;
+    # whole (L, dim, dim) evaluations: 3.6 s and 827 MB)
     t0 = time.perf_counter()
     params = {"N": 32, "samples": 3, "seed": 7, "backend": "exact"}
     passed, checks, deviation, peak_kib = _fresh_run("homomorphism", params)
@@ -199,8 +201,9 @@ def test_criterion_05_decomposition_consistency():
 def test_exact_decomposition_mod16_memory_gate():
     # closed form == generator word product exactly at N = 16 (dim 256) on 50
     # seeded elements, each proven by a chain of pair laws on the closed-form
-    # tables, in a fresh process; 2.2 s and 38 MB measured on a 2-vCPU box
-    # (dense word products: 4.7-5.2 s and 373 MB)
+    # tables, in a fresh process; 1.1 s and 35 MB measured on a 2-vCPU box
+    # (S-power tables rebuilt per sample, dense int64 tables: 2.2-2.4 s and
+    # 37 MB; dense word products: 4.7-5.2 s and 373 MB)
     t0 = time.perf_counter()
     params = {"n": 4, "samples": 50, "seed": 7, "backend": "exact"}
     passed, checks, deviation, peak_kib = _fresh_run("decomposition", params)

@@ -107,12 +107,34 @@ def test_sampled_exact_homomorphism_keeps_few_tables_alive(monkeypatch):
     assert builds == []
 
 
+def test_passing_exact_homomorphism_makes_no_dense_slot_product(monkeypatch):
+    # exact N = 16 with 100 samples, as the budget test runs it: every pair
+    # has a route (X's row gather or stages, or Y's transposed ones), so no
+    # slot is a dense dim x dim product, and the report is the passing one
+    routed, real = [], harness._phase_law
+
+    def law(x, y, z):
+        routed.append(x.left is not None or y.right is not None)
+        return real(x, y, z)
+
+    monkeypatch.setattr(harness, "_phase_law", law)
+    rep = run_suite(SuiteSpec("homomorphism", {"N": 16, "samples": 100, "backend": "exact"}))
+    assert len(routed) == 100 and all(routed)
+    assert rep.to_json() == (
+        '{"checks_run":100,"failures":[],"max_abs_deviation":0.0,"params":{"N":16,'
+        '"backend":"exact","mode":"sampled","p":1,"samples":100,"seed":7},"passed":true,'
+        '"suite":"homomorphism"}'
+    )
+
+
 def _perturb_closed_form(monkeypatch, flaw):
     """Patch a builder whose tables both the pair kernels and the matrices
-    read: entry (0, 1) of every d-even table moves its exponent by 1, bit
-    (1, 0) of every d-odd-sum mask flips, row 1 of every c = 0 table with
-    b != 0 moves its exponent by 1 (`support`, which U(T)^m reads too) or
-    entry (0, 1) of u_s's own table moves its exponent by 1 (`u_s`)."""
+    read: entry (0, 0, 1) of the first factor of every d-even table moves
+    its exponent by 1 (entry ((0, k2), (0, 1)) of the matrix for every k2),
+    the cosets of indices 0 and 1 of every d-odd-sum table swap (d^-1 is
+    odd, so they differ), row 1 of every c = 0 table with b != 0 moves its
+    exponent by 1 (`support`, which U(T)^m reads too) or entry (0, 1) of
+    u_s's own table moves its exponent by 1 (`u_s`)."""
     if flaw == "support":
         real = metaplectic._closed_triangular
 
@@ -139,7 +161,7 @@ def _perturb_closed_form(monkeypatch, flaw):
         def perturbed(pr, A):
             table = real(pr, A)
             if A.d % 2 == 0:
-                table.exps[0, 1] = (table.exps[0, 1] + 1) % table.order
+                table.a[0, 0, 1] = (table.a[0, 0, 1] + 1) % table.order
             return table
 
         monkeypatch.setattr(metaplectic, "_closed_c_odd", perturbed)
@@ -148,7 +170,7 @@ def _perturb_closed_form(monkeypatch, flaw):
 
         def perturbed(pr, A):
             table = real(pr, A)
-            table.mask[1, 0] = not table.mask[1, 0]
+            table.cosets[[0, 1]] = table.cosets[[1, 0]]
             return table
 
         monkeypatch.setattr(metaplectic, "_closed_odd_sum", perturbed)
@@ -349,6 +371,17 @@ def test_decomposition_flaws_fail_like_the_word_product(n, flaw, monkeypatch):
         assert got.failures and got.max_abs_deviation > 0.0
 
 
+def test_decomposition_builds_each_s_power_table_once(monkeypatch):
+    # the closed forms at S, S^-1 and S^2 serve the chain of every sample
+    # and the check of the word's images of S: a run builds each once
+    builds, real = [], harness._closed_form
+    monkeypatch.setattr(harness, "_closed_form", lambda pr, X: builds.append(X) or real(pr, X))
+    rep = run_suite(SuiteSpec("decomposition", {"n": 3, "samples": 60, "backend": "exact"}))
+    assert rep.passed and rep.max_abs_deviation == 0.0
+    S = sl2_s(8)
+    assert [builds.count(X) for X in (S, S.inv(), S**2)] == [1, 1, 1]
+
+
 def test_samples_the_chain_leaves_are_compared_densely(monkeypatch):
     # a chain that proves every other sample only: the others are compared
     # as the closed form against the word product, and the report is unchanged
@@ -376,7 +409,7 @@ def test_chain_steps_from_each_prefix_to_the_next(monkeypatch):
     # with the tables standing for their elements, the chain checks exactly
     # U(P_i) U(t_{i+1}) == U(P_{i+1}) for i = 1 ... 4, P_i = t_1 ... t_i
     steps = []
-    monkeypatch.setattr(harness, "_s_images_hold", lambda pr, slot: True)
+    monkeypatch.setattr(harness, "_s_images_hold", lambda pr, closed, slot: True)
     monkeypatch.setattr(harness, "_closed_form", lambda pr, X: (X, None))
     monkeypatch.setattr(harness, "_slot_table", lambda X: X)
     monkeypatch.setattr(harness, "_phase_law", lambda *t: steps.append(t) or True)
@@ -408,9 +441,8 @@ def test_s_images_are_u_s_its_dagger_and_its_square(monkeypatch):
     for inverse, proven, want in ((dagger, True, True), (negated, True, False),
                                   (dagger, False, False)):
         tables, laws = {S: s, S.inv(): inverse}, []
-        monkeypatch.setattr(harness, "_closed_form", lambda pr, X: (tables[X], None))
         monkeypatch.setattr(harness, "_phase_law", lambda *t: laws.append(t) or proven)
-        assert harness._s_images_hold(pr, lambda X: X) == want
+        assert harness._s_images_hold(pr, tables.__getitem__, lambda X: X) == want
         assert laws == ([(S, S, S**2)] if inverse is dagger else [])
 
 

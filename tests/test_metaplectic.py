@@ -1,6 +1,7 @@
 """Tests for the metaplectic representations, twisted and odd-prime."""
 
 import itertools
+import math
 from functools import cache
 
 import numpy as np
@@ -15,8 +16,9 @@ from fqmrep.matrixcore import (
     BackendMismatch,
     DimMismatch,
     OpMatrix,
+    _FactorTable,
     _phase_law,
-    _PhaseTable,
+    _phase_table,
     _roots,
     _slot_table,
     _SupportTable,
@@ -257,8 +259,8 @@ def _reduced_table(params, A, backend):
 
 
 def _sum_op(params, A, backend):
-    # the matrix of the d-odd-sum table, which the builder returns
-    return OpMatrix.from_phase_table(*_closed_odd_sum(params, A), backend=backend)
+    # the matrix of the d-odd-sum table, from the factors the builder returns
+    return OpMatrix.from_phase_table(*_phase_table(_closed_odd_sum(params, A)), backend=backend)
 
 
 def _same_bits(x, y):
@@ -709,7 +711,7 @@ def _flawed_table(params, A, flaw):
     # U(A)'s masked table with one entry on the mask moved to omega times
     # itself ("moved") or to its negative ("sign"), or one entry off the mask
     # switched on ("mask bit")
-    table = _closed_form(params, A)[0]
+    table = _phase_table(_closed_form(params, A)[0])
     exps, mask = table.exps.copy(), table.mask.copy()
     i, j = np.argwhere(~mask if flaw == "mask bit" else mask)[5]
     if flaw == "mask bit":
@@ -810,6 +812,7 @@ def test_exponent_kernel_agrees_with_mat_eq_at_n4(case, p):
     name = N4_FLAWS.get(case, case)
     A = N4_ELEMENTS[name]
     U, branch = _closed_form(params, A)
+    U = _phase_table(U)
     assert name in ("S", "T", branch)
     table = metaplectic._j_table("twisted_even", 16, params)
     rng = np.random.default_rng(p)
@@ -859,7 +862,7 @@ def test_promoted_order_and_scale_match_the_cycle_walk(n, element, higher, monke
     # J's order N, or the J's are given order 16 (table and builder) over
     # U's order N: the codes are read at the higher order
     params = HWParams(2**n)
-    U = _closed_form(params, sl2_s(params.N))[0]
+    U = _phase_table(_closed_form(params, sl2_s(params.N))[0])
     table = metaplectic._j_table("twisted_even", params.N, params)
     if higher == "U":
         U = U._replace(order=16, exps=U.exps * (16 // params.N) + 3)
@@ -1022,40 +1025,79 @@ def test_phase_law_agrees_with_the_dense_product(N):
 
 
 def _flaw(table, flaw, rng):
-    # one entry's exponent moved where the mask keeps it, one mask bit
-    # flipped, or the scale off by one
+    """A builder's table with one flaw, or None where it takes none of that
+    kind: one entry of a factor moved where the cosets keep it, or one row's
+    exponent of a c = 0 table (`exponent`); the cosets of two indices of
+    different cosets swapped (`mask`, a factor table with g > 1); one column
+    of a c = 0 table moved (`column`); the scale of a factor table off by one
+    (`scale`)."""
+    if isinstance(table, _SupportTable):
+        i = rng.integers(len(table.cols))
+        if flaw == "exponent":
+            exps = table.exps.copy()
+            exps[i] = (exps[i] + rng.integers(1, table.order)) % table.order
+            return table._replace(exps=exps)
+        if flaw == "column":
+            cols = table.cols.copy()
+            cols[i] = (cols[i] + rng.integers(1, len(cols))) % len(cols)
+            return table._replace(cols=cols)
+        return None
     if flaw == "scale":
         return table._replace(scale_pow2=table.scale_pow2 + int(rng.choice([-1, 1])))
-    mask = np.ones(table.exps.shape, dtype=bool) if table.mask is None else table.mask.copy()
-    if flaw == "mask":
-        i, j = rng.integers(0, len(mask), 2)
-        mask[i, j] = not mask[i, j]
-        return table._replace(mask=mask)
-    i, j = np.argwhere(mask)[rng.integers(0, mask.sum())]
-    exps = table.exps.copy()
-    exps[i, j] = (exps[i, j] + rng.integers(1, table.order)) % table.order
-    return table._replace(exps=exps)
+    n, g, cosets = len(table.cosets), table.g, table.cosets
+    if flaw == "mask" and g > 1:
+        i = rng.integers(n)
+        j = rng.choice(np.flatnonzero(cosets != cosets[i]))
+        swapped = cosets.copy()
+        swapped[[i, j]] = cosets[[j, i]]
+        return table._replace(cosets=swapped)
+    if flaw == "exponent":  # a[k1, j1, j2] or b[k1, k2, j1], j1 in the coset of k1
+        k1, other = rng.integers(n, size=2)
+        j1 = cosets[k1] + g * rng.integers(n // g)
+        name = str(rng.choice(["a", "b"]))
+        factor = getattr(table, name).copy()
+        at = (k1, j1, other) if name == "a" else (k1, other, j1)
+        factor[at] = (factor[at] + rng.integers(1, table.order)) % table.order
+        return table._replace(**{name: factor})
+    return None
 
 
-@pytest.mark.parametrize("flaw", ["exponent", "mask", "scale"])
-def test_phase_law_finds_a_flawed_table_unequal_like_the_dense_product(flaw):
-    # pairs at N = 8 whose three tables are dense; each flaw goes into one of
-    # U(A), U(B), U(AB) in turn, and both the kernel and mat_eq of the dense
-    # product reject it
+# the routes a flaw is caught on: a moved column leaves no column gather
+# (its transpose is no row gather), and where Z is a c = 0 table, X and Y
+# have cosets of one size, so X's stages are taken, never Y's
+FLAW_ROUTES = {
+    "exponent": {"row gather", "column gather", "left stages", "right stages"},
+    "mask": {"row gather", "column gather", "left stages", "right stages"},
+    "column": {"row gather", "left stages"},
+    "scale": {"row gather", "column gather", "left stages", "right stages"},
+}
+
+
+@pytest.mark.parametrize("flaw", ["exponent", "mask", "column", "scale"])
+def test_phase_law_finds_a_flawed_table_unequal_like_the_dense_product(flaw, monkeypatch):
+    # N = 8 with one slot per block, so every builder table has its routes;
+    # the flaw goes into U(A), U(B) and U(AB) in turn, and the kernel's
+    # verdict is mat_eq's on the dense product.  The flaw is caught at every
+    # position and on every route that can meet it
+    monkeypatch.setattr(matrixcore, "_SLOT_BLOCK", 1)
     rng = np.random.default_rng(37)
-    pr, hit = HWParams(8, 3), 0
-    for A, B in zip(sample_sl2(8, 40, 370), sample_sl2(8, 40, 371)):
+    pr, caught = HWParams(8, 3), set()
+    pairs = list(zip(sample_sl2(8, 60, 370), sample_sl2(8, 60, 371))) + _route_pairs(8)
+    for A, B in pairs:
         tables = [metaplectic._closed_form(pr, X)[0] for X in (A, B, A * B)]
-        if not all(isinstance(t, _PhaseTable) for t in tables):
-            continue
-        hit += 1
         for k in range(3):
             flawed = list(tables)
             flawed[k] = _flaw(tables[k], flaw, rng)
-            X, Y, Z = (OpMatrix.from_phase_table(*t, backend="exact") for t in flawed)
-            assert not mat_eq(X @ Y, Z).equal
-            assert not _phase_law(*map(_slot_table, flawed))
-    assert hit >= 10
+            if flawed[k] is None:
+                continue
+            x, y, z = map(_slot_table, flawed)
+            X, Y, Z = (_table_op(pr, t, "exact", "") for t in flawed)
+            equal = mat_eq(X @ Y, Z).equal
+            assert _phase_law(x, y, z) == equal, (A, B, k)
+            if not equal:
+                caught.add((_route(x, y), k))
+    assert {route for route, _ in caught} == FLAW_ROUTES[flaw]
+    assert {k for _, k in caught} == {0, 1, 2}
 
 
 def test_phase_law_proves_nothing_past_its_bound():
@@ -1064,7 +1106,7 @@ def test_phase_law_proves_nothing_past_its_bound():
     pr = HWParams(16)
     for A, B in zip(sample_sl2(16, 40, 160), sample_sl2(16, 40, 161)):
         tables = [metaplectic._closed_form(pr, X)[0] for X in (A, B, A * B)]
-        if all(isinstance(t, _PhaseTable) for t in tables):
+        if all(isinstance(t, _FactorTable) for t in tables):
             break
     p = _slot_table(tables[0]).p
     big = (p.bit_length() + 1) // 2
@@ -1080,119 +1122,254 @@ def _route(x, y):
     # the route `_phase_law` takes for the slot tables X, Y
     if x.values is not None:
         return "one block"
-    return "left" if x.split is not None else "right" if y.split is not None else "dense"
+    routes = [(r, side) for r, side in ((x.left, "left"), (y.right, "right")) if r is not None]
+    route, side = min(routes, key=lambda rs: rs[0].work)
+    if len(route.factors) == 2:
+        return f"{side} stages"
+    if route.factors[0][1].ndim == 2:
+        return "dense"
+    return "row gather" if side == "left" else "column gather"
+
+
+def _spy_routes(monkeypatch):
+    # the factor count of each `_apply` call (1 for a gather, 2 for stages),
+    # and whether each gather in a route's row order reads a transpose
+    calls, sides, real_apply, real_gather = [], [], matrixcore._apply, matrixcore._gather
+
+    def apply(factors, *args):
+        calls.append(len(factors))
+        return real_apply(factors, *args)
+
+    def gather(t, width, transpose=False, rows=None):
+        if rows is not None:
+            sides.append(transpose)
+        return real_gather(t, width, transpose, rows)
+
+    monkeypatch.setattr(matrixcore, "_apply", apply)
+    monkeypatch.setattr(matrixcore, "_gather", gather)
+    return calls, sides
+
+
+def _route_pairs(N):
+    # a pair (A, B) per route at N >= 8 where tables are not one block: c
+    # odd (g = 1), c = 2 (g = 2) and c = 0 with d = 3, whose permutation is
+    # no involution past N = 8, in the order of ROUTES
+    odd, osum = SL2Element(3, 1, 5, 2, N), SL2Element(1, 0, 2, 1, N)
+    tri = SL2Element(pow(3, -1, N), 1, 0, 3, N)
+    return [(tri, osum), (osum, tri), (osum, odd), (odd, osum)]
+
+
+ROUTES = ("row gather", "column gather", "left stages", "right stages")
 
 
 @pytest.mark.parametrize("N", [8, 16])
 def test_phase_law_routes_fire_and_agree_with_the_dense_product(N, monkeypatch):
     # at N = 8 every table is one block and every pair one product of the
-    # cached values; at N = 16 an odd-c X is applied to Y in stages (left),
-    # else an odd-c Y by Y^T's stages to X^T (right), else the pair is a
-    # dense product per slot.  Each route fires, runs its stages at every
-    # slot of an equal pair, and its verdicts on U(AB) and U(BA) are mat_eq's
-    calls, real = [], matrixcore._stages
-    monkeypatch.setattr(matrixcore, "_stages", lambda *args: calls.append(args[1]) or real(*args))
+    # cached values.  At N = 16 a c = 0 X is a row gather of Y, else a c = 0
+    # Y a column gather of X, else X's stages (left) or Y^T's (right),
+    # whichever do fewer multiply-adds: builder tables never go dense.  Each
+    # route fires, runs at every slot of an equal pair, and its verdicts on
+    # U(AB) and U(BA) are mat_eq's
+    calls, sides = _spy_routes(monkeypatch)
     pr = HWParams(N, 3)
     U = cache(lambda X: u_general(pr, X))
     table = cache(lambda X: _slot_table(metaplectic._closed_form(pr, X)[0]))
+    pairs = list(zip(sample_sl2(N, 12, N), sample_sl2(N, 12, N + 1)))
     routes, verdicts = [], []
-    for A, B in zip(sample_sl2(N, 12, N), sample_sl2(N, 12, N + 1)):
+    for A, B in pairs + (_route_pairs(N) if N == 16 else []):
         x, y = table(A), table(B)
         product = U(A) @ U(B)
         for C in (B * A, A * B):
-            calls.clear()
+            calls.clear(), sides.clear()
             got = _phase_law(x, y, table(C))
             assert got == mat_eq(product, U(C)).equal, (A, B, C)
             verdicts.append(got)
         routes.append(_route(x, y))  # U(AB), the last, is equal: every slot ran
-        assert calls == {"left": [False], "right": [True]}.get(routes[-1], []) * len(x.roots)
+        factors = {"one block": 0, "row gather": 1, "column gather": 1}.get(routes[-1], 2)
+        assert calls == ([factors] * len(x.roots) if factors else [])
+        transposed = routes[-1] in ("column gather", "right stages")
+        assert sides == ([transposed] * 2 if factors else [])
     assert all(verdicts[1::2]) and not all(verdicts[::2])
-    want = {"one block"} if N == 8 else {"left", "right", "dense"}
-    assert set(routes) == want
+    assert set(routes) == ({"one block"} if N == 8 else set(ROUTES))
 
 
-def test_phase_law_compares_every_block():
+def test_phase_law_compares_every_block(monkeypatch):
     # N = 16, one slot per block: an equal pair on each route, against a Z
-    # whose last slot alone is off (two of its roots swapped), is unequal
+    # whose last slot alone is off (two of its roots swapped), is unequal;
+    # and with blocks of a quarter of a slot's columns, against a Z whose
+    # last column alone is off
     pr = HWParams(16, 3)
-    odd, osum, tri = SL2Element(3, 1, 5, 2, 16), SL2Element(1, 0, 2, 1, 16), SL2Element(1, 1, 0, 1, 16)
-    for A, B, route in ((odd, osum, "left"), (osum, odd, "right"), (osum, tri, "dense")):
-        x, y, z = (_slot_table(metaplectic._closed_form(pr, X)[0]) for X in (A, B, A * B))
+    dense = lambda X: _slot_table(_phase_table(metaplectic._closed_form(pr, X)[0]))  # noqa: E731
+    slot = lambda X: _slot_table(metaplectic._closed_form(pr, X)[0])  # noqa: E731
+    pairs = zip(ROUTES, _route_pairs(16))
+    cases = [(slot(A), slot(B), slot(A * B), route) for route, (A, B) in pairs]
+    odd, osum = _route_pairs(16)[-1]
+    cases.append((dense(odd), dense(osum), slot(odd * osum), "dense"))
+    for x, y, z, route in cases:
         assert _route(x, y) == route and _phase_law(x, y, z)
         roots = z.roots.copy()
         roots[-1, [1, 2]] = roots[-1, [2, 1]]
         assert not _phase_law(x, y, z._replace(roots=roots)), route
+    monkeypatch.setattr(matrixcore, "_SLOT_BLOCK", 1 << 14)
+    assert matrixcore._slot_step(8, 256) == (1, 64)
+    for x, y, z, route in cases:
+        assert _phase_law(x, y, z), route
+        index = z.index.copy()
+        index[:, -1] = np.where(index[:, -1] == 16, 0, 16)  # the last column's support moved
+        assert not _phase_law(x, y, z._replace(index=index)), route
+
+
+def _split(exps, order):
+    """(a, b) with exps[k, j] = a[k1, j1, j2] + b[k1, k2, j1] (mod order, a
+    power of two) for every k = (k1, k2) and j = (j1, j2) of a dim n^2
+    table, which holds exactly when E[k, j] = E[(k1, 0), j] - E[(k1, 0),
+    (j1, 0)] + E[k, (j1, 0)]; else None."""
+    dim, low = len(exps), order - 1
+    n = math.isqrt(dim)
+    e = exps.reshape(n, n, n, n) & low  # e[k1, k2, j1, j2]
+    a, b = (e[:, 0] - e[:, 0, :, :1]) & low, e[..., 0]
+    joined = np.add(a[:, None], b[..., None]) & low
+    return (a, b) if np.array_equal(joined, e) else None
+
+
+def _dense_c_odd(params, A):
+    # the c-odd builder as it stood before builders wrote factors: one int64
+    # exponent per entry, p (k1 j2 + k2 j1 - a k1 k2 - d j1 j2)/c mod N
+    N, p = params.N, params.p
+    a, _, c, d = A.entries()
+    cinv = pow(c, -1, N)
+    k1, k2 = np.divmod(np.arange(N * N), N)
+    cross = k1[:, None] * k2 + k2[:, None] * k1
+    return p * (cinv * cross - a * cinv * (k1 * k2)[:, None] - d * cinv * (k1 * k2)) % N
+
+
+def _dense_odd_sum(params, A):
+    # the d-odd-sum builder as it stood before builders wrote factors: its
+    # exponents, mask and scale
+    N, p = params.N, params.p
+    _, b, c, d = A.entries()
+    dinv = pow(d, -1, N)
+    ratio = c * dinv % N
+    v = (ratio & -ratio).bit_length() - 1
+    k1, k2 = np.divmod(np.arange(N * N), N)
+    t = (dinv * k1[:, None] - k1[None, :]) % N
+    e = (k2[None, :] - dinv * k2[:, None]) % N
+    r0 = (t >> v) * pow(ratio >> v, -1, N >> v)
+    base = -p * b * dinv * k1 * k2 % N
+    mask = ((t | e) & ((1 << v) - 1)) == 0
+    return (base[:, None] + p * e * r0) % N, mask, params.n - v
 
 
 @pytest.mark.parametrize("N", [2, 4, 8, 16])
 def test_one_moved_exponent_breaks_the_split(N):
-    # every odd-c table splits at every odd p (a seeded sample of elements at
-    # N = 16), and moving any one exponent breaks the split (every entry at
-    # N <= 4, a seeded few at N >= 8)
+    # the factors of every odd-c table at every odd p (a seeded sample of
+    # elements at N = 16) are the split of the dense formula they replaced,
+    # and moving any one exponent of that formula breaks the split (every
+    # entry at N <= 4, a seeded few at N >= 8)
     rng = np.random.default_rng(N)
     elems = enumerate_sl2(N) if N <= 8 else sample_sl2(N, 12, 3)
-    order = _exact_order(N)
     for p in range(1, N, 2):
         for A in (A for A in elems if A.c % 2):
-            table = metaplectic._closed_form(HWParams(N, p), A)[0]
-            exps = table.exps * (order // N)
-            assert table.mask is None and matrixcore._split(exps, order) is not None
+            pr = HWParams(N, p)
+            table, exps = _closed_form(pr, A)[0], _dense_c_odd(pr, A)
+            assert (table.g, table.scale_pow2) == (1, pr.n) and not table.cosets.any()
+            a, b = _split(exps, N)
+            assert np.array_equal(a, table.a) and np.array_equal(b, table.b)
             entries = np.ndindex(exps.shape) if N <= 4 else rng.integers(0, N * N, (4, 2))
             for i, j in entries:
                 moved = exps.copy()
-                moved[i, j] = (moved[i, j] + rng.integers(1, order)) % order
-                assert matrixcore._split(moved, order) is None
+                moved[i, j] = (moved[i, j] + rng.integers(1, N)) % N
+                assert _split(moved, N) is None
+
+
+@pytest.mark.parametrize("N", [4, 8, 16])
+def test_odd_sum_factors_reproduce_the_masked_formula(N):
+    # the d-odd-sum factors give the table the builder wrote before, at
+    # every odd p (a seeded sample of elements at N = 16): the same mask and
+    # scale, and the same exponents on the mask
+    elems = enumerate_sl2(N) if N <= 8 else sample_sl2(N, 30, 4)
+    hit = 0
+    for p in range(1, N, 2):
+        for A in (A for A in elems if A.c and A.c % 2 == 0):
+            pr = HWParams(N, p)
+            table, branch = _closed_form(pr, A)
+            got = _phase_table(table)
+            exps, mask, scale = _dense_odd_sum(pr, A)
+            assert branch == "d-odd-sum" and got.scale_pow2 == scale
+            assert np.array_equal(got.mask, mask) and np.array_equal(got.exps[mask], exps[mask])
+            hit += 1
+    assert hit >= 8
 
 
 def test_an_odd_c_table_with_a_moved_exponent_goes_dense_and_fails(monkeypatch):
-    # N = 16: U(A) with c odd splits, so (U(A), U(B)) with c_B even takes the
-    # left stages; with one exponent of U(A) moved it does not split, the
-    # pair is a dense product per slot, and it is unequal like mat_eq says
-    calls, real = [], matrixcore._stages
-    monkeypatch.setattr(matrixcore, "_stages", lambda *args: calls.append(args[1]) or real(*args))
-    pr = HWParams(16, 5)
-    A, B = SL2Element(3, 1, 5, 2, 16), SL2Element(1, 0, 2, 1, 16)
+    # N = 16: U(A) with c odd and U(B) with c = 2 are factor tables, and the
+    # pair takes U(B)'s right stages.  U(A)'s dense table with one exponent
+    # moved is no builder's: it is a dense product per slot, taken with U(B)'s
+    # dense table, and U(B)'s right stages are taken over it; both are
+    # unequal like mat_eq says, at the first slot
+    calls, sides = _spy_routes(monkeypatch)
+    pr, (A, B) = HWParams(16, 5), _route_pairs(16)[-1]
     tables = [metaplectic._closed_form(pr, X)[0] for X in (A, B, A * B)]
     x, y, z = map(_slot_table, tables)
-    assert x.split is not None and y.split is None and _phase_law(x, y, z)
-    assert calls == [False] * 8
-    exps = tables[0].exps.copy()
+    assert _route(x, y) == "right stages" and _phase_law(x, y, z)
+    assert calls == [2] * 8 and sides == [True, True]
+    dense = _phase_table(tables[0])
+    exps = dense.exps.copy()
     exps[37, 200] = (exps[37, 200] + 3) % 16
-    flawed = tables[0]._replace(exps=exps)
+    flawed = dense._replace(exps=exps)
+    fx, dy = _slot_table(flawed), _slot_table(_phase_table(tables[1]))
     calls.clear()
-    fx = _slot_table(flawed)
-    assert fx.split is None and _route(fx, y) == "dense"
-    assert not _phase_law(fx, y, z)
-    assert calls == []
+    assert _route(fx, dy) == "dense" and not _phase_law(fx, dy, z)
+    assert _route(fx, y) == "right stages" and not _phase_law(fx, y, z)
+    assert calls == [1, 2]
     X, Y, Z = (_table_op(pr, t, "exact", "") for t in (flawed, tables[1], tables[2]))
     assert not mat_eq(X @ Y, Z).equal
 
 
+def test_unequal_cosets_take_no_stages():
+    # N = 16: U(B) with c = 2 has two cosets of 8; with one index moved to
+    # the other coset (no builder writes that) they are 7 and 9, and its
+    # route is a dense product per slot.  A law it is in is decided as
+    # mat_eq does, on the other side's stages or on its own route
+    pr, (A, B) = HWParams(16, 3), _route_pairs(16)[-1]
+    tables = [metaplectic._closed_form(pr, X)[0] for X in (A, B, A * B, B * B)]
+    cosets = tables[1].cosets.copy()
+    cosets[0] = 1 - cosets[0]
+    flawed = tables[1]._replace(cosets=cosets)
+    x, fy, z, zz = map(_slot_table, (tables[0], flawed, tables[2], tables[3]))
+    assert fy.right is None and _route(fy, fy) == "dense" and _route(x, fy) == "left stages"
+    X, Y, Z, ZZ = (_table_op(pr, t, "exact", "") for t in (tables[0], flawed, *tables[2:]))
+    assert not mat_eq(X @ Y, Z).equal and not _phase_law(x, fy, z)
+    assert not mat_eq(Y @ Y, ZZ).equal and not _phase_law(fy, fy, zz)
+
+
 @pytest.mark.parametrize("N", [2, 4, 8, 16])
 def test_staged_residues_equal_the_dense_slot_product(N, monkeypatch):
-    # with one slot per block every table takes the block route, so every
-    # odd-c table at N <= 8 and every odd p (a seeded sample at N = 16) gets
-    # its split; its two stages on a seeded block of centred residues, from
-    # the left and transposed, equal the dense slot products residue for residue
+    # with one slot per block every builder table has its routes, at every
+    # odd p (a seeded sample of elements at N = 16): a c = 0 table's row
+    # gather and its transpose's (the column gather), a factor table's
+    # stages and its transpose's, at g = 1 and g > 1.  Each, applied to a
+    # seeded block of centred residues read in its row order, equals the
+    # dense slot product residue for residue
     monkeypatch.setattr(matrixcore, "_SLOT_BLOCK", 1)
     rng = np.random.default_rng(N + 1)
-    elems = enumerate_sl2(N) if N <= 8 else sample_sl2(N, 4, 5)
-    checked = 0
+    elems = enumerate_sl2(N) if N <= 8 else sample_sl2(N, 4, 5) + [_route_pairs(N)[0][0]]
+    seen = set()
     for p in range(1, N, 2):
         for A in elems:
-            t = _slot_table(metaplectic._closed_form(HWParams(N, p), A)[0])
-            assert t.values is None and (t.split is not None) == (A.c % 2 == 1)
-            if t.split is None:
-                continue
+            table = metaplectic._closed_form(HWParams(N, p), A)[0]
+            t = _slot_table(table)
+            assert t.values is None and t.left is not None and t.right is not None
             size, dim = len(t.roots), N * N
             X = t.roots.take(t.index.astype(np.intp), axis=1)
             half = (t.p - 1) // 2
             W = rng.integers(-half, half + 1, (size, dim, dim)).astype(np.float64)
             out, mid = np.empty((2, size, dim, dim))
-            for transpose, F in ((False, X), (True, X.transpose(0, 2, 1))):
-                want = matrixcore._reduce(F @ W, t.p)
-                got = matrixcore._stages(t.split, transpose, slice(None), W, t.p, out, mid)
-                assert np.array_equal(got, want), (p, A, transpose)
-            checked += 1
-    assert checked > 0
-
+            for side, route, F in (("left", t.left, X), ("right", t.right, X.transpose(0, 2, 1))):
+                want = matrixcore._reduce(F @ W, t.p)[:, route.rows_out]
+                got = matrixcore._apply(route.at(slice(None)), W[:, route.rows_in], t.p, out, mid)
+                assert np.array_equal(got, want), (p, A, side)
+                kind = "gather" if isinstance(table, _SupportTable) else f"g = {min(table.g, 2)}"
+                seen.add((side, kind))
+    kinds = {"gather", "g = 1"} | ({"g = 2"} if N >= 4 else set())
+    assert seen == {(side, kind) for side in ("left", "right") for kind in kinds}
