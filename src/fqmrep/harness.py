@@ -10,9 +10,11 @@ parameters and seed.
 Every law over many keys records through `VerifyReport.scan`.  Laws of
 phased permutations are decided in bulk on one table of their omega_N
 exponents, from the builders' support formulas: `_support_law` decides the
-exact twisted cocycle (`check_pair_law`), its dagger law as J[l] J[-l] == I
-and the exact `heisenberg` commutator law; `verify_metaplectic`'s stacked
-kernel decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic`
+exact `heisenberg` commutator law; the exact twisted cocycle
+(`check_pair_law`) and its dagger law as J[l] J[-l] == I are decided by
+`_kron_law` on the N-row factors of the product form J = omega^x0 (F (x) F)
+of their table, factored once per run (`_kron_support`); `verify_metaplectic`'s
+stacked kernel decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic`
 and `weil-odd` on such a table, an exact U by the omega exponents read from
 its closed-form builder's table (`_closed_form`, `_exponent_codes`); the
 support tables are cast once per suite call to the narrow dtypes of
@@ -53,8 +55,8 @@ from .heisenberg import (
 )
 from .magnetic import j_odd, j_twisted
 from .matrixcore import (
-    OpMatrix, _narrow_support, _phase_law, _phase_table, _slot_table, _support_law,
-    _SupportTable, mat_eq,
+    OpMatrix, _kron_law, _kron_support, _KronSupport, _narrow_support, _phase_law, _phase_table,
+    _slot_table, _support_law, _SupportTable, mat_eq,
 )
 from .metaplectic import (
     _closed_form,
@@ -188,7 +190,8 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     it, a chunk of pairs is decided at once, its key arrays given to
     `compose`, `e` and `index`.  A family of phased permutations with a
     phase passes its `_SupportTable` of root order N, narrowed once
-    (`_narrow_support`) and decided by `_support_law` on integer exponents;
+    (`_narrow_support`) and decided by `_support_law` on integer exponents,
+    or that table's `_KronSupport`, decided by `_kron_law` on its factors;
     a bare law may pass instead a cached table(number) -> `_SlotTable`, each
     pair then decided by `_phase_law` one block of slots at a time.  The
     pairs left, and every pair without a table, are compared one at a time.
@@ -202,6 +205,8 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     def stacked(x, y):
         table, index = members
         left, right, out = index(x), index(y), index(compose(x, y))
+        if isinstance(table, _KronSupport):
+            return _kron_law(table, left, right, out, exponent(x, y)), 0.0
         if isinstance(table, _SupportTable):
             return _support_law(table, left, right, out, exponent(x, y)), 0.0
         keys = zip(left.tolist(), right.tolist(), out.tolist())
@@ -251,17 +256,22 @@ def _sl2_law(rep, N, pairs, op, tol, members=None) -> None:
 
 
 def _dagger_law(rep, N, op, tol, table=None) -> None:
-    # J[l]^dagger == J[-l] over l = (r, s) r-major; `table` holds op(l) at
-    # row N r + s.  For phased permutations that is J[l] J[-l] == I, decided
-    # by `_support_law` as J[l] J[-l] == J[0] once row 0 is the identity
-    # (never unless c_l is a permutation); the points left are compared as
-    # matrices
-    stacked, dim = None, None if table is None else table.cols.shape[1]
-    if dim and (table.cols[0] == np.arange(dim)).all() and not table.exps[0].any():
+    # J[l]^dagger == J[-l] over l = (r, s) r-major; `table`, a `_SupportTable`
+    # or its `_KronSupport`, holds op(l) at row N r + s.  For phased
+    # permutations that is J[l] J[-l] == I, decided by the table's law as
+    # J[l] J[-l] == J[0] once member 0 is the identity (in Kronecker form:
+    # its factor is and its scalar is 0), never unless c_l is a permutation;
+    # the points left are compared as matrices
+    stacked, kron = None, isinstance(table, _KronSupport)
+    first = table.factor if kron else table
+    if table is not None and (first.cols[0] == np.arange(first.cols.shape[1])).all() and not (
+        first.exps[0].any() or kron and table.scalar[0]
+    ):
+        law = _kron_law if kron else _support_law
 
         def stacked(r, s):
             zero = np.zeros_like(r)
-            return _support_law(table, N * r + s, N * (-r % N) + -s % N, zero, zero), 0.0
+            return law(table, N * r + s, N * (-r % N) + -s % N, zero, zero), 0.0
 
     rep.scan(
         "J[l]^dagger == J[-l]", np.indices((N, N)).reshape(2, -1),
@@ -368,7 +378,10 @@ def _suite_cocycle_twisted(params: dict) -> VerifyReport:
     _guard_pairs(N**4)
     rep = VerifyReport("cocycle-twisted", {"N": N, "p": p, "backend": backend})
     op = cache(lambda l: j_twisted(pr, l, backend=backend))
-    table = _narrow_support(_j_table("twisted_even", N, pr)) if backend == "exact" else None
+    table = None
+    if backend == "exact":  # J = omega^{-psr} F (x) F, F = Q^s P^r: laws of N-row factors
+        table = _narrow_support(_j_table("twisted_even", N, pr))
+        table = _kron_support(table) or table
     _dagger_law(rep, N, op, tol, table)
     _torus_law(
         rep, "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']", N, op,

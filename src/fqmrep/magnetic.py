@@ -10,7 +10,10 @@ missing; the construction doubles the space instead and uses
 
 on C^{N^2} with the composite index N k1 + k2.  The same operator
 factors as omega^{-p s r} (Q^s P^r) (x) (Q^s P^r), which is kept as an
-independent construction for cross-checking.
+independent construction for cross-checking.  The exact laws of the
+twisted family read that product form off the support table: the
+cocycle and dagger laws are decided on the N-row factors Q^s P^r and the
+scalars (`matrixcore._kron_support`), not on N^2 rows.
 """
 
 from __future__ import annotations

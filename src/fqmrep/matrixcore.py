@@ -30,7 +30,9 @@ two batched stages, 2 n^5/g multiply-adds per slot instead of n^6.  The
 dense `_PhaseTable` of a factor table is summed in one place,
 `_phase_table`, for the consumers that read a matrix or exponent codes.
 Laws of phased permutations are decided on their integer exponents by
-`_support_law`.
+`_support_law`; a table of square Kronecker powers, omega^x0 (F (x) F) like
+the twisted J's, is factored once (`_kron_support`) and its laws decided on
+the n-row factors and the scalars (`_kron_law`).
 """
 
 from __future__ import annotations
@@ -491,11 +493,13 @@ def _apply(factors: list[np.ndarray], w: np.ndarray, p: int, out, mid) -> np.nda
     return _reduce(out, p)
 
 
-# table entries (pairs x dim) per block of `_support_law`; perfbench
-# cocycle-monomial on a 2-vCPU box, 4 seeds: 2^14 3.2-3.4 ms wall_s and
-# 40.9-41.2 MB peak RSS, 2^15 3.8-4.1 ms and 41.6-41.7 MB, 2^16 3.8-4.2 ms
-# and 41.9-42.1 MB
+# table entries (pairs x dim) per block of `_support_law`, and the dim below
+# which its arrays are (row, pair) rather than (pair, row).  On random
+# tables of order 16 and 4,096 random pairs (2-vCPU box), in ns per entry:
+# (row, pair) 5.5-6.5 at dim 4-8 against 7.7-11.4, about 5.4 either way at
+# dim 16, and 5.4-6.6 at dim 32-256 against 3.3-5.0
 _LAW_BLOCK = 1 << 14
+_SHORT_ROWS = 16
 
 
 def _narrow_support(table: _SupportTable) -> _SupportTable:
@@ -520,28 +524,98 @@ def _support_law(
     a pair is equal when those columns are Z's and the exponents differ from
     Z's by phase[k] mod the table's order: integer exponent arithmetic, a
     block of pairs at a time.  The order divides 2^16, so exponents in any
-    unsigned or two's complement integer type wrap mod a multiple of it and
-    are reduced by `& (order - 1)`; the table is meant to arrive narrow
-    (`_narrow_support`, cast once per suite call).  One flat index into the
-    rows of the Y's gathers both their columns and their exponents.
+    unsigned or two's complement integer type wrap mod a multiple of it; the
+    table is meant to arrive narrow (`_narrow_support`, cast once per suite
+    call).  Each entry is one code, its exponent above the bits of its
+    column: the code of X Y's row i, less Z's and the phase, is zero in the
+    column and exponent bits exactly when that row is equal.  Short rows
+    (dim < `_SHORT_ROWS`) are laid along the pairs, (row, pair), so that
+    adding the phase and reducing a pair's rows are passes over long axes;
+    longer rows are gathered whole, (pair, row).
     """
-    order, dim = table.order, table.cols.shape[1]
+    order, (count, dim) = table.order, table.cols.shape
     if (1 << 16) % order:
         raise ValueError(f"_support_law needs an order dividing 2^16, got {order}")
-    cols, exps = table.cols, table.exps
-    phase = (phase % order).astype(exps.dtype)
+    shift = (dim - 1).bit_length()
+    dtype = np.min_scalar_type((order << shift) - 1)
+    axis = int(dim < _SHORT_ROWS)  # the axis of the pairs
+    cols, exps = (table.cols.T, table.exps.T) if axis else (table.cols, table.exps)
+    cols = np.ascontiguousarray(cols)
+    exps = (exps & (order - 1)).astype(dtype, order="C") << shift
+    codes = exps | cols
+    index = cols * np.intp(count if axis else 1)  # + stride y: row c of member y, flat
+    stride, across = (1, (1, -1)) if axis else (dim, (-1, 1))  # across: one value per pair
+    mask = ((order - 1) << shift) | ((1 << shift) - 1)
+    phase = (phase % order).astype(dtype) << shift
     equal = np.empty(len(left), dtype=bool)
     step = max(1, _LAW_BLOCK // dim)
     for a in range(0, len(left), step):
         k = slice(a, a + step)
-        x, z = left[k], out[k]
-        at = cols[x] + (dim * right[k])[:, None]  # Y's row c_X[i], flat
-        e = exps[x] + exps.take(at)
-        e -= exps[z]
-        e -= phase[k, None]
-        e &= order - 1
-        equal[k] = ((cols.take(at) == cols[z]) & (e == 0)).all(axis=1)
+        x = left[k]
+        at = index.take(x, axis=axis)
+        at += (stride * right[k]).reshape(across)
+        e = codes.take(at)  # row c_X[i] of Y
+        e += exps.take(x, axis=axis)
+        e -= codes.take(out[k], axis=axis)
+        e -= phase[k].reshape(across)
+        e &= mask
+        equal[k] = np.bitwise_or.reduce(e, axis=1 - axis) == 0
     return equal
+
+
+class _KronSupport(NamedTuple):
+    """A `_SupportTable` of dim n^2 in square Kronecker form: member t is
+    omega^{scalar[t]} (F_t (x) F_t), F_t member t of `factor` (n rows, row-0
+    exponent 0, the table's order) and scalar[t] mod the order."""
+
+    factor: _SupportTable
+    scalar: np.ndarray
+
+
+def _kron_support(table: _SupportTable) -> _KronSupport | None:
+    """The table in square Kronecker form, or None where its dim is no
+    square or a member does not factor.
+
+    Row (i, j) = n i + j of F (x) F holds column n c(i) + c(j), so member t is
+    read at rows (i, 0): x0 = exps[t, 0], c(i) = cols[t, n i] // n and
+    e(i) = exps[t, n i] - x0; rebuilt from them, the whole member must equal
+    the table's (columns, and exponents mod the order).  A narrow table
+    gives a narrow factor and scalar."""
+    count, dim = table.cols.shape
+    n = math.isqrt(dim)
+    if n * n != dim:
+        return None
+    order = table.order
+    scalar = table.exps[:, 0] & (order - 1)
+    cols = table.cols[:, ::n] // n
+    exps = (table.exps[:, ::n] - scalar[:, None]) & (order - 1)
+    rebuilt = (n * cols[:, :, None] + cols[:, None, :]).reshape(count, dim)
+    delta = (exps[:, :, None] + exps[:, None, :]).reshape(count, dim) + scalar[:, None]
+    delta -= table.exps
+    if not np.array_equal(rebuilt, table.cols) or (delta & (order - 1)).any():
+        return None
+    factor = _narrow_support(_SupportTable(order, cols, exps))
+    return _KronSupport(factor, scalar.astype(factor.exps.dtype))
+
+
+def _kron_law(
+    table: _KronSupport, left: np.ndarray, right: np.ndarray, out: np.ndarray,
+    phase: np.ndarray,
+) -> np.ndarray:
+    """`_support_law` of a table in square Kronecker form, on its n-row factor.
+
+    With x0 the scalars and u the row-0 exponent e_Y[c_X(0)] of F_X F_Y, X Y
+    is omega^{x0_X + x0_Y + 2u} G (x) G, G = omega^{-u} F_X F_Y of row-0
+    exponent 0.  A Kronecker square of row-0 exponent 0 determines its factor
+    (row (0, 0), then rows (i, 0)), so X Y == omega^phase Z exactly when
+    G == F_Z, that is F_X F_Y == omega^u F_Z, and x0_X + x0_Y + 2u == phase +
+    x0_Z mod the order.
+    """
+    factor, scalar = table
+    order, n = factor.order, factor.cols.shape[1]
+    u = factor.exps.take(factor.cols[left, 0] + n * right)
+    held = scalar[left] + scalar[right] + 2 * u - scalar[out] - phase
+    return ((held & (order - 1)) == 0) & _support_law(factor, left, right, out, u)
 
 
 class OpMatrix:

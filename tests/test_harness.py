@@ -532,18 +532,22 @@ MIGRATED = (
 
 
 def _spy_support_law(monkeypatch, products_only=False):
-    """The equal mask of each `_support_law` call; with `products_only`, of
-    each call whose products are not all member 0 (the dagger law's J[0])."""
+    """The equal mask of each call of a support law (`_support_law`, or
+    `_kron_law` on a factored table); with `products_only`, of each call
+    whose products are not all member 0 (the dagger law's J[0])."""
     results = []
 
-    def spy(table, left, right, out, phase):
-        equal = real(table, left, right, out, phase)
-        if not products_only or out.any():
-            results.append(equal)
-        return equal
+    def spy(real):
+        def law(table, left, right, out, phase):
+            equal = real(table, left, right, out, phase)
+            if not products_only or out.any():
+                results.append(equal)
+            return equal
 
-    real = harness._support_law
-    monkeypatch.setattr(harness, "_support_law", spy)
+        return law
+
+    for name in ("_support_law", "_kron_law"):
+        monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
     return results
 
 
@@ -554,18 +558,27 @@ def _spy_support_law(monkeypatch, products_only=False):
 ])
 def test_support_laws_read_one_narrow_table_per_run(name, params, monkeypatch):
     # the exact support laws get their table cast once per suite call to
-    # uint8 exponents and columns, not an int64 table cast per call
+    # uint8 exponents and columns, not an int64 table cast per call; the
+    # twisted cocycle's dagger and product laws read one factored table, its
+    # factor and scalars narrow
     tables = []
 
-    def spy(table, *args):
-        tables.append(table)
-        return real(table, *args)
+    def spy(real):
+        def law(table, *args):
+            tables.append(table)
+            return real(table, *args)
 
-    real = harness._support_law
-    monkeypatch.setattr(harness, "_support_law", spy)
+        return law
+
+    for kernel in ("_support_law", "_kron_law"):
+        monkeypatch.setattr(harness, kernel, spy(getattr(harness, kernel)))
     assert run_suite(SuiteSpec(name, params)).passed
     assert len(tables) >= 2 and all(t is tables[0] for t in tables)
-    assert tables[0].exps.dtype == tables[0].cols.dtype == np.uint8
+    narrow = tables[0]
+    if name == "cocycle-twisted":
+        assert isinstance(narrow, harness._KronSupport) and narrow.scalar.dtype == np.uint8
+        narrow = narrow.factor
+    assert narrow.exps.dtype == narrow.cols.dtype == np.uint8
 
 
 @pytest.mark.parametrize("name,params", MIGRATED)
@@ -676,7 +689,9 @@ def test_scan_records_like_the_per_key_loop(monkeypatch):
 def _perturb_twisted(monkeypatch, flaw, point):
     """Patch the support formula that both the J table and j_twisted read:
     row 0 of J[point] gets the wrong phase, or the column of row 1 (two rows
-    hitting one column, no permutation), or rows 0 and 1 swap columns."""
+    hitting one column, no permutation), or rows 0 and 1 swap columns; these
+    break the J table's Kronecker form.  "scalar" multiplies the whole of
+    J[point] by omega, which keeps it."""
     real = magnetic._twisted_support
 
     def perturbed(pr, r, s):
@@ -684,6 +699,8 @@ def _perturb_twisted(monkeypatch, flaw, point):
         hit = (np.asarray(r) == point[0]) & (np.asarray(s) == point[1])
         if flaw == "phase":
             exponents[..., 0] += hit
+        elif flaw == "scalar":
+            exponents += hit[..., None]
         elif flaw == "collision":
             cols[..., 0] = np.where(hit, cols[..., 1], cols[..., 0])
         elif flaw == "swap":
@@ -694,9 +711,11 @@ def _perturb_twisted(monkeypatch, flaw, point):
     monkeypatch.setattr(metaplectic, "_twisted_support", perturbed)
 
 
-@pytest.mark.parametrize("flaw", [None, "phase", "collision", "swap"])
+@pytest.mark.parametrize("flaw", [None, "phase", "collision", "swap", "scalar"])
 def test_table_dagger_law_matches_the_dense_one(flaw, monkeypatch):
-    # the reference builds every J densely and compares J[l]^dagger with J[-l]
+    # the reference builds every J densely and compares J[l]^dagger with J[-l];
+    # the law reads the J table as it is and, where it factors, as its
+    # Kronecker form
     for n in (1, 2, 3):
         N = 2**n
         point = (1, 2 % N)
@@ -704,31 +723,46 @@ def test_table_dagger_law_matches_the_dense_one(flaw, monkeypatch):
             _perturb_twisted(m, flaw, point)
             for p in range(1, N, 2):
                 pr = HWParams(N, p)
-                got, want = VerifyReport("dagger", {}), VerifyReport("dagger", {})
+                want = VerifyReport("dagger", {})
                 j = cache(lambda l: magnetic.j_twisted(pr, l, backend="exact"))
                 table = metaplectic._j_table("twisted_even", N, pr)
-                harness._dagger_law(got, N, j, 1e-9, table)
+                kron = harness._kron_support(harness._narrow_support(table))
+                assert (kron is None) == (flaw in ("phase", "collision", "swap"))
                 for r in range(N):
                     for s in range(N):
                         ok, dev = mat_eq(j((r, s)).dagger(), j((-r % N, -s % N)))
                         want.record(ok, dev, "J[l]^dagger == J[-l]", {"r": r, "s": s})
-                assert got.to_json() == want.to_json()
-                assert got.checks_run == N * N
-                assert bool(got.failures) == (flaw is not None), (n, p)
-                assert got.max_abs_deviation == want.max_abs_deviation
+                for form in (table, kron) if kron else (table,):
+                    got = VerifyReport("dagger", {})
+                    harness._dagger_law(got, N, j, 1e-9, form)
+                    assert got.to_json() == want.to_json()
+                    assert got.checks_run == N * N
+                    # at N = 2, omega J[1, 0] is its own -l and its dagger
+                    seen = flaw is not None and (flaw != "scalar" or N > 2)
+                    assert bool(got.failures) == seen, (n, p)
+                    assert got.max_abs_deviation == want.max_abs_deviation
 
 
-def test_dagger_law_proves_no_point_unless_member_0_is_the_identity():
+def test_dagger_law_proves_no_point_unless_member_0_is_the_identity(monkeypatch):
     # members i I, and -I at (0, 0): J[l] J[-l] == J[0] at every l != 0,
     # though J[l]^dagger == J[-l] holds only at l = 0; every point is then
-    # compared as matrices
+    # compared as matrices.  In Kronecker form, omega^k (I (x) I), member 0's
+    # factor is the identity and its scalar is not 0
     N, eye = 2, np.arange(4)
     table = harness._SupportTable(4, np.tile(eye, (4, 1)), np.array([[2] * 4] + [[1] * 4] * 3))
+    kron = harness._kron_support(table)
+    assert (kron.factor.cols == np.arange(2)).all() and not kron.factor.exps.any()
+    assert kron.scalar.tolist() == [2, 1, 1, 1]
     op = lambda l: OpMatrix.from_support(4, eye, table.exps[N * l[0] + l[1]])  # noqa: E731
-    rep = VerifyReport("dagger", {})
-    harness._dagger_law(rep, N, op, 1e-9, table)
-    assert rep.checks_run == 4
-    assert [f.inputs for f in rep.failures] == [{"r": 0, "s": 1}, {"r": 1, "s": 0}, {"r": 1, "s": 1}]
+    calls = _spy_support_law(monkeypatch)
+    for form in (table, kron):
+        rep = VerifyReport("dagger", {})
+        harness._dagger_law(rep, N, op, 1e-9, form)
+        assert rep.checks_run == 4
+        assert [f.inputs for f in rep.failures] == [
+            {"r": 0, "s": 1}, {"r": 1, "s": 0}, {"r": 1, "s": 1},
+        ]
+    assert calls == []
 
 
 def _spy_builds(monkeypatch):
@@ -758,6 +792,49 @@ def test_passing_exact_twisted_cocycle_builds_no_dense_j(monkeypatch):
     assert points == [] and supports == []
 
 
+def test_passing_exact_twisted_cocycle_reads_only_the_factor(monkeypatch):
+    # a silent drop from the factored laws to the full table's would cost
+    # N^2-row laws: every law of a passing exact run reads the N-row factor,
+    # and no pair is compared as matrices
+    widths = []
+
+    def spy(table, *args):
+        widths.append(table.cols.shape[1])
+        return real(table, *args)
+
+    real = matrixcore._support_law
+    monkeypatch.setattr(matrixcore, "_support_law", spy)
+    monkeypatch.setattr(harness, "_support_law", spy)
+    points, supports = _spy_builds(monkeypatch)
+    for n, p in ((3, 1), (3, 7), (4, 1), (4, 15)):
+        N = 2**n
+        rep = run_suite(SuiteSpec("cocycle-twisted", {"n": n, "p": p, "backend": "exact"}))
+        assert rep.passed and rep.checks_run == N**2 + N**4
+        assert widths and set(widths) == {N}
+        widths.clear()
+    assert points == [] and supports == []
+
+
+@pytest.mark.parametrize("n,ps,flaw", [
+    (1, (1,), None), (2, (1, 3), None), (3, (1, 3, 5, 7), None), (4, (1, 15), None),
+    (1, (1,), "scalar"), (2, (1, 3), "scalar"), (3, (1, 7), "scalar"),
+])
+def test_factored_twisted_cocycle_reports_like_the_full_table(n, ps, flaw, monkeypatch):
+    # with `_kron_support` refusing every table the exact laws read the
+    # N^2-row table: the reports must be byte-identical, passing or with
+    # J[1, 2] times omega (a flaw that keeps the Kronecker form)
+    if flaw:
+        _perturb_twisted(monkeypatch, flaw, (1, 2 % 2**n))
+    for p in ps:
+        spec = SuiteSpec("cocycle-twisted", {"n": n, "p": p, "backend": "exact"})
+        got = run_suite(spec)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_kron_support", lambda table: None)
+            want = run_suite(spec)
+        assert got.to_json() == want.to_json()
+        assert got.passed == (flaw is None)
+
+
 def test_twisted_cocycle_builds_only_the_js_of_unequal_checks(monkeypatch):
     # one perturbed point: the J's of its failing points and pairs, once each
     _perturb_twisted(monkeypatch, "phase", (1, 2))
@@ -773,14 +850,14 @@ def test_twisted_cocycle_builds_only_the_js_of_unequal_checks(monkeypatch):
             need |= {(r, s), (rp, sp), ((r + rp) % 8, (s + sp) % 8)}
     assert {f["identity"].split()[0] for f in rep["failures"]} == {"J[l]^dagger", "J[l]"}
     assert sorted(points) == sorted(need) and len(supports) == len(points)
-    # a pair the table wrongly flags is compared densely from its three J's
+    # a pair the factored table wrongly flags is compared densely from its three J's
     monkeypatch.undo()
-    real = harness._support_law
+    real = harness._kron_law
 
     def flag(table, x, y, z, e):  # the pair (l, l') = ((1, 2), (3, 4))
         return real(table, x, y, z, e) & ~((x == 8 * 1 + 2) & (y == 8 * 3 + 4))
 
-    monkeypatch.setattr(harness, "_support_law", flag)
+    monkeypatch.setattr(harness, "_kron_law", flag)
     points, supports = _spy_builds(monkeypatch)
     assert run_suite(SuiteSpec("cocycle-twisted", {"n": 3, "p": 3})).passed
     assert points == [(1, 2), (3, 4), (4, 6)] and len(supports) == 3

@@ -776,38 +776,131 @@ def _law_family(family, pr):
             lambda l, m: p * (m[0] * l[1] - m[1] * l[0]))
 
 
-@pytest.mark.parametrize("flaw", [None, "phase", "composition"])
-@pytest.mark.parametrize("family", ["gamma", "j_twisted"])
+def _keep_the_form(table, flaw, t):
+    """The J table with member t flawed so that it stays in square Kronecker
+    form: times omega ("scalar"), or rebuilt as omega^{x0} (F' (x) F') from
+    its factor F with row 1 moved to the next column ("factor-row")."""
+    cols, exps = table.cols.copy(), table.exps.copy()
+    n = math.isqrt(cols.shape[1])
+    if flaw == "scalar":
+        exps[t] = (exps[t] + 1) % table.order
+    else:
+        c = cols[t, ::n] // n
+        c[1 % n] = (c[1 % n] + 1) % n
+        cols[t] = (n * c[:, None] + c).ravel()
+    return matrixcore._SupportTable(table.order, cols, exps)
+
+
+@pytest.mark.parametrize("family,flaw", [
+    *[("gamma", flaw) for flaw in (None, "phase", "composition")],
+    *[("j_twisted", flaw) for flaw in (None, "phase", "composition", "scalar", "factor-row")],
+])
 def test_support_law_matches_the_dense_products(family, flaw):
     # seeded triples (X, Y, Z) at every N <= 8 and odd p: the table's verdict
-    # on X Y == omega_N^e Z is mat_eq's on the dense product; a flaw moves
-    # the phase (by omega_N) or the member Z of about half the triples
+    # on X Y == omega_N^e Z is mat_eq's on the dense product, and so is the
+    # factored J table's (`_kron_law`).  A flaw moves the phase (by omega_N)
+    # or the member Z of about half the triples, or flaws the member
+    # (1, 2 mod N) of the J table in a way that keeps its Kronecker form and
+    # puts it at X, Y or Z of about half the triples
     rng = np.random.default_rng(5)
-    verdicts = []
+    verdicts, caught = [], set()  # caught: the positions of the flawed member seen to fail
     for N in (2, 4, 8):
         for p in range(1, N, 2):
             keys, table, build, exponent = _law_family(family, HWParams(N, p))
-            member = lambda t: build(tuple(keys[:, t].tolist()))  # noqa: E731
             count = keys.shape[1]
             left, right = rng.integers(count, size=(2, 40))
+            flip = rng.random(40) < 0.5
+            flawed = N + 2 % N
+            if flaw in ("scalar", "factor-row"):
+                table = _keep_the_form(table, flaw, flawed)
+                at = rng.integers(3, size=40)
+                left = np.where(flip & (at == 0), flawed, left)
+                right = np.where(flip & (at == 1), flawed, right)
+                minus = np.ravel_multi_index((keys[:, flawed, None] - keys[:, left]) % N, (N, N))
+                right = np.where(flip & (at == 2), minus, right)
             x, y = keys[:, left], keys[:, right]
             out = np.ravel_multi_index((x + y) % N, (N,) * len(keys))
             phase = exponent(x, y)
-            flip = rng.random(40) < 0.5
             if flaw == "phase":
                 phase = phase + flip
             elif flaw == "composition":
                 out = np.where(flip, rng.integers(count, size=40), out)
-            got = matrixcore._support_law(matrixcore._narrow_support(table), left, right, out, phase)
+
+            def member(t):
+                if t == flawed and flaw in ("scalar", "factor-row"):
+                    return OpMatrix.from_support(N, table.cols[t], table.exps[t])
+                return build(tuple(keys[:, t].tolist()))
+
+            narrow = matrixcore._narrow_support(table)
+            got = matrixcore._support_law(narrow, left, right, out, phase)
             want = [
                 mat_eq(member(a) @ member(b), member(c).scalar_mul(CycNum.root(table.order, e))).equal
                 for a, b, c, e in zip(left, right, out, phase.tolist())
             ]
             assert got.tolist() == want
+            if family == "j_twisted":
+                kron = matrixcore._kron_support(narrow)
+                assert kron is not None
+                assert matrixcore._kron_law(kron, left, right, out, phase).tolist() == want
             if flaw == "phase":
                 assert want == (~flip).tolist()
+            if flaw in ("scalar", "factor-row"):
+                caught |= set(at[flip & ~np.array(want)].tolist())
             verdicts += want
     assert all(verdicts) == (flaw is None)
+    assert caught == ({0, 1, 2} if flaw in ("scalar", "factor-row") else set())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kron_support_reads_the_product_form_of_j(n):
+    # J^p_{r,s} = omega^{-psr} F (x) F, F = Q^s P^r: row i of F holds omega^{p s i}
+    # in column i - r; the narrow table gives a narrow factor and scalar
+    N = 2**n
+    r, s = np.divmod(np.arange(N * N), N)
+    i = np.arange(N)
+    for p in range(1, N, 2):
+        table = metaplectic._j_table("twisted_even", N, HWParams(N, p))
+        kron = matrixcore._kron_support(matrixcore._narrow_support(table))
+        assert np.array_equal(kron.factor.cols, (i - r[:, None]) % N)
+        assert np.array_equal(kron.factor.exps, p * s[:, None] * i % N)
+        assert np.array_equal(kron.scalar, -p * s * r % N)
+        assert kron.factor.order == N
+        assert kron.factor.cols.dtype == kron.factor.exps.dtype == kron.scalar.dtype == np.uint8
+
+
+def test_kron_support_refuses_tables_not_in_square_kronecker_form():
+    pr = HWParams(4, 3)
+    table = metaplectic._j_table("twisted_even", 4, pr)
+    assert matrixcore._kron_support(table) is not None
+    # a non-square dim: the J table's first 8 rows, and the odd-N J table
+    half = table._replace(cols=table.cols[:, :8], exps=table.exps[:, :8])
+    assert matrixcore._kron_support(half) is None
+    assert matrixcore._kron_support(metaplectic._j_table("weil_odd", 5, None)) is None
+    # one row of one member moved: its column (to the next one), or its exponent
+    for t, row in ((5, 3), (0, 15), (9, 4)):
+        cols, exps = table.cols.copy(), table.exps.copy()
+        cols[t, row] = (cols[t, row] + 1) % 16
+        assert matrixcore._kron_support(table._replace(cols=cols)) is None
+        exps[t, row] = (exps[t, row] + 1) % 4
+        assert matrixcore._kron_support(table._replace(exps=exps)) is None
+    # F1 (x) F2 with F1 != F2, among Q P, P and P^2 (columns and exponents of 4 rows)
+    i = np.arange(4)
+
+    def kron_pair(f1, f2):
+        (c1, e1), (c2, e2) = f1, f2
+        cols, exps = 4 * c1[:, None] + c2, e1[:, None] + e2
+        return matrixcore._SupportTable(4, cols.reshape(1, 16), exps.reshape(1, 16) % 4)
+
+    qp, p1, p2 = ((i - 1) % 4, i), ((i - 1) % 4, 0 * i), ((i - 2) % 4, 0 * i)
+    for f1, f2 in ((qp, p1), (p1, qp), (p1, p2), (p2, qp)):
+        assert matrixcore._kron_support(kron_pair(f1, f2)) is None
+        assert matrixcore._kron_support(kron_pair(f1, f1)) is not None
+    # the heisenberg Gamma tables of square dim 4 and 16
+    for N in (4, 16):
+        keys = np.unravel_index(np.arange(N**3), (N, N, N))
+        gamma = matrixcore._SupportTable(N, *heisenberg._gamma_support(HWParams(N), *keys))
+        assert matrixcore._kron_support(gamma) is None
+        assert matrixcore._kron_support(matrixcore._narrow_support(gamma)) is None
 
 
 def _support_law_int64(table, left, right, out, phase):
