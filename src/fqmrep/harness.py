@@ -10,20 +10,20 @@ parameters and seed.
 Every law over many keys records through `VerifyReport.scan`.  Laws of
 phased permutations are decided in bulk on one table of their omega_N
 exponents, from the builders' support formulas: `_support_law` decides the
-exact `heisenberg` commutator law; the exact twisted cocycle
-(`check_pair_law`) and its dagger law as J[l] J[-l] == I are decided by
-`_kron_law` on the N-row factors of the product form J = omega^x0 (F (x) F)
-of their table, factored once per run (`_kron_support`); `verify_metaplectic`'s
-stacked kernel decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic`
-and `weil-odd` on such a table, an exact U by the omega exponents read from
-its closed-form builder's table (`_closed_form`, `_exponent_codes`); the
-support tables are cast once per suite call to the narrow dtypes of
-`_support_law` (`_narrow_support`).  The exact `homomorphism` law U(A) U(B)
-== U(AB) is decided on the same tables modulo a word prime by `_phase_law`,
-each table read once into a `_SlotTable` (`_slot_table`): one gather index
-per table, the slots compared a block at a time, and past dim 64 every pair
-of builder tables by a route, a c = 0 table's gather of rows or a factor
-table's two batched stages, never a dense slot product.  Exact
+exact `heisenberg` commutator law, the exact twisted cocycle
+(`check_pair_law`) and its dagger law as J[l] J[-l] == I, each on a table
+prepared once per suite call (`_law_table`); the twisted J table is first
+factored into the product form J = omega^x0 (F (x) F) (`_kron_support`),
+so its laws read the N-row factors.  `verify_metaplectic`'s stacked kernel
+decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic` and
+`weil-odd` on such a table, an exact U by the omega exponents read from
+its closed-form builder's table (`_closed_form`, `_exponent_codes`).  The
+exact `homomorphism` law U(A) U(B) == U(AB) is decided on the same tables
+modulo a word prime by `_phase_law`, each table read once into a
+`_SlotTable` (`_slot_table`): one gather index per table, the slots
+compared a block at a time, and past dim 64 every pair of builder tables
+by a route, a c = 0 table's gather of rows or a factor table's two
+batched stages, never a dense slot product.  Exact
 `decomposition` chains that law over the prefixes of each element's word,
 holding the tables of S, S^-1 and S^2 for the whole run (`_s_images_hold`
 ties the word's images of them to the closed forms there).
@@ -55,7 +55,7 @@ from .heisenberg import (
 )
 from .magnetic import j_odd, j_twisted
 from .matrixcore import (
-    OpMatrix, _kron_law, _kron_support, _KronSupport, _narrow_support, _phase_law, _phase_table,
+    OpMatrix, _kron_support, _law_table, _member_is_identity, _phase_law, _phase_table,
     _slot_table, _support_law, _SupportTable, mat_eq,
 )
 from .metaplectic import (
@@ -189,9 +189,9 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     (table, index), `index` numbering keys into the table's members; with
     it, a chunk of pairs is decided at once, its key arrays given to
     `compose`, `e` and `index`.  A family of phased permutations with a
-    phase passes its `_SupportTable` of root order N, narrowed once
-    (`_narrow_support`) and decided by `_support_law` on integer exponents,
-    or that table's `_KronSupport`, decided by `_kron_law` on its factors;
+    phase passes its `_SupportTable` of root order N, prepared once
+    (`_law_table`, or `_kron_support` where it factors) and decided by
+    `_support_law` on integer exponents;
     a bare law may pass instead a cached table(number) -> `_SlotTable`, each
     pair then decided by `_phase_law` one block of slots at a time.  The
     pairs left, and every pair without a table, are compared one at a time.
@@ -205,9 +205,7 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     def stacked(x, y):
         table, index = members
         left, right, out = index(x), index(y), index(compose(x, y))
-        if isinstance(table, _KronSupport):
-            return _kron_law(table, left, right, out, exponent(x, y)), 0.0
-        if isinstance(table, _SupportTable):
+        if not callable(table):  # a support table, not table(number)
             return _support_law(table, left, right, out, exponent(x, y)), 0.0
         keys = zip(left.tolist(), right.tolist(), out.tolist())
         return np.array([_phase_law(*map(table, key)) for key in keys], dtype=bool), 0.0
@@ -256,22 +254,17 @@ def _sl2_law(rep, N, pairs, op, tol, members=None) -> None:
 
 
 def _dagger_law(rep, N, op, tol, table=None) -> None:
-    # J[l]^dagger == J[-l] over l = (r, s) r-major; `table`, a `_SupportTable`
-    # or its `_KronSupport`, holds op(l) at row N r + s.  For phased
-    # permutations that is J[l] J[-l] == I, decided by the table's law as
-    # J[l] J[-l] == J[0] once member 0 is the identity (in Kronecker form:
-    # its factor is and its scalar is 0), never unless c_l is a permutation;
-    # the points left are compared as matrices
-    stacked, kron = None, isinstance(table, _KronSupport)
-    first = table.factor if kron else table
-    if table is not None and (first.cols[0] == np.arange(first.cols.shape[1])).all() and not (
-        first.exps[0].any() or kron and table.scalar[0]
-    ):
-        law = _kron_law if kron else _support_law
+    # J[l]^dagger == J[-l] over l = (r, s) r-major; `table`, a `_support_law`
+    # table, holds op(l) at row N r + s.  For phased permutations that is
+    # J[l] J[-l] == I, decided by `_support_law` as J[l] J[-l] == J[0] once
+    # member 0 is the identity (never unless c_l is a permutation); the
+    # points left are compared as matrices
+    stacked = None
+    if table is not None and _member_is_identity(table, 0):
 
         def stacked(r, s):
             zero = np.zeros_like(r)
-            return law(table, N * r + s, N * (-r % N) + -s % N, zero, zero), 0.0
+            return _support_law(table, N * r + s, N * (-r % N) + -s % N, zero, zero), 0.0
 
     rep.scan(
         "J[l]^dagger == J[-l]", np.indices((N, N)).reshape(2, -1),
@@ -326,7 +319,7 @@ def _suite_heisenberg(params: dict) -> VerifyReport:
     if backend == "exact":  # float reports carry each pair's deviation
         # the table of all N^3 elements, Gamma(z^m x^r y^s) at row N(N m + r) + s
         elements = np.unravel_index(np.arange(N**3), (N, N, N))
-        table = _narrow_support(_SupportTable(N, *_gamma_support(pr, *elements)))
+        table = _law_table(_SupportTable(N, *_gamma_support(pr, *elements)))
 
         def stacked(g, h):
             # Gamma(g) Gamma(h) = w^{p s r'} Gamma(gh) and Gamma(h) Gamma(g) =
@@ -380,8 +373,8 @@ def _suite_cocycle_twisted(params: dict) -> VerifyReport:
     op = cache(lambda l: j_twisted(pr, l, backend=backend))
     table = None
     if backend == "exact":  # J = omega^{-psr} F (x) F, F = Q^s P^r: laws of N-row factors
-        table = _narrow_support(_j_table("twisted_even", N, pr))
-        table = _kron_support(table) or table
+        table = _j_table("twisted_even", N, pr)
+        table = _kron_support(table) or _law_table(table)
     _dagger_law(rep, N, op, tol, table)
     _torus_law(
         rep, "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']", N, op,

@@ -30,9 +30,10 @@ two batched stages, 2 n^5/g multiply-adds per slot instead of n^6.  The
 dense `_PhaseTable` of a factor table is summed in one place,
 `_phase_table`, for the consumers that read a matrix or exponent codes.
 Laws of phased permutations are decided on their integer exponents by
-`_support_law`; a table of square Kronecker powers, omega^x0 (F (x) F) like
-the twisted J's, is factored once (`_kron_support`) and its laws decided on
-the n-row factors and the scalars (`_kron_law`).
+`_support_law`, on a table prepared once (`_law_table`); a table of square
+Kronecker powers, omega^x0 (F (x) F) like the twisted J's, is factored once
+(`_kron_support`), and `_support_law` decides its laws on the n-row factors
+and the scalars.
 """
 
 from __future__ import annotations
@@ -493,74 +494,38 @@ def _apply(factors: list[np.ndarray], w: np.ndarray, p: int, out, mid) -> np.nda
     return _reduce(out, p)
 
 
-# table entries (pairs x dim) per block of `_support_law`, and the dim below
-# which its arrays are (row, pair) rather than (pair, row).  On random
-# tables of order 16 and 4,096 random pairs (2-vCPU box), in ns per entry:
-# (row, pair) 5.5-6.5 at dim 4-8 against 7.7-11.4, about 5.4 either way at
-# dim 16, and 5.4-6.6 at dim 32-256 against 3.3-5.0
+# table entries (pairs x dim) per block of `_support_law`; perfbench
+# cocycle-monomial on a 2-vCPU box, 4 seeds, before the factored J table:
+# 2^14 3.2-3.4 ms wall_s and 40.9-41.2 MB peak RSS, 2^15 3.8-4.1 ms and
+# 41.6-41.7 MB, 2^16 3.8-4.2 ms and 41.9-42.1 MB
 _LAW_BLOCK = 1 << 14
-_SHORT_ROWS = 16
 
 
-def _narrow_support(table: _SupportTable) -> _SupportTable:
-    """The table in the dtypes `_support_law` computes in: columns in the
-    smallest unsigned type that holds dim - 1, exponents in uint8 (order <=
-    256) or uint16, wrapped mod 2^8 or 2^16 (a multiple of an order dividing
-    2^16).  `_stacked_conjugation`, `_exponent_codes` and the builders keep
-    int64 tables, whose exps * scale * dim would wrap in uint8."""
-    dim = table.cols.shape[-1]
-    cols = table.cols.astype(np.min_scalar_type(dim - 1))
-    return _SupportTable(table.order, cols, table.exps.astype(np.min_scalar_type(table.order - 1)))
+class _LawTable(NamedTuple):
+    """A `_SupportTable` as `_support_law` reads it, prepared once by
+    `_law_table`: codes (row, member) in the smallest unsigned type, entry
+    (i, t) the exponent of row i of member t mod the order, above the
+    `shift` bits of its column."""
+
+    order: int
+    shift: int
+    codes: np.ndarray
 
 
-def _support_law(
-    table: _SupportTable, left: np.ndarray, right: np.ndarray, out: np.ndarray,
-    phase: np.ndarray,
-) -> np.ndarray:
-    """Whether X Y == omega_order^{phase[k]} Z for X, Y, Z the members left[k],
-    right[k], out[k] of a table, for each k.
-
-    Row i of X Y holds omega^{e_X[i] + e_Y[c_X[i]]} in column c_Y[c_X[i]], so
-    a pair is equal when those columns are Z's and the exponents differ from
-    Z's by phase[k] mod the table's order: integer exponent arithmetic, a
-    block of pairs at a time.  The order divides 2^16, so exponents in any
-    unsigned or two's complement integer type wrap mod a multiple of it; the
-    table is meant to arrive narrow (`_narrow_support`, cast once per suite
-    call).  Each entry is one code, its exponent above the bits of its
-    column: the code of X Y's row i, less Z's and the phase, is zero in the
-    column and exponent bits exactly when that row is equal.  Short rows
-    (dim < `_SHORT_ROWS`) are laid along the pairs, (row, pair), so that
-    adding the phase and reducing a pair's rows are passes over long axes;
-    longer rows are gathered whole, (pair, row).
-    """
-    order, (count, dim) = table.order, table.cols.shape
+def _law_table(table: _SupportTable) -> _LawTable:
+    """The table prepared for `_support_law`, once per suite call.  Its order
+    must divide 2^16, so that codes in an unsigned type wrap mod a multiple
+    of it.  The builders' int64 tables stay as they are for
+    `_stacked_conjugation` and `_exponent_codes`."""
+    order, dim = table.order, table.cols.shape[1]
     if (1 << 16) % order:
         raise ValueError(f"_support_law needs an order dividing 2^16, got {order}")
     shift = (dim - 1).bit_length()
-    dtype = np.min_scalar_type((order << shift) - 1)
-    axis = int(dim < _SHORT_ROWS)  # the axis of the pairs
-    cols, exps = (table.cols.T, table.exps.T) if axis else (table.cols, table.exps)
-    cols = np.ascontiguousarray(cols)
-    exps = (exps & (order - 1)).astype(dtype, order="C") << shift
-    codes = exps | cols
-    index = cols * np.intp(count if axis else 1)  # + stride y: row c of member y, flat
-    stride, across = (1, (1, -1)) if axis else (dim, (-1, 1))  # across: one value per pair
-    mask = ((order - 1) << shift) | ((1 << shift) - 1)
-    phase = (phase % order).astype(dtype) << shift
-    equal = np.empty(len(left), dtype=bool)
-    step = max(1, _LAW_BLOCK // dim)
-    for a in range(0, len(left), step):
-        k = slice(a, a + step)
-        x = left[k]
-        at = index.take(x, axis=axis)
-        at += (stride * right[k]).reshape(across)
-        e = codes.take(at)  # row c_X[i] of Y
-        e += exps.take(x, axis=axis)
-        e -= codes.take(out[k], axis=axis)
-        e -= phase[k].reshape(across)
-        e &= mask
-        equal[k] = np.bitwise_or.reduce(e, axis=1 - axis) == 0
-    return equal
+    codes = table.exps.astype(np.min_scalar_type((order << shift) - 1))
+    codes &= order - 1
+    codes <<= shift
+    codes |= table.cols.astype(np.min_scalar_type(dim - 1))
+    return _LawTable(order, shift, np.ascontiguousarray(codes.T))  # transposed once narrow
 
 
 class _KronSupport(NamedTuple):
@@ -568,54 +533,95 @@ class _KronSupport(NamedTuple):
     omega^{scalar[t]} (F_t (x) F_t), F_t member t of `factor` (n rows, row-0
     exponent 0, the table's order) and scalar[t] mod the order."""
 
-    factor: _SupportTable
+    factor: _LawTable
     scalar: np.ndarray
 
 
 def _kron_support(table: _SupportTable) -> _KronSupport | None:
     """The table in square Kronecker form, or None where its dim is no
-    square or a member does not factor.
+    square, its order does not divide 2^16 or a member does not factor.
 
     Row (i, j) = n i + j of F (x) F holds column n c(i) + c(j), so member t is
     read at rows (i, 0): x0 = exps[t, 0], c(i) = cols[t, n i] // n and
     e(i) = exps[t, n i] - x0; rebuilt from them, the whole member must equal
-    the table's (columns, and exponents mod the order).  A narrow table
-    gives a narrow factor and scalar."""
+    the table's (columns, and exponents mod the order).  The table is read
+    in the smallest unsigned types, whose sums wrap mod a multiple of the
+    order."""
     count, dim = table.cols.shape
-    n = math.isqrt(dim)
-    if n * n != dim:
+    n, order = math.isqrt(dim), table.order
+    if n * n != dim or (1 << 16) % order:
         return None
-    order = table.order
-    scalar = table.exps[:, 0] & (order - 1)
-    cols = table.cols[:, ::n] // n
-    exps = (table.exps[:, ::n] - scalar[:, None]) & (order - 1)
+    full = table.cols.astype(np.min_scalar_type(dim - 1))
+    exps = table.exps.astype(np.min_scalar_type(order - 1))
+    scalar = exps[:, 0] & (order - 1)
+    cols = full[:, ::n] // n
+    e = (exps[:, ::n] - scalar[:, None]) & (order - 1)
     rebuilt = (n * cols[:, :, None] + cols[:, None, :]).reshape(count, dim)
-    delta = (exps[:, :, None] + exps[:, None, :]).reshape(count, dim) + scalar[:, None]
-    delta -= table.exps
-    if not np.array_equal(rebuilt, table.cols) or (delta & (order - 1)).any():
+    delta = (e[:, :, None] + e[:, None, :]).reshape(count, dim) + scalar[:, None]
+    delta -= exps
+    if not np.array_equal(rebuilt, full) or (delta & (order - 1)).any():
         return None
-    factor = _narrow_support(_SupportTable(order, cols, exps))
-    return _KronSupport(factor, scalar.astype(factor.exps.dtype))
+    return _KronSupport(_law_table(_SupportTable(order, cols, e)), scalar)
 
 
-def _kron_law(
-    table: _KronSupport, left: np.ndarray, right: np.ndarray, out: np.ndarray,
+def _member_is_identity(table: _LawTable | _KronSupport, t: int) -> bool:
+    """Whether member t of a `_support_law` table is the identity."""
+    if isinstance(table, _KronSupport):
+        return not table.scalar[t] and _member_is_identity(table.factor, t)
+    return bool((table.codes[:, t] == np.arange(len(table.codes))).all())
+
+
+def _support_law(
+    table: _LawTable | _KronSupport, left: np.ndarray, right: np.ndarray, out: np.ndarray,
     phase: np.ndarray,
 ) -> np.ndarray:
-    """`_support_law` of a table in square Kronecker form, on its n-row factor.
+    """Whether X Y == omega_order^{phase[k]} Z for X, Y, Z the members left[k],
+    right[k], out[k] of the table.
 
-    With x0 the scalars and u the row-0 exponent e_Y[c_X(0)] of F_X F_Y, X Y
-    is omega^{x0_X + x0_Y + 2u} G (x) G, G = omega^{-u} F_X F_Y of row-0
+    Row i of X Y holds, in Y's column at row c_X[i], the exponent
+    e_X[i] + e_Y[c_X[i]]; a pair is equal when those columns are Z's and the
+    exponents differ from Z's by phase[k] mod the table's order: integer
+    exponent arithmetic, a block of pairs at a time.  On the codes that is
+    one test: the code of X Y's row i, less Z's and the phase, is zero in the
+    column and exponent bits exactly when that row is equal.  The arrays are
+    (row, pair), so adding the phase and reducing a pair's rows run along
+    the pairs.  Gathers read only the members of the block's pairs.
+
+    A `_KronSupport` is decided on its n-row factor.  With x0 the scalars
+    and u the row-0 exponent e_Y[c_X(0)] of F_X F_Y, X Y is
+    omega^{x0_X + x0_Y + 2u} G (x) G, G = omega^{-u} F_X F_Y of row-0
     exponent 0.  A Kronecker square of row-0 exponent 0 determines its factor
     (row (0, 0), then rows (i, 0)), so X Y == omega^phase Z exactly when
     G == F_Z, that is F_X F_Y == omega^u F_Z, and x0_X + x0_Y + 2u == phase +
     x0_Z mod the order.
     """
-    factor, scalar = table
-    order, n = factor.order, factor.cols.shape[1]
-    u = factor.exps.take(factor.cols[left, 0] + n * right)
-    held = scalar[left] + scalar[right] + 2 * u - scalar[out] - phase
-    return ((held & (order - 1)) == 0) & _support_law(factor, left, right, out, u)
+    if isinstance(table, _KronSupport):
+        (order, shift, codes), scalar = table
+        at = codes[0, left] * np.intp(codes.shape[1]) + right  # row 0's code is c_X(0)
+        u = codes.take(at) >> shift
+        held = scalar[left] + scalar[right] + 2 * u - scalar[out] - phase
+        return ((held & (order - 1)) == 0) & _support_law(table.factor, left, right, out, u)
+    order, shift, codes = table
+    dim, count = codes.shape
+    low = (1 << shift) - 1  # the column bits
+    mask = ((order - 1) << shift) | low
+    phase = (phase % order).astype(codes.dtype) << shift
+    equal = np.empty(len(left), dtype=bool)
+    step = max(1, _LAW_BLOCK // dim)
+    for a in range(0, len(left), step):
+        k = slice(a, a + step)
+        x = codes.take(left[k], axis=1)
+        c = x & low
+        at = c * np.intp(count)  # row c_X[i] of Y, flat
+        at += right[k]
+        e = codes.take(at)
+        e += x
+        e -= c
+        e -= codes.take(out[k], axis=1)
+        e -= phase[k]
+        e &= mask
+        equal[k] = np.bitwise_or.reduce(e, axis=0) == 0
+    return equal
 
 
 class OpMatrix:

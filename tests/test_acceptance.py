@@ -175,7 +175,7 @@ def test_exact_metaplectic_mod16_within_budget():
 def test_exact_cocycle_twisted_mod16_within_budget():
     # the twisted cocycle and dagger laws exactly at N = 16 (dim 256, the
     # last uint8 column; 65,536 pairs in many blocks), on narrow exponents
-    # and the 16-row factors of the table's Kronecker form; 0.03-0.04 s
+    # and the 16-row factors of the table's Kronecker form; 0.03-0.05 s
     # measured for both p on a 2-vCPU box (on all 256 rows: 0.19-0.25 s;
     # int64 exponents: 0.6-0.8 s)
     t0 = time.perf_counter()

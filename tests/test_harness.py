@@ -532,22 +532,19 @@ MIGRATED = (
 
 
 def _spy_support_law(monkeypatch, products_only=False):
-    """The equal mask of each call of a support law (`_support_law`, or
-    `_kron_law` on a factored table); with `products_only`, of each call
-    whose products are not all member 0 (the dagger law's J[0])."""
+    """The equal mask of each call of `_support_law` from harness, on a
+    table or its factored form; with `products_only`, of each call whose
+    products are not all member 0 (the dagger law's J[0])."""
     results = []
+    real = harness._support_law
 
-    def spy(real):
-        def law(table, left, right, out, phase):
-            equal = real(table, left, right, out, phase)
-            if not products_only or out.any():
-                results.append(equal)
-            return equal
+    def law(table, left, right, out, phase):
+        equal = real(table, left, right, out, phase)
+        if not products_only or out.any():
+            results.append(equal)
+        return equal
 
-        return law
-
-    for name in ("_support_law", "_kron_law"):
-        monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
+    monkeypatch.setattr(harness, "_support_law", law)
     return results
 
 
@@ -557,28 +554,26 @@ def _spy_support_law(monkeypatch, products_only=False):
     ("cocycle-twisted", {"n": 3, "p": 5}),
 ])
 def test_support_laws_read_one_narrow_table_per_run(name, params, monkeypatch):
-    # the exact support laws get their table cast once per suite call to
-    # uint8 exponents and columns, not an int64 table cast per call; the
-    # twisted cocycle's dagger and product laws read one factored table, its
-    # factor and scalars narrow
+    # the exact support laws get their table prepared once per suite call,
+    # in uint8 codes, not an int64 table cast per call; the twisted
+    # cocycle's dagger and product laws read one factored table, its factor
+    # and scalars narrow
     tables = []
+    real = harness._support_law
 
-    def spy(real):
-        def law(table, *args):
-            tables.append(table)
-            return real(table, *args)
+    def law(table, *args):
+        tables.append(table)
+        return real(table, *args)
 
-        return law
-
-    for kernel in ("_support_law", "_kron_law"):
-        monkeypatch.setattr(harness, kernel, spy(getattr(harness, kernel)))
+    monkeypatch.setattr(harness, "_support_law", law)
     assert run_suite(SuiteSpec(name, params)).passed
     assert len(tables) >= 2 and all(t is tables[0] for t in tables)
     narrow = tables[0]
     if name == "cocycle-twisted":
-        assert isinstance(narrow, harness._KronSupport) and narrow.scalar.dtype == np.uint8
+        assert isinstance(narrow, matrixcore._KronSupport) and narrow.scalar.dtype == np.uint8
         narrow = narrow.factor
-    assert narrow.exps.dtype == narrow.cols.dtype == np.uint8
+    assert isinstance(narrow, matrixcore._LawTable)
+    assert narrow.codes.dtype == np.uint8
 
 
 @pytest.mark.parametrize("name,params", MIGRATED)
@@ -676,7 +671,7 @@ def test_scan_records_like_the_per_key_loop(monkeypatch):
     table = metaplectic._j_table("twisted_even", 4, pr)
     op = cache(lambda l: magnetic.j_twisted(pr, l, backend="exact"))
     compose = lambda l, m: ((l[0] + m[0]) % 4, (l[1] + m[1]) % 4)  # noqa: E731
-    members = (table, lambda l: 4 * l[0] + l[1])
+    members = (harness._law_table(table), lambda l: 4 * l[0] + l[1])
     with pytest.raises(TypeError):
         check_pair_law(VerifyReport("law", {}), "law", [((1, 2), (3, 1))], op, compose,
                        (4, lambda l, m: m[0] * l[1] - m[1] * l[0]), dict, 1e-9, members)
@@ -726,13 +721,14 @@ def test_table_dagger_law_matches_the_dense_one(flaw, monkeypatch):
                 want = VerifyReport("dagger", {})
                 j = cache(lambda l: magnetic.j_twisted(pr, l, backend="exact"))
                 table = metaplectic._j_table("twisted_even", N, pr)
-                kron = harness._kron_support(harness._narrow_support(table))
+                kron = harness._kron_support(table)
                 assert (kron is None) == (flaw in ("phase", "collision", "swap"))
                 for r in range(N):
                     for s in range(N):
                         ok, dev = mat_eq(j((r, s)).dagger(), j((-r % N, -s % N)))
                         want.record(ok, dev, "J[l]^dagger == J[-l]", {"r": r, "s": s})
-                for form in (table, kron) if kron else (table,):
+                law = harness._law_table(table)
+                for form in (law, kron) if kron else (law,):
                     got = VerifyReport("dagger", {})
                     harness._dagger_law(got, N, j, 1e-9, form)
                     assert got.to_json() == want.to_json()
@@ -751,11 +747,11 @@ def test_dagger_law_proves_no_point_unless_member_0_is_the_identity(monkeypatch)
     N, eye = 2, np.arange(4)
     table = harness._SupportTable(4, np.tile(eye, (4, 1)), np.array([[2] * 4] + [[1] * 4] * 3))
     kron = harness._kron_support(table)
-    assert (kron.factor.cols == np.arange(2)).all() and not kron.factor.exps.any()
+    assert (kron.factor.codes.T == np.arange(2)).all()  # every factor is I (x) I
     assert kron.scalar.tolist() == [2, 1, 1, 1]
     op = lambda l: OpMatrix.from_support(4, eye, table.exps[N * l[0] + l[1]])  # noqa: E731
     calls = _spy_support_law(monkeypatch)
-    for form in (table, kron):
+    for form in (harness._law_table(table), kron):
         rep = VerifyReport("dagger", {})
         harness._dagger_law(rep, N, op, 1e-9, form)
         assert rep.checks_run == 4
@@ -794,12 +790,14 @@ def test_passing_exact_twisted_cocycle_builds_no_dense_j(monkeypatch):
 
 def test_passing_exact_twisted_cocycle_reads_only_the_factor(monkeypatch):
     # a silent drop from the factored laws to the full table's would cost
-    # N^2-row laws: every law of a passing exact run reads the N-row factor,
-    # and no pair is compared as matrices
+    # N^2-row laws: every law of a passing exact run reads the factored
+    # table, whose law reads the N-row factor, and no pair is compared as
+    # matrices
     widths = []
 
     def spy(table, *args):
-        widths.append(table.cols.shape[1])
+        factored = isinstance(table, matrixcore._KronSupport)
+        widths.append("factored" if factored else table.codes.shape[0])
         return real(table, *args)
 
     real = matrixcore._support_law
@@ -810,7 +808,7 @@ def test_passing_exact_twisted_cocycle_reads_only_the_factor(monkeypatch):
         N = 2**n
         rep = run_suite(SuiteSpec("cocycle-twisted", {"n": n, "p": p, "backend": "exact"}))
         assert rep.passed and rep.checks_run == N**2 + N**4
-        assert widths and set(widths) == {N}
+        assert set(widths) == {"factored", N}
         widths.clear()
     assert points == [] and supports == []
 
@@ -852,12 +850,12 @@ def test_twisted_cocycle_builds_only_the_js_of_unequal_checks(monkeypatch):
     assert sorted(points) == sorted(need) and len(supports) == len(points)
     # a pair the factored table wrongly flags is compared densely from its three J's
     monkeypatch.undo()
-    real = harness._kron_law
+    real = harness._support_law
 
     def flag(table, x, y, z, e):  # the pair (l, l') = ((1, 2), (3, 4))
         return real(table, x, y, z, e) & ~((x == 8 * 1 + 2) & (y == 8 * 3 + 4))
 
-    monkeypatch.setattr(harness, "_kron_law", flag)
+    monkeypatch.setattr(harness, "_support_law", flag)
     points, supports = _spy_builds(monkeypatch)
     assert run_suite(SuiteSpec("cocycle-twisted", {"n": 3, "p": 3})).passed
     assert points == [(1, 2), (3, 4), (4, 6)] and len(supports) == 3

@@ -798,7 +798,7 @@ def _keep_the_form(table, flaw, t):
 def test_support_law_matches_the_dense_products(family, flaw):
     # seeded triples (X, Y, Z) at every N <= 8 and odd p: the table's verdict
     # on X Y == omega_N^e Z is mat_eq's on the dense product, and so is the
-    # factored J table's (`_kron_law`).  A flaw moves the phase (by omega_N)
+    # factored J table's (`_kron_support`).  A flaw moves the phase (by omega_N)
     # or the member Z of about half the triples, or flaws the member
     # (1, 2 mod N) of the J table in a way that keeps its Kronecker form and
     # puts it at X, Y or Z of about half the triples
@@ -831,17 +831,16 @@ def test_support_law_matches_the_dense_products(family, flaw):
                     return OpMatrix.from_support(N, table.cols[t], table.exps[t])
                 return build(tuple(keys[:, t].tolist()))
 
-            narrow = matrixcore._narrow_support(table)
-            got = matrixcore._support_law(narrow, left, right, out, phase)
+            got = matrixcore._support_law(matrixcore._law_table(table), left, right, out, phase)
             want = [
                 mat_eq(member(a) @ member(b), member(c).scalar_mul(CycNum.root(table.order, e))).equal
                 for a, b, c, e in zip(left, right, out, phase.tolist())
             ]
             assert got.tolist() == want
             if family == "j_twisted":
-                kron = matrixcore._kron_support(narrow)
+                kron = matrixcore._kron_support(table)
                 assert kron is not None
-                assert matrixcore._kron_law(kron, left, right, out, phase).tolist() == want
+                assert matrixcore._support_law(kron, left, right, out, phase).tolist() == want
             if flaw == "phase":
                 assert want == (~flip).tolist()
             if flaw in ("scalar", "factor-row"):
@@ -854,18 +853,19 @@ def test_support_law_matches_the_dense_products(family, flaw):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kron_support_reads_the_product_form_of_j(n):
     # J^p_{r,s} = omega^{-psr} F (x) F, F = Q^s P^r: row i of F holds omega^{p s i}
-    # in column i - r; the narrow table gives a narrow factor and scalar
+    # in column i - r; the int64 table gives a narrow factor and scalar
     N = 2**n
     r, s = np.divmod(np.arange(N * N), N)
     i = np.arange(N)
     for p in range(1, N, 2):
         table = metaplectic._j_table("twisted_even", N, HWParams(N, p))
-        kron = matrixcore._kron_support(matrixcore._narrow_support(table))
-        assert np.array_equal(kron.factor.cols, (i - r[:, None]) % N)
-        assert np.array_equal(kron.factor.exps, p * s[:, None] * i % N)
+        kron = matrixcore._kron_support(table)
+        factor = kron.factor  # codes (row, member), exponents above the column bits
+        assert factor.order == N and factor.shift == n
+        assert np.array_equal(factor.codes.T & (N - 1), (i - r[:, None]) % N)
+        assert np.array_equal(factor.codes.T >> n, p * s[:, None] * i % N)
         assert np.array_equal(kron.scalar, -p * s * r % N)
-        assert kron.factor.order == N
-        assert kron.factor.cols.dtype == kron.factor.exps.dtype == kron.scalar.dtype == np.uint8
+        assert factor.codes.dtype == kron.scalar.dtype == np.uint8
 
 
 def test_kron_support_refuses_tables_not_in_square_kronecker_form():
@@ -900,7 +900,8 @@ def test_kron_support_refuses_tables_not_in_square_kronecker_form():
         keys = np.unravel_index(np.arange(N**3), (N, N, N))
         gamma = matrixcore._SupportTable(N, *heisenberg._gamma_support(HWParams(N), *keys))
         assert matrixcore._kron_support(gamma) is None
-        assert matrixcore._kron_support(matrixcore._narrow_support(gamma)) is None
+        narrow = gamma._replace(cols=gamma.cols.astype(np.uint8), exps=gamma.exps.astype(np.uint8))
+        assert matrixcore._kron_support(narrow) is None
 
 
 def _support_law_int64(table, left, right, out, phase):
@@ -914,8 +915,8 @@ def _support_law_int64(table, left, right, out, phase):
 
 @pytest.mark.parametrize("order", [2**m for m in range(1, 13)])
 def test_narrow_support_law_equals_the_int64_formula(order, monkeypatch):
-    # seeded random tables at every dim 1..64, narrowed by `_narrow_support`
-    # to uint8 exponents up to order 256 and uint16 above: members 0..7 are random and member 8 + k is the
+    # seeded random tables at every dim 1..64, prepared by `_law_table` in
+    # codes of the smallest unsigned type: members 0..7 are random and member 8 + k is the
     # product of key k over omega^phase[k], so key k holds unless a flaw
     # moves an exponent (key 1) or a column (key 2) of that product; keys
     # past `count` name a random member.  A small block runs many blocks.
@@ -935,21 +936,26 @@ def test_narrow_support_law_equals_the_int64_formula(order, monkeypatch):
             products[0][2, 0] = (products[0][2, 0] + 1) % dim
         table = matrixcore._SupportTable(order, *map(np.vstack, zip((cols, exps), products)))
         out = np.concatenate((8 + np.arange(count), rng.integers(8 + count, size=count)))
-        narrow = matrixcore._narrow_support(table)
-        assert narrow.exps.dtype == (np.uint8 if order <= 256 else np.uint16)
-        assert narrow.cols.dtype == np.min_scalar_type(dim - 1)
-        got = matrixcore._support_law(narrow, left, right, out, phase)
+        law = matrixcore._law_table(table)
+        assert law.shift == (dim - 1).bit_length()
+        assert law.codes.dtype == np.min_scalar_type((order << law.shift) - 1)
+        got = matrixcore._support_law(law, left, right, out, phase)
         assert got.tolist() == _support_law_int64(table, left, right, out, phase).tolist()
         assert (~got[:count]).nonzero()[0].tolist() == ([1, 2] if dim > 1 else [1])
-        # the int64 table, never narrowed, gives the same verdicts
-        assert matrixcore._support_law(table, left, right, out, phase).tolist() == got.tolist()
+        # the table cast to narrow columns and exponents first gives the same verdicts
+        narrow = table._replace(
+            cols=table.cols.astype(np.min_scalar_type(dim - 1)),
+            exps=table.exps.astype(np.uint8 if order <= 256 else np.uint16),
+        )
+        got_narrow = matrixcore._support_law(matrixcore._law_table(narrow), left, right, out, phase)
+        assert got_narrow.tolist() == got.tolist()
     empty = np.zeros(0, dtype=np.int64)
-    assert matrixcore._support_law(narrow, empty, empty, empty, empty).shape == (0,)
+    assert matrixcore._support_law(law, empty, empty, empty, empty).shape == (0,)
 
 
 @pytest.mark.parametrize("order", [3, 6, 1 << 17])
 def test_support_law_refuses_orders_not_dividing_2_16(order):
     table = matrixcore._SupportTable(order, np.zeros((1, 2), np.int64), np.zeros((1, 2), np.int64))
-    key = np.zeros(1, dtype=np.int64)
     with pytest.raises(ValueError, match=f"got {order}$"):
-        matrixcore._support_law(table, key, key, key, key)
+        matrixcore._law_table(table)
+    assert matrixcore._kron_support(table) is None
