@@ -19,11 +19,10 @@ decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic` and
 `weil-odd` on such a table, an exact U by the omega exponents read from
 its closed-form builder's table (`_closed_form`, `_exponent_codes`).  The
 exact `homomorphism` law U(A) U(B) == U(AB) is decided on the same tables
-modulo a word prime by `_phase_law`, each table read once into a
-`_SlotTable` (`_slot_table`): one gather index per table, the slots
-compared a block at a time, and past dim 64 every pair of builder tables
-by a route, a c = 0 table's gather of rows or a factor table's two
-batched stages, never a dense slot product.  Exact
+by `_phase_law`, each table read once into a `_SlotTable` (`_slot_table`):
+a pair with a c = 0 side on the tables' exponent indexes, and a pair of
+factor tables modulo a word prime, a block of slots at a time, past dim 64
+by one table's two batched stages, never a dense slot product.  Exact
 `decomposition` chains that law over the prefixes of each element's word,
 holding the tables of S, S^-1 and S^2 for the whole run (`_s_images_hold`
 ties the word's images of them to the closed forms there).
@@ -193,8 +192,9 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     (`_law_table`, or `_kron_support` where it factors) and decided by
     `_support_law` on integer exponents;
     a bare law may pass instead a cached table(number) -> `_SlotTable`, each
-    pair then decided by `_phase_law` one block of slots at a time.  The
-    pairs left, and every pair without a table, are compared one at a time.
+    pair then decided by `_phase_law`: on exponent indexes where a side is
+    a phased permutation, else one block of slots at a time.  The pairs
+    left, and every pair without a table, are compared one at a time.
     """
     N, exponent = phase or (1, None)
 

@@ -17,17 +17,19 @@ dim x dim float64 products on centred residues (every value stays below
 object-dtype path takes over.  Rescaling and products check int64
 headroom and raise `ExactOverflow` rather than wrap.
 
-The builders' tables are evaluated at the same L roots mod the same prime
-without a coefficient tensor: a `_SlotTable` holds one gather index into
-each slot's root residues, and `_phase_law` decides X Y == Z on three of
-them a block of slots (or of one slot's columns) at a time, in reused
-buffers.  A table of one block (dim <= 64) keeps its whole evaluation.  A
-larger builder table is applied by its route, never as a dense slot: a phased
-permutation (`_SupportTable`) as a gather of rows, and a `_FactorTable`
-(every c != 0 closed form: a chirp, a transform of side n, a chirp, on
-cosets of g = 2^v), whose entries are a(k1, j1, j2) + b(k1, k2, j1), as
-two batched stages, 2 n^5/g multiply-adds per slot instead of n^6.  The
-dense `_PhaseTable` of a factor table is summed in one place,
+The builders' tables are read by one exponent encoder (`_index`: the
+exponent mod the order on the support or mask, the order off it), and
+`_phase_law` decides X Y == Z on three `_SlotTable`s.  Where X or Y is a
+phased permutation P (`_SupportTable`, every c = 0 closed form), P W is W
+with its rows or columns permuted and phases added, so the law is decided
+on the exponent indexes (`_side_law`), exactly and with no prime.  Two
+`_FactorTable`s (every c != 0 closed form: a chirp, a transform of side n,
+a chirp, on cosets of g = 2^v), whose entries are a(k1, j1, j2) + b(k1, k2,
+j1), are evaluated at the same L roots mod the same prime: a table of one
+block (dim <= 64) keeps its whole evaluation, and past it one of them is
+applied in two batched stages, 2 n^5/g multiply-adds per slot instead of
+n^6, one slot (or past dim 256 a block of its columns) at a time in reused
+buffers.  The dense `_PhaseTable` of a factor table is summed in one place,
 `_phase_table`, for the consumers that read a matrix or exponent codes.
 Laws of phased permutations are decided on their integer exponents by
 `_support_law`, on a table prepared once (`_law_table`); a table of square
@@ -253,6 +255,26 @@ def _phase_table(table: _SupportTable | _PhaseTable | _FactorTable) -> _SupportT
                        table.scale_pow2)
 
 
+def _index(table: _SupportTable | _PhaseTable | _FactorTable, order: int) -> np.ndarray:
+    """The (dim, dim) omega_order exponents of a 1-d `_SupportTable`, a
+    `_PhaseTable` or a `_FactorTable`, `order` a power of two the table's
+    order divides: E order/table.order mod order on the support or mask,
+    `order` off it, in `np.min_scalar_type(order)`."""
+    dtype, low = np.min_scalar_type(order), order - 1
+    if isinstance(table, _SupportTable):
+        dim = len(table.cols)
+        index = np.full((dim, dim), order, dtype=dtype)
+        index[np.arange(dim), table.cols] = table.exps * (order // table.order) & low
+        return index
+    if isinstance(table, _FactorTable):
+        exps, mask = _factor_exps(table, order), _coset_mask(table)
+    else:
+        exps, mask = (table.exps * (order // table.order) & low).astype(dtype), table.mask
+    if mask is not None:
+        np.putmask(exps, ~mask, order)
+    return exps
+
+
 # float64 entries per block of `_phase_law` (512 KB): every slot of a dim <=
 # 64 table is one block, a dim-256 block is one slot, and a dim-1,024 block
 # 64 columns of one slot (at N = 32 in process, blocks of 32-64 columns took
@@ -261,44 +283,37 @@ _SLOT_BLOCK = 1 << 16
 
 
 class _Route(NamedTuple):
-    """A table's matrix F, or its transpose, applied from the left to the
-    slots of a matrix W, each dim x dim (`_apply`).  W's rows are read in the
-    order `rows_in`, and row t of the result is row rows_out[t] of F_m W_m.
-    Each factor is (residues, index), its values at slot m residues[m,
-    index]: a gather has one, the phase of each row; stages two, of shape
-    (g, n/g, g, n/g, n/g); a dense product one, F's dim x dim slots."""
+    """A factor table's matrix F, or its transpose, applied in two stages
+    from the left to one slot of a matrix W, dim x dim (`_apply`).  W's rows
+    are read in the order `rows_in`, and row t of the result is row
+    rows_out[t] of F_m W_m.  Each stage is (residues, index), its values at
+    slot m residues[m, index], of shape (g, n/g, g, n/g, n/g)."""
 
     rows_in: np.ndarray
     rows_out: np.ndarray
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    stages: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     @property
     def work(self) -> int:
-        # multiply-adds per column of W at one slot: dim for a gather,
-        # 2 n^3/g for stages, dim^2 for a dense product
-        return sum(index.size for _, index in self.factors)
-
-    def at(self, m: slice) -> list[np.ndarray]:
-        # the factors' values at the slots m
-        return [np.take(residues[m], index, axis=1) for residues, index in self.factors]
+        # multiply-adds per column of W at one slot, 2 n^3/g
+        return sum(index.size for _, index in self.stages)
 
 
 class _SlotTable(NamedTuple):
-    """A table's matrix X at the L roots of x^L + 1 mod the word prime p, by
-    one gather: X_m[i, j] = roots[m, index[i, j]] at the m-th root, where
-    roots[m, e] is the centred residue of 2^{-s} omega^e (e < order, 2^{-1}
-    taken mod p) and the last column, the index of every entry off the mask
-    or support, is 0.  So the dim x dim products of two tables' slots are
-    their product's.
+    """A table's matrix X by its exponent index (`_index`) and at the L roots
+    of x^L + 1 mod the word prime p: X_m[i, j] = roots[m, index[i, j]] at
+    the m-th root, where roots[m, e] is the centred residue of 2^{-s} omega^e
+    (e < order = 2L, 2^{-1} taken mod p) and the last column, the index of
+    every entry off the mask or support, is 0.  So the dim x dim products of
+    two tables' slots are their product's.
 
-    A table of one block (`_slot_step`) keeps its whole gather in `values`
-    and no route.  Otherwise `values` is None, and `left` and `right` are the
-    `_Route`s of X and X^T, or `right` None: a `_SupportTable` is a row
-    gather, and its transpose one too when its columns are a permutation; a
-    `_FactorTable` whose cosets are g classes of n/g is two stages each way;
-    any other table, which no builder writes, is a dense product from the
-    left, its slots gathered whole.  scale_pow2 is the table's, for
-    `_phase_law`'s bound."""
+    A table of one block (L dim^2 <= `_SLOT_BLOCK`) keeps its whole gather
+    in `values`.  A `_FactorTable` past one block whose cosets are g classes
+    of n/g keeps `left` and `right`, the two-stage `_Route`s of X and X^T.
+    A 1-d `_SupportTable` P keeps `support` = (cols, exps, inverse) for
+    `_side_law`: row i of P holds omega^exps[i] (mod order) in column
+    cols[i], and row inverse[k] holds column k, or inverse is None when cols
+    is no permutation; it has no route.  scale_pow2 is the table's."""
 
     p: int
     index: np.ndarray
@@ -306,62 +321,34 @@ class _SlotTable(NamedTuple):
     values: np.ndarray | None
     left: _Route | None
     right: _Route | None
+    support: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None
     scale_pow2: int
 
 
-def _slot_table(table: _SupportTable | _PhaseTable | _FactorTable) -> _SlotTable:
-    """A 1-d `_SupportTable`, a `_PhaseTable` or a `_FactorTable` at the L
-    roots, mod the prime of the plan `_ntt_matmul` uses at its dim: omega^e
-    goes to (zeta^{(2m+1) e})_m, the column e of [fwd, -fwd] (omega^{L+k} =
-    -omega^k), times 2^{-scale_pow2}.  The index is held in the smallest
-    unsigned type that holds `order`; a factor table's is summed from its
-    factors, and its routes are read from them."""
+def _slot_table(table: _SupportTable | _FactorTable) -> _SlotTable:
+    """A 1-d `_SupportTable` or a `_FactorTable` at the L roots, mod the prime
+    of the plan `_ntt_matmul` uses at its dim: omega^e goes to
+    (zeta^{(2m+1) e})_m, the column e of [fwd, -fwd] (omega^{L+k} =
+    -omega^k), times 2^{-scale_pow2}.  A factor table's stages are read from
+    its factors; a dense `_PhaseTable`, which no builder writes, has none."""
     order = _exact_order(table.order)
     size = basis_size(order)
-    dtype, low = np.min_scalar_type(order), order - 1  # a power of two: & low reduces mod order
+    index = _index(table, order)
+    dim = len(index)
+    support, scale, routes = None, getattr(table, "scale_pow2", 0), (None, None)
     if isinstance(table, _SupportTable):
-        dim, scale = len(table.cols), 0
-        exps = table.exps * (order // table.order) & low
-        index = np.full((dim, dim), order, dtype=dtype)
-        index[np.arange(dim), table.cols] = exps
-    else:
-        if isinstance(table, _FactorTable):
-            exps, mask = _factor_exps(table, order), _coset_mask(table)
-        else:
-            exps, mask = table.exps * (order // table.order) & low, table.mask
-        dim, scale = len(exps), table.scale_pow2
-        if mask is None:
-            index = exps.astype(dtype, copy=False)
-        else:
-            index = np.full((dim, dim), order, dtype=dtype)
-            np.copyto(index, exps, where=mask)
+        inverse = np.argsort(table.cols)
+        permutes = np.array_equal(table.cols[inverse], np.arange(dim))
+        support = table.cols, index[np.arange(dim), table.cols], inverse if permutes else None
     p, fwd, _ = _ntt_plan((max(dim, size) - 1).bit_length(), size)
     units = np.concatenate((fwd, -fwd, np.zeros((size, 1))), axis=1)
     # |fwd| <= (p - 1)/2 times 2^{-s} mod p < p stays below p^2/2 < 2^51 (p < 2^26)
     roots = _reduce(units * float(pow(2, -scale, p)), p)
-    if _slot_step(size, dim)[0] == size:
-        return _SlotTable(p, index, roots, roots.take(index, axis=1), None, None, scale)
-    routes = None
-    if isinstance(table, _SupportTable):
-        routes = _gather_routes(table.cols, (roots, exps))
-    elif isinstance(table, _FactorTable):
-        factors = (f * (order // table.order) & low for f in (table.a, table.b))
-        routes = _stage_routes(*factors, table.g, table.cosets, units, roots)
-    if routes is None:  # the slots whole, from the left: X^T's never does less work
-        identity = np.arange(dim)
-        routes = _Route(identity, identity, ((roots, index),)), None
-    return _SlotTable(p, index, roots, None, *routes, scale)
-
-
-def _gather_routes(cols: np.ndarray, phases) -> tuple[_Route, _Route | None]:
-    # X of row i phase_i at column cols[i]: (X W)[i] = phase_i W[cols[i]], and
-    # (X^T W)[j] = phase_i W[i] for the i with cols[i] = j, if it is one
-    identity = np.arange(len(cols))
-    inverse = np.argsort(cols)
-    left = _Route(cols, identity, (phases,))
-    if not np.array_equal(cols[inverse], identity):
-        return left, None
-    return left, _Route(inverse, identity, ((phases[0], phases[1][inverse]),))
+    values = roots.take(index, axis=1) if size * dim * dim <= _SLOT_BLOCK else None
+    if values is None and isinstance(table, _FactorTable):
+        factors = (f * (order // table.order) & (order - 1) for f in (table.a, table.b))
+        routes = _stage_routes(*factors, table.g, table.cosets, units, roots) or routes
+    return _SlotTable(p, index, roots, values, *routes, support, scale)
 
 
 def _stage_routes(a, b, g, cosets, units, roots) -> tuple[_Route, _Route] | None:
@@ -395,102 +382,111 @@ def _stage_routes(a, b, g, cosets, units, roots) -> tuple[_Route, _Route] | None
             _Route(coset_rows, rows, ((roots, T(second)), (units, T(first)))))
 
 
-def _slot_step(size: int, dim: int) -> tuple[int, int]:
-    # (slots, columns) per block of `_phase_law`: powers of two where a block
-    # is less than all slots or all columns, so that equal blocks cover the
-    # L = size slots (a power of two) and the dim columns; a block past one
-    # slot's dim^2 is a slice of its columns, which the routes treat alike
-    if dim * dim > _SLOT_BLOCK:
-        return 1, math.gcd(dim, _SLOT_BLOCK // dim)
-    return min(size, 1 << (_SLOT_BLOCK // (dim * dim)).bit_length() - 1), dim
-
-
 def _exponent_codes(table: _SupportTable | _PhaseTable, order: int) -> np.ndarray:
     """The omega_order exponents of omega^k X for every k, X the matrix of a
     1-d `_SupportTable` or a `_PhaseTable` up to its scale, `order` a power
     of two the table's order divides: codes[k] = (E order/table.order + k)
-    mod order on the support or mask, `order` off it, in
-    `np.min_scalar_type(order)`."""
-    dim = len(table.exps)
-    if isinstance(table, _SupportTable):  # row i: omega^exps[i] in column cols[i] alone
-        on = table.cols[:, None] == np.arange(dim)
-        exps = np.broadcast_to(table.exps[:, None], on.shape)
-    else:
-        exps, on = table.exps, table.mask
-    dtype = np.min_scalar_type(order)
-    base = (exps * (order // table.order) & (order - 1)).astype(dtype)
-    codes = np.add.outer(np.arange(order, dtype=dtype), base)  # below 2 order: no wrap
+    mod order on the support or mask, `order` off it (`_index`)."""
+    base = _index(table, order)
+    codes = np.add.outer(np.arange(order, dtype=base.dtype), base)  # below 2 order: no wrap
     codes &= order - 1
-    if on is not None:
-        np.copyto(codes, order, where=~on)
+    off = base == order
+    if off.any():
+        np.copyto(codes, order, where=off)
     return codes
 
 
-def _phase_law(x: _SlotTable, y: _SlotTable, z: _SlotTable) -> bool:
-    """Whether X Y == Z, proven on slot tables mod one prime p (False: not
-    proven).
+def _side_law(x: _SlotTable, y: _SlotTable, z: _SlotTable) -> bool | None:
+    """Whether X Y == Z when X or Y is a phased permutation P, decided on the
+    exponent indexes, or None when neither is.
 
-    With s the scales, X Y == Z says 2^{s_Z} X' Y' == 2^{s_X + s_Y} Z' for the
-    integral matrices X' = 2^{s_X} X etc.  Every |coefficient| of the left is at
-    most dim 2^{s_Z} and of the right 2^{s_X + s_Y}; when they sum below p,
+    Row i of P W is row c(i) of W, times omega^e(i); column c(k) of W P is
+    column k of W, times omega^e(k), so column j of W P is column c^-1(j)
+    of W, times omega^e(c^-1(j)).  Entries off W's support or mask stay off
+    it, and P's scale is 1, so P W's scale is W's.  2^-s omega^e values are
+    equal exactly when s and e mod the order are, so the law holds exactly
+    when W's scale is Z's and the indexes are equal.  A Y whose columns are
+    no permutation proves nothing (False)."""
+    if x.support is not None:
+        cols, exps, _ = x.support
+        w, got, phase = y, y.index[cols], exps[:, None]
+    elif y.support is not None:
+        _, exps, inverse = y.support
+        if inverse is None:
+            return False
+        w, got, phase = x, x.index[:, inverse], exps[inverse]
+    else:
+        return None
+    order = 2 * len(z.roots)
+    off = got == order
+    got += phase
+    got &= order - 1
+    np.putmask(got, off, order)
+    return w.scale_pow2 == z.scale_pow2 and bool((got == z.index).all())
+
+
+def _phase_law(x: _SlotTable, y: _SlotTable, z: _SlotTable) -> bool:
+    """Whether X Y == Z, proven on slot tables (False: not proven).
+
+    A phased-permutation side is decided on the exponent indexes
+    (`_side_law`), with no prime and no bound.  Otherwise, with s the
+    scales, X Y == Z says 2^{s_Z} X' Y' == 2^{s_X + s_Y} Z' for the integral
+    matrices X' = 2^{s_X} X etc.  Every |coefficient| of the left is at most
+    dim 2^{s_Z} and of the right 2^{s_X + s_Y}; when they sum below p,
     equality mod p at the L roots (an isomorphism mod p, 2 being a unit) is
     equality in Z[omega]; a pair past the bound is not proven.
 
     Tables of one block are multiplied from their cached values, all slots
-    at once.  Otherwise the blocks (`_slot_step`: slots, or past dim 256 the
-    columns of one slot) go one at a time, each block's product reduced in
-    place in one buffer and compared with Z's, stopping at the first unequal
-    block.  X's route is applied to Y_m, or Y's transposed route to X_m^T
-    against Z_m^T, whichever does the less work (`_Route.work`: a gather,
-    then stages, then a dense product, X's on a tie), each side read in the
-    route's row orders.
+    at once.  Otherwise the slots go one at a time, past dim 256 in blocks of
+    `_SLOT_BLOCK` / dim columns, each block's product reduced in place and
+    compared with Z's, stopping at the first unequal block: X's stages
+    applied to Y_m, or Y's transposed stages to X_m^T against Z_m^T,
+    whichever do the less work (`_Route.work`, X's on a tie), each side read
+    in the route's row orders.  A pair with no stages is not proven.
     """
+    side = _side_law(x, y, z)
+    if side is not None:
+        return side
     p, dim = x.p, len(x.index)
     if (dim << z.scale_pow2) + (1 << (x.scale_pow2 + y.scale_pow2)) >= p:
         return False
     if x.values is not None:
         return bool((_reduce(x.values @ y.values, p) == z.values).all())
-    size = len(x.roots)
-    step, width = _slot_step(size, dim)
     routes = [(r, side) for r, side in ((x.left, False), (y.right, True)) if r is not None]
+    if not routes:
+        return False
     route, transpose = min(routes, key=lambda rs: rs[0].work)
+    width = math.gcd(dim, _SLOT_BLOCK // dim)
     other = _gather(x if transpose else y, width, transpose, route.rows_in)
     want = _gather(z, width, transpose, route.rows_out)
-    one, two, out = np.empty((3, step, dim, width))  # reused by every block
-    for m in (slice(a, a + step) for a in range(0, size, step)):
-        factors = route.at(m)
+    one, two, out = np.empty((3, dim, width))  # reused by every block
+    for m in range(len(x.roots)):
+        stages = [residues[m].take(index) for residues, index in route.stages]
         for b in range(dim // width):
-            got = _apply(factors, other(m, b, one), p, out, two)
+            got = _apply(*stages, other(m, b, one), p, out, two)
             if not (got == want(m, b, one)).all():  # `one` is read by now
                 return False
     return True
 
 
 def _gather(t: _SlotTable, width: int, transpose: bool, rows: np.ndarray):
-    # (m, b, out) -> columns b width ... (b + 1) width of the slots m of t's
+    # (m, b, out) -> columns b width ... (b + 1) width of slot m of t's
     # matrix, or of its transpose, its rows in the order `rows`, gathered into
     # out through one intp copy of the index, a block of columns contiguous
     index = (t.index.T if transpose else t.index)[rows]
     blocks = index.reshape(len(index), -1, width).swapaxes(0, 1).astype(np.intp, order="C")
-    return lambda m, b, out: np.take(t.roots[m], blocks[b], axis=1, out=out, mode="clip")
+    return lambda m, b, out: np.take(t.roots[m], blocks[b], out=out, mode="clip")
 
 
-def _apply(factors: list[np.ndarray], w: np.ndarray, p: int, out, mid) -> np.ndarray:
-    """F_m W_m into `out` for a block of slots, `factors` a `_Route`'s at its
-    slots (`_Route.at`) and w the block of W in the route's row order; `mid`
-    holds the first of two stages.  Every product is of centred residues,
-    each pass reduced in place: a gather multiplies two, each stage sums
-    n/g <= dim products and a dense product dim, exact under `_ntt_plan`'s
-    span rule."""
-    if len(factors) == 2:
-        first, second = factors
-        shape = first.shape[:-1] + w.shape[-1:]  # (slots, g, n/g, g, n/g, columns)
-        t = _reduce(np.matmul(first, w.reshape(shape), out=mid.reshape(shape)), p)
-        np.matmul(second, t.transpose(0, 1, 4, 3, 2, 5), out=out.reshape(shape))
-    elif factors[0].ndim == 2:  # one phase per row
-        np.multiply(w, factors[0][..., None], out=out)
-    else:
-        np.matmul(factors[0], w, out=out)
+def _apply(first: np.ndarray, second: np.ndarray, w: np.ndarray, p: int, out, mid) -> np.ndarray:
+    """F_m W_m into `out` for one slot, `first` and `second` a `_Route`'s
+    stages' values there and w the block of W in the route's row order;
+    `mid` holds the first stage.  Every product is of centred residues, each
+    stage's sums of n/g <= dim products reduced in place, exact under
+    `_ntt_plan`'s span rule."""
+    shape = first.shape[:-1] + w.shape[-1:]  # (g, n/g, g, n/g, columns)
+    t = _reduce(np.matmul(first, w.reshape(shape), out=mid.reshape(shape)), p)
+    np.matmul(second, t.transpose(0, 3, 2, 1, 4), out=out.reshape(shape))
     return _reduce(out, p)
 
 

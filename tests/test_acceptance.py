@@ -115,10 +115,11 @@ def test_criterion_04_exactness():
 
 def test_exact_homomorphism_mod16_within_budget():
     # U(A)U(B) == U(AB) exactly at N = 16 (dim 256) on 100 seeded pairs,
-    # decided on the builders' factor and support tables one slot at a time,
-    # each pair by a gather or two batched stages; 0.6-0.8 s measured on a
-    # 2-vCPU box (dense int64 tables, odd-c stages and dense slot products:
-    # 0.8-1.2 s; whole evaluations and one stacked product per pair: 2.2-2.6 s)
+    # decided on the builders' factor and support tables, each pair with a
+    # c = 0 side on exponent indexes and the others by two batched stages
+    # one slot at a time; 0.5-0.7 s measured on a 2-vCPU box (dense int64
+    # tables, odd-c stages and dense slot products: 0.8-1.2 s; whole
+    # evaluations and one stacked product per pair: 2.2-2.6 s)
     t0 = time.perf_counter()
     rep = run_suite(SuiteSpec("homomorphism", {"N": 16, "samples": 100, "backend": "exact"}))
     assert rep.passed
@@ -212,6 +213,19 @@ def test_exact_decomposition_mod16_memory_gate():
     assert passed and checks == 50 and deviation == 0.0
     assert peak_kib <= 100 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 100 MB"
     _done("exact decomposition N = 16", t0, 5)
+
+
+def test_exact_decomposition_mod32_within_budget():
+    # closed form == generator word product exactly at N = 32 (dim 1,024) on
+    # 10 seeded elements in a fresh process, every chain step with a c = 0
+    # side decided on its exponent indexes; 1.2-1.8 s and 73 MB measured on
+    # a 2-vCPU box (c = 0 sides gathered at every slot: 8.6 s and 73 MB)
+    t0 = time.perf_counter()
+    params = {"n": 5, "samples": 10, "seed": 7, "backend": "exact"}
+    passed, checks, deviation, peak_kib = _fresh_run("decomposition", params)
+    assert passed and checks == 10 and deviation == 0.0
+    assert peak_kib <= 100 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 100 MB"
+    _done("exact decomposition N = 32", t0, 5)
 
 
 def test_criterion_06_group_relations():

@@ -109,12 +109,13 @@ def test_sampled_exact_homomorphism_keeps_few_tables_alive(monkeypatch):
 
 def test_passing_exact_homomorphism_makes_no_dense_slot_product(monkeypatch):
     # exact N = 16 with 100 samples, as the budget test runs it: every pair
-    # has a route (X's row gather or stages, or Y's transposed ones), so no
+    # has a rule (a c = 0 side, X's stages or Y's transposed ones), so no
     # slot is a dense dim x dim product, and the report is the passing one
     routed, real = [], harness._phase_law
 
     def law(x, y, z):
-        routed.append(x.left is not None or y.right is not None)
+        sides = (x.support, y.support, x.left, y.right)
+        routed.append(any(side is not None for side in sides))
         return real(x, y, z)
 
     monkeypatch.setattr(harness, "_phase_law", law)
@@ -127,6 +128,46 @@ def test_passing_exact_homomorphism_makes_no_dense_slot_product(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("suite,params", [
+    ("decomposition", {"n": 3, "samples": 100, "backend": "exact"}),
+    ("decomposition", {"n": 4, "samples": 20, "backend": "exact"}),
+    ("homomorphism", {"N": 16, "samples": 100, "backend": "exact"}),
+])
+def test_passing_c0_laws_make_no_slot_product(suite, params, monkeypatch):
+    # every `_phase_law` call with a c = 0 X or Y (a slot table read from a
+    # `_SupportTable`) is decided on the exponent indexes: it holds, and it
+    # makes no `_apply`, `_gather` or `_reduce` call; the report is the
+    # passing one
+    c0, slot_calls, laws = {}, [], []
+    real_slot, real_law = harness._slot_table, harness._phase_law
+
+    def slot(table):
+        out = real_slot(table)
+        c0[id(out)] = isinstance(table, matrixcore._SupportTable)
+        return out
+
+    def law(x, y, z):
+        slot_calls.clear()
+        held = real_law(x, y, z)
+        if c0[id(x)] or c0[id(y)]:
+            laws.append((held, list(slot_calls)))
+        return held
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            slot_calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("_apply", "_gather", "_reduce"):
+        monkeypatch.setattr(matrixcore, name, spy(name, getattr(matrixcore, name)))
+    monkeypatch.setattr(harness, "_slot_table", slot)
+    monkeypatch.setattr(harness, "_phase_law", law)
+    rep = run_suite(SuiteSpec(suite, params))
+    assert rep.passed and rep.checks_run == params["samples"] and rep.max_abs_deviation == 0.0
+    assert len(laws) >= 3 and laws == [(True, [])] * len(laws)
+
+
 def _perturb_closed_form(monkeypatch, flaw):
     """Patch a builder whose tables both the pair kernels and the matrices
     read: entry (0, 0, 1) of the first factor of every d-even table moves
@@ -134,7 +175,10 @@ def _perturb_closed_form(monkeypatch, flaw):
     the cosets of indices 0 and 1 of every d-odd-sum table swap (d^-1 is
     odd, so they differ), row 1 of every c = 0 table with b != 0 moves its
     exponent by 1 (`support`, which U(T)^m reads too) or entry (0, 1) of
-    u_s's own table moves its exponent by 1 (`u_s`)."""
+    u_s's own table moves its exponent by 1 (`u_s`).  Two flaws leave tables
+    with no stages: index 0 of every d-odd-sum table moves to the next coset,
+    so the cosets have unequal sizes (`cosets`), and every c-odd table is
+    written dense with entry (0, 1) moved by 1 (`dense`)."""
     if flaw == "support":
         real = metaplectic._closed_triangular
 
@@ -165,6 +209,24 @@ def _perturb_closed_form(monkeypatch, flaw):
             return table
 
         monkeypatch.setattr(metaplectic, "_closed_c_odd", perturbed)
+    elif flaw == "dense":
+        real = metaplectic._closed_c_odd
+
+        def perturbed(pr, A):
+            table = matrixcore._phase_table(real(pr, A))
+            table.exps[0, 1] = (table.exps[0, 1] + 1) % table.order
+            return table
+
+        monkeypatch.setattr(metaplectic, "_closed_c_odd", perturbed)
+    elif flaw == "cosets":
+        real = metaplectic._closed_odd_sum
+
+        def perturbed(pr, A):
+            table = real(pr, A)
+            table.cosets[0] = (table.cosets[0] + 1) % table.g
+            return table
+
+        monkeypatch.setattr(metaplectic, "_closed_odd_sum", perturbed)
     else:
         real = metaplectic._closed_odd_sum
 
@@ -176,17 +238,18 @@ def _perturb_closed_form(monkeypatch, flaw):
         monkeypatch.setattr(metaplectic, "_closed_odd_sum", perturbed)
 
 
-@pytest.mark.parametrize("flaw", ["exponent", "mask"])
+@pytest.mark.parametrize("flaw", ["exponent", "mask", "cosets", "dense"])
 @pytest.mark.parametrize("params", [{"N": 2}, {"N": 4, "p": 3}, {"N": 8, "samples": 40},
                                     {"N": 16, "samples": 3, "backend": "exact"}])
 def test_perturbed_builder_fails_like_the_per_pair_loop(flaw, params, monkeypatch):
     # every pair the kernel leaves goes to the dense per-pair compare, so the
-    # failures and the deviation are the dense loop's
+    # failures and the deviation are the dense loop's; past one block (N =
+    # 16) a table with no stages proves no pair that has no other rule
     _perturb_closed_form(monkeypatch, flaw)
     want = json.loads(_reference_json(monkeypatch, "homomorphism", params))
     got = json.loads(run_suite(SuiteSpec("homomorphism", params)).to_json())
     assert got == want
-    if params["N"] > 2 or flaw == "exponent":  # SL2(Z_2) has no d-odd-sum element
+    if params["N"] > 2 or flaw in ("exponent", "dense"):  # SL2(Z_2) has no d-odd-sum element
         assert got["failures"] and got["max_abs_deviation"] > 0.0
 
 

@@ -1062,23 +1062,24 @@ def _flaw(table, flaw, rng):
     return None
 
 
-# the routes a flaw is caught on: a moved column leaves no column gather
-# (its transpose is no row gather), and where Z is a c = 0 table, X and Y
-# have cosets of one size, so X's stages are taken, never Y's
+# the rules a flaw is caught on: a moved column leaves a c = 0 Y's columns
+# no permutation, so with a factor X the pair is not proven; where Z is a
+# c = 0 table, X and Y are both c = 0 (the rows) or both factor tables with
+# cosets of one size, so X's stages are taken, never Y's
 FLAW_ROUTES = {
-    "exponent": {"row gather", "column gather", "left stages", "right stages"},
-    "mask": {"row gather", "column gather", "left stages", "right stages"},
-    "column": {"row gather", "left stages"},
-    "scale": {"row gather", "column gather", "left stages", "right stages"},
+    "exponent": {"side rows", "side columns", "left stages", "right stages"},
+    "mask": {"side rows", "side columns", "left stages", "right stages"},
+    "column": {"side rows", "left stages", "not proven"},
+    "scale": {"side rows", "side columns", "left stages", "right stages"},
 }
 
 
 @pytest.mark.parametrize("flaw", ["exponent", "mask", "column", "scale"])
 def test_phase_law_finds_a_flawed_table_unequal_like_the_dense_product(flaw, monkeypatch):
-    # N = 8 with one slot per block, so every builder table has its routes;
+    # N = 8 with one slot per block, so every factor table has its stages;
     # the flaw goes into U(A), U(B) and U(AB) in turn, and the kernel's
     # verdict is mat_eq's on the dense product.  The flaw is caught at every
-    # position and on every route that can meet it
+    # position and on every rule that can meet it
     monkeypatch.setattr(matrixcore, "_SLOT_BLOCK", 1)
     rng = np.random.default_rng(37)
     pr, caught = HWParams(8, 3), set()
@@ -1119,30 +1120,30 @@ def test_phase_law_proves_nothing_past_its_bound():
 
 
 def _route(x, y):
-    # the route `_phase_law` takes for the slot tables X, Y
+    # the rule `_phase_law` takes for the slot tables X, Y
+    if x.support is not None:
+        return "side rows"
+    if y.support is not None:
+        return "side columns" if y.support[2] is not None else "not proven"
     if x.values is not None:
         return "one block"
     routes = [(r, side) for r, side in ((x.left, "left"), (y.right, "right")) if r is not None]
-    route, side = min(routes, key=lambda rs: rs[0].work)
-    if len(route.factors) == 2:
-        return f"{side} stages"
-    if route.factors[0][1].ndim == 2:
-        return "dense"
-    return "row gather" if side == "left" else "column gather"
+    if not routes:
+        return "not proven"
+    return min(routes, key=lambda rs: rs[0].work)[1] + " stages"
 
 
 def _spy_routes(monkeypatch):
-    # the factor count of each `_apply` call (1 for a gather, 2 for stages),
-    # and whether each gather in a route's row order reads a transpose
+    # one entry per `_apply` call (a block of one slot), and whether each
+    # gather in a route's row order reads a transpose
     calls, sides, real_apply, real_gather = [], [], matrixcore._apply, matrixcore._gather
 
-    def apply(factors, *args):
-        calls.append(len(factors))
-        return real_apply(factors, *args)
+    def apply(*args):
+        calls.append(1)
+        return real_apply(*args)
 
-    def gather(t, width, transpose=False, rows=None):
-        if rows is not None:
-            sides.append(transpose)
+    def gather(t, width, transpose, rows):
+        sides.append(transpose)
         return real_gather(t, width, transpose, rows)
 
     monkeypatch.setattr(matrixcore, "_apply", apply)
@@ -1151,32 +1152,32 @@ def _spy_routes(monkeypatch):
 
 
 def _route_pairs(N):
-    # a pair (A, B) per route at N >= 8 where tables are not one block: c
-    # odd (g = 1), c = 2 (g = 2) and c = 0 with d = 3, whose permutation is
-    # no involution past N = 8, in the order of ROUTES
+    # a pair (A, B) per rule at N >= 8: c odd (g = 1), c = 2 (g = 2) and
+    # c = 0 with d = 3, whose permutation is no involution past N = 8, in
+    # the order of ROUTES
     odd, osum = SL2Element(3, 1, 5, 2, N), SL2Element(1, 0, 2, 1, N)
     tri = SL2Element(pow(3, -1, N), 1, 0, 3, N)
     return [(tri, osum), (osum, tri), (osum, odd), (odd, osum)]
 
 
-ROUTES = ("row gather", "column gather", "left stages", "right stages")
+ROUTES = ("side rows", "side columns", "left stages", "right stages")
 
 
 @pytest.mark.parametrize("N", [8, 16])
 def test_phase_law_routes_fire_and_agree_with_the_dense_product(N, monkeypatch):
-    # at N = 8 every table is one block and every pair one product of the
-    # cached values.  At N = 16 a c = 0 X is a row gather of Y, else a c = 0
-    # Y a column gather of X, else X's stages (left) or Y^T's (right),
-    # whichever do fewer multiply-adds: builder tables never go dense.  Each
-    # route fires, runs at every slot of an equal pair, and its verdicts on
-    # U(AB) and U(BA) are mat_eq's
+    # a c = 0 X is decided on its rows, else a c = 0 Y on its columns read
+    # through its inverse permutation, with no slot product.  Otherwise at
+    # N = 8 every table is one block and a pair one product of the cached
+    # values; at N = 16 X's stages (left) or Y^T's (right) are taken,
+    # whichever do fewer multiply-adds, and run at every slot of an equal
+    # pair.  Each rule fires, and its verdicts on U(AB) and U(BA) are mat_eq's
     calls, sides = _spy_routes(monkeypatch)
     pr = HWParams(N, 3)
     U = cache(lambda X: u_general(pr, X))
     table = cache(lambda X: _slot_table(metaplectic._closed_form(pr, X)[0]))
-    pairs = list(zip(sample_sl2(N, 12, N), sample_sl2(N, 12, N + 1)))
+    pairs = list(zip(sample_sl2(N, 12, N), sample_sl2(N, 12, N + 1))) + _route_pairs(N)
     routes, verdicts = [], []
-    for A, B in pairs + (_route_pairs(N) if N == 16 else []):
+    for A, B in pairs:
         x, y = table(A), table(B)
         product = U(A) @ U(B)
         for C in (B * A, A * B):
@@ -1185,38 +1186,60 @@ def test_phase_law_routes_fire_and_agree_with_the_dense_product(N, monkeypatch):
             assert got == mat_eq(product, U(C)).equal, (A, B, C)
             verdicts.append(got)
         routes.append(_route(x, y))  # U(AB), the last, is equal: every slot ran
-        factors = {"one block": 0, "row gather": 1, "column gather": 1}.get(routes[-1], 2)
-        assert calls == ([factors] * len(x.roots) if factors else [])
-        transposed = routes[-1] in ("column gather", "right stages")
-        assert sides == ([transposed] * 2 if factors else [])
+        staged = routes[-1].endswith("stages")
+        assert calls == ([1] * len(x.roots) if staged else [])
+        assert sides == ([routes[-1] == "right stages"] * 2 if staged else [])
     assert all(verdicts[1::2]) and not all(verdicts[::2])
-    assert set(routes) == ({"one block"} if N == 8 else set(ROUTES))
+    whole = {"one block"} if N == 8 else {"left stages", "right stages"}
+    assert set(routes) == {"side rows", "side columns"} | whole
 
 
 def test_phase_law_compares_every_block(monkeypatch):
-    # N = 16, one slot per block: an equal pair on each route, against a Z
-    # whose last slot alone is off (two of its roots swapped), is unequal;
-    # and with blocks of a quarter of a slot's columns, against a Z whose
-    # last column alone is off
+    # N = 16, one slot per block: an equal pair on either stage route, against
+    # a Z whose last slot alone is off (two of its roots swapped), is unequal,
+    # while a side law reads no slot and still holds.  With blocks of a
+    # quarter of a slot's columns, a Z whose last column alone is off is
+    # unequal on every rule
+    calls, _ = _spy_routes(monkeypatch)
     pr = HWParams(16, 3)
-    dense = lambda X: _slot_table(_phase_table(metaplectic._closed_form(pr, X)[0]))  # noqa: E731
     slot = lambda X: _slot_table(metaplectic._closed_form(pr, X)[0])  # noqa: E731
-    pairs = zip(ROUTES, _route_pairs(16))
-    cases = [(slot(A), slot(B), slot(A * B), route) for route, (A, B) in pairs]
-    odd, osum = _route_pairs(16)[-1]
-    cases.append((dense(odd), dense(osum), slot(odd * osum), "dense"))
+    cases = [(slot(A), slot(B), slot(A * B), route) for route, (A, B) in zip(ROUTES, _route_pairs(16))]
     for x, y, z, route in cases:
         assert _route(x, y) == route and _phase_law(x, y, z)
         roots = z.roots.copy()
         roots[-1, [1, 2]] = roots[-1, [2, 1]]
-        assert not _phase_law(x, y, z._replace(roots=roots)), route
+        assert _phase_law(x, y, z._replace(roots=roots)) == route.startswith("side"), route
     monkeypatch.setattr(matrixcore, "_SLOT_BLOCK", 1 << 14)
-    assert matrixcore._slot_step(8, 256) == (1, 64)
     for x, y, z, route in cases:
+        calls.clear()
         assert _phase_law(x, y, z), route
+        assert len(calls) == (0 if route.startswith("side") else 8 * 4)
         index = z.index.copy()
         index[:, -1] = np.where(index[:, -1] == 16, 0, 16)  # the last column's support moved
         assert not _phase_law(x, y, z._replace(index=index)), route
+
+
+def test_a_c0_y_whose_columns_are_no_permutation_proves_nothing():
+    # N = 4: Y is the identity with row 1 moved to column 0, so column 1 of
+    # X Y is zero and X Y is neither X nor X with columns 0 and 1 swapped.
+    # With a factor X the column law needs Y's inverse permutation, and Y has
+    # none: the pair is not proven, where a stand-in (a sort of Y's columns:
+    # the identity or that swap) would prove one of them.  With a c = 0 X
+    # the row law holds for any Y: X Y == Y for X = 1
+    pr = HWParams(4, 3)
+    cols = np.arange(16)
+    cols[1] = 0
+    bad = _SupportTable(4, cols, np.zeros(16, dtype=np.int64))
+    factor = _phase_table(metaplectic._closed_form(pr, SL2Element(1, 0, 1, 1, 4))[0])
+    swapped = factor._replace(exps=factor.exps[:, [1, 0, *range(2, 16)]])
+    x, y = _slot_table(factor), _slot_table(bad)
+    assert y.support[2] is None and _route(x, y) == "not proven"
+    XY = _table_op(pr, factor, "exact", "") @ _table_op(pr, bad, "exact", "")
+    for z in (factor, swapped):
+        assert not mat_eq(XY, _table_op(pr, z, "exact", "")).equal
+        assert not _phase_law(x, y, _slot_table(z))
+    one = _slot_table(metaplectic._closed_form(pr, SL2Element(1, 0, 0, 1, 4))[0])
+    assert _route(one, y) == "side rows" and _phase_law(one, y, y)
 
 
 def _split(exps, order):
@@ -1304,40 +1327,41 @@ def test_odd_sum_factors_reproduce_the_masked_formula(N):
 def test_an_odd_c_table_with_a_moved_exponent_goes_dense_and_fails(monkeypatch):
     # N = 16: U(A) with c odd and U(B) with c = 2 are factor tables, and the
     # pair takes U(B)'s right stages.  U(A)'s dense table with one exponent
-    # moved is no builder's: it is a dense product per slot, taken with U(B)'s
-    # dense table, and U(B)'s right stages are taken over it; both are
-    # unequal like mat_eq says, at the first slot
+    # moved is no builder's and has no stages: with U(B)'s dense table the
+    # pair is not proven, with no slot product, and with U(B)'s factor table
+    # the right stages find it unequal at the first slot, as mat_eq does
     calls, sides = _spy_routes(monkeypatch)
     pr, (A, B) = HWParams(16, 5), _route_pairs(16)[-1]
     tables = [metaplectic._closed_form(pr, X)[0] for X in (A, B, A * B)]
     x, y, z = map(_slot_table, tables)
     assert _route(x, y) == "right stages" and _phase_law(x, y, z)
-    assert calls == [2] * 8 and sides == [True, True]
+    assert calls == [1] * 8 and sides == [True, True]
     dense = _phase_table(tables[0])
     exps = dense.exps.copy()
     exps[37, 200] = (exps[37, 200] + 3) % 16
     flawed = dense._replace(exps=exps)
     fx, dy = _slot_table(flawed), _slot_table(_phase_table(tables[1]))
+    assert fx.left is fx.right is dy.left is dy.right is None
     calls.clear()
-    assert _route(fx, dy) == "dense" and not _phase_law(fx, dy, z)
-    assert _route(fx, y) == "right stages" and not _phase_law(fx, y, z)
-    assert calls == [1, 2]
+    assert _route(fx, dy) == "not proven" and not _phase_law(fx, dy, z) and calls == []
+    assert _route(fx, y) == "right stages" and not _phase_law(fx, y, z) and calls == [1]
     X, Y, Z = (_table_op(pr, t, "exact", "") for t in (flawed, tables[1], tables[2]))
     assert not mat_eq(X @ Y, Z).equal
 
 
 def test_unequal_cosets_take_no_stages():
     # N = 16: U(B) with c = 2 has two cosets of 8; with one index moved to
-    # the other coset (no builder writes that) they are 7 and 9, and its
-    # route is a dense product per slot.  A law it is in is decided as
-    # mat_eq does, on the other side's stages or on its own route
+    # the other coset (no builder writes that) they are 7 and 9, and it has
+    # no stages.  A law it is in takes the other side's stages, or is not
+    # proven where neither side has any; mat_eq finds both unequal
     pr, (A, B) = HWParams(16, 3), _route_pairs(16)[-1]
     tables = [metaplectic._closed_form(pr, X)[0] for X in (A, B, A * B, B * B)]
     cosets = tables[1].cosets.copy()
     cosets[0] = 1 - cosets[0]
     flawed = tables[1]._replace(cosets=cosets)
     x, fy, z, zz = map(_slot_table, (tables[0], flawed, tables[2], tables[3]))
-    assert fy.right is None and _route(fy, fy) == "dense" and _route(x, fy) == "left stages"
+    assert fy.left is fy.right is None
+    assert _route(fy, fy) == "not proven" and _route(x, fy) == "left stages"
     X, Y, Z, ZZ = (_table_op(pr, t, "exact", "") for t in (tables[0], flawed, *tables[2:]))
     assert not mat_eq(X @ Y, Z).equal and not _phase_law(x, fy, z)
     assert not mat_eq(Y @ Y, ZZ).equal and not _phase_law(fy, fy, zz)
@@ -1345,31 +1369,38 @@ def test_unequal_cosets_take_no_stages():
 
 @pytest.mark.parametrize("N", [2, 4, 8, 16])
 def test_staged_residues_equal_the_dense_slot_product(N, monkeypatch):
-    # with one slot per block every builder table has its routes, at every
-    # odd p (a seeded sample of elements at N = 16): a c = 0 table's row
-    # gather and its transpose's (the column gather), a factor table's
-    # stages and its transpose's, at g = 1 and g > 1.  Each, applied to a
-    # seeded block of centred residues read in its row order, equals the
-    # dense slot product residue for residue
+    # with one slot per block every factor table has its stages, at every odd
+    # p (a seeded sample of elements at N = 16): X's and X^T's, at g = 1 and
+    # g > 1.  Each, applied at each slot to a seeded block of centred residues
+    # read in its row order, equals the dense slot product residue for
+    # residue.  A c = 0 table has no route; its side law reads its columns'
+    # inverse permutation
     monkeypatch.setattr(matrixcore, "_SLOT_BLOCK", 1)
     rng = np.random.default_rng(N + 1)
     elems = enumerate_sl2(N) if N <= 8 else sample_sl2(N, 4, 5) + [_route_pairs(N)[0][0]]
-    seen = set()
+    seen, dim = set(), N * N
     for p in range(1, N, 2):
         for A in elems:
             table = metaplectic._closed_form(HWParams(N, p), A)[0]
             t = _slot_table(table)
-            assert t.values is None and t.left is not None and t.right is not None
-            size, dim = len(t.roots), N * N
+            assert t.values is None
+            if isinstance(table, _SupportTable):
+                cols, _, inverse = t.support
+                assert t.left is t.right is None and np.array_equal(cols[inverse], np.arange(dim))
+                seen.add(("side", "c = 0"))
+                continue
+            assert t.support is None and t.left is not None and t.right is not None
+            size = len(t.roots)
             X = t.roots.take(t.index.astype(np.intp), axis=1)
             half = (t.p - 1) // 2
             W = rng.integers(-half, half + 1, (size, dim, dim)).astype(np.float64)
-            out, mid = np.empty((2, size, dim, dim))
+            out, mid = np.empty((2, dim, dim))
             for side, route, F in (("left", t.left, X), ("right", t.right, X.transpose(0, 2, 1))):
                 want = matrixcore._reduce(F @ W, t.p)[:, route.rows_out]
-                got = matrixcore._apply(route.at(slice(None)), W[:, route.rows_in], t.p, out, mid)
-                assert np.array_equal(got, want), (p, A, side)
-                kind = "gather" if isinstance(table, _SupportTable) else f"g = {min(table.g, 2)}"
-                seen.add((side, kind))
-    kinds = {"gather", "g = 1"} | ({"g = 2"} if N >= 4 else set())
-    assert seen == {(side, kind) for side in ("left", "right") for kind in kinds}
+                for m in range(size):
+                    stages = [residues[m].take(index) for residues, index in route.stages]
+                    got = matrixcore._apply(*stages, W[m, route.rows_in], t.p, out, mid)
+                    assert np.array_equal(got, want[m]), (p, A, side, m)
+                seen.add((side, f"g = {min(table.g, 2)}"))
+    kinds = {"g = 1"} | ({"g = 2"} if N >= 4 else set())
+    assert seen == {("side", "c = 0")} | {(side, kind) for side in ("left", "right") for kind in kinds}
