@@ -14,10 +14,15 @@ exact `heisenberg` commutator law, the exact twisted cocycle
 (`check_pair_law`) and its dagger law as J[l] J[-l] == I, each on a table
 prepared once per suite call (`_law_table`); the twisted J table is first
 factored into the product form J = omega^x0 (F (x) F) (`_kron_support`),
-so its laws read the N-row factors.  `verify_metaplectic`'s stacked kernel
-decides the conjugation law J[l] U(A) == U(A) J[lA] of `metaplectic` and
-`weil-odd` on such a table, an exact U by the omega exponents read from
-its closed-form builder's table (`_closed_form`, `_exponent_codes`).  The
+so its laws read the N-row factors.  The stacked kernel of
+`_conjugation_scan` decides the conjugation law J[l] U(A) == U(A) J[lA] on
+such a table: for `metaplectic` one element at a time, an exact U by the
+omega exponents read from its closed-form builder's table (`_closed_form`,
+`_exponent_codes`), and for `weil-odd` in one scan over every (element,
+point), on the float stack of all its U(A) (`_weil_odd_stack`).  The float
+pair laws (`cocycle-odd` and its dagger law, the `feichtinger-defect` pi
+law, `weil-odd`'s U(A) U(B) == U(AB)) are decided on float stacks of their
+members in stacked products whose deviations keep their bits.  The
 exact `homomorphism` law U(A) U(B) == U(AB) is decided on the same tables
 by `_phase_law`, each table read once into a `_SlotTable` (`_slot_table`):
 a pair with a c = 0 side on the tables' exponent indexes, and a pair of
@@ -28,8 +33,9 @@ holding the tables of S, S^-1 and S^2 for the whole run (`_s_images_hold`
 ties the word's images of them to the closed forms there).
 Keys a kernel does not prove equal, and the keys of every other law, are
 compared one at a time, so a passing exact twisted or `metaplectic` run
-builds no J, a passing exact `homomorphism` or `metaplectic` run no U and
-a passing exact `decomposition` run no matrix.
+builds no J, a passing exact `homomorphism` or `metaplectic` run no U, a
+passing exact `decomposition` run no matrix and a passing `weil-odd`,
+`cocycle-odd` or `feichtinger-defect` run compares no key alone.
 The backend picks, no option does.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
@@ -54,19 +60,20 @@ from .heisenberg import (
 )
 from .magnetic import j_odd, j_twisted
 from .matrixcore import (
-    OpMatrix, _kron_support, _law_table, _member_is_identity, _phase_law, _phase_table,
-    _slot_table, _support_law, _SupportTable, mat_eq,
+    OpMatrix, _float_stack, _kron_support, _law_table, _member_is_identity, _phase_law,
+    _phase_table, _slot_table, _stack_deviation, _support_law, _SupportTable, mat_eq,
 )
 from .metaplectic import (
     _closed_form,
+    _conjugation_scan,
     _j_table,
     _odd_prime,
     _s_table,
+    _weil_odd_stack,
     u_a_closed,
     u_general,
     u_of_word,
     verify_metaplectic,
-    weil_odd_general,
 )
 from .report import VerifyReport
 from .sl2 import (
@@ -84,6 +91,7 @@ from .weilmod import (
     IllFormed,
     NotMetaplectic,
     QuadraticModule,
+    _pi_support,
     alpha_q,
     chirp,
     chirp_wrap_sign,
@@ -179,6 +187,13 @@ def _pair_compare(op, N: int, tol: float, x, y, z, e) -> tuple[bool, float]:
     return dev <= tol, dev
 
 
+@cache
+def _float_roots(N: int) -> np.ndarray:
+    # omega_N^k for k < N by `_root_scalar`'s scalar formula: the phases
+    # `_pair_compare` multiplies, bit for bit
+    return np.array([_root_scalar(N, k, "float") for k in range(N)])
+
+
 def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, members=None) -> None:
     """Record op(x) op(y) == omega_N^{e(x, y)} op(compose(x, y)) for every
     (x, y) of `pairs`, an array of keys, in scan order (`VerifyReport.scan`).
@@ -193,7 +208,11 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     `_support_law` on integer exponents;
     a bare law may pass instead a cached table(number) -> `_SlotTable`, each
     pair then decided by `_phase_law`: on exponent indexes where a side is
-    a phased permutation, else one block of slots at a time.  The pairs
+    a phased permutation, else one block of slots at a time.  A float
+    family passes the stack (members, dim, dim) of its matrices, and blocks
+    of pairs are decided as |S[x] @ S[y] - phi S[xy]| in stacked products
+    (`_stack_deviation`), phi read from a table of `_root_scalar`'s values,
+    so each deviation is the one of the pair's own product.  The pairs
     left, and every pair without a table, are compared one at a time.
     """
     N, exponent = phase or (1, None)
@@ -205,6 +224,15 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     def stacked(x, y):
         table, index = members
         left, right, out = index(x), index(y), index(compose(x, y))
+        if isinstance(table, np.ndarray):  # a float stack
+            phi = None if exponent is None else _float_roots(N)[exponent(x, y) % N]
+
+            def sides(k):
+                want = table[out[k]] if phi is None else phi[k, None, None] * table[out[k]]
+                return table[left[k]] @ table[right[k]], want
+
+            dev = _stack_deviation(len(left), table.shape[1], sides)
+            return dev <= tol, dev
         if not callable(table):  # a support table, not table(number)
             return _support_law(table, left, right, out, exponent(x, y)), 0.0
         keys = zip(left.tolist(), right.tolist(), out.tolist())
@@ -254,13 +282,21 @@ def _sl2_law(rep, N, pairs, op, tol, members=None) -> None:
 
 
 def _dagger_law(rep, N, op, tol, table=None) -> None:
-    # J[l]^dagger == J[-l] over l = (r, s) r-major; `table`, a `_support_law`
-    # table, holds op(l) at row N r + s.  For phased permutations that is
-    # J[l] J[-l] == I, decided by `_support_law` as J[l] J[-l] == J[0] once
-    # member 0 is the identity (never unless c_l is a permutation); the
-    # points left are compared as matrices
+    # J[l]^dagger == J[-l] over l = (r, s) r-major; `table` holds op(l) at
+    # row N r + s.  A float stack decides blocks of points with the deviation
+    # mat_eq gives.  On a `_support_law` table the law is J[l] J[-l] == I,
+    # decided as J[l] J[-l] == J[0] once member 0 is the identity (never
+    # unless c_l is a permutation); the points left are compared as matrices
     stacked = None
-    if table is not None and _member_is_identity(table, 0):
+    if isinstance(table, np.ndarray):
+
+        def stacked(r, s):
+            l, m = N * r + s, N * (-r % N) + -s % N
+            sides = lambda k: (table[l[k]].conj().transpose(0, 2, 1), table[m[k]])  # noqa: E731
+            dev = _stack_deviation(len(l), table.shape[1], sides)
+            return dev <= tol, dev
+
+    elif table is not None and _member_is_identity(table, 0):
 
         def stacked(r, s):
             zero = np.zeros_like(r)
@@ -353,11 +389,12 @@ def _suite_cocycle_odd(params: dict) -> VerifyReport:
     _guard_pairs(N**4)
     rep = VerifyReport("cocycle-odd", {"N": N})
     inv2 = pow(2, -1, N)
-    mats = {(r, s): j_odd(N, (r, s)) for r in range(N) for s in range(N)}
-    _dagger_law(rep, N, mats.__getitem__, tol)
+    op = cache(lambda l: j_odd(N, l))
+    stack = _float_stack(_j_table("weil_odd", N, None))
+    _dagger_law(rep, N, op, tol, stack)
     _torus_law(
-        rep, "J[l] J[l'] == omega^{(r' s - r s')/2} J[l+l']", N, mats.__getitem__,
-        lambda l, m: (m[0] * l[1] - l[0] * m[1]) * inv2, tol,
+        rep, "J[l] J[l'] == omega^{(r' s - r s')/2} J[l+l']", N, op,
+        lambda l, m: (m[0] * l[1] - l[0] * m[1]) * inv2, tol, stack,
     )
     return rep
 
@@ -510,18 +547,23 @@ def _suite_weil_odd(params: dict) -> VerifyReport:
     _guard_pairs(order * N * N)
     rep = VerifyReport("weil-odd", {"N": N})
     elems = enumerate_sl2(N)
-    mats = {A.entries(): weil_odd_general(N, A) for A in elems}
-    table = _j_table("weil_odd", N, None)
-    for A in elems:
-        _merge(
-            rep, verify_metaplectic(mats[A.entries()], A, "weil_odd", tol=tol, table=table),
-            {"element": list(A.entries())},
-        )
+    entries = _entries(elems)
+    stack = _weil_odd_stack(N, entries)  # U(A) of every element, in one pass
+    matrix = cache(lambda e: OpMatrix.from_complex(stack[e], meta="weil_odd_general"))
+    _conjugation_scan(
+        rep, N, _j_table("weil_odd", N, None), entries, stack, lambda pt: j_odd(N, pt), matrix, tol,
+        lambda e, l: {"element": entries[:, e].tolist(), "r": l // N, "s": l % N},
+    )
     run_pairs = bool(params.get("pairs", order**2 <= 20_000))
     rep.params["pairs"] = run_pairs
     if run_pairs:
         _guard_pairs(order**2)
-        _sl2_law(rep, N, _every_pair(elems), mats.__getitem__, tol)
+        shape = (N,) * 4
+        number = np.zeros(N**4, dtype=np.intp)  # elements numbered by their entries
+        number[np.ravel_multi_index(entries, shape)] = np.arange(len(elems))
+        index = lambda x: number[np.ravel_multi_index(x, shape)]  # noqa: E731
+        op = lambda x: matrix(int(index(x)))  # noqa: E731
+        _sl2_law(rep, N, _every_pair(elems), op, tol, (stack, index))
     return rep
 
 
@@ -589,10 +631,10 @@ def _suite_feichtinger_defect(params: dict) -> VerifyReport:
                 dev <= tol, dev,
                 "R[c1] R[c2] == sign^(k^2) R[c1+c2]", {"c": [c1, c2]},
             )
-    pis = {(r, s): pi_shift(N, r, s) for r in range(N) for s in range(N)}
+    r, s = np.divmod(np.arange(N * N), N)
     _torus_law(
-        rep, "pi(l) pi(l') == omega^{s r'} pi(l+l')", N, pis.__getitem__,
-        lambda l, m: l[1] * m[0], tol,
+        rep, "pi(l) pi(l') == omega^{s r'} pi(l+l')", N, cache(lambda l: pi_shift(N, *l)),
+        lambda l, m: l[1] * m[0], tol, _float_stack(_SupportTable(N, *_pi_support(N, r, s))),
     )
     elems = enumerate_sl2(N)
     if len(elems) > 60:

@@ -39,7 +39,8 @@ omega^{-m^2/2} (the middle Gauss sum collapses): a phased permutation,
 built as one.  The total map is an exact homomorphism as well.  One
 wrinkle, kept deliberately visible: the permutation m -> a m conjugates
 J_{r,s} by the torus action of diag(a^{-1}, a), so the image of D(a)
-uses the inverse argument.
+uses the inverse argument.  `_weil_odd_stack` writes both branches for
+many elements at once; the one-element builders are calls of it.
 
 Everything with N = 2^n defaults to the exact cyclotomic backend;
 odd-N matrices carry 1/sqrt(N) and stay in floats.
@@ -55,8 +56,8 @@ from .exactnum import NotAUnit, _is_odd_prime, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
 from .matrixcore import (
-    OpMatrix, _exponent_codes, _FactorTable, _PhaseTable, _phase_table, _roots,
-    _SupportTable, mat_eq,
+    OpMatrix, _exponent_codes, _FactorTable, _float_stack, _PhaseTable, _phase_table, _roots,
+    _stack_deviation, _SupportTable, mat_eq,
 )
 from .report import VerifyReport
 from .sl2 import SL2Element, Token, dilatation, sl2_t
@@ -273,8 +274,42 @@ def weil_odd_s(N: int) -> OpMatrix:
     return OpMatrix.from_complex(data, meta="weil_odd_s")
 
 
+def _weil_odd_stack(N: int, entries) -> np.ndarray:
+    """U(A) of the odd-N family for every element of `entries`, an array
+    (4, count) of (a, b, c, d): a (count, N, N) complex128 stack, each branch
+    written for all of its elements at once.
+
+    c != 0 takes the Gauss-sum form N^{-1/2} (-2c|N) kappa
+    omega^{-(a l^2 + d m^2 - 2 l m)/2c}, its prefactor computed once per
+    distinct c by the scalar expression.  c = 0, A = D(a) T^{a^{-1} b}, takes
+    the signed permutation (a + a^{-1} - 2 | N) delta_{l, a^{-1} m}, its sign
+    read from a table of the residues (1 where the symbol vanishes), with
+    column m multiplied by omega^{-a^{-1} b m^2/2}.
+    """
+    a, b, c, d = np.asarray(entries, dtype=np.int64).reshape(4, -1) % N
+    roots, l, m = _roots(N), np.arange(N)[:, None], np.arange(N)
+    out = np.empty((len(c), N, N), dtype=np.complex128)
+    g = np.flatnonzero(c)
+    if len(g):
+        values, k = np.unique(c[g], return_inverse=True)
+        pref = np.array([jacobi_symbol(-2 * x, N) * _kappa(N) / np.sqrt(N) for x in values.tolist()])
+        inv2c = np.array([pow(2 * x, -1, N) for x in values.tolist()])[k, None, None]
+        expo = -(a[g, None, None] * l * l + d[g, None, None] * m * m - 2 * l * m) * inv2c % N
+        out[g] = pref[k, None, None] * roots[expo]
+    z = np.flatnonzero(c == 0)
+    if len(z):
+        a_inv = np.array([pow(x, -1, N) for x in a[z].tolist()], dtype=np.int64)
+        signs = np.array([jacobi_symbol(x, N) or 1 for x in range(N)])
+        perm = np.zeros((len(z), N, N), dtype=np.complex128)
+        perm[np.arange(len(z))[:, None], a_inv[:, None] * m % N, m] = signs[(a[z] + a_inv - 2) % N, None]
+        phases = roots[(-a_inv * b[z] * pow(2, -1, N) % N)[:, None] * m * m % N]
+        out[z] = perm * phases[:, None, :]
+    return out
+
+
 def weil_odd_d(N: int, a: int) -> OpMatrix:
-    """Signed permutation (a + a^{-1} - 2 | N) delta_{l, a m}.
+    """Signed permutation (a + a^{-1} - 2 | N) delta_{l, a m}: the c = 0 branch
+    of `_weil_odd_stack` at D(a^{-1}).
 
     That is kappa^2 (2 - a - a^{-1} | N), as (-1|N) = kappa^2.  At a = 1 the
     symbol vanishes; the sign is 1 there (the identity), the only value
@@ -283,22 +318,14 @@ def weil_odd_d(N: int, a: int) -> OpMatrix:
     a %= N
     if a == 0 or np.gcd(a, N) != 1:
         raise NotAUnit(f"{a} is not a unit mod {N}")
-    phase = jacobi_symbol(a + pow(a, -1, N) - 2, N) or 1
-    out = np.zeros((N, N), dtype=complex)
-    out[(a * np.arange(N)) % N, np.arange(N)] = phase
-    return OpMatrix.from_complex(out, meta="weil_odd_d")
+    return OpMatrix.from_complex(_weil_odd_stack(N, [pow(a, -1, N), 0, 0, a])[0], meta="weil_odd_d")
 
 
 def weil_odd_generic(N: int, A: SL2Element) -> OpMatrix:
     """Gauss-sum form for c != 0: N^{-1/2} (-2c|N) kappa omega^{-(a l^2 + d m^2 - 2 l m)/2c}."""
-    a, _, c, d = A.entries()
-    if c % N == 0:
+    if A.c % N == 0:
         raise NonGeneric("c = 0 has no 1/2c; build via weil_odd_general")
-    inv2c = pow(2 * c, -1, N)
-    l, m = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    pref = jacobi_symbol(-2 * c, N) * _kappa(N) / np.sqrt(N)
-    expo = (-(a * l * l + d * m * m - 2 * l * m) * inv2c) % N
-    return OpMatrix.from_complex(pref * _roots(N)[expo], meta="weil_odd_generic")
+    return OpMatrix.from_complex(_weil_odd_stack(N, A.entries())[0], meta="weil_odd_generic")
 
 
 def _odd_prime(N: int) -> int:
@@ -314,21 +341,19 @@ def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
     c = 0 means A = D(a) T^{a^{-1} b}; the dilatation factor is the
     permutation with argument a^{-1} (see module docstring) and U(T) is
     the diagonal omega^{-m^2/2} of the generic family's gauge, so column
-    m of the permutation is multiplied by omega^{-a^{-1} b m^2/2}.
+    m of the permutation is multiplied by omega^{-a^{-1} b m^2/2}.  One
+    element of `_weil_odd_stack`.
     """
     _odd_prime(N)
-    a, b, c, _ = A.entries()
-    if c % N != 0:
-        return weil_odd_generic(N, A)
-    a_inv, m = pow(a, -1, N), np.arange(N)
-    phases = _roots(N)[(-a_inv * b * pow(2, -1, N) % N) * m * m % N]
-    return OpMatrix.from_complex(weil_odd_d(N, a_inv).data * phases, meta="weil_odd_general")
+    return OpMatrix.from_complex(_weil_odd_stack(N, A.entries())[0], meta="weil_odd_general")
 
 
 # -- the property checker ------------------------------------------------------
 
-# 2^14-2^16 measured best at metaplectic n = 3; 2^12 and 2^18-2^20 took about 1.3x as long
-_CHUNK_ENTRIES = 1 << 16  # matrix entries per side of a chunk of points
+# matrix entries per side of a chunk of points of the exact codes kernel:
+# 2^14-2^16 measured best at metaplectic n = 3; 2^12 and 2^18-2^20 took about
+# 1.3x as long.  Float stacks take blocks of `matrixcore._FLOAT_BLOCK`.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _j_table(flavor: str, N: int, params: HWParams | None) -> _SupportTable:
@@ -340,40 +365,35 @@ def _j_table(flavor: str, N: int, params: HWParams | None) -> _SupportTable:
     return _SupportTable(N, *support)
 
 
-def _float_stack(roots: np.ndarray, cols: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    # (P, dim, dim) float matrices from P row supports, entries roots[exps]
-    count, dim = cols.shape
-    out = np.zeros((count, dim, dim), dtype=np.complex128)
-    out[np.arange(count)[:, None], np.arange(dim), cols] = roots[exps]
-    return out
-
-
 def _stacked_conjugation(
-    table: _SupportTable, U: OpMatrix | _SupportTable | _PhaseTable, left: np.ndarray,
-    right: np.ndarray, tol: float,
+    table: _SupportTable, U: np.ndarray | _SupportTable | _PhaseTable, left: np.ndarray,
+    right: np.ndarray, tol: float, element: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(equal, deviation) of J[left[k]] U against U J[right[k]] for each k,
-    a block of points at a time, U a float OpMatrix or the table of an exact U.
+    U a float stack (members, dim, dim), member element[k] at key k, or the
+    table of an exact U.
 
-    Float: the block's J are densified (entries `_roots`[exps]) and multiplied
-    in stacked products, so each deviation is the one `mat_eq` gives.  Table:
-    codes[k] holds the exponents of omega^k U (`_exponent_codes`, read from
-    U's table at the higher of the two orders), so row i of J[l] U is row
-    (k_l(i), c_l(i)) of the codes and column j of U J[m] column rho(j) of
-    layer k_m(rho(j)), rho the inverse of c_m: two gathers and one compare.
-    U's scale is common to both sides.  A c_m that is no permutation proves
-    no point.
+    Float: a block of keys at a time (`_stack_deviation`), the block's J
+    are densified (`_float_stack`) and multiplied with the block's U in
+    stacked per-slice products, so each deviation is the one `mat_eq` gives
+    on the same products.  Table: codes[k] holds the exponents of omega^k U
+    (`_exponent_codes`, read from U's table at the higher of the two
+    orders), so row i of J[l] U is row (k_l(i), c_l(i)) of the codes and
+    column j of U J[m] column rho(j) of layer k_m(rho(j)), rho the inverse
+    of c_m: two gathers and one compare, `_CHUNK_ENTRIES` entries a side.
+    U's scale is common to both sides.  A c_m that is no permutation
+    proves no point.
     """
     n, dim = len(left), table.cols.shape[1]
-    step = max(1, _CHUNK_ENTRIES // dim**2)
-    if isinstance(U, OpMatrix):
-        roots, dev = _roots(table.order), np.empty(n)
-        for a in range(0, n, step):
-            l, m = left[a:a + step], right[a:a + step]
-            lhs = _float_stack(roots, table.cols[l], table.exps[l]) @ U.data
-            rhs = U.data @ _float_stack(roots, table.cols[m], table.exps[m])
-            dev[a:a + step] = np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)
+    if isinstance(U, np.ndarray):
+
+        def sides(k):
+            V = U[element[k]]
+            return _float_stack(table, left[k]) @ V, V @ _float_stack(table, right[k])
+
+        dev = _stack_deviation(n, dim, sides)
         return dev <= tol, dev
+    step = max(1, _CHUNK_ENTRIES // dim**2)
     order = max(U.order, table.order)
     codes, scale = _exponent_codes(U, order), order // table.order
     rows = table.exps[left] * scale * dim + table.cols[left]
@@ -387,6 +407,38 @@ def _stacked_conjugation(
         rhs = by_column.take(columns[l], axis=0)  # (point, j, i)
         equal[l] &= (lhs == rhs.transpose(0, 2, 1)).all(axis=(1, 2))
     return equal, np.zeros(n)
+
+
+def _conjugation_scan(
+    report: VerifyReport, N: int, table: _SupportTable, entries: np.ndarray, U, j_of, matrix,
+    tol: float, inputs, stacked: bool = True,
+) -> None:
+    """Record J_l U_e == U_e J_{l A_e} by one `VerifyReport.scan` over the keys
+    (e, l), element-major: e numbers the elements of `entries`, an array
+    (4, count) of (a, b, c, d) mod N, and l = N r + s the points of the J
+    table.
+
+    With `stacked`, `_stacked_conjugation` decides blocks of keys on U, a
+    float stack of the elements' matrices or one element's table.  Every
+    key it does not prove equal is compared as mat_eq(J_l @ U_e, U_e @
+    J_{l A_e}), J built by j_of((r, s)) and U_e by matrix(e), and named by
+    inputs(e, l).
+    """
+
+    def image(e, l):  # the point (r, s) A_e, as its index N r' + s'
+        a, b, c, d = entries[:, e]
+        r, s = np.divmod(l, N)
+        return N * ((a * r + c * s) % N) + (b * r + d * s) % N
+
+    def compare(e, l):
+        lhs, rhs = j_of(divmod(l, N)), j_of(divmod(int(image(e, l)), N))
+        return mat_eq(lhs @ matrix(e), matrix(e) @ rhs, tol)
+
+    def decide(e, l):
+        return _stacked_conjugation(table, U, l, image(e, l), tol, e)
+
+    keys = np.indices((entries.shape[1], N * N)).reshape(2, -1)
+    report.scan("J[r,s] U == U J[(r,s)A]", keys, compare, inputs, decide if stacked else None)
 
 
 def verify_metaplectic(
@@ -404,21 +456,24 @@ def verify_metaplectic(
     invertible U.  The J's come from `table`, their row supports computed
     from the builders' formulas for all points at once (a suite checking
     many elements passes one `_j_table` for the same flavor and params).
-    The points are recorded by `VerifyReport.scan`.  When U has the table's
-    dim, a stacked pass (`_stacked_conjugation`) decides them: U's table by
-    equality of two gathers of its exponent codes, a float U by stacked
-    BLAS products; an exact OpMatrix takes none.  Every point not proven
-    equal is compared as mat_eq(J[l] @ U, U @ J[lA]), each J built by
-    `j_twisted`/`j_odd` and a table's U once (`_table_op`), so failures and
-    deviations are those of the products, recorded in (r, s) lexicographic
-    order: the result is deterministic.
+    The points are recorded by `_conjugation_scan` with one element.  When
+    U has the table's dim, a stacked pass (`_stacked_conjugation`) decides
+    them: U's table by equality of two gathers of its exponent codes, a
+    float U as a stack of one member by stacked BLAS products (`weil-odd`
+    scans all its elements at once on the same kernel); an exact OpMatrix
+    takes none.  Every point not proven equal is compared as
+    mat_eq(J[l] @ U, U @ J[lA]), each J built by `j_twisted`/`j_odd` and a
+    table's U once (`_table_op`), so failures and deviations are those of
+    the products, recorded in (r, s) lexicographic order: the result is
+    deterministic.
     """
     if isinstance(U, OpMatrix):
-        backend, dim, matrix = U.backend, U.dim, lambda: U
+        backend, dim, matrix = U.backend, U.dim, lambda e: U
+        kernel_u = None if U.data is None else U.data[None]  # a float U as a stack of one
     else:
-        U = _phase_table(U)
+        kernel_u = U = _phase_table(U)
         backend, dim = "exact", len(U.exps)
-        matrix = cache(lambda: _table_op(params, U, backend, "U"))
+        matrix = cache(lambda e: _table_op(params, U, backend, "U"))
     if flavor == "twisted_even":
         if params is None:
             raise ValueError("twisted_even needs params")
@@ -437,22 +492,10 @@ def verify_metaplectic(
     report = VerifyReport(suite="metaplectic", params=rep_params)
     if table is None:
         table = _j_table(flavor, N, params)
-    a, b, c, d = A.entries()
-    r, s = np.divmod(np.arange(N * N), N)
-    image = N * ((a * r + c * s) % N) + (b * r + d * s) % N  # (r, s) A
-
-    def compare(l):
-        lhs, rhs = j_of(divmod(l, N)), j_of(divmod(int(image[l]), N))
-        return mat_eq(lhs @ matrix(), matrix() @ rhs, tol)
-
-    def stacked(l):
-        return _stacked_conjugation(table, U, l, image[l], tol)
-
     # the odd J's are float only: their roots are not in an exact U's ring
-    stacks = backend == "float" or (not isinstance(U, OpMatrix) and flavor == "twisted_even")
-    fits = stacks and dim == table.cols.shape[1]
-    report.scan(
-        "J[r,s] U == U J[(r,s)A]", np.arange(N * N)[None], compare,
-        lambda l: {"r": l // N, "s": l % N}, stacked if fits else None,
+    stacks = kernel_u is not None and (backend == "float" or flavor == "twisted_even")
+    _conjugation_scan(
+        report, N, table, np.array(A.entries())[:, None], kernel_u, j_of, matrix, tol,
+        lambda e, l: {"r": l // N, "s": l % N}, stacks and dim == table.cols.shape[1],
     )
     return report

@@ -31,7 +31,7 @@ import numpy as np
 
 from .exactnum import NotAUnit
 from .heisenberg import HWParams
-from .matrixcore import OpMatrix, _roots
+from .matrixcore import OpMatrix, _float_stack, _SupportTable
 from .metaplectic import u_d, u_s, u_t_pow
 from .sl2 import SL2Element, enumerate_sl2
 
@@ -165,13 +165,21 @@ def generator_defect(qm: QuadraticModule, kind: str, a: int | None = None) -> di
     }
 
 
+def _pi_support(N: int, r, s) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, exponents) of pi(r, s) = P^r Q^s on C^N: row i holds
+    omega_N^{exponents[i]} in column cols[i].  r and s may be arrays of
+    points: they broadcast against the row index on a last axis."""
+    r, s = np.asarray(r)[..., None], np.asarray(s)[..., None]
+    j = (np.arange(N) - r) % N
+    return j, j * (s % N) % N
+
+
 def pi_shift(N: int, r: int, s: int) -> OpMatrix:
     """Time-frequency shift pi(r, s) = P^r Q^s on C^N (float backend)."""
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
-    j = (np.arange(N) - r) % N
     return OpMatrix.from_support(
-        N, j, j * (s % N) % N, backend="float", meta=f"pi({r % N},{s % N}) mod {N}"
+        N, *_pi_support(N, r, s), backend="float", meta=f"pi({r % N},{s % N}) mod {N}"
     )
 
 
@@ -329,15 +337,12 @@ def extract_psi(
     N = A.N
     Uc = U.to_complex_array() if isinstance(U, OpMatrix) else np.asarray(U, dtype=complex)
     Ui = np.linalg.inv(Uc)
-    r, s, i = np.ogrid[:N, :N, :N]
-    j = (i - r) % N
-    pis = np.zeros((N, N, N, N), dtype=np.complex128)  # pis[r, s] is pi_shift(N, r, s)
-    pis[r, s, i, j] = _roots(N)[j * s % N]
     a, b, c, d = A.entries()
     at = np.arange(N * N)
     k, l = np.divmod(at, N)  # (k, l) in scan order
-    X = (Uc @ pis.reshape(N * N, N, N) @ Ui).reshape(N * N, N * N)
-    Y = pis[(a * k + b * l) % N, (c * k + d * l) % N].reshape(N * N, N * N)
+    pis = _float_stack(_SupportTable(N, *_pi_support(N, k, l)))  # pis[N r + s] is pi_shift(N, r, s)
+    X = (Uc @ pis @ Ui).reshape(N * N, N * N)
+    Y = pis[N * ((a * k + b * l) % N) + (c * k + d * l) % N].reshape(N * N, N * N)
     nz = np.abs(Y).argmax(axis=1)
     psi = X[at, nz] / Y[at, nz]
     bad = np.abs(np.abs(psi) - 1) > 1e-10

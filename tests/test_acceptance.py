@@ -128,6 +128,16 @@ def test_exact_homomorphism_mod16_within_budget():
     _done("exact homomorphism N = 16", t0, 10)
 
 
+def _fresh_python(code, *args):
+    # the JSON that `code` prints, run in a fresh process on this checkout's fqmrep
+    path = [str(Path(fqmrep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    return json.loads(proc.stdout)
+
+
 def _fresh_run(suite, params):
     """(passed, checks_run, max_abs_deviation, peak KiB) of one suite run in a
     fresh process.  The peak is the child's VmHWM: its ru_maxrss would carry
@@ -139,12 +149,20 @@ def _fresh_run(suite, params):
         "peak = int(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
         "print(json.dumps([rep.passed, rep.checks_run, rep.max_abs_deviation, peak]))\n"
     )
-    path = [str(Path(fqmrep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run(
-        [sys.executable, "-c", code, suite, json.dumps(params)], capture_output=True, text=True,
-        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    return _fresh_python(code, suite, json.dumps(params))
+
+
+def _fresh_seconds(calls):
+    """(seconds, passed) of suite calls in a fresh process, from the first call
+    to the last report (the import is not timed)."""
+    code = (
+        "import json, sys, time\n"
+        "from fqmrep.harness import SuiteSpec, run_suite\n"
+        "t0 = time.perf_counter()\n"
+        "reps = [run_suite(SuiteSpec(*call)) for call in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([time.perf_counter() - t0, all(rep.passed for rep in reps)]))\n"
     )
-    return json.loads(proc.stdout)
+    return _fresh_python(code, json.dumps(calls))
 
 
 def test_exact_homomorphism_mod32_memory_gate():
@@ -280,6 +298,20 @@ def test_criterion_07_odd_prime_weil():
         print(f"  phase-defect table N={N}: max |phase - 1| = {worst:.3e} over {len(elems)**2} pairs")
         assert worst <= 1e-9
     _done("criterion 7 odd-prime weil", t0, 120)
+
+
+def test_float_weil_odd_and_cocycle_odd_mod7_within_budget():
+    # weil-odd N = 7 (16,464 conjugations scanned on one stack of all 336
+    # U(A)) and cocycle-odd N = 7 (dagger and torus laws on the stack of
+    # the 49 J's), the fastest of three fresh processes; 0.041-0.069 s a
+    # process measured on a 2-vCPU box over 30 processes (one U and one
+    # verify_metaplectic per element, one product per pair: 0.083-0.145 s)
+    t0 = time.perf_counter()
+    runs = [_fresh_seconds([["weil-odd", {"N": 7}], ["cocycle-odd", {"N": 7}]]) for _ in range(3)]
+    assert all(passed for _, passed in runs)
+    fastest = min(seconds for seconds, _ in runs)
+    assert fastest < 0.075, f"fastest fresh run {fastest:.3f}s, budget 0.075s"
+    _done("float weil-odd and cocycle-odd N = 7", t0, 10)
 
 
 def test_criterion_08_quadratic_module_properness():

@@ -585,7 +585,7 @@ MIGRATED = (
     [("cocycle-twisted", {"n": 1, "p": 1})]
     + [("cocycle-twisted", {"n": 2, "p": p}) for p in (1, 3)]
     + [("cocycle-twisted", {"n": 3, "p": p}) for p in (1, 3, 5, 7)]
-    + [("cocycle-odd", {"N": 3}), ("cocycle-odd", {"N": 5})]
+    + [("cocycle-odd", {"N": 3}), ("cocycle-odd", {"N": 5}), ("cocycle-odd", {"N": 7})]
     + [("homomorphism", {"n": 2, "exhaustive": True})]
     + [("homomorphism", {"N": 16, "samples": 4})]
     + [("weil-odd", {"N": 5})]
@@ -822,6 +822,70 @@ def test_dagger_law_proves_no_point_unless_member_0_is_the_identity(monkeypatch)
             {"r": 0, "s": 1}, {"r": 1, "s": 0}, {"r": 1, "s": 1},
         ]
     assert calls == []
+
+
+FLOAT_STACK_RUNS = [
+    ("weil-odd", {"N": 3}), ("weil-odd", {"N": 5}), ("weil-odd", {"N": 7}),
+    ("cocycle-odd", {"N": 5}), ("feichtinger-defect", {"N": 4}),
+]
+
+
+@pytest.mark.parametrize("name,params", FLOAT_STACK_RUNS)
+def test_passing_float_stack_runs_compare_no_key_alone(name, params, monkeypatch):
+    # the conjugation, dagger and pair laws of a passing default run are all
+    # decided on float stacks: no pair compared alone, no element verified
+    # alone, no J built and no mat_eq
+    calls = []
+
+    def spy(module, attr):
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, **k: calls.append(attr) or real(*a, **k))
+
+    for module, attr in [(harness, "_pair_compare"), (harness, "verify_metaplectic"),
+                         (harness, "mat_eq"), (metaplectic, "mat_eq"),
+                         (harness, "j_odd"), (metaplectic, "j_odd")]:
+        spy(module, attr)
+    rep = run_suite(SuiteSpec(name, params))
+    assert rep.passed and rep.checks_run > 0
+    assert calls == []
+
+
+def _perturb_odd(monkeypatch, flaw, point):
+    """Patch the odd support formula that both the J table and j_odd read:
+    row 0 of J[point] gets the wrong phase, or the whole of it times omega."""
+    real = magnetic._odd_support
+
+    def perturbed(N, r, s):
+        cols, exponents = real(N, r, s)
+        hit = (np.asarray(r) == point[0]) & (np.asarray(s) == point[1])
+        if flaw == "phase":
+            exponents[..., 0] += hit
+        else:
+            exponents += hit[..., None]
+        return cols, exponents % N
+
+    monkeypatch.setattr(magnetic, "_odd_support", perturbed)
+    monkeypatch.setattr(metaplectic, "_odd_support", perturbed)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+@pytest.mark.parametrize("flaw", [None, "phase", "scalar"])
+def test_cocycle_odd_stacks_report_like_the_per_key_loops(N, flaw, monkeypatch):
+    # the dagger and torus laws on the J stack against one dense comparison
+    # per point and per pair: the same failures, order and deviations
+    if flaw:
+        _perturb_odd(monkeypatch, flaw, (1, 2))
+    got = run_suite(SuiteSpec("cocycle-odd", {"N": N})).to_json()
+    dagger = harness._dagger_law
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_dagger_law", lambda rep, N, op, tol, table=None: dagger(rep, N, op, tol))
+        want = _reference_json(m, "cocycle-odd", {"N": N})
+    failures = json.loads(got)["failures"]
+    assert failures == json.loads(want)["failures"]  # a short diff if not
+    assert got == want
+    assert bool(failures) == (flaw is not None)
+    # omega J[1, 2] is no longer J[-1, -2]^dagger: the dagger law sees either flaw
+    assert ({"r": 1, "s": 2} in [f["inputs"] for f in failures]) == (flaw is not None)
 
 
 def _spy_builds(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the metaplectic representations, twisted and odd-prime."""
 
 import itertools
+import json
 import math
 from functools import cache
 
@@ -590,6 +591,42 @@ def test_weil_odd_unitarity_all(N):
         assert weil_odd_general(N, A).unitary_defect() < 1e-12
 
 
+def _weil_odd_per_element(N, A):
+    # the odd-N builders as they were written one element at a time: the
+    # Gauss-sum form for c != 0, the signed permutation times the column
+    # phases for c = 0
+    a, b, c, d = A.entries()
+    kappa = 1.0 + 0j if N % 4 == 1 else -1j
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    if c % N:
+        l, m = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+        pref = jacobi_symbol(-2 * c, N) * kappa / np.sqrt(N)
+        return pref * roots[(-(a * l * l + d * m * m - 2 * l * m) * pow(2 * c, -1, N)) % N]
+    a_inv, m = pow(a, -1, N), np.arange(N)
+    perm = np.zeros((N, N), dtype=complex)
+    perm[(a_inv * m) % N, m] = jacobi_symbol(a_inv + pow(a_inv, -1, N) - 2, N) or 1
+    return perm * roots[(-a_inv * b * pow(2, -1, N) % N) * m * m % N]
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 11, 13])
+def test_weil_odd_stack_equals_the_per_element_formulas(N):
+    # every element of both branches, bit for bit, in the stack and in the
+    # one-element builders that read it
+    elems = enumerate_sl2(N)
+    stack = metaplectic._weil_odd_stack(N, harness._entries(elems))
+    assert stack.shape == (len(elems), N, N) and stack.dtype == np.complex128
+    assert {A.c == 0 for A in elems} == {True, False}
+    for U, A in zip(stack, elems):
+        want = _weil_odd_per_element(N, A).view(np.uint64)
+        assert np.array_equal(U.view(np.uint64), want), A
+        assert np.array_equal(weil_odd_general(N, A).data.view(np.uint64), want), A
+        if A.c:
+            assert np.array_equal(weil_odd_generic(N, A).data.view(np.uint64), want), A
+    for a in range(1, N):  # weil_odd_d(N, a) is the c = 0 branch at D(a^{-1})
+        want = _weil_odd_per_element(N, dilatation(N, pow(a, -1, N))).view(np.uint64)
+        assert np.array_equal(weil_odd_d(N, a).data.view(np.uint64), want), a
+
+
 def test_u_t_pow_wraps():
     params = HWParams(4, 3)
     assert mat_eq(u_t_pow(params, 5), u_t_pow(params, 1)).equal
@@ -650,7 +687,34 @@ def _spy_stacked(monkeypatch):
     return seen
 
 
+def _weil_odd_reference_json(params):
+    """The weil-odd suite as one loop per element: U(A) built alone, the
+    cycle walk of its conjugations, failures tagged with the element, then
+    one product and one comparison per pair."""
+    N, tol = params["N"], params.get("tol", 1e-9)
+    rep = VerifyReport("weil-odd", {"N": N})
+    elems = enumerate_sl2(N)
+    mats = {A.entries(): weil_odd_general(N, A) for A in elems}
+    for A in elems:
+        sub = _conjugation_reference(mats[A.entries()], A, "weil_odd", tol=tol)
+        rep.checks_run += sub.checks_run
+        rep.max_abs_deviation = max(rep.max_abs_deviation, sub.max_abs_deviation)
+        for f in sub.failures:
+            f.inputs = {"element": list(A.entries()), **f.inputs}
+            rep.failures.append(f)
+    rep.params["pairs"] = params.get("pairs", len(elems) ** 2 <= 20_000)
+    if rep.params["pairs"]:
+        for A, B in itertools.product(elems, repeat=2):
+            got = mats[A.entries()].data @ mats[B.entries()].data
+            dev = float(np.abs(got - mats[(A * B).entries()].data).max())
+            rep.record(dev <= tol, dev, "U(A) U(B) == U(AB)",
+                       {"A": list(A.entries()), "B": list(B.entries())})
+    return rep.to_json()
+
+
 def _reference_suite_json(monkeypatch, name, params):
+    if name == "weil-odd":
+        return _weil_odd_reference_json(params)
     with monkeypatch.context() as m:
         m.setattr(harness, "verify_metaplectic", _conjugation_reference)
         return run_suite(SuiteSpec(name, params)).to_json()
@@ -671,6 +735,48 @@ def test_conjugation_reports_match_the_cycle_walk(name, params, monkeypatch):
     assert seen  # the stacked pass decided the points, flagging just the failures
     assert sum(int((~mask).sum()) for mask in seen) == len(got.failures)
     assert got.to_json() == _reference_suite_json(monkeypatch, name, params)
+
+
+def _flaw_weil_odd(monkeypatch, N, target, flaw):
+    # one element's U, in the stack the suite reads and in the one-element
+    # builders the reference reads: one entry's phase moved by omega, or the
+    # whole matrix times omega (which J U == U J cannot see)
+    real = metaplectic._weil_odd_stack
+
+    def flawed(N, entries):
+        out = real(N, entries)
+        hit = (np.asarray(entries).reshape(4, -1).T % N == target).all(axis=1)
+        for e in np.flatnonzero(hit):
+            if flaw == "moved phase":
+                out[e, 0, np.flatnonzero(out[e, 0])[-1]] *= np.exp(2j * np.pi / N)
+            else:
+                out[e] *= np.exp(2j * np.pi / N)
+        return out
+
+    monkeypatch.setattr(metaplectic, "_weil_odd_stack", flawed)
+    monkeypatch.setattr(harness, "_weil_odd_stack", flawed)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+@pytest.mark.parametrize("flaw,branch", [(None, None)] + list(
+    itertools.product(["moved phase", "times omega"], ["c != 0", "c = 0"])))
+def test_weil_odd_reports_equal_the_per_element_loop(N, flaw, branch, monkeypatch):
+    # one conjugation scan over every (element, point) and the stacked pair
+    # law give the per-element loop's report: the same failures in the same
+    # order with the same deviations
+    target = (0, N - 1, 1, 0) if branch == "c != 0" else (2, 1, 0, pow(2, -1, N))
+    if flaw:
+        _flaw_weil_odd(monkeypatch, N, target, flaw)
+    got = run_suite(SuiteSpec("weil-odd", {"N": N}))
+    want = json.loads(_weil_odd_reference_json({"N": N}))
+    assert json.loads(got.to_json())["failures"] == want["failures"]  # a short diff if not
+    assert got.to_json() == json.dumps(want, sort_keys=True, separators=(",", ":"))
+    if flaw == "moved phase":
+        assert got.failures and {tuple(f.inputs.get("element", ())) for f in got.failures
+                                 if f.identity.startswith("J")} == {target}
+    if flaw == "times omega":  # only the pair law sees a scalar, and N = 7 runs no pairs
+        assert {f.identity for f in got.failures} == (set() if N == 7 else {"U(A) U(B) == U(AB)"})
+    assert got.passed == (flaw is None or (flaw == "times omega" and N == 7))
 
 
 @pytest.mark.parametrize("name,params,builder,count", [
