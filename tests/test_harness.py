@@ -585,12 +585,13 @@ MIGRATED = (
     [("cocycle-twisted", {"n": 1, "p": 1})]
     + [("cocycle-twisted", {"n": 2, "p": p}) for p in (1, 3)]
     + [("cocycle-twisted", {"n": 3, "p": p}) for p in (1, 3, 5, 7)]
-    + [("cocycle-odd", {"N": 3}), ("cocycle-odd", {"N": 5}), ("cocycle-odd", {"N": 7})]
+    + [("cocycle-odd", {"N": 3}), ("cocycle-odd", {"N": 5})]
     + [("homomorphism", {"n": 2, "exhaustive": True})]
     + [("homomorphism", {"N": 16, "samples": 4})]
     + [("weil-odd", {"N": 5})]
     + [("feichtinger-defect", {"N": 4}), ("feichtinger-defect", {"N": 6})]
     + [("cocycle-twisted", {"n": 2, "p": 3, "backend": "float"})]
+    + [("cocycle-odd", {"N": 7})]
 )
 
 
