@@ -12,30 +12,29 @@ phased permutations are decided in bulk on one table of their omega_N
 exponents, from the builders' support formulas: `_support_law` decides the
 exact `heisenberg` commutator law, the exact twisted cocycle
 (`check_pair_law`) and its dagger law as J[l] J[-l] == I, each on a table
-prepared once per suite call (`_law_table`); the twisted J table is first
-factored into the product form J = omega^x0 (F (x) F) (`_kron_support`),
-so its laws read the N-row factors.  The stacked kernel of
-`_conjugation_scan` decides the conjugation law J[l] U(A) == U(A) J[lA] on
-such a table: for `metaplectic` one element at a time, an exact U by the
-omega exponents read from its closed-form builder's table (`_closed_form`,
-`_exponent_codes`), and for `weil-odd` in one scan over every (element,
-point), on the float stack of all its U(A) (`_weil_odd_stack`).  The float
-pair laws (`cocycle-odd` and its dagger law, the `feichtinger-defect` pi
-law, `weil-odd`'s U(A) U(B) == U(AB)) are decided on float stacks of their
-members in stacked products whose deviations keep their bits.  The
-exact `homomorphism` law U(A) U(B) == U(AB) is decided on the same tables
-by `_phase_law`, each table read once into a `_SlotTable` (`_slot_table`):
-a pair with a c = 0 side on the tables' exponent indexes, and a pair of
+prepared once per suite call (`_law_table`), the twisted one factored as
+J = omega^x0 (F (x) F) (`_kron_support`) so that its laws read N-row
+factors.  `_conjugation_scan` decides J[l] U(A) == U(A) J[lA] on such a
+table: for `metaplectic` on U's exponent index from its closed-form
+builder's table (`_closed_form`, `_index`), each element from its two
+generator points once the run's J's meet the cocycle lemma
+(`_generator_cocycle`); for `weil-odd` in one scan over every (element,
+point) on the float stack of its U(A) (`_weil_odd_stack`).  The float pair
+laws (`cocycle-odd` and its dagger law, the `feichtinger-defect` pi law,
+`weil-odd`'s U(A) U(B) == U(AB)) are decided on float stacks in stacked
+products whose deviations keep their bits.  The exact `homomorphism` law
+is decided on the builders' tables by `_phase_law`, each read once into a
+`_SlotTable`: a pair with a c = 0 side on exponent indexes, a pair of
 factor tables modulo a word prime, a block of slots at a time, past dim 64
-by one table's two batched stages, never a dense slot product.  Exact
-`decomposition` chains that law over the prefixes of each element's word,
-holding the tables of S, S^-1 and S^2 for the whole run (`_s_images_hold`
-ties the word's images of them to the closed forms there).
-Keys a kernel does not prove equal, and the keys of every other law, are
-compared one at a time, so a passing exact twisted or `metaplectic` run
-builds no J, a passing exact `homomorphism` or `metaplectic` run no U, a
-passing exact `decomposition` run no matrix and a passing `weil-odd`,
-`cocycle-odd` or `feichtinger-defect` run compares no key alone.
+by one table's two batched stages.  Exact `decomposition` chains that law
+over the prefixes of each element's word, holding the tables of S, S^-1
+and S^2 for the run (`_s_images_hold` ties the word's images of them to
+the closed forms).  Keys a kernel does not prove equal, and the keys of
+every other law, are compared one at a time, so a passing exact twisted or
+`metaplectic` run builds no J, a passing exact `homomorphism` or
+`metaplectic` run no U, a passing exact `decomposition` run no matrix and
+a passing `weil-odd`, `cocycle-odd` or `feichtinger-defect` run compares
+no key alone.
 The backend picks, no option does.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
@@ -66,6 +65,7 @@ from .matrixcore import (
 from .metaplectic import (
     _closed_form,
     _conjugation_scan,
+    _generator_cocycle,
     _j_table,
     _odd_prime,
     _s_table,
@@ -75,7 +75,7 @@ from .metaplectic import (
     u_of_word,
     verify_metaplectic,
 )
-from .report import VerifyReport
+from .report import Failure, VerifyReport
 from .sl2 import (
     SL2Element,
     TooLarge,
@@ -88,16 +88,15 @@ from .sl2 import (
     sl2_t,
 )
 from .weilmod import (
-    IllFormed,
     NotMetaplectic,
     QuadraticModule,
+    _feichtinger_array,
+    _nonhom_witness,
     _pi_support,
     alpha_q,
     chirp,
     chirp_wrap_sign,
     extract_psi,
-    feichtinger_u,
-    find_nonhom_witness,
     find_theta_witness,
     generator_defect,
     pi_shift,
@@ -420,14 +419,6 @@ def _suite_cocycle_twisted(params: dict) -> VerifyReport:
     return rep
 
 
-def _merge(dst: VerifyReport, sub: VerifyReport, tag: dict) -> None:
-    dst.checks_run += sub.checks_run
-    dst.max_abs_deviation = max(dst.max_abs_deviation, sub.max_abs_deviation)
-    for f in sub.failures:
-        f.inputs = {**tag, **f.inputs}
-        dst.failures.append(f)
-
-
 def _suite_metaplectic(params: dict) -> VerifyReport:
     pr = _even_modulus(params)
     tol = float(params.get("tol", 1e-9))
@@ -437,10 +428,14 @@ def _suite_metaplectic(params: dict) -> VerifyReport:
     _guard_dim(N * N)
     rep = VerifyReport("metaplectic", {"N": N, "p": pr.p, "samples": samples, "seed": seed})
     table = _j_table("twisted_even", N, pr)
+    cocycle = _generator_cocycle(table, pr)  # the cocycle lemma, once per run
     named = [("S", sl2_s(N)), ("T", sl2_t(N))]  # at S and T the closed form is u_s and u_t
     for name, A in named + [(list(A.entries()), A) for A in sample_sl2(N, samples, seed)]:
-        U = _closed_form(pr, A)[0]
-        _merge(rep, verify_metaplectic(U, A, "twisted_even", pr, tol, table), {"element": name})
+        sub = verify_metaplectic(_closed_form(pr, A)[0], A, "twisted_even", pr, tol, table, cocycle)
+        rep.checks_run += sub.checks_run
+        rep.max_abs_deviation = max(rep.max_abs_deviation, sub.max_abs_deviation)
+        rep.failures += [Failure(f.identity, {"element": name, **f.inputs}, f.deviation)
+                         for f in sub.failures]
     return rep
 
 
@@ -642,36 +637,31 @@ def _suite_feichtinger_defect(params: dict) -> VerifyReport:
         picks = sorted(rng.sample(range(len(elems)), 48))
         elems = [elems[i] for i in picks]
     ill = 0
+    matrix = cache(lambda x: _feichtinger_array(N, x))  # each U built once: scan and witness
     for A in elems:
-        try:
-            U = feichtinger_u(N, A)
-        except IllFormed:
+        U = matrix(A.entries())
+        if U is None:
             ill += 1
             continue
         try:
-            extract_psi(U, A, tol=tol)
-            rep.record(True, 0.0, "U pi(k,l) U^-1 == psi pi((k,l)A)", {"A": list(A.entries())})
+            ok = extract_psi(U, A, tol=tol) is not None
         except NotMetaplectic:
-            rep.record(False, 1.0, "U pi(k,l) U^-1 == psi pi((k,l)A)", {"A": list(A.entries())})
+            ok = False
+        rep.record(ok, 0.0 if ok else 1.0, "U pi(k,l) U^-1 == psi pi((k,l)A)", {"A": list(A.entries())})
     if ill:
         rep.params["ill_formed"] = ill
     if N % 2 == 0:
-        witness = find_nonhom_witness(N)
-        rep.record(
-            witness is not None,
-            0.0 if witness is not None else 1.0,
-            "some product defect survives every global phase", {},
-        )
-        if witness is not None:
+        witness = _nonhom_witness(N, matrix, 1e-6)
+        ok = witness is not None
+        rep.record(ok, 0.0 if ok else 1.0, "some product defect survives every global phase", {})
+        if ok:
             rep.params["nonhom_pair"] = witness["pair"]
             rep.params["nonhom_defect_norm"] = witness["defect_norm"]
     elif sl2_order(N) ** 2 <= 20_000:
-        witness = find_nonhom_witness(N)
-        rep.record(
-            witness is None,
-            0.0 if witness is None else witness["defect_norm"],
-            "every product composes up to a global phase", {},
-        )
+        witness = _nonhom_witness(N, matrix, 1e-6)
+        ok = witness is None
+        rep.record(ok, 0.0 if ok else witness["defect_norm"],
+                   "every product composes up to a global phase", {})
     return rep
 
 

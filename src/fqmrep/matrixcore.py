@@ -30,7 +30,7 @@ block (dim <= 64) keeps its whole evaluation, and past it one of them is
 applied in two batched stages, 2 n^5/g multiply-adds per slot instead of
 n^6, one slot (or past dim 256 a block of its columns) at a time in reused
 buffers.  The dense `_PhaseTable` of a factor table is summed in one place,
-`_phase_table`, for the consumers that read a matrix or exponent codes.
+`_phase_table`, for the consumers that read a matrix or an index.
 Laws of phased permutations are decided on their integer exponents by
 `_support_law`, on a table prepared once (`_law_table`); a table of square
 Kronecker powers, omega^x0 (F (x) F) like the twisted J's, is factored once
@@ -387,20 +387,6 @@ def _stage_routes(a, b, g, cosets, units, roots) -> tuple[_Route, _Route] | None
             _Route(coset_rows, rows, ((roots, T(second)), (units, T(first)))))
 
 
-def _exponent_codes(table: _SupportTable | _PhaseTable, order: int) -> np.ndarray:
-    """The omega_order exponents of omega^k X for every k, X the matrix of a
-    1-d `_SupportTable` or a `_PhaseTable` up to its scale, `order` a power
-    of two the table's order divides: codes[k] = (E order/table.order + k)
-    mod order on the support or mask, `order` off it (`_index`)."""
-    base = _index(table, order)
-    codes = np.add.outer(np.arange(order, dtype=base.dtype), base)  # below 2 order: no wrap
-    codes &= order - 1
-    off = base == order
-    if off.any():
-        np.copyto(codes, order, where=off)
-    return codes
-
-
 def _side_law(x: _SlotTable, y: _SlotTable, z: _SlotTable) -> bool | None:
     """Whether X Y == Z when X or Y is a phased permutation P, decided on the
     exponent indexes, or None when neither is.
@@ -517,7 +503,7 @@ def _law_table(table: _SupportTable) -> _LawTable:
     """The table prepared for `_support_law`, once per suite call.  Its order
     must divide 2^16, so that codes in an unsigned type wrap mod a multiple
     of it.  The builders' int64 tables stay as they are for
-    `_stacked_conjugation` and `_exponent_codes`."""
+    `_stacked_conjugation`."""
     order, dim = table.order, table.cols.shape[1]
     if (1 << 16) % order:
         raise ValueError(f"_support_law needs an order dividing 2^16, got {order}")

@@ -56,8 +56,8 @@ from .exactnum import NotAUnit, _is_odd_prime, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
 from .matrixcore import (
-    OpMatrix, _exponent_codes, _FactorTable, _float_stack, _PhaseTable, _phase_table, _roots,
-    _stack_deviation, _SupportTable, mat_eq,
+    OpMatrix, _FactorTable, _float_stack, _index, _kron_support, _law_table, _member_is_identity,
+    _PhaseTable, _phase_table, _roots, _stack_deviation, _support_law, _SupportTable, mat_eq,
 )
 from .report import VerifyReport
 from .sl2 import SL2Element, Token, dilatation, sl2_t
@@ -350,11 +350,6 @@ def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
 
 # -- the property checker ------------------------------------------------------
 
-# matrix entries per side of a chunk of points of the exact codes kernel:
-# 2^14-2^16 measured best at metaplectic n = 3; 2^12 and 2^18-2^20 took about
-# 1.3x as long.  Float stacks take blocks of `matrixcore._FLOAT_BLOCK`.
-_CHUNK_ENTRIES = 1 << 16
-
 
 def _j_table(flavor: str, N: int, params: HWParams | None) -> _SupportTable:
     """Every J_{r,s} of `flavor`, r-major, from its builder's support formula
@@ -365,9 +360,51 @@ def _j_table(flavor: str, N: int, params: HWParams | None) -> _SupportTable:
     return _SupportTable(N, *support)
 
 
+def _generator_cocycle(table: _SupportTable, params: HWParams) -> bool:
+    """Whether J_0 = I and J_m J_{e_i} == omega^{phi(m, e_i)} J_{m + e_i} for
+    every m, e_1 = (1, 0) and e_2 = (0, 1), J_{r,s} at row N r + s and
+    phi(l, l') = p (r' s - s' r) in units of the table's order (on its
+    Kronecker form where it has one).  phi is bilinear, so by induction on
+    l the cocycle then holds at every pair: the cocycle lemma."""
+    N, law = params.N, _kron_support(table) or _law_table(table)
+    r, s = np.divmod(np.arange(N * N), N)
+    steps = np.concatenate((N * ((r + 1) % N) + s, N * r + (s + 1) % N))
+    phase = params.p * (table.order // N) * np.concatenate((s, -r))
+    held = _support_law(law, np.tile(N * r + s, 2), np.repeat([N, 1], N * N), steps, phase)
+    return _member_is_identity(law, 0) and bool(held.all())
+
+
+def _index_conjugation(
+    table: _SupportTable, index: np.ndarray, order: int, left: np.ndarray, right: np.ndarray,
+) -> np.ndarray:
+    """Whether J[left[k]] U == U J[right[k]] for each k, on U's exponent index
+    at `order` (`_index`), a multiple of the table's order.  Row i of J_l U
+    is row c_l(i) of U times omega^{k_l(i)}, column c_m(t) of U J_m column t
+    times omega^{k_m(t)} (c_m a permutation, else no proof): so the index at
+    rows c_l and columns c_m plus k_l(i) - k_m(t) is U's own, compared on
+    the marker bit (moved to 4 order, above any exponent plus two phases)
+    and the exponent bits where U is nonzero."""
+    low, scale, dtype = order - 1, order // table.order, np.min_scalar_type(6 * order - 1)
+    marked, keep = index.astype(dtype), np.full(index.shape, 5 * order - 1, dtype=dtype)
+    marked[index == order] = keep[index == order] = 4 * order
+    rows = (table.exps[left] * scale & low).astype(dtype)
+    columns = (-table.exps[right] * scale & low).astype(dtype)
+    equal = np.zeros(len(left), dtype=bool)
+    for k, (l, m) in enumerate(zip(left.tolist(), right.tolist())):
+        c = table.cols[m]
+        if np.array_equal(np.sort(c), np.arange(len(c))):
+            got = np.take(marked[table.cols[l]], c, axis=1)
+            got += rows[k, :, None] + columns[k]
+            got ^= marked
+            got &= keep
+            equal[k] = not got.any()
+    return equal
+
+
 def _stacked_conjugation(
     table: _SupportTable, U: np.ndarray | _SupportTable | _PhaseTable, left: np.ndarray,
     right: np.ndarray, tol: float, element: np.ndarray | None = None,
+    generators: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(equal, deviation) of J[left[k]] U against U J[right[k]] for each k,
     U a float stack (members, dim, dim), member element[k] at key k, or the
@@ -376,13 +413,11 @@ def _stacked_conjugation(
     Float: a block of keys at a time (`_stack_deviation`), the block's J
     are densified (`_float_stack`) and multiplied with the block's U in
     stacked per-slice products, so each deviation is the one `mat_eq` gives
-    on the same products.  Table: codes[k] holds the exponents of omega^k U
-    (`_exponent_codes`, read from U's table at the higher of the two
-    orders), so row i of J[l] U is row (k_l(i), c_l(i)) of the codes and
-    column j of U J[m] column rho(j) of layer k_m(rho(j)), rho the inverse
-    of c_m: two gathers and one compare, `_CHUNK_ENTRIES` entries a side.
-    U's scale is common to both sides.  A c_m that is no permutation
-    proves no point.
+    on the same products.  Table: on U's exponent index at the higher of
+    the two orders (`_index_conjugation`).  `generators` (e_1, e_2 and their
+    images under U's A, the table meeting `_generator_cocycle`) decide every
+    key when both hold: J_{l + e_i} U = omega^{-phi(l, e_i)} J_l U J_{e_i A}
+    = U J_{(l + e_i) A} once J_l U = U J_{lA}, as phi is SL2-invariant.
     """
     n, dim = len(left), table.cols.shape[1]
     if isinstance(U, np.ndarray):
@@ -393,36 +428,27 @@ def _stacked_conjugation(
 
         dev = _stack_deviation(n, dim, sides)
         return dev <= tol, dev
-    step = max(1, _CHUNK_ENTRIES // dim**2)
     order = max(U.order, table.order)
-    codes, scale = _exponent_codes(U, order), order // table.order
-    rows = table.exps[left] * scale * dim + table.cols[left]
-    inverse = np.argsort(table.cols[right], axis=1)
-    equal = (np.take_along_axis(table.cols[right], inverse, axis=1) == np.arange(dim)).all(axis=1)
-    columns = np.take_along_axis(table.exps[right] * scale * dim, inverse, axis=1) + inverse
-    by_row, by_column = codes.reshape(-1, dim), codes.transpose(0, 2, 1).reshape(-1, dim)
-    for a in range(0, n, step):
-        l = slice(a, a + step)
-        lhs = by_row.take(rows[l], axis=0)  # (point, i, j)
-        rhs = by_column.take(columns[l], axis=0)  # (point, j, i)
-        equal[l] &= (lhs == rhs.transpose(0, 2, 1)).all(axis=(1, 2))
-    return equal, np.zeros(n)
+    index = _index(U, order)
+    if generators is not None and _index_conjugation(table, index, order, *generators).all():
+        return np.ones(n, dtype=bool), np.zeros(n)
+    return _index_conjugation(table, index, order, left, right), np.zeros(n)
 
 
 def _conjugation_scan(
     report: VerifyReport, N: int, table: _SupportTable, entries: np.ndarray, U, j_of, matrix,
-    tol: float, inputs, stacked: bool = True,
+    tol: float, inputs, generated: bool = False,
 ) -> None:
     """Record J_l U_e == U_e J_{l A_e} by one `VerifyReport.scan` over the keys
     (e, l), element-major: e numbers the elements of `entries`, an array
     (4, count) of (a, b, c, d) mod N, and l = N r + s the points of the J
     table.
 
-    With `stacked`, `_stacked_conjugation` decides blocks of keys on U, a
-    float stack of the elements' matrices or one element's table.  Every
-    key it does not prove equal is compared as mat_eq(J_l @ U_e, U_e @
-    J_{l A_e}), J built by j_of((r, s)) and U_e by matrix(e), and named by
-    inputs(e, l).
+    Unless U is None, `_stacked_conjugation` decides blocks of keys on U, a
+    float stack of the elements' matrices or one element's table, with
+    `generated` from its two generator points.  Every key it does not prove
+    equal is compared as mat_eq(J_l @ U_e, U_e @ J_{l A_e}), J built by
+    j_of((r, s)) and U_e by matrix(e), and named by inputs(e, l).
     """
 
     def image(e, l):  # the point (r, s) A_e, as its index N r' + s'
@@ -435,37 +461,31 @@ def _conjugation_scan(
         return mat_eq(lhs @ matrix(e), matrix(e) @ rhs, tol)
 
     def decide(e, l):
-        return _stacked_conjugation(table, U, l, image(e, l), tol, e)
+        generators = (np.array([N, 1]), image(e[0], np.array([N, 1]))) if generated else None
+        return _stacked_conjugation(table, U, l, image(e, l), tol, e, generators)
 
     keys = np.indices((entries.shape[1], N * N)).reshape(2, -1)
-    report.scan("J[r,s] U == U J[(r,s)A]", keys, compare, inputs, decide if stacked else None)
+    report.scan("J[r,s] U == U J[(r,s)A]", keys, compare, inputs, None if U is None else decide)
 
 
 def verify_metaplectic(
-    U: OpMatrix | _SupportTable | _PhaseTable,
+    U: OpMatrix | _SupportTable | _PhaseTable | _FactorTable,
     A: SL2Element,
     flavor: str,
     params: HWParams | None = None,
     tol: float = 1e-9,
     table: _SupportTable | None = None,
+    cocycle: bool | None = None,
 ) -> VerifyReport:
     """Check J_{r,s} U = U J_{(r,s)A} over every (r,s) in Z_N^2, U an OpMatrix
     or the table a builder wrote for an exact U (as `_closed_form` gives).
 
     The side-multiplied form avoids inverting U and is equivalent for
-    invertible U.  The J's come from `table`, their row supports computed
-    from the builders' formulas for all points at once (a suite checking
-    many elements passes one `_j_table` for the same flavor and params).
-    The points are recorded by `_conjugation_scan` with one element.  When
-    U has the table's dim, a stacked pass (`_stacked_conjugation`) decides
-    them: U's table by equality of two gathers of its exponent codes, a
-    float U as a stack of one member by stacked BLAS products (`weil-odd`
-    scans all its elements at once on the same kernel); an exact OpMatrix
-    takes none.  Every point not proven equal is compared as
-    mat_eq(J[l] @ U, U @ J[lA]), each J built by `j_twisted`/`j_odd` and a
-    table's U once (`_table_op`), so failures and deviations are those of
-    the products, recorded in (r, s) lexicographic order: the result is
-    deterministic.
+    invertible U.  `table` is the flavor's `_j_table` and `cocycle` its
+    `_generator_cocycle` verdict, made here when None.  `_conjugation_scan`
+    records the points in (r, s) order: a table U from its two generator
+    points where `cocycle` holds, a float U by stacked BLAS products, every
+    point left as mat_eq(J[l] @ U, U @ J[lA]), J built by `j_twisted`/`j_odd`.
     """
     if isinstance(U, OpMatrix):
         backend, dim, matrix = U.backend, U.dim, lambda e: U
@@ -490,12 +510,13 @@ def verify_metaplectic(
         raise ValueError(f"element modulus {A.N} != {N}")
     rep_params["element"] = list(A.entries())
     report = VerifyReport(suite="metaplectic", params=rep_params)
-    if table is None:
-        table = _j_table(flavor, N, params)
-    # the odd J's are float only: their roots are not in an exact U's ring
-    stacks = kernel_u is not None and (backend == "float" or flavor == "twisted_even")
+    table = _j_table(flavor, N, params) if table is None else table
+    if (backend == "exact" and flavor != "twisted_even") or dim != table.cols.shape[1]:
+        kernel_u = None  # the odd J's are float only: their roots are not in an exact U's ring
+    generated = kernel_u is not None and backend == "exact" and (
+        _generator_cocycle(table, params) if cocycle is None else cocycle)
     _conjugation_scan(
         report, N, table, np.array(A.entries())[:, None], kernel_u, j_of, matrix, tol,
-        lambda e, l: {"r": l // N, "s": l % N}, stacks and dim == table.cols.shape[1],
+        lambda e, l: {"r": l // N, "s": l % N}, generated,
     )
     return report

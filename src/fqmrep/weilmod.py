@@ -374,6 +374,14 @@ def extract_psi(
     return sample
 
 
+def _feichtinger_array(N: int, entries) -> np.ndarray | None:
+    # feichtinger_u(N, entries) as a complex array, None where ill-formed
+    try:
+        return feichtinger_u(N, entries).to_complex_array()
+    except IllFormed:
+        return None
+
+
 def find_nonhom_witness(N: int, tol: float = 1e-6) -> dict | None:
     """First ordered pair (A, B) whose product defect survives any global phase.
 
@@ -384,20 +392,18 @@ def find_nonhom_witness(N: int, tol: float = 1e-6) -> dict | None:
     {"N", "pair", "defect_norm"}, or None when every pair composes
     (odd N).
     """
+    return _nonhom_witness(N, {A.entries(): _feichtinger_array(N, A) for A in enumerate_sl2(N)}.get, tol)
+
+
+def _nonhom_witness(N: int, matrix, tol: float) -> dict | None:
+    # `find_nonhom_witness`, matrix(entries) giving `_feichtinger_array`'s result
     elems = enumerate_sl2(N)
-    mats: dict[tuple[int, int, int, int], np.ndarray | None] = {}
     for A in elems:
-        try:
-            mats[A.entries()] = feichtinger_u(N, A).to_complex_array()
-        except IllFormed:
-            mats[A.entries()] = None
-    for A in elems:
-        left = mats[A.entries()]
+        left = matrix(A.entries())
         if left is None:
             continue
         for B in elems:
-            right = mats[B.entries()]
-            prod = mats[(A * B).entries()]
+            right, prod = matrix(B.entries()), matrix((A * B).entries())
             if right is None or prod is None:
                 continue
             X = left @ right
@@ -405,9 +411,5 @@ def find_nonhom_witness(N: int, tol: float = 1e-6) -> dict | None:
             d2 = (np.abs(X) ** 2).sum() + (np.abs(prod) ** 2).sum() - 2 * t
             d = math.sqrt(max(float(d2), 0.0))
             if d > tol:
-                return {
-                    "N": N,
-                    "pair": [list(A.entries()), list(B.entries())],
-                    "defect_norm": d,
-                }
+                return {"N": N, "pair": [list(A.entries()), list(B.entries())], "defect_norm": d}
     return None

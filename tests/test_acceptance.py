@@ -139,15 +139,18 @@ def _fresh_python(code, *args):
 
 
 def _fresh_run(suite, params):
-    """(passed, checks_run, max_abs_deviation, peak KiB) of one suite run in a
-    fresh process.  The peak is the child's VmHWM: its ru_maxrss would carry
-    this test process's own peak, which Linux keeps across the fork and exec."""
+    """(passed, checks_run, max_abs_deviation, peak KiB, suite seconds, report
+    sha256) of one suite run in a fresh process.  The peak is the child's
+    VmHWM: its ru_maxrss would carry this test process's own peak, which
+    Linux keeps across the fork and exec."""
     code = (
-        "import json, re, sys\n"
+        "import hashlib, json, re, sys\n"
         "from fqmrep.harness import SuiteSpec, run_suite\n"
         "rep = run_suite(SuiteSpec(sys.argv[1], json.loads(sys.argv[2])))\n"
         "peak = int(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
-        "print(json.dumps([rep.passed, rep.checks_run, rep.max_abs_deviation, peak]))\n"
+        "digest = hashlib.sha256(rep.to_json().encode()).hexdigest()\n"
+        "print(json.dumps([rep.passed, rep.checks_run, rep.max_abs_deviation, peak,\n"
+        "                  rep.runtime_ms / 1000, digest]))\n"
     )
     return _fresh_python(code, suite, json.dumps(params))
 
@@ -172,7 +175,7 @@ def test_exact_homomorphism_mod32_memory_gate():
     # whole (L, dim, dim) evaluations: 3.6 s and 827 MB)
     t0 = time.perf_counter()
     params = {"N": 32, "samples": 3, "seed": 7, "backend": "exact"}
-    passed, checks, deviation, peak_kib = _fresh_run("homomorphism", params)
+    passed, checks, deviation, peak_kib, *_ = _fresh_run("homomorphism", params)
     assert passed and checks == 3 and deviation == 0.0
     assert peak_kib <= 250 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 250 MB"
     _done("exact homomorphism N = 32", t0, 8)
@@ -180,15 +183,32 @@ def test_exact_homomorphism_mod32_memory_gate():
 
 def test_exact_metaplectic_mod16_within_budget():
     # J U(A) == U(A) J_{(r,s)A} exactly at N = 16 (dim 256) for S, T and 20
-    # seeded elements, every point decided on the exponent codes read from
-    # U's table; 0.6-0.7 s measured on a 2-vCPU box (codes decoded from U's
-    # coefficient tensor: 0.8-0.9 s; the coefficient-roll kernel: 4.3 s)
+    # seeded elements, each decided at its two generator points on U's
+    # exponent index; 0.04 s measured on a 2-vCPU box (every point on
+    # exponent codes: 0.6-0.7 s; codes decoded from U's coefficient tensor:
+    # 0.8-0.9 s; the coefficient-roll kernel: 4.3 s)
     t0 = time.perf_counter()
     rep = run_suite(SuiteSpec("metaplectic", {"n": 4, "p": 1, "samples": 20}))
     assert rep.passed
     assert rep.checks_run == 22 * 256
     assert rep.max_abs_deviation == 0.0
     _done("exact metaplectic N = 16", t0, 3)
+
+
+def test_exact_metaplectic_mod32_fresh_gate():
+    # J U(A) == U(A) J_{(r,s)A} exactly at N = 32 (dim 1,024) for S, T and 2
+    # seeded elements, in a fresh process: the twisted cocycle at the 2N^2
+    # generator pairs once, then each element at its two generator points
+    # on U's exponent index; 0.09-0.13 s and 61 MB measured on a 2-vCPU box
+    # (every point on order-layer exponent codes: 5.9-8.5 s and 149 MB)
+    t0 = time.perf_counter()
+    params = {"n": 5, "p": 1, "samples": 2, "seed": 7}
+    passed, checks, deviation, peak_kib, seconds, digest = _fresh_run("metaplectic", params)
+    assert passed and checks == 4 * 1024 and deviation == 0.0
+    assert digest.startswith("8816be7be9b9f30c")
+    assert seconds <= 1.0, f"suite took {seconds:.2f}s, budget 1s"
+    assert peak_kib <= 90 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 90 MB"
+    _done("exact metaplectic N = 32", t0, 10)
 
 
 def test_exact_cocycle_twisted_mod16_within_budget():
@@ -227,7 +247,7 @@ def test_exact_decomposition_mod16_memory_gate():
     # 37 MB; dense word products: 4.7-5.2 s and 373 MB)
     t0 = time.perf_counter()
     params = {"n": 4, "samples": 50, "seed": 7, "backend": "exact"}
-    passed, checks, deviation, peak_kib = _fresh_run("decomposition", params)
+    passed, checks, deviation, peak_kib, *_ = _fresh_run("decomposition", params)
     assert passed and checks == 50 and deviation == 0.0
     assert peak_kib <= 100 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 100 MB"
     _done("exact decomposition N = 16", t0, 5)
@@ -240,7 +260,7 @@ def test_exact_decomposition_mod32_within_budget():
     # a 2-vCPU box (c = 0 sides gathered at every slot: 8.6 s and 73 MB)
     t0 = time.perf_counter()
     params = {"n": 5, "samples": 10, "seed": 7, "backend": "exact"}
-    passed, checks, deviation, peak_kib = _fresh_run("decomposition", params)
+    passed, checks, deviation, peak_kib, *_ = _fresh_run("decomposition", params)
     assert passed and checks == 10 and deviation == 0.0
     assert peak_kib <= 100 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 100 MB"
     _done("exact decomposition N = 32", t0, 5)

@@ -737,29 +737,45 @@ def test_guard_tripping_dense_pair_takes_the_object_path(ntt_calls):
 @pytest.mark.parametrize("order,target,dtype", [
     (8, 8, np.uint8), (8, 32, np.uint8), (128, 128, np.uint8), (128, 256, np.uint16),
 ])
-def test_exponent_codes_read_a_table_in_the_smallest_type(order, target, dtype):
-    # codes[k, i, j] is the omega_target exponent of omega^k X[i, j], X the
-    # table's matrix up to its scale, and `target` off its mask or support:
-    # for a phase table with a mask, one without and a 1-d support table
+def test_index_kernel_reads_a_table_in_the_smallest_type(order, target, dtype):
+    # `_index` gives the omega_target exponents of X, the table's matrix up
+    # to its scale, and `target` off its mask or support, in the smallest
+    # type; on it the conjugation kernel decides J_l X == X J_m as the dense
+    # products do: for a phase table with a mask, one without and a 1-d
+    # support table, against phased permutations J at the table's order
+    # (for the support table also J_m = X^-1 J_l X, where the law holds) and
+    # a J that is no permutation
     rng = np.random.default_rng(order + target)
     exps, mask = rng.integers(-order, order, size=(6, 6)), rng.random((6, 6)) < 0.7
     cols = rng.permutation(6)
     support = np.zeros((6, 6), dtype=bool)
     support[np.arange(6), cols] = True
-    k = np.arange(target)[:, None, None]
-    for table, on, scale in [
-        (matrixcore._PhaseTable(order, exps, mask, 3), mask, 8),
-        (matrixcore._PhaseTable(order, exps, None, 3), np.ones((6, 6), dtype=bool), 8),
-        (matrixcore._SupportTable(order, cols, exps[np.arange(6), cols]), support, 1),
+    dense = lambda c, e: OpMatrix.from_support(order, c, e).to_complex_array()  # noqa: E731
+    for table, on in [
+        (matrixcore._PhaseTable(order, exps, mask, 3), mask),
+        (matrixcore._PhaseTable(order, exps, None, 3), np.ones((6, 6), dtype=bool)),
+        (matrixcore._SupportTable(order, cols, exps[np.arange(6), cols]), support),
     ]:
-        codes = matrixcore._exponent_codes(table, target)
-        assert codes.dtype == dtype and codes.shape == (target, 6, 6)
-        want = np.where(on, (exps * (target // order) + k) % target, target)
-        assert np.array_equal(codes, want)
+        index = matrixcore._index(table, target)
+        assert index.dtype == dtype and index.shape == (6, 6)
+        assert np.array_equal(index, np.where(on, exps * (target // order) % target, target))
         support_table = isinstance(table, matrixcore._SupportTable)
         X = (OpMatrix.from_support if support_table else OpMatrix.from_phase_table)(*table)
-        values = np.where(codes < target, np.exp(2j * np.pi * codes / target), 0) / scale
-        assert np.allclose(values, np.exp(2j * np.pi * k / target) * X.to_complex_array())
+        X = X.to_complex_array()
+        members = [(rng.permutation(6), rng.integers(order, size=6)) for _ in range(3)]
+        if support_table:
+            for c, e in list(members):
+                image = np.linalg.inv(X) @ dense(c, e) @ X
+                c = np.abs(image).argmax(axis=1)
+                angle = np.angle(image[np.arange(6), c]) * order / (2 * np.pi)
+                members.append((c, np.rint(angle).astype(np.int64) % order))
+        members.append((np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64)))
+        J = matrixcore._SupportTable(order, *map(np.array, zip(*members)))
+        left, right = np.indices((len(members),) * 2).reshape(2, -1)
+        got = metaplectic._index_conjugation(J, index, target, left, right)
+        want = [np.allclose(dense(*members[l]) @ X, X @ dense(*members[m]))
+                for l, m in zip(left, right)]
+        assert got.tolist() == want and any(want) == support_table
 
 
 def _law_family(family, pr):

@@ -58,6 +58,7 @@ from fqmrep.sl2 import (
     sl2_t,
     word_element,
 )
+from test_harness import _assert_same_json, _perturb_twisted
 
 
 def test_u_s_frozen_n1():
@@ -636,10 +637,11 @@ def test_u_t_pow_wraps():
 # -- the stacked conjugation check against the cycle walk ----------------------
 
 
-def _conjugation_reference(U, A, flavor, params=None, tol=1e-9, table=None):
+def _conjugation_reference(U, A, flavor, params=None, tol=1e-9, table=None, cocycle=None):
     """The cycle walk the stacked check replaced: one J U and one U J product
     and one mat_eq per point, each J built by the (possibly patched) builder;
-    a builder's table for U is built into its exact matrix first."""
+    a builder's table for U is built into its exact matrix first.  Neither
+    `table` nor the suite's `cocycle` verdict is read."""
     if not isinstance(U, OpMatrix):
         U = _table_op(params, U, "exact", "U")
     if flavor == "twisted_even":
@@ -734,7 +736,7 @@ def test_conjugation_reports_match_the_cycle_walk(name, params, monkeypatch):
     got = run_suite(SuiteSpec(name, params))
     assert seen  # the stacked pass decided the points, flagging just the failures
     assert sum(int((~mask).sum()) for mask in seen) == len(got.failures)
-    assert got.to_json() == _reference_suite_json(monkeypatch, name, params)
+    _assert_same_json(got.to_json(), _reference_suite_json(monkeypatch, name, params))
 
 
 def _flaw_weil_odd(monkeypatch, N, target, flaw):
@@ -769,8 +771,7 @@ def test_weil_odd_reports_equal_the_per_element_loop(N, flaw, branch, monkeypatc
         _flaw_weil_odd(monkeypatch, N, target, flaw)
     got = run_suite(SuiteSpec("weil-odd", {"N": N}))
     want = json.loads(_weil_odd_reference_json({"N": N}))
-    assert json.loads(got.to_json())["failures"] == want["failures"]  # a short diff if not
-    assert got.to_json() == json.dumps(want, sort_keys=True, separators=(",", ":"))
+    _assert_same_json(got.to_json(), json.dumps(want, sort_keys=True, separators=(",", ":")))
     if flaw == "moved phase":
         assert got.failures and {tuple(f.inputs.get("element", ())) for f in got.failures
                                  if f.identity.startswith("J")} == {target}
@@ -808,22 +809,29 @@ def _flawed_u_report(bad, A, params, monkeypatch):
     # checking the report against the cycle walk's
     seen = _spy_stacked(monkeypatch)
     got = verify_metaplectic(bad, A, "twisted_even", params)
-    assert got.to_json() == _conjugation_reference(bad, A, "twisted_even", params).to_json()
+    _assert_same_json(got.to_json(), _conjugation_reference(bad, A, "twisted_even", params).to_json())
     assert 0 < len(got.failures) < 64
     return seen, {params.N * f.inputs["r"] + f.inputs["s"] for f in got.failures}
 
 
 def _flawed_table(params, A, flaw):
-    # U(A)'s masked table with one entry on the mask moved to omega times
-    # itself ("moved") or to its negative ("sign"), or one entry off the mask
-    # switched on ("mask bit")
+    # U(A)'s table with one entry on the mask moved to omega times itself
+    # ("moved") or to its negative ("sign"), or one entry off the mask
+    # switched on ("mask bit"); a c = 0 table (a phased permutation) moves
+    # the entry of row 5, and an unmasked one is masked everywhere
     table = _phase_table(_closed_form(params, A)[0])
-    exps, mask = table.exps.copy(), table.mask.copy()
+    shift = 1 if flaw == "moved" else table.order // 2
+    if isinstance(table, _SupportTable):
+        exps = table.exps.copy()
+        exps[5] = (exps[5] + shift) % table.order
+        return table._replace(exps=exps)
+    exps = table.exps.copy()
+    mask = np.ones(exps.shape, dtype=bool) if table.mask is None else table.mask.copy()
     i, j = np.argwhere(~mask if flaw == "mask bit" else mask)[5]
     if flaw == "mask bit":
         mask[i, j] = True
     else:
-        exps[i, j] += 1 if flaw == "moved" else table.order // 2
+        exps[i, j] += shift
     return table._replace(exps=exps, mask=mask)
 
 
@@ -958,6 +966,13 @@ def test_stacked_conjugation_proves_nothing_for_a_non_permutation_j():
     assert not mat_eq(J[0] @ OpMatrix.identity(2), OpMatrix.identity(2) @ J[1]).equal
     equal, _ = metaplectic._stacked_conjugation(table, U, np.array([0, 0]), np.array([0, 1]), 0.0)
     assert equal.tolist() == [True, False]
+    # U of equal columns (all ones): U at the columns c_1 is U again, but
+    # U J[1] has column 0 twice U's and column 1 zero
+    ones = matrixcore._PhaseTable(8, np.zeros((2, 2), dtype=np.int64), None, 0)
+    U = OpMatrix.from_phase_table(*ones)
+    assert not mat_eq(J[0] @ U, U @ J[1]).equal
+    equal, _ = metaplectic._stacked_conjugation(table, ones, np.array([0, 0]), np.array([0, 1]), 0.0)
+    assert equal.tolist() == [True, False]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -966,7 +981,8 @@ def test_stacked_conjugation_proves_nothing_for_a_non_permutation_j():
 def test_promoted_order_and_scale_match_the_cycle_walk(n, element, higher, monkeypatch):
     # U(S)'s table carries 2^-n; times omega_16^3 its order 16 exceeds the
     # J's order N, or the J's are given order 16 (table and builder) over
-    # U's order N: the codes are read at the higher order
+    # U's order N: the index is read at the higher order, and the table
+    # meets the cocycle lemma with phi in its own units
     params = HWParams(2**n)
     U = _phase_table(_closed_form(params, sl2_s(params.N))[0])
     table = metaplectic._j_table("twisted_even", params.N, params)
@@ -981,10 +997,12 @@ def test_promoted_order_and_scale_match_the_cycle_walk(n, element, higher, monke
     assert (U.order, table.order) == ((16, params.N) if higher == "U" else (params.N, 16))
     A = sl2_s(params.N) if element == "S" else sl2_t(params.N)  # T: U(S) is wrong
     seen = _spy_stacked(monkeypatch)
+    verdicts, points = _spy_two_points(monkeypatch)
     got = verify_metaplectic(U, A, "twisted_even", params, table=table)
     assert len(seen) == 1 and int((~seen[0]).sum()) == len(got.failures)
-    assert got.to_json() == _conjugation_reference(U, A, "twisted_even", params).to_json()
+    _assert_same_json(got.to_json(), _conjugation_reference(U, A, "twisted_even", params).to_json())
     assert got.passed == (element == "S")
+    assert verdicts == [True] and points == ([2] if got.passed else [2, params.N**2])
 
 
 def test_float_twisted_matches_the_cycle_walk(monkeypatch):
@@ -995,7 +1013,8 @@ def test_float_twisted_matches_the_cycle_walk(monkeypatch):
                    (u_general(params, A).to_float(), 1e-20)]:
         got = verify_metaplectic(U, A, "twisted_even", params, tol=tol)
         assert int((~seen[-1]).sum()) == len(got.failures)
-        assert got.to_json() == _conjugation_reference(U, A, "twisted_even", params, tol).to_json()
+        want = _conjugation_reference(U, A, "twisted_even", params, tol)
+        _assert_same_json(got.to_json(), want.to_json())
     assert len(seen) == 3
 
 
@@ -1013,7 +1032,8 @@ def test_float_u_on_the_shared_table_matches_the_cycle_walk(n, monkeypatch):
         got = verify_metaplectic(U.to_float(), A, "twisted_even", params, table=table)
         assert int((~seen[-1]).sum()) == len(got.failures)
         want = _conjugation_reference(U.to_float(), A, "twisted_even", params)
-        assert got.to_json() == want.to_json() and got.passed == passes
+        _assert_same_json(got.to_json(), want.to_json())
+        assert got.passed == passes
     assert len(seen) == len(cases)
 
 
@@ -1510,3 +1530,147 @@ def test_staged_residues_equal_the_dense_slot_product(N, monkeypatch):
                 seen.add((side, f"g = {min(table.g, 2)}"))
     kinds = {"g = 1"} | ({"g = 2"} if N >= 4 else set())
     assert seen == {("side", "c = 0")} | {(side, kind) for side in ("left", "right") for kind in kinds}
+
+
+# -- the conjugation law from two points ----------------------------------------
+
+
+def _spy_two_points(monkeypatch):
+    """The verdict of each `_generator_cocycle` call, from the suite or from
+    `verify_metaplectic`, and the number of points each `_index_conjugation`
+    call decides."""
+    verdicts, points = [], []
+    real_cocycle, real_kernel = metaplectic._generator_cocycle, metaplectic._index_conjugation
+
+    def cocycle(*args):
+        verdicts.append(real_cocycle(*args))
+        return verdicts[-1]
+
+    def kernel(table, index, order, left, right):
+        points.append(len(left))
+        return real_kernel(table, index, order, left, right)
+
+    monkeypatch.setattr(harness, "_generator_cocycle", cocycle)
+    monkeypatch.setattr(metaplectic, "_generator_cocycle", cocycle)
+    monkeypatch.setattr(metaplectic, "_index_conjugation", kernel)
+    return verdicts, points
+
+
+@pytest.mark.parametrize("params", [{"n": 3, "samples": 3}, {"n": 3, "p": 5, "samples": 6, "seed": 2}])
+def test_passing_run_decides_each_element_from_two_points(params, monkeypatch):
+    # one generator-cocycle check per run, and the index kernel reads the
+    # two generator points of each element and nothing else
+    verdicts, points = _spy_two_points(monkeypatch)
+    rep = run_suite(SuiteSpec("metaplectic", params))
+    assert rep.passed and rep.checks_run == (2 + params["samples"]) * 64
+    assert verdicts == [True]
+    assert points == [2] * (2 + params["samples"])
+
+
+def _full_cocycle(table, pr):
+    # the twisted cocycle at all N^4 pairs (l, l'), on the N^2-row table
+    N = pr.N
+    x, y = harness._key_pairs(N, 2)
+    out = N * ((x[0] + y[0]) % N) + (x[1] + y[1]) % N
+    phase = pr.p * (y[0] * x[1] - y[1] * x[0])
+    law = matrixcore._law_table(table)
+    return bool(matrixcore._support_law(law, N * x[0] + x[1], N * y[0] + y[1], out, phase).all())
+
+
+@pytest.mark.parametrize("flaw", [None, "phase", "scalar", "swap", "collision"])
+@pytest.mark.parametrize("point", [(1, 2), (0, 0), (1, 0), (0, 1)])
+def test_generator_cocycle_equals_the_full_pair_law(flaw, point, monkeypatch):
+    # the cocycle lemma: on the real J table, and on ones flawed at a point
+    # (J_0, a generator or another), the 2 N^2 generator pairs with J_0 = I
+    # give the verdict of all N^4 pairs
+    for n in (1, 2, 3):
+        N = 2**n
+        with monkeypatch.context() as m:
+            if flaw:
+                _perturb_twisted(m, flaw, (point[0] % N, point[1] % N))
+            for p in range(1, N, 2):
+                pr = HWParams(N, p)
+                table = metaplectic._j_table("twisted_even", N, pr)
+                full = _full_cocycle(table, pr)
+                assert metaplectic._generator_cocycle(table, pr) == full, (n, p)
+                assert full == (flaw is None), (n, p)
+
+
+def test_generator_pairs_prove_nothing_unless_j0_is_the_identity():
+    # every member sends each row to column 0, in a table of root order 1 so
+    # that phi vanishes: every generator pair holds, yet J_0 is no identity
+    pr = HWParams(4)
+    zeros = np.zeros((16, 16), dtype=np.int64)
+    table = _SupportTable(1, zeros, zeros)
+    r, s = np.divmod(np.arange(16), 4)
+    steps = np.concatenate((4 * ((r + 1) % 4) + s, 4 * r + (s + 1) % 4))
+    pairs = (np.tile(np.arange(16), 2), np.repeat([4, 1], 16), steps, np.zeros(32, dtype=np.int64))
+    assert matrixcore._support_law(matrixcore._law_table(table), *pairs).all()
+    assert not metaplectic._generator_cocycle(table, pr)
+
+
+@pytest.mark.parametrize("flaw", ["phase", "scalar", "swap", "collision"])
+@pytest.mark.parametrize("point", [(1, 2), (0, 0)])
+def test_flawed_j_table_decides_no_element_from_two_points(flaw, point, monkeypatch):
+    # a flaw in the support formula that both the J table and j_twisted
+    # read, at J_0 or elsewhere: the cocycle check fails, every element is
+    # decided point by point, and the report is the cycle walk's (which J_0
+    # = omega I, commuting with U, passes)
+    _perturb_twisted(monkeypatch, flaw, point)
+    params = {"n": 2, "p": 3, "samples": 4, "seed": 5}
+    want = _reference_suite_json(monkeypatch, "metaplectic", params)
+    verdicts, points = _spy_two_points(monkeypatch)
+    got = run_suite(SuiteSpec("metaplectic", params))
+    _assert_same_json(got.to_json(), want)
+    assert verdicts == [False] and got.passed == (flaw == "scalar" and point == (0, 0))
+    assert points == [16] * 6
+
+
+U_FLAWS = [("d-odd-triangular", "moved"), ("d-odd-reduced", "moved"), ("d-even", "sign"),
+           ("d-odd-sum", "moved"), ("d-odd-sum", "mask bit")]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("branch,flaw", U_FLAWS)
+def test_flawed_u_falls_back_from_two_points_like_the_cycle_walk(n, branch, flaw, monkeypatch):
+    # one entry of U's table moved in every element of one closed-form
+    # branch: each such element fails at a generator point and goes to the
+    # per-point kernel, the others are decided at two points, and the
+    # report is the cycle walk's
+    params = {"n": n, "p": 3, "samples": 10, "seed": 4}
+    real = harness._closed_form
+
+    def closed(pr, A):
+        table, name = real(pr, A)
+        return (_flawed_table(pr, A, flaw) if name == branch else table), name
+
+    monkeypatch.setattr(harness, "_closed_form", closed)
+    want = _reference_suite_json(monkeypatch, "metaplectic", params)
+    verdicts, points = _spy_two_points(monkeypatch)
+    got = run_suite(SuiteSpec("metaplectic", params))
+    _assert_same_json(got.to_json(), want)
+    N = 2**n
+    elements = [sl2_s(N), sl2_t(N)] + sample_sl2(N, params["samples"], params["seed"])
+    hit = [real(HWParams(N, 3), A)[1] == branch for A in elements]
+    assert any(hit) and verdicts == [True]
+    assert points == [k for flawed in hit for k in ([2, N * N] if flawed else [2])]
+    failing = {json.dumps(f.inputs["element"]) for f in got.failures}
+    named = ["S", "T"] + [list(A.entries()) for A in elements[2:]]
+    assert failing == {json.dumps(name) for name, flawed in zip(named, hit) if flawed}
+
+
+@pytest.mark.parametrize("kept", ["first row", "second row"])
+def test_an_element_failing_at_one_generator_point_falls_back(kept, monkeypatch):
+    # U(B) checked against A, B sharing A's first row (e_1 B = e_1 A) or its
+    # second (e_2 B = e_2 A): the law holds at that generator point and
+    # fails at the other, so the element is decided point by point
+    params = HWParams(8, 3)
+    A = SL2Element(3, 2, 4, 3, 8)
+    B = SL2Element(3, 2, 1, 1, 8) if kept == "first row" else SL2Element(7, 5, 4, 3, 8)
+    verdicts, points = _spy_two_points(monkeypatch)
+    U = _closed_form(params, B)[0]
+    got = verify_metaplectic(U, A, "twisted_even", params)
+    _assert_same_json(got.to_json(), _conjugation_reference(U, A, "twisted_even", params).to_json())
+    failing = {(f.inputs["r"], f.inputs["s"]) for f in got.failures}
+    assert verdicts == [True] and points == [2, 64]
+    assert ((1, 0) in failing, (0, 1) in failing) == ((False, True) if kept == "first row" else (True, False))
