@@ -10,31 +10,31 @@ parameters and seed.
 Every law over many keys records through `VerifyReport.scan`.  Laws of
 phased permutations are decided in bulk on one table of their omega_N
 exponents, from the builders' support formulas: `_support_law` decides the
-exact `heisenberg` commutator law, the exact twisted cocycle
-(`check_pair_law`) and its dagger law as J[l] J[-l] == I, each on a table
-prepared once per suite call (`_law_table`), the twisted one factored as
-J = omega^x0 (F (x) F) (`_kron_support`) so that its laws read N-row
-factors.  `_conjugation_scan` decides J[l] U(A) == U(A) J[lA] on such a
-table: for `metaplectic` on U's exponent index from its closed-form
-builder's table (`_closed_form`, `_index`), each element from its two
-generator points once the run's J's meet the cocycle lemma
-(`_generator_cocycle`); for `weil-odd` in one scan over every (element,
-point) on the float stack of its U(A) (`_weil_odd_stack`).  The float pair
-laws (`cocycle-odd` and its dagger law, the `feichtinger-defect` pi law,
-`weil-odd`'s U(A) U(B) == U(AB)) are decided on float stacks in stacked
-products whose deviations keep their bits.  The exact `homomorphism` law
-is decided on the builders' tables by `_phase_law`, each read once into a
-`_SlotTable`: a pair with a c = 0 side on exponent indexes, a pair of
-factor tables modulo a word prime, a block of slots at a time, past dim 64
-by one table's two batched stages.  Exact `decomposition` chains that law
-over the prefixes of each element's word, holding the tables of S, S^-1
-and S^2 for the run (`_s_images_hold` ties the word's images of them to
-the closed forms).  Keys a kernel does not prove equal, and the keys of
-every other law, are compared one at a time, so a passing exact twisted or
-`metaplectic` run builds no J, a passing exact `homomorphism` or
-`metaplectic` run no U, a passing exact `decomposition` run no matrix and
-a passing `weil-odd`, `cocycle-odd` or `feichtinger-defect` run compares
-no key alone.
+exact `heisenberg` commutator law on a table prepared once per suite call
+(`_law_table`).  The exact twisted cocycle and its dagger law are proven
+from the 2 N^2 generator steps of the J table (`_generator_cocycle`, the
+cocycle lemma); where a step fails, `_support_law` decides every pair
+(`check_pair_law`) and every point as J[l] J[-l] == I on the same table.
+`_conjugation_scan` decides J[l] U(A) == U(A) J[lA] on such a table: for
+`metaplectic` on U's exponent index from its closed-form builder's table
+(`_closed_form`, `_index`), each element from its two generator points
+once the run's J's meet the cocycle lemma; for `weil-odd` in one scan over
+every (element, point) on the float stack of its U(A) (`_weil_odd_stack`).
+The float pair laws (`cocycle-odd` and its dagger law, the
+`feichtinger-defect` pi law, `weil-odd`'s U(A) U(B) == U(AB)) are decided
+on float stacks in stacked products whose deviations keep their bits.
+The exact `homomorphism` law is decided on the builders' tables by
+`_phase_law`, each read once into a `_SlotTable`: a pair with a c = 0 side
+on exponent indexes, a pair of factor tables modulo a word prime, a block
+of slots at a time, past dim 64 by one table's two batched stages.  Exact
+`decomposition` chains that law over the prefixes of each element's word,
+holding the tables of S, S^-1 and S^2 for the run (`_s_images_hold` ties
+the word's images of them to the closed forms).  Keys a kernel does not
+prove equal, and the keys of every other law, are compared one at a time,
+so a passing exact twisted or `metaplectic` run builds no J, a passing
+exact `homomorphism` or `metaplectic` run no U, a passing exact
+`decomposition` run no matrix and a passing `weil-odd`, `cocycle-odd` or
+`feichtinger-defect` run compares no key alone.
 The backend picks, no option does.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
@@ -59,8 +59,8 @@ from .heisenberg import (
 )
 from .magnetic import j_odd, j_twisted
 from .matrixcore import (
-    OpMatrix, _float_stack, _kron_support, _law_table, _member_is_identity, _phase_law,
-    _phase_table, _slot_table, _stack_deviation, _support_law, _SupportTable, mat_eq,
+    OpMatrix, _float_stack, _law_table, _member_is_identity, _phase_law, _phase_table,
+    _slot_table, _stack_deviation, _support_law, _SupportTable, mat_eq,
 )
 from .metaplectic import (
     _closed_form,
@@ -203,8 +203,7 @@ def check_pair_law(rep, identity, pairs, op, compose, phase, inputs, tol, member
     it, a chunk of pairs is decided at once, its key arrays given to
     `compose`, `e` and `index`.  A family of phased permutations with a
     phase passes its `_SupportTable` of root order N, prepared once
-    (`_law_table`, or `_kron_support` where it factors) and decided by
-    `_support_law` on integer exponents;
+    (`_law_table`) and decided by `_support_law` on integer exponents;
     a bare law may pass instead a cached table(number) -> `_SlotTable`, each
     pair then decided by `_phase_law`: on exponent indexes where a side is
     a phased permutation, else one block of slots at a time.  A float
@@ -408,9 +407,11 @@ def _suite_cocycle_twisted(params: dict) -> VerifyReport:
     rep = VerifyReport("cocycle-twisted", {"N": N, "p": p, "backend": backend})
     op = cache(lambda l: j_twisted(pr, l, backend=backend))
     table = None
-    if backend == "exact":  # J = omega^{-psr} F (x) F, F = Q^s P^r: laws of N-row factors
-        table = _j_table("twisted_even", N, pr)
-        table = _kron_support(table) or _law_table(table)
+    if backend == "exact":  # phased permutations: laws on integer exponents
+        table = _law_table(_j_table("twisted_even", N, pr))
+        if _generator_cocycle(table, pr):  # the lemma proves every point and pair
+            rep.checks_run = N**2 + N**4
+            return rep
     _dagger_law(rep, N, op, tol, table)
     _torus_law(
         rep, "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']", N, op,
@@ -428,7 +429,7 @@ def _suite_metaplectic(params: dict) -> VerifyReport:
     _guard_dim(N * N)
     rep = VerifyReport("metaplectic", {"N": N, "p": pr.p, "samples": samples, "seed": seed})
     table = _j_table("twisted_even", N, pr)
-    cocycle = _generator_cocycle(table, pr)  # the cocycle lemma, once per run
+    cocycle = _generator_cocycle(_law_table(table), pr)  # the cocycle lemma, once per run
     named = [("S", sl2_s(N)), ("T", sl2_t(N))]  # at S and T the closed form is u_s and u_t
     for name, A in named + [(list(A.entries()), A) for A in sample_sl2(N, samples, seed)]:
         sub = verify_metaplectic(_closed_form(pr, A)[0], A, "twisted_even", pr, tol, table, cocycle)

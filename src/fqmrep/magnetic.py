@@ -10,10 +10,7 @@ missing; the construction doubles the space instead and uses
 
 on C^{N^2} with the composite index N k1 + k2.  The same operator
 factors as omega^{-p s r} (Q^s P^r) (x) (Q^s P^r), which is kept as an
-independent construction for cross-checking.  The exact laws of the
-twisted family read that product form off the support table: the
-cocycle and dagger laws are decided on the N-row factors Q^s P^r and the
-scalars (`matrixcore._kron_support`), not on N^2 rows.
+independent construction for cross-checking.
 """
 
 from __future__ import annotations
@@ -47,14 +44,15 @@ def _odd_support(N: int, r, s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _twisted_support(params: HWParams, r, s) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, exponents) of J^p_{r,s} on C^{N^2}, N = 2^n, as `_odd_support`."""
+    """(cols, exponents) of J^p_{r,s} on C^{N^2}, N = 2^n, as `_odd_support`;
+    reduced mod N by `& (N - 1)`, which two's complement makes `% N`."""
     N, p = params.N, params.p
     if not params.is_even:
         raise ValueError(f"twisted construction needs N = 2^n, got {N}")
     r, s = np.asarray(r)[..., None], np.asarray(s)[..., None]
     k1, k2 = np.divmod(np.arange(N * N), N)
-    cols = N * ((k1 - r) % N) + (k2 - r) % N
-    return cols, (p * (-s * r + (k1 + k2) * s)) % N
+    cols = N * ((k1 - r) & (N - 1)) + ((k2 - r) & (N - 1))
+    return cols, (p * (-s * r + (k1 + k2) * s)) & (N - 1)
 
 
 def j_odd(N: int, pt) -> OpMatrix:

@@ -32,10 +32,7 @@ n^6, one slot (or past dim 256 a block of its columns) at a time in reused
 buffers.  The dense `_PhaseTable` of a factor table is summed in one place,
 `_phase_table`, for the consumers that read a matrix or an index.
 Laws of phased permutations are decided on their integer exponents by
-`_support_law`, on a table prepared once (`_law_table`); a table of square
-Kronecker powers, omega^x0 (F (x) F) like the twisted J's, is factored once
-(`_kron_support`), and `_support_law` decides its laws on the n-row factors
-and the scalars.
+`_support_law`, on a table prepared once (`_law_table`).
 
 Float laws over many keys run on stacks: `_float_stack` densifies the
 members of a support table, and `_stack_deviation` compares the two sides
@@ -482,7 +479,7 @@ def _apply(first: np.ndarray, second: np.ndarray, w: np.ndarray, p: int, out, mi
 
 
 # table entries (pairs x dim) per block of `_support_law`; perfbench
-# cocycle-monomial on a 2-vCPU box, 4 seeds, before the factored J table:
+# cocycle-monomial on a 2-vCPU box, 4 seeds, every law on the full J table:
 # 2^14 3.2-3.4 ms wall_s and 40.9-41.2 MB peak RSS, 2^15 3.8-4.1 ms and
 # 41.6-41.7 MB, 2^16 3.8-4.2 ms and 41.9-42.1 MB
 _LAW_BLOCK = 1 << 14
@@ -515,52 +512,13 @@ def _law_table(table: _SupportTable) -> _LawTable:
     return _LawTable(order, shift, np.ascontiguousarray(codes.T))  # transposed once narrow
 
 
-class _KronSupport(NamedTuple):
-    """A `_SupportTable` of dim n^2 in square Kronecker form: member t is
-    omega^{scalar[t]} (F_t (x) F_t), F_t member t of `factor` (n rows, row-0
-    exponent 0, the table's order) and scalar[t] mod the order."""
-
-    factor: _LawTable
-    scalar: np.ndarray
-
-
-def _kron_support(table: _SupportTable) -> _KronSupport | None:
-    """The table in square Kronecker form, or None where its dim is no
-    square, its order does not divide 2^16 or a member does not factor.
-
-    Row (i, j) = n i + j of F (x) F holds column n c(i) + c(j), so member t is
-    read at rows (i, 0): x0 = exps[t, 0], c(i) = cols[t, n i] // n and
-    e(i) = exps[t, n i] - x0; rebuilt from them, the whole member must equal
-    the table's (columns, and exponents mod the order).  The table is read
-    in the smallest unsigned types, whose sums wrap mod a multiple of the
-    order."""
-    count, dim = table.cols.shape
-    n, order = math.isqrt(dim), table.order
-    if n * n != dim or (1 << 16) % order:
-        return None
-    full = table.cols.astype(np.min_scalar_type(dim - 1))
-    exps = table.exps.astype(np.min_scalar_type(order - 1))
-    scalar = exps[:, 0] & (order - 1)
-    cols = full[:, ::n] // n
-    e = (exps[:, ::n] - scalar[:, None]) & (order - 1)
-    rebuilt = (n * cols[:, :, None] + cols[:, None, :]).reshape(count, dim)
-    delta = (e[:, :, None] + e[:, None, :]).reshape(count, dim) + scalar[:, None]
-    delta -= exps
-    if not np.array_equal(rebuilt, full) or (delta & (order - 1)).any():
-        return None
-    return _KronSupport(_law_table(_SupportTable(order, cols, e)), scalar)
-
-
-def _member_is_identity(table: _LawTable | _KronSupport, t: int) -> bool:
+def _member_is_identity(table: _LawTable, t: int) -> bool:
     """Whether member t of a `_support_law` table is the identity."""
-    if isinstance(table, _KronSupport):
-        return not table.scalar[t] and _member_is_identity(table.factor, t)
     return bool((table.codes[:, t] == np.arange(len(table.codes))).all())
 
 
 def _support_law(
-    table: _LawTable | _KronSupport, left: np.ndarray, right: np.ndarray, out: np.ndarray,
-    phase: np.ndarray,
+    table: _LawTable, left: np.ndarray, right: np.ndarray, out: np.ndarray, phase: np.ndarray,
 ) -> np.ndarray:
     """Whether X Y == omega_order^{phase[k]} Z for X, Y, Z the members left[k],
     right[k], out[k] of the table.
@@ -573,21 +531,7 @@ def _support_law(
     column and exponent bits exactly when that row is equal.  The arrays are
     (row, pair), so adding the phase and reducing a pair's rows run along
     the pairs.  Gathers read only the members of the block's pairs.
-
-    A `_KronSupport` is decided on its n-row factor.  With x0 the scalars
-    and u the row-0 exponent e_Y[c_X(0)] of F_X F_Y, X Y is
-    omega^{x0_X + x0_Y + 2u} G (x) G, G = omega^{-u} F_X F_Y of row-0
-    exponent 0.  A Kronecker square of row-0 exponent 0 determines its factor
-    (row (0, 0), then rows (i, 0)), so X Y == omega^phase Z exactly when
-    G == F_Z, that is F_X F_Y == omega^u F_Z, and x0_X + x0_Y + 2u == phase +
-    x0_Z mod the order.
     """
-    if isinstance(table, _KronSupport):
-        (order, shift, codes), scalar = table
-        at = codes[0, left] * np.intp(codes.shape[1]) + right  # row 0's code is c_X(0)
-        u = codes.take(at) >> shift
-        held = scalar[left] + scalar[right] + 2 * u - scalar[out] - phase
-        return ((held & (order - 1)) == 0) & _support_law(table.factor, left, right, out, u)
     order, shift, codes = table
     dim, count = codes.shape
     low = (1 << shift) - 1  # the column bits

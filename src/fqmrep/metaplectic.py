@@ -56,7 +56,7 @@ from .exactnum import NotAUnit, _is_odd_prime, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
 from .matrixcore import (
-    OpMatrix, _FactorTable, _float_stack, _index, _kron_support, _law_table, _member_is_identity,
+    OpMatrix, _FactorTable, _float_stack, _index, _law_table, _LawTable, _member_is_identity,
     _PhaseTable, _phase_table, _roots, _stack_deviation, _support_law, _SupportTable, mat_eq,
 )
 from .report import VerifyReport
@@ -360,16 +360,19 @@ def _j_table(flavor: str, N: int, params: HWParams | None) -> _SupportTable:
     return _SupportTable(N, *support)
 
 
-def _generator_cocycle(table: _SupportTable, params: HWParams) -> bool:
+def _generator_cocycle(law: _LawTable, params: HWParams) -> bool:
     """Whether J_0 = I and J_m J_{e_i} == omega^{phi(m, e_i)} J_{m + e_i} for
-    every m, e_1 = (1, 0) and e_2 = (0, 1), J_{r,s} at row N r + s and
-    phi(l, l') = p (r' s - s' r) in units of the table's order (on its
-    Kronecker form where it has one).  phi is bilinear, so by induction on
-    l the cocycle then holds at every pair: the cocycle lemma."""
-    N, law = params.N, _kron_support(table) or _law_table(table)
+    every m, e_1 = (1, 0) and e_2 = (0, 1), on the `_law_table` of the J's,
+    J_{r,s} at member N r + s and phi(l, l') = p (r' s - s' r) in units of
+    the table's order.  phi is bilinear, so by induction on l the cocycle
+    then holds at every pair: the cocycle lemma.  So does the dagger law
+    J_l^dagger == J_{-l}: J_l J_{-l} = omega^{phi(l, -l)} J_0 = I as
+    phi(l, -l) = 0, and the inverse of a phased permutation with unit phases
+    is its dagger."""
+    N = params.N
     r, s = np.divmod(np.arange(N * N), N)
     steps = np.concatenate((N * ((r + 1) % N) + s, N * r + (s + 1) % N))
-    phase = params.p * (table.order // N) * np.concatenate((s, -r))
+    phase = params.p * (law.order // N) * np.concatenate((s, -r))
     held = _support_law(law, np.tile(N * r + s, 2), np.repeat([N, 1], N * N), steps, phase)
     return _member_is_identity(law, 0) and bool(held.all())
 
@@ -514,7 +517,7 @@ def verify_metaplectic(
     if (backend == "exact" and flavor != "twisted_even") or dim != table.cols.shape[1]:
         kernel_u = None  # the odd J's are float only: their roots are not in an exact U's ring
     generated = kernel_u is not None and backend == "exact" and (
-        _generator_cocycle(table, params) if cocycle is None else cocycle)
+        _generator_cocycle(_law_table(table), params) if cocycle is None else cocycle)
     _conjugation_scan(
         report, N, table, np.array(A.entries())[:, None], kernel_u, j_of, matrix, tol,
         lambda e, l: {"r": l // N, "s": l % N}, generated,

@@ -213,10 +213,11 @@ def test_exact_metaplectic_mod32_fresh_gate():
 
 def test_exact_cocycle_twisted_mod16_within_budget():
     # the twisted cocycle and dagger laws exactly at N = 16 (dim 256, the
-    # last uint8 column; 65,536 pairs in many blocks), on narrow exponents
-    # and the 16-row factors of the table's Kronecker form; 0.03-0.05 s
-    # measured for both p on a 2-vCPU box (on all 256 rows: 0.19-0.25 s;
-    # int64 exponents: 0.6-0.8 s)
+    # last uint8 column; 65,536 pairs and 256 points), proven by the cocycle
+    # lemma from the 512 generator pairs of the J table; 3.2-4.2 ms measured
+    # for both p on a 2-vCPU box (every pair on the 16-row factors of the
+    # table's Kronecker form: 17-20 ms; on all 256 rows: 0.19-0.25 s; int64
+    # exponents: 0.6-0.8 s)
     t0 = time.perf_counter()
     for p in (1, 15):
         rep = run_suite(SuiteSpec("cocycle-twisted", {"n": 4, "p": p, "backend": "exact"}))
@@ -224,6 +225,22 @@ def test_exact_cocycle_twisted_mod16_within_budget():
         assert rep.checks_run == 16**2 + 16**4
         assert rep.max_abs_deviation == 0.0
     _done("exact cocycle-twisted N = 16", t0, 0.8)
+
+
+def test_exact_cocycle_twisted_mod32_fresh_gate():
+    # the twisted cocycle and dagger laws exactly at N = 32 (dim 1,024;
+    # 1,048,576 pairs and 1,024 points), in a fresh process: proven by the
+    # cocycle lemma from the 2,048 generator pairs of the J table; 0.034-
+    # 0.044 s and 60 MB measured on a 2-vCPU box (every pair on the 32-row
+    # factors of the table's Kronecker form: 0.23 s and 69 MB)
+    t0 = time.perf_counter()
+    params = {"n": 5, "p": 1, "backend": "exact"}
+    passed, checks, deviation, peak_kib, seconds, digest = _fresh_run("cocycle-twisted", params)
+    assert passed and checks == 1_049_600 and deviation == 0.0
+    assert digest.startswith("5d90f4cc7e6cfa57")
+    assert seconds <= 0.3, f"suite took {seconds:.2f}s, budget 0.3s"
+    assert peak_kib <= 70 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 70 MB"
+    _done("exact cocycle-twisted N = 32", t0, 10)
 
 
 def test_criterion_05_decomposition_consistency():

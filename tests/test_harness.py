@@ -606,9 +606,17 @@ def _pair_law_reference(rep, identity, pairs, op, compose, phase, inputs, tol, m
         rep.record(ok, dev, identity, inputs(x, y))
 
 
+def _fail_generator_check(monkeypatch):
+    """Make every twisted generator check fail, so that the suite decides
+    each point and pair of a twisted cocycle run on the full J table."""
+    monkeypatch.setattr(harness, "_generator_cocycle", lambda law, pr: False)
+
+
 def _reference_json(monkeypatch, name, params):
+    # every pair compared alone; no twisted law is proven by the cocycle lemma
     with monkeypatch.context() as m:
         m.setattr(harness, "check_pair_law", _pair_law_reference)
+        _fail_generator_check(m)
         return run_suite(SuiteSpec(name, params)).to_json()
 
 
@@ -650,9 +658,10 @@ def _spy_support_law(monkeypatch, products_only=False):
 ])
 def test_support_laws_read_one_narrow_table_per_run(name, params, monkeypatch):
     # the exact support laws get their table prepared once per suite call,
-    # in uint8 codes, not an int64 table cast per call; the twisted
-    # cocycle's dagger and product laws read one factored table, its factor
-    # and scalars narrow
+    # in codes of the smallest unsigned type, not an int64 table cast per
+    # call (the twisted J's at n = 3 have 6 column and 3 exponent bits); the
+    # twisted cocycle's generator check reads the same table as its dagger
+    # and product laws, which run once the check is made to fail
     tables = []
     real = harness._support_law
 
@@ -661,23 +670,28 @@ def test_support_laws_read_one_narrow_table_per_run(name, params, monkeypatch):
         return real(table, *args)
 
     monkeypatch.setattr(harness, "_support_law", law)
+    monkeypatch.setattr(harness, "_generator_cocycle",
+                        lambda table, pr: tables.append(table) or False)
     assert run_suite(SuiteSpec(name, params)).passed
     assert len(tables) >= 2 and all(t is tables[0] for t in tables)
     narrow = tables[0]
-    if name == "cocycle-twisted":
-        assert isinstance(narrow, matrixcore._KronSupport) and narrow.scalar.dtype == np.uint8
-        narrow = narrow.factor
     assert isinstance(narrow, matrixcore._LawTable)
-    assert narrow.codes.dtype == np.uint8
+    assert narrow.codes.dtype == (np.uint16 if name == "cocycle-twisted" else np.uint8)
 
 
 @pytest.mark.parametrize("name,params", MIGRATED)
 def test_pair_law_reports_match_the_per_pair_loops(name, params, monkeypatch):
-    # the exact twisted cocycle is decided on its support table, every other
-    # family pair by pair; the reference run's pair law never reads the
-    # table, only its dagger law does, in one call
+    # a passing exact twisted cocycle is proven by the cocycle lemma and
+    # reads no support table in harness; with its generator check failing
+    # it is decided on its support table, every other family pair by pair.
+    # The reference run's pair law never reads the table, only its dagger
+    # law does, in one call
     calls = _spy_support_law(monkeypatch)
     got = run_suite(SuiteSpec(name, params)).to_json()
+    assert calls == []
+    with monkeypatch.context() as m:
+        _fail_generator_check(m)
+        _assert_same_json(run_suite(SuiteSpec(name, params)).to_json(), got)
     assert bool(calls) == (name == "cocycle-twisted" and "backend" not in params)
     count = len(calls)
     _assert_same_json(got, _reference_json(monkeypatch, name, params))
@@ -725,6 +739,8 @@ def test_perturbed_j_fails_like_the_per_pair_loops(wrong_column, chunk, monkeypa
 
 
 def test_monomial_kernel_fires_for_twisted_cocycle_only(monkeypatch):
+    # with the generator check failing, so that the laws run on the table
+    _fail_generator_check(monkeypatch)
     calls = _spy_support_law(monkeypatch)
     for p in (1, 3):
         run_suite(SuiteSpec("cocycle-twisted", {"n": 2, "p": p}))
@@ -779,9 +795,8 @@ def test_scan_records_like_the_per_key_loop(monkeypatch):
 def _perturb_twisted(monkeypatch, flaw, point):
     """Patch the support formula that both the J table and j_twisted read:
     row 0 of J[point] gets the wrong phase, or the column of row 1 (two rows
-    hitting one column, no permutation), or rows 0 and 1 swap columns; these
-    break the J table's Kronecker form.  "scalar" multiplies the whole of
-    J[point] by omega, which keeps it."""
+    hitting one column, no permutation), or rows 0 and 1 swap columns, or
+    ("scalar") the whole of J[point] is multiplied by omega."""
     real = magnetic._twisted_support
 
     def perturbed(pr, r, s):
@@ -804,8 +819,7 @@ def _perturb_twisted(monkeypatch, flaw, point):
 @pytest.mark.parametrize("flaw", [None, "phase", "collision", "swap", "scalar"])
 def test_table_dagger_law_matches_the_dense_one(flaw, monkeypatch):
     # the reference builds every J densely and compares J[l]^dagger with J[-l];
-    # the law reads the J table as it is and, where it factors, as its
-    # Kronecker form
+    # the law reads the J table
     for n in (1, 2, 3):
         N = 2**n
         point = (1, 2 % N)
@@ -816,43 +830,34 @@ def test_table_dagger_law_matches_the_dense_one(flaw, monkeypatch):
                 want = VerifyReport("dagger", {})
                 j = cache(lambda l: magnetic.j_twisted(pr, l, backend="exact"))
                 table = metaplectic._j_table("twisted_even", N, pr)
-                kron = harness._kron_support(table)
-                assert (kron is None) == (flaw in ("phase", "collision", "swap"))
                 for r in range(N):
                     for s in range(N):
                         ok, dev = mat_eq(j((r, s)).dagger(), j((-r % N, -s % N)))
                         want.record(ok, dev, "J[l]^dagger == J[-l]", {"r": r, "s": s})
-                law = harness._law_table(table)
-                for form in (law, kron) if kron else (law,):
-                    got = VerifyReport("dagger", {})
-                    harness._dagger_law(got, N, j, 1e-9, form)
-                    _assert_same_json(got.to_json(), want.to_json())
-                    assert got.checks_run == N * N
-                    # at N = 2, omega J[1, 0] is its own -l and its dagger
-                    seen = flaw is not None and (flaw != "scalar" or N > 2)
-                    assert bool(got.failures) == seen, (n, p)
-                    assert got.max_abs_deviation == want.max_abs_deviation
+                got = VerifyReport("dagger", {})
+                harness._dagger_law(got, N, j, 1e-9, harness._law_table(table))
+                _assert_same_json(got.to_json(), want.to_json())
+                assert got.checks_run == N * N
+                # at N = 2, omega J[1, 0] is its own -l and its dagger
+                seen = flaw is not None and (flaw != "scalar" or N > 2)
+                assert bool(got.failures) == seen, (n, p)
+                assert got.max_abs_deviation == want.max_abs_deviation
 
 
 def test_dagger_law_proves_no_point_unless_member_0_is_the_identity(monkeypatch):
     # members i I, and -I at (0, 0): J[l] J[-l] == J[0] at every l != 0,
     # though J[l]^dagger == J[-l] holds only at l = 0; every point is then
-    # compared as matrices.  In Kronecker form, omega^k (I (x) I), member 0's
-    # factor is the identity and its scalar is not 0
+    # compared as matrices
     N, eye = 2, np.arange(4)
     table = harness._SupportTable(4, np.tile(eye, (4, 1)), np.array([[2] * 4] + [[1] * 4] * 3))
-    kron = harness._kron_support(table)
-    assert (kron.factor.codes.T == np.arange(2)).all()  # every factor is I (x) I
-    assert kron.scalar.tolist() == [2, 1, 1, 1]
     op = lambda l: OpMatrix.from_support(4, eye, table.exps[N * l[0] + l[1]])  # noqa: E731
     calls = _spy_support_law(monkeypatch)
-    for form in (harness._law_table(table), kron):
-        rep = VerifyReport("dagger", {})
-        harness._dagger_law(rep, N, op, 1e-9, form)
-        assert rep.checks_run == 4
-        assert [f.inputs for f in rep.failures] == [
-            {"r": 0, "s": 1}, {"r": 1, "s": 0}, {"r": 1, "s": 1},
-        ]
+    rep = VerifyReport("dagger", {})
+    harness._dagger_law(rep, N, op, 1e-9, harness._law_table(table))
+    assert rep.checks_run == 4
+    assert [f.inputs for f in rep.failures] == [
+        {"r": 0, "s": 1}, {"r": 1, "s": 0}, {"r": 1, "s": 1},
+    ]
     assert calls == []
 
 
@@ -947,29 +952,41 @@ def test_passing_exact_twisted_cocycle_builds_no_dense_j(monkeypatch):
     assert points == [] and supports == []
 
 
-def test_passing_exact_twisted_cocycle_reads_only_the_factor(monkeypatch):
-    # a silent drop from the factored laws to the full table's would cost
-    # N^2-row laws: every law of a passing exact run reads the factored
-    # table, whose law reads the N-row factor, and no pair is compared as
-    # matrices
-    widths = []
+# (n, p) of the passing exact twisted runs: every p for n <= 3, two at n = 4
+EXACT_TWISTED_RUNS = [(n, p) for n in (1, 2, 3) for p in range(1, 2**n, 2)] + [(4, 1), (4, 15)]
 
-    def spy(table, *args):
-        factored = isinstance(table, matrixcore._KronSupport)
-        widths.append("factored" if factored else table.codes.shape[0])
-        return real(table, *args)
 
-    real = matrixcore._support_law
-    monkeypatch.setattr(matrixcore, "_support_law", spy)
-    monkeypatch.setattr(harness, "_support_law", spy)
+def test_passing_exact_twisted_cocycle_makes_one_generator_check(monkeypatch):
+    # a silent drop from the cocycle lemma to the full-table laws would cost
+    # N^4 pairs: a passing exact run makes one generator check, whose one
+    # `_support_law` call reads the 2 N^2 generator pairs, and builds no J
+    checks, pairs = [], []
+    real_check, real_law = harness._generator_cocycle, matrixcore._support_law
+
+    def check(law, pr):
+        checks.append(pr)
+        return real_check(law, pr)
+
+    def spy(table, left, *args):
+        pairs.append(len(left))
+        return real_law(table, left, *args)
+
+    monkeypatch.setattr(harness, "_generator_cocycle", check)
+    for module in (matrixcore, metaplectic, harness):
+        monkeypatch.setattr(module, "_support_law", spy)
     points, supports = _spy_builds(monkeypatch)
-    for n, p in ((3, 1), (3, 7), (4, 1), (4, 15)):
+    for n, p in EXACT_TWISTED_RUNS:
         N = 2**n
         rep = run_suite(SuiteSpec("cocycle-twisted", {"n": n, "p": p, "backend": "exact"}))
         assert rep.passed and rep.checks_run == N**2 + N**4
-        assert set(widths) == {"factored", N}
-        widths.clear()
+        assert checks == [HWParams(N, p)] and pairs == [2 * N * N], (n, p)
+        checks.clear()
+        pairs.clear()
     assert points == [] and supports == []
+
+
+TWISTED_FLAWS = [(flaw, point) for flaw in ("phase", "collision", "swap", "scalar")
+                 for point in ((1, 2), (0, 0))]
 
 
 @pytest.mark.parametrize("n,ps,flaw", [
@@ -977,19 +994,44 @@ def test_passing_exact_twisted_cocycle_reads_only_the_factor(monkeypatch):
     (1, (1,), "scalar"), (2, (1, 3), "scalar"), (3, (1, 7), "scalar"),
 ])
 def test_factored_twisted_cocycle_reports_like_the_full_table(n, ps, flaw, monkeypatch):
-    # with `_kron_support` refusing every table the exact laws read the
-    # N^2-row table: the reports must be byte-identical, passing or with
-    # J[1, 2] times omega (a flaw that keeps the Kronecker form)
+    # the cocycle check factored through the generators against every point
+    # and pair decided on the full J table (the generator check made to
+    # fail): the reports must be byte-identical, passing or with J[1, 2]
+    # times omega
     if flaw:
         _perturb_twisted(monkeypatch, flaw, (1, 2 % 2**n))
     for p in ps:
         spec = SuiteSpec("cocycle-twisted", {"n": n, "p": p, "backend": "exact"})
         got = run_suite(spec)
         with monkeypatch.context() as m:
-            m.setattr(harness, "_kron_support", lambda table: None)
+            _fail_generator_check(m)
             want = run_suite(spec)
         _assert_same_json(got.to_json(), want.to_json())
         assert got.passed == (flaw is None)
+
+
+@pytest.mark.parametrize("flaw,point", TWISTED_FLAWS,
+                         ids=[f"{f}-J{r}{s}" for f, (r, s) in TWISTED_FLAWS])
+def test_twisted_cocycle_fallback_reports_like_the_per_pair_loops(flaw, point, monkeypatch):
+    # each flaw of the support formula, at (1, 2) or at J_0, fails the
+    # generator check, and the run reports what the per-pair loops do, in
+    # chunks of 4096 keys or of 7
+    verdicts = []
+    real = harness._generator_cocycle
+    monkeypatch.setattr(harness, "_generator_cocycle",
+                        lambda law, pr: verdicts.append(real(law, pr)) or verdicts[-1])
+    for n, ps in ((2, (1, 3)), (3, (3,))):
+        with monkeypatch.context() as m:
+            _perturb_twisted(m, flaw, point)
+            for p in ps:
+                params = {"n": n, "p": p}
+                want = _reference_json(m, "cocycle-twisted", params)
+                for chunk in (4096, 7):
+                    m.setattr(report, "_SCAN_CHUNK", chunk)
+                    got = run_suite(SuiteSpec("cocycle-twisted", params))
+                    _assert_same_json(got.to_json(), want)
+                    assert not got.passed
+    assert verdicts == [False] * 6
 
 
 def test_twisted_cocycle_builds_only_the_js_of_unequal_checks(monkeypatch):
@@ -1007,8 +1049,10 @@ def test_twisted_cocycle_builds_only_the_js_of_unequal_checks(monkeypatch):
             need |= {(r, s), (rp, sp), ((r + rp) % 8, (s + sp) % 8)}
     assert {f["identity"].split()[0] for f in rep["failures"]} == {"J[l]^dagger", "J[l]"}
     assert sorted(points) == sorted(need) and len(supports) == len(points)
-    # a pair the factored table wrongly flags is compared densely from its three J's
+    # a pair the full table wrongly flags, on a run whose generator check
+    # fails, is compared densely from its three J's
     monkeypatch.undo()
+    _fail_generator_check(monkeypatch)
     real = harness._support_law
 
     def flag(table, x, y, z, e):  # the pair (l, l') = ((1, 2), (3, 4))

@@ -7,6 +7,7 @@ from fqmrep.exactnum import CycNum
 from fqmrep.heisenberg import HWParams, p_matrix, q_matrix
 from fqmrep.magnetic import (
     EvenModulus,
+    _twisted_support,
     j_odd,
     j_twisted,
     j_twisted_product,
@@ -168,3 +169,24 @@ def test_twisted_backend_agreement():
         a = j_twisted(params, (r, s), backend="exact").to_complex_array()
         b = j_twisted(params, (r, s), backend="float").to_complex_array()
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_twisted_support_reduces_like_the_mod_formula(n):
+    # the support formula reduced by `& (N - 1)` against the same formula
+    # reduced by `% N`, at every point at once and at one point given as
+    # ints: the same columns and exponents, in the same dtypes
+    N = 2**n
+    k1, k2 = np.divmod(np.arange(N * N), N)
+    r, s = np.divmod(np.arange(N * N), N)
+    for p in range(1, N, 2):
+
+        def mod_formula(r, s):
+            r, s = np.asarray(r)[..., None], np.asarray(s)[..., None]
+            cols = N * ((k1 - r) % N) + (k2 - r) % N
+            return cols, (p * (-s * r + (k1 + k2) * s)) % N
+
+        for point in ((r, s), (1, N - 1)):
+            got, want = _twisted_support(HWParams(N, p), *point), mod_formula(*point)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, p, point)

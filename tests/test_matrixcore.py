@@ -813,11 +813,10 @@ def _keep_the_form(table, flaw, t):
 ])
 def test_support_law_matches_the_dense_products(family, flaw):
     # seeded triples (X, Y, Z) at every N <= 8 and odd p: the table's verdict
-    # on X Y == omega_N^e Z is mat_eq's on the dense product, and so is the
-    # factored J table's (`_kron_support`).  A flaw moves the phase (by omega_N)
-    # or the member Z of about half the triples, or flaws the member
-    # (1, 2 mod N) of the J table in a way that keeps its Kronecker form and
-    # puts it at X, Y or Z of about half the triples
+    # on X Y == omega_N^e Z is mat_eq's on the dense product.  A flaw moves
+    # the phase (by omega_N) or the member Z of about half the triples, or
+    # flaws the member (1, 2 mod N) of the J table in a way that keeps its
+    # square Kronecker form and puts it at X, Y or Z of about half the triples
     rng = np.random.default_rng(5)
     verdicts, caught = [], set()  # caught: the positions of the flawed member seen to fail
     for N in (2, 4, 8):
@@ -853,10 +852,6 @@ def test_support_law_matches_the_dense_products(family, flaw):
                 for a, b, c, e in zip(left, right, out, phase.tolist())
             ]
             assert got.tolist() == want
-            if family == "j_twisted":
-                kron = matrixcore._kron_support(table)
-                assert kron is not None
-                assert matrixcore._support_law(kron, left, right, out, phase).tolist() == want
             if flaw == "phase":
                 assert want == (~flip).tolist()
             if flaw in ("scalar", "factor-row"):
@@ -864,60 +859,6 @@ def test_support_law_matches_the_dense_products(family, flaw):
             verdicts += want
     assert all(verdicts) == (flaw is None)
     assert caught == ({0, 1, 2} if flaw in ("scalar", "factor-row") else set())
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_kron_support_reads_the_product_form_of_j(n):
-    # J^p_{r,s} = omega^{-psr} F (x) F, F = Q^s P^r: row i of F holds omega^{p s i}
-    # in column i - r; the int64 table gives a narrow factor and scalar
-    N = 2**n
-    r, s = np.divmod(np.arange(N * N), N)
-    i = np.arange(N)
-    for p in range(1, N, 2):
-        table = metaplectic._j_table("twisted_even", N, HWParams(N, p))
-        kron = matrixcore._kron_support(table)
-        factor = kron.factor  # codes (row, member), exponents above the column bits
-        assert factor.order == N and factor.shift == n
-        assert np.array_equal(factor.codes.T & (N - 1), (i - r[:, None]) % N)
-        assert np.array_equal(factor.codes.T >> n, p * s[:, None] * i % N)
-        assert np.array_equal(kron.scalar, -p * s * r % N)
-        assert factor.codes.dtype == kron.scalar.dtype == np.uint8
-
-
-def test_kron_support_refuses_tables_not_in_square_kronecker_form():
-    pr = HWParams(4, 3)
-    table = metaplectic._j_table("twisted_even", 4, pr)
-    assert matrixcore._kron_support(table) is not None
-    # a non-square dim: the J table's first 8 rows, and the odd-N J table
-    half = table._replace(cols=table.cols[:, :8], exps=table.exps[:, :8])
-    assert matrixcore._kron_support(half) is None
-    assert matrixcore._kron_support(metaplectic._j_table("weil_odd", 5, None)) is None
-    # one row of one member moved: its column (to the next one), or its exponent
-    for t, row in ((5, 3), (0, 15), (9, 4)):
-        cols, exps = table.cols.copy(), table.exps.copy()
-        cols[t, row] = (cols[t, row] + 1) % 16
-        assert matrixcore._kron_support(table._replace(cols=cols)) is None
-        exps[t, row] = (exps[t, row] + 1) % 4
-        assert matrixcore._kron_support(table._replace(exps=exps)) is None
-    # F1 (x) F2 with F1 != F2, among Q P, P and P^2 (columns and exponents of 4 rows)
-    i = np.arange(4)
-
-    def kron_pair(f1, f2):
-        (c1, e1), (c2, e2) = f1, f2
-        cols, exps = 4 * c1[:, None] + c2, e1[:, None] + e2
-        return matrixcore._SupportTable(4, cols.reshape(1, 16), exps.reshape(1, 16) % 4)
-
-    qp, p1, p2 = ((i - 1) % 4, i), ((i - 1) % 4, 0 * i), ((i - 2) % 4, 0 * i)
-    for f1, f2 in ((qp, p1), (p1, qp), (p1, p2), (p2, qp)):
-        assert matrixcore._kron_support(kron_pair(f1, f2)) is None
-        assert matrixcore._kron_support(kron_pair(f1, f1)) is not None
-    # the heisenberg Gamma tables of square dim 4 and 16
-    for N in (4, 16):
-        keys = np.unravel_index(np.arange(N**3), (N, N, N))
-        gamma = matrixcore._SupportTable(N, *heisenberg._gamma_support(HWParams(N), *keys))
-        assert matrixcore._kron_support(gamma) is None
-        narrow = gamma._replace(cols=gamma.cols.astype(np.uint8), exps=gamma.exps.astype(np.uint8))
-        assert matrixcore._kron_support(narrow) is None
 
 
 def _support_law_int64(table, left, right, out, phase):
@@ -974,4 +915,3 @@ def test_support_law_refuses_orders_not_dividing_2_16(order):
     table = matrixcore._SupportTable(order, np.zeros((1, 2), np.int64), np.zeros((1, 2), np.int64))
     with pytest.raises(ValueError, match=f"got {order}$"):
         matrixcore._law_table(table)
-    assert matrixcore._kron_support(table) is None
