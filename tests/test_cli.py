@@ -175,6 +175,15 @@ def test_verify_out_file_bytes_stable(tmp_path, capsys):
          "cfbb9fa749e72ad8bebf23627b7ac2a0bc9fb90f7ce4caac9307cdb7a6accbf4"),
         (["--suite", "quadratic-module", "--n", "4"],
          "6a10c7ba3a54b068eeb8769b2f3553afdcf709330aa67ede80426c6a206cd762"),
+        # float stack laws, character scans and dense builds, pinned bit for bit
+        (["--suite", "weil-odd", "--N", "7"],
+         "f00abb8228192adb571a42b871bb0827ddfaed73e2f45766a6804ed3335160e9"),
+        (["--suite", "feichtinger-defect", "--N", "4"],
+         "1d7db0cae81c8a1feb740f01ff0f392b12abae559589721b3b7c9499375d52f8"),
+        (["--suite", "feichtinger-defect", "--N", "16"],
+         "a60354edd3638db14afd1d11c538a4a8fb54cafb5b604ad0e4a090b967dd7a92"),
+        (["--suite", "homomorphism", "--N", "16", "--samples", "4"],
+         "b8bac4a298eb9ad4427aaac6e6056c1c81ac8635f1da34d34af7bdbac6b0b62d"),
     ],
 )
 def test_verify_out_golden_digest(args, digest, tmp_path, capsys):
