@@ -19,10 +19,12 @@ cocycle lemma); where a step fails, `_support_law` decides every pair
 `metaplectic` on U's exponent index from its closed-form builder's table
 (`_closed_form`, `_index`), each element from its two generator points
 once the run's J's meet the cocycle lemma; for `weil-odd` in one scan over
-every (element, point) on the float stack of its U(A) (`_weil_odd_stack`).
-The float pair laws (`cocycle-odd` and its dagger law, the
-`feichtinger-defect` pi law, `weil-odd`'s U(A) U(B) == U(AB)) are decided
-on float stacks in stacked products whose deviations keep their bits.
+every (element, point) on the float stack of its U(A) (`_weil_odd_stack`)
+and the float stack of its J's.  The float pair laws (`cocycle-odd` and its
+dagger law, the `feichtinger-defect` pi law, `weil-odd`'s
+U(A) U(B) == U(AB)) are decided on float stacks in stacked products whose
+deviations keep their bits; `feichtinger-defect` reads the characters of
+all its elements in one stacked scan (`_character_scan`).
 The exact `homomorphism` law is decided on the builders' tables by
 `_phase_law`, each read once into a `_SlotTable`: a pair with a c = 0 side
 on exponent indexes, a pair of factor tables modulo a word prime, a block
@@ -34,7 +36,7 @@ prove equal, and the keys of every other law, are compared one at a time,
 so a passing exact twisted or `metaplectic` run builds no J, a passing
 exact `homomorphism` or `metaplectic` run no U, a passing exact
 `decomposition` run no matrix and a passing `weil-odd`, `cocycle-odd` or
-`feichtinger-defect` run compares no key alone.
+`feichtinger-defect` run compares no key alone and scans no character alone.
 The backend picks, no option does.
 
 Backends follow the desk-scale rule: exact by default for N = 2^n
@@ -79,24 +81,23 @@ from .report import Failure, VerifyReport
 from .sl2 import (
     SL2Element,
     TooLarge,
+    _sl2_entries,
     _token_element,
     decompose,
-    enumerate_sl2,
     sample_sl2,
     sl2_order,
     sl2_s,
     sl2_t,
 )
 from .weilmod import (
-    NotMetaplectic,
     QuadraticModule,
+    _character_scan,
     _feichtinger_array,
     _nonhom_witness,
     _pi_support,
     alpha_q,
     chirp,
     chirp_wrap_sign,
-    extract_psi,
     find_theta_witness,
     generator_defect,
     pi_shift,
@@ -261,10 +262,11 @@ def _entries(elems) -> np.ndarray:
     return np.array([A.entries() for A in elems], dtype=np.int64).reshape(-1, 4).T
 
 
-def _every_pair(elems) -> np.ndarray:
-    # every pair (A, B) of elems, A-major, as an array (2, 4, count) of entries
-    E, n = _entries(elems), len(elems)
-    return np.stack((np.repeat(E, n, axis=1), np.tile(E, n)))
+def _every_pair(entries: np.ndarray) -> np.ndarray:
+    # every pair (A, B) of the elements of `entries`, an array (4, count),
+    # A-major, as an array (2, 4, count^2) of entries
+    n = entries.shape[1]
+    return np.stack((np.repeat(entries, n, axis=1), np.tile(entries, n)))
 
 
 def _sl2_law(rep, N, pairs, op, tol, members=None) -> None:
@@ -454,9 +456,9 @@ def _suite_homomorphism(params: dict) -> VerifyReport:
          "mode": "exhaustive" if exhaustive else "sampled"},
     )
     if exhaustive:
-        elems = enumerate_sl2(N)
-        _guard_pairs(len(elems) ** 2)
-        pairs = _every_pair(elems)
+        entries = _sl2_entries(N)
+        _guard_pairs(entries.shape[1] ** 2)
+        pairs = _every_pair(entries)
     else:
         samples = int(params.get("samples", 500))
         rep.params["samples"] = samples
@@ -540,14 +542,14 @@ def _suite_weil_odd(params: dict) -> VerifyReport:
     N = _odd_prime(_odd_modulus(params))
     tol = float(params.get("tol", 1e-9))
     order = sl2_order(N)
-    _guard_pairs(order * N * N)
+    _guard_pairs(order * N * N)  # also bounds the J stack's N^4 entries
     rep = VerifyReport("weil-odd", {"N": N})
-    elems = enumerate_sl2(N)
-    entries = _entries(elems)
+    entries = _sl2_entries(N)
     stack = _weil_odd_stack(N, entries)  # U(A) of every element, in one pass
     matrix = cache(lambda e: OpMatrix.from_complex(stack[e], meta="weil_odd_general"))
     _conjugation_scan(
-        rep, N, _j_table("weil_odd", N, None), entries, stack, lambda pt: j_odd(N, pt), matrix, tol,
+        rep, N, _float_stack(_j_table("weil_odd", N, None)), entries, stack,
+        lambda pt: j_odd(N, pt), matrix, tol,
         lambda e, l: {"element": entries[:, e].tolist(), "r": l // N, "s": l % N},
     )
     run_pairs = bool(params.get("pairs", order**2 <= 20_000))
@@ -556,10 +558,10 @@ def _suite_weil_odd(params: dict) -> VerifyReport:
         _guard_pairs(order**2)
         shape = (N,) * 4
         number = np.zeros(N**4, dtype=np.intp)  # elements numbered by their entries
-        number[np.ravel_multi_index(entries, shape)] = np.arange(len(elems))
+        number[np.ravel_multi_index(entries, shape)] = np.arange(order)
         index = lambda x: number[np.ravel_multi_index(x, shape)]  # noqa: E731
         op = lambda x: matrix(int(index(x)))  # noqa: E731
-        _sl2_law(rep, N, _every_pair(elems), op, tol, (stack, index))
+        _sl2_law(rep, N, _every_pair(entries), op, tol, (stack, index))
     return rep
 
 
@@ -632,25 +634,19 @@ def _suite_feichtinger_defect(params: dict) -> VerifyReport:
         rep, "pi(l) pi(l') == omega^{s r'} pi(l+l')", N, cache(lambda l: pi_shift(N, *l)),
         lambda l, m: l[1] * m[0], tol, _float_stack(_SupportTable(N, *_pi_support(N, r, s))),
     )
-    elems = enumerate_sl2(N)
-    if len(elems) > 60:
+    entries = _sl2_entries(N)
+    if entries.shape[1] > 60:
         rng = random.Random(seed)
-        picks = sorted(rng.sample(range(len(elems)), 48))
-        elems = [elems[i] for i in picks]
-    ill = 0
+        entries = entries[:, sorted(rng.sample(range(entries.shape[1]), 48))]
     matrix = cache(lambda x: _feichtinger_array(N, x))  # each U built once: scan and witness
-    for A in elems:
-        U = matrix(A.entries())
-        if U is None:
-            ill += 1
-            continue
-        try:
-            ok = extract_psi(U, A, tol=tol) is not None
-        except NotMetaplectic:
-            ok = False
-        rep.record(ok, 0.0 if ok else 1.0, "U pi(k,l) U^-1 == psi pi((k,l)A)", {"A": list(A.entries())})
-    if ill:
-        rep.params["ill_formed"] = ill
+    formed = [x for x in map(tuple, entries.T.tolist()) if matrix(x) is not None]
+    if formed:  # one character scan over every well-formed element
+        _, faults = _character_scan(np.array([matrix(x) for x in formed]), np.array(formed).T, tol)
+        for x, fault in zip(formed, faults):
+            ok = fault is None
+            rep.record(ok, 0.0 if ok else 1.0, "U pi(k,l) U^-1 == psi pi((k,l)A)", {"A": list(x)})
+    if len(formed) < entries.shape[1]:
+        rep.params["ill_formed"] = entries.shape[1] - len(formed)
     if N % 2 == 0:
         witness = _nonhom_witness(N, matrix, 1e-6)
         ok = witness is not None

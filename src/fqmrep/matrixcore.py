@@ -557,9 +557,11 @@ def _support_law(
 
 # complex128 entries per stack of a float block (64 KB, so a block's
 # temporaries stay well under 1 MB).  The weil-odd N = 7 suite, 16,464
-# conjugations, took 36-54 ms with 2^12, 50-52 ms with 2^13-2^14, 44-65 ms
-# with 2^11 and 79-80 ms with 2^16 (medians of two rounds, 2 vCPUs, BLAS on
-# 1 thread)
+# conjugations with its J's gathered from one stack, took 24-28 ms with
+# 2^12, 24-26 ms with 2^13, 24-29 ms with 2^14, 26-37 ms with 2^11 and
+# 35-50 ms with 2^16 (medians of two rounds of six, 2 vCPUs, BLAS on 1
+# thread).  The character scan holds the N^4 entries of U pi U^-1 per
+# element: 16 elements a block at N = 4, one from N = 8 on
 _FLOAT_BLOCK = 1 << 12
 
 
@@ -676,18 +678,21 @@ class OpMatrix:
 
         For dense phase matrices; exponent tables are plain integer arrays,
         reduced here.  Phased permutations are built by `from_support`.
+        A float matrix is one gather from the roots already scaled by
+        2^{-scale_pow2} (exact, a power of two) with a zero appended at
+        index root_order, where the entries off the mask point: the bits of
+        the root gathered, masked and scaled in place.
         """
         exponents = np.asarray(exponents)
         dim = exponents.shape[0]
         if exponents.shape != (dim, dim):
             raise DimMismatch(f"exponent table shape {exponents.shape}")
         if backend == "float":
-            # one gather from the root table; mask and scale in place
-            data = _roots(root_order)[exponents % root_order]
+            roots = np.append(_roots(root_order) * 2.0 ** (-scale_pow2), 0)
+            at = exponents % root_order
             if mask is not None:
-                data[np.logical_not(mask)] = 0
-            data *= 2.0 ** (-scale_pow2)
-            return cls.from_complex(data, meta=meta)
+                at = np.where(mask, at, root_order)
+            return cls.from_complex(np.take(roots, at), meta=meta)
         rows, cols = np.nonzero(np.ones((dim, dim), dtype=bool) if mask is None else mask)
         return cls._scatter(dim, (rows, cols), root_order, exponents[rows, cols], scale_pow2, meta)
 

@@ -48,7 +48,7 @@ odd-N matrices carry 1/sqrt(N) and stay in floats.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -405,8 +405,8 @@ def _index_conjugation(
 
 
 def _stacked_conjugation(
-    table: _SupportTable, U: np.ndarray | _SupportTable | _PhaseTable, left: np.ndarray,
-    right: np.ndarray, tol: float, element: np.ndarray | None = None,
+    table: _SupportTable | np.ndarray, U: np.ndarray | _SupportTable | _PhaseTable,
+    left: np.ndarray, right: np.ndarray, tol: float, element: np.ndarray | None = None,
     generators: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(equal, deviation) of J[left[k]] U against U J[right[k]] for each k,
@@ -414,22 +414,25 @@ def _stacked_conjugation(
     table of an exact U.
 
     Float: a block of keys at a time (`_stack_deviation`), the block's J
-    are densified (`_float_stack`) and multiplied with the block's U in
-    stacked per-slice products, so each deviation is the one `mat_eq` gives
-    on the same products.  Table: on U's exponent index at the higher of
-    the two orders (`_index_conjugation`).  `generators` (e_1, e_2 and their
+    gathered from `table` where it is the float stack of every J, densified
+    from it where it is their support table (`_float_stack`), and multiplied
+    with the block's U in stacked per-slice products, so each deviation is
+    the one `mat_eq` gives on the same products.  Table: on U's exponent
+    index at the higher of the two orders (`_index_conjugation`), `table` a
+    support table.  `generators` (e_1, e_2 and their
     images under U's A, the table meeting `_generator_cocycle`) decide every
     key when both hold: J_{l + e_i} U = omega^{-phi(l, e_i)} J_l U J_{e_i A}
     = U J_{(l + e_i) A} once J_l U = U J_{lA}, as phi is SL2-invariant.
     """
-    n, dim = len(left), table.cols.shape[1]
+    n = len(left)
     if isinstance(U, np.ndarray):
+        J = table.__getitem__ if isinstance(table, np.ndarray) else partial(_float_stack, table)
 
         def sides(k):
             V = U[element[k]]
-            return _float_stack(table, left[k]) @ V, V @ _float_stack(table, right[k])
+            return J(left[k]) @ V, V @ J(right[k])
 
-        dev = _stack_deviation(n, dim, sides)
+        dev = _stack_deviation(n, U.shape[1], sides)
         return dev <= tol, dev
     order = max(U.order, table.order)
     index = _index(U, order)
@@ -439,8 +442,8 @@ def _stacked_conjugation(
 
 
 def _conjugation_scan(
-    report: VerifyReport, N: int, table: _SupportTable, entries: np.ndarray, U, j_of, matrix,
-    tol: float, inputs, generated: bool = False,
+    report: VerifyReport, N: int, table: _SupportTable | np.ndarray, entries: np.ndarray, U, j_of,
+    matrix, tol: float, inputs, generated: bool = False,
 ) -> None:
     """Record J_l U_e == U_e J_{l A_e} by one `VerifyReport.scan` over the keys
     (e, l), element-major: e numbers the elements of `entries`, an array
@@ -448,10 +451,11 @@ def _conjugation_scan(
     table.
 
     Unless U is None, `_stacked_conjugation` decides blocks of keys on U, a
-    float stack of the elements' matrices or one element's table, with
-    `generated` from its two generator points.  Every key it does not prove
-    equal is compared as mat_eq(J_l @ U_e, U_e @ J_{l A_e}), J built by
-    j_of((r, s)) and U_e by matrix(e), and named by inputs(e, l).
+    float stack of the elements' matrices (`table` the J's support table or
+    their float stack) or one element's table, with `generated` from its two
+    generator points.  Every key it does not prove equal is compared as
+    mat_eq(J_l @ U_e, U_e @ J_{l A_e}), J built by j_of((r, s)) and U_e by
+    matrix(e), and named by inputs(e, l).
     """
 
     def image(e, l):  # the point (r, s) A_e, as its index N r' + s'

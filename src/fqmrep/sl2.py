@@ -21,6 +21,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exactnum import _mod_inv
 
 __all__ = [
@@ -223,15 +225,24 @@ def _d_values(N: int, a: int, b: int, c: int) -> list[int]:
     return [d0 + k * step for k in range(g)]
 
 
-def enumerate_sl2(N: int, cap: int = 100_000) -> list[SL2Element]:
+def _sl2_entries(N: int, cap: int = 100_000) -> np.ndarray:
+    """Every element of SL2(Z_N) as an int64 array (4, count) of its entries
+    (a, b, c, d), in increasing lexicographic order; TooLarge past `cap`
+    elements.  One pass over the (b, c, d) grid per a."""
     if sl2_order(N) > cap:
         raise TooLarge(f"|SL2(Z_{N})| = {sl2_order(N)} exceeds cap {cap}")
-    out = []
+    b, c, d = np.indices((N,) * 3).reshape(3, -1)
+    bc = b * c
+    rows = []
     for a in range(N):
-        for b in range(N):
-            for c in range(N):
-                out.extend(SL2Element(a, b, c, d, N) for d in _d_values(N, a, b, c))
-    return out
+        keep = (a * d - bc) % N == 1
+        rows.append(np.stack((np.full(keep.sum(), a), b[keep], c[keep], d[keep])))
+    return np.concatenate(rows, axis=1)
+
+
+def enumerate_sl2(N: int, cap: int = 100_000) -> list[SL2Element]:
+    """The elements of `_sl2_entries`, in its order."""
+    return [SL2Element._trusted(*x, N) for x in _sl2_entries(N, cap).T.tolist()]
 
 
 def sample_sl2(N: int, count: int, seed: int) -> list[SL2Element]:

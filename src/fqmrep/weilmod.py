@@ -31,7 +31,7 @@ import numpy as np
 
 from .exactnum import NotAUnit
 from .heisenberg import HWParams
-from .matrixcore import OpMatrix, _float_stack, _SupportTable
+from .matrixcore import _FLOAT_BLOCK, OpMatrix, _float_stack, _SupportTable
 from .metaplectic import u_d, u_s, u_t_pow
 from .sl2 import SL2Element, enumerate_sl2
 
@@ -332,46 +332,75 @@ def extract_psi(
                           e^{2 pi i <(k, l), sigma (k', l')> / N}
 
     with sigma = A^T kappa A - kappa is asserted on all quadruples for
-    N <= 4 and on seeded samples beyond.
+    N <= 4 and on seeded samples beyond.  This is `_character_scan` on a
+    stack of one.
     """
     N = A.N
     Uc = U.to_complex_array() if isinstance(U, OpMatrix) else np.asarray(U, dtype=complex)
-    Ui = np.linalg.inv(Uc)
-    a, b, c, d = A.entries()
-    at = np.arange(N * N)
-    k, l = np.divmod(at, N)  # (k, l) in scan order
+    psi, faults = _character_scan(Uc[None], np.array(A.entries())[:, None], tol, samples, seed)
+    if faults[0] is not None:
+        raise NotMetaplectic(faults[0])
+    k, l = np.divmod(np.arange(N * N), N)
+    return CharacterSample(A, dict(zip(zip(k.tolist(), l.tolist()), psi[0].tolist())))
+
+
+def _character_scan(
+    stack: np.ndarray, entries: np.ndarray, tol: float, samples: int = 1000, seed: int = 11
+) -> tuple[np.ndarray, list[str | None]]:
+    """`extract_psi` for every U of `stack`, a (count, N, N) complex stack,
+    against the element of `entries`, an array (4, count) of (a, b, c, d)
+    mod N: psi as a (count, N^2) array in (k, l) scan order, and per
+    element None or the NotMetaplectic message `extract_psi` raises.
+
+    A block of elements at a time, `_FLOAT_BLOCK` entries of U pi U^{-1}
+    per block: one stacked inverse and the stacked products (U pi) U^{-1},
+    the same per-slice LAPACK and BLAS calls as on one U, so psi keeps its
+    bits.  The quadruples of the second-degree relation are drawn once.
+    """
+    count, N = stack.shape[:2]
+    entries = np.asarray(entries, dtype=np.int64).reshape(4, -1)
+    a, b, c, d = entries
+    k, l = np.divmod(np.arange(N * N), N)  # (k, l) in scan order
     pis = _float_stack(_SupportTable(N, *_pi_support(N, k, l)))  # pis[N r + s] is pi_shift(N, r, s)
-    X = (Uc @ pis @ Ui).reshape(N * N, N * N)
-    Y = pis[N * ((a * k + b * l) % N) + (c * k + d * l) % N].reshape(N * N, N * N)
-    nz = np.abs(Y).argmax(axis=1)
-    psi = X[at, nz] / Y[at, nz]
-    bad = np.abs(np.abs(psi) - 1) > 1e-10
-    bad |= np.abs(X - psi[:, None] * Y).max(axis=1) > tol
-    if bad.any():
-        at = bad.argmax()
-        raise NotMetaplectic(
-            f"no unit scalar at (k, l) = ({k[at]}, {l[at]}) for {A.entries()} mod {N}"
-        )
-    sample = CharacterSample(A, dict(zip(zip(k.tolist(), l.tolist()), psi.tolist())))
-    s00, s01, s10, s11 = sample.sigma()
+    flat = pis.reshape(N * N, N * N)
+    at = np.abs(flat).argmax(axis=1)  # the entry psi is read at, per shift
     if N <= 4:  # every quadruple, in itertools.product order
         quads = np.indices((N,) * 4).reshape(4, -1)
     else:
         rng = random.Random(seed)
         quads = np.array([rng.randrange(N) for _ in range(4 * samples)]).reshape(-1, 4).T
-    k, l, kp, lp = quads
-    e = k * (s00 * kp + s01 * lp) + l * (s10 * kp + s11 * lp)
-    psi = psi.reshape(N, N)
-    lhs = psi[(k + kp) % N, (l + lp) % N]
-    # a real angle: dividing a complex by N would round differently from the scalar form
-    rhs = psi[k, l] * psi[kp, lp] * np.exp(1j * (2 * np.pi * e / N))
-    bad = np.abs(lhs - rhs) > tol
-    if bad.any():
-        raise NotMetaplectic(
-            f"second-degree relation fails at {tuple(quads[:, bad.argmax()].tolist())}"
-            f" for {A.entries()}"
-        )
-    return sample
+    qk, ql, qkp, qlp = quads
+    # sigma = A^T kappa A - kappa, row-major, per element
+    s00, s01, s10, s11 = (x[:, None] for x in (c * a % N, c * b % N, (d * a - 1) % N, d * b % N))
+    psi = np.empty((count, N * N), dtype=np.complex128)
+    faults: list[str | None] = [None] * count
+    step = max(1, _FLOAT_BLOCK // N**4)
+    for lo in range(0, count, step):
+        blk = slice(lo, lo + step)
+        U = stack[blk]
+        X = (U[:, None] @ pis @ np.linalg.inv(U)[:, None]).reshape(len(U), N * N, N * N)
+        image = N * ((a[blk, None] * k + b[blk, None] * l) % N)
+        image += (c[blk, None] * k + d[blk, None] * l) % N
+        Y, col = flat[image], at[image][..., None]
+        p = (np.take_along_axis(X, col, axis=2) / np.take_along_axis(Y, col, axis=2))[..., 0]
+        psi[blk] = p
+        bad = np.abs(np.abs(p) - 1) > 1e-10
+        bad |= np.abs(X - p[..., None] * Y).max(axis=2) > tol
+        e = qk * (s00[blk] * qkp + s01[blk] * qlp) + ql * (s10[blk] * qkp + s11[blk] * qlp)
+        grid = p.reshape(-1, N, N)
+        lhs = grid[:, (qk + qkp) % N, (ql + qlp) % N]
+        # a real angle: dividing a complex by N would round differently from the scalar form
+        rhs = grid[:, qk, ql] * grid[:, qkp, qlp] * np.exp(1j * (2 * np.pi * e / N))
+        fails = np.abs(lhs - rhs) > tol
+        for j in np.flatnonzero(bad.any(axis=1) | fails.any(axis=1)).tolist():
+            A = tuple(entries[:, lo + j].tolist())
+            if bad[j].any():
+                t = bad[j].argmax()
+                faults[lo + j] = f"no unit scalar at (k, l) = ({k[t]}, {l[t]}) for {A} mod {N}"
+            else:
+                quad = tuple(quads[:, fails[j].argmax()].tolist())
+                faults[lo + j] = f"second-degree relation fails at {quad} for {A}"
+    return psi, faults
 
 
 def _feichtinger_array(N: int, entries) -> np.ndarray | None:

@@ -243,6 +243,22 @@ def test_exact_cocycle_twisted_mod32_fresh_gate():
     _done("exact cocycle-twisted N = 32", t0, 10)
 
 
+def test_float_feichtinger_defect_mod16_fresh_gate():
+    # the float feichtinger-defect suite at N = 16 (48 seeded elements, the
+    # 65,536-pair pi law, the witness search) in a fresh process: one
+    # character scan over the 48 U's, one element a block (U pi U^-1 has
+    # 65,536 entries, past `_FLOAT_BLOCK`), the 1,000 seeded quadruples drawn
+    # once; 0.37-0.48 s and 41 MB measured on a 2-vCPU box (one extract_psi
+    # per element, each redrawing its quadruples: 0.59-0.64 s and 41 MB)
+    t0 = time.perf_counter()
+    passed, checks, deviation, peak_kib, seconds, digest = _fresh_run("feichtinger-defect", {"N": 16})
+    assert passed and checks == 65_842 and deviation <= 1e-9
+    assert digest.startswith("c81bba487fd4016c")
+    assert seconds <= 1.5, f"suite took {seconds:.2f}s, budget 1.5s"
+    assert peak_kib <= 60 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 60 MB"
+    _done("float feichtinger-defect N = 16", t0, 10)
+
+
 def test_criterion_05_decomposition_consistency():
     # closed forms equal generator-word products; the even-d branch
     # raises unless exactly one sign candidate reproduces A, so a

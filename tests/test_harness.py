@@ -335,6 +335,44 @@ def test_feichtinger_defect_builds_each_operator_once(N, monkeypatch):
     assert rep.params["nonhom_defect_norm"] == witness["defect_norm"]
 
 
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_feichtinger_defect_scans_every_character_at_once(N, monkeypatch):
+    # one `_character_scan` over every scanned element; with the first
+    # one's U given one entry of flipped sign (a dense U: a flipped entry of
+    # a signed permutation at N = 2 can leave a normalizer), that element
+    # alone fails the conjugation identity, as in the per-element
+    # extract_psi loop
+    scans = []
+    real_scan = weilmod._character_scan
+    monkeypatch.setattr(harness, "_character_scan",
+                        lambda stack, *a: scans.append(len(stack)) or real_scan(stack, *a))
+    elems = enumerate_sl2(N)
+    if len(elems) > 60:  # the suite's seeded picks
+        elems = [elems[i] for i in sorted(random.Random(7).sample(range(len(elems)), 48))]
+    target = elems[0]
+    real = weilmod.feichtinger_u
+
+    def flawed(N, A):
+        out = real(N, A)
+        if tuple(A) == target.entries():
+            row = out.data[0]
+            row[np.abs(row).argmax()] *= -1
+        return out
+
+    monkeypatch.setattr(weilmod, "feichtinger_u", flawed)
+    rep = run_suite(SuiteSpec("feichtinger-defect", {"N": N}))
+    assert scans == [len(elems)]
+    identity = "U pi(k,l) U^-1 == psi pi((k,l)A)"
+    failed = [f.inputs["A"] for f in rep.failures if f.identity == identity]
+    want = []
+    for A in elems:
+        try:
+            weilmod.extract_psi(flawed(N, A.entries()), A)
+        except weilmod.NotMetaplectic:
+            want.append(list(A.entries()))
+    assert failed == [list(target.entries())] and want == failed
+
+
 def test_heisenberg_exhaustive_commutator_count():
     # (2N)^3 doubled-range triples on each side: 4096 pairs at n=1 plus
     # the four fixed generator identities
@@ -864,6 +902,7 @@ def test_dagger_law_proves_no_point_unless_member_0_is_the_identity(monkeypatch)
 FLOAT_STACK_RUNS = [
     ("weil-odd", {"N": 3}), ("weil-odd", {"N": 5}), ("weil-odd", {"N": 7}),
     ("cocycle-odd", {"N": 5}), ("feichtinger-defect", {"N": 4}),
+    ("feichtinger-defect", {"N": 8}),
 ]
 
 
@@ -871,7 +910,9 @@ FLOAT_STACK_RUNS = [
 def test_passing_float_stack_runs_compare_no_key_alone(name, params, monkeypatch):
     # the conjugation, dagger and pair laws of a passing default run are all
     # decided on float stacks: no pair compared alone, no element verified
-    # alone, no J built and no mat_eq
+    # alone, no J built and no mat_eq; no element's character scanned alone
+    # (the suite reaches `extract_psi` only through weilmod), and no block of
+    # J's densified per block (weil-odd gathers them from one stack)
     calls = []
 
     def spy(module, attr):
@@ -880,7 +921,8 @@ def test_passing_float_stack_runs_compare_no_key_alone(name, params, monkeypatch
 
     for module, attr in [(harness, "_pair_compare"), (harness, "verify_metaplectic"),
                          (harness, "mat_eq"), (metaplectic, "mat_eq"),
-                         (harness, "j_odd"), (metaplectic, "j_odd")]:
+                         (harness, "j_odd"), (metaplectic, "j_odd"),
+                         (weilmod, "extract_psi"), (metaplectic, "_float_stack")]:
         spy(module, attr)
     rep = run_suite(SuiteSpec(name, params))
     assert rep.passed and rep.checks_run > 0

@@ -48,6 +48,7 @@ from fqmrep.metaplectic import (
 from fqmrep.report import VerifyReport
 from fqmrep.sl2 import (
     SL2Element,
+    _sl2_entries,
     act_on_point,
     decompose,
     dilatation,
@@ -973,6 +974,25 @@ def test_stacked_conjugation_proves_nothing_for_a_non_permutation_j():
     assert not mat_eq(J[0] @ U, U @ J[1]).equal
     equal, _ = metaplectic._stacked_conjugation(table, ones, np.array([0, 0]), np.array([0, 1]), 0.0)
     assert equal.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_float_conjugation_reads_a_j_stack_like_its_table(N):
+    # the float branch gathers each block's J's from the stack of every J
+    # with the bits of densifying them per block from the support table,
+    # on every (element, point) of SL2(Z_N), with one entry of one U moved
+    table = metaplectic._j_table("weil_odd", N, None)
+    entries = _sl2_entries(N)
+    stack = metaplectic._weil_odd_stack(N, entries)
+    stack[3, 0, 0] += 1e-3
+    e, l = np.indices((entries.shape[1], N * N)).reshape(2, -1)
+    a, b, c, d = entries[:, e]
+    r, s = np.divmod(l, N)
+    image = N * ((a * r + c * s) % N) + (b * r + d * s) % N
+    got = metaplectic._stacked_conjugation(matrixcore._float_stack(table), stack, l, image, 1e-9, e)
+    want = metaplectic._stacked_conjugation(table, stack, l, image, 1e-9, e)
+    assert np.array_equal(got[0], want[0]) and not got[0].all()
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [1, 2])

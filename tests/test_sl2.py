@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from fqmrep.exactnum import NotAUnit
@@ -8,6 +10,7 @@ from fqmrep.sl2 import (
     BadDeterminant,
     SL2Element,
     TooLarge,
+    _sl2_entries,
     act_on_point,
     decompose,
     dilatation,
@@ -60,6 +63,17 @@ def test_group_orders_frozen():
     assert len(enumerate_sl2(3)) == 24
     assert len(enumerate_sl2(4)) == 48
     assert len(set(enumerate_sl2(8))) == sl2_order(8)
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_entries_list_the_group_in_lexicographic_order(N):
+    # one enumerator: the entries array is every (a, b, c, d) of determinant
+    # 1 mod N in increasing order, and enumerate_sl2's elements are its columns
+    want = [x for x in itertools.product(range(N), repeat=4) if (x[0] * x[3] - x[1] * x[2]) % N == 1]
+    entries = _sl2_entries(N)
+    assert entries.dtype == np.int64 and entries.shape == (4, sl2_order(N))
+    assert list(map(tuple, entries.T.tolist())) == want
+    assert [A.entries() for A in enumerate_sl2(N)] == want
 
 
 def test_enumeration_cap():

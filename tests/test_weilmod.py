@@ -29,6 +29,7 @@ from fqmrep.weilmod import (
     pi_shift,
     theta_defect,
     weil_generator_action,
+    _character_scan,
 )
 
 TOL = 1e-9
@@ -467,6 +468,44 @@ def test_extract_psi_matches_the_per_point_scan():
                 if isinstance(want, str):
                     messages.add(want.split(" at ")[0])
     assert messages == {"no unit scalar", "second-degree relation fails"}
+
+
+def _scan_parity(stack, elems, samples=50):
+    # `_character_scan` over the stack against one extract_psi call per
+    # element: the same psi bits where it passes, the same message where it
+    # raises; the verdicts, in element order.  50 quadruples past N = 4
+    # (1,000 by default) keep the per-element loop's redraws short
+    entries = np.array([A.entries() for A in elems]).T
+    psi, faults = _character_scan(stack, entries, TOL, samples)
+    for U, A, got, fault in zip(stack, elems, psi, faults):
+        try:
+            want = np.array(list(extract_psi(U, A, samples=samples).values.values()))
+        except NotMetaplectic as exc:
+            assert fault == str(exc), A.entries()
+        else:
+            assert fault is None and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return [fault is None for fault in faults]
+
+
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_character_scan_matches_extract_psi_per_element(N):
+    # every element is well-formed at N = 2, 4, 8; the blocks of the stacked
+    # scan (16 elements at N = 4, one at N = 8) give each element's verdict,
+    # bits and message, clean and under three flaws
+    elems = enumerate_sl2(N)
+    stack = np.array([feichtinger_u(N, A).to_complex_array() for A in elems])
+    assert all(_scan_parity(stack, elems))
+    assert all(_scan_parity(stack * np.exp(0.7j), elems))  # a global phase
+    bent = stack @ np.diag([2.0] + [1.0] * (N - 1))  # no normalizer of the shifts
+    assert not any(_scan_parity(bent, elems))
+    flipped = stack.copy()  # one entry of the first (dense) U of flipped sign
+    flipped[0, 0, np.abs(flipped[0, 0]).argmax()] *= -1
+    assert _scan_parity(flipped, elems) == [False] + [True] * (len(elems) - 1)
+    # a stack of one raises extract_psi's message, in the per-point scan's words
+    for V, A in ((bent[1], elems[1]), (flipped[0], elems[0])):
+        with pytest.raises(NotMetaplectic) as exc:
+            extract_psi(V, A)
+        assert str(exc.value) == _psi_per_point(V, A)
 
 
 def test_character_sample_rejects_off_circle():
