@@ -15,16 +15,17 @@ exact `heisenberg` commutator law on a table prepared once per suite call
 from the 2 N^2 generator steps of the J table (`_generator_cocycle`, the
 cocycle lemma); where a step fails, `_support_law` decides every pair
 (`check_pair_law`) and every point as J[l] J[-l] == I on the same table.
-`_conjugation_scan` decides J[l] U(A) == U(A) J[lA] on such a table: for
-`metaplectic` on U's exponent index from its closed-form builder's table
-(`_closed_form`, `_index`), each element from its two generator points
-once the run's J's meet the cocycle lemma; for `weil-odd` in one scan over
-every (element, point) on the float stack of its U(A) (`_weil_odd_stack`)
-and the float stack of its J's.  The float pair laws (`cocycle-odd` and its
-dagger law, the `feichtinger-defect` pi law, `weil-odd`'s
-U(A) U(B) == U(AB)) are decided on float stacks in stacked products whose
-deviations keep their bits; `feichtinger-defect` reads the characters of
-all its elements in one stacked scan (`_character_scan`).
+`_conjugation_scan` decides J[l] U(A) == U(A) J[lA] on such a table, in
+one scan over every (element, point) of a suite call: for `metaplectic`
+over S, T and the samples, each on U's exponent index from its closed-form
+builder's table (`_closed_form`, `_index`), from its two generator points
+once the run's J's meet the cocycle lemma; for `weil-odd` over SL2(Z_N) on
+the float stack of its U(A) (`_weil_odd_stack`) and that of its J's.  The
+float pair laws (`cocycle-odd` and its dagger law, the `feichtinger-defect`
+pi law, `weil-odd`'s U(A) U(B) == U(AB)) are decided on float stacks in
+stacked products whose deviations keep their bits; `feichtinger-defect`
+reads the characters of all its elements in one stacked scan
+(`_character_scan`).
 The exact `homomorphism` law is decided on the builders' tables by
 `_phase_law`, each read once into a `_SlotTable`: a pair with a c = 0 side
 on exponent indexes, a pair of factor tables modulo a word prime, a block
@@ -71,13 +72,13 @@ from .metaplectic import (
     _j_table,
     _odd_prime,
     _s_table,
+    _table_op,
     _weil_odd_stack,
     u_a_closed,
     u_general,
     u_of_word,
-    verify_metaplectic,
 )
-from .report import Failure, VerifyReport
+from .report import VerifyReport
 from .sl2 import (
     SL2Element,
     TooLarge,
@@ -431,14 +432,17 @@ def _suite_metaplectic(params: dict) -> VerifyReport:
     _guard_dim(N * N)
     rep = VerifyReport("metaplectic", {"N": N, "p": pr.p, "samples": samples, "seed": seed})
     table = _j_table("twisted_even", N, pr)
-    cocycle = _generator_cocycle(_law_table(table), pr)  # the cocycle lemma, once per run
-    named = [("S", sl2_s(N)), ("T", sl2_t(N))]  # at S and T the closed form is u_s and u_t
-    for name, A in named + [(list(A.entries()), A) for A in sample_sl2(N, samples, seed)]:
-        sub = verify_metaplectic(_closed_form(pr, A)[0], A, "twisted_even", pr, tol, table, cocycle)
-        rep.checks_run += sub.checks_run
-        rep.max_abs_deviation = max(rep.max_abs_deviation, sub.max_abs_deviation)
-        rep.failures += [Failure(f.identity, {"element": name, **f.inputs}, f.deviation)
-                         for f in sub.failures]
+    # at S and T the closed form is u_s and u_t; U is built only for a
+    # failing element, once on its first failing point
+    elements = [sl2_s(N), sl2_t(N)] + sample_sl2(N, samples, seed)
+    names = ["S", "T"] + [list(A.entries()) for A in elements[2:]]
+    closed = lru_cache(maxsize=4)(lambda e: _closed_form(pr, elements[e])[0])
+    matrix = lru_cache(maxsize=1)(lambda e: _table_op(pr, closed(e), "exact", "U"))
+    _conjugation_scan(
+        rep, N, table, _entries(elements), closed, lambda pt: j_twisted(pr, pt, backend="exact"),
+        matrix, tol, lambda e, l: {"element": names[e], "r": l // N, "s": l % N},
+        _generator_cocycle(_law_table(table), pr),  # the cocycle lemma, once per run
+    )
     return rep
 
 

@@ -332,7 +332,8 @@ def _slot_table(table: _SupportTable | _FactorTable) -> _SlotTable:
     of the plan `_ntt_matmul` uses at its dim: omega^e goes to
     (zeta^{(2m+1) e})_m, the column e of [fwd, -fwd] (omega^{L+k} =
     -omega^k), times 2^{-scale_pow2}.  A factor table's stages are read from
-    its factors; a dense `_PhaseTable`, which no builder writes, has none."""
+    its factors; a dense `_PhaseTable` has none (`metaplectic._s_table`
+    writes one for `u_s`, but no suite builds a slot table from it)."""
     order = _exact_order(table.order)
     size = basis_size(order)
     index = _index(table, order)
@@ -500,7 +501,7 @@ def _law_table(table: _SupportTable) -> _LawTable:
     """The table prepared for `_support_law`, once per suite call.  Its order
     must divide 2^16, so that codes in an unsigned type wrap mod a multiple
     of it.  The builders' int64 tables stay as they are for
-    `_stacked_conjugation`."""
+    `_conjugation_scan`."""
     order, dim = table.order, table.cols.shape[1]
     if (1 << 16) % order:
         raise ValueError(f"_support_law needs an order dividing 2^16, got {order}")

@@ -42,6 +42,10 @@ J_{r,s} by the torus action of diag(a^{-1}, a), so the image of D(a)
 uses the inverse argument.  `_weil_odd_stack` writes both branches for
 many elements at once; the one-element builders are calls of it.
 
+The property J_{r,s} U(A) = U(A) J_{(r,s)A} is decided for many elements
+in one `_conjugation_scan`, on a float stack of their matrices or on each
+element's exact table; `verify_metaplectic` is that scan on one element.
+
 Everything with N = 2^n defaults to the exact cyclotomic backend;
 odd-N matrices carry 1/sqrt(N) and stay in floats.
 """
@@ -404,43 +408,6 @@ def _index_conjugation(
     return equal
 
 
-def _stacked_conjugation(
-    table: _SupportTable | np.ndarray, U: np.ndarray | _SupportTable | _PhaseTable,
-    left: np.ndarray, right: np.ndarray, tol: float, element: np.ndarray | None = None,
-    generators: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(equal, deviation) of J[left[k]] U against U J[right[k]] for each k,
-    U a float stack (members, dim, dim), member element[k] at key k, or the
-    table of an exact U.
-
-    Float: a block of keys at a time (`_stack_deviation`), the block's J
-    gathered from `table` where it is the float stack of every J, densified
-    from it where it is their support table (`_float_stack`), and multiplied
-    with the block's U in stacked per-slice products, so each deviation is
-    the one `mat_eq` gives on the same products.  Table: on U's exponent
-    index at the higher of the two orders (`_index_conjugation`), `table` a
-    support table.  `generators` (e_1, e_2 and their
-    images under U's A, the table meeting `_generator_cocycle`) decide every
-    key when both hold: J_{l + e_i} U = omega^{-phi(l, e_i)} J_l U J_{e_i A}
-    = U J_{(l + e_i) A} once J_l U = U J_{lA}, as phi is SL2-invariant.
-    """
-    n = len(left)
-    if isinstance(U, np.ndarray):
-        J = table.__getitem__ if isinstance(table, np.ndarray) else partial(_float_stack, table)
-
-        def sides(k):
-            V = U[element[k]]
-            return J(left[k]) @ V, V @ J(right[k])
-
-        dev = _stack_deviation(n, U.shape[1], sides)
-        return dev <= tol, dev
-    order = max(U.order, table.order)
-    index = _index(U, order)
-    if generators is not None and _index_conjugation(table, index, order, *generators).all():
-        return np.ones(n, dtype=bool), np.zeros(n)
-    return _index_conjugation(table, index, order, left, right), np.zeros(n)
-
-
 def _conjugation_scan(
     report: VerifyReport, N: int, table: _SupportTable | np.ndarray, entries: np.ndarray, U, j_of,
     matrix, tol: float, inputs, generated: bool = False,
@@ -450,12 +417,20 @@ def _conjugation_scan(
     (4, count) of (a, b, c, d) mod N, and l = N r + s the points of the J
     table.
 
-    Unless U is None, `_stacked_conjugation` decides blocks of keys on U, a
-    float stack of the elements' matrices (`table` the J's support table or
-    their float stack) or one element's table, with `generated` from its two
-    generator points.  Every key it does not prove equal is compared as
-    mat_eq(J_l @ U_e, U_e @ J_{l A_e}), J built by j_of((r, s)) and U_e by
-    matrix(e), and named by inputs(e, l).
+    Unless U is None, it decides each chunk of keys.  A float stack of the
+    elements' matrices decides a block of keys at a time
+    (`_stack_deviation`): the block's U's gathered once, its J's from
+    `table`, the float stack of every J or their support table
+    (`_float_stack`), in stacked per-slice products, so each deviation is
+    the one `mat_eq` gives on the same products.  A function e -> element
+    e's exact table decides each element of the chunk on its exponent index
+    at the higher of the two orders (`_index_conjugation`), `table` a
+    support table: where `generated` (the table meets `_generator_cocycle`),
+    from its two generator points first, as J_{l + e_i} U = omega^{-phi(l,
+    e_i)} J_l U J_{e_i A} = U J_{(l + e_i) A} once J_l U = U J_{lA}, phi
+    being SL2-invariant.  Every key left is compared as mat_eq(J_l @ U_e,
+    U_e @ J_{l A_e}), J built by j_of((r, s)) and U_e by matrix(e), and
+    named by inputs(e, l).
     """
 
     def image(e, l):  # the point (r, s) A_e, as its index N r' + s'
@@ -468,8 +443,27 @@ def _conjugation_scan(
         return mat_eq(lhs @ matrix(e), matrix(e) @ rhs, tol)
 
     def decide(e, l):
-        generators = (np.array([N, 1]), image(e[0], np.array([N, 1]))) if generated else None
-        return _stacked_conjugation(table, U, l, image(e, l), tol, e, generators)
+        right = image(e, l)
+        if isinstance(U, np.ndarray):
+            J = table.__getitem__ if isinstance(table, np.ndarray) else partial(_float_stack, table)
+
+            def sides(k):
+                V = U[e[k]]
+                return J(l[k]) @ V, V @ J(right[k])
+
+            dev = _stack_deviation(len(l), U.shape[1], sides)
+            return dev <= tol, dev
+        equal, points = np.zeros(len(l), dtype=bool), np.array([N, 1])  # e_1 and e_2
+        for x in range(e[0], e[-1] + 1):  # the chunk's elements, in key order
+            at = slice(*np.searchsorted(e, (x, x + 1)))
+            u = U(x)
+            order = max(u.order, table.order)
+            index = _index(u, order)
+            if generated and _index_conjugation(table, index, order, points, image(x, points)).all():
+                equal[at] = True
+            else:
+                equal[at] = _index_conjugation(table, index, order, l[at], right[at])
+        return equal, np.zeros(len(l))
 
     keys = np.indices((entries.shape[1], N * N)).reshape(2, -1)
     report.scan("J[r,s] U == U J[(r,s)A]", keys, compare, inputs, None if U is None else decide)
@@ -481,26 +475,23 @@ def verify_metaplectic(
     flavor: str,
     params: HWParams | None = None,
     tol: float = 1e-9,
-    table: _SupportTable | None = None,
-    cocycle: bool | None = None,
 ) -> VerifyReport:
     """Check J_{r,s} U = U J_{(r,s)A} over every (r,s) in Z_N^2, U an OpMatrix
     or the table a builder wrote for an exact U (as `_closed_form` gives).
 
     The side-multiplied form avoids inverting U and is equivalent for
-    invertible U.  `table` is the flavor's `_j_table` and `cocycle` its
-    `_generator_cocycle` verdict, made here when None.  `_conjugation_scan`
-    records the points in (r, s) order: a table U from its two generator
-    points where `cocycle` holds, a float U by stacked BLAS products, every
-    point left as mat_eq(J[l] @ U, U @ J[lA]), J built by `j_twisted`/`j_odd`.
+    invertible U.  `_conjugation_scan` records the points in (r, s) order
+    on the flavor's `_j_table`: a table U from its two generator points
+    where the J's meet `_generator_cocycle`, a float U by stacked BLAS
+    products, every point left as mat_eq(J[l] @ U, U @ J[lA]), J built by
+    `j_twisted`/`j_odd`.
     """
     if isinstance(U, OpMatrix):
         backend, dim, matrix = U.backend, U.dim, lambda e: U
         kernel_u = None if U.data is None else U.data[None]  # a float U as a stack of one
     else:
-        kernel_u = U = _phase_table(U)
-        backend, dim = "exact", len(U.exps)
-        matrix = cache(lambda e: _table_op(params, U, backend, "U"))
+        backend, dim = "exact", len(U.cosets) ** 2 if isinstance(U, _FactorTable) else len(U.exps)
+        kernel_u, matrix = (lambda e: U), cache(lambda e: _table_op(params, U, backend, "U"))
     if flavor == "twisted_even":
         if params is None:
             raise ValueError("twisted_even needs params")
@@ -517,11 +508,10 @@ def verify_metaplectic(
         raise ValueError(f"element modulus {A.N} != {N}")
     rep_params["element"] = list(A.entries())
     report = VerifyReport(suite="metaplectic", params=rep_params)
-    table = _j_table(flavor, N, params) if table is None else table
+    table = _j_table(flavor, N, params)
     if (backend == "exact" and flavor != "twisted_even") or dim != table.cols.shape[1]:
         kernel_u = None  # the odd J's are float only: their roots are not in an exact U's ring
-    generated = kernel_u is not None and backend == "exact" and (
-        _generator_cocycle(_law_table(table), params) if cocycle is None else cocycle)
+    generated = callable(kernel_u) and _generator_cocycle(_law_table(table), params)
     _conjugation_scan(
         report, N, table, np.array(A.entries())[:, None], kernel_u, j_of, matrix, tol,
         lambda e, l: {"r": l // N, "s": l % N}, generated,

@@ -919,7 +919,7 @@ def test_passing_float_stack_runs_compare_no_key_alone(name, params, monkeypatch
         real = getattr(module, attr)
         monkeypatch.setattr(module, attr, lambda *a, **k: calls.append(attr) or real(*a, **k))
 
-    for module, attr in [(harness, "_pair_compare"), (harness, "verify_metaplectic"),
+    for module, attr in [(harness, "_pair_compare"), (metaplectic, "verify_metaplectic"),
                          (harness, "mat_eq"), (metaplectic, "mat_eq"),
                          (harness, "j_odd"), (metaplectic, "j_odd"),
                          (weilmod, "extract_psi"), (metaplectic, "_float_stack")]:

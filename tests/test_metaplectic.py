@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fqmrep.exactnum import CycNum, NotAUnit, _exact_order, jacobi_symbol
-from fqmrep import harness, matrixcore, metaplectic
+from fqmrep import harness, matrixcore, metaplectic, report
 from fqmrep.harness import SuiteSpec, run_suite
 from fqmrep.heisenberg import HWParams, _gamma_support, fourier, gamma_p, p_matrix, q_matrix
 from fqmrep.magnetic import j_odd, j_twisted
@@ -638,11 +638,10 @@ def test_u_t_pow_wraps():
 # -- the stacked conjugation check against the cycle walk ----------------------
 
 
-def _conjugation_reference(U, A, flavor, params=None, tol=1e-9, table=None, cocycle=None):
+def _conjugation_reference(U, A, flavor, params=None, tol=1e-9):
     """The cycle walk the stacked check replaced: one J U and one U J product
     and one mat_eq per point, each J built by the (possibly patched) builder;
-    a builder's table for U is built into its exact matrix first.  Neither
-    `table` nor the suite's `cocycle` verdict is read."""
+    a builder's table for U is built into its exact matrix first."""
     if not isinstance(U, OpMatrix):
         U = _table_op(params, U, "exact", "U")
     if flavor == "twisted_even":
@@ -654,7 +653,7 @@ def _conjugation_reference(U, A, flavor, params=None, tol=1e-9, table=None, cocy
         j_of = lambda pt: metaplectic.j_odd(N, pt)
         rep_params = {"flavor": flavor, "N": N}
     rep_params["element"] = list(A.entries())
-    report = VerifyReport(suite="metaplectic", params=rep_params)
+    rep = VerifyReport(suite="metaplectic", params=rep_params)
     points = [(r, s) for r in range(N) for s in range(N)]
     compared = {}
     for start in points:
@@ -669,24 +668,34 @@ def _conjugation_reference(U, A, flavor, params=None, tol=1e-9, table=None, cocy
             point, j_point = image, j_image
     for r, s in points:
         cmp = compared[(r, s)]
-        report.record(cmp.equal, cmp.max_deviation, "J[r,s] U == U J[(r,s)A]", {"r": r, "s": s})
-    return report
+        rep.record(cmp.equal, cmp.max_deviation, "J[r,s] U == U J[(r,s)A]", {"r": r, "s": s})
+    return rep
 
 
-def _spy_stacked(monkeypatch):
-    """The `equal` mask of each `_stacked_conjugation` call.
+CONJUGATION = "J[r,s] U == U J[(r,s)A]"
 
-    Unequal points are recomputed, so a stacked pass that wrongly finds
-    points unequal leaves the report as it is: tests count its flags."""
+
+def _spy_conjugation(monkeypatch, deviations=None):
+    """The `equal` mask of each chunk of keys the conjugation scan decides,
+    and its deviations appended to `deviations` unless that is None.
+
+    Unequal points are recomputed, so a decision that wrongly finds points
+    unequal leaves the report as it is: tests count its flags."""
     seen = []
+    real = VerifyReport.scan
 
-    def spy(*args):
-        out = real(*args)
-        seen.append(out[0].copy())
-        return out
+    def scan(self, identity, keys, compare, inputs, decide=None, weight=1):
+        def spy(*chunk):
+            out = decide(*chunk)
+            seen.append(out[0].copy())
+            if deviations is not None:
+                deviations.append(np.array(out[1], dtype=float))
+            return out
 
-    real = metaplectic._stacked_conjugation
-    monkeypatch.setattr(metaplectic, "_stacked_conjugation", spy)
+        law = decide is not None and identity == CONJUGATION
+        real(self, identity, keys, compare, inputs, spy if law else decide, weight)
+
+    monkeypatch.setattr(VerifyReport, "scan", scan)
     return seen
 
 
@@ -715,12 +724,36 @@ def _weil_odd_reference_json(params):
     return rep.to_json()
 
 
+def _metaplectic_reference_json(params):
+    """The metaplectic suite as one loop per element: S, T and the samples,
+    each U built from its element's (possibly patched) closed-form table,
+    the cycle walk of its conjugations, failures tagged with the element's
+    name."""
+    pr = HWParams(2 ** params["n"], params.get("p", 1))
+    N, samples, seed = pr.N, params.get("samples", 0), params.get("seed", 7)
+    rep = VerifyReport("metaplectic", {"N": N, "p": pr.p, "samples": samples, "seed": seed})
+    named = [("S", sl2_s(N)), ("T", sl2_t(N))]
+    for name, A in named + [(list(A.entries()), A) for A in sample_sl2(N, samples, seed)]:
+        U = harness._closed_form(pr, A)[0]
+        sub = _conjugation_reference(U, A, "twisted_even", pr, params.get("tol", 1e-9))
+        rep.checks_run += sub.checks_run
+        rep.max_abs_deviation = max(rep.max_abs_deviation, sub.max_abs_deviation)
+        for f in sub.failures:
+            f.inputs = {"element": name, **f.inputs}
+            rep.failures.append(f)
+    return rep.to_json()
+
+
 def _reference_suite_json(monkeypatch, name, params):
-    if name == "weil-odd":
-        return _weil_odd_reference_json(params)
+    # the per-element loop, which scans nothing: it never reaches the code
+    # under test
+    calls = []
     with monkeypatch.context() as m:
-        m.setattr(harness, "verify_metaplectic", _conjugation_reference)
-        return run_suite(SuiteSpec(name, params)).to_json()
+        for module in (harness, metaplectic):
+            m.setattr(module, "_conjugation_scan", lambda *args: calls.append(args))
+        want = (_weil_odd_reference_json if name == "weil-odd" else _metaplectic_reference_json)(params)
+    assert calls == []
+    return want
 
 
 CONJUGATION_SUITES = (
@@ -733,7 +766,7 @@ CONJUGATION_SUITES = (
 
 @pytest.mark.parametrize("name,params", CONJUGATION_SUITES)
 def test_conjugation_reports_match_the_cycle_walk(name, params, monkeypatch):
-    seen = _spy_stacked(monkeypatch)
+    seen = _spy_conjugation(monkeypatch)
     got = run_suite(SuiteSpec(name, params))
     assert seen  # the stacked pass decided the points, flagging just the failures
     assert sum(int((~mask).sum()) for mask in seen) == len(got.failures)
@@ -808,7 +841,7 @@ def test_suite_builds_each_j_once(name, params, builder, count, monkeypatch):
 def _flawed_u_report(bad, A, params, monkeypatch):
     # the stacked passes' masks and the failing points for a flawed U, after
     # checking the report against the cycle walk's
-    seen = _spy_stacked(monkeypatch)
+    seen = _spy_conjugation(monkeypatch)
     got = verify_metaplectic(bad, A, "twisted_even", params)
     _assert_same_json(got.to_json(), _conjugation_reference(bad, A, "twisted_even", params).to_json())
     assert 0 < len(got.failures) < 64
@@ -918,7 +951,7 @@ N4_FLAWS = {"moved exponent": "d-odd-reduced", "mask bit": "d-odd-sum", "swapped
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("case", [*N4_ELEMENTS, *N4_FLAWS])
 def test_exponent_kernel_agrees_with_mat_eq_at_n4(case, p):
-    # the stacked exact pass over all 256 points at N = 16 on U's table; a
+    # the exact index kernel over all 256 points at N = 16 on U's table; a
     # seeded subset of its verdicts, equal and unequal, is the dense
     # mat_eq(J U, U J)'s, U built from the table.  A flaw moves one exponent
     # of U's table, flips one mask bit, or swaps the columns of rows 0 and 1
@@ -946,8 +979,7 @@ def test_exponent_kernel_agrees_with_mat_eq_at_n4(case, p):
     a, b, c, d = A.entries()
     r, s = np.divmod(np.arange(256), 16)
     image = 16 * ((a * r + c * s) % 16) + (b * r + d * s) % 16
-    equal, deviation = metaplectic._stacked_conjugation(table, U, np.arange(256), image, 1e-9)
-    assert not deviation.any()
+    equal = metaplectic._index_conjugation(table, matrixcore._index(U, 16), 16, np.arange(256), image)
     assert equal.all() == (case in N4_ELEMENTS)
     J = lambda t: OpMatrix.from_support(16, table.cols[t], table.exps[t])  # noqa: E731
     U = _table_op(params, U, "exact", case)
@@ -965,34 +997,44 @@ def test_stacked_conjugation_proves_nothing_for_a_non_permutation_j():
     U = _SupportTable(8, np.arange(2), np.zeros(2, dtype=np.int64))  # I
     J = [OpMatrix.from_support(8, table.cols[t], table.exps[t]) for t in (0, 1)]
     assert not mat_eq(J[0] @ OpMatrix.identity(2), OpMatrix.identity(2) @ J[1]).equal
-    equal, _ = metaplectic._stacked_conjugation(table, U, np.array([0, 0]), np.array([0, 1]), 0.0)
+    left, right = np.array([0, 0]), np.array([0, 1])
+    equal = metaplectic._index_conjugation(table, matrixcore._index(U, 8), 8, left, right)
     assert equal.tolist() == [True, False]
     # U of equal columns (all ones): U at the columns c_1 is U again, but
     # U J[1] has column 0 twice U's and column 1 zero
     ones = matrixcore._PhaseTable(8, np.zeros((2, 2), dtype=np.int64), None, 0)
     U = OpMatrix.from_phase_table(*ones)
     assert not mat_eq(J[0] @ U, U @ J[1]).equal
-    equal, _ = metaplectic._stacked_conjugation(table, ones, np.array([0, 0]), np.array([0, 1]), 0.0)
+    equal = metaplectic._index_conjugation(table, matrixcore._index(ones, 8), 8, left, right)
     assert equal.tolist() == [True, False]
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
-def test_float_conjugation_reads_a_j_stack_like_its_table(N):
-    # the float branch gathers each block's J's from the stack of every J
-    # with the bits of densifying them per block from the support table,
-    # on every (element, point) of SL2(Z_N), with one entry of one U moved
+def test_float_conjugation_reads_a_j_stack_like_its_table(N, monkeypatch):
+    # the scan's float branch gathers each block's J's from the stack of
+    # every J with the bits of densifying them per block from the support
+    # table, on every (element, point) of SL2(Z_N), with one entry of one U
+    # moved
     table = metaplectic._j_table("weil_odd", N, None)
     entries = _sl2_entries(N)
     stack = metaplectic._weil_odd_stack(N, entries)
     stack[3, 0, 0] += 1e-3
-    e, l = np.indices((entries.shape[1], N * N)).reshape(2, -1)
-    a, b, c, d = entries[:, e]
-    r, s = np.divmod(l, N)
-    image = N * ((a * r + c * s) % N) + (b * r + d * s) % N
-    got = metaplectic._stacked_conjugation(matrixcore._float_stack(table), stack, l, image, 1e-9, e)
-    want = metaplectic._stacked_conjugation(table, stack, l, image, 1e-9, e)
-    assert np.array_equal(got[0], want[0]) and not got[0].all()
-    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+    deviations = []
+    seen = _spy_conjugation(monkeypatch, deviations)
+    reports = []
+    for J in (matrixcore._float_stack(table), table):
+        reports.append(VerifyReport("conjugation", {}))
+        metaplectic._conjugation_scan(
+            reports[-1], N, J, entries, stack, lambda pt: j_odd(N, pt),
+            lambda e: OpMatrix.from_complex(stack[e]), 1e-9, lambda e, l: {"e": e, "l": l},
+        )
+    half = len(seen) // 2
+    got, want = np.concatenate(seen[:half]), np.concatenate(seen[half:])
+    assert len(got) == entries.shape[1] * N * N
+    assert np.array_equal(got, want) and not got.all()
+    got, want = np.concatenate(deviations[:half]), np.concatenate(deviations[half:])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    _assert_same_json(reports[0].to_json(), reports[1].to_json())
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -1016,9 +1058,10 @@ def test_promoted_order_and_scale_match_the_cycle_walk(n, element, higher, monke
     assert U.scale_pow2 == n
     assert (U.order, table.order) == ((16, params.N) if higher == "U" else (params.N, 16))
     A = sl2_s(params.N) if element == "S" else sl2_t(params.N)  # T: U(S) is wrong
-    seen = _spy_stacked(monkeypatch)
+    monkeypatch.setattr(metaplectic, "_j_table", lambda *args: table)
+    seen = _spy_conjugation(monkeypatch)
     verdicts, points = _spy_two_points(monkeypatch)
-    got = verify_metaplectic(U, A, "twisted_even", params, table=table)
+    got = verify_metaplectic(U, A, "twisted_even", params)
     assert len(seen) == 1 and int((~seen[0]).sum()) == len(got.failures)
     _assert_same_json(got.to_json(), _conjugation_reference(U, A, "twisted_even", params).to_json())
     assert got.passed == (element == "S")
@@ -1028,7 +1071,7 @@ def test_promoted_order_and_scale_match_the_cycle_walk(n, element, higher, monke
 def test_float_twisted_matches_the_cycle_walk(monkeypatch):
     params = HWParams(4, 3)
     A = SL2Element(1, 1, 1, 2, 4)
-    seen = _spy_stacked(monkeypatch)
+    seen = _spy_conjugation(monkeypatch)
     for U, tol in [(u_general(params, A).to_float(), 1e-9), (u_s(params).to_float(), 1e-9),
                    (u_general(params, A).to_float(), 1e-20)]:
         got = verify_metaplectic(U, A, "twisted_even", params, tol=tol)
@@ -1040,16 +1083,15 @@ def test_float_twisted_matches_the_cycle_walk(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_float_u_on_the_shared_table_matches_the_cycle_walk(n, monkeypatch):
-    # the metaplectic suite's one table of the J's serves a float U too: it
-    # takes the stacked pass and gives the per-point report
+    # the support table of the J's serves a float U too, densified a block
+    # at a time: it takes the stacked pass and gives the per-point report
     params = HWParams(2**n, 2**n - 1)
-    table = metaplectic._j_table("twisted_even", params.N, params)
-    seen = _spy_stacked(monkeypatch)
+    seen = _spy_conjugation(monkeypatch)
     cases = [(u_general(params, A), A, True)
              for A in [sl2_s(params.N), sl2_t(params.N)] + sample_sl2(params.N, 3, 5)]
     cases.append((u_s(params), sl2_t(params.N), False))  # U(S) is wrong for T
     for U, A, passes in cases:
-        got = verify_metaplectic(U.to_float(), A, "twisted_even", params, table=table)
+        got = verify_metaplectic(U.to_float(), A, "twisted_even", params)
         assert int((~seen[-1]).sum()) == len(got.failures)
         want = _conjugation_reference(U.to_float(), A, "twisted_even", params)
         _assert_same_json(got.to_json(), want.to_json())
@@ -1578,13 +1620,28 @@ def _spy_two_points(monkeypatch):
 
 @pytest.mark.parametrize("params", [{"n": 3, "samples": 3}, {"n": 3, "p": 5, "samples": 6, "seed": 2}])
 def test_passing_run_decides_each_element_from_two_points(params, monkeypatch):
-    # one generator-cocycle check per run, and the index kernel reads the
-    # two generator points of each element and nothing else
+    # one conjugation scan over every (element, point), one generator-cocycle
+    # check per run, and the index kernel reads the two generator points of
+    # each element and nothing else: no element is verified alone and no
+    # matrix is built
+    scans, verified = [], []
+    real_scan, real_verify = harness._conjugation_scan, metaplectic.verify_metaplectic
+
+    def scan(rep, N, table, entries, *args):
+        scans.append(entries.shape[1] * N * N)
+        return real_scan(rep, N, table, entries, *args)
+
+    monkeypatch.setattr(harness, "_conjugation_scan", scan)
+    monkeypatch.setattr(metaplectic, "verify_metaplectic",
+                        lambda *args, **kw: verified.append(args) or real_verify(*args, **kw))
+    built = _count_scatter(monkeypatch)
     verdicts, points = _spy_two_points(monkeypatch)
     rep = run_suite(SuiteSpec("metaplectic", params))
     assert rep.passed and rep.checks_run == (2 + params["samples"]) * 64
+    assert scans == [(2 + params["samples"]) * 64]
     assert verdicts == [True]
     assert points == [2] * (2 + params["samples"])
+    assert verified == [] and built == []
 
 
 def _full_cocycle(table, pr):
@@ -1679,6 +1736,35 @@ def test_flawed_u_falls_back_from_two_points_like_the_cycle_walk(n, branch, flaw
     failing = {json.dumps(f.inputs["element"]) for f in got.failures}
     named = ["S", "T"] + [list(A.entries()) for A in elements[2:]]
     assert failing == {json.dumps(name) for name, flawed in zip(named, hit) if flawed}
+
+
+@pytest.mark.parametrize("chunk", [4096, 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_chunks_that_split_an_element_report_like_the_per_element_loop(n, chunk, monkeypatch):
+    # at n = 1 and 2 one chunk of 4,096 keys holds every element, and chunks
+    # of 7 split the elements' 4 or 16 points across chunks; with one entry
+    # of every d-odd-reduced table moved, the report is the per-element
+    # loop's, some elements failing and some passing, and the scan leaves
+    # exactly the failing points to be compared
+    params = {"n": n, "p": 1, "samples": 12, "seed": 1}
+    real = harness._closed_form
+
+    def closed(pr, A):
+        table, name = real(pr, A)
+        return (_flawed_table(pr, A, "moved") if name == "d-odd-reduced" else table), name
+
+    monkeypatch.setattr(harness, "_closed_form", closed)
+    want = _reference_suite_json(monkeypatch, "metaplectic", params)
+    monkeypatch.setattr(report, "_SCAN_CHUNK", chunk)
+    seen = _spy_conjugation(monkeypatch)
+    got = run_suite(SuiteSpec("metaplectic", params))
+    _assert_same_json(got.to_json(), want)
+    assert sum(int((~mask).sum()) for mask in seen) == len(got.failures)
+    N = 2**n
+    elements = [sl2_s(N), sl2_t(N)] + sample_sl2(N, params["samples"], params["seed"])
+    hit = [real(HWParams(N), A)[1] == "d-odd-reduced" for A in elements]
+    assert any(hit) and not all(hit)
+    assert got.checks_run == len(elements) * N * N and got.failures
 
 
 @pytest.mark.parametrize("kept", ["first row", "second row"])

@@ -508,6 +508,27 @@ def test_character_scan_matches_extract_psi_per_element(N):
         assert str(exc.value) == _psi_per_point(V, A)
 
 
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_a_scalar_off_the_unit_circle_fails_inside_the_residual_tolerance(N):
+    # every U with its row 0 scaled by 1 + 1e-8, at tol 1e-6: U pi U^-1 is
+    # psi pi((k, l)A) up to a residual of about 2e-8, inside tol, and the
+    # second-degree relation holds as closely, so only the unit-scalar test
+    # (| |psi| - 1 | > 1e-10) rejects it, for every element and in extract_psi
+    elems = enumerate_sl2(N)
+    stack = np.array([feichtinger_u(N, A).to_complex_array() for A in elems])
+    entries = np.array([A.entries() for A in elems]).T
+    assert _character_scan(stack, entries, 1e-6, 50)[1] == [None] * len(elems)
+    stack[:, 0] *= 1 + 1e-8
+    _, faults = _character_scan(stack, entries, 1e-6, 50)
+    assert all(fault.startswith("no unit scalar at ") for fault in faults)
+    A = SL2Element(3 % N, 2 % N, 1, 1, N)
+    U = feichtinger_u(N, A).to_complex_array()
+    U[0] *= 1 + 1e-8
+    with pytest.raises(NotMetaplectic, match="^no unit scalar at ") as exc:
+        extract_psi(U, A, tol=1e-6, samples=50)
+    assert str(exc.value) == faults[elems.index(A)]
+
+
 def test_character_sample_rejects_off_circle():
     with pytest.raises(ValueError):
         CharacterSample(SL2Element.identity(2), {(0, 0): 1.0 + 0j, (0, 1): 0.5 + 0j})
