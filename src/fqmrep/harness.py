@@ -29,7 +29,10 @@ reads the characters of all its elements in one stacked scan
 The exact `homomorphism` law is decided on the builders' tables by
 `_phase_law`, each read once into a `_SlotTable`: a pair with a c = 0 side
 on exponent indexes, a pair of factor tables modulo a word prime, a block
-of slots at a time, past dim 64 by one table's two batched stages.  Exact
+of slots at a time, past dim 64 by one table's two batched stages: on the
+first N columns only where U(A), U(B) and U(AB) meet their conjugation
+laws (`_covariance`, each element once per run), as J-covariance proves
+the rest (`_covariance_law`).  Exact
 `decomposition` chains that law over the prefixes of each element's word,
 holding the tables of S, S^-1 and S^2 for the run (`_s_images_hold` ties
 the word's images of them to the closed forms).  Keys a kernel does not
@@ -50,7 +53,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import accumulate
 from operator import mul
 
@@ -69,6 +72,7 @@ from .metaplectic import (
     _closed_form,
     _conjugation_scan,
     _generator_cocycle,
+    _generator_points,
     _j_table,
     _odd_prime,
     _s_table,
@@ -476,11 +480,47 @@ def _suite_homomorphism(params: dict) -> VerifyReport:
     members = None
     if backend == "exact":  # the builders' tables decide; elements are numbered by their entries
         shape = (N,) * 4
-        entries = lambda k: map(int, np.unravel_index(k, shape))  # noqa: E731
-        table = keep(lambda k: _slot_table(_closed_form(pr, element(entries(k)))[0]))
+        entries = lambda k: tuple(map(int, np.unravel_index(k, shape)))  # noqa: E731
+        attach = _covariance(pr)
+        table = keep(lambda k: attach(_slot_table(_closed_form(pr, element(entries(k)))[0]), k,
+                                      entries(k)))
         members = (table, lambda x: np.ravel_multi_index(x, shape))
     _sl2_law(rep, N, pairs, op, tol, members)
     return rep
+
+
+def _covariance(pr: HWParams):
+    """A function (slot, key, entries) -> slot that appends to the slot
+    table of U(A), A = entries, the run's verdict on J_l U(A) == U(A) J_{lA}
+    at every l, decided on first use: once per run, the J table meets
+    `_generator_cocycle` and its J's carry the first N columns to every
+    column (J_m e_j is a unit times e_i, i the row holding column j), as
+    `_covariance_law` needs; once per key, the slot's index meets the law at
+    the two generator points (`_generator_points`)."""
+
+    @cache
+    def j_table():
+        # in the smallest unsigned types (the index kernel's exponents wrap
+        # mod 2^8, a multiple of the order): held in int64, it raised the
+        # peak RSS of an N = 16 run by 1 MB
+        table = _j_table("twisted_even", pr.N, pr)
+        return table._replace(cols=table.cols.astype(np.min_scalar_type(pr.N**2 - 1)),
+                              exps=table.exps.astype(np.min_scalar_type(pr.N - 1)))
+
+    cocycle = cache(lambda: _generator_cocycle(_law_table(j_table()), pr)
+                    and bool((j_table().cols < pr.N).any(axis=0).all()))
+    verdicts = {}
+
+    def covariant(key, index, order, entries) -> bool:
+        if key not in verdicts:
+            verdicts[key] = cocycle() and _generator_points(j_table(), index, order, entries)
+        return verdicts[key]
+
+    def attach(slot, key, entries):  # no reference to the slot: no cycle keeps it alive
+        slot.covariant.append(partial(covariant, key, slot.index, 2 * len(slot.roots), entries))
+        return slot
+
+    return attach
 
 
 def _suite_decomposition(params: dict) -> VerifyReport:

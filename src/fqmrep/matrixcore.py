@@ -29,8 +29,10 @@ j1), are evaluated at the same L roots mod the same prime: a table of one
 block (dim <= 64) keeps its whole evaluation, and past it one of them is
 applied in two batched stages, 2 n^5/g multiply-adds per slot instead of
 n^6, one slot (or past dim 256 a block of its columns) at a time in reused
-buffers.  The dense `_PhaseTable` of a factor table is summed in one place,
-`_phase_table`, for the consumers that read a matrix or an index.
+buffers, or to n columns of each slot where J-covariance proves the rest
+(`_covariance_law`).  The dense `_PhaseTable` of a factor table is summed
+in one place, `_phase_table`, for the consumers that read a matrix or an
+index.
 Laws of phased permutations are decided on their integer exponents by
 `_support_law`, on a table prepared once (`_law_table`).
 
@@ -238,22 +240,14 @@ def _factor_exps(table: _FactorTable, order: int) -> np.ndarray:
     return exps.reshape(n * n, -1)
 
 
-def _coset_mask(table: _FactorTable) -> np.ndarray | None:
-    # mask[(k1, k2), (j1, j2)] = on[k1, j1] on[k2, j2], on[k, j] = (j = cosets[k]
-    # mod g); None when it holds everywhere
-    n = len(table.cosets)
-    on = np.arange(n) % table.g == table.cosets[:, None]
-    if on.all():
-        return None
-    return np.repeat(np.repeat(on, n, axis=0), n, axis=1) & np.tile(on, (n, n))
-
-
 def _phase_table(table: _SupportTable | _PhaseTable | _FactorTable) -> _SupportTable | _PhaseTable:
-    """A `_FactorTable` as its dense `_PhaseTable`, exponents mod its order in
-    the factors' type; any other table as it is."""
+    """A `_FactorTable` as its dense `_PhaseTable`, its `_index` at its order
+    (exponents mod the order, the order off the mask, which is None for g =
+    1); any other table as it is."""
     if not isinstance(table, _FactorTable):
         return table
-    return _PhaseTable(table.order, _factor_exps(table, table.order), _coset_mask(table),
+    index = _index(table, table.order)
+    return _PhaseTable(table.order, index, None if table.g == 1 else index != table.order,
                        table.scale_pow2)
 
 
@@ -269,12 +263,27 @@ def _index(table: _SupportTable | _PhaseTable | _FactorTable, order: int) -> np.
         index[np.arange(dim), table.cols] = table.exps * (order // table.order) & low
         return index
     if isinstance(table, _FactorTable):
-        exps, mask = _factor_exps(table, order), _coset_mask(table)
-    else:
-        exps, mask = (table.exps * (order // table.order) & low).astype(dtype), table.mask
-    if mask is not None:
-        np.putmask(exps, ~mask, order)
+        return _coset_index(table, order, dtype) if table.g > 1 else _factor_exps(table, order)
+    exps = (table.exps * (order // table.order) & low).astype(dtype)
+    if table.mask is not None:
+        np.putmask(exps, ~table.mask, order)
     return exps
+
+
+def _coset_index(table: _FactorTable, order: int, dtype) -> np.ndarray:
+    # `_index` of a masked factor table: the marker, then a + b on each coset
+    # block (j1, j2 on the cosets of k1, k2), dim^2/g^2 entries, no dim^2 mask
+    n, g = len(table.cosets), table.g
+    j = table.cosets[:, None] + g * np.arange(n // g)  # j[k, i]: the i-th column on k's coset
+    j1, j2 = j[:, None, :, None], j[None, :, None, :]
+    k1, k2 = np.arange(n)[:, None, None, None], np.arange(n)[:, None, None]
+    exps = table.a.reshape(-1).take((k1 * n + j1) * n + j2).astype(dtype)
+    exps += table.b.reshape(-1).take((k1 * n + k2) * n + j1)
+    exps *= order // table.order
+    exps &= order - 1
+    index = np.full((n * n, n * n), order, dtype=dtype)
+    index.reshape(-1)[((k1 * n + k2) * n + j1) * n + j2] = exps
+    return index
 
 
 # float64 entries per block of `_phase_law` (512 KB): every slot of a dim <=
@@ -315,7 +324,9 @@ class _SlotTable(NamedTuple):
     A 1-d `_SupportTable` P keeps `support` = (cols, exps, inverse) for
     `_side_law`: row i of P holds omega^exps[i] (mod order) in column
     cols[i], and row inverse[k] holds column k, or inverse is None when cols
-    is no permutation; it has no route.  scale_pow2 is the table's."""
+    is no permutation; it has no route.  scale_pow2 is the table's.
+    `covariant` is empty or holds the function () -> whether J_l X = X J_{lA}
+    at every l, for X's element A, that a suite appends (`_covariance_law`)."""
 
     p: int
     index: np.ndarray
@@ -325,6 +336,7 @@ class _SlotTable(NamedTuple):
     right: _Route | None
     support: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None
     scale_pow2: int
+    covariant: list
 
 
 def _slot_table(table: _SupportTable | _FactorTable) -> _SlotTable:
@@ -351,7 +363,7 @@ def _slot_table(table: _SupportTable | _FactorTable) -> _SlotTable:
     if values is None and isinstance(table, _FactorTable):
         factors = (f * (order // table.order) & (order - 1) for f in (table.a, table.b))
         routes = _stage_routes(*factors, table.g, table.cosets, units, roots) or routes
-    return _SlotTable(p, index, roots, values, *routes, support, scale)
+    return _SlotTable(p, index, roots, values, *routes, support, scale, [])
 
 
 def _stage_routes(a, b, g, cosets, units, roots) -> tuple[_Route, _Route] | None:
@@ -423,15 +435,18 @@ def _phase_law(x: _SlotTable, y: _SlotTable, z: _SlotTable) -> bool:
     matrices X' = 2^{s_X} X etc.  Every |coefficient| of the left is at most
     dim 2^{s_Z} and of the right 2^{s_X + s_Y}; when they sum below p,
     equality mod p at the L roots (an isomorphism mod p, 2 being a unit) is
-    equality in Z[omega]; a pair past the bound is not proven.
+    equality in Z[omega], on any set of columns; a pair past the bound is
+    not proven.
 
     Tables of one block are multiplied from their cached values, all slots
-    at once.  Otherwise the slots go one at a time, past dim 256 in blocks of
-    `_SLOT_BLOCK` / dim columns, each block's product reduced in place and
-    compared with Z's, stopping at the first unequal block: X's stages
-    applied to Y_m, or Y's transposed stages to X_m^T against Z_m^T,
-    whichever do the less work (`_Route.work`, X's on a tie), each side read
-    in the route's row orders.  A pair with no stages is not proven.
+    at once.  Past one block, a pair whose tables carry holding conjugation
+    verdicts is proven from n columns (`_covariance_law`).  Otherwise the
+    slots go one at a time, past dim 256 in blocks of `_SLOT_BLOCK` / dim
+    columns, each block's product reduced in place and compared with Z's,
+    stopping at the first unequal block: X's stages applied to Y_m, or Y's
+    transposed stages to X_m^T against Z_m^T, whichever do the less work
+    (`_Route.work`, X's on a tie), each side read in the route's row orders.
+    A pair with no stages is not proven.
     """
     side = _side_law(x, y, z)
     if side is not None:
@@ -441,6 +456,8 @@ def _phase_law(x: _SlotTable, y: _SlotTable, z: _SlotTable) -> bool:
         return False
     if x.values is not None:
         return bool((_reduce(x.values @ y.values, p) == z.values).all())
+    if _covariance_law(x, y, z):
+        return True
     routes = [(r, side) for r, side in ((x.left, False), (y.right, True)) if r is not None]
     if not routes:
         return False
@@ -458,6 +475,40 @@ def _phase_law(x: _SlotTable, y: _SlotTable, z: _SlotTable) -> bool:
     return True
 
 
+def _covariance_law(x: _SlotTable, y: _SlotTable, z: _SlotTable) -> bool:
+    """Whether X Y == Z is proven by J-covariance (False: not proven), under
+    `_phase_law`'s bound.
+
+    Let X, Y and Z meet J_l U = U J_{lA} at every point l, for A, B and AB
+    (each table's `covariant` verdict).  Then D = X Y - Z meets J_l D =
+    D J_{l AB}, as J_l X Y = X J_{lA} Y = X Y J_{lAB}.  J_{r,s} e_{(j1, j2)}
+    is a unit times e_{(j1 + r, j2 + r)}, so the J's carry the columns (0,
+    t), t < n, to every column (the verdicts hold only where the run's J
+    table does), and D e_j = 0 there gives D J_m e_j = J_{m (AB)^-1} D e_j
+    = 0: D = 0.  So the first n columns are compared,
+    at every slot mod p: from the values of tables of one block, else as X's
+    stages applied to n columns of Y, `_SLOT_BLOCK` / (dim n) slots at a time.
+    """
+    if not all(t.covariant and t.covariant[0]() for t in (x, y, z)):
+        return False
+    p, n = x.p, math.isqrt(len(x.index))
+    if x.values is not None:
+        return bool((_reduce(x.values @ y.values[..., :n], p) == z.values[..., :n]).all())
+    route = x.left
+    if route is None:
+        return False
+    w, want = y.index[route.rows_in, :n], z.index[route.rows_out, :n]
+    step = max(1, _SLOT_BLOCK // w.size)
+    for m in range(0, len(x.roots), step):
+        at = slice(m, m + step)
+        block = y.roots[at].take(w, axis=1)
+        stages = [residues[at].take(index, axis=1) for residues, index in route.stages]
+        got = _apply(*stages, block, p, *np.empty((2, *block.shape)))
+        if not (got == z.roots[at].take(want, axis=1)).all():
+            return False
+    return True
+
+
 def _gather(t: _SlotTable, width: int, transpose: bool, rows: np.ndarray):
     # (m, b, out) -> columns b width ... (b + 1) width of slot m of t's
     # matrix, or of its transpose, its rows in the order `rows`, gathered into
@@ -468,14 +519,14 @@ def _gather(t: _SlotTable, width: int, transpose: bool, rows: np.ndarray):
 
 
 def _apply(first: np.ndarray, second: np.ndarray, w: np.ndarray, p: int, out, mid) -> np.ndarray:
-    """F_m W_m into `out` for one slot, `first` and `second` a `_Route`'s
-    stages' values there and w the block of W in the route's row order;
-    `mid` holds the first stage.  Every product is of centred residues, each
-    stage's sums of n/g <= dim products reduced in place, exact under
-    `_ntt_plan`'s span rule."""
-    shape = first.shape[:-1] + w.shape[-1:]  # (g, n/g, g, n/g, columns)
+    """F_m W_m into `out` for one slot, or for a block of slots along a
+    leading axis, `first` and `second` a `_Route`'s stages' values there and
+    w the block of W in the route's row order; `mid` holds the first stage.
+    Every product is of centred residues, each stage's sums of n/g <= dim
+    products reduced in place, exact under `_ntt_plan`'s span rule."""
+    shape = first.shape[:-1] + w.shape[-1:]  # ([slots,] g, n/g, g, n/g, columns)
     t = _reduce(np.matmul(first, w.reshape(shape), out=mid.reshape(shape)), p)
-    np.matmul(second, t.transpose(0, 3, 2, 1, 4), out=out.reshape(shape))
+    np.matmul(second, t.swapaxes(-4, -2), out=out.reshape(shape))
     return _reduce(out, p)
 
 

@@ -52,6 +52,7 @@ odd-N matrices carry 1/sqrt(N) and stay in floats.
 
 from __future__ import annotations
 
+import math
 from functools import cache, partial
 
 import numpy as np
@@ -235,8 +236,12 @@ def _table_op(
     params: HWParams, table: _SupportTable | _PhaseTable | _FactorTable, backend: str | None,
     meta: str,
 ) -> OpMatrix:
-    # the matrix a builder's table describes
+    # the matrix a builder's table describes; a float factor table is one
+    # gather from its index, reduced, its marker on a zero appended to the roots
     backend = params.default_backend() if backend is None else backend
+    if backend == "float" and isinstance(table, _FactorTable):
+        roots = np.append(_roots(table.order) * 2.0 ** (-table.scale_pow2), 0)
+        return OpMatrix.from_complex(roots.take(_index(table, table.order)), meta=meta)
     build = OpMatrix.from_support if isinstance(table, _SupportTable) else OpMatrix.from_phase_table
     return build(*_phase_table(table), backend=backend, meta=meta)
 
@@ -392,8 +397,13 @@ def _index_conjugation(
     the marker bit (moved to 4 order, above any exponent plus two phases)
     and the exponent bits where U is nonzero."""
     low, scale, dtype = order - 1, order // table.order, np.min_scalar_type(6 * order - 1)
-    marked, keep = index.astype(dtype), np.full(index.shape, 5 * order - 1, dtype=dtype)
-    marked[index == order] = keep[index == order] = 4 * order
+    # arithmetic on the 0/1 marker positions, a tenth of the time of
+    # boolean-mask writes at dim 256
+    off = (index == order).view(np.uint8)
+    marked = np.multiply(off, 3 * order, dtype=dtype)  # order + 3 order off U, 0 + E on it
+    np.add(marked, index, out=marked, casting="unsafe")
+    keep = np.multiply(off, order - 1, dtype=dtype)
+    np.subtract(5 * order - 1, keep, out=keep)  # 4 order off U, 5 order - 1 on it
     rows = (table.exps[left] * scale & low).astype(dtype)
     columns = (-table.exps[right] * scale & low).astype(dtype)
     equal = np.zeros(len(left), dtype=bool)
@@ -401,11 +411,24 @@ def _index_conjugation(
         c = table.cols[m]
         if np.array_equal(np.sort(c), np.arange(len(c))):
             got = np.take(marked[table.cols[l]], c, axis=1)
-            got += rows[k, :, None] + columns[k]
+            got += rows[k, :, None]
+            got += columns[k]
             got ^= marked
             got &= keep
             equal[k] = not got.any()
     return equal
+
+
+def _generator_points(table: _SupportTable, index: np.ndarray, order: int, entries) -> bool:
+    """Whether J_{e_i} U == U J_{e_i A} at e_1 = (1, 0) and e_2 = (0, 1), for
+    U by its exponent index at `order` (`_index_conjugation`) and A =
+    (a, b, c, d), whose images of them are (a, b) and (c, d).  Once the J's
+    meet `_generator_cocycle`, that is the law at every point
+    (`_conjugation_scan`)."""
+    N = math.isqrt(len(table.cols))  # J_{r,s} at member N r + s
+    a, b, c, d = (int(x) % N for x in entries)
+    points, images = np.array([N, 1]), np.array([N * a + b, N * c + d])
+    return bool(_index_conjugation(table, index, order, points, images).all())
 
 
 def _conjugation_scan(
@@ -453,13 +476,13 @@ def _conjugation_scan(
 
             dev = _stack_deviation(len(l), U.shape[1], sides)
             return dev <= tol, dev
-        equal, points = np.zeros(len(l), dtype=bool), np.array([N, 1])  # e_1 and e_2
+        equal = np.zeros(len(l), dtype=bool)
         for x in range(e[0], e[-1] + 1):  # the chunk's elements, in key order
             at = slice(*np.searchsorted(e, (x, x + 1)))
             u = U(x)
             order = max(u.order, table.order)
             index = _index(u, order)
-            if generated and _index_conjugation(table, index, order, points, image(x, points)).all():
+            if generated and _generator_points(table, index, order, entries[:, x]):
                 equal[at] = True
             else:
                 equal[at] = _index_conjugation(table, index, order, l[at], right[at])

@@ -116,8 +116,9 @@ def test_criterion_04_exactness():
 def test_exact_homomorphism_mod16_within_budget():
     # U(A)U(B) == U(AB) exactly at N = 16 (dim 256) on 100 seeded pairs,
     # decided on the builders' factor and support tables, each pair with a
-    # c = 0 side on exponent indexes and the others by two batched stages
-    # one slot at a time; 0.5-0.7 s measured on a 2-vCPU box (dense int64
+    # c = 0 side on exponent indexes and the others from J-covariance and
+    # the first 16 columns; 0.18-0.30 s measured on a 2-vCPU box (two
+    # batched stages one whole slot at a time: 0.4-0.7 s; dense int64
     # tables, odd-c stages and dense slot products: 0.8-1.2 s; whole
     # evaluations and one stacked product per pair: 2.2-2.6 s)
     t0 = time.perf_counter()
@@ -170,15 +171,33 @@ def _fresh_seconds(calls):
 
 def test_exact_homomorphism_mod32_memory_gate():
     # U(A)U(B) == U(AB) exactly at N = 32 (dim 1,024, L = 16) on 3 seeded
-    # pairs, in a fresh process; 0.7 s and 55 MB measured on a 2-vCPU box
-    # (dense int64 tables and dense slot products: 1.2-2.0 s and 121-134 MB;
-    # whole (L, dim, dim) evaluations: 3.6 s and 827 MB)
+    # pairs, in a fresh process; 0.10-0.13 s of suite time and 63 MB
+    # measured on a 2-vCPU box, most of the memory the run's J table (whole
+    # slots in stages: 0.4 s and 58 MB; dense int64 tables and dense slot
+    # products: 1.2-2.0 s and 121-134 MB; whole (L, dim, dim) evaluations:
+    # 3.6 s and 827 MB)
     t0 = time.perf_counter()
     params = {"N": 32, "samples": 3, "seed": 7, "backend": "exact"}
     passed, checks, deviation, peak_kib, *_ = _fresh_run("homomorphism", params)
     assert passed and checks == 3 and deviation == 0.0
     assert peak_kib <= 250 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 250 MB"
     _done("exact homomorphism N = 32", t0, 8)
+
+
+def test_exact_homomorphism_mod32_fresh_gate():
+    # U(A)U(B) == U(AB) exactly at N = 32 on 100 seeded pairs, in a fresh
+    # process: the J table's cocycle once, each element at its two generator
+    # points, and each factor pair from the first 32 columns of X Y, its
+    # report pinned; 1.9-2.3 s of suite time and 63 MB measured on a 2-vCPU
+    # box (two batched stages over whole slots: 13-14 s and 58 MB)
+    t0 = time.perf_counter()
+    params = {"N": 32, "samples": 100, "backend": "exact"}
+    passed, checks, deviation, peak_kib, seconds, digest = _fresh_run("homomorphism", params)
+    assert passed and checks == 100 and deviation == 0.0
+    assert digest.startswith("fd5fa2aea27862f3")
+    assert seconds <= 6.0, f"suite took {seconds:.2f}s, budget 6s"
+    assert peak_kib <= 90 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 90 MB"
+    _done("exact homomorphism N = 32, 100 samples", t0, 15)
 
 
 def test_exact_metaplectic_mod16_within_budget():

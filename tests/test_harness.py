@@ -261,6 +261,102 @@ def test_perturbed_builder_fails_like_the_per_pair_loop(flaw, params, monkeypatc
         assert got["failures"] and got["max_abs_deviation"] > 0.0
 
 
+def _spy_covariance(monkeypatch):
+    """The verdict of each `_generator_cocycle` call of the homomorphism
+    suite, the entries of each element it checks at two points, the shape
+    of the block of Y each `_apply` call reads, and the verdict of each
+    `_covariance_law` call."""
+    verdicts, points, blocks, proofs = [], [], [], []
+    real_cocycle, real_points = harness._generator_cocycle, harness._generator_points
+    real_apply, real_law = matrixcore._apply, matrixcore._covariance_law
+
+    def cocycle(*args):
+        verdicts.append(real_cocycle(*args))
+        return verdicts[-1]
+
+    def two_points(table, index, order, entries):
+        points.append(tuple(entries))
+        return real_points(table, index, order, entries)
+
+    def apply(*args):
+        blocks.append(args[2].shape)
+        return real_apply(*args)
+
+    def law(*args):
+        proofs.append(real_law(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(harness, "_generator_cocycle", cocycle)
+    monkeypatch.setattr(harness, "_generator_points", two_points)
+    monkeypatch.setattr(matrixcore, "_apply", apply)
+    monkeypatch.setattr(matrixcore, "_covariance_law", law)
+    return verdicts, points, blocks, proofs
+
+
+def test_passing_exact_homomorphism_decides_each_element_once(monkeypatch):
+    # exact N = 16 with 100 samples: the J table's cocycle is checked once
+    # per run, each distinct element at its two generator points at most
+    # once, and every factor pair is proven from the first 16 columns of Y:
+    # no `_apply` call reads a whole slot
+    verdicts, points, blocks, proofs = _spy_covariance(monkeypatch)
+    rep = run_suite(SuiteSpec("homomorphism", {"N": 16, "samples": 100, "backend": "exact"}))
+    assert rep.passed and rep.checks_run == 100 and rep.max_abs_deviation == 0.0
+    assert verdicts == [True]
+    assert len(points) == len(set(points)) > 100
+    assert len(proofs) >= 50 and all(proofs)
+    assert blocks == [(8, 256, 16)] * len(proofs)
+
+
+@pytest.mark.parametrize("flaw", ["exponent", "cosets", "dense", "support"])
+def test_flawed_builders_past_one_block_report_like_the_per_pair_loop(flaw, monkeypatch):
+    # N = 16 with 10 samples: a pair the covariance certificate does not prove
+    # (a flawed table fails its two points, has no stages, or differs in the
+    # first 16 columns) takes the stage rule and then the dense compare, so
+    # the report is the per-pair loop's, byte for byte
+    params = {"N": 16, "samples": 10, "backend": "exact"}
+    _perturb_closed_form(monkeypatch, flaw)
+    want = _reference_json(monkeypatch, "homomorphism", params)
+    _, _, _, proofs = _spy_covariance(monkeypatch)
+    _assert_same_json(run_suite(SuiteSpec("homomorphism", params)).to_json(), want)
+    assert json.loads(want)["failures"] and proofs
+
+
+@pytest.mark.parametrize("flaw", ["phase", "collision", "swap", "scalar"])
+def test_a_flawed_j_table_proves_no_pair_by_covariance(flaw, monkeypatch):
+    # the run's J table fails the cocycle lemma: no element is checked at its
+    # two points, every factor pair takes the stage rule over whole slots, and
+    # the report is the one of the unflawed run
+    params = {"N": 16, "samples": 10, "backend": "exact"}
+    want = run_suite(SuiteSpec("homomorphism", params)).to_json()
+    _perturb_twisted(monkeypatch, flaw, (1, 2))
+    verdicts, points, blocks, proofs = _spy_covariance(monkeypatch)
+    _assert_same_json(run_suite(SuiteSpec("homomorphism", params)).to_json(), want)
+    assert verdicts == [False] and points == []
+    assert proofs and not any(proofs)
+    assert blocks == [(256, 256)] * (8 * len(proofs))
+
+
+def test_j_columns_that_stay_in_place_prove_no_pair_by_covariance(monkeypatch):
+    # J's that keep every column in place, taken to meet the cocycle lemma:
+    # their orbit of the first 16 columns is those columns, which prove
+    # nothing about the others, so no element is checked at its two points,
+    # no pair is proven by covariance, and the report is the passing one
+    params = {"N": 16, "samples": 10, "backend": "exact"}
+    want = run_suite(SuiteSpec("homomorphism", params)).to_json()
+    real = harness._j_table
+
+    def in_place(flavor, N, pr):
+        table = real(flavor, N, pr)
+        return table._replace(cols=np.tile(np.arange(N * N), (N * N, 1)))
+
+    monkeypatch.setattr(harness, "_j_table", in_place)
+    monkeypatch.setattr(harness, "_generator_cocycle", lambda law, pr: True)
+    verdicts, points, _, proofs = _spy_covariance(monkeypatch)
+    _assert_same_json(run_suite(SuiteSpec("homomorphism", params)).to_json(), want)
+    assert verdicts == [True] and points == []
+    assert proofs and not any(proofs)
+
+
 def test_pairs_the_kernel_leaves_are_compared_densely(monkeypatch):
     # a kernel that proves every other pair only: the others are built and
     # multiplied densely, and the report is unchanged

@@ -232,9 +232,11 @@ def test_float_phase_tables_are_bit_identical_to_exp_per_entry(monkeypatch):
     # the root table must give every float family the bits of the complex exp
     # per entry it replaced (weil_odd_* build from complex arrays, not here);
     # phased permutations come through from_support, dense tables through
-    # from_phase_table, so both are spied on
+    # from_phase_table and factor tables through `_table_op`'s one gather
+    # from their index, so all three are spied on
     real = OpMatrix.__dict__["from_phase_table"].__func__
     real_support = OpMatrix.__dict__["from_support"].__func__
+    real_op = metaplectic._table_op
     built = []
 
     def check(out, root_order, e, mask, scale_pow2, meta):
@@ -262,8 +264,17 @@ def test_float_phase_tables_are_bit_identical_to_exp_per_entry(monkeypatch):
             check(out, root_order, e, np.eye(dim, dtype=bool)[cols], scale_pow2, meta)
         return out
 
+    def spy_op(params, table, backend, meta):
+        out = real_op(params, table, backend, meta)
+        if backend == "float" and isinstance(table, matrixcore._FactorTable):
+            dense = matrixcore._phase_table(table)
+            mask = np.ones(dense.exps.shape, dtype=bool) if dense.mask is None else dense.mask
+            check(out, dense.order, dense.exps, mask, dense.scale_pow2, meta)
+        return out
+
     monkeypatch.setattr(OpMatrix, "from_phase_table", classmethod(spy))
     monkeypatch.setattr(OpMatrix, "from_support", classmethod(spy_support))
+    monkeypatch.setattr(metaplectic, "_table_op", spy_op)
 
     def family(*ops):
         before = len(built)

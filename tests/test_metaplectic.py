@@ -1594,6 +1594,141 @@ def test_staged_residues_equal_the_dense_slot_product(N, monkeypatch):
     assert seen == {("side", "c = 0")} | {(side, kind) for side in ("left", "right") for kind in kinds}
 
 
+@pytest.mark.parametrize("N", [4, 8, 16, 32])
+def test_coset_index_is_the_masked_sum_byte_for_byte(N):
+    # the index of a d-odd-sum table, written as the marker and then the
+    # exponents of each coset block, is the dense sum with the out-of-coset
+    # marker put through the dim^2 mask, dtype and bytes, at every g = 2^v
+    # the modulus allows (c = 2^v, d = 1) and on seeded elements, at the
+    # slot order and at twice it; the dense table's mask is that mask
+    pr = HWParams(N, 3)
+    elems = [SL2Element(1, 0, 1 << v, 1, N) for v in range(1, pr.n)]
+    elems += enumerate_sl2(N) if N <= 8 else sample_sl2(N, 30, N)
+    seen = set()
+    for A in (A for A in elems if A.c and A.c % 2 == 0):
+        table = _closed_form(pr, A)[0]
+        on = np.arange(N) % table.g == table.cosets[:, None]  # on[k, j]: j on k's coset
+        mask = np.repeat(np.repeat(on, N, axis=0), N, axis=1) & np.tile(on, (N, N))
+        for order in (_exact_order(N), 2 * N):
+            want = matrixcore._factor_exps(table, order)
+            np.putmask(want, ~mask, order)
+            got = matrixcore._index(table, order)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (A, order)
+        assert np.array_equal(_phase_table(table).mask, mask)
+        seen.add(table.g)
+    assert seen == {1 << v for v in range(1, pr.n)}
+
+
+# -- the pair law from J-covariance ---------------------------------------------
+
+
+def _covariant_slots(pr, closed, attach):
+    # slot tables of U(A), U(B), U(AB), of the two stand-ins for U(AB) that
+    # meet its conjugation law, U(AB) Swap (the tensor swap commutes with
+    # every J) and omega U(AB), and of U(AB) with the exponent of its first
+    # nonzero entry past the first N columns moved; the last three dense,
+    # each with the run's verdict
+    N = pr.N
+    dim, swap = N * N, np.arange(N * N).reshape(N, N).T.ravel()
+
+    def dense(table):
+        if isinstance(table, _SupportTable):
+            exps = np.zeros((dim, dim), dtype=np.int64)
+            exps[np.arange(dim), table.cols] = table.exps
+            return matrixcore._PhaseTable(N, exps, np.eye(dim, dtype=bool)[table.cols], 0)
+        return _phase_table(table)
+
+    def slots(A, B):
+        tables = [closed(X) for X in (A, B, A * B)]
+        z = dense(tables[2])
+        mask = None if z.mask is None else z.mask[:, swap]
+        on = np.ones((dim, dim), dtype=bool) if z.mask is None else z.mask
+        i, j = np.argwhere(on[:, N:])[0]
+        moved = z.exps.copy()
+        moved[i, N + j] += 1
+        tables += [z._replace(exps=z.exps[:, swap], mask=mask), z._replace(exps=z.exps + 1),
+                   z._replace(exps=moved)]
+        keys = [A, B, A * B, "swap", "omega", "moved"]
+        elements = [A, B, A * B, A * B, A * B, A * B]
+        return [attach(_slot_table(t), key, X.entries()) for t, key, X in zip(tables, keys, elements)]
+
+    return slots
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_covariance_law_proves_exactly_the_equal_pairs(N):
+    # the certificate, called on its own at N <= 8 (from the one-block
+    # values), against mat_eq(U(A) @ U(B), U(AB)): every factor x factor pair
+    # of SL2(Z_4), or 500 seeded pairs of SL2(Z_8), for p = 1 and 3.  It
+    # proves each equal pair; with U(AB) Swap or omega U(AB) in its place,
+    # which meet U(AB)'s conjugation law, the verdicts still hold and the n
+    # columns reject the pair, as mat_eq does.  Column 0 alone would not:
+    # Swap fixes it.  U(AB) with an entry moved past the first N columns
+    # fails its verdict, which the N columns alone would not see
+    for p in (1, 3):
+        pr = HWParams(N, p)
+        closed = cache(lambda X: _closed_form(pr, X)[0])
+        U = cache(lambda X: u_general(pr, X))
+        slots = _covariant_slots(pr, closed, harness._covariance(pr))
+        if N == 4:
+            factors = [A for A in enumerate_sl2(4) if A.c]
+            pairs = list(itertools.product(factors, factors))
+        else:
+            pairs = list(zip(sample_sl2(8, 500, 80 + p), sample_sl2(8, 500, 90 + p)))
+        for A, B in pairs:
+            x, y, z, swapped, scaled, moved = slots(A, B)
+            product = U(A) @ U(B)
+            assert matrixcore._covariance_law(x, y, z) == mat_eq(product, U(A * B)).equal, (A, B)
+            assert mat_eq(_slot_op(z), U(A * B)).equal
+            for flawed in (swapped, scaled):
+                assert flawed.covariant[0]()
+                assert not matrixcore._covariance_law(x, y, flawed)
+                assert not mat_eq(product, _slot_op(flawed)).equal
+            first = matrixcore._reduce(x.values @ y.values[..., :1], x.p)
+            assert np.array_equal(first, swapped.values[..., :1])
+            n = pr.N
+            assert np.array_equal(matrixcore._reduce(x.values @ y.values[..., :n], x.p),
+                                  moved.values[..., :n])
+            assert not moved.covariant[0]() and not matrixcore._covariance_law(x, y, moved)
+            assert not mat_eq(product, _slot_op(moved)).equal
+
+
+def _slot_op(slot):
+    # the exact matrix of a slot table, from its exponent index and scale
+    order = 2 * len(slot.roots)
+    mask = slot.index != order
+    return OpMatrix.from_phase_table(order, np.where(mask, slot.index, 0), mask, slot.scale_pow2)
+
+
+def test_covariance_law_applies_x_stages_to_n_columns(monkeypatch):
+    # N = 16, past one block: on factor x factor pairs, the pair from X's
+    # stages applied to the first 16 columns of Y at every slot (8 slots a
+    # block), in agreement with `_phase_law` on tables with no verdicts;
+    # U(AB) Swap and omega U(AB) keep the verdicts and are rejected, and so
+    # is U(AB) whose last slot alone is off (two of its roots swapped, one
+    # of them read in its first columns)
+    widths = []
+    real_apply = matrixcore._apply
+    monkeypatch.setattr(matrixcore, "_apply", lambda *a: widths.append(a[2].shape) or real_apply(*a))
+    pr = HWParams(16, 3)
+    closed = cache(lambda X: _closed_form(pr, X)[0])
+    slots = _covariant_slots(pr, closed, harness._covariance(pr))
+    pairs = [pair for pair in zip(sample_sl2(16, 12, 7), sample_sl2(16, 12, 8)) if pair[0].c and pair[1].c]
+    pairs += _route_pairs(16)[2:]
+    for A, B in pairs:
+        x, y, z, swapped, scaled, _ = slots(A, B)
+        assert _phase_law(*(_slot_table(closed(X)) for X in (A, B, A * B)))
+        widths.clear()
+        assert matrixcore._covariance_law(x, y, z) and widths == [(8, 256, 16)]
+        first = z.index[:, :16]
+        e = first[first < 16][0]  # an exponent read in Z's first columns (16: the marker)
+        roots = z.roots.copy()
+        roots[-1, [e, (e + 1) % 16]] = roots[-1, [(e + 1) % 16, e]]
+        for flawed in (swapped, scaled, z._replace(roots=roots)):
+            assert flawed.covariant[0]() and not matrixcore._covariance_law(x, y, flawed)
+    assert len(pairs) >= 4
+
+
 # -- the conjugation law from two points ----------------------------------------
 
 
