@@ -73,6 +73,7 @@ from .metaplectic import (
     _conjugation_scan,
     _generator_cocycle,
     _generator_points,
+    _j_members,
     _j_table,
     _odd_prime,
     _s_table,
@@ -415,10 +416,10 @@ def _suite_cocycle_twisted(params: dict) -> VerifyReport:
     op = cache(lambda l: j_twisted(pr, l, backend=backend))
     table = None
     if backend == "exact":  # phased permutations: laws on integer exponents
-        table = _law_table(_j_table("twisted_even", N, pr))
-        if _generator_cocycle(table, pr):  # the lemma proves every point and pair
+        if _generator_cocycle(partial(_j_members, pr), pr):  # proves every point and pair
             rep.checks_run = N**2 + N**4
             return rep
+        table = _law_table(_j_table("twisted_even", N, pr))
     _dagger_law(rep, N, op, tol, table)
     _torus_law(
         rep, "J[l] J[l'] == omega^{p(r' s - s' r)} J[l+l']", N, op,
@@ -435,7 +436,7 @@ def _suite_metaplectic(params: dict) -> VerifyReport:
     N = pr.N
     _guard_dim(N * N)
     rep = VerifyReport("metaplectic", {"N": N, "p": pr.p, "samples": samples, "seed": seed})
-    table = _j_table("twisted_even", N, pr)
+    js = partial(_j_members, pr)
     # at S and T the closed form is u_s and u_t; U is built only for a
     # failing element, once on its first failing point
     elements = [sl2_s(N), sl2_t(N)] + sample_sl2(N, samples, seed)
@@ -443,9 +444,9 @@ def _suite_metaplectic(params: dict) -> VerifyReport:
     closed = lru_cache(maxsize=4)(lambda e: _closed_form(pr, elements[e])[0])
     matrix = lru_cache(maxsize=1)(lambda e: _table_op(pr, closed(e), "exact", "U"))
     _conjugation_scan(
-        rep, N, table, _entries(elements), closed, lambda pt: j_twisted(pr, pt, backend="exact"),
+        rep, N, js, _entries(elements), closed, lambda pt: j_twisted(pr, pt, backend="exact"),
         matrix, tol, lambda e, l: {"element": names[e], "r": l // N, "s": l % N},
-        _generator_cocycle(_law_table(table), pr),  # the cocycle lemma, once per run
+        _generator_cocycle(js, pr),  # the cocycle lemma, once per run
     )
     return rep
 
@@ -492,28 +493,27 @@ def _suite_homomorphism(params: dict) -> VerifyReport:
 def _covariance(pr: HWParams):
     """A function (slot, key, entries) -> slot that appends to the slot
     table of U(A), A = entries, the run's verdict on J_l U(A) == U(A) J_{lA}
-    at every l, decided on first use: once per run, the J table meets
-    `_generator_cocycle` and its J's carry the first N columns to every
-    column (J_m e_j is a unit times e_i, i the row holding column j), as
-    `_covariance_law` needs; once per key, the slot's index meets the law at
-    the two generator points (`_generator_points`)."""
+    at every l, decided on first use: once per run, the J's meet
+    `_generator_cocycle` and carry the first N columns to every column (J_m
+    e_j is a unit times e_i, i the row holding column j), as
+    `_covariance_law` needs, that orbit ORed from the lemma's blocks as
+    they are written; once per key, the slot's index meets the law at the
+    two generator points, their four J's written on demand
+    (`_generator_points`)."""
+    reach = np.zeros(pr.N**2, dtype=bool)  # the rows some J sends to a column < N
 
-    @cache
-    def j_table():
-        # in the smallest unsigned types (the index kernel's exponents wrap
-        # mod 2^8, a multiple of the order): held in int64, it raised the
-        # peak RSS of an N = 16 run by 1 MB
-        table = _j_table("twisted_even", pr.N, pr)
-        return table._replace(cols=table.cols.astype(np.min_scalar_type(pr.N**2 - 1)),
-                              exps=table.exps.astype(np.min_scalar_type(pr.N - 1)))
+    def js(members):
+        table = _j_members(pr, members)
+        reach[(table.cols < pr.N).any(axis=0)] = True
+        return table
 
-    cocycle = cache(lambda: _generator_cocycle(_law_table(j_table()), pr)
-                    and bool((j_table().cols < pr.N).any(axis=0).all()))
+    cocycle = cache(lambda: _generator_cocycle(js, pr) and bool(reach.all()))
     verdicts = {}
 
     def covariant(key, index, order, entries) -> bool:
         if key not in verdicts:
-            verdicts[key] = cocycle() and _generator_points(j_table(), index, order, entries)
+            verdicts[key] = cocycle() and _generator_points(
+                partial(_j_members, pr), index, order, entries)
         return verdicts[key]
 
     def attach(slot, key, entries):  # no reference to the slot: no cycle keeps it alive

@@ -45,14 +45,25 @@ def _odd_support(N: int, r, s) -> tuple[np.ndarray, np.ndarray]:
 
 def _twisted_support(params: HWParams, r, s) -> tuple[np.ndarray, np.ndarray]:
     """(cols, exponents) of J^p_{r,s} on C^{N^2}, N = 2^n, as `_odd_support`;
-    reduced mod N by `& (N - 1)`, which two's complement makes `% N`."""
+    reduced mod N by `& (N - 1)`, which two's complement makes `% N`.
+
+    Row (k1, k2) goes to column N (k1 - r) + (k2 - r) with exponent
+    p s (k1 - r) + p s k2.  The row grid is in the smallest unsigned type,
+    so unsigned r and s below N give the columns in the smallest type
+    holding N^2 - 1 and the exponents in that of r and s, wrapping mod a
+    multiple of N; int r and s give int64, as before."""
     N, p = params.N, params.p
     if not params.is_even:
         raise ValueError(f"twisted construction needs N = 2^n, got {N}")
     r, s = np.asarray(r)[..., None], np.asarray(s)[..., None]
-    k1, k2 = np.divmod(np.arange(N * N), N)
-    cols = N * ((k1 - r) & (N - 1)) + ((k2 - r) & (N - 1))
-    return cols, (p * (-s * r + (k1 + k2) * s)) & (N - 1)
+    k = np.arange(N, dtype=np.min_scalar_type(N - 1))
+    shifted = (k - r) & (N - 1)
+    wide = np.result_type(shifted, np.min_scalar_type(N * N - 1))
+    cols = (N * shifted.astype(wide, copy=False))[..., None] + shifted[..., None, :]
+    ps = p * s
+    exps = (ps * shifted)[..., None] + (ps * k)[..., None, :]
+    exps &= N - 1
+    return cols.reshape(*r.shape[:-1], N * N), exps.reshape(*r.shape[:-1], N * N)
 
 
 def j_odd(N: int, pt) -> OpMatrix:

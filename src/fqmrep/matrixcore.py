@@ -272,17 +272,18 @@ def _index(table: _SupportTable | _PhaseTable | _FactorTable, order: int) -> np.
 
 def _coset_index(table: _FactorTable, order: int, dtype) -> np.ndarray:
     # `_index` of a masked factor table: the marker, then a + b on each coset
-    # block (j1, j2 on the cosets of k1, k2), dim^2/g^2 entries, no dim^2 mask
+    # block (j1, j2 on the cosets of k1, k2), dim^2/g^2 entries, no dim^2 mask.
+    # Column j = g i + c on coset c is (i, c) of an axis of n split (n/g, g),
+    # so each block is read and written as a strided (n/g, n/g) slice
     n, g = len(table.cosets), table.g
-    j = table.cosets[:, None] + g * np.arange(n // g)  # j[k, i]: the i-th column on k's coset
-    j1, j2 = j[:, None, :, None], j[None, :, None, :]
-    k1, k2 = np.arange(n)[:, None, None, None], np.arange(n)[:, None, None]
-    exps = table.a.reshape(-1).take((k1 * n + j1) * n + j2).astype(dtype)
-    exps += table.b.reshape(-1).take((k1 * n + k2) * n + j1)
+    m, k1, k2 = n // g, np.arange(n)[:, None], np.arange(n)
+    c1, c2 = table.cosets[:, None], table.cosets
+    exps = table.a.reshape(n, m, g, m, g)[k1, :, c1, :, c2].astype(dtype, copy=False)
+    exps += table.b.reshape(n, n, m, g)[k1, k2, :, c1][..., None]  # [k1, k2, i1, i2]
     exps *= order // table.order
     exps &= order - 1
     index = np.full((n * n, n * n), order, dtype=dtype)
-    index.reshape(-1)[((k1 * n + k2) * n + j1) * n + j2] = exps
+    index.reshape(n, n, m, g, m, g)[k1, k2, :, c1, :, c2] = exps
     return index
 
 
@@ -541,27 +542,34 @@ class _LawTable(NamedTuple):
     """A `_SupportTable` as `_support_law` reads it, prepared once by
     `_law_table`: codes (row, member) in the smallest unsigned type, entry
     (i, t) the exponent of row i of member t mod the order, above the
-    `shift` bits of its column."""
+    `shift` bits of its column; (member, row) as `_law_codes` packs them."""
 
     order: int
     shift: int
     codes: np.ndarray
 
 
-def _law_table(table: _SupportTable) -> _LawTable:
-    """The table prepared for `_support_law`, once per suite call.  Its order
-    must divide 2^16, so that codes in an unsigned type wrap mod a multiple
-    of it.  The builders' int64 tables stay as they are for
-    `_conjugation_scan`."""
-    order, dim = table.order, table.cols.shape[1]
+def _law_codes(table: _SupportTable) -> _LawTable:
+    """The codes of `_support_law` packed from `table` as it holds its
+    members, (member, row), with no int64 copy of narrow columns.  The
+    order must divide 2^16, so that codes in an unsigned type wrap mod a
+    multiple of it."""
+    order, dim = table.order, table.cols.shape[-1]
     if (1 << 16) % order:
         raise ValueError(f"_support_law needs an order dividing 2^16, got {order}")
     shift = (dim - 1).bit_length()
     codes = table.exps.astype(np.min_scalar_type((order << shift) - 1))
     codes &= order - 1
     codes <<= shift
-    codes |= table.cols.astype(np.min_scalar_type(dim - 1))
-    return _LawTable(order, shift, np.ascontiguousarray(codes.T))  # transposed once narrow
+    np.bitwise_or(codes, table.cols, out=codes, casting="unsafe")
+    return _LawTable(order, shift, codes)
+
+
+def _law_table(table: _SupportTable) -> _LawTable:
+    """The table prepared for `_support_law`, once per suite call: its codes
+    transposed to (row, member) once narrow."""
+    law = _law_codes(table)
+    return law._replace(codes=np.ascontiguousarray(law.codes.T))
 
 
 def _member_is_identity(table: _LawTable, t: int) -> bool:

@@ -61,8 +61,8 @@ from .exactnum import NotAUnit, _is_odd_prime, jacobi_symbol
 from .heisenberg import HWParams
 from .magnetic import _odd_support, _twisted_support, j_odd, j_twisted
 from .matrixcore import (
-    OpMatrix, _FactorTable, _float_stack, _index, _law_table, _LawTable, _member_is_identity,
-    _PhaseTable, _phase_table, _roots, _stack_deviation, _support_law, _SupportTable, mat_eq,
+    OpMatrix, _FactorTable, _float_stack, _index, _law_codes, _law_table, _LawTable,
+    _PhaseTable, _phase_table, _roots, _stack_deviation, _SupportTable, mat_eq,
 )
 from .report import VerifyReport
 from .sl2 import SL2Element, Token, dilatation, sl2_t
@@ -360,30 +360,90 @@ def weil_odd_general(N: int, A: SL2Element) -> OpMatrix:
 # -- the property checker ------------------------------------------------------
 
 
+def _j_members(params: HWParams, members) -> _SupportTable:
+    """The twisted J_{r,s} at `members` N r + s, an array, from their
+    builder's support formula (`_twisted_support`) at r and s in the
+    smallest unsigned type: columns and exponents in the smallest types,
+    with no int64 array."""
+    r, s = np.divmod(np.asarray(members), params.N)
+    small = np.min_scalar_type(params.N - 1)
+    return _SupportTable(params.N, *_twisted_support(params, r.astype(small), s.astype(small)))
+
+
 def _j_table(flavor: str, N: int, params: HWParams | None) -> _SupportTable:
     """Every J_{r,s} of `flavor`, r-major, from its builder's support formula
     at all N^2 points at once: the columns and omega_N exponents that
-    `j_twisted`/`j_odd` write."""
-    r, s = np.divmod(np.arange(N * N), N)
-    support = _twisted_support(params, r, s) if flavor == "twisted_even" else _odd_support(N, r, s)
-    return _SupportTable(N, *support)
+    `j_twisted`/`j_odd` write, the twisted ones narrow (`_j_members`)."""
+    if flavor == "twisted_even":
+        return _j_members(params, np.arange(N * N))
+    return _SupportTable(N, *_odd_support(N, *np.divmod(np.arange(N * N), N)))
 
 
-def _generator_cocycle(law: _LawTable, params: HWParams) -> bool:
+# J table entries (members x dim) per block of `_generator_cocycle`, whole
+# r-rows of N members and at least two: N <= 16 is one block
+_J_BLOCK = 1 << 16
+
+
+def _generator_cocycle(js, params: HWParams) -> bool:
     """Whether J_0 = I and J_m J_{e_i} == omega^{phi(m, e_i)} J_{m + e_i} for
-    every m, e_1 = (1, 0) and e_2 = (0, 1), on the `_law_table` of the J's,
-    J_{r,s} at member N r + s and phi(l, l') = p (r' s - s' r) in units of
-    the table's order.  phi is bilinear, so by induction on l the cocycle
-    then holds at every pair: the cocycle lemma.  So does the dagger law
-    J_l^dagger == J_{-l}: J_l J_{-l} = omega^{phi(l, -l)} J_0 = I as
-    phi(l, -l) = 0, and the inverse of a phased permutation with unit phases
-    is its dagger."""
-    N = params.N
-    r, s = np.divmod(np.arange(N * N), N)
-    steps = np.concatenate((N * ((r + 1) % N) + s, N * r + (s + 1) % N))
-    phase = params.p * (law.order // N) * np.concatenate((s, -r))
-    held = _support_law(law, np.tile(N * r + s, 2), np.repeat([N, 1], N * N), steps, phase)
-    return _member_is_identity(law, 0) and bool(held.all())
+    every m, e_1 = (1, 0) and e_2 = (0, 1), J_{r,s} at member N r + s and
+    phi(l, l') = p (r' s - s' r) in units of the order.  phi is bilinear, so
+    by induction on l the cocycle then holds at every pair: the cocycle
+    lemma.  So does the dagger law J_l^dagger == J_{-l}: J_l J_{-l} =
+    omega^{phi(l, -l)} J_0 = I as phi(l, -l) = 0, and the inverse of a
+    phased permutation with unit phases is its dagger.
+
+    The J's are the `_law_table` `js`, or members -> `_SupportTable` (as
+    `_j_members` writes them), read a block of whole r-rows at a time in
+    `_support_law`'s codes, (r, s, row).  Row i of J_m J_{e_i} is the code
+    of J_{e_i} at row c_m(i) plus J_m's exponent bits, so the steps are two
+    shifted compares of the block: with itself rolled along s (m + e_2),
+    and with its next r-row (m + e_1), the last r-row of a block carried to
+    the first of the next, and the last of all to the first.
+    """
+    N, carry = params.N, None
+    if isinstance(js, _LawTable):
+        pack = lambda ls: js._replace(codes=js.codes.T[ls])  # noqa: E731
+    else:
+        pack = lambda ls: _law_codes(js(ls))  # noqa: E731
+
+    def flawed(got):  # some row's column or exponent bits differ
+        got &= mask
+        return got.any()
+
+    rows = max(2, _J_BLOCK // N**3)
+    for a in range(0, N, rows):
+        b = min(a + rows, N)
+        order, shift, block = pack(np.arange(N * a, N * b))
+        block = block.reshape(b - a, N, -1)
+        if a == 0:  # J_0's r-row, J_{e_2} = J_{0,1} and J_{e_1} = J_{1,0}
+            first, two, one = block[0], block[0, 1], block[1, 0]
+            if not (first[0] == np.arange(block.shape[2])).all():
+                return False
+            low, mask = (1 << shift) - 1, (order << shift) - 1
+            phi = (params.p * (order // N) * np.arange(N) % order).astype(block.dtype) << shift
+        c = block & low
+        hi = block ^ c  # J_m's exponent bits
+        got = two.take(c)
+        got += hi
+        got += phi[a:b, None, None]  # less phi(m, e_2) = -p r
+        got[:, :-1] -= block[:, 1:]
+        got[:, -1] -= block[:, 0]
+        if flawed(got):
+            return False
+        got = one.take(c)
+        got += hi
+        got -= phi[:, None]  # less phi(m, e_1) = p s
+        got[:-1] -= block[1:]
+        if carry is not None:
+            carry -= block[0]
+            if flawed(carry):
+                return False
+        carry = got[-1]
+        if flawed(got[:-1]):
+            return False
+    carry -= first
+    return not flawed(carry)
 
 
 def _index_conjugation(
@@ -395,45 +455,53 @@ def _index_conjugation(
     times omega^{k_m(t)} (c_m a permutation, else no proof): so the index at
     rows c_l and columns c_m plus k_l(i) - k_m(t) is U's own, compared on
     the marker bit (moved to 4 order, above any exponent plus two phases)
-    and the exponent bits where U is nonzero."""
+    and the exponent bits where U is nonzero.  A block of `_J_BLOCK` entries
+    of rows i at a time, each marked by a table lookup, so no dim^2
+    temporary is held."""
     low, scale, dtype = order - 1, order // table.order, np.min_scalar_type(6 * order - 1)
-    # arithmetic on the 0/1 marker positions, a tenth of the time of
-    # boolean-mask writes at dim 256
-    off = (index == order).view(np.uint8)
-    marked = np.multiply(off, 3 * order, dtype=dtype)  # order + 3 order off U, 0 + E on it
-    np.add(marked, index, out=marked, casting="unsafe")
-    keep = np.multiply(off, order - 1, dtype=dtype)
-    np.subtract(5 * order - 1, keep, out=keep)  # 4 order off U, 5 order - 1 on it
-    rows = (table.exps[left] * scale & low).astype(dtype)
-    columns = (-table.exps[right] * scale & low).astype(dtype)
-    equal = np.zeros(len(left), dtype=bool)
-    for k, (l, m) in enumerate(zip(left.tolist(), right.tolist())):
-        c = table.cols[m]
-        if np.array_equal(np.sort(c), np.arange(len(c))):
-            got = np.take(marked[table.cols[l]], c, axis=1)
-            got += rows[k, :, None]
+
+    def marked(x):  # E on U, order + 3 order off it (above any E plus two phases)
+        out = np.multiply(x == order, 3 * order, dtype=dtype)
+        out += x
+        return out
+
+    rows = table.exps[left].astype(dtype) * scale & low  # narrow exponents wrap in dtype
+    columns = -table.exps[right].astype(dtype) * scale & low
+    dim = index.shape[1]
+    equal = np.array([np.array_equal(np.sort(c), np.arange(dim)) for c in table.cols[right]],
+                     dtype=bool)
+    step = max(1, _J_BLOCK // dim)
+    for a in range(0, dim, step):
+        at = slice(a, a + step)
+        want = marked(index[at])
+        keep = np.multiply(want >= 4 * order, order - 1, dtype=dtype)
+        np.subtract(5 * order - 1, keep, out=keep)  # the marker bit, and the exponent bits on U
+        for k in np.flatnonzero(equal):
+            got = marked(index[table.cols[left[k], at]].take(table.cols[right[k]], axis=1))
+            got += rows[k, at, None]
             got += columns[k]
-            got ^= marked
+            got ^= want
             got &= keep
             equal[k] = not got.any()
     return equal
 
 
-def _generator_points(table: _SupportTable, index: np.ndarray, order: int, entries) -> bool:
+def _generator_points(js, index: np.ndarray, order: int, entries) -> bool:
     """Whether J_{e_i} U == U J_{e_i A} at e_1 = (1, 0) and e_2 = (0, 1), for
     U by its exponent index at `order` (`_index_conjugation`) and A =
-    (a, b, c, d), whose images of them are (a, b) and (c, d).  Once the J's
+    (a, b, c, d), whose images of them are (a, b) and (c, d); the four J's
+    written on demand by js, members -> `_SupportTable`.  Once the J's
     meet `_generator_cocycle`, that is the law at every point
     (`_conjugation_scan`)."""
-    N = math.isqrt(len(table.cols))  # J_{r,s} at member N r + s
+    N = math.isqrt(len(index))  # J_{r,s} at member N r + s
     a, b, c, d = (int(x) % N for x in entries)
-    points, images = np.array([N, 1]), np.array([N * a + b, N * c + d])
-    return bool(_index_conjugation(table, index, order, points, images).all())
+    table = js(np.array([N, 1, N * a + b, N * c + d]))
+    return bool(_index_conjugation(table, index, order, np.arange(2), np.arange(2, 4)).all())
 
 
 def _conjugation_scan(
-    report: VerifyReport, N: int, table: _SupportTable | np.ndarray, entries: np.ndarray, U, j_of,
-    matrix, tol: float, inputs, generated: bool = False,
+    report: VerifyReport, N: int, table, entries: np.ndarray, U, j_of, matrix, tol: float, inputs,
+    generated: bool = False,
 ) -> None:
     """Record J_l U_e == U_e J_{l A_e} by one `VerifyReport.scan` over the keys
     (e, l), element-major: e numbers the elements of `entries`, an array
@@ -448,13 +516,20 @@ def _conjugation_scan(
     the one `mat_eq` gives on the same products.  A function e -> element
     e's exact table decides each element of the chunk on its exponent index
     at the higher of the two orders (`_index_conjugation`), `table` a
-    support table: where `generated` (the table meets `_generator_cocycle`),
+    support table or members -> the `_SupportTable` of those J's of order N
+    (`_j_members`): where `generated` (the J's meet `_generator_cocycle`),
     from its two generator points first, as J_{l + e_i} U = omega^{-phi(l,
     e_i)} J_l U J_{e_i A} = U J_{(l + e_i) A} once J_l U = U J_{lA}, phi
-    being SL2-invariant.  Every key left is compared as mat_eq(J_l @ U_e,
+    being SL2-invariant; an element that fails them reads the whole table,
+    written once per scan.  Every key left is compared as mat_eq(J_l @ U_e,
     U_e @ J_{l A_e}), J built by j_of((r, s)) and U_e by matrix(e), and
     named by inputs(e, l).
     """
+
+    if callable(table):
+        js, whole = table, cache(lambda: table(np.arange(N * N)))
+    else:
+        js, whole = lambda ls: table._replace(cols=table.cols[ls], exps=table.exps[ls]), lambda: table
 
     def image(e, l):  # the point (r, s) A_e, as its index N r' + s'
         a, b, c, d = entries[:, e]
@@ -480,12 +555,12 @@ def _conjugation_scan(
         for x in range(e[0], e[-1] + 1):  # the chunk's elements, in key order
             at = slice(*np.searchsorted(e, (x, x + 1)))
             u = U(x)
-            order = max(u.order, table.order)
+            order = max(u.order, N if callable(table) else table.order)
             index = _index(u, order)
-            if generated and _generator_points(table, index, order, entries[:, x]):
+            if generated and _generator_points(js, index, order, entries[:, x]):
                 equal[at] = True
             else:
-                equal[at] = _index_conjugation(table, index, order, l[at], right[at])
+                equal[at] = _index_conjugation(whole(), index, order, l[at], right[at])
         return equal, np.zeros(len(l))
 
     keys = np.indices((entries.shape[1], N * N)).reshape(2, -1)

@@ -200,6 +200,23 @@ def test_exact_homomorphism_mod32_fresh_gate():
     _done("exact homomorphism N = 32, 100 samples", t0, 15)
 
 
+def test_exact_homomorphism_mod64_fresh_gate():
+    # U(A)U(B) == U(AB) exactly at N = 64 (dim 4,096) on 3 seeded pairs, in a
+    # fresh process: the cocycle lemma on the J's written two r-rows a
+    # block, each element at its two generator points, each factor pair
+    # from the first 64 columns, its report pinned; 1.6-2.8 s of suite time
+    # and 124 MB measured on a 2-vCPU box (the J's as one int64 table, then
+    # narrowed: 3.8-3.9 s and 476 MB)
+    t0 = time.perf_counter()
+    params = {"N": 64, "samples": 3, "seed": 7, "backend": "exact"}
+    passed, checks, deviation, peak_kib, seconds, digest = _fresh_run("homomorphism", params)
+    assert passed and checks == 3 and deviation == 0.0
+    assert digest.startswith("32291d0513288c21")
+    assert seconds <= 8.0, f"suite took {seconds:.2f}s, budget 8s"
+    assert peak_kib <= 150 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 150 MB"
+    _done("exact homomorphism N = 64", t0, 20)
+
+
 def test_exact_metaplectic_mod16_within_budget():
     # J U(A) == U(A) J_{(r,s)A} exactly at N = 16 (dim 256) for S, T and 20
     # seeded elements, each decided at its two generator points on U's
@@ -228,6 +245,24 @@ def test_exact_metaplectic_mod32_fresh_gate():
     assert seconds <= 1.0, f"suite took {seconds:.2f}s, budget 1s"
     assert peak_kib <= 90 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 90 MB"
     _done("exact metaplectic N = 32", t0, 10)
+
+
+def test_exact_metaplectic_mod64_fresh_gate():
+    # J U(A) == U(A) J_{(r,s)A} exactly at N = 64 (dim 4,096) for S, T and 2
+    # seeded elements, in a fresh process: the cocycle lemma on the J's
+    # written two r-rows a block, then each element at its two generator
+    # points, four J's written for each, a block of U's index rows at a
+    # time; 0.8-1.3 s of suite time and 57 MB measured on a 2-vCPU box (the
+    # J's as one int64 table and whole-index temporaries: 2.1-2.5 s and
+    # 493 MB)
+    t0 = time.perf_counter()
+    params = {"n": 6, "p": 1, "samples": 2, "seed": 7}
+    passed, checks, deviation, peak_kib, seconds, digest = _fresh_run("metaplectic", params)
+    assert passed and checks == 4 * 4096 and deviation == 0.0
+    assert digest.startswith("b21c0a854f72a4b2")
+    assert seconds <= 5.0, f"suite took {seconds:.2f}s, budget 5s"
+    assert peak_kib <= 90 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB, gate 90 MB"
+    _done("exact metaplectic N = 64", t0, 15)
 
 
 def test_exact_cocycle_twisted_mod16_within_budget():

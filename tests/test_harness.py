@@ -357,6 +357,67 @@ def test_j_columns_that_stay_in_place_prove_no_pair_by_covariance(monkeypatch):
     assert proofs and not any(proofs)
 
 
+def test_j_columns_written_in_place_prove_no_pair_by_covariance(monkeypatch):
+    # the J writer keeps every column in place, and its J's are taken to
+    # meet the cocycle lemma after its blocks are written: the orbit ORed
+    # from those blocks is the first 16 rows, which proves nothing about
+    # the others, so no element is checked at its two points, no pair is
+    # proven by covariance, and the report is the passing one
+    params = {"N": 16, "samples": 10, "backend": "exact"}
+    want = run_suite(SuiteSpec("homomorphism", params)).to_json()
+    real_members, real_cocycle = harness._j_members, harness._generator_cocycle
+
+    def in_place(pr, members):
+        table = real_members(pr, members)
+        return table._replace(cols=np.broadcast_to(np.arange(pr.N**2), table.cols.shape))
+
+    monkeypatch.setattr(harness, "_j_members", in_place)
+    monkeypatch.setattr(harness, "_generator_cocycle", lambda js, pr: real_cocycle(js, pr) or True)
+    verdicts, points, _, proofs = _spy_covariance(monkeypatch)
+    _assert_same_json(run_suite(SuiteSpec("homomorphism", params)).to_json(), want)
+    assert verdicts == [True] and points == []
+    assert proofs and not any(proofs)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cocycle-twisted", {"n": 4, "p": 3, "backend": "exact"}),
+    ("metaplectic", {"n": 4, "p": 1, "samples": 6}),
+    ("homomorphism", {"N": 16, "samples": 20, "backend": "exact"}),
+])
+def test_passing_exact_runs_write_each_j_once_in_narrow_types(name, params, monkeypatch):
+    # a silent drop to a whole or int64 J table: a passing exact run writes
+    # each of the 256 J's once, for the cocycle lemma's one block, then the
+    # four J's of each element it checks at its two generator points (none
+    # for the twisted cocycle), every one narrow; no whole table reaches
+    # `_law_table`
+    writes, laws = [], []
+    real_support, real_law = metaplectic._twisted_support, matrixcore._law_table
+
+    def support(pr, r, s):
+        cols, exps = real_support(pr, r, s)
+        writes.append((16 * np.asarray(r) + np.asarray(s), cols.dtype, exps.dtype))
+        return cols, exps
+
+    monkeypatch.setattr(metaplectic, "_twisted_support", support)
+    for module in (harness, metaplectic):
+        monkeypatch.setattr(module, "_law_table", lambda t: laws.append(t) or real_law(t))
+    elements, real_points = [], metaplectic._generator_points
+    for module in (harness, metaplectic):
+        monkeypatch.setattr(module, "_generator_points",
+                            lambda js, index, order, A: elements.append(A) or real_points(js, index, order, A))
+    rep = run_suite(SuiteSpec(name, params))
+    assert rep.passed
+    assert laws == [] and all(c == e == np.uint8 for _, c, e in writes)
+    assert np.array_equal(writes[0][0], np.arange(256))
+    assert [len(m) for m, *_ in writes[1:]] == [4] * len(elements)
+    if name == "metaplectic":
+        assert len(elements) == 2 + params["samples"]
+    elif name == "homomorphism":
+        assert len(elements) > 20
+    else:
+        assert elements == []
+
+
 def test_pairs_the_kernel_leaves_are_compared_densely(monkeypatch):
     # a kernel that proves every other pair only: the others are built and
     # multiplied densely, and the report is unchanged
@@ -794,8 +855,8 @@ def test_support_laws_read_one_narrow_table_per_run(name, params, monkeypatch):
     # the exact support laws get their table prepared once per suite call,
     # in codes of the smallest unsigned type, not an int64 table cast per
     # call (the twisted J's at n = 3 have 6 column and 3 exponent bits); the
-    # twisted cocycle's generator check reads the same table as its dagger
-    # and product laws, which run once the check is made to fail
+    # twisted cocycle's dagger and product laws, which run once its
+    # generator check is made to fail, read the same table
     tables = []
     real = harness._support_law
 
@@ -804,8 +865,7 @@ def test_support_laws_read_one_narrow_table_per_run(name, params, monkeypatch):
         return real(table, *args)
 
     monkeypatch.setattr(harness, "_support_law", law)
-    monkeypatch.setattr(harness, "_generator_cocycle",
-                        lambda table, pr: tables.append(table) or False)
+    monkeypatch.setattr(harness, "_generator_cocycle", lambda js, pr: False)
     assert run_suite(SuiteSpec(name, params)).passed
     assert len(tables) >= 2 and all(t is tables[0] for t in tables)
     narrow = tables[0]
@@ -1096,8 +1156,9 @@ EXACT_TWISTED_RUNS = [(n, p) for n in (1, 2, 3) for p in range(1, 2**n, 2)] + [(
 
 def test_passing_exact_twisted_cocycle_makes_one_generator_check(monkeypatch):
     # a silent drop from the cocycle lemma to the full-table laws would cost
-    # N^4 pairs: a passing exact run makes one generator check, whose one
-    # `_support_law` call reads the 2 N^2 generator pairs, and builds no J
+    # N^4 pairs: a passing exact run makes one generator check, which
+    # decides the 2 N^2 generator pairs on the J's codes with no
+    # `_support_law` call, and builds no J
     checks, pairs = [], []
     real_check, real_law = harness._generator_cocycle, matrixcore._support_law
 
@@ -1110,14 +1171,14 @@ def test_passing_exact_twisted_cocycle_makes_one_generator_check(monkeypatch):
         return real_law(table, left, *args)
 
     monkeypatch.setattr(harness, "_generator_cocycle", check)
-    for module in (matrixcore, metaplectic, harness):
+    for module in (matrixcore, harness):
         monkeypatch.setattr(module, "_support_law", spy)
     points, supports = _spy_builds(monkeypatch)
     for n, p in EXACT_TWISTED_RUNS:
         N = 2**n
         rep = run_suite(SuiteSpec("cocycle-twisted", {"n": n, "p": p, "backend": "exact"}))
         assert rep.passed and rep.checks_run == N**2 + N**4
-        assert checks == [HWParams(N, p)] and pairs == [2 * N * N], (n, p)
+        assert checks == [HWParams(N, p)] and pairs == [], (n, p)
         checks.clear()
         pairs.clear()
     assert points == [] and supports == []

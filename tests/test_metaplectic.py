@@ -3,7 +3,7 @@
 import itertools
 import json
 import math
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -819,22 +819,33 @@ def test_weil_odd_reports_equal_the_per_element_loop(N, flaw, branch, monkeypatc
     ("weil-odd", {"N": 5, "pairs": False}, "j_odd", 25),
 ])
 def test_suite_builds_each_j_once(name, params, builder, count, monkeypatch):
-    # one table of all `count` J's per suite call; a passing run calls no builder
-    tables, built = [], []
-    real = getattr(metaplectic, builder)
+    # weil-odd reads one table of all `count` J's per suite call; a passing
+    # metaplectic run reads no whole table but writes its `count` J's once,
+    # for the cocycle lemma, then the four J's of each element's generator
+    # points; a passing run calls no builder
+    tables, written, built = [], [], []
+    real, real_members = getattr(metaplectic, builder), harness._j_members
 
     def counting_table(*args):
         tables.append(metaplectic._j_table(*args))
         return tables[-1]
+
+    def counting_members(pr, members):
+        written.append(len(members))
+        return real_members(pr, members)
 
     def counting(*args, **kwargs):
         built.append(args[1])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "_j_table", counting_table)
+    monkeypatch.setattr(harness, "_j_members", counting_members)
     monkeypatch.setattr(metaplectic, builder, counting)
     assert run_suite(SuiteSpec(name, params)).passed
-    assert len(tables) == 1 and tables[0].cols.shape[0] == count
+    if name == "weil-odd":
+        assert len(tables) == 1 and tables[0].cols.shape[0] == count and written == []
+    else:
+        assert tables == [] and written == [count] + [4] * (2 + params["samples"])
     assert built == []
 
 
@@ -1152,9 +1163,15 @@ def _assert_table_row(table, t, M, backend):
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
-def test_j_table_equals_the_builders(backend):
+def test_j_table_equals_the_builders(backend, monkeypatch):
     # the formula table holds, point by point, the support of j_twisted / j_odd
-    # on either backend
+    # on either backend.  So does every twisted J the cocycle lemma's writer
+    # packs, in every block (two r-rows each, the block constant made
+    # small), decoded from its codes: written once each, in the smallest
+    # unsigned types
+    monkeypatch.setattr(metaplectic, "_J_BLOCK", 1)
+    packed, real_pack = [], metaplectic._law_codes
+    monkeypatch.setattr(metaplectic, "_law_codes", lambda t: packed.append(real_pack(t)) or packed[-1])
     cases = [("twisted_even", HWParams(N, p)) for N in (2, 4, 8) for p in range(1, N, 2)]
     if backend == "float":
         cases += [("weil_odd", HWParams(N)) for N in (3, 5, 7)]
@@ -1166,6 +1183,20 @@ def test_j_table_equals_the_builders(backend):
         for l, (r, s) in enumerate(np.ndindex(N, N)):
             J = j_twisted(pr, (r, s), backend) if flavor == "twisted_even" else j_odd(N, (r, s))
             _assert_table_row(table, l, J, backend)
+        if flavor == "weil_odd":
+            continue
+        assert (table.cols.dtype, table.exps.dtype) == (np.min_scalar_type(dim - 1), np.uint8)
+        written = []
+        packed.clear()
+        js = lambda ls: written.append(ls) or metaplectic._j_members(pr, ls)  # noqa: E731
+        assert metaplectic._generator_cocycle(js, pr)
+        assert len(written) == len(packed) == max(1, N // 2)
+        assert np.array_equal(np.concatenate(written), np.arange(N * N))
+        for members, (order, shift, codes) in zip(written, packed):
+            assert codes.dtype == np.min_scalar_type((order << shift) - 1)
+            decoded = _SupportTable(order, codes & ((1 << shift) - 1), codes >> shift)
+            for t, l in enumerate(members.tolist()):
+                _assert_table_row(decoded, t, j_twisted(pr, divmod(l, N), backend), backend)
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -1807,6 +1838,84 @@ def test_generator_cocycle_equals_the_full_pair_law(flaw, point, monkeypatch):
                 law = matrixcore._law_table(table)
                 assert metaplectic._generator_cocycle(law, pr) == full, (n, p)
                 assert full == (flaw is None), (n, p)
+
+
+def _generator_steps(law, pr):
+    # the cocycle lemma as `_support_law` decides it on the whole table: J_0
+    # = I and the 2 N^2 generator steps J_m J_{e_i} == omega^{phi(m, e_i)}
+    # J_{m + e_i}, J_m at member N r + s
+    N = pr.N
+    r, s = np.divmod(np.arange(N * N), N)
+    steps = np.concatenate((N * ((r + 1) % N) + s, N * r + (s + 1) % N))
+    phase = pr.p * (law.order // N) * np.concatenate((s, -r))
+    held = matrixcore._support_law(law, np.tile(N * r + s, 2), np.repeat([N, 1], N * N), steps, phase)
+    return matrixcore._member_is_identity(law, 0) and bool(held.all())
+
+
+def _assert_lemma_like_the_steps(pr, table=None):
+    # the shifted compares of `_generator_cocycle` on the J's as written, a
+    # block at a time, and on the whole `_law_table`: the verdict of the
+    # generator steps; returns it.  A `table` given stands for the writer
+    if table is None:
+        js, table = partial(metaplectic._j_members, pr), metaplectic._j_table("twisted_even", pr.N, pr)
+    else:
+        js = lambda ls: table._replace(cols=table.cols[ls], exps=table.exps[ls])  # noqa: E731
+    law = matrixcore._law_table(table)
+    want = _generator_steps(law, pr)
+    assert metaplectic._generator_cocycle(js, pr) == want, pr
+    assert metaplectic._generator_cocycle(law, pr) == want, pr
+    return want
+
+
+@pytest.mark.parametrize("flaw", ["phase", "scalar", "swap", "collision"])
+def test_block_lemma_gives_the_generator_steps_verdict(flaw, monkeypatch):
+    # unflawed, and with the flaw at every point, at N <= 8 and every odd p
+    for n in (1, 2, 3):
+        N = 2**n
+        for p in range(1, N, 2):
+            assert _assert_lemma_like_the_steps(HWParams(N, p))
+        for point in np.ndindex(N, N):
+            with monkeypatch.context() as m:
+                _perturb_twisted(m, flaw, point)
+                for p in range(1, N, 2):
+                    assert not _assert_lemma_like_the_steps(HWParams(N, p)), (flaw, point)
+
+
+def _scale_rows(monkeypatch, rows):
+    # every J_{r,s} with r in `rows` times omega, in the support formula: the
+    # generator steps inside those rows hold, those into or out of them fail
+    real = metaplectic._twisted_support
+
+    def scaled(pr, r, s):
+        cols, exponents = real(pr, r, s)
+        exponents += np.isin(np.asarray(r), rows)[..., None]
+        return cols, exponents % pr.N
+
+    monkeypatch.setattr(metaplectic, "_twisted_support", scaled)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_block_lemma_carries_rows_across_blocks(N, monkeypatch):
+    # blocks of two r-rows (the block constant made small): each flaw at the
+    # first and last points of blocks, r-rows 2 and 3 scaled so that only
+    # the steps across two block boundaries (1 -> 2 and 3 -> 4) fail, and
+    # J_{r,s} times omega_{2N}^r in a table of order 2N, where only the step
+    # around the last r-row (N - 1 -> 0, the last block to the first) fails
+    monkeypatch.setattr(metaplectic, "_J_BLOCK", 1)
+    points = [(0, 0), (1, 0), (0, 1), (1, N - 1), (2, 5), (N - 2, 3), (N - 1, 0), (N - 1, N - 1)]
+    for p in (1, N - 1):
+        assert _assert_lemma_like_the_steps(HWParams(N, p))
+    for flaw, point in itertools.product(("phase", "scalar", "swap", "collision"), points):
+        with monkeypatch.context() as m:
+            _perturb_twisted(m, flaw, point)
+            assert not _assert_lemma_like_the_steps(HWParams(N, N - 1)), (flaw, point)
+    with monkeypatch.context() as m:
+        _scale_rows(m, [2, 3])
+        assert not _assert_lemma_like_the_steps(HWParams(N, 1))
+    pr = HWParams(N, 3)
+    table = metaplectic._j_table("twisted_even", N, pr)
+    r = np.arange(N * N)[:, None] // N
+    assert not _assert_lemma_like_the_steps(pr, table._replace(order=2 * N, exps=2 * table.exps + r))
 
 
 def test_generator_pairs_prove_nothing_unless_j0_is_the_identity():
