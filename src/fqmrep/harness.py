@@ -12,14 +12,16 @@ phased permutations are decided in bulk on one table of their omega_N
 exponents, from the builders' support formulas: `_support_law` decides the
 exact `heisenberg` commutator law on a table prepared once per suite call
 (`_law_table`).  The exact twisted cocycle and its dagger law are proven
-from the 2 N^2 generator steps of the J table (`_generator_cocycle`, the
-cocycle lemma); where a step fails, `_support_law` decides every pair
-(`check_pair_law`) and every point as J[l] J[-l] == I on the same table.
-`_conjugation_scan` decides J[l] U(A) == U(A) J[lA] on such a table, in
-one scan over every (element, point) of a suite call: for `metaplectic`
-over S, T and the samples, each on U's exponent index from its closed-form
-builder's table (`_closed_form`, `_index`), from its two generator points
-once the run's J's meet the cocycle lemma; for `weil-odd` over SL2(Z_N) on
+from the 2 N^2 generator steps of the J's, written from their formula a
+block at a time (`_j_members`, `_generator_cocycle`, the cocycle lemma);
+where a step fails, the whole narrow table is built once and
+`_support_law` decides every pair (`check_pair_law`) and every point as
+J[l] J[-l] == I on it.  `_conjugation_scan` decides J[l] U(A) == U(A)
+J[lA] in one scan over every (element, point) of a suite call: for
+`metaplectic` over S, T and the samples, each on U's exponent index from
+its closed-form builder's table (`_closed_form`, `_index`), from its two
+generator points (four J's written for each) once the run's J's meet the
+cocycle lemma; for `weil-odd` over SL2(Z_N) on
 the float stack of its U(A) (`_weil_odd_stack`) and that of its J's.  The
 float pair laws (`cocycle-odd` and its dagger law, the `feichtinger-defect`
 pi law, `weil-odd`'s U(A) U(B) == U(AB)) are decided on float stacks in
@@ -500,10 +502,10 @@ def _covariance(pr: HWParams):
     they are written; once per key, the slot's index meets the law at the
     two generator points, their four J's written on demand
     (`_generator_points`)."""
-    reach = np.zeros(pr.N**2, dtype=bool)  # the rows some J sends to a column < N
+    write, reach = partial(_j_members, pr), np.zeros(pr.N**2, dtype=bool)
 
-    def js(members):
-        table = _j_members(pr, members)
+    def js(members):  # reach: the rows some J sends to a column < N
+        table = write(members)
         reach[(table.cols < pr.N).any(axis=0)] = True
         return table
 
@@ -512,8 +514,7 @@ def _covariance(pr: HWParams):
 
     def covariant(key, index, order, entries) -> bool:
         if key not in verdicts:
-            verdicts[key] = cocycle() and _generator_points(
-                partial(_j_members, pr), index, order, entries)
+            verdicts[key] = cocycle() and _generator_points(write, index, order, entries)
         return verdicts[key]
 
     def attach(slot, key, entries):  # no reference to the slot: no cycle keeps it alive

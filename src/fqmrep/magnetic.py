@@ -48,7 +48,7 @@ def _twisted_support(params: HWParams, r, s) -> tuple[np.ndarray, np.ndarray]:
     reduced mod N by `& (N - 1)`, which two's complement makes `% N`.
 
     Row (k1, k2) goes to column N (k1 - r) + (k2 - r) with exponent
-    p s (k1 - r) + p s k2.  The row grid is in the smallest unsigned type,
+    p s (k1 - r + k2).  The row grid is in the smallest unsigned type,
     so unsigned r and s below N give the columns in the smallest type
     holding N^2 - 1 and the exponents in that of r and s, wrapping mod a
     multiple of N; int r and s give int64, as before."""
@@ -57,11 +57,11 @@ def _twisted_support(params: HWParams, r, s) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"twisted construction needs N = 2^n, got {N}")
     r, s = np.asarray(r)[..., None], np.asarray(s)[..., None]
     k = np.arange(N, dtype=np.min_scalar_type(N - 1))
-    shifted = (k - r) & (N - 1)
+    shifted = (k - r) & (N - 1)  # k1 - r and k2 - r
     wide = np.result_type(shifted, np.min_scalar_type(N * N - 1))
-    cols = (N * shifted.astype(wide, copy=False))[..., None] + shifted[..., None, :]
-    ps = p * s
-    exps = (ps * shifted)[..., None] + (ps * k)[..., None, :]
+    cols = np.multiply(shifted, N, dtype=wide)[..., None] + shifted[..., None, :]
+    exps = shifted[..., None] + k
+    exps *= (p * s)[..., None]
     exps &= N - 1
     return cols.reshape(*r.shape[:-1], N * N), exps.reshape(*r.shape[:-1], N * N)
 

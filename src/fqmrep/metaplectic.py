@@ -455,9 +455,9 @@ def _index_conjugation(
     times omega^{k_m(t)} (c_m a permutation, else no proof): so the index at
     rows c_l and columns c_m plus k_l(i) - k_m(t) is U's own, compared on
     the marker bit (moved to 4 order, above any exponent plus two phases)
-    and the exponent bits where U is nonzero.  A block of `_J_BLOCK` entries
-    of rows i at a time, each marked by a table lookup, so no dim^2
-    temporary is held."""
+    and the exponent bits where U is nonzero.  Past one block of
+    `_J_BLOCK` entries, rows i are read a block at a time and marked as
+    they are read, so no dim^2 temporary is held."""
     low, scale, dtype = order - 1, order // table.order, np.min_scalar_type(6 * order - 1)
 
     def marked(x):  # E on U, order + 3 order off it (above any E plus two phases)
@@ -468,8 +468,7 @@ def _index_conjugation(
     rows = table.exps[left].astype(dtype) * scale & low  # narrow exponents wrap in dtype
     columns = -table.exps[right].astype(dtype) * scale & low
     dim = index.shape[1]
-    equal = np.array([np.array_equal(np.sort(c), np.arange(dim)) for c in table.cols[right]],
-                     dtype=bool)
+    equal = (np.sort(table.cols[right], axis=1) == np.arange(dim)).all(axis=1)
     step = max(1, _J_BLOCK // dim)
     for a in range(0, dim, step):
         at = slice(a, a + step)
@@ -477,7 +476,8 @@ def _index_conjugation(
         keep = np.multiply(want >= 4 * order, order - 1, dtype=dtype)
         np.subtract(5 * order - 1, keep, out=keep)  # the marker bit, and the exponent bits on U
         for k in np.flatnonzero(equal):
-            got = marked(index[table.cols[left[k], at]].take(table.cols[right[k]], axis=1))
+            c = table.cols[left[k], at]  # one block of all rows is its own marked source
+            got = (want[c] if step >= dim else marked(index[c])).take(table.cols[right[k]], axis=1)
             got += rows[k, at, None]
             got += columns[k]
             got ^= want
