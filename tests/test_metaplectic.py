@@ -1899,8 +1899,9 @@ def test_block_lemma_carries_rows_across_blocks(N, monkeypatch):
     # blocks of two r-rows (the block constant made small): each flaw at the
     # first and last points of blocks, r-rows 2 and 3 scaled so that only
     # the steps across two block boundaries (1 -> 2 and 3 -> 4) fail, and
-    # J_{r,s} times omega_{2N}^r in a table of order 2N, where only the step
-    # around the last r-row (N - 1 -> 0, the last block to the first) fails
+    # J_{r,s} times omega_{2N}^r (or omega_{2N}^s) in a table of order 2N,
+    # where only the steps around the last r-row (N - 1 -> 0, the last block
+    # to the first) or the last s (N - 1 -> 0 in every r-row) fail
     monkeypatch.setattr(metaplectic, "_J_BLOCK", 1)
     points = [(0, 0), (1, 0), (0, 1), (1, N - 1), (2, 5), (N - 2, 3), (N - 1, 0), (N - 1, N - 1)]
     for p in (1, N - 1):
@@ -1914,8 +1915,8 @@ def test_block_lemma_carries_rows_across_blocks(N, monkeypatch):
         assert not _assert_lemma_like_the_steps(HWParams(N, 1))
     pr = HWParams(N, 3)
     table = metaplectic._j_table("twisted_even", N, pr)
-    r = np.arange(N * N)[:, None] // N
-    assert not _assert_lemma_like_the_steps(pr, table._replace(order=2 * N, exps=2 * table.exps + r))
+    for step in np.divmod(np.arange(N * N)[:, None], N):
+        assert not _assert_lemma_like_the_steps(pr, table._replace(order=2 * N, exps=2 * table.exps + step))
 
 
 def test_generator_pairs_prove_nothing_unless_j0_is_the_identity():
